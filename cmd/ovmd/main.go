@@ -9,12 +9,14 @@
 // (edge insert/delete/re-weight, opinion/stubbornness drift); the loaded
 // artifacts are incrementally repaired (byte-identical to a full rebuild of
 // the mutated graph) and the dataset epoch bumps by one. When serving from
-// an -index file, every applied batch is appended to the file's update log
-// (persisted in OVMIDX format v3) with an atomic rewrite, so a restarted
-// daemon replays to the same epoch and the same bytes. Serving a v3 index
-// defaults to a zero-copy mmap load (-mmap=false forces the heap path);
-// a pre-existing v1/v2 file is readable and is rewritten as v3 on its
-// first persisted update.
+// an -index file, every acknowledged batch is one fsync'd line in the
+// <index>.wal sidecar; the index file itself is a checkpoint, rewritten
+// atomically (as OVMIDX v3) only once the log reaches -compact-log batches
+// and at a graceful stop. A restarted daemon maps the checkpoint, replays
+// the WAL, and only then listens — at the same epoch, with the same bytes.
+// Serving a v3 index defaults to a zero-copy mmap load (-mmap=false forces
+// the heap path); a pre-existing v1/v2 file is readable and becomes v3 at
+// its first checkpoint.
 //
 // Observability: GET /metrics is a dependency-free Prometheus text
 // exposition (request/stage latency histograms, cache counters,
@@ -55,14 +57,12 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"ovm"
 	"ovm/internal/cliutil"
 	"ovm/internal/core"
-	"ovm/internal/dynamic"
 	"ovm/internal/iofault"
 	"ovm/internal/obs"
 	"ovm/internal/persist"
@@ -83,7 +83,7 @@ func main() {
 		par     = flag.Int("parallel", 0, "engine worker count (0 = GOMAXPROCS, 1 = serial); never changes any response")
 		mmap    = flag.Bool("mmap", true, "serve a v3 -index zero-copy from an mmap'd region (v1/v2 files and -mmap=false load to the heap); never changes any response")
 		cache   = flag.Int("cache", 1024, "LRU response cache capacity (entries)")
-		compact = flag.Int("compact-log", 1024, "rebase the persisted index once its update log (applied + queued batches) reaches this many, bounding file size and restart replay cost (0 = never compact)")
+		compact = flag.Int("compact-log", 1024, "checkpoint the index file (rewrite it at the current epoch and prune the WAL) once the update log (applied + queued batches) reaches this many, bounding WAL size and restart replay cost; a graceful stop checkpoints too (0 = never checkpoint)")
 
 		syncUpdates = flag.Bool("sync-updates", false, "apply update batches inline (blocking POST) instead of the default async pipeline (durable WAL queue + background repair)")
 
@@ -91,7 +91,7 @@ func main() {
 		maxInflight  = flag.Int("max-inflight", 0, "cap on concurrently computing queries; cache hits always answer (0 = unlimited)")
 		maxQueue     = flag.Int("max-queue", 64, "computations allowed to wait for a free slot once -max-inflight is reached; overflow is shed with 429 + Retry-After (only meaningful with -max-inflight > 0)")
 		debugFaults  = flag.Bool("debug-faults", false, "mount /debug/fault/* handlers (panic injection for failure-mode testing); never enable in production")
-		dumpUpdates  = flag.Bool("dump-updates", false, "print the -index file's persisted update log as JSONL (one batch per line, replayable via 'ovm -updates') and exit")
+		dumpUpdates  = flag.Bool("dump-updates", false, "print the batches persisted past the -index file's base (its own log section, then its WAL) as JSONL (one batch per line, replayable via 'ovm -updates') and exit")
 
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, error (queries log at debug)")
 		logFormat = flag.String("log-format", "text", "log line format: text or json")
@@ -151,10 +151,12 @@ func main() {
 	})
 }
 
-// dumpUpdateLog prints the index file's persisted update log as JSONL —
-// one batch per line, each a JSON array of ops — the exact shape
-// 'ovm -updates' replays, so the chaos harness can compare a restarted
-// daemon's answers against a direct library run on the mutated graph.
+// dumpUpdateLog prints every persisted update batch past the index file's
+// base as JSONL — one batch per line, each a JSON array of ops, the exact
+// shape 'ovm -updates' replays: the file's own (legacy) log section, then
+// the WAL entries that continue it. The chaos harness replays the dump
+// through the direct CLI and compares a restarted daemon's answers against
+// it. Neither file is modified.
 func dumpUpdateLog(path string) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -165,9 +167,22 @@ func dumpUpdateLog(path string) {
 	if err != nil {
 		fatal(err)
 	}
+	entries, _, _, err := persist.ReadWAL(path + ".wal")
+	if err != nil {
+		fatal(err)
+	}
 	enc := json.NewEncoder(os.Stdout)
 	for _, batch := range idx.Updates {
 		if err := enc.Encode(batch); err != nil {
+			fatal(err)
+		}
+	}
+	served := idx.BaseEpoch + int64(len(idx.Updates))
+	for _, e := range entries {
+		if e.Epoch <= served {
+			continue // the checkpoint already covers it
+		}
+		if err := enc.Encode(e.Batch); err != nil {
 			fatal(err)
 		}
 	}
@@ -233,9 +248,10 @@ type serveOpts struct {
 
 // serve implements the daemon mode: register the dataset (index preferred,
 // so startup is load-not-recompute), then run the HTTP server until
-// SIGINT/SIGTERM triggers a graceful drain. With -index, applied update
-// batches are persisted into the file's OVMIDX v3 update log before they
-// become visible, so the serving epoch survives restarts.
+// SIGINT/SIGTERM triggers a graceful drain. With -index, every
+// acknowledged update batch is in the fsync'd WAL beside the file before
+// it becomes visible (see store.go), so the serving epoch survives
+// restarts, and the listener opens only after the log has been replayed.
 func serve(o serveOpts) {
 	logger := o.logger
 	cfg := service.Config{
@@ -250,179 +266,36 @@ func serve(o serveOpts) {
 		MaxInflight:        o.maxInflight,
 		MaxQueue:           o.maxQueue,
 		DebugFaults:        o.debugFaults,
+		AsyncUpdates:       !o.syncUpdates,
 	}
 	if o.slowLog == 0 {
 		cfg.SlowQueryLog = -1 // 0 means "disabled" on the flag, "default" in Config
 	}
-	cfg.AsyncUpdates = !o.syncUpdates
-	var idx *serialize.Index
-	var mi *serialize.MappedIndex
 	var svc *service.Service
-	var wal *persist.WAL
-	// logDepth mirrors len(idx.Updates) for /stats and /metrics. OnUpdate
-	// reassigns idx under the service's update lock while stats readers run
-	// concurrently, so the depth crosses goroutines through an atomic
-	// rather than by reading idx.Updates directly. The WAL tail (accepted
-	// but not yet folded into the index log) is added at read time.
-	var logDepth atomic.Int64
-	if o.index != "" {
-		// A crash during a previous atomic rewrite can leave *.tmp-* files
-		// next to the index (the rename never happened, so the index itself
-		// is still the complete old epoch). Sweep them before loading.
-		if removed, err := persist.CleanStaleTemps(iofault.OS, o.index); err == nil && len(removed) > 0 {
-			logger.Warn("removed stale index temp files from an interrupted rewrite", obs.F("files", strings.Join(removed, ", ")))
-		}
-		if o.mmap {
-			// Zero-copy load: a v3 file is mmap'd and its arrays aliased in
-			// place (v1/v2 fall back to heap decode inside OpenMapped). The
-			// mapping stays open for the process lifetime — served artifacts
-			// alias it until their first repair copy-on-writes them — so it
-			// is deliberately never closed.
-			var err error
-			if mi, err = serialize.OpenMapped(o.index); err != nil {
-				quarantineIndex(logger, o.index, err)
-			} else {
-				idx = mi.Index
-			}
-		} else {
-			f, err := os.Open(o.index)
-			if err != nil {
-				fatal(err)
-			}
-			var err2 error
-			idx, err2 = serialize.ReadIndex(f)
-			_ = f.Close()
-			if err2 != nil {
-				idx = nil
-				quarantineIndex(logger, o.index, err2)
-			}
-		}
-	}
-	// queued holds WAL batches recovered at startup: accepted and fsync'd by
-	// a previous run but never folded into the index log. They re-enter the
-	// pipeline with their originally promised epochs.
-	var queued []dynamic.Batch
-	var queuedFirst int64
-	if idx != nil {
-		wal, queued, queuedFirst = openWAL(logger, o.index, idx)
-		logDepth.Store(int64(len(idx.Updates)))
-		cfg.UpdateLogDepth = func(string) int {
-			// Applied log depth plus the accepted-but-unapplied WAL tail:
-			// the count a restart replay (and a compaction) must absorb.
-			d := int(logDepth.Load())
-			if wal != nil {
-				d += wal.Depth()
-			}
-			return d
-		}
-		// Durability before acknowledgement: an async-accepted batch is on
-		// disk (fsync'd WAL sidecar) before the accepted response is sent.
-		cfg.OnEnqueue = func(ds string, batch dynamic.Batch, epoch int64) error {
-			return wal.Append(persist.WALEntry{Epoch: epoch, Batch: batch})
-		}
-		// Persistence trade-off: the update log lives inside the
-		// CRC-covered OVMIDX container, so each batch rewrites the whole
-		// file — O(index size) per update, durable and self-contained.
-		// -compact-log bounds the file (and restart replay); the retained
-		// base index aliases the served artifacts' storage until their
-		// first repair, so it is the write-back source, not a second copy.
-		cfg.OnUpdate = func(ds string, batches []dynamic.Batch, epoch int64) error {
-			// Compact before appending: once the log is long, rebase the
-			// stored artifacts onto the current (pre-swap) dataset state —
-			// BaseEpoch carries the version forward — so the file, the
-			// rewrite cost, and the restart replay cost all stay bounded.
-			// The trigger counts queued-but-unapplied batches too (the WAL
-			// tail): they land in this log next, so waiting for them to be
-			// applied before compacting just grows the file further.
-			depth := len(idx.Updates)
-			if wal != nil {
-				depth += wal.Depth()
-			}
-			if o.compact > 0 && depth >= o.compact {
-				// ExportIndex reads the VISIBLE (pre-swap) dataset, so the
-				// rebase never outruns the WAL: every batch being persisted
-				// here replays on top of the exported base to exactly epoch.
-				if exported, serr := svc.ExportIndex(ds); serr != nil {
-					logger.Warn("update-log compaction failed; keeping the existing log", obs.F("err", serr.Message))
-				} else {
-					idx = exported
-					logger.Info("compacted update log: artifacts rebased", obs.F("epoch", exported.BaseEpoch))
-				}
-			}
-			n0 := len(idx.Updates)
-			idx.Updates = append(idx.Updates, batches...)
-			if err := persist.WriteIndexAtomic(iofault.OS, o.index, idx); err != nil {
-				// Roll the in-memory log back so a later retry does not
-				// persist these batches twice.
-				idx.Updates = idx.Updates[:n0]
-				return err
-			}
-			logDepth.Store(int64(len(idx.Updates)))
-			if wal != nil {
-				// The batches are in the CRC-covered index log now; their WAL
-				// entries are redundant (a crashed prune is deduplicated at
-				// the next startup by epoch comparison).
-				if err := wal.Prune(epoch); err != nil {
-					logger.Warn("WAL prune failed; entries dedupe at restart", obs.F("err", err))
-				}
-			}
-			ops := 0
-			for _, b := range batches {
-				ops += len(b)
-			}
-			logger.Info("persisted update batches",
-				obs.F("epoch", epoch), obs.F("batches", len(batches)), obs.F("ops", ops),
-				obs.F("logDepth", len(idx.Updates)), obs.F("path", o.index))
-			return nil
-		}
-	}
-	svc = service.New(cfg)
+	var st *store
 	switch {
-	case idx != nil:
-		if err := svc.AddIndex(o.name, idx); err != nil {
+	case o.index != "":
+		var err error
+		st, err = openStore(iofault.OS, cfg, storeOpts{index: o.index, name: o.name, compact: o.compact, mmap: o.mmap})
+		switch {
+		case err == nil:
+			svc = st.svc
+		case errors.Is(err, errQuarantined):
+			// Start degraded (health, stats, and metrics still serve; dataset
+			// queries 404) rather than crash-looping on a corrupt file.
+			logger.Warn("serving with no datasets: index was quarantined", obs.F("index", o.index))
+			svc = service.New(cfg)
+		default:
 			fatal(err)
-		}
-		mode := "heap"
-		fields := []obs.Field{
-			obs.F("path", o.index),
-			obs.F("n", idx.Sys.N()), obs.F("r", idx.Sys.R()),
-			obs.F("sketches", len(idx.Sketches)), obs.F("walks", len(idx.Walks)), obs.F("rrs", len(idx.RRs)),
-			obs.F("replayed", len(idx.Updates)),
-		}
-		if mi != nil && mi.Mapped() {
-			mode = "mmap"
-			fields = append(fields, obs.F("zeroCopy", fmt.Sprintf("%d bytes zero-copy", mi.MappedBytes())))
-		}
-		logger.Info("loaded index (no recomputation)", append([]obs.Field{obs.F("mode", mode)}, fields...)...)
-		if len(queued) > 0 {
-			// Accepted-but-unrepaired batches from the previous run drain
-			// through the same applier as live traffic, landing on the same
-			// epochs that were promised before the crash. With -sync-updates
-			// the drain completes before serving (the blocking contract has
-			// no "catching up" state).
-			if serr := svc.SeedQueued(o.name, queued, queuedFirst); serr != nil {
-				fatal(errors.New(serr.Message))
-			}
-			logger.Info("recovered queued update batches from WAL",
-				obs.F("batches", len(queued)), obs.F("firstEpoch", queuedFirst))
-			if o.syncUpdates {
-				if serr := svc.WaitIdle(context.Background(), o.name); serr != nil {
-					fatal(errors.New(serr.Message))
-				}
-			}
 		}
 	case o.load != "" || o.dataset != "":
 		sys := loadSystem(o.load, o.dataset, o.n, o.mu, o.seed)
+		svc = service.New(cfg)
 		if err := svc.AddDataset(o.name, sys); err != nil {
 			fatal(err)
 		}
 		logger.Info("registered dataset without precomputed artifacts; queries compute from scratch and updates are not persisted",
 			obs.F("dataset", o.name), obs.F("n", sys.N()), obs.F("r", sys.R()))
-	case o.index != "":
-		// The index was quarantined above: start degraded (health, stats,
-		// and metrics still serve; dataset queries 404) rather than
-		// crash-looping on a corrupt file.
-		logger.Warn("serving with no datasets: index was quarantined", obs.F("index", o.index))
 	default:
 		fatal(fmt.Errorf("pass -index, -load, or -dataset"))
 	}
@@ -472,7 +345,11 @@ func serve(o serveOpts) {
 	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}
-	svc.Close()
+	if st != nil {
+		st.Close()
+	} else {
+		svc.Close()
+	}
 	logger.Info("ovmd stopped")
 }
 
@@ -501,79 +378,6 @@ func loadSystem(load, dataset string, n int, mu float64, seed int64) *ovm.System
 		fatal(fmt.Errorf("pass -index, -load, or -dataset"))
 		return nil
 	}
-}
-
-// openWAL opens (or creates) the index's write-ahead sidecar and
-// reconciles it with the index's replayed epoch: entries the index log
-// already contains (a crash landed between the index rewrite and the WAL
-// prune) are pruned as duplicates; the remainder must continue the
-// index's epoch contiguously and is returned for re-queueing. A WAL that
-// cannot be reconciled is quarantined — the index itself is still a
-// complete, consistent epoch.
-func openWAL(logger *obs.Logger, indexPath string, idx *serialize.Index) (*persist.WAL, []dynamic.Batch, int64) {
-	walPath := indexPath + ".wal"
-	if removed, err := persist.CleanStaleTemps(iofault.OS, walPath); err == nil && len(removed) > 0 {
-		logger.Warn("removed stale WAL temp files from an interrupted prune", obs.F("files", strings.Join(removed, ", ")))
-	}
-	wal, torn, err := persist.OpenWAL(iofault.OS, walPath)
-	if err != nil {
-		// Mid-file corruption: acked batches may be lost; keep the evidence
-		// and start with a fresh (empty) log rather than crash-looping.
-		logger.Warn("update WAL unreadable; quarantining", obs.F("wal", walPath), obs.F("err", err))
-		if dst, qerr := persist.Quarantine(iofault.OS, walPath); qerr != nil {
-			fatal(qerr)
-		} else {
-			logger.Warn("WAL quarantined for inspection", obs.F("movedTo", dst))
-		}
-		if wal, _, err = persist.OpenWAL(iofault.OS, walPath); err != nil {
-			fatal(err)
-		}
-	}
-	if torn > 0 {
-		// A torn final line is a batch whose accepted response may never
-		// have been sent; dropping it is the documented crash semantics.
-		logger.Warn("dropped torn WAL tail entry (crash mid-append)", obs.F("entries", torn))
-	}
-	served := idx.BaseEpoch + int64(len(idx.Updates))
-	if err := wal.Prune(served); err != nil {
-		fatal(err)
-	}
-	rem := wal.Pending()
-	if len(rem) == 0 {
-		return wal, nil, 0
-	}
-	if rem[0].Epoch != served+1 {
-		logger.Warn("WAL does not continue the index epoch; discarding its entries",
-			obs.F("walFirst", rem[0].Epoch), obs.F("indexEpoch", served))
-		if err := wal.Prune(rem[len(rem)-1].Epoch); err != nil {
-			fatal(err)
-		}
-		return wal, nil, 0
-	}
-	batches := make([]dynamic.Batch, len(rem))
-	for i, e := range rem {
-		batches[i] = e.Batch
-	}
-	return wal, batches, served + 1
-}
-
-// quarantineIndex handles an unreadable index at startup. A missing file is
-// fatal — that is a typo'd path, not corruption, and silently serving empty
-// would mask it. Anything else (truncated file, CRC mismatch, bad magic) is
-// corruption: move the file aside to <path>.corrupt so the next restart does
-// not crash-loop on it, and let the daemon start degraded for inspection.
-func quarantineIndex(logger *obs.Logger, path string, loadErr error) {
-	if os.IsNotExist(loadErr) {
-		fatal(loadErr)
-	}
-	dst, qerr := persist.Quarantine(iofault.OS, path)
-	if qerr != nil {
-		logger.Warn("index unreadable and quarantine failed; serving degraded",
-			obs.F("index", path), obs.F("err", loadErr), obs.F("quarantineErr", qerr))
-		return
-	}
-	logger.Warn("index unreadable; quarantined for inspection",
-		obs.F("index", path), obs.F("err", loadErr), obs.F("movedTo", dst))
 }
 
 func checkFlag(ok bool, format string, args ...any) {

@@ -1,0 +1,301 @@
+package main
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"os"
+	"strings"
+	"sync/atomic"
+	"time"
+
+	"ovm/internal/dynamic"
+	"ovm/internal/iofault"
+	"ovm/internal/obs"
+	"ovm/internal/persist"
+	"ovm/internal/serialize"
+	"ovm/internal/service"
+)
+
+// Persistence trade-off: the WAL sidecar is the update log and the index
+// file is a checkpoint. A batch costs one fsync'd JSONL line — async at
+// accept, -sync-updates just before the swap — and never touches the
+// index file. The file is rewritten whole (export, temp + fsync + rename,
+// then WAL prune) only once the log holds -compact-log batches, and once
+// more at a graceful stop, so its O(index size) cost is paid per thousand
+// batches and the restart replay stays bounded. A restart maps the
+// checkpoint and replays the WAL through the live coalesce+repair path.
+// An index written by an earlier daemon may still carry batches in its own
+// log section; they replay first and fold into the next checkpoint.
+
+// storeOpts names the index file a store serves.
+type storeOpts struct {
+	index   string // the checkpoint; its WAL is index + ".wal"
+	name    string // dataset registration name
+	compact int    // checkpoint once the update log holds this many batches (0 = never)
+	mmap    bool
+}
+
+// errQuarantined reports an index file that could not be read and has been
+// moved aside: the daemon starts degraded instead of crash-looping.
+var errQuarantined = errors.New("index file quarantined")
+
+// store is one served index file with its WAL, and the service whose
+// durability hooks write them.
+type store struct {
+	fsys   iofault.FS
+	logger *obs.Logger
+	opts   storeOpts
+	svc    *service.Service
+	wal    *persist.WAL
+	mi     *serialize.MappedIndex // nil on the heap path; never unmapped while serving
+
+	// legacyLog counts the batches in the loaded file's own log section:
+	// replayed at load, counted as log depth until the first checkpoint
+	// folds them in. Stats readers load it while an update stores it.
+	legacyLog atomic.Int64
+}
+
+// openStore loads the checkpoint at o.index, builds a service on cfg with
+// the durability hooks set, registers the dataset, and replays the update
+// log. It returns only once the dataset is at the last acknowledged epoch,
+// so a caller that starts listening afterwards never answers from behind.
+// All file mutations go through fsys.
+func openStore(fsys iofault.FS, cfg service.Config, o storeOpts) (*store, error) {
+	st := &store{fsys: fsys, logger: cfg.Logger, opts: o}
+	// A crash during a checkpoint can leave *.tmp-* files next to the index
+	// (the rename never happened, so the index itself is still the complete
+	// old checkpoint). Sweep them before loading.
+	if removed, err := persist.CleanStaleTemps(fsys, o.index); err == nil && len(removed) > 0 {
+		st.logger.Warn("removed stale index temp files from an interrupted checkpoint", obs.F("files", strings.Join(removed, ", ")))
+	}
+	idx, err := st.loadIndex()
+	if err != nil {
+		return nil, err
+	}
+	queued, queuedFirst, err := st.openWAL(idx.BaseEpoch + int64(len(idx.Updates)))
+	if err != nil {
+		return nil, err
+	}
+	st.legacyLog.Store(int64(len(idx.Updates)))
+	cfg.UpdateLogDepth = func(string) int { return st.logDepth() }
+	// Durability before acknowledgement: an async-accepted batch is on
+	// disk (fsync'd WAL line) before the accepted response is sent.
+	cfg.OnEnqueue = func(_ string, batch dynamic.Batch, epoch int64) error {
+		return st.wal.Append(persist.WALEntry{Epoch: epoch, Batch: batch})
+	}
+	cfg.OnUpdate = st.beforeSwap
+	st.svc = service.New(cfg)
+	if err := st.register(idx, queued, queuedFirst); err != nil {
+		st.svc.Close()
+		return nil, err
+	}
+	mode := "heap"
+	fields := []obs.Field{
+		obs.F("path", o.index),
+		obs.F("n", idx.Sys.N()), obs.F("r", idx.Sys.R()),
+		obs.F("sketches", len(idx.Sketches)), obs.F("walks", len(idx.Walks)), obs.F("rrs", len(idx.RRs)),
+		obs.F("replayed", len(idx.Updates)+len(queued)),
+		obs.F("epoch", idx.BaseEpoch+int64(len(idx.Updates)+len(queued))),
+	}
+	if st.mi != nil && st.mi.Mapped() {
+		mode = "mmap"
+		fields = append(fields, obs.F("zeroCopy", fmt.Sprintf("%d bytes zero-copy", st.mi.MappedBytes())))
+	}
+	st.logger.Info("loaded index (no recomputation)", append([]obs.Field{obs.F("mode", mode)}, fields...)...)
+	return st, nil
+}
+
+// register adds the loaded index to the service as the dataset (replaying
+// its own log section, if it has one) and then drains the batches recovered
+// from the WAL through the same applier as live traffic, in either update
+// mode, so they land on the epochs that were promised.
+func (st *store) register(idx *serialize.Index, queued []dynamic.Batch, queuedFirst int64) error {
+	if err := st.svc.AddIndex(st.opts.name, idx); err != nil {
+		return err
+	}
+	if len(queued) == 0 {
+		return nil
+	}
+	if serr := st.svc.SeedQueued(st.opts.name, queued, queuedFirst); serr != nil {
+		return serr
+	}
+	if serr := st.svc.WaitIdle(context.Background(), st.opts.name); serr != nil {
+		return serr
+	}
+	return nil
+}
+
+// loadIndex reads the checkpoint: a v3 file zero-copy from an mmap'd
+// region when asked (v1/v2 fall back to heap decode inside OpenMapped),
+// otherwise onto the heap. Served artifacts alias the mapping until their
+// first repair copy-on-writes them, so it stays open for the process
+// lifetime. A missing file is the caller's typo, not corruption, and is
+// returned as is; any other unreadable file (truncated, CRC mismatch, bad
+// magic) is moved aside to <path>.corrupt and reported as errQuarantined.
+func (st *store) loadIndex() (*serialize.Index, error) {
+	idx, err := st.readIndex()
+	if err == nil || os.IsNotExist(err) {
+		return idx, err
+	}
+	dst, qerr := persist.Quarantine(st.fsys, st.opts.index)
+	if qerr != nil {
+		st.logger.Warn("index unreadable and quarantine failed; serving degraded",
+			obs.F("index", st.opts.index), obs.F("err", err), obs.F("quarantineErr", qerr))
+	} else {
+		st.logger.Warn("index unreadable; quarantined for inspection",
+			obs.F("index", st.opts.index), obs.F("err", err), obs.F("movedTo", dst))
+	}
+	return nil, fmt.Errorf("%w: %v", errQuarantined, err)
+}
+
+func (st *store) readIndex() (*serialize.Index, error) {
+	if st.opts.mmap {
+		mi, err := serialize.OpenMapped(st.opts.index)
+		if err != nil {
+			return nil, err
+		}
+		st.mi = mi
+		return mi.Index, nil
+	}
+	f, err := os.Open(st.opts.index)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return serialize.ReadIndex(f)
+}
+
+// openWAL opens (or creates) the index's write-ahead sidecar and
+// reconciles it with the epoch the checkpoint reaches: entries it already
+// covers (a crash landed between the checkpoint rename and the WAL prune)
+// are pruned as duplicates; the remainder must continue that epoch
+// contiguously and is returned for replay. A WAL that cannot be reconciled
+// is quarantined, never deleted: it is the only copy of the acknowledged
+// batches in it.
+func (st *store) openWAL(served int64) ([]dynamic.Batch, int64, error) {
+	walPath := st.opts.index + ".wal"
+	if removed, err := persist.CleanStaleTemps(st.fsys, walPath); err == nil && len(removed) > 0 {
+		st.logger.Warn("removed stale WAL temp files from an interrupted prune", obs.F("files", strings.Join(removed, ", ")))
+	}
+	quarantine := func() error {
+		dst, err := persist.Quarantine(st.fsys, walPath)
+		if err != nil {
+			return err
+		}
+		st.logger.Warn("WAL quarantined for inspection; starting with an empty log", obs.F("movedTo", dst))
+		st.wal, _, err = persist.OpenWAL(st.fsys, walPath)
+		return err
+	}
+	var torn int
+	var err error
+	if st.wal, torn, err = persist.OpenWAL(st.fsys, walPath); err != nil {
+		// Mid-file corruption: acknowledged batches may be lost; keep the
+		// evidence and start with an empty log rather than crash-looping.
+		st.logger.Warn("update WAL unreadable", obs.F("wal", walPath), obs.F("err", err))
+		return nil, 0, quarantine()
+	}
+	if torn > 0 {
+		// A torn final line is a batch whose accepted response may never
+		// have been sent; dropping it is the documented crash semantics.
+		st.logger.Warn("dropped torn WAL tail entry (crash mid-append)", obs.F("entries", torn))
+	}
+	if err := st.wal.Prune(served); err != nil {
+		return nil, 0, err
+	}
+	rem := st.wal.Pending()
+	if len(rem) == 0 {
+		return nil, 0, nil
+	}
+	if rem[0].Epoch != served+1 {
+		st.logger.Warn("WAL does not continue the index epoch",
+			obs.F("walFirst", rem[0].Epoch), obs.F("indexEpoch", served))
+		return nil, 0, quarantine()
+	}
+	batches := make([]dynamic.Batch, len(rem))
+	for i, e := range rem {
+		batches[i] = e.Batch
+	}
+	return batches, served + 1, nil
+}
+
+// logDepth is how many batches a restart would replay, which is also what
+// the next checkpoint absorbs: the WAL, applied and queued entries alike,
+// plus the loaded file's own log until a checkpoint has folded it in.
+func (st *store) logDepth() int {
+	return int(st.legacyLog.Load()) + st.wal.Depth()
+}
+
+// beforeSwap is the service's OnUpdate hook: a repaired run is about to
+// become visible as epoch, so its batches must be in the log first. Async
+// batches were logged at accept, and batches replayed from the WAL at
+// startup are in it by definition; only a live -sync-updates batch is new,
+// and this append is its one durable write. Then, with the log long
+// enough, checkpoint.
+func (st *store) beforeSwap(_ string, batches []dynamic.Batch, epoch int64) error {
+	first, logged := epoch-int64(len(batches))+1, st.wal.LastEpoch()
+	for i, b := range batches {
+		if e := first + int64(i); e > logged {
+			if err := st.wal.Append(persist.WALEntry{Epoch: e, Batch: b}); err != nil {
+				return err
+			}
+		}
+	}
+	if st.opts.compact > 0 && st.logDepth() >= st.opts.compact {
+		st.checkpoint()
+	}
+	return nil
+}
+
+// checkpoint rewrites the index file as the VISIBLE dataset and prunes the
+// WAL behind it. Called before a swap it exports the pre-swap state, so it
+// never outruns the log: the run being swapped in stays in the WAL and
+// replays on top of the new base. A failure at any step is only logged —
+// the previous checkpoint and the whole WAL still describe every epoch,
+// and the next run past the threshold tries again.
+func (st *store) checkpoint() {
+	start := time.Now()
+	exported, serr := st.svc.ExportIndex(st.opts.name)
+	var err error
+	if serr != nil {
+		err = serr
+	} else {
+		err = persist.WriteIndexAtomic(st.fsys, st.opts.index, exported)
+	}
+	if err != nil {
+		st.logger.Warn("checkpoint failed; keeping the previous one and the whole WAL", obs.F("err", err))
+		return
+	}
+	st.legacyLog.Store(0)
+	pruned := 0
+	if rem := st.wal.Pending(); len(rem) > 0 && rem[0].Epoch <= exported.BaseEpoch {
+		pruned = min(len(rem), int(exported.BaseEpoch-rem[0].Epoch)+1)
+	}
+	if err := st.wal.Prune(exported.BaseEpoch); err != nil {
+		// The covered entries are skipped by epoch at the next startup.
+		st.logger.Warn("WAL prune after checkpoint failed; entries dedupe at restart", obs.F("err", err))
+		pruned = 0
+	}
+	st.svc.ObserveCheckpoint(time.Since(start))
+	var bytes int64
+	if info, err := st.fsys.Stat(st.opts.index); err == nil {
+		bytes = info.Size()
+	}
+	st.logger.Info("checkpointed index",
+		obs.F("epoch", exported.BaseEpoch), obs.F("bytes", bytes), obs.F("walPruned", pruned),
+		obs.F("walDepth", st.wal.Depth()), obs.F("durMs", float64(time.Since(start).Nanoseconds())/1e6),
+		obs.F("path", st.opts.index))
+}
+
+// Close is the graceful stop: the appliers end (a repair in flight is
+// abandoned; its batches stay in the WAL), and whatever the WAL holds up
+// to the visible epoch is folded into a final checkpoint, so the next
+// start has nothing to replay. -compact-log 0 leaves the log alone here
+// too.
+func (st *store) Close() {
+	st.svc.Close()
+	if st.opts.compact > 0 && st.wal.Depth() > 0 {
+		st.checkpoint()
+	}
+	_ = st.wal.Close()
+}

@@ -1,0 +1,580 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"ovm/internal/datasets"
+	"ovm/internal/dynamic"
+	"ovm/internal/iofault"
+	"ovm/internal/persist"
+	"ovm/internal/serialize"
+	"ovm/internal/service"
+)
+
+const (
+	testDataset = "world"
+	testHorizon = 8
+	testTheta   = 512
+	testSeed    = int64(5)
+)
+
+// buildWorld builds the 120-node test index; each call returns a fresh
+// one, so tests never share artifact storage.
+func buildWorld(t testing.TB) *serialize.Index {
+	t.Helper()
+	d, err := datasets.YelpLike(datasets.Options{N: 120, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := service.BuildIndex(d.Sys, service.BuildOptions{
+		Target: 0, Horizon: testHorizon, Seed: testSeed,
+		SketchTheta: testTheta, IncludeWalks: true, RRSets: 300,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
+// writeWorld writes the test index, with updates as its legacy in-file log,
+// to a new directory and returns the path.
+func writeWorld(t testing.TB, updates []dynamic.Batch) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "world.ovmidx")
+	idx := buildWorld(t)
+	idx.Updates = updates
+	if err := persist.WriteIndexAtomic(iofault.OS, path, idx); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// mixedBatches is a stream whose batches touch disjoint edge columns, so a
+// replay that finds them all queued merges them into one repair.
+func mixedBatches() []dynamic.Batch {
+	return []dynamic.Batch{
+		{{Kind: dynamic.OpAddEdge, From: 3, To: 11, W: 0.8}, {Kind: dynamic.OpSetOpinion, Cand: 0, Node: 33, Value: 0.2}},
+		{{Kind: dynamic.OpAddEdge, From: 17, To: 4, W: 1.2}, {Kind: dynamic.OpSetStubbornness, Cand: 0, Node: 40, Value: 0.15}},
+		{{Kind: dynamic.OpSetWeight, From: 9, To: 21, W: 2}, {Kind: dynamic.OpSetOpinion, Cand: 0, Node: 33, Value: 0.95}},
+		{{Kind: dynamic.OpAddEdge, From: 50, To: 60, W: 0.5}},
+		{{Kind: dynamic.OpSetOpinion, Cand: 0, Node: 7, Value: 0.4}, {Kind: dynamic.OpSetStubbornness, Cand: 0, Node: 8, Value: 0.3}},
+		{{Kind: dynamic.OpRemoveEdge, From: 50, To: 60}, {Kind: dynamic.OpSetOpinion, Cand: 0, Node: 90, Value: 0.7}},
+	}
+}
+
+func openTestStore(t testing.TB, fsys iofault.FS, path string, async bool, compact int) *store {
+	t.Helper()
+	st, err := openStore(fsys, service.Config{AsyncUpdates: async}, storeOpts{index: path, name: testDataset, compact: compact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// kill ends a store the way a dying process does: its goroutines and its
+// descriptor go, and nothing is written on the way out.
+func kill(st *store) {
+	st.svc.Close()
+	_ = st.wal.Close()
+}
+
+func send(t testing.TB, svc *service.Service, batches []dynamic.Batch) {
+	t.Helper()
+	for i, b := range batches {
+		if _, serr := svc.Update(&service.UpdateRequest{Dataset: testDataset, Ops: b}); serr != nil {
+			t.Fatalf("batch %d: %v", i, serr)
+		}
+	}
+}
+
+func waitIdle(t testing.TB, svc *service.Service) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if serr := svc.WaitIdle(ctx, testDataset); serr != nil {
+		t.Fatal(serr)
+	}
+}
+
+// answers is what a client reads back: the RS, RW and IC selections as
+// response bytes (seeds, exact value, epoch), without the elapsed time.
+func answers(t testing.TB, svc *service.Service) string {
+	t.Helper()
+	var out bytes.Buffer
+	for _, m := range []struct {
+		method, score string
+		theta         int
+	}{{"RS", "plurality", testTheta}, {"RW", "cumulative", 0}, {"IC", "cumulative", 0}} {
+		resp, serr := svc.SelectSeeds(&service.SelectSeedsRequest{
+			Dataset: testDataset, Method: m.method, Score: service.ScoreSpec{Name: m.score},
+			K: 6, Horizon: testHorizon, Target: 0, Seed: testSeed, Theta: m.theta,
+		})
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		resp.ElapsedMs, resp.Cached = 0, false
+		if err := json.NewEncoder(&out).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out.String()
+}
+
+// syncReplay is the reference: the batches applied one at a time, with no
+// store, no log and no interruption.
+func syncReplay(t testing.TB, batches []dynamic.Batch) string {
+	t.Helper()
+	svc := service.New(service.Config{})
+	defer svc.Close()
+	if err := svc.AddIndex(testDataset, buildWorld(t)); err != nil {
+		t.Fatal(err)
+	}
+	send(t, svc, batches)
+	return answers(t, svc)
+}
+
+func walEntries(t testing.TB, indexPath string) []persist.WALEntry {
+	t.Helper()
+	entries, _, _, err := persist.ReadWAL(indexPath + ".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entries
+}
+
+func readIndexFile(t testing.TB, path string) *serialize.Index {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	idx, err := serialize.ReadIndex(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
+func staleTemps(t testing.TB, indexPath string) []string {
+	t.Helper()
+	temps, err := filepath.Glob(indexPath + "*.tmp-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return temps
+}
+
+// crashIn runs f and reports whether an injected iofault crash ended it.
+func crashIn(f func()) (crashed bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(*iofault.Crash); !ok {
+				panic(r)
+			}
+			crashed = true
+		}
+	}()
+	f()
+	return false
+}
+
+// TestCrashPoints kills the store at each point of a batch's life — logged,
+// visible, mid-checkpoint, checkpointed but not yet pruned, gracefully
+// stopped — and restarts it. Every batch was acknowledged before the kill,
+// so every restart must reach the last promised epoch and answer with the
+// bytes of an uninterrupted sync replay.
+func TestCrashPoints(t *testing.T) {
+	batches := mixedBatches()
+	n := len(batches)
+	want := syncReplay(t, batches)
+
+	cases := []struct {
+		name    string
+		async   bool
+		compact int
+		// die drives the acknowledged batches' store to its death.
+		die func(t *testing.T, st *store, fsys *iofault.Faulty)
+		// Afterwards: is the index file still the one built (else it is a
+		// checkpoint at epoch n), and how many entries does the WAL hold.
+		indexUntouched bool
+		walLeft        int
+		tempsLeft      bool
+	}{
+		{
+			name: "after accept", async: true, compact: 1024,
+			die: func(t *testing.T, st *store, _ *iofault.Faulty) {
+				kill(st) // whatever the applier had reached
+			},
+			indexUntouched: true, walLeft: n,
+		},
+		{
+			name: "after swap, no checkpoint", async: true, compact: 1024,
+			die: func(t *testing.T, st *store, _ *iofault.Faulty) {
+				waitIdle(t, st.svc)
+				kill(st)
+			},
+			indexUntouched: true, walLeft: n,
+		},
+		{
+			name: "sync mode, after swap", async: false, compact: 1024,
+			die: func(t *testing.T, st *store, _ *iofault.Faulty) {
+				kill(st)
+			},
+			indexUntouched: true, walLeft: n,
+		},
+		{
+			name: "during the checkpoint temp write", async: true, compact: 1024,
+			die: func(t *testing.T, st *store, fsys *iofault.Faulty) {
+				waitIdle(t, st.svc)
+				fsys.Reset()
+				fsys.Inject(iofault.OpWrite, 2, iofault.ActCrash)
+				if !crashIn(st.Close) {
+					t.Fatal("the checkpoint wrote no third block")
+				}
+				kill(st)
+			},
+			indexUntouched: true, walLeft: n, tempsLeft: true,
+		},
+		{
+			name: "checkpoint renamed, WAL not pruned", async: true, compact: 1024,
+			die: func(t *testing.T, st *store, fsys *iofault.Faulty) {
+				waitIdle(t, st.svc)
+				fsys.Reset()
+				// The directory sync follows the rename inside the atomic
+				// rewrite; the prune comes after it.
+				fsys.Inject(iofault.OpSyncDir, 0, iofault.ActCrash)
+				if !crashIn(st.Close) {
+					t.Fatal("the checkpoint never synced its directory")
+				}
+				kill(st)
+			},
+			walLeft: n,
+		},
+		{
+			name: "graceful stop", async: true, compact: 1024,
+			die: func(t *testing.T, st *store, _ *iofault.Faulty) {
+				waitIdle(t, st.svc)
+				st.Close()
+			},
+		},
+		{
+			name: "graceful stop, -compact-log 0", async: true, compact: 0,
+			die: func(t *testing.T, st *store, _ *iofault.Faulty) {
+				waitIdle(t, st.svc)
+				st.Close()
+			},
+			indexUntouched: true, walLeft: n,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := writeWorld(t, nil)
+			built, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fsys := iofault.NewFaulty(iofault.OS)
+			st := openTestStore(t, fsys, path, tc.async, tc.compact)
+			send(t, st.svc, batches)
+			tc.die(t, st, fsys)
+
+			now, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.indexUntouched != bytes.Equal(built, now) {
+				t.Fatalf("index file untouched = %v, want %v", !tc.indexUntouched, tc.indexUntouched)
+			}
+			if !tc.indexUntouched {
+				if idx := readIndexFile(t, path); idx.BaseEpoch != int64(n) || len(idx.Updates) != 0 {
+					t.Fatalf("checkpoint is at epoch %d with %d logged batches, want %d and 0", idx.BaseEpoch, len(idx.Updates), n)
+				}
+			}
+			if got := len(walEntries(t, path)); got != tc.walLeft {
+				t.Fatalf("WAL holds %d entries after the kill, want %d", got, tc.walLeft)
+			}
+			if got := len(staleTemps(t, path)) > 0; got != tc.tempsLeft {
+				t.Fatalf("stale temps left = %v, want %v", got, tc.tempsLeft)
+			}
+
+			fsys.Reset()
+			re := openTestStore(t, fsys, path, tc.async, tc.compact)
+			defer kill(re)
+			if got := answers(t, re.svc); got != want {
+				t.Fatalf("restart diverged from the uninterrupted sync replay:\n got %s\nwant %s", got, want)
+			}
+			if temps := staleTemps(t, path); len(temps) > 0 {
+				t.Fatalf("restart left stale temps: %v", temps)
+			}
+			// Replaying the log must not log it again, in either mode.
+			wantDepth := tc.walLeft
+			if !tc.indexUntouched {
+				wantDepth = 0 // the checkpoint covers every entry still in the file
+			}
+			if got := re.logDepth(); got != wantDepth {
+				t.Fatalf("log depth after restart = %d, want %d", got, wantDepth)
+			}
+			if got := len(walEntries(t, path)); got != wantDepth {
+				t.Fatalf("WAL holds %d entries after restart, want %d", got, wantDepth)
+			}
+		})
+	}
+}
+
+// TestFailedCheckpointKeepsLogAndIndex: a checkpoint that cannot be written
+// costs nothing but a retry — the update still becomes visible, the index
+// file is the old one, the WAL is whole — and the next run past the
+// threshold checkpoints and prunes.
+func TestFailedCheckpointKeepsLogAndIndex(t *testing.T) {
+	for _, mode := range []struct {
+		name  string
+		async bool
+	}{{"async", true}, {"sync-updates", false}} {
+		t.Run(mode.name, func(t *testing.T) { failedCheckpoint(t, mode.async) })
+	}
+}
+
+func failedCheckpoint(t *testing.T, async bool) {
+	batches := mixedBatches()
+	path := writeWorld(t, nil)
+	built, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys := iofault.NewFaulty(iofault.OS)
+	st := openTestStore(t, fsys, path, async, 3)
+	fsys.Reset()
+	fsys.Inject(iofault.OpRename, 0, iofault.ActError)
+
+	// One run per batch: the third brings the log to the threshold.
+	for i := 0; i < 3; i++ {
+		send(t, st.svc, batches[i:i+1])
+		waitIdle(t, st.svc)
+	}
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(built, now) {
+		t.Fatalf("a failed checkpoint changed the index file (read err %v)", err)
+	}
+	if got := len(walEntries(t, path)); got != 3 {
+		t.Fatalf("WAL holds %d entries after a failed checkpoint, want 3", got)
+	}
+	if temps := staleTemps(t, path); len(temps) > 0 {
+		t.Fatalf("failed checkpoint left temps: %v", temps)
+	}
+	if stats := st.svc.StatsSnapshot(); stats.Checkpoints != 0 || stats.Datasets[0].Epoch != 3 {
+		t.Fatalf("after the failed checkpoint: %d checkpoints at epoch %d, want 0 at 3", stats.Checkpoints, stats.Datasets[0].Epoch)
+	}
+
+	// The fourth run retries before its swap: the checkpoint is the visible
+	// epoch 3, and batch 4 stays in the log on top of it.
+	send(t, st.svc, batches[3:4])
+	waitIdle(t, st.svc)
+	if idx := readIndexFile(t, path); idx.BaseEpoch != 3 {
+		t.Fatalf("retried checkpoint is at epoch %d, want 3", idx.BaseEpoch)
+	}
+	if got := walEntries(t, path); len(got) != 1 || got[0].Epoch != 4 {
+		t.Fatalf("WAL after the retried checkpoint: %+v, want epoch 4 alone", got)
+	}
+	var metrics bytes.Buffer
+	if err := st.svc.WriteMetrics(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"ovmd_checkpoints_total 1\n", `ovmd_stage_duration_seconds_count{stage="checkpoint"} 1` + "\n"} {
+		if !strings.Contains(metrics.String(), line) {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+	send(t, st.svc, batches[4:])
+	waitIdle(t, st.svc)
+	kill(st)
+
+	re := openTestStore(t, iofault.OS, path, async, 3)
+	defer kill(re)
+	if got, want := answers(t, re.svc), syncReplay(t, batches); got != want {
+		t.Fatalf("restart diverged from the uninterrupted sync replay:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestReplayRegroupsBatches: the live run repairs each batch on its own
+// (the writer waits for every epoch), the restart finds them all queued and
+// lets the coalescer group them as it likes. Epoch and bytes must not
+// depend on the grouping.
+func TestReplayRegroupsBatches(t *testing.T) {
+	// The benchmark's paced mix: every batch touches the same edge column,
+	// so nothing merges on replay either.
+	var paced []dynamic.Batch
+	for i := 0; i < 6; i++ {
+		edge := dynamic.Op{Kind: []dynamic.OpKind{dynamic.OpAddEdge, dynamic.OpSetWeight, dynamic.OpRemoveEdge}[i%3], From: 70, To: 80}
+		if edge.Kind != dynamic.OpRemoveEdge {
+			edge.W = 0.5 + float64(i)
+		}
+		paced = append(paced, dynamic.Batch{
+			{Kind: dynamic.OpSetOpinion, Cand: 0, Node: int32(10 + i), Value: 0.1 * float64(i+1)},
+			{Kind: dynamic.OpSetStubbornness, Cand: 0, Node: int32(20 + i), Value: 0.05 * float64(i+1)},
+			edge,
+		})
+	}
+	// A one-op burst: no edges at all, so the replay is one super-batch.
+	var burst []dynamic.Batch
+	for i := 0; i < 12; i++ {
+		burst = append(burst, dynamic.Batch{{Kind: dynamic.OpSetOpinion, Cand: 0, Node: int32(i % 5), Value: float64(i+1) / 20}})
+	}
+	// Two adds that overflow the column sum pass validation and fail the
+	// repair: the batch holds its epoch as a no-op. On replay it sits inside
+	// a super-batch that fails with it and is taken apart again.
+	poisoned := mixedBatches()
+	poisoned[2] = dynamic.Batch{
+		{Kind: dynamic.OpAddEdge, From: 30, To: 31, W: math.MaxFloat64},
+		{Kind: dynamic.OpAddEdge, From: 30, To: 31, W: math.MaxFloat64},
+	}
+
+	for _, tc := range []struct {
+		name    string
+		batches []dynamic.Batch
+		applied []dynamic.Batch // what a sync replay can apply; nil = all
+		failed  int64           // batches the repair refuses, live and again on replay
+	}{
+		{name: "paced mix on one edge", batches: paced},
+		{name: "one-op burst", batches: burst},
+		{name: "a batch that fails to apply", batches: poisoned,
+			applied: append(append([]dynamic.Batch(nil), poisoned[:2]...), poisoned[3:]...), failed: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := writeWorld(t, nil)
+			st := openTestStore(t, iofault.OS, path, true, 1024)
+			for i := range tc.batches {
+				send(t, st.svc, tc.batches[i:i+1])
+				waitIdle(t, st.svc)
+			}
+			live := answers(t, st.svc)
+			if got := st.svc.StatsSnapshot().Errors; got != tc.failed {
+				t.Fatalf("live run refused %d batches, want %d", got, tc.failed)
+			}
+			kill(st)
+
+			re := openTestStore(t, iofault.OS, path, true, 1024)
+			defer kill(re)
+			replayed := answers(t, re.svc)
+			if replayed != live {
+				t.Fatalf("replay diverged from the live run:\n got %s\nwant %s", replayed, live)
+			}
+			stats := re.svc.StatsSnapshot()
+			if epoch := stats.Datasets[0].Epoch; epoch != int64(len(tc.batches)) {
+				t.Fatalf("replayed to epoch %d, want %d: one epoch per accepted batch", epoch, len(tc.batches))
+			}
+			if stats.Errors != tc.failed {
+				t.Fatalf("replay refused %d batches, want %d", stats.Errors, tc.failed)
+			}
+			if tc.applied == nil {
+				if want := syncReplay(t, tc.batches); replayed != want {
+					t.Fatalf("replay diverged from the sync replay:\n got %s\nwant %s", replayed, want)
+				}
+				return
+			}
+			// The sync reference skips the failed batch and so sits one
+			// epoch lower; everything else must agree.
+			want := syncReplay(t, tc.applied)
+			from, to := epochField(len(tc.applied)), epochField(len(tc.batches))
+			if want = strings.ReplaceAll(want, from, to); replayed != want {
+				t.Fatalf("replay diverged from the sync replay without the failed batch:\n got %s\nwant %s", replayed, want)
+			}
+		})
+	}
+}
+
+func epochField(epoch int) string {
+	b, _ := json.Marshal(struct {
+		Epoch int `json:"epoch"`
+	}{epoch})
+	return string(b[1 : len(b)-1])
+}
+
+// TestLegacyInIndexLogStillLoads: a file written by an earlier daemon
+// carries applied batches in its own log section, with the batches after
+// them in the WAL. Both replay, both count as log depth, and the next
+// checkpoint folds them into one base.
+func TestLegacyInIndexLogStillLoads(t *testing.T) {
+	batches := mixedBatches()
+	n := len(batches)
+	path := writeWorld(t, batches[:2])
+	wal, _, err := persist.OpenWAL(iofault.OS, path+".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Epochs 1 and 2 are duplicates of the in-file log, as a crash between
+	// the old daemon's rewrite and its prune left them.
+	for i, b := range batches {
+		if err := wal.Append(persist.WALEntry{Epoch: int64(i + 1), Batch: b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	want := syncReplay(t, batches)
+	st := openTestStore(t, iofault.OS, path, true, 1024)
+	if got := answers(t, st.svc); got != want {
+		t.Fatalf("legacy log + WAL diverged from the sync replay:\n got %s\nwant %s", got, want)
+	}
+	if got := st.logDepth(); got != n {
+		t.Fatalf("log depth = %d, want %d (2 in the file, %d in the WAL)", got, n, n-2)
+	}
+	st.Close()
+	if idx := readIndexFile(t, path); idx.BaseEpoch != int64(n) || len(idx.Updates) != 0 {
+		t.Fatalf("checkpoint is at epoch %d with %d logged batches, want %d and 0", idx.BaseEpoch, len(idx.Updates), n)
+	}
+	if _, err := os.Stat(path + ".wal"); !os.IsNotExist(err) {
+		t.Fatalf("WAL survived the graceful stop (stat err %v)", err)
+	}
+}
+
+// TestUnreconcilableWALIsQuarantined: a WAL that does not continue the
+// checkpoint's epoch holds acknowledged batches that exist nowhere else.
+// It is moved aside whole, never pruned away.
+func TestUnreconcilableWALIsQuarantined(t *testing.T) {
+	path := writeWorld(t, nil)
+	wal, _, err := persist.OpenWAL(iofault.OS, path+".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := int64(5); e <= 6; e++ {
+		if err := wal.Append(persist.WALEntry{Epoch: e, Batch: mixedBatches()[0]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	orphaned, err := os.ReadFile(path + ".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st := openTestStore(t, iofault.OS, path, true, 1024)
+	defer kill(st)
+	kept, err := os.ReadFile(path + ".wal.corrupt")
+	if err != nil || !bytes.Equal(kept, orphaned) {
+		t.Fatalf("quarantined WAL differs from the orphaned one (read err %v)", err)
+	}
+	if st.logDepth() != 0 {
+		t.Fatalf("log depth = %d after the quarantine, want an empty log", st.logDepth())
+	}
+	if epoch := st.svc.StatsSnapshot().Datasets[0].Epoch; epoch != 0 {
+		t.Fatalf("serving epoch %d, want the checkpoint's 0", epoch)
+	}
+	// The fresh log takes the next batch at the checkpoint's epoch + 1.
+	send(t, st.svc, mixedBatches()[:1])
+	waitIdle(t, st.svc)
+	if got := walEntries(t, path); len(got) != 1 || got[0].Epoch != 1 {
+		t.Fatalf("fresh WAL after the quarantine: %+v, want epoch 1 alone", got)
+	}
+}

@@ -12,18 +12,19 @@ import (
 	"ovm/internal/iofault"
 )
 
-// Write-ahead log for the async update pipeline: every accepted-but-not-
-// yet-applied batch is appended (JSONL, one fsync'd line per batch) BEFORE
-// the accept response goes out, so a crash never loses an acknowledged
-// update. Each entry carries the target epoch the daemon promised the
-// client; on restart the entries whose epoch is already covered by the
-// index's replayed update log are skipped (a crash between the index
-// rewrite and the WAL prune would otherwise double-apply them) and the
-// remainder re-enters the pipeline in order.
+// Write-ahead log: the daemon's update log. Every accepted batch is
+// appended (JSONL, one fsync'd line per batch) BEFORE it is acknowledged
+// (async: before the accept response; sync: before the epoch swap), so a
+// crash never loses an acknowledged update. Each entry carries the epoch
+// the batch was promised; the index file is a checkpoint of some epoch,
+// and on restart the entries that checkpoint already covers are skipped (a
+// crash between the checkpoint rename and the WAL prune would otherwise
+// double-apply them) while the remainder replays in order.
 //
 // The append path uses os directly — iofault.FS has no append primitive —
-// but a torn trailing line is exactly the un-acknowledged crash shape and
-// is dropped on open. Pruning rewrites the remainder through the same
+// and holds one O_APPEND descriptor between appends. A torn trailing line
+// is exactly the un-acknowledged crash shape: it is dropped, and cut off
+// the file, on open. Pruning rewrites the remainder through the same
 // atomic temp + rename + dir-sync machinery as the index itself, under
 // path's temp pattern so CleanStaleTemps sweeps WAL temps too.
 
@@ -40,48 +41,66 @@ type WAL struct {
 
 	mu      sync.Mutex
 	pending []WALEntry
+	// f is the append descriptor, opened on the first Append and dropped
+	// whenever Prune replaces or removes the file under it; size is the
+	// length of the complete lines behind it, which a failed append
+	// truncates back to.
+	f    *os.File
+	size int64
 }
 
-// OpenWAL reads the log at path (a missing file is an empty log) and
-// returns the surviving entries plus the number of torn trailing lines
-// dropped (0 or 1 — only the final line can be torn, anything else is
-// corruption and errors out). Entries must carry strictly consecutive
-// epochs.
-func OpenWAL(fsys iofault.FS, path string) (*WAL, int, error) {
-	w := &WAL{fsys: fsys, path: path}
+// ReadWAL parses the log at path without touching it (a missing file is
+// an empty log): the surviving entries, and the length of the complete
+// lines they came from. Every complete append ends in a newline, so bytes
+// past that length are the prefix of an append a crash tore — never
+// fsync'd, never acknowledged, safe to drop. Any other unparseable line is
+// corruption and errors out, as do entries whose epochs are not strictly
+// consecutive.
+func ReadWAL(path string) (entries []WALEntry, good int64, torn bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return w, 0, nil
+			return nil, 0, false, nil
 		}
-		return nil, 0, fmt.Errorf("persist: read wal %s: %w", path, err)
+		return nil, 0, false, fmt.Errorf("persist: read wal %s: %w", path, err)
 	}
 	lines := bytes.Split(data, []byte("\n"))
-	dropped := 0
-	for i, line := range lines {
+	for i, line := range lines[:len(lines)-1] {
+		good += int64(len(line)) + 1
 		line = bytes.TrimSpace(line)
 		if len(line) == 0 {
 			continue
 		}
 		var e WALEntry
 		if err := json.Unmarshal(line, &e); err != nil || len(e.Batch) == 0 {
-			// A torn write never completes its trailing newline, so the
-			// only legal crash artifact is an unparseable FINAL line with
-			// no newline after it — never fsync'd, never acknowledged,
-			// safe to drop. Anything else is corruption.
-			if i == len(lines)-1 {
-				dropped++
-				continue
-			}
-			return nil, 0, fmt.Errorf("persist: wal %s: line %d is corrupt mid-file", path, i+1)
+			return nil, 0, false, fmt.Errorf("persist: wal %s: line %d is corrupt mid-file", path, i+1)
 		}
-		if len(w.pending) > 0 && e.Epoch != w.pending[len(w.pending)-1].Epoch+1 {
-			return nil, 0, fmt.Errorf("persist: wal %s: epoch %d follows %d, want consecutive",
-				path, e.Epoch, w.pending[len(w.pending)-1].Epoch)
+		if n := len(entries); n > 0 && e.Epoch != entries[n-1].Epoch+1 {
+			return nil, 0, false, fmt.Errorf("persist: wal %s: epoch %d follows %d, want consecutive",
+				path, e.Epoch, entries[n-1].Epoch)
 		}
-		w.pending = append(w.pending, e)
+		entries = append(entries, e)
 	}
-	return w, dropped, nil
+	return entries, good, good < int64(len(data)), nil
+}
+
+// OpenWAL opens the log at path for appending and returns it with the
+// number of torn trailing lines dropped (0 or 1). A torn tail is cut off
+// the file as well: the next append would otherwise complete its bytes
+// into a corrupt mid-file line.
+func OpenWAL(fsys iofault.FS, path string) (*WAL, int, error) {
+	entries, good, torn, err := ReadWAL(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	dropped := 0
+	if torn {
+		dropped = 1
+		if err := os.Truncate(path, good); err != nil {
+			return nil, 0, fmt.Errorf("persist: wal %s: cutting torn tail: %w", path, err)
+		}
+	}
+	return &WAL{fsys: fsys, path: path, pending: entries}, dropped, nil
 }
 
 // Pending returns a copy of the not-yet-pruned entries in epoch order.
@@ -98,8 +117,21 @@ func (w *WAL) Depth() int {
 	return len(w.pending)
 }
 
+// LastEpoch is the epoch of the newest entry the log holds, 0 when it is
+// empty. A caller about to log a batch that may already be in the log (a
+// replay of the log itself) appends only past this epoch.
+func (w *WAL) LastEpoch() int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if n := len(w.pending); n > 0 {
+		return w.pending[n-1].Epoch
+	}
+	return 0
+}
+
 // Append durably records one accepted batch: the line is written and
 // fsync'd before Append returns, so the caller may acknowledge the update.
+// A failed append leaves no partial line behind.
 func (w *WAL) Append(e WALEntry) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -110,28 +142,64 @@ func (w *WAL) Append(e WALEntry) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.OpenFile(w.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if w.f == nil {
+		f, err := os.OpenFile(w.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return err
+		}
+		info, err := f.Stat()
+		if err != nil {
+			_ = f.Close()
+			return err
+		}
+		w.f, w.size = f, info.Size()
+		if w.size == 0 {
+			// Possibly just created: make the directory entry as durable as
+			// the lines about to be fsync'd into the file.
+			_ = w.fsys.SyncDir(filepath.Dir(w.path))
+		}
+	}
+	line = append(line, '\n')
+	_, err = w.f.Write(line)
+	if err == nil {
+		err = w.f.Sync()
+	}
 	if err != nil {
+		// The caller will refuse the batch, so its bytes must not stay: a
+		// later append would bury them mid-file, or repeat their epoch.
+		// Reopen on the next append whether or not the cut succeeds.
+		_ = w.f.Truncate(w.size)
+		_ = w.dropFile()
 		return err
 	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
+	w.size += int64(len(line))
 	w.pending = append(w.pending, e)
 	return nil
 }
 
-// Prune drops every entry with epoch <= upTo — they are applied and
-// persisted in the index's update log — rewriting the remainder atomically.
-// An empty remainder removes the file.
+// dropFile forgets the append descriptor; the next Append reopens path.
+// Caller holds w.mu.
+func (w *WAL) dropFile() error {
+	if w.f == nil {
+		return nil
+	}
+	err := w.f.Close()
+	w.f = nil
+	return err
+}
+
+// Close releases the append descriptor. Every acknowledged line was
+// fsync'd by its Append, so nothing is lost if the error is ignored. The
+// log stays usable: a later Append reopens the file.
+func (w *WAL) Close() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.dropFile()
+}
+
+// Prune drops every entry with epoch <= upTo — a checkpoint of the index
+// covers them — rewriting the remainder atomically. An empty remainder
+// removes the file.
 func (w *WAL) Prune(upTo int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -148,6 +216,7 @@ func (w *WAL) Prune(upTo int64) error {
 		if err := w.fsys.Remove(w.path); err != nil && !os.IsNotExist(err) {
 			return err
 		}
+		_ = w.dropFile()
 		w.pending = nil
 		return nil
 	}
@@ -180,6 +249,7 @@ func (w *WAL) Prune(upTo int64) error {
 		_ = w.fsys.Remove(tmp.Name())
 		return err
 	}
+	_ = w.dropFile() // it points at the replaced file
 	_ = w.fsys.SyncDir(filepath.Dir(w.path))
 	w.pending = keep
 	return nil

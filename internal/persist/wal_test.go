@@ -115,9 +115,71 @@ func TestWALTornTailDropped(t *testing.T) {
 	if got := w2.Pending(); len(got) != 2 || got[1].Epoch != 2 {
 		t.Fatalf("entries after torn tail: %+v", got)
 	}
-	// The un-acked epoch 3 slot is reusable after the drop.
+	// The un-acked epoch 3 slot is reusable after the drop, and the torn
+	// bytes are gone from the file: left in place, this append would
+	// complete them into a corrupt mid-file line.
 	if err := w2.Append(persist.WALEntry{Epoch: 3, Batch: walBatch(0.9)}); err != nil {
 		t.Fatal(err)
+	}
+	if err := w2.Append(persist.WALEntry{Epoch: 4, Batch: walBatch(0.4)}); err != nil {
+		t.Fatal(err)
+	}
+	w3, dropped, err := persist.OpenWAL(iofault.OS, path)
+	if err != nil || dropped != 0 {
+		t.Fatalf("reopen after appending past a torn tail: %v dropped=%d", err, dropped)
+	}
+	if got := w3.Pending(); len(got) != 4 || got[2].Batch[0].Value != 0.9 {
+		t.Fatalf("entries after appending past a torn tail: %+v", got)
+	}
+}
+
+// TestReadWALLeavesTornTail: the read-only parse (ovmd -dump-updates may
+// run beside a live daemon) reports a torn tail without cutting it.
+func TestReadWALLeavesTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "idx.ovmidx.wal")
+	good := `{"epoch":1,"batch":[{"op":"set_opinion","candidate":0,"node":1,"value":0.5}]}` + "\n"
+	if err := os.WriteFile(path, []byte(good+`{"epoch":2,"ba`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entries, goodLen, torn, err := persist.ReadWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || !torn || goodLen != int64(len(good)) {
+		t.Fatalf("ReadWAL = %d entries, good %d, torn %v; want 1, %d, true", len(entries), goodLen, torn, len(good))
+	}
+	if info, err := os.Stat(path); err != nil || info.Size() == goodLen {
+		t.Fatalf("ReadWAL modified the file (size %d, err %v)", info.Size(), err)
+	}
+}
+
+// TestWALClose: Close releases the descriptor Append holds between calls;
+// the log stays usable and a later Append reopens the file.
+func TestWALClose(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "idx.ovmidx.wal")
+	w, _, err := persist.OpenWAL(iofault.OS, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("close before any append: %v", err)
+	}
+	if w.LastEpoch() != 0 {
+		t.Fatalf("empty log LastEpoch = %d", w.LastEpoch())
+	}
+	for e := int64(8); e <= 9; e++ {
+		if err := w.Append(persist.WALEntry{Epoch: e, Batch: walBatch(0.5)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.LastEpoch() != 9 {
+		t.Fatalf("LastEpoch = %d, want 9", w.LastEpoch())
+	}
+	if entries, _, torn, err := persist.ReadWAL(path); err != nil || torn || len(entries) != 2 {
+		t.Fatalf("after close/append cycles: %d entries, torn %v, err %v", len(entries), torn, err)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // keyed endpoint × dataset × score; the stage histogram covers the
 // per-request phases (cache-lookup, singleflight-wait, selection,
 // serialize) and the update-pipeline stages (pipeline — the async queue
-// wait — apply, repair, persist, swap).
+// wait — apply, repair, persist, checkpoint, swap).
 const (
 	metricRequestDuration = "ovmd_request_duration_seconds"
 	metricStageDuration   = "ovmd_stage_duration_seconds"
@@ -47,7 +47,7 @@ func newTelemetry(cfg Config) *telemetry {
 		reqHist: obs.NewHistogramVec(metricRequestDuration,
 			"Request latency by endpoint, dataset, and score.", "endpoint", "dataset", "score"),
 		stageHist: obs.NewHistogramVec(metricStageDuration,
-			"Per-stage latency of the query path (cache-lookup, singleflight-wait, selection, serialize) and the update pipeline (pipeline, apply, repair, persist, swap).", "stage"),
+			"Per-stage latency of the query path (cache-lookup, singleflight-wait, selection, serialize) and the update pipeline (pipeline, apply, repair, persist, checkpoint, swap).", "stage"),
 		lagHist: obs.NewHistogramVec(metricUpdateLag,
 			"Accepted-to-visible lag of async update batches (enqueue to epoch swap)."),
 		slow:   obs.NewSlowLog(cfg.SlowQueryLog, cfg.SlowQueryThreshold),
@@ -124,6 +124,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	e.Counter("ovmd_errors_total", "Requests that returned an error.", float64(st.Errors))
 	e.Counter("ovmd_updates_total", "Mutation batches applied.", float64(st.Updates))
 	e.Counter("ovmd_update_coalesced_ops_total", "Update ops elided by async batch coalescing (merged or dead-write-dropped before repair).", float64(st.CoalescedOps))
+	e.Counter("ovmd_checkpoints_total", "Index-file checkpoints written (dataset exported, file rewritten atomically, update log pruned behind it).", float64(st.Checkpoints))
 	e.Gauge("ovmd_update_queue_depth", "Accepted-but-unapplied async update batches across datasets.", float64(st.UpdateQueueDepth))
 	e.Counter("ovmd_shed_total", "Computations shed by admission control (inflight cap reached, queue full).", float64(st.Shed))
 	e.Counter("ovmd_timeouts_total", "Queries that exceeded their deadline (deadline_exceeded responses).", float64(st.Timeouts))
@@ -143,7 +144,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	}
 	datasetGauge("ovmd_dataset_epoch", "Current epoch (applied update batches since the base index) per dataset.",
 		func(d DatasetStats) float64 { return float64(d.Epoch) })
-	datasetGauge("ovmd_dataset_update_log_depth", "Batches in the persisted update log awaiting compaction (applied + queued).",
+	datasetGauge("ovmd_dataset_update_log_depth", "Batches a restart replays: WAL entries since the last checkpoint (applied + queued), plus any legacy log inside the index file.",
 		func(d DatasetStats) float64 { return float64(d.UpdateLogDepth) })
 	datasetGauge("ovmd_dataset_update_queue_depth", "Accepted-but-unapplied async update batches per dataset.",
 		func(d DatasetStats) float64 { return float64(d.UpdateQueueDepth) })

@@ -459,10 +459,11 @@ func (p *updatePipeline) requeueFront(qs []queuedBatch) {
 	}
 }
 
-// applyRun applies one coalesced run: repair on the super-batch, persist
-// the RAW batches (the log stays a faithful history; coalescing is a
-// runtime optimization, never a storage format), swap, notify epoch
-// waiters, and record the accepted-to-visible lag of every raw batch.
+// applyRun applies one coalesced run: repair on the super-batch, hand the
+// RAW batches to the persist hook (the log stays a faithful history;
+// coalescing is a runtime optimization, never a storage format), swap,
+// notify epoch waiters, and record the accepted-to-visible lag of every
+// raw batch.
 //
 // A non-nil return means "retry later" (persistence failed or the
 // pipeline is shutting down); the caller requeues. Apply failures never
@@ -508,16 +509,11 @@ func (s *Service) applyRun(p *updatePipeline, run dynamic.CoalescedRun, raw []qu
 	} else if elided := totalOps(raw) - len(run.Super); elided > 0 {
 		s.coalescedOps.Add(int64(elided))
 	}
-	if s.cfg.OnUpdate != nil {
-		persist := time.Now()
-		err := s.cfg.OnUpdate(p.name, rawBatches(raw), next.epoch)
-		span.Add("persist", time.Since(persist))
-		if err != nil {
-			s.errorCount.Add(1)
-			s.tel.logger.Warn("update persistence failed; will retry",
-				obs.F("dataset", p.name), obs.F("error", err.Error()))
-			return err
-		}
+	if err := s.persistUpdate(span, p.name, rawBatches(raw), next.epoch); err != nil {
+		s.errorCount.Add(1)
+		s.tel.logger.Warn("update persistence failed; will retry",
+			obs.F("dataset", p.name), obs.F("error", err.Error()))
+		return err
 	}
 	swap := time.Now()
 	s.swapDataset(p.name, next)

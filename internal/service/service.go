@@ -114,10 +114,12 @@ type Config struct {
 	// Parallelism is the engine worker knob applied to queries that do not
 	// pin their own: 0 means GOMAXPROCS, 1 forces serial execution.
 	Parallelism int
-	// OnUpdate, when set, persists applied update batches before the
-	// post-update dataset becomes visible (ovmd appends them to the index
-	// file's update log). The batches are the raw accepted batches in
-	// application order — the async pipeline may repair several per swap —
+	// OnUpdate, when set, runs after a repair and before the post-update
+	// dataset becomes visible: whatever must be durable first is written
+	// here (ovmd logs a -sync-updates batch to the WAL, and checkpoints the
+	// index file once the log is long). The batches are the raw accepted
+	// batches in application order — the async pipeline may repair several
+	// per swap, and batches recovered with SeedQueued pass through too —
 	// and epoch is the dataset version after all of them. An error aborts
 	// the update without swapping (the async applier retries).
 	OnUpdate func(dataset string, batches []dynamic.Batch, epoch int64) error
@@ -142,10 +144,11 @@ type Config struct {
 	SlowQueryLog       int
 	SlowQueryThreshold time.Duration
 	// UpdateLogDepth, when set, reports the persisted update-log depth per
-	// dataset for /stats and /metrics (ovmd returns the batch count of the
-	// index file's log, which compaction resets). When nil, the depth is
-	// the number of batches applied since the dataset's base index —
-	// identical unless the log is compacted out from under the service.
+	// dataset for /stats and /metrics (ovmd returns the WAL's entry count,
+	// which a checkpoint resets, plus any log inside the index file it
+	// loaded). When nil, the depth is the number of batches applied since
+	// the dataset's base index — identical unless a checkpoint moves the
+	// base out from under the service.
 	UpdateLogDepth func(dataset string) int
 	// TimeSeriesInterval, when positive, starts the in-process ring TSDB:
 	// every registered cost counter/gauge plus the service counters are
@@ -227,6 +230,10 @@ type Service struct {
 	inflight     atomic.Int64
 	updates      atomic.Int64
 	coalescedOps atomic.Int64
+	checkpoints  atomic.Int64
+	// checkpointNs totals the durations ObserveCheckpoint was given, so
+	// persistUpdate can tell how much of a hook call was a checkpoint.
+	checkpointNs atomic.Int64
 	shed         atomic.Int64
 	timeouts     atomic.Int64
 	canceledReqs atomic.Int64
@@ -281,6 +288,7 @@ func (s *Service) sampleServiceSeries(sample func(name string, v float64)) {
 	sample("ovmd_errors_total", float64(s.errorCount.Load()))
 	sample("ovmd_updates_total", float64(s.updates.Load()))
 	sample("ovmd_update_coalesced_ops_total", float64(s.coalescedOps.Load()))
+	sample("ovmd_checkpoints_total", float64(s.checkpoints.Load()))
 	sample("ovmd_update_queue_depth", float64(s.totalQueueDepth()))
 	sample("ovmd_inflight", float64(s.inflight.Load()))
 	sample("ovmd_shed_total", float64(s.shed.Load()))
@@ -1182,6 +1190,9 @@ type Stats struct {
 	// apply because batch merging elided them.
 	UpdateQueueDepth int64 `json:"updateQueueDepth"`
 	CoalescedOps     int64 `json:"coalescedOps"`
+	// Checkpoints counts index-file checkpoints reported through
+	// ObserveCheckpoint.
+	Checkpoints int64 `json:"checkpoints"`
 	// Shed / Timeouts / Canceled / Panics are the failure-mode counters:
 	// computations shed by admission control, queries past their deadline,
 	// queries abandoned by the client, and handler panics converted to 500s.
@@ -1224,7 +1235,7 @@ type DatasetStats struct {
 	HeapBytes   int64 `json:"heapBytes"`
 	// UpdateLogDepth is the persisted update log's batch count INCLUDING
 	// batches accepted but not yet applied (via Config.UpdateLogDepth when
-	// serving an index file — compaction resets it), falling back to the
+	// serving an index file — a checkpoint resets it), falling back to the
 	// batches applied since the base index plus the queue depth.
 	UpdateLogDepth int64 `json:"updateLogDepth"`
 	// UpdateQueueDepth is the accepted-but-unapplied batch count for this
@@ -1280,6 +1291,7 @@ func (s *Service) StatsSnapshot() Stats {
 	}
 	st.UpdateQueueDepth = int64(s.totalQueueDepth())
 	st.CoalescedOps = s.coalescedOps.Load()
+	st.Checkpoints = s.checkpoints.Load()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, name := range sortedNames(s.ds) {
@@ -1309,12 +1321,12 @@ func (s *Service) StatsSnapshot() Stats {
 		d.IndexBytes = d.MappedBytes + d.HeapBytes
 		d.UpdateQueueDepth = int64(s.QueueDepth(name))
 		if s.cfg.UpdateLogDepth != nil {
-			// ovmd's hook already counts both the applied log and the WAL
-			// tail, so queued batches are included.
+			// ovmd's hook counts the whole WAL, so queued batches are
+			// included.
 			d.UpdateLogDepth = int64(s.cfg.UpdateLogDepth(name))
 		} else {
 			// Fallback: applied since the base index plus accepted-but-
-			// unapplied — the depth a compaction would have to absorb.
+			// unapplied — the depth a checkpoint would have to absorb.
 			d.UpdateLogDepth = ds.epoch - ds.baseEpoch + d.UpdateQueueDepth
 		}
 		st.Datasets = append(st.Datasets, d)

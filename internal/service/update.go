@@ -69,8 +69,8 @@ type UpdateResponse struct {
 // epoch) — the epoch is part of every cache key — so stale answers can
 // never be served after an update. Concurrent ApplyUpdates calls are
 // serialized; each successful batch bumps the epoch by exactly one. When a
-// persistence hook is configured (Config.OnUpdate), the batch is persisted
-// before the swap, so a crash never leaves the daemon ahead of its log.
+// persistence hook is configured (Config.OnUpdate), it runs before the
+// swap, so a crash never leaves the daemon ahead of its log.
 // Update is the transport-facing dispatcher: with Config.AsyncUpdates it
 // enqueues (EnqueueUpdates) and returns the accepted/target-epoch
 // response immediately; otherwise it applies inline (ApplyUpdates).
@@ -117,16 +117,11 @@ func (s *Service) ApplyUpdates(req *UpdateRequest) (*UpdateResponse, *Error) {
 		s.tel.observe(span, endpointUpdates, ds.name, "", ds.epoch, false, string(serr.Code))
 		return nil, serr
 	}
-	if s.cfg.OnUpdate != nil {
-		persist := time.Now()
-		err := s.cfg.OnUpdate(req.Dataset, []dynamic.Batch{req.Ops}, next.epoch)
-		span.Add("persist", time.Since(persist))
-		if err != nil {
-			s.errorCount.Add(1)
-			serr := internalErr(err)
-			s.tel.observe(span, endpointUpdates, ds.name, "", ds.epoch, false, string(serr.Code))
-			return nil, serr
-		}
+	if err := s.persistUpdate(span, req.Dataset, []dynamic.Batch{req.Ops}, next.epoch); err != nil {
+		s.errorCount.Add(1)
+		serr := internalErr(err)
+		s.tel.observe(span, endpointUpdates, ds.name, "", ds.epoch, false, string(serr.Code))
+		return nil, serr
 	}
 	swap := time.Now()
 	s.swapDataset(req.Dataset, next)
@@ -137,11 +132,36 @@ func (s *Service) ApplyUpdates(req *UpdateRequest) (*UpdateResponse, *Error) {
 	return resp, nil
 }
 
+// persistUpdate runs Config.OnUpdate as the span's "persist" stage. Both
+// update paths call it under updMu, just before the swap. A checkpoint the
+// hook reports through ObserveCheckpoint while it runs is a stage of its
+// own, so its time is taken out of persist's.
+func (s *Service) persistUpdate(span *obs.Span, dataset string, batches []dynamic.Batch, epoch int64) error {
+	if s.cfg.OnUpdate == nil {
+		return nil
+	}
+	start := time.Now()
+	cp := s.checkpointNs.Load()
+	err := s.cfg.OnUpdate(dataset, batches, epoch)
+	span.Add("persist", time.Since(start)-time.Duration(s.checkpointNs.Load()-cp))
+	return err
+}
+
+// ObserveCheckpoint records one completed checkpoint of an index file (the
+// dataset exported, written out and the update log pruned behind it) in
+// ovmd_checkpoints_total and the "checkpoint" stage. The owner of the file
+// calls it: from inside OnUpdate, or once no update can run any more.
+func (s *Service) ObserveCheckpoint(d time.Duration) {
+	s.checkpoints.Add(1)
+	s.checkpointNs.Add(d.Nanoseconds())
+	s.tel.stageHist.With("checkpoint").Observe(d)
+}
+
 // ExportIndex snapshots a dataset's current state — the mutated system and
 // its incrementally repaired artifacts — as a self-contained index with an
 // empty update log and BaseEpoch set to the dataset's epoch. Reloading the
-// export resumes at the same epoch with the same bytes; ovmd uses it to
-// compact a grown update log (rebase artifacts, drop the replay cost).
+// export resumes at the same epoch with the same bytes; ovmd writes it out
+// as the checkpoint that lets a grown update log be pruned.
 func (s *Service) ExportIndex(name string) (*serialize.Index, *Error) {
 	ds, serr := s.dataset(name)
 	if serr != nil {

@@ -1,23 +1,26 @@
 #!/usr/bin/env bash
 # Crash-consistency smoke test for the ovmd persist path, run by CI:
 #   1. synthesize a dataset, build an index, and start ovmd with
-#      -compact-log 0 so the persisted update log retains every batch;
+#      -compact-log 0, so the index file is never checkpointed and the
+#      write-ahead log (<index>.wal) retains every batch since the build;
 #   2. drive a mutation churn (ovmload -mutate-every) and kill -9 the
 #      daemon mid-churn, several rounds in a row — each kill may land
-#      mid-rewrite of the index file;
+#      mid-append of a WAL line, or mid-repair with batches queued;
 #   3. after every kill the daemon must restart cleanly: the index file
-#      parses (never quarantined), stale rewrite temps are swept, and
-#      queries answer 200;
+#      parses (never quarantined), the WAL replays (never quarantined; a
+#      torn final line is dropped), no rewrite temps are left, and queries
+#      answer 200 — the daemon listens only once the replay is done;
 #   4. a burst round targets the async accept path specifically: 20
-#      single-op batches are POSTed back-to-back (each durably queued in
-#      the write-ahead log before its accepted response) and the daemon is
+#      single-op batches are POSTed back-to-back (each fsync'd into the
+#      write-ahead log before its accepted response) and the daemon is
 #      killed immediately — the restart must replay the queued batches
 #      from the WAL and land exactly on the last promised epoch;
-#   5. after the final round, the persisted update log is dumped with
-#      ovmd -dump-updates and replayed through the direct CLI
-#      (ovm -updates): the restarted daemon's HTTP seeds must equal the
-#      direct library run on the final mutated graph, and the replayed
-#      epoch must equal the number of persisted batches.
+#   5. after the final round, the persisted batches are dumped with
+#      ovmd -dump-updates (the index file's own log section, then the WAL)
+#      and replayed through the direct CLI (ovm -updates): the restarted
+#      daemon's HTTP seeds must equal the direct library run on the final
+#      mutated graph, and the replayed epoch must equal the number of
+#      persisted batches.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -68,7 +71,7 @@ assert_healthy() {
   [[ "$code" == "200" ]] \
     || { echo "FAIL: select-seeds after restart returned $code"; cat "$workdir/last_resp"; tail -20 "$workdir/daemon.log"; exit 1; }
   [[ ! -e "$workdir/chaos.ovmidx.corrupt" ]] \
-    || { echo "FAIL: index was quarantined — a kill tore the atomic rewrite"; tail -20 "$workdir/daemon.log"; exit 1; }
+    || { echo "FAIL: index was quarantined — a kill tore the index file"; tail -20 "$workdir/daemon.log"; exit 1; }
   local temps
   temps=$(ls "$workdir"/chaos.ovmidx.tmp-* 2>/dev/null || true)
   [[ -z "$temps" ]] \
@@ -81,8 +84,9 @@ assert_healthy() {
 }
 
 # wait_drained: poll /stats until no update queue holds accepted batches —
-# after a restart the WAL-recovered queue drains in the background, and
-# the persisted log / epoch comparisons below need the settled state.
+# the persisted log / epoch comparisons below need the settled state. (A
+# restarted daemon has replayed its WAL before it listens, so after a
+# restart this returns at once.)
 wait_drained() {
   for _ in $(seq 1 100); do
     if ! curl -sf "$base/stats" | grep -q '"updateQueueDepth":[1-9]'; then return 0; fi

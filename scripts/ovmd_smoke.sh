@@ -12,8 +12,9 @@
 #      field) — the mapped/heap equivalence contract, end to end;
 #   6. a dynamic-update batch POSTed to /v1/datasets/default/updates bumps
 #      the epoch, the post-update HTTP seeds equal a fresh CLI run on the
-#      mutated graph (ovm -updates), and the index file is rewritten as
-#      OVMIDX v3 with the persisted update log;
+#      mutated graph (ovm -updates), and the batch cost one WAL line: the
+#      index file's size and mtime are unchanged and <index>.wal holds
+#      exactly one entry;
 #   7. an "explain": true select-seeds query returns the stage spans plus
 #      the engine cost snapshot without changing the answer, and its
 #      per-round walks-truncated / postings-blocks counts reconcile
@@ -29,7 +30,9 @@
 #      Retry-After while a cache-servable query keeps answering 200; an
 #      injected handler panic (-debug-faults) becomes a 500 plus an
 #      ovmd_panics_total increment and the daemon keeps serving;
-#  10. SIGTERM drains the daemon gracefully (exit code 0).
+#  10. SIGTERM drains the daemon gracefully (exit code 0) and checkpoints:
+#      the WAL is gone, and a restart replays nothing (replayed=0) yet
+#      answers at the same epoch with the same seeds.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -114,6 +117,7 @@ curl -sf "$base/stats" | grep -q '"cacheHits":1' || { echo "FAIL: /stats cache h
 echo "   /stats ok"
 
 echo "== applying a dynamic-update batch"
+index_before=$(stat -c '%s %y' "$workdir/smoke.ovmidx")
 ops='[{"op":"add_edge","from":1,"to":2,"w":1},{"op":"add_edge","from":299,"to":5,"w":0.5},{"op":"set_weight","from":10,"to":11,"w":2},{"op":"set_opinion","candidate":0,"node":7,"value":0.9},{"op":"set_stubbornness","candidate":0,"node":8,"value":0.2}]'
 printf '%s\n' "$ops" >"$workdir/updates.jsonl"
 upd=$(curl -sf -X POST "$base/v1/datasets/default/updates" -H 'Content-Type: application/json' \
@@ -145,10 +149,15 @@ grep -q '"cached":false' <<<"$resp3" || { echo "FAIL: post-update query served s
 grep -q '"fromIndex":true' <<<"$resp3" || { echo "FAIL: post-update query did not use the repaired index"; exit 1; }
 echo "   minEpoch=1 query waited for the async repair; seeds match a fresh CLI run on the mutated graph"
 
-version_bytes=$(head -c 10 "$workdir/smoke.ovmidx" | od -An -tu1 | tr -s ' ' | sed 's/^ //;s/ $//')
-[[ "$version_bytes" == "79 86 77 73 68 88 3 0 0 0" ]] \
-  || { echo "FAIL: index file was not rewritten as OVMIDX v3 (header bytes: $version_bytes)"; exit 1; }
-echo "   index file persisted as OVMIDX v3 (update log appended)"
+# The WAL is the update log and the index file a checkpoint: one visible
+# batch is one fsync'd WAL line and no write to the index file at all.
+index_after=$(stat -c '%s %y' "$workdir/smoke.ovmidx")
+[[ "$index_before" == "$index_after" ]] \
+  || { echo "FAIL: the update rewrote the index file (size/mtime '$index_before' -> '$index_after')"; exit 1; }
+wal_lines=$(wc -l <"$workdir/smoke.ovmidx.wal")
+[[ "$wal_lines" == "1" ]] \
+  || { echo "FAIL: <index>.wal holds $wal_lines lines after one update, want 1"; exit 1; }
+echo "   index file untouched (size and mtime), <index>.wal holds the one batch"
 
 echo "== query EXPLAIN (live reconciliation against /metrics)"
 # A fresh (uncached) explain:true query must carry stage spans and a
@@ -193,6 +202,8 @@ grep -q '^ovmd_dataset_epoch{dataset="default"} 1$' <<<"$metrics" \
   || { echo "FAIL: /metrics epoch gauge did not reach 1 after the update"; exit 1; }
 grep -q '^ovmd_dataset_update_log_depth{dataset="default"} 1$' <<<"$metrics" \
   || { echo "FAIL: /metrics update-log-depth gauge did not reach 1"; exit 1; }
+grep -q '^ovmd_checkpoints_total 0$' <<<"$metrics" \
+  || { echo "FAIL: /metrics checkpoint counter missing, or one update checkpointed the index"; exit 1; }
 grep -q '^ovmd_stage_duration_seconds_count{stage="repair"}' <<<"$metrics" \
   || { echo "FAIL: /metrics has no update-pipeline stage histogram"; exit 1; }
 # The async-pipeline families: the drained queue gauges sit at zero, the
@@ -315,4 +326,29 @@ wait "$daemon_pid" || code=$?
 daemon_pid=""
 [[ $code -eq 0 ]] || { echo "FAIL: daemon exited with $code"; cat "$workdir/daemon.log"; exit 1; }
 grep -q "ovmd stopped" "$workdir/daemon.log" || { echo "FAIL: no clean shutdown log"; cat "$workdir/daemon.log"; exit 1; }
+# The graceful stop folded the WAL into a checkpoint of the index file.
+[[ ! -e "$workdir/smoke.ovmidx.wal" ]] \
+  || { echo "FAIL: <index>.wal survived the graceful stop"; cat "$workdir/daemon.log"; exit 1; }
+[[ "$(stat -c '%s %y' "$workdir/smoke.ovmidx")" != "$index_before" ]] \
+  || { echo "FAIL: the graceful stop did not checkpoint the index file"; cat "$workdir/daemon.log"; exit 1; }
+echo "   graceful stop checkpointed the index and removed the WAL"
+
+echo "== restart from the checkpoint"
+"$workdir/ovmd" -listen "127.0.0.1:${port}" -index "$workdir/smoke.ovmidx" \
+  >"$workdir/daemon_restart.log" 2>&1 &
+daemon_pid=$!
+for _ in $(seq 1 50); do
+  if curl -sf "$base/healthz" >/dev/null 2>&1; then break; fi
+  sleep 0.2
+done
+grep -q 'loaded index.* replayed=0 epoch=1' "$workdir/daemon_restart.log" \
+  || { echo "FAIL: restart did not load the checkpoint at epoch 1 with nothing to replay"; cat "$workdir/daemon_restart.log"; exit 1; }
+resp4=$(curl -sf -X POST "$base/v1/select-seeds" -H 'Content-Type: application/json' -d "$request")
+got4=$(sed -n 's/.*"seeds":\[\([0-9,]*\)\].*/\1/p' <<<"$resp4" | tr ',' ' ')
+[[ "$got4" == "$mut_expected" ]] || { echo "FAIL: restarted daemon seeds ($got4) != mutated-CLI seeds ($mut_expected)"; exit 1; }
+grep -q '"epoch":1' <<<"$resp4" || { echo "FAIL: restarted daemon is not at epoch 1: $resp4"; exit 1; }
+kill -TERM "$daemon_pid"
+wait "$daemon_pid" || true
+daemon_pid=""
+echo "   restart replayed nothing and answers at epoch 1 with the post-update seeds"
 echo "PASS: ovmd smoke test"

@@ -309,6 +309,62 @@ func BenchmarkSelection(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluateExact measures the exact evaluation that closes every
+// cold query, on the 12k-node sweep graph with a k=50 seed set: "memo" scores
+// against competitor rows computed once (what the daemon pays per request
+// once an epoch's memo is warm — one diffusion), "from-scratch" re-diffuses
+// all r candidates (core.EvaluateExact, the reference the benchmark oracle
+// uses). Both must return the same value; diffusions/op comes from the cost
+// counter, so the trajectory records the work beside the wall-clock.
+func BenchmarkEvaluateExact(b *testing.B) {
+	const (
+		horizon = 10
+		seed    = int64(42)
+		k       = 50
+	)
+	d, err := datasets.TwitterDistancingLike(datasets.Options{N: 12000, Seed: seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	seeds := make([]int32, k)
+	for i := range seeds {
+		seeds[i] = int32(i * (d.Sys.N() / k))
+	}
+	score := voting.Plurality{}
+	in, err := core.NewInstance(nil, d.Sys, d.DefaultTarget, horizon, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	want, err := core.EvaluateExact(d.Sys, d.DefaultTarget, horizon, score, seeds, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name string
+		eval func() (float64, error)
+	}{
+		{"memo", func() (float64, error) { return in.Evaluate(nil, score, seeds) }},
+		{"from-scratch", func() (float64, error) {
+			return core.EvaluateExact(d.Sys, d.DefaultTarget, horizon, score, seeds, 0)
+		}},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			costBefore := obs.CaptureCosts()
+			for i := 0; i < b.N; i++ {
+				got, err := mode.eval()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got != want {
+					b.Fatalf("exact value %v, serial from-scratch reference %v", got, want)
+				}
+			}
+			diffusions := obs.CaptureCosts().Delta(costBefore)["ovm_opinion_diffusions_total"]
+			b.ReportMetric(float64(diffusions)/float64(b.N), "diffusions/op")
+		})
+	}
+}
+
 // BenchmarkCostAccounting is the overhead guard for the engine cost
 // counters: it runs the same indexed greedy selection with accounting on
 // and off (interleaved, best-of so scheduler noise cancels) and fails if

@@ -88,10 +88,4 @@ func (o *ParallelDMObjective) Evaluations() int {
 	return total
 }
 
-// baseOpinions returns the target's seedless horizon opinions, reusing
-// worker 0's diffuser.
-func (o *ParallelDMObjective) baseOpinions() []float64 {
-	return o.objs[0].diff.RunCopy(o.prob.Horizon, nil)
-}
-
 var _ BatchObjective = (*ParallelDMObjective)(nil)

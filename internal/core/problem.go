@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"ovm/internal/engine"
 	"ovm/internal/opinion"
 	"ovm/internal/voting"
 )
@@ -73,55 +72,96 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
-// EvaluateExact computes F(B^(Horizon)[seeds], target) for any score via
-// direct diffusion — the ground-truth evaluation used to compare methods.
-// parallelism caps the per-candidate diffusion fan-out (0 = GOMAXPROCS,
-// 1 = serial); the result is identical at any setting.
+// Instance is a (system, target, horizon) instance with the competitors'
+// horizon opinions. §II-C fixes the competitors' seeds, so those rows are
+// constants of the instance: once diffused, every exact evaluation pays one
+// diffusion, the target's. Comp[x] is candidate x's seedless row (the target
+// entry is ignored); the rows are only ever read, so one Comp may back any
+// number of concurrent evaluations. Parallelism is the engine worker knob of
+// the target's diffusion (0 = GOMAXPROCS, 1 = serial), never visible in a
+// result.
+type Instance struct {
+	Sys             *opinion.System
+	Target, Horizon int
+	Comp            [][]float64
+	Parallelism     int
+}
+
+// NewInstance diffuses the competitor rows from scratch.
+func NewInstance(ctx context.Context, sys *opinion.System, target, horizon, parallelism int) (*Instance, error) {
+	if err := ValidateTargetHorizon(target, horizon, sys.R()); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	comp, err := CompetitorOpinionsCtx(ctx, sys, target, horizon, parallelism)
+	if err != nil {
+		return nil, err
+	}
+	return &Instance{Sys: sys, Target: target, Horizon: horizon, Comp: comp, Parallelism: parallelism}, nil
+}
+
+// matrix returns B^(Horizon)[seeds]: a private slice of row pointers, the
+// competitor entries aliasing Comp and the target entry freshly diffused
+// with the seeds applied. ctx, when non-nil, stops that diffusion.
+func (in *Instance) matrix(ctx context.Context, seeds []int32) ([][]float64, error) {
+	row, err := opinion.Diffuse(ctx, in.Sys.Candidate(in.Target), in.Horizon, seeds, in.Parallelism)
+	if err != nil {
+		return nil, err
+	}
+	B := make([][]float64, len(in.Comp))
+	copy(B, in.Comp)
+	B[in.Target] = row
+	return B, nil
+}
+
+// Evaluate computes F(B^(Horizon)[seeds], target) for any score — the
+// ground-truth evaluation used to compare methods.
+func (in *Instance) Evaluate(ctx context.Context, score voting.Score, seeds []int32) (float64, error) {
+	B, err := in.matrix(ctx, seeds)
+	if err != nil {
+		return 0, err
+	}
+	return score.Eval(B, in.Target), nil
+}
+
+// EvaluateExact is Instance.Evaluate from scratch, competitor rows included.
 func EvaluateExact(sys *opinion.System, target, horizon int, score voting.Score, seeds []int32, parallelism int) (float64, error) {
 	return EvaluateExactCtx(nil, sys, target, horizon, score, seeds, parallelism)
 }
 
-// EvaluateExactCtx is EvaluateExact with cooperative cancellation: the
-// per-candidate diffusion fan-out aborts at shard boundaries once ctx is
-// done and ctx.Err() is returned.
+// EvaluateExactCtx is EvaluateExact with cooperative cancellation: every
+// diffusion checks ctx at each step and returns ctx.Err() once it is done.
 func EvaluateExactCtx(ctx context.Context, sys *opinion.System, target, horizon int, score voting.Score, seeds []int32, parallelism int) (float64, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-	}
-	B, err := opinion.Matrix(sys, horizon, target, seeds, parallelism)
+	in, err := NewInstance(ctx, sys, target, horizon, parallelism)
 	if err != nil {
 		return 0, err
 	}
-	return score.Eval(B, target), nil
+	return in.Evaluate(ctx, score, seeds)
 }
 
 // CompetitorOpinions computes the horizon-t opinion rows of every candidate
-// except the target (seedless), plus a scratch matrix whose target row can
-// be swapped in by evaluators. Competitor rows never change with the
-// target's seeds, so this is computed once per problem; the independent
-// per-candidate diffusions run concurrently on the engine worker pool
-// (parallelism: 0 = GOMAXPROCS, 1 = serial).
+// except the target (seedless); the target entry stays nil. Competitor rows
+// never change with the target's seeds, so this is computed once per
+// problem. Rows are diffused one after another, each node-sharded over the
+// engine worker pool (parallelism: 0 = GOMAXPROCS, 1 = serial).
 func CompetitorOpinions(sys *opinion.System, target, horizon, parallelism int) [][]float64 {
 	B, _ := CompetitorOpinionsCtx(nil, sys, target, horizon, parallelism)
 	return B
 }
 
 // CompetitorOpinionsCtx is CompetitorOpinions with cooperative cancellation
-// at per-candidate granularity. On cancellation the partially-filled matrix
-// is discarded and ctx.Err() returned — callers must never memoize a partial
+// between diffusion steps. On cancellation the partially-filled matrix is
+// discarded and ctx.Err() returned — callers must never memoize a partial
 // result.
 func CompetitorOpinionsCtx(ctx context.Context, sys *opinion.System, target, horizon, parallelism int) ([][]float64, error) {
 	B := make([][]float64, sys.R())
-	err := engine.ForEachShardCtx(ctx, parallelism, sys.R(), func(_, q int) error {
-		if q != target {
-			B[q] = opinion.OpinionsAt(sys.Candidate(q), horizon, nil)
+	for q := range B {
+		if q == target {
+			continue
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		var err error
+		if B[q], err = opinion.Diffuse(ctx, sys.Candidate(q), horizon, nil, parallelism); err != nil {
+			return nil, err
+		}
 	}
 	return B, nil
 }

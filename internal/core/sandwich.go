@@ -50,17 +50,14 @@ func SandwichPositional(p *Problem, parallelism int) (*SandwichResult, error) {
 	}
 
 	// Seedless horizon matrix for the bound ingredients.
-	noSeedB := make([][]float64, p.Sys.R())
-	comp, err := CompetitorOpinionsCtx(p.Ctx, p.Sys, p.Target, p.Horizon, parallelism)
+	in, err := NewInstance(p.Ctx, p.Sys, p.Target, p.Horizon, parallelism)
 	if err != nil {
 		return nil, err
 	}
-	copy(noSeedB, comp)
-	tgtDiff, err := NewParallelDMObjective(&inner, parallelism)
+	noSeedB, err := in.matrix(p.Ctx, nil)
 	if err != nil {
 		return nil, err
 	}
-	noSeedB[p.Target] = tgtDiff.baseOpinions()
 
 	bounds, err := NewPositionalBounds(noSeedB, p.Target, pos)
 	if err != nil {
@@ -99,7 +96,7 @@ func SandwichPositional(p *Problem, parallelism int) (*SandwichResult, error) {
 		return nil, err
 	}
 
-	return assembleSandwich(&inner, parallelism, su, sl, sf, func(seeds []int32) float64 {
+	return assembleSandwich(&inner, in, su, sl, sf, func(seeds []int32) float64 {
 		return CoverageValue(p.Sys.Candidate(p.Target).G, p.Horizon, bounds.Favorable, bounds.Omega1, seeds)
 	})
 }
@@ -115,17 +112,18 @@ func SandwichCopeland(p *Problem, parallelism int) (*SandwichResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	noSeedB := make([][]float64, p.Sys.R())
-	comp, err := CompetitorOpinionsCtx(p.Ctx, p.Sys, p.Target, p.Horizon, parallelism)
+	in, err := NewInstance(p.Ctx, p.Sys, p.Target, p.Horizon, parallelism)
 	if err != nil {
 		return nil, err
 	}
-	copy(noSeedB, comp)
+	noSeedB, err := in.matrix(p.Ctx, nil)
+	if err != nil {
+		return nil, err
+	}
 	fObj, err := NewParallelDMObjective(p, parallelism)
 	if err != nil {
 		return nil, err
 	}
-	noSeedB[p.Target] = fObj.baseOpinions()
 
 	weakly := WeaklyFavorableSet(noSeedB, p.Target)
 	n := p.Sys.N()
@@ -143,23 +141,23 @@ func SandwichCopeland(p *Problem, parallelism int) (*SandwichResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return assembleSandwich(p, parallelism, su, nil, sf, func(seeds []int32) float64 {
+	return assembleSandwich(p, in, su, nil, sf, func(seeds []int32) float64 {
 		return CoverageValue(p.Sys.Candidate(p.Target).G, p.Horizon, weakly, scale, seeds)
 	})
 }
 
-func assembleSandwich(p *Problem, parallelism int, su, sl, sf *GreedyResult, ubValue func([]int32) float64) (*SandwichResult, error) {
+func assembleSandwich(p *Problem, in *Instance, su, sl, sf *GreedyResult, ubValue func([]int32) float64) (*SandwichResult, error) {
 	res := &SandwichResult{SU: su, SL: sl, SF: sf}
 	var err error
-	if res.FofSU, err = EvaluateExactCtx(p.Ctx, p.Sys, p.Target, p.Horizon, p.Score, su.Seeds, parallelism); err != nil {
+	if res.FofSU, err = in.Evaluate(p.Ctx, p.Score, su.Seeds); err != nil {
 		return nil, err
 	}
-	if res.FofSF, err = EvaluateExactCtx(p.Ctx, p.Sys, p.Target, p.Horizon, p.Score, sf.Seeds, parallelism); err != nil {
+	if res.FofSF, err = in.Evaluate(p.Ctx, p.Score, sf.Seeds); err != nil {
 		return nil, err
 	}
 	res.Seeds, res.Value, res.Chosen = su.Seeds, res.FofSU, "UB"
 	if sl != nil {
-		if res.FofSL, err = EvaluateExactCtx(p.Ctx, p.Sys, p.Target, p.Horizon, p.Score, sl.Seeds, parallelism); err != nil {
+		if res.FofSL, err = in.Evaluate(p.Ctx, p.Score, sl.Seeds); err != nil {
 			return nil, err
 		}
 		if res.FofSL > res.Value {

@@ -21,57 +21,73 @@ type SeedSelector func(k int) ([]int32, error)
 // Wins reports whether the target's score with the given seeds strictly
 // exceeds every competitor's score on the same opinion matrix (Problem 2's
 // winning predicate, Equation 9).
-func Wins(sys *opinion.System, target, horizon int, score voting.Score, seeds []int32) (bool, error) {
-	B, err := opinion.Matrix(sys, horizon, target, seeds, 0)
+func (in *Instance) Wins(ctx context.Context, score voting.Score, seeds []int32) (bool, error) {
+	B, err := in.matrix(ctx, seeds)
 	if err != nil {
 		return false, err
 	}
-	fq := score.Eval(B, target)
-	for x := 0; x < sys.R(); x++ {
-		if x == target {
-			continue
-		}
-		if score.Eval(B, x) >= fq {
+	fq := score.Eval(B, in.Target)
+	for x := range B {
+		if x != in.Target && score.Eval(B, x) >= fq {
 			return false, nil
 		}
 	}
 	return true, nil
 }
 
+// Wins is Instance.Wins from scratch, at the default parallelism.
+func Wins(sys *opinion.System, target, horizon int, score voting.Score, seeds []int32) (bool, error) {
+	in, err := NewInstance(nil, sys, target, horizon, 0)
+	if err != nil {
+		return false, err
+	}
+	return in.Wins(nil, score, seeds)
+}
+
+// MinSeedsToWin is Algorithm 2 (FJ-Vote-Win, Problem 2) from scratch; see
+// Instance.MinSeedsToWin.
+func MinSeedsToWin(sys *opinion.System, target, horizon int, score voting.Score, sel SeedSelector) ([]int32, error) {
+	return MinSeedsToWinCtx(nil, sys, target, horizon, score, sel)
+}
+
+// MinSeedsToWinCtx is MinSeedsToWin with cooperative cancellation.
+func MinSeedsToWinCtx(ctx context.Context, sys *opinion.System, target, horizon int, score voting.Score, sel SeedSelector) ([]int32, error) {
+	in, err := NewInstance(ctx, sys, target, horizon, 0)
+	if err != nil {
+		return nil, err
+	}
+	return in.MinSeedsToWin(ctx, score, sel)
+}
+
 // MinSeedsToWin is Algorithm 2 (FJ-Vote-Win, Problem 2): search for the
 // minimum seed-set size k* such that the target wins under the given
 // score, re-running the selector at each probe. Returns the winning seed
-// set (empty if the target already wins with no seeds).
+// set (empty if the target already wins with no seeds). ctx, when non-nil,
+// is checked between probes and inside each probe's diffusion (each probe
+// additionally honors any context the selector's Problem carries).
 //
 // Implementation note: Algorithm 2 binary-searches [0, n] directly; since
 // k* is usually tiny relative to n and each probe re-runs the greedy
 // selector at cost growing with k, we first establish a winning upper
 // bound by doubling (k = 1, 2, 4, …) and then binary-search the bracket —
 // the same predicate, the same k*, far cheaper probes.
-func MinSeedsToWin(sys *opinion.System, target, horizon int, score voting.Score, sel SeedSelector) ([]int32, error) {
-	return MinSeedsToWinCtx(nil, sys, target, horizon, score, sel)
-}
-
-// MinSeedsToWinCtx is MinSeedsToWin with cooperative cancellation between
-// probes (each probe additionally honors any context the selector's Problem
-// carries).
-func MinSeedsToWinCtx(ctx context.Context, sys *opinion.System, target, horizon int, score voting.Score, sel SeedSelector) ([]int32, error) {
+func (in *Instance) MinSeedsToWin(ctx context.Context, score voting.Score, sel SeedSelector) ([]int32, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	if ok, err := Wins(sys, target, horizon, score, nil); err != nil {
+	if ok, err := in.Wins(ctx, score, nil); err != nil {
 		return nil, err
 	} else if ok {
 		return []int32{}, nil
 	}
-	n := sys.N()
+	n := in.Sys.N()
 	// Feasibility at k = n: every selector returns all nodes there, so the
 	// probe is selector-independent.
 	all := make([]int32, n)
 	for v := range all {
 		all[v] = int32(v)
 	}
-	if ok, err := Wins(sys, target, horizon, score, all); err != nil {
+	if ok, err := in.Wins(ctx, score, all); err != nil {
 		return nil, err
 	} else if !ok {
 		return nil, ErrCannotWin
@@ -87,7 +103,7 @@ func MinSeedsToWinCtx(ctx context.Context, sys *opinion.System, target, horizon 
 		if err != nil {
 			return nil, false, fmt.Errorf("core: selector failed at k=%d: %w", k, err)
 		}
-		ok, err := Wins(sys, target, horizon, score, s)
+		ok, err := in.Wins(ctx, score, s)
 		if err != nil {
 			return nil, false, err
 		}

@@ -55,6 +55,10 @@ func TestExpositionCompleteness(t *testing.T) {
 		"ovm_dynamic_batches_applied_total",
 		"ovm_serialize_zerocopy_bytes_total",
 		"ovm_mmap_regions_mapped_total",
+		"ovm_opinion_diffusions_total",
+		"ovm_opinion_edge_steps_total",
+		"ovm_core_competitor_memo_hits_total",
+		"ovm_core_competitor_memo_misses_total",
 	} {
 		found := false
 		for _, f := range fams {

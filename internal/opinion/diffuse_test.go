@@ -1,8 +1,11 @@
 package opinion_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -395,5 +398,39 @@ func TestApplySeedsDoesNotMutate(t *testing.T) {
 	}
 	if ei[0] != 0.1 || es[0] != 0.3 {
 		t.Error("ApplySeeds corrupted non-seed entries")
+	}
+}
+
+// TestDiffuseNodeShardedEqualsSerialStep is the kernel's determinism
+// contract: Diffuse, whose steps are cut into node-range chunks over the
+// engine pool, equals a serial loop over Step bit for bit at P = 1, 4 and
+// GOMAXPROCS — on a graph spanning several chunks and on one smaller than a
+// chunk — and a done context stops it with ctx.Err().
+func TestDiffuseNodeShardedEqualsSerialStep(t *testing.T) {
+	const horizon = 7
+	for _, n := range []int{300, 7000} { // chunks hold at least 2048 nodes
+		c := randomCandidate(t, rand.New(rand.NewSource(int64(n))), n)
+		seeds := []int32{0, int32(n / 2), int32(n - 1)}
+		init, stub := opinion.ApplySeeds(c.Init, c.Stub, seeds)
+		want := append([]float64(nil), init...)
+		next := make([]float64, n)
+		for s := 0; s < horizon; s++ {
+			opinion.Step(c.G, want, next, init, stub)
+			want, next = next, want
+		}
+		for _, par := range []int{1, 4, 0} {
+			got, err := opinion.Diffuse(context.Background(), c, horizon, seeds, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("n=%d P=%d: node-sharded diffusion differs from the serial Step loop", n, par)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := opinion.Diffuse(ctx, c, horizon, seeds, par); !errors.Is(err, context.Canceled) {
+				t.Errorf("n=%d P=%d: cancelled diffusion returned %v, want context.Canceled", n, par, err)
+			}
+		}
 	}
 }

@@ -31,12 +31,13 @@ import (
 type countdownCtx struct {
 	context.Context
 	remaining atomic.Int64
+	err       error // what Err reports once the countdown has run out
 	done      chan struct{}
 	once      sync.Once
 }
 
 func newCountdown(parent context.Context, polls int64) *countdownCtx {
-	c := &countdownCtx{Context: parent, done: make(chan struct{})}
+	c := &countdownCtx{Context: parent, err: context.Canceled, done: make(chan struct{})}
 	c.remaining.Store(polls)
 	return c
 }
@@ -44,7 +45,7 @@ func newCountdown(parent context.Context, polls int64) *countdownCtx {
 func (c *countdownCtx) Err() error {
 	if c.remaining.Add(-1) <= 0 {
 		c.once.Do(func() { close(c.done) })
-		return context.Canceled
+		return c.err
 	}
 	return c.Context.Err()
 }

@@ -460,32 +460,46 @@ func (s *Service) dataset(name string) (*Dataset, *Error) {
 	return ds, nil
 }
 
-// competitors memoizes core.CompetitorOpinions per (target, horizon): the
-// competitor rows never depend on the target's seeds, so every query
-// against the same instance shares one exact diffusion. The value is
-// deterministic, so a racing double-computation is harmless. A cancelled
-// computation returns its context error and memoizes nothing — a partial
-// matrix can never be served to a later query.
-func (ds *Dataset) competitors(ctx context.Context, target, horizon, parallelism int) ([][]float64, error) {
+// Competitor-memo accounting: a hit hands back the epoch's rows, a miss
+// diffuses r−1 of them.
+var (
+	compMemoHits = obs.NewCounter("ovm_core_competitor_memo_hits_total",
+		"Exact evaluations and selections served competitor rows from the per-epoch memo")
+	compMemoMisses = obs.NewCounter("ovm_core_competitor_memo_misses_total",
+		"Competitor-row lookups that diffused the rows (first use per epoch, target and horizon)")
+)
+
+// instance returns the (target, horizon) evaluation instance of this epoch.
+// The competitor rows never depend on the target's seeds, so they are
+// diffused once per (target, horizon) and memoized on the Dataset; every
+// greedy and every exact evaluation of the epoch then shares them read-only
+// and pays only the target's diffusion. The memo lives and dies with its
+// Dataset, so a query pinned to epoch N can only ever see epoch-N rows. The
+// value is deterministic, so a racing double-computation is harmless. A
+// cancelled computation returns its context error and memoizes nothing — a
+// partial matrix can never be served to a later query.
+func (ds *Dataset) instance(ctx context.Context, target, horizon, parallelism int) (*core.Instance, error) {
 	key := compKey{target, horizon}
 	ds.compMu.RLock()
 	B, ok := ds.comp[key]
 	ds.compMu.RUnlock()
 	if ok {
-		return B, nil
-	}
-	B, err := core.CompetitorOpinionsCtx(ctx, ds.sys, target, horizon, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	ds.compMu.Lock()
-	if prev, ok := ds.comp[key]; ok {
-		B = prev
+		compMemoHits.Inc()
 	} else {
-		ds.comp[key] = B
+		compMemoMisses.Inc()
+		var err error
+		if B, err = core.CompetitorOpinionsCtx(ctx, ds.sys, target, horizon, parallelism); err != nil {
+			return nil, err
+		}
+		ds.compMu.Lock()
+		if prev, ok := ds.comp[key]; ok {
+			B = prev
+		} else {
+			ds.comp[key] = B
+		}
+		ds.compMu.Unlock()
 	}
-	ds.compMu.Unlock()
-	return B, nil
+	return &core.Instance{Sys: ds.sys, Target: target, Horizon: horizon, Comp: B, Parallelism: parallelism}, nil
 }
 
 func (ds *Dataset) sketchFor(target, horizon, theta int, seed int64) *sketchArtifact {
@@ -923,9 +937,12 @@ func (s *Service) SelectSeedsCtx(ctx context.Context, req *SelectSeedsRequest) (
 // abandoned run leaves nothing behind and a retry recomputes identically.
 func (s *Service) computeSelect(ctx context.Context, ds *Dataset, req *SelectSeedsRequest, score voting.Score, theta, par int) (*SelectSeedsResponse, error) {
 	prob := &core.Problem{Sys: ds.sys, Target: req.Target, Horizon: req.Horizon, K: req.K, Score: score, Ctx: ctx}
+	inst, err := ds.instance(ctx, req.Target, req.Horizon, par)
+	if err != nil {
+		return nil, err
+	}
 	var seeds []int32
 	var rounds []walks.RoundCost
-	var err error
 	fromIndex := false
 	switch req.Method {
 	case "DM":
@@ -937,12 +954,8 @@ func (s *Service) computeSelect(ctx context.Context, ds *Dataset, req *SelectSee
 		}
 		art := ds.walksFor(req.Target, req.Horizon, lambda, req.Seed)
 		if _, cumulative := score.(voting.Cumulative); cumulative && art != nil {
-			comp, cerr := ds.competitors(ctx, req.Target, req.Horizon, par)
-			if cerr != nil {
-				return nil, cerr
-			}
 			var res *rwalk.Result
-			if res, err = rwalk.SelectOnSet(prob, art.set.Clone(), comp, par); err == nil {
+			if res, err = rwalk.SelectOnSet(prob, art.set.Clone(), inst.Comp, par); err == nil {
 				seeds, rounds = res.Seeds, res.Rounds
 				fromIndex = true
 			}
@@ -955,12 +968,8 @@ func (s *Service) computeSelect(ctx context.Context, ds *Dataset, req *SelectSee
 	case "RS":
 		switch art := ds.sketchFor(req.Target, req.Horizon, theta, req.Seed); {
 		case theta > 0 && art != nil:
-			comp, cerr := ds.competitors(ctx, req.Target, req.Horizon, par)
-			if cerr != nil {
-				return nil, cerr
-			}
 			var res *sketch.Result
-			if res, err = sketch.SelectOnSet(prob, art.set.Clone(), theta, comp, par); err == nil {
+			if res, err = sketch.SelectOnSet(prob, art.set.Clone(), theta, inst.Comp, par); err == nil {
 				seeds, rounds = res.Seeds, res.Rounds
 				fromIndex = true
 			}
@@ -991,7 +1000,7 @@ func (s *Service) computeSelect(ctx context.Context, ds *Dataset, req *SelectSee
 	if err != nil {
 		return nil, err
 	}
-	exact, err := core.EvaluateExactCtx(ctx, ds.sys, req.Target, req.Horizon, score, seeds, par)
+	exact, err := inst.Evaluate(ctx, score, seeds)
 	if err != nil {
 		return nil, err
 	}
@@ -1022,7 +1031,11 @@ func (s *Service) EvaluateCtx(ctx context.Context, req *EvaluateRequest) (*Evalu
 	key := fmt.Sprintf("eval|%s|e=%d|%s|t=%d|q=%d|seeds=%s",
 		req.Dataset, ds.epoch, req.Score.canonical(), req.Horizon, req.Target, seedsKey(req.Seeds))
 	v, cached, span, serr := s.cachedQuery(ctx, endpointEvaluate, ds, req.Score.Name, key, func(cctx context.Context) (any, error) {
-		val, err := core.EvaluateExactCtx(cctx, ds.sys, req.Target, req.Horizon, score, req.Seeds, s.workers(req.Parallelism))
+		inst, err := ds.instance(cctx, req.Target, req.Horizon, s.workers(req.Parallelism))
+		if err != nil {
+			return nil, err
+		}
+		val, err := inst.Evaluate(cctx, score, req.Seeds)
 		if err != nil {
 			return nil, err
 		}
@@ -1057,10 +1070,11 @@ func (s *Service) WinsCtx(ctx context.Context, req *EvaluateRequest) (*WinsRespo
 	key := fmt.Sprintf("wins|%s|e=%d|%s|t=%d|q=%d|seeds=%s",
 		req.Dataset, ds.epoch, req.Score.canonical(), req.Horizon, req.Target, seedsKey(req.Seeds))
 	v, cached, span, serr := s.cachedQuery(ctx, endpointWins, ds, req.Score.Name, key, func(cctx context.Context) (any, error) {
-		if err := cctx.Err(); err != nil {
+		inst, err := ds.instance(cctx, req.Target, req.Horizon, s.workers(req.Parallelism))
+		if err != nil {
 			return nil, err
 		}
-		ok, err := core.Wins(ds.sys, req.Target, req.Horizon, score, req.Seeds)
+		ok, err := inst.Wins(cctx, score, req.Seeds)
 		if err != nil {
 			return nil, err
 		}
@@ -1142,7 +1156,11 @@ func (s *Service) MinSeedsToWinCtx(ctx context.Context, req *MinSeedsRequest) (*
 		case "RS":
 			sel = sketch.Selector(base, sketch.Config{FixedTheta: req.Theta, Seed: req.Seed, Parallelism: par})
 		}
-		seeds, err := core.MinSeedsToWinCtx(cctx, ds.sys, req.Target, req.Horizon, score, sel)
+		inst, err := ds.instance(cctx, req.Target, req.Horizon, par)
+		if err != nil {
+			return nil, err
+		}
+		seeds, err := inst.MinSeedsToWin(cctx, score, sel)
 		if err == core.ErrCannotWin {
 			return &MinSeedsResponse{CanWin: false, Epoch: ds.epoch}, nil
 		}

@@ -209,6 +209,56 @@ func TestIncrementalCachesAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestPairwiseStateDoesNotLeakAcrossRuns guards the lazily refolded
+// Copeland counters: a plurality run leaves them stale and a Copeland run
+// leaves them fresh, so one estimator running plurality then Copeland (and
+// the reverse) must match two estimators that share nothing — the second one
+// built fresh on a set carrying only the first run's seeds.
+func TestPairwiseStateDoesNotLeakAcrossRuns(t *testing.T) {
+	orders := [][2]voting.Score{
+		{voting.Plurality{}, voting.Copeland{}},
+		{voting.Copeland{}, voting.Plurality{}},
+	}
+	for _, sketch := range []bool{false, true} {
+		world := newEquivWorld(t, 17, 40, sketch)
+		for _, order := range orders {
+			for _, par := range []int{1, 4} {
+				shared := world.estimator(t, par)
+				first, err := shared.SelectGreedy(4, order[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := world.estimator(t, par)
+				refFirst, err := ref.SelectGreedy(4, order[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameRun(t, order[0].Name()+" first", ref, shared,
+					refFirst.Seeds, first.Seeds, refFirst.Gains, first.Gains, refFirst.Value, first.Value)
+
+				second, err := shared.SelectGreedy(4, order[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				set := world.makeSet()
+				for _, u := range first.Seeds {
+					set.AddSeed(u, 1)
+				}
+				fresh, err := walks.NewEstimator(set, world.target, world.init, world.comp, world.weights(set), par)
+				if err != nil {
+					t.Fatal(err)
+				}
+				refSecond, err := fresh.SelectGreedy(4, order[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameRun(t, order[1].Name()+" after "+order[0].Name(), fresh, shared,
+					refSecond.Seeds, second.Seeds, refSecond.Gains, second.Gains, refSecond.Value, second.Value)
+			}
+		}
+	}
+}
+
 // TestFullScanModeFlip flips one estimator between reference and indexed
 // mode across SelectGreedy runs: reference rounds skip the incremental
 // bookkeeping entirely, so the indexed rounds that follow must detect the

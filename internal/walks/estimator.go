@@ -51,10 +51,14 @@ type Estimator struct {
 	shardStamp   [][]int32
 	shardTouched [][]int32
 
-	// Copeland scratch
-	plus, minus []float64
-	cpPlus      [][]float64 // per-worker scratch copies of plus
-	cpMinus     [][]float64 // per-worker scratch copies of minus
+	// Copeland state: the weighted pairwise win/loss counters are a pure
+	// function of est, so a change to est only marks them stale and the
+	// first reader refolds them (pairwise) — scores that never read them
+	// never pay for them.
+	plus, minus   []float64
+	pairwiseStale bool
+	cpPlus        [][]float64 // per-worker scratch copies of plus
+	cpMinus       [][]float64 // per-worker scratch copies of minus
 
 	// Incremental-selection state (the postings-index fast path). A walk is
 	// "live" while its remaining headroom rem = 1 − Y(w) is positive; the
@@ -246,13 +250,14 @@ func SketchOwnerWeights(set *Set, theta int) []float64 {
 	return w
 }
 
-// Refresh recomputes all per-owner estimates (and Copeland pairwise counts)
-// from the current truncation state, and resynchronizes the incremental
+// Refresh recomputes all per-owner estimates from the current truncation
+// state (the Copeland pairwise counts follow on their next read), and
+// resynchronizes the incremental
 // selection state with the set — call it after mutating the set directly
 // (Estimator.AddSeed maintains everything itself).
 func (e *Estimator) Refresh() {
 	e.set.EstimatePerOwner(e.b0, e.est, e.parallelism)
-	e.recountPairwise()
+	e.pairwiseStale = true
 	if e.fullScan {
 		// Reference mode pays exactly the old per-round cost: skip the
 		// incremental resync (the caches are rebuilt lazily if the indexed
@@ -266,12 +271,17 @@ func (e *Estimator) Refresh() {
 	e.incrStale = false
 }
 
-// recountPairwise refolds the weighted Copeland win/loss counters over all
-// owners in ascending owner order. The fold order is the floating-point
-// contract: the counters must match a from-scratch recompute bit-for-bit,
-// so even the incremental path refolds them (at O(owners·candidates), far
-// below any walk scan) instead of applying ± deltas.
-func (e *Estimator) recountPairwise() {
+// pairwise brings the weighted Copeland win/loss counters up to date with
+// est by refolding them over all owners in ascending owner order. The fold
+// order is the floating-point contract: the counters must match a
+// from-scratch recompute bit-for-bit, so even the incremental path refolds
+// them (at O(owners·candidates)) instead of applying ± deltas. It must run
+// on the calling goroutine before any fan-out that reads plus/minus.
+func (e *Estimator) pairwise() {
+	if !e.pairwiseStale {
+		return
+	}
+	e.pairwiseStale = false
 	for x := range e.comp {
 		e.plus[x], e.minus[x] = 0, 0
 	}
@@ -375,6 +385,7 @@ func (e *Estimator) EstimatedScore(score voting.Score) (float64, error) {
 	case voting.Positional:
 		return e.estimatedPositional(s), nil
 	case voting.Copeland:
+		e.pairwise()
 		total := 0.0
 		for x := range e.comp {
 			if x == e.target {

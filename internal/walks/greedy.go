@@ -55,9 +55,13 @@ func (e *Estimator) SelectGreedy(k int, score voting.Score) (*core.GreedyResult,
 		return nil, err
 	}
 	res := &core.GreedyResult{}
-	curScore, err := e.EstimatedScore(score)
-	if err != nil {
-		return nil, err
+	// Only Copeland's gain is relative to the current score F̂(S); the other
+	// kinds need F̂ once, for res.Value.
+	var curScore float64
+	if kind == kindCopeland {
+		if curScore, err = e.EstimatedScore(score); err != nil {
+			return nil, err
+		}
 	}
 	indexed := !e.fullScan && e.set.idx != nil
 	if indexed {
@@ -118,12 +122,15 @@ func (e *Estimator) SelectGreedy(k int, score voting.Score) (*core.GreedyResult,
 		e.endRound(best)
 		res.Seeds = append(res.Seeds, best)
 		res.Gains = append(res.Gains, bestGain)
-		curScore, err = e.EstimatedScore(score)
-		if err != nil {
-			return nil, err
+		if kind == kindCopeland {
+			if curScore, err = e.EstimatedScore(score); err != nil {
+				return nil, err
+			}
 		}
 	}
-	res.Value = curScore
+	if res.Value, err = e.EstimatedScore(score); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
@@ -345,6 +352,7 @@ func (e *Estimator) bestRankBased(gainOf func(worker int, owner int32, delta flo
 // the affected owners and recounts the one-on-one victories (Equation 47).
 // Each worker adjusts its own scratch copy of the counters.
 func (e *Estimator) bestCopeland(curScore float64) (int32, float64) {
+	e.pairwise()
 	return e.bestRankBased(nil, func(worker int, u int32, lo, hi int32) float64 {
 		scrPlus, scrMinus := e.cpPlus[worker], e.cpMinus[worker]
 		copy(scrPlus, e.plus)

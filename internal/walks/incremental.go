@@ -174,7 +174,7 @@ func (e *Estimator) addSeedIncremental(u int32) {
 			}
 		}
 	}
-	e.recountPairwise()
+	e.pairwiseStale = true
 	for _, i := range owners {
 		e.ownerMark[i] = false
 	}
@@ -494,6 +494,9 @@ func (e *Estimator) bestRankIndexed(pos voting.Positional, copeland bool, curSco
 		})
 	}
 	e.ensureWorkerScratch()
+	if copeland {
+		e.pairwise()
+	}
 	evalList := e.rankDirty
 	if e.rankAll || copeland {
 		evalList = e.entCand

@@ -26,6 +26,14 @@ for metric in speedup_x determinism_ok postings_blocks_decoded walks_truncated; 
     exit 1
   fi
 done
+# The exact-evaluation benchmark must have run both ways: scoring against
+# memoised competitor rows and re-diffusing every candidate from scratch.
+for mode in memo from-scratch; do
+  if ! grep -q "BenchmarkEvaluateExact/${mode}.*\"diffusions/op\"" "$f"; then
+    echo "check_bench: $f has no BenchmarkEvaluateExact/${mode} result with the diffusions/op metric" >&2
+    exit 1
+  fi
+done
 # The incremental-update benchmark must carry the repair cost counters
 # (bytes copied on copy-on-repair, share of walks invalidated) — they are
 # the evidence that the cost-accounting layer is still wired through the

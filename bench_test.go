@@ -28,6 +28,7 @@ import (
 	"ovm/internal/rwalk"
 	"ovm/internal/serialize"
 	"ovm/internal/service"
+	"ovm/internal/sketch"
 	"ovm/internal/voting"
 	"ovm/internal/walks"
 )
@@ -363,6 +364,152 @@ func BenchmarkEvaluateExact(b *testing.B) {
 			b.ReportMetric(float64(diffusions)/float64(b.N), "diffusions/op")
 		})
 	}
+}
+
+// BenchmarkSelectSweep is the traffic the per-epoch greedy prefix exists for:
+// the 5 scores x k = 1..50 select-seeds keys of one epoch (the cold-select key
+// set), through Service.SelectSeedsCtx on the 12k-node sweep graph, in
+// ascending order (every request after a score's first extends its prefix),
+// descending (every one slices) and shuffled, each op starting from a service
+// nobody has queried; plus one min-seeds, whose probes read the same prefix.
+// Every response is checked against a service that answers that key alone,
+// and min-seeds against the per-probe sketch.Selector. rounds_run/op is the
+// count of greedy rounds computed: each (score, k) round once, 250 per sweep
+// in any order, and for min-seeds the doubling bracket that holds k*.
+func BenchmarkSelectSweep(b *testing.B) {
+	const (
+		horizon = 10
+		theta   = 4096
+		seed    = int64(42)
+		maxK    = 50
+	)
+	d, err := datasets.TwitterDistancingLike(datasets.Options{N: 12000, Seed: seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := service.BuildIndex(d.Sys, service.BuildOptions{
+		Target: d.DefaultTarget, Horizon: horizon, Seed: seed, SketchTheta: theta,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	newService := func(b *testing.B) *service.Service {
+		b.Helper()
+		svc := service.New(service.Config{})
+		if err := svc.AddIndex("sweep", idx); err != nil {
+			b.Fatal(err)
+		}
+		return svc
+	}
+	scores := []service.ScoreSpec{{Name: "cumulative"}, {Name: "plurality"}, {Name: "p-approval", P: 2}, {Name: "borda"}, {Name: "copeland"}}
+	type key struct {
+		req  *service.SelectSeedsRequest
+		want *service.SelectSeedsResponse // from a service that answered only this key
+	}
+	var ascending []key
+	for k := 1; k <= maxK; k++ {
+		for _, sc := range scores {
+			req := &service.SelectSeedsRequest{Dataset: "sweep", Method: "RS", Score: sc, K: k,
+				Horizon: horizon, Target: d.DefaultTarget, Seed: seed, Theta: theta}
+			svc := newService(b)
+			want, serr := svc.SelectSeedsCtx(context.Background(), req)
+			svc.Close()
+			if serr != nil {
+				b.Fatal(serr)
+			}
+			ascending = append(ascending, key{req, want})
+		}
+	}
+	descending := make([]key, len(ascending))
+	for i, k := range ascending {
+		descending[len(ascending)-1-i] = k
+	}
+	shuffled := append([]key(nil), ascending...)
+	rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
+	roundsRun := func(before obs.CostSnapshot) float64 {
+		return float64(obs.CaptureCosts().Delta(before)["ovm_greedy_rounds_run_total"])
+	}
+	for _, order := range []struct {
+		name string
+		keys []key
+	}{{"ascending", ascending}, {"descending", descending}, {"shuffled", shuffled}} {
+		b.Run(order.name, func(b *testing.B) {
+			before := obs.CaptureCosts()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				svc := newService(b)
+				b.StartTimer()
+				for _, k := range order.keys {
+					got, serr := svc.SelectSeedsCtx(context.Background(), k.req)
+					if serr != nil {
+						b.Fatal(serr)
+					}
+					if got.Cached || !got.FromIndex || !reflect.DeepEqual(got.Seeds, k.want.Seeds) || got.ExactValue != k.want.ExactValue {
+						b.Fatalf("%s k=%d: seeds %v value %v (cached=%v fromIndex=%v), answered alone %v %v",
+							k.req.Score.Name, k.req.K, got.Seeds, got.ExactValue, got.Cached, got.FromIndex, k.want.Seeds, k.want.ExactValue)
+					}
+				}
+				b.StopTimer()
+				svc.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(order.keys)), "ns/request")
+			b.ReportMetric(roundsRun(before)/float64(b.N), "rounds_run/op")
+		})
+	}
+	b.Run("min-seeds", func(b *testing.B) {
+		// The default target already wins with no seeds; its rival needs some.
+		rival := 1 - d.DefaultTarget
+		ridx, err := service.BuildIndex(d.Sys, service.BuildOptions{Target: rival, Horizon: horizon, Seed: seed, SketchTheta: theta})
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := &service.MinSeedsRequest{Dataset: "sweep", Method: "RS", Score: service.ScoreSpec{Name: "plurality"},
+			Horizon: horizon, Target: rival, Seed: seed, Theta: theta}
+		base := core.Problem{Sys: d.Sys, Target: rival, Horizon: horizon, K: 1, Score: voting.Plurality{}}
+		refStart := time.Now()
+		want, err := core.MinSeedsToWin(d.Sys, rival, horizon, voting.Plurality{},
+			sketch.Selector(base, sketch.Config{FixedTheta: theta, Seed: seed}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		refDur := time.Since(refStart) // competitor rows, sketches and k rounds anew per probe
+		bracket := 1
+		for bracket < len(want) {
+			bracket *= 2
+		}
+		if len(want) == 0 {
+			b.Fatal("fixture: the rival wins with no seeds, so no probe would run")
+		}
+		b.ResetTimer()
+		before := obs.CaptureCosts()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			svc := service.New(service.Config{})
+			if err := svc.AddIndex("sweep", ridx); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			got, serr := svc.MinSeedsToWinCtx(context.Background(), req)
+			if serr != nil {
+				b.Fatal(serr)
+			}
+			if !got.CanWin || !reflect.DeepEqual(got.Seeds, want) {
+				b.Fatalf("min-seeds %v (canWin=%v), per-probe selector %v", got.Seeds, got.CanWin, want)
+			}
+			b.StopTimer()
+			svc.Close()
+			b.StartTimer()
+		}
+		run := roundsRun(before) / float64(b.N)
+		if run != float64(bracket) {
+			b.Fatalf("min-seeds with k*=%d computed %v greedy rounds, want the doubling bracket %d", len(want), run, bracket)
+		}
+		b.ReportMetric(run, "rounds_run/op")
+		b.ReportMetric(float64(len(want)), "min_seeds")
+		b.ReportMetric(float64(refDur.Nanoseconds()), "ns/op_per_probe_selector")
+	})
 }
 
 // BenchmarkCostAccounting is the overhead guard for the engine cost

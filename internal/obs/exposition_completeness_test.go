@@ -59,6 +59,10 @@ func TestExpositionCompleteness(t *testing.T) {
 		"ovm_opinion_edge_steps_total",
 		"ovm_core_competitor_memo_hits_total",
 		"ovm_core_competitor_memo_misses_total",
+		"ovm_greedy_rounds_run_total",
+		"ovm_greedy_rounds_reused_total",
+		"ovm_greedy_prefix_slices_total",
+		"ovm_greedy_prefix_continues_total",
 	} {
 		found := false
 		for _, f := range fams {

@@ -47,16 +47,25 @@ func (c *lruCache) Get(key string) (any, bool) {
 
 // Put inserts (or refreshes) a value, evicting the least recently used
 // entry when over capacity.
-func (c *lruCache) Put(key string, val any) {
+func (c *lruCache) Put(key string, val any) { c.PutUnless(key, val, nil) }
+
+// PutUnless is Put with the decision taken under the cache lock: when key is
+// resident and keep(resident) reports true, the resident value stays (and is
+// refreshed). It returns the value the cache now serves for key — val when
+// caching is disabled.
+func (c *lruCache) PutUnless(key string, val any, keep func(resident any) bool) any {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cap <= 0 {
-		return
+		return val
 	}
 	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry).val = val
+		e := el.Value.(*lruEntry)
+		if keep == nil || !keep(e.val) {
+			e.val = val
+		}
 		c.ll.MoveToFront(el)
-		return
+		return e.val
 	}
 	c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: val})
 	for c.ll.Len() > c.cap {
@@ -65,6 +74,7 @@ func (c *lruCache) Put(key string, val any) {
 		delete(c.items, oldest.Value.(*lruEntry).key)
 		c.evictions++
 	}
+	return val
 }
 
 // Len returns the number of cached entries.

@@ -20,20 +20,33 @@ import (
 // counters are process-global); on an idle daemon it is exact, which is
 // what the reconciliation check in the smoke test relies on.
 //
-// Rounds is the per-greedy-round work breakdown for select-seeds on the
-// RW/RS paths (walks truncated, postings entries/blocks touched, gain
-// cache hits/misses per round). It describes the computation that
-// produced the answer, so it is retained with the cached value: a cache
-// hit still explains how its answer was derived, even though its own
+// GreedyWork describes the greedy computation that produced a select-seeds
+// answer on the RW/RS paths, so it is retained with the cached value: a
+// cache hit still explains how its answer was derived, even though its own
 // Cost is empty.
 type ExplainBlock struct {
-	Span   *obs.Span         `json:"span"`
-	Cost   obs.CostSnapshot  `json:"cost,omitempty"`
-	Rounds []walks.RoundCost `json:"rounds,omitempty"`
+	Span *obs.Span        `json:"span"`
+	Cost obs.CostSnapshot `json:"cost,omitempty"`
+	GreedyWork
 }
 
-// explain builds the block for one delivery. span is this request's
-// trace; rounds may be nil for methods without a greedy round structure.
-func explainBlock(span *obs.Span, rounds []walks.RoundCost) *ExplainBlock {
-	return &ExplainBlock{Span: span, Cost: span.Cost, Rounds: rounds}
+// GreedyWork is the per-round work breakdown of a greedy selection (walks
+// truncated, postings entries/blocks touched, gain cache hits/misses per
+// round). Rounds lists every round of the answer, wherever it ran. An
+// index-served selection takes the first RoundsReused of them from the
+// epoch's seed prefix: their records are those of the request that ran
+// them, and this computation paid Replay, the truncations that re-apply
+// those seeds, in their place. So on the delivery that computed,
+// Σ Rounds[RoundsReused:] + Replay equals the Cost deltas of the walk and
+// postings counters.
+type GreedyWork struct {
+	Rounds       []walks.RoundCost `json:"rounds,omitempty"`
+	RoundsReused int               `json:"roundsReused,omitempty"`
+	Replay       *walks.RoundCost  `json:"replay,omitempty"`
+}
+
+// explainBlock builds the block for one delivery. span is this request's
+// trace; work is zero for methods without a greedy round structure.
+func explainBlock(span *obs.Span, work GreedyWork) *ExplainBlock {
+	return &ExplainBlock{Span: span, Cost: span.Cost, GreedyWork: work}
 }

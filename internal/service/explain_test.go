@@ -177,47 +177,73 @@ func TestExplainEquivalence(t *testing.T) {
 // TestExplainRoundsReconcile is the acceptance check for the cost
 // accounting's global/round mirror invariant: an uncached select-seeds
 // explain reports per-round walks-truncated / postings-blocks-decoded
-// counts whose sums equal the query's cost-snapshot deltas for the same
+// counts that reconcile with the query's cost-snapshot deltas for the same
 // counters — the same reconciliation an operator does between an explain
-// block and two /metrics scrapes around the query.
+// block and two /metrics scrapes around the query. The rounds this
+// computation ran are rounds[roundsReused:]; the ones before came from the
+// epoch's seed prefix and cost it the replay line instead. So
+// Σ rounds[roundsReused:] + replay == cost, for a first ask (nothing
+// reused), a continuation (some) and a slice (all, and no walk work).
 func TestExplainRoundsReconcile(t *testing.T) {
 	_, idx := testWorld(t)
 	for _, par := range []int{1, 4, 0} {
 		svc := newTestService(t, idx)
-		req := selectReq("RS", "plurality", tdTheta)
-		req.Parallelism = par
-		req.Explain = true
-		resp, serr := svc.SelectSeeds(req)
-		if serr != nil {
-			t.Fatal(serr)
-		}
-		if resp.Cached || resp.Explain == nil {
-			t.Fatalf("P=%d: want an uncached explained response, got cached=%v explain=%v", par, resp.Cached, resp.Explain)
-		}
-		if len(resp.Explain.Rounds) != tdK {
-			t.Fatalf("P=%d: %d rounds reported, want k=%d", par, len(resp.Explain.Rounds), tdK)
-		}
-		var truncated, blocks, entries int64
-		for i, r := range resp.Explain.Rounds {
-			if r.Seed != resp.Seeds[i] {
-				t.Errorf("P=%d round %d: explain seed %d, response seed %d", par, i, r.Seed, resp.Seeds[i])
+		for _, c := range []struct {
+			name      string
+			k, reused int
+		}{
+			{"first ask", tdK, 0},
+			{"continuation", tdK + 5, tdK},
+			{"slice", tdK - 2, tdK - 2},
+		} {
+			req := selectReq("RS", "plurality", tdTheta)
+			req.K = c.k
+			req.Parallelism = par
+			req.Explain = true
+			resp, serr := svc.SelectSeeds(req)
+			if serr != nil {
+				t.Fatal(serr)
 			}
-			truncated += r.WalksTruncated
-			blocks += r.PostingsBlocks
-			entries += r.PostingsEntries
-		}
-		cost := resp.Explain.Cost
-		if got := cost["ovm_walks_truncated_total"]; got != truncated {
-			t.Errorf("P=%d: rounds sum %d walks truncated, cost snapshot says %d", par, truncated, got)
-		}
-		if got := cost["ovm_postings_blocks_total"]; got != blocks {
-			t.Errorf("P=%d: rounds sum %d postings blocks, cost snapshot says %d", par, blocks, got)
-		}
-		if got := cost["ovm_postings_entries_total"]; got != entries {
-			t.Errorf("P=%d: rounds sum %d postings entries, cost snapshot says %d", par, entries, got)
-		}
-		if entries == 0 || truncated == 0 {
-			t.Errorf("P=%d: implausible zero work (entries=%d truncated=%d)", par, entries, truncated)
+			if resp.Cached || resp.Explain == nil {
+				t.Fatalf("P=%d %s: want an uncached explained response, got cached=%v explain=%v", par, c.name, resp.Cached, resp.Explain)
+			}
+			ex := resp.Explain
+			if len(ex.Rounds) != c.k || ex.RoundsReused != c.reused {
+				t.Fatalf("P=%d %s: %d rounds reported with %d reused, want k=%d with %d reused", par, c.name, len(ex.Rounds), ex.RoundsReused, c.k, c.reused)
+			}
+			if replayed := c.reused > 0 && c.reused < c.k; (ex.Replay != nil) != replayed {
+				t.Fatalf("P=%d %s: replay line %+v, want one exactly when a prefix was re-applied", par, c.name, ex.Replay)
+			}
+			var truncated, blocks, entries int64
+			if ex.Replay != nil {
+				truncated, blocks, entries = ex.Replay.WalksTruncated, ex.Replay.PostingsBlocks, ex.Replay.PostingsEntries
+			}
+			for i, r := range ex.Rounds {
+				if r.Seed != resp.Seeds[i] {
+					t.Errorf("P=%d %s round %d: explain seed %d, response seed %d", par, c.name, i, r.Seed, resp.Seeds[i])
+				}
+				if i >= ex.RoundsReused {
+					truncated += r.WalksTruncated
+					blocks += r.PostingsBlocks
+					entries += r.PostingsEntries
+				}
+			}
+			cost := ex.Cost
+			if got := cost["ovm_walks_truncated_total"]; got != truncated {
+				t.Errorf("P=%d %s: rounds sum %d walks truncated, cost snapshot says %d", par, c.name, truncated, got)
+			}
+			if got := cost["ovm_postings_blocks_total"]; got != blocks {
+				t.Errorf("P=%d %s: rounds sum %d postings blocks, cost snapshot says %d", par, c.name, blocks, got)
+			}
+			if got := cost["ovm_postings_entries_total"]; got != entries {
+				t.Errorf("P=%d %s: rounds sum %d postings entries, cost snapshot says %d", par, c.name, entries, got)
+			}
+			if got := cost["ovm_greedy_rounds_run_total"]; got != int64(c.k-c.reused) {
+				t.Errorf("P=%d %s: cost snapshot says %d greedy rounds run, want %d", par, c.name, got, c.k-c.reused)
+			}
+			if worked := c.reused < c.k; worked != (entries > 0 && truncated > 0) {
+				t.Errorf("P=%d %s: implausible walk work (entries=%d truncated=%d)", par, c.name, entries, truncated)
+			}
 		}
 	}
 }

@@ -9,3 +9,15 @@ import "context"
 func (c *Config) SetComputeContext(hook func(context.Context) context.Context) {
 	c.computeContext = hook
 }
+
+// EpochMemoCap is the per-Dataset memo capacity.
+const EpochMemoCap = epochMemoCap
+
+// EpochMemoLen reports how many values the dataset's current epoch holds.
+func (s *Service) EpochMemoLen(dataset string) int {
+	ds, serr := s.dataset(dataset)
+	if serr != nil {
+		return -1
+	}
+	return ds.memo.Len()
+}

@@ -1,0 +1,207 @@
+package service
+
+import (
+	"context"
+	"slices"
+	"strconv"
+
+	"ovm/internal/core"
+	"ovm/internal/obs"
+	"ovm/internal/rwalk"
+	"ovm/internal/voting"
+	"ovm/internal/walks"
+)
+
+// What an epoch remembers. Two kinds of derived value depend on the epoch's
+// system and artifacts but not on the request that first needed them: the
+// competitors' horizon opinions per (target, horizon), and the greedy seed
+// sequence per (walk artifact, score). Both live in Dataset.memo, so they
+// live and die with their Dataset: a query pinned to epoch N can only ever
+// see epoch-N values, and an update starts epoch N+1 empty. Every value is
+// deterministic and immutable once stored, so nothing is locked while one is
+// computed and a racing double computation is harmless. A cancelled or
+// failed computation stores nothing.
+
+// epochMemoCap bounds the values one Dataset keeps, least recently used
+// first out. The keys come from request fields (horizon, positional ω), so
+// without a bound a client sweeping one pins (r−1)·n·8 bytes per value for
+// the life of the epoch. A deployment asks a handful of (target, horizon)
+// pairs and scores per epoch; an evicted value is recomputed on next use.
+const epochMemoCap = 32
+
+// Memo accounting. A competitor hit hands back the epoch's rows, a miss
+// diffuses r−1 of them. Over index-served selections and min-seeds probes,
+// rounds run + rounds reused = Σ k exactly.
+var (
+	compMemoHits = obs.NewCounter("ovm_core_competitor_memo_hits_total",
+		"Exact evaluations and selections served competitor rows from the per-epoch memo")
+	compMemoMisses = obs.NewCounter("ovm_core_competitor_memo_misses_total",
+		"Competitor-row lookups that diffused the rows (first use per epoch, target and horizon)")
+	greedyRoundsRun = obs.NewCounter("ovm_greedy_rounds_run_total",
+		"Greedy rounds computed by index-served selections and min-seeds probes")
+	greedyRoundsReused = obs.NewCounter("ovm_greedy_rounds_reused_total",
+		"Greedy rounds index-served selections and min-seeds probes took from the per-epoch seed prefix")
+	greedyPrefixSlices = obs.NewCounter("ovm_greedy_prefix_slices_total",
+		"Index-served selections and probes answered entirely from the per-epoch seed prefix")
+	greedyPrefixContinues = obs.NewCounter("ovm_greedy_prefix_continues_total",
+		"Index-served selections and probes that extended a non-empty per-epoch seed prefix")
+)
+
+// instance returns the (target, horizon) evaluation instance of this epoch.
+// The competitor rows never depend on the target's seeds, so they are
+// diffused once per (target, horizon) and memoized; every greedy and every
+// exact evaluation of the epoch then shares them read-only and pays only the
+// target's diffusion.
+func (ds *Dataset) instance(ctx context.Context, target, horizon, parallelism int) (*core.Instance, error) {
+	key := "comp|" + strconv.Itoa(target) + "|" + strconv.Itoa(horizon)
+	var B [][]float64
+	if v, ok := ds.memo.Get(key); ok {
+		compMemoHits.Inc()
+		B = v.([][]float64)
+	} else {
+		compMemoMisses.Inc()
+		rows, err := core.CompetitorOpinionsCtx(ctx, ds.sys, target, horizon, parallelism)
+		if err != nil {
+			return nil, err
+		}
+		// A racing miss stored equal rows first: share those.
+		B = ds.memo.PutUnless(key, rows, func(any) bool { return true }).([][]float64)
+	}
+	return &core.Instance{Sys: ds.sys, Target: target, Horizon: horizon, Comp: B, Parallelism: parallelism}, nil
+}
+
+// greedySource is a persisted walk artifact whose greedy selection answers
+// a method: an RS sketch set or the RW cumulative walk set.
+type greedySource struct {
+	key   string     // names the artifact within its Dataset
+	set   *walks.Set // pristine; every run clones it
+	theta int        // RS sketch count; 0 selects RW's uniform owner weights
+}
+
+func (src *greedySource) weights() []float64 {
+	if src.theta > 0 {
+		return walks.SketchOwnerWeights(src.set, src.theta)
+	}
+	return walks.UniformOwnerWeights(src.set)
+}
+
+// sketchSource resolves RS: an explicit θ that matches a sketch artifact.
+func (ds *Dataset) sketchSource(_ voting.Score, target, horizon, theta int, seed int64) (*greedySource, error) {
+	if theta <= 0 {
+		return nil, nil
+	}
+	for i, a := range ds.sketches {
+		if a.target == target && a.horizon == horizon && a.theta == theta && a.seed == seed {
+			return &greedySource{key: "rs" + strconv.Itoa(i), set: a.set, theta: theta}, nil
+		}
+	}
+	return nil, nil
+}
+
+// walkSource resolves RW: the cumulative score over the walk artifact that
+// stores the plan a live rwalk.Select would generate for it.
+func (ds *Dataset) walkSource(score voting.Score, target, horizon, _ int, seed int64) (*greedySource, error) {
+	if _, cumulative := score.(voting.Cumulative); !cumulative {
+		return nil, nil
+	}
+	lambda, err := rwalk.CumulativeLambda(rwalk.Config{})
+	if err != nil {
+		return nil, err
+	}
+	for i, a := range ds.walkSets {
+		if a.target == target && a.horizon == horizon && a.lambda == lambda && a.seed == seed {
+			return &greedySource{key: "rw" + strconv.Itoa(i), set: a.set}, nil
+		}
+	}
+	return nil, nil
+}
+
+// sourceFor resolves the artifact that serves method for these request
+// parameters, nil when the method has none or none matches. theta is the
+// sketch count as the endpoint resolved it.
+func (ds *Dataset) sourceFor(method string, score voting.Score, target, horizon, theta int, seed int64) (*greedySource, error) {
+	resolve := methods[method].artifact
+	if resolve == nil {
+		return nil, nil
+	}
+	return resolve(ds, score, target, horizon, theta, seed)
+}
+
+// greedyPrefix is an immutable snapshot of the epoch's greedy run over one
+// (artifact, score): the seeds in pick order. rounds holds one cost record
+// per seed, or is nil once any of them ran with cost accounting off.
+type greedyPrefix struct {
+	seeds  []int32
+	rounds []walks.RoundCost
+}
+
+// greedy returns the first p.K seeds of the epoch's greedy run over src for
+// the score scoreKey canonically names. The greedy never looks at k, so a
+// snapshot at least p.K long answers by slicing. A shorter one is continued
+// on a private clone (walks.ContinueGreedy re-applies its seeds and runs
+// only the missing rounds), and the result is published when it is longer
+// than what is there by then. The first ask of an epoch continues from the
+// empty prefix, which is the from-scratch selection.
+func (ds *Dataset) greedy(src *greedySource, p *core.Problem, scoreKey string, comp [][]float64, parallelism int) (*greedyAnswer, error) {
+	key := "greedy|" + src.key + "|" + scoreKey
+	pre := &greedyPrefix{}
+	if v, ok := ds.memo.Get(key); ok {
+		pre = v.(*greedyPrefix)
+	}
+	ans := &greedyAnswer{}
+	ans.RoundsReused = min(len(pre.seeds), p.K)
+	if len(pre.seeds) < p.K {
+		run, err := walks.ContinueGreedy(p, src.set.Clone(), src.weights(), comp, pre.seeds, parallelism)
+		if err != nil {
+			return nil, err
+		}
+		if len(pre.seeds) > 0 {
+			replay := run.Replay
+			ans.Replay = &replay
+		}
+		next := &greedyPrefix{seeds: run.Seeds}
+		if len(pre.rounds) == len(pre.seeds) && len(run.Rounds) == p.K-len(pre.seeds) {
+			next.rounds = append(pre.rounds[:len(pre.rounds):len(pre.rounds)], run.Rounds...)
+		}
+		// Two racing extensions computed the same seeds: the longer stays.
+		ds.memo.PutUnless(key, next, func(resident any) bool {
+			return len(resident.(*greedyPrefix).seeds) >= len(next.seeds)
+		})
+		pre = next
+	}
+	// The caller owns its seeds: the snapshot is shared with later requests.
+	ans.seeds = slices.Clone(pre.seeds[:p.K])
+	if len(pre.rounds) == len(pre.seeds) {
+		ans.Rounds = pre.rounds[:p.K:p.K]
+	}
+	return ans, nil
+}
+
+// greedyAnswer is one request's share of the epoch's greedy run.
+type greedyAnswer struct {
+	seeds []int32
+	GreedyWork
+}
+
+// greedyTally accumulates a request's greedy accounting; flush adds it to
+// the counters once.
+type greedyTally struct{ run, reused, slices, continues int64 }
+
+func (t *greedyTally) add(a *greedyAnswer) {
+	k := len(a.seeds)
+	t.run += int64(k - a.RoundsReused)
+	t.reused += int64(a.RoundsReused)
+	switch {
+	case a.RoundsReused == k:
+		t.slices++
+	case a.RoundsReused > 0:
+		t.continues++
+	}
+}
+
+func (t *greedyTally) flush() {
+	greedyRoundsRun.Add(t.run)
+	greedyRoundsReused.Add(t.reused)
+	greedyPrefixSlices.Add(t.slices)
+	greedyPrefixContinues.Add(t.continues)
+}

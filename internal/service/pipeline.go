@@ -529,8 +529,8 @@ func (s *Service) applyRun(p *updatePipeline, run dynamic.CoalescedRun, raw []qu
 }
 
 // noopSuccessor is the epoch bump a failed queued batch consumes: same
-// system, same artifacts, fresh competitor memo (it is keyed off shared
-// state guarded by a per-dataset lock, so successors never share it).
+// system, same artifacts, fresh epoch memo (every epoch starts with its
+// own, so successors never share one).
 func (ds *Dataset) noopSuccessor() *Dataset {
 	return &Dataset{
 		name:      ds.name,
@@ -540,7 +540,7 @@ func (ds *Dataset) noopSuccessor() *Dataset {
 		sketches:  ds.sketches,
 		walkSets:  ds.walkSets,
 		rrs:       ds.rrs,
-		comp:      make(map[compKey][][]float64),
+		memo:      newLRUCache(epochMemoCap),
 	}
 }
 

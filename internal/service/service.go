@@ -9,9 +9,9 @@
 //   - Determinism: every response is bit-identical to the corresponding
 //     direct library call (ovm.SelectSeeds and friends) at any engine
 //     parallelism. Indexed queries reuse persisted artifacts through the
-//     same code paths the library uses (sketch.SelectOnSet,
-//     rwalk.SelectOnSet, im.IMMCached), so load-not-recompute never changes
-//     an answer.
+//     same code paths the library uses (walks.ContinueGreedy, the one
+//     function under sketch.SelectOnSet and rwalk.SelectOnSet, and
+//     im.IMMCached), so load-not-recompute never changes an answer.
 //   - Caching: responses are memoized in an LRU cache keyed by the
 //     canonicalized request. The engine parallelism is deliberately
 //     excluded from the key — results do not depend on it.
@@ -298,7 +298,7 @@ func (s *Service) sampleServiceSeries(sample func(name string, v float64)) {
 }
 
 // Dataset is one registered opinion system plus its restored artifacts.
-// Datasets are immutable snapshots (apart from the competitor memo):
+// Datasets are immutable snapshots (apart from the epoch memo):
 // ApplyUpdates builds a successor and swaps the registry pointer, so
 // in-flight queries keep a consistent view.
 type Dataset struct {
@@ -310,11 +310,9 @@ type Dataset struct {
 	walkSets  []*walkArtifact
 	rrs       []*rrArtifact
 
-	compMu sync.RWMutex
-	comp   map[compKey][][]float64
+	// memo holds what the epoch remembers between requests (memo.go).
+	memo *lruCache
 }
-
-type compKey struct{ target, horizon int }
 
 type sketchArtifact struct {
 	seed    int64
@@ -362,7 +360,7 @@ func (s *Service) add(name string, idx *serialize.Index) error {
 		sys:       idx.Sys,
 		epoch:     idx.BaseEpoch,
 		baseEpoch: idx.BaseEpoch,
-		comp:      make(map[compKey][][]float64),
+		memo:      newLRUCache(epochMemoCap),
 	}
 	for i, a := range idx.Sketches {
 		set, err := walks.FromSnapshot(idx.Sys.Candidate(a.Target).G, a.Set)
@@ -460,57 +458,6 @@ func (s *Service) dataset(name string) (*Dataset, *Error) {
 	return ds, nil
 }
 
-// Competitor-memo accounting: a hit hands back the epoch's rows, a miss
-// diffuses r−1 of them.
-var (
-	compMemoHits = obs.NewCounter("ovm_core_competitor_memo_hits_total",
-		"Exact evaluations and selections served competitor rows from the per-epoch memo")
-	compMemoMisses = obs.NewCounter("ovm_core_competitor_memo_misses_total",
-		"Competitor-row lookups that diffused the rows (first use per epoch, target and horizon)")
-)
-
-// instance returns the (target, horizon) evaluation instance of this epoch.
-// The competitor rows never depend on the target's seeds, so they are
-// diffused once per (target, horizon) and memoized on the Dataset; every
-// greedy and every exact evaluation of the epoch then shares them read-only
-// and pays only the target's diffusion. The memo lives and dies with its
-// Dataset, so a query pinned to epoch N can only ever see epoch-N rows. The
-// value is deterministic, so a racing double-computation is harmless. A
-// cancelled computation returns its context error and memoizes nothing — a
-// partial matrix can never be served to a later query.
-func (ds *Dataset) instance(ctx context.Context, target, horizon, parallelism int) (*core.Instance, error) {
-	key := compKey{target, horizon}
-	ds.compMu.RLock()
-	B, ok := ds.comp[key]
-	ds.compMu.RUnlock()
-	if ok {
-		compMemoHits.Inc()
-	} else {
-		compMemoMisses.Inc()
-		var err error
-		if B, err = core.CompetitorOpinionsCtx(ctx, ds.sys, target, horizon, parallelism); err != nil {
-			return nil, err
-		}
-		ds.compMu.Lock()
-		if prev, ok := ds.comp[key]; ok {
-			B = prev
-		} else {
-			ds.comp[key] = B
-		}
-		ds.compMu.Unlock()
-	}
-	return &core.Instance{Sys: ds.sys, Target: target, Horizon: horizon, Comp: B, Parallelism: parallelism}, nil
-}
-
-func (ds *Dataset) sketchFor(target, horizon, theta int, seed int64) *sketchArtifact {
-	for _, a := range ds.sketches {
-		if a.target == target && a.horizon == horizon && a.theta == theta && a.seed == seed {
-			return a
-		}
-	}
-	return nil
-}
-
 // defaultSketchTheta reports the θ of the artifact covering (target,
 // horizon, seed), so requests may omit theta and still hit the index.
 func (ds *Dataset) defaultSketchTheta(target, horizon int, seed int64) int {
@@ -520,15 +467,6 @@ func (ds *Dataset) defaultSketchTheta(target, horizon int, seed int64) int {
 		}
 	}
 	return 0
-}
-
-func (ds *Dataset) walksFor(target, horizon, lambda int, seed int64) *walkArtifact {
-	for _, a := range ds.walkSets {
-		if a.target == target && a.horizon == horizon && a.lambda == lambda && a.seed == seed {
-			return a
-		}
-	}
-	return nil
 }
 
 func (ds *Dataset) rrFor(model im.Model, target int, seed int64) *im.RRCollection {
@@ -639,11 +577,11 @@ type SelectSeedsResponse struct {
 	// last field so the result bytes are unchanged when absent.
 	Explain *ExplainBlock `json:"explain,omitempty"`
 
-	// rounds retains the per-greedy-round cost breakdown from the compute
+	// work retains the per-greedy-round cost breakdown from the compute
 	// that produced this value (RW/RS paths). Unexported: it rides the
 	// cached value so explain works on cache hits, without ever appearing
 	// in the serialized result.
-	rounds []walks.RoundCost
+	work GreedyWork
 }
 
 // EvaluateRequest asks for the exact score of a seed set.
@@ -848,14 +786,38 @@ func (s *Service) cachedQuery(ctx context.Context, endpoint string, ds *Dataset,
 func seedsKey(seeds []int32) string {
 	sorted := append([]int32(nil), seeds...)
 	slices.Sort(sorted)
-	var sb strings.Builder
+	buf := make([]byte, 0, 8*len(sorted))
 	for i, v := range sorted {
 		if i > 0 {
-			sb.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		fmt.Fprintf(&sb, "%d", v)
+		buf = strconv.AppendInt(buf, int64(v), 10)
 	}
-	return sb.String()
+	return string(buf)
+}
+
+// methodSpec is what the endpoints need to know about a selection method.
+type methodSpec struct {
+	// minSeeds: min-seeds-to-win accepts it (Problem 2 searches over k, so
+	// it needs a selector whose answer is defined for every k).
+	minSeeds bool
+	// artifact resolves the persisted walk artifact whose greedy selection
+	// answers the method for these request parameters (nil result: none
+	// matches). Methods without such an artifact leave it nil.
+	artifact func(ds *Dataset, score voting.Score, target, horizon, theta int, seed int64) (*greedySource, error)
+}
+
+// methods lists every method select-seeds answers.
+var methods = map[string]methodSpec{
+	"DM":    {minSeeds: true},
+	"RW":    {minSeeds: true, artifact: (*Dataset).walkSource},
+	"RS":    {minSeeds: true, artifact: (*Dataset).sketchSource},
+	"IC":    {},
+	"LT":    {},
+	"GED-T": {},
+	"PR":    {},
+	"RWR":   {},
+	"DC":    {},
 }
 
 // SelectSeeds answers a select-seeds query, preferring precomputed index
@@ -894,14 +856,7 @@ func (s *Service) SelectSeedsCtx(ctx context.Context, req *SelectSeedsRequest) (
 		return nil, serr
 	}
 	method := req.Method
-	known := false
-	for _, m := range []string{"DM", "RW", "RS", "IC", "LT", "GED-T", "PR", "RWR", "DC"} {
-		if method == m {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if _, known := methods[method]; !known {
 		return nil, badRequestf("unknown method %q", method)
 	}
 	// Resolve θ before keying the cache so an explicit θ and an omitted one
@@ -922,10 +877,12 @@ func (s *Service) SelectSeedsCtx(ctx context.Context, req *SelectSeedsRequest) (
 		return nil, serr
 	}
 	resp := *v.(*SelectSeedsResponse)
+	// The value is shared with the response cache and coalesced followers.
+	resp.Seeds = slices.Clone(resp.Seeds)
 	resp.Cached = cached
 	resp.ElapsedMs = float64(time.Since(start).Microseconds()) / 1000
 	if req.Explain {
-		resp.Explain = explainBlock(span, resp.rounds)
+		resp.Explain = explainBlock(span, resp.work)
 	}
 	return &resp, nil
 }
@@ -933,51 +890,40 @@ func (s *Service) SelectSeedsCtx(ctx context.Context, req *SelectSeedsRequest) (
 // computeSelect runs a selection under ctx. Cancellation mid-greedy is
 // safe for determinism: the RW/RS paths run on clones of the pristine
 // artifact sets, the IM paths treat the cached RR collection as read-only,
-// and the competitor memo only ever stores complete matrices — so an
-// abandoned run leaves nothing behind and a retry recomputes identically.
+// and the epoch memo only ever stores complete values — so an abandoned run
+// leaves nothing behind and a retry recomputes identically.
 func (s *Service) computeSelect(ctx context.Context, ds *Dataset, req *SelectSeedsRequest, score voting.Score, theta, par int) (*SelectSeedsResponse, error) {
 	prob := &core.Problem{Sys: ds.sys, Target: req.Target, Horizon: req.Horizon, K: req.K, Score: score, Ctx: ctx}
 	inst, err := ds.instance(ctx, req.Target, req.Horizon, par)
 	if err != nil {
 		return nil, err
 	}
-	var seeds []int32
-	var rounds []walks.RoundCost
-	fromIndex := false
-	switch req.Method {
-	case "DM":
-		seeds, _, err = core.SelectSeedsDM(prob, par)
-	case "RW":
-		lambda, lamErr := rwalk.CumulativeLambda(rwalk.Config{})
-		if lamErr != nil {
-			return nil, lamErr
+	src, err := ds.sourceFor(req.Method, score, req.Target, req.Horizon, theta, req.Seed)
+	if err != nil {
+		return nil, err
+	}
+	resp := &SelectSeedsResponse{Method: req.Method, Epoch: ds.epoch}
+	switch {
+	case src != nil:
+		var ans *greedyAnswer
+		if ans, err = ds.greedy(src, prob, req.Score.canonical(), inst.Comp, par); err == nil {
+			var tally greedyTally
+			tally.add(ans)
+			tally.flush()
+			resp.Seeds, resp.work = ans.seeds, ans.GreedyWork
+			resp.FromIndex = true
 		}
-		art := ds.walksFor(req.Target, req.Horizon, lambda, req.Seed)
-		if _, cumulative := score.(voting.Cumulative); cumulative && art != nil {
-			var res *rwalk.Result
-			if res, err = rwalk.SelectOnSet(prob, art.set.Clone(), inst.Comp, par); err == nil {
-				seeds, rounds = res.Seeds, res.Rounds
-				fromIndex = true
-			}
-		} else {
-			var res *rwalk.Result
-			if res, err = rwalk.Select(prob, rwalk.Config{Seed: req.Seed, Parallelism: par}); err == nil {
-				seeds, rounds = res.Seeds, res.Rounds
-			}
+	case req.Method == "DM":
+		resp.Seeds, _, err = core.SelectSeedsDM(prob, par)
+	case req.Method == "RW":
+		var res *rwalk.Result
+		if res, err = rwalk.Select(prob, rwalk.Config{Seed: req.Seed, Parallelism: par}); err == nil {
+			resp.Seeds, resp.work.Rounds = res.Seeds, res.Rounds
 		}
-	case "RS":
-		switch art := ds.sketchFor(req.Target, req.Horizon, theta, req.Seed); {
-		case theta > 0 && art != nil:
-			var res *sketch.Result
-			if res, err = sketch.SelectOnSet(prob, art.set.Clone(), theta, inst.Comp, par); err == nil {
-				seeds, rounds = res.Seeds, res.Rounds
-				fromIndex = true
-			}
-		default:
-			var res *sketch.Result
-			if res, err = sketch.Select(prob, sketch.Config{FixedTheta: theta, Seed: req.Seed, Parallelism: par}); err == nil {
-				seeds, rounds = res.Seeds, res.Rounds
-			}
+	case req.Method == "RS":
+		var res *sketch.Result
+		if res, err = sketch.Select(prob, sketch.Config{FixedTheta: theta, Seed: req.Seed, Parallelism: par}); err == nil {
+			resp.Seeds, resp.work.Rounds = res.Seeds, res.Rounds
 		}
 	default: // the baselines
 		cfg := baselines.Config{Parallelism: par}
@@ -992,26 +938,18 @@ func (s *Service) computeSelect(ctx context.Context, ds *Dataset, req *SelectSee
 		if isIM {
 			if col := ds.rrFor(model, req.Target, req.Seed); col != nil {
 				cfg.RRCache = col
-				fromIndex = true
+				resp.FromIndex = true
 			}
 		}
-		seeds, err = baselines.Select(baselines.Method(req.Method), prob, cfg)
+		resp.Seeds, err = baselines.Select(baselines.Method(req.Method), prob, cfg)
 	}
 	if err != nil {
 		return nil, err
 	}
-	exact, err := inst.Evaluate(ctx, score, seeds)
-	if err != nil {
+	if resp.ExactValue, err = inst.Evaluate(ctx, score, resp.Seeds); err != nil {
 		return nil, err
 	}
-	return &SelectSeedsResponse{
-		Seeds:      seeds,
-		ExactValue: exact,
-		Method:     req.Method,
-		FromIndex:  fromIndex,
-		Epoch:      ds.epoch,
-		rounds:     rounds,
-	}, nil
+	return resp, nil
 }
 
 // Evaluate answers an exact-score query.
@@ -1048,7 +986,7 @@ func (s *Service) EvaluateCtx(ctx context.Context, req *EvaluateRequest) (*Evalu
 	resp.Cached = cached
 	resp.ElapsedMs = float64(time.Since(start).Microseconds()) / 1000
 	if req.Explain {
-		resp.Explain = explainBlock(span, nil)
+		resp.Explain = explainBlock(span, GreedyWork{})
 	}
 	return &resp, nil
 }
@@ -1087,7 +1025,7 @@ func (s *Service) WinsCtx(ctx context.Context, req *EvaluateRequest) (*WinsRespo
 	resp.Cached = cached
 	resp.ElapsedMs = float64(time.Since(start).Microseconds()) / 1000
 	if req.Explain {
-		resp.Explain = explainBlock(span, nil)
+		resp.Explain = explainBlock(span, GreedyWork{})
 	}
 	return &resp, nil
 }
@@ -1139,26 +1077,47 @@ func (s *Service) MinSeedsToWinCtx(ctx context.Context, req *MinSeedsRequest) (*
 	if serr != nil {
 		return nil, serr
 	}
-	if req.Method != "DM" && req.Method != "RW" && req.Method != "RS" {
+	if !methods[req.Method].minSeeds {
 		return nil, badRequestf("min-seeds-to-win supports DM, RW, RS; got %q", req.Method)
 	}
 	key := fmt.Sprintf("minwin|%s|e=%d|%s|%s|t=%d|q=%d|seed=%d|theta=%d",
 		req.Dataset, ds.epoch, req.Method, req.Score.canonical(), req.Horizon, req.Target, req.Seed, req.Theta)
 	v, cached, span, serr := s.cachedQuery(ctx, endpointMinSeeds, ds, req.Score.Name, key, func(cctx context.Context) (any, error) {
 		par := s.workers(req.Parallelism)
-		base := core.Problem{Sys: ds.sys, Target: req.Target, Horizon: req.Horizon, K: 1, Score: score, Ctx: cctx}
-		var sel core.SeedSelector
-		switch req.Method {
-		case "DM":
-			sel = core.DMSelectorCtx(cctx, ds.sys, req.Target, req.Horizon, score, par)
-		case "RW":
-			sel = rwalk.Selector(base, rwalk.Config{Seed: req.Seed, Parallelism: par})
-		case "RS":
-			sel = sketch.Selector(base, sketch.Config{FixedTheta: req.Theta, Seed: req.Seed, Parallelism: par})
-		}
 		inst, err := ds.instance(cctx, req.Target, req.Horizon, par)
 		if err != nil {
 			return nil, err
+		}
+		// The raw θ: an omitted one keeps the heuristic-θ search per probe.
+		src, err := ds.sourceFor(req.Method, score, req.Target, req.Horizon, req.Theta, req.Seed)
+		if err != nil {
+			return nil, err
+		}
+		base := core.Problem{Sys: ds.sys, Target: req.Target, Horizon: req.Horizon, K: 1, Score: score, Ctx: cctx}
+		var tally greedyTally
+		defer tally.flush()
+		var sel core.SeedSelector
+		switch {
+		case src != nil:
+			// Every probe reads the epoch's seed prefix, so Algorithm 2's
+			// doubling and binary search run each greedy round at most once.
+			scoreKey := req.Score.canonical()
+			sel = func(k int) ([]int32, error) {
+				p := base
+				p.K = k
+				ans, err := ds.greedy(src, &p, scoreKey, inst.Comp, par)
+				if err != nil {
+					return nil, err
+				}
+				tally.add(ans)
+				return ans.seeds, nil
+			}
+		case req.Method == "DM":
+			sel = core.DMSelectorCtx(cctx, ds.sys, req.Target, req.Horizon, score, par)
+		case req.Method == "RW":
+			sel = rwalk.Selector(base, rwalk.Config{Seed: req.Seed, Parallelism: par})
+		case req.Method == "RS":
+			sel = sketch.Selector(base, sketch.Config{FixedTheta: req.Theta, Seed: req.Seed, Parallelism: par})
 		}
 		seeds, err := inst.MinSeedsToWin(cctx, score, sel)
 		if err == core.ErrCannotWin {
@@ -1173,10 +1132,11 @@ func (s *Service) MinSeedsToWinCtx(ctx context.Context, req *MinSeedsRequest) (*
 		return nil, serr
 	}
 	resp := *v.(*MinSeedsResponse)
+	resp.Seeds = slices.Clone(resp.Seeds) // as in SelectSeedsCtx
 	resp.Cached = cached
 	resp.ElapsedMs = float64(time.Since(start).Microseconds()) / 1000
 	if req.Explain {
-		resp.Explain = explainBlock(span, nil)
+		resp.Explain = explainBlock(span, GreedyWork{})
 	}
 	return &resp, nil
 }

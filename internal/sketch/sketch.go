@@ -177,39 +177,22 @@ func RepairSet(p *core.Problem, old *walks.Set, touched []bool, seed int64, para
 }
 
 // SelectOnSet runs the greedy selection of Algorithm 5 over a pre-generated
-// sketch set (freshly generated, or a Clone of a loaded artifact). The set
-// is mutated by truncation; callers serving concurrent queries must pass a
-// private clone. comp may carry precomputed competitor opinions for the
-// problem's (target, horizon); nil computes them here. Given a set produced
-// by GenerateSet with matching parameters, the result is byte-identical to
+// sketch set (freshly generated, or a Clone of a loaded artifact): the
+// empty-prefix case of walks.ContinueGreedy with the RS owner weights, whose
+// contract on set, comp and p.Ctx applies. Given a set produced by
+// GenerateSet with matching parameters, the result is byte-identical to
 // SelectWithTheta.
 func SelectOnSet(p *core.Problem, set *walks.Set, theta int, comp [][]float64, parallelism int) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if comp == nil {
-		var err error
-		comp, err = core.CompetitorOpinionsCtx(p.Ctx, p.Sys, p.Target, p.Horizon, parallelism)
-		if err != nil {
-			return nil, err
-		}
-	}
-	cand := p.Sys.Candidate(p.Target)
-	est, err := walks.NewEstimator(set, p.Target, cand.Init, comp, walks.SketchOwnerWeights(set, theta), parallelism)
-	if err != nil {
-		return nil, err
-	}
-	est.SetContext(p.Ctx)
-	gr, err := est.SelectGreedy(p.K, p.Score)
+	run, err := walks.ContinueGreedy(p, set, walks.SketchOwnerWeights(set, theta), comp, nil, parallelism)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
-		Seeds:          gr.Seeds,
-		EstimatedValue: gr.Value,
+		Seeds:          run.Seeds,
+		EstimatedValue: run.Value,
 		Theta:          theta,
 		BytesUsed:      set.BytesUsed(),
-		Rounds:         append([]walks.RoundCost(nil), est.RoundCosts()...),
+		Rounds:         run.Rounds,
 	}, nil
 }
 

@@ -1,9 +1,12 @@
 package walks_test
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"ovm/internal/core"
 	"ovm/internal/graph"
 	"ovm/internal/opinion"
 	"ovm/internal/sampling"
@@ -15,6 +18,7 @@ import (
 // (RW-style per-node plans or RS-style sampled sketches) so identical
 // copies can be re-created for side-by-side selection runs.
 type equivWorld struct {
+	sys     *opinion.System
 	n       int
 	horizon int
 	target  int
@@ -59,7 +63,7 @@ func newEquivWorld(t *testing.T, seed int64, n int, sketch bool) *equivWorld {
 	for q := 1; q < rCand; q++ {
 		comp[q] = opinion.OpinionsAt(sys.Candidate(q), horizon, nil)
 	}
-	w := &equivWorld{n: n, horizon: horizon, target: 0, init: inits[0], comp: comp}
+	w := &equivWorld{sys: sys, n: n, horizon: horizon, target: 0, init: inits[0], comp: comp}
 	smp, err := graph.NewInEdgeSampler(g)
 	if err != nil {
 		t.Fatal(err)
@@ -254,6 +258,55 @@ func TestPairwiseStateDoesNotLeakAcrossRuns(t *testing.T) {
 				}
 				requireSameRun(t, order[1].Name()+" after "+order[0].Name(), fresh, shared,
 					refSecond.Seeds, second.Seeds, refSecond.Gains, second.Gains, refSecond.Value, second.Value)
+			}
+		}
+	}
+}
+
+// TestContinueGreedyMatchesUninterrupted is the prefix contract the serving
+// layer rests on: for every score kind, both owner-weight schemes and P = 1
+// and 4, re-applying the first j seeds of a k-round run to a pristine set and
+// running the k − j missing rounds (ContinueGreedy) reproduces the
+// uninterrupted SelectGreedy(k) of a fresh estimator — seeds, the gains of
+// the rounds it ran and the final value bit for bit, for every j in 0..k−1 —
+// and both match the retained full-scan reference.
+func TestContinueGreedyMatchesUninterrupted(t *testing.T) {
+	const k = 8
+	for _, sketch := range []bool{false, true} {
+		world := newEquivWorld(t, 17, 40, sketch)
+		for _, score := range equivScores {
+			ref := world.estimator(t, 1)
+			ref.UseFullScan(true)
+			want, err := ref.SelectGreedy(k, score)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prob := &core.Problem{Sys: world.sys, Target: world.target, Horizon: world.horizon, K: k, Score: score}
+			for _, par := range []int{1, 4} {
+				label := fmt.Sprintf("%s/sketch=%v/P%d", score.Name(), sketch, par)
+				fresh := world.estimator(t, par)
+				whole, err := fresh.SelectGreedy(k, score)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameRun(t, label, ref, fresh, want.Seeds, whole.Seeds, want.Gains, whole.Gains, want.Value, whole.Value)
+				for j := 0; j < k; j++ {
+					set := world.makeSet()
+					run, err := walks.ContinueGreedy(prob, set, world.weights(set), world.comp, want.Seeds[:j], par)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(run.Seeds, want.Seeds) || !slices.Equal(run.Gains, want.Gains[j:]) || run.Value != want.Value {
+						t.Fatalf("%s: continued from %d seeds: seeds %v gains %v value %v, uninterrupted %v %v %v",
+							label, j, run.Seeds, run.Gains, run.Value, want.Seeds, want.Gains[j:], want.Value)
+					}
+					if len(run.Rounds) != k-j || (j == 0) != (run.Replay.WalksTruncated == 0) {
+						t.Fatalf("%s: continued from %d seeds: %d round records, replay %+v", label, j, len(run.Rounds), run.Replay)
+					}
+				}
+			}
+			if _, err := walks.ContinueGreedy(prob, world.makeSet(), world.weights(world.makeSet()), world.comp, want.Seeds, 1); err == nil {
+				t.Fatalf("%s: a prefix as long as k left no round to run, want an error", score.Name())
 			}
 		}
 	}

@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 
 sha="${1:-$(git rev-parse HEAD 2>/dev/null || echo unknown)}"
 out="BENCH_${sha}.json"
-bench_re="${BENCH_RE:-BenchmarkTable1RunningExample|BenchmarkParallelScaling|BenchmarkSelection|BenchmarkEvaluateExact|BenchmarkServiceQuery|BenchmarkIncrementalUpdate|BenchmarkIndexLoad|BenchmarkCostAccounting|BenchmarkUpdateChurn}"
+bench_re="${BENCH_RE:-BenchmarkTable1RunningExample|BenchmarkParallelScaling|BenchmarkSelection|BenchmarkEvaluateExact|BenchmarkSelectSweep|BenchmarkServiceQuery|BenchmarkIncrementalUpdate|BenchmarkIndexLoad|BenchmarkCostAccounting|BenchmarkUpdateChurn}"
 benchtime="${BENCHTIME:-1x}"
 load_duration="${LOAD_DURATION:-5s}"
 load_workers="${LOAD_WORKERS:-8}"

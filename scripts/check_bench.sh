@@ -8,7 +8,8 @@
 # carrying serving_qps and the p50/p99 latency tail, and (d) the
 # cost-accounting evidence: BenchmarkSelection's postings/walk work
 # counters, BenchmarkIncrementalUpdate's repair cost counters, and
-# BenchmarkCostAccounting's on-vs-off overhead record. A refactor that
+# BenchmarkCostAccounting's on-vs-off overhead record, and (e)
+# BenchmarkSelectSweep's exact count of greedy rounds run. A refactor that
 # silently drops a benchmark (or its evidence metrics) fails CI here
 # instead of eroding the perf history.
 #
@@ -34,6 +35,20 @@ for mode in memo from-scratch; do
     exit 1
   fi
 done
+# The select sweep must have run in all three orders, and the greedy rounds
+# it computed are an exact count: 5 scores x 50 rounds, each once, whatever
+# order the 250 keys arrive in. min-seeds asserts its own count (the doubling
+# bracket) inside the benchmark; here it only has to be on record.
+for order in ascending descending shuffled; do
+  if ! grep -Eq "BenchmarkSelectSweep/${order}.*\"rounds_run/op\":250(\.0+)?[,}]" "$f"; then
+    echo "check_bench: $f has no BenchmarkSelectSweep/${order} result with rounds_run/op = 250" >&2
+    exit 1
+  fi
+done
+if ! grep -q 'BenchmarkSelectSweep/min-seeds.*"rounds_run/op"' "$f"; then
+  echo "check_bench: $f has no BenchmarkSelectSweep/min-seeds result with the rounds_run/op metric" >&2
+  exit 1
+fi
 # The incremental-update benchmark must carry the repair cost counters
 # (bytes copied on copy-on-repair, share of walks invalidated) — they are
 # the evidence that the cost-accounting layer is still wired through the
@@ -147,4 +162,4 @@ if ! awk -v w="$degraded_qps" -v s="$shed_qps" 'BEGIN { exit !(2 * s >= w) }'; t
   echo "check_bench: warm-shed QPS $shed_qps fell below half the unshedded warm-degraded baseline $degraded_qps — cache hits are not bypassing load shedding" >&2
   exit 1
 fi
-echo "check_bench: $f carries BenchmarkSelection speedup_x + determinism_ok + cost counters, BenchmarkIncrementalUpdate repair cost counters, BenchmarkCostAccounting overhead, BenchmarkUpdateChurn async-pipeline gates (speedup ${churn_speedup}x, identical_ok=${churn_identical}, churn/baseline p99 ${churn_p99}/${churn_base_p99}ns), BenchmarkIndexLoad index/mapped/heap bytes + load_speedup_x, ovmload cold/warm/update-concurrent/warm-degraded/warm-shed serving_qps + latency percentiles, and the shed-flood robustness counters (shed_total=${shed_total}, warm-shed/warm-degraded QPS = ${shed_qps}/${degraded_qps})"
+echo "check_bench: $f carries BenchmarkSelection speedup_x + determinism_ok + cost counters, BenchmarkSelectSweep rounds_run/op = 250 in three orders, BenchmarkIncrementalUpdate repair cost counters, BenchmarkCostAccounting overhead, BenchmarkUpdateChurn async-pipeline gates (speedup ${churn_speedup}x, identical_ok=${churn_identical}, churn/baseline p99 ${churn_p99}/${churn_base_p99}ns), BenchmarkIndexLoad index/mapped/heap bytes + load_speedup_x, ovmload cold/warm/update-concurrent/warm-degraded/warm-shed serving_qps + latency percentiles, and the shed-flood robustness counters (shed_total=${shed_total}, warm-shed/warm-degraded QPS = ${shed_qps}/${degraded_qps})"

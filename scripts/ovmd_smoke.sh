@@ -162,9 +162,12 @@ echo "   index file untouched (size and mtime), <index>.wal holds the one batch"
 echo "== query EXPLAIN (live reconciliation against /metrics)"
 # A fresh (uncached) explain:true query must carry stage spans and a
 # non-empty cost snapshot, and — with the daemon otherwise idle — its
-# per-round work counters must sum to exactly the /metrics cost-counter
-# deltas around the query. k=4 keeps it distinct from every cached entry.
-explain_request='{"dataset":"default","method":"RS","score":{"name":"plurality"},"k":4,"horizon":10,"target":0,"seed":7,"theta":2048,"explain":true}'
+# per-round work counters must reconcile exactly with the /metrics
+# cost-counter deltas around the query. k=8 extends the 5-seed greedy prefix
+# the minEpoch query above left on epoch 1: the explain block lists all 8
+# rounds, says the first 5 were reused, and adds a replay line for
+# re-applying them, so  sum(rounds[roundsReused:]) + replay == delta.
+explain_request='{"dataset":"default","method":"RS","score":{"name":"plurality"},"k":8,"horizon":10,"target":0,"seed":7,"theta":2048,"explain":true}'
 walks_before=$(curl -sf "$base/metrics" | sed -n 's/^ovm_walks_truncated_total //p')
 blocks_before=$(curl -sf "$base/metrics" | sed -n 's/^ovm_postings_blocks_total //p')
 eresp=$(curl -sf -X POST "$base/v1/select-seeds" -H 'Content-Type: application/json' -d "$explain_request")
@@ -182,15 +185,18 @@ eseeds=$(sed -n 's/.*"seeds":\[\([0-9,]*\)\].*/\1/p' <<<"$eresp")
 pseeds=$(sed -n 's/.*"seeds":\[\([0-9,]*\)\].*/\1/p' <<<"$presp")
 [[ -n "$eseeds" && "$eseeds" == "$pseeds" ]] \
   || { echo "FAIL: explain:true seeds ($eseeds) != plain seeds ($pseeds)"; exit 1; }
-rounds_walks=$(grep -o '"walksTruncated":[0-9]*' <<<"$eresp" | cut -d: -f2 | awk '{s+=$1} END{print s+0}')
-rounds_blocks=$(grep -o '"postingsBlocks":[0-9]*' <<<"$eresp" | cut -d: -f2 | awk '{s+=$1} END{print s+0}')
+reused=$(sed -n 's/.*"roundsReused":\([0-9]*\).*/\1/p' <<<"$eresp")
+[[ "$reused" == 5 ]] || { echo "FAIL: explain probe reused '$reused' greedy rounds, want the 5 the k=5 query ran"; echo "$eresp"; exit 1; }
+# In field order the values are the 8 rounds, then the replay line.
+rounds_walks=$(grep -o '"walksTruncated":[0-9]*' <<<"$eresp" | cut -d: -f2 | awk -v skip="$reused" 'NR>skip {s+=$1} END{print s+0}')
+rounds_blocks=$(grep -o '"postingsBlocks":[0-9]*' <<<"$eresp" | cut -d: -f2 | awk -v skip="$reused" 'NR>skip {s+=$1} END{print s+0}')
 d_walks=$(awk -v a="$walks_after" -v b="$walks_before" 'BEGIN{printf "%.0f", a-b}')
 d_blocks=$(awk -v a="$blocks_after" -v b="$blocks_before" 'BEGIN{printf "%.0f", a-b}')
 [[ "$rounds_walks" == "$d_walks" && "$rounds_walks" != 0 ]] \
   || { echo "FAIL: explain rounds sum $rounds_walks walks truncated, /metrics delta is $d_walks"; exit 1; }
 [[ "$rounds_blocks" == "$d_blocks" ]] \
   || { echo "FAIL: explain rounds sum $rounds_blocks postings blocks, /metrics delta is $d_blocks"; exit 1; }
-echo "   explain block present, answer unchanged, round sums reconcile with /metrics deltas (walks=$d_walks blocks=$d_blocks)"
+echo "   explain block present, answer unchanged, rounds run + replay reconcile with /metrics deltas (reused=$reused walks=$d_walks blocks=$d_blocks)"
 
 echo "== observability endpoints"
 metrics=$(curl -sf "$base/metrics")

@@ -24,6 +24,7 @@ import (
 	"ovm/internal/dynamic"
 	"ovm/internal/experiments"
 	"ovm/internal/obs"
+	"ovm/internal/opinion"
 	"ovm/internal/postings"
 	"ovm/internal/rwalk"
 	"ovm/internal/serialize"
@@ -312,11 +313,13 @@ func BenchmarkSelection(b *testing.B) {
 
 // BenchmarkEvaluateExact measures the exact evaluation that closes every
 // cold query, on the 12k-node sweep graph with a k=50 seed set: "memo" scores
-// against competitor rows computed once (what the daemon pays per request
-// once an epoch's memo is warm — one diffusion), "from-scratch" re-diffuses
-// all r candidates (core.EvaluateExact, the reference the benchmark oracle
-// uses). Both must return the same value; diffusions/op comes from the cost
-// counter, so the trajectory records the work beside the wall-clock.
+// against competitor rows and the target's seedless trajectory computed once
+// (what the daemon pays per request once an epoch's memo is warm — one
+// frontier diffusion), "memo-dense" against the rows alone (one dense
+// diffusion), "from-scratch" re-diffuses all r candidates (core.EvaluateExact,
+// the reference the benchmark oracle uses). All must return the same value;
+// diffusions/op and edge_steps/op come from the cost counters, so the
+// trajectory records the work beside the wall-clock.
 func BenchmarkEvaluateExact(b *testing.B) {
 	const (
 		horizon = 10
@@ -336,6 +339,10 @@ func BenchmarkEvaluateExact(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	memo := *in
+	if memo.Traj, err = opinion.Trajectory(nil, d.Sys.Candidate(d.DefaultTarget), horizon, nil, 0); err != nil {
+		b.Fatal(err)
+	}
 	want, err := core.EvaluateExact(d.Sys, d.DefaultTarget, horizon, score, seeds, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -344,7 +351,8 @@ func BenchmarkEvaluateExact(b *testing.B) {
 		name string
 		eval func() (float64, error)
 	}{
-		{"memo", func() (float64, error) { return in.Evaluate(nil, score, seeds) }},
+		{"memo", func() (float64, error) { return memo.Evaluate(nil, score, seeds) }},
+		{"memo-dense", func() (float64, error) { return in.Evaluate(nil, score, seeds) }},
 		{"from-scratch", func() (float64, error) {
 			return core.EvaluateExact(d.Sys, d.DefaultTarget, horizon, score, seeds, 0)
 		}},
@@ -360,8 +368,9 @@ func BenchmarkEvaluateExact(b *testing.B) {
 					b.Fatalf("exact value %v, serial from-scratch reference %v", got, want)
 				}
 			}
-			diffusions := obs.CaptureCosts().Delta(costBefore)["ovm_opinion_diffusions_total"]
-			b.ReportMetric(float64(diffusions)/float64(b.N), "diffusions/op")
+			cost := obs.CaptureCosts().Delta(costBefore)
+			b.ReportMetric(float64(cost["ovm_opinion_diffusions_total"])/float64(b.N), "diffusions/op")
+			b.ReportMetric(float64(cost["ovm_opinion_edge_steps_total"])/float64(b.N), "edge_steps/op")
 		})
 	}
 }

@@ -77,17 +77,22 @@ func (p *Problem) Validate() error {
 // constants of the instance: once diffused, every exact evaluation pays one
 // diffusion, the target's. Comp[x] is candidate x's seedless row (the target
 // entry is ignored); the rows are only ever read, so one Comp may back any
-// number of concurrent evaluations. Parallelism is the engine worker knob of
-// the target's diffusion (0 = GOMAXPROCS, 1 = serial), never visible in a
-// result.
+// number of concurrent evaluations. Traj, when set, is the target's seedless
+// opinion.Trajectory to Horizon, shared read-only the same way: an evaluation
+// then recomputes only the nodes its seeds can reach (opinion.DiffuseFrom)
+// and returns the bits of the dense run it replaces. Parallelism is the engine
+// worker knob of the target's diffusion (0 = GOMAXPROCS, 1 = serial), never
+// visible in a result.
 type Instance struct {
 	Sys             *opinion.System
 	Target, Horizon int
 	Comp            [][]float64
+	Traj            [][]float64
 	Parallelism     int
 }
 
-// NewInstance diffuses the competitor rows from scratch.
+// NewInstance diffuses the competitor rows from scratch. It builds no
+// trajectory: its evaluations are the dense reference.
 func NewInstance(ctx context.Context, sys *opinion.System, target, horizon, parallelism int) (*Instance, error) {
 	if err := ValidateTargetHorizon(target, horizon, sys.R()); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -103,7 +108,13 @@ func NewInstance(ctx context.Context, sys *opinion.System, target, horizon, para
 // competitor entries aliasing Comp and the target entry freshly diffused
 // with the seeds applied. ctx, when non-nil, stops that diffusion.
 func (in *Instance) matrix(ctx context.Context, seeds []int32) ([][]float64, error) {
-	row, err := opinion.Diffuse(ctx, in.Sys.Candidate(in.Target), in.Horizon, seeds, in.Parallelism)
+	var row []float64
+	var err error
+	if c := in.Sys.Candidate(in.Target); in.Traj != nil {
+		row, err = opinion.DiffuseFrom(ctx, c, in.Traj, seeds, in.Parallelism)
+	} else {
+		row, err = opinion.Diffuse(ctx, c, in.Horizon, seeds, in.Parallelism)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -57,6 +57,8 @@ func TestExpositionCompleteness(t *testing.T) {
 		"ovm_mmap_regions_mapped_total",
 		"ovm_opinion_diffusions_total",
 		"ovm_opinion_edge_steps_total",
+		"ovm_opinion_frontier_nodes_total",
+		"ovm_opinion_dense_fallbacks_total",
 		"ovm_core_competitor_memo_hits_total",
 		"ovm_core_competitor_memo_misses_total",
 		"ovm_greedy_rounds_run_total",

@@ -330,7 +330,10 @@ func TestTrajectoryAndChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := sys.Candidate(0)
-	traj := opinion.NewDiffuser(c).Trajectory(3, nil)
+	traj, err := opinion.Trajectory(context.Background(), c, 3, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(traj) != 4 {
 		t.Fatalf("trajectory length %d, want 4", len(traj))
 	}

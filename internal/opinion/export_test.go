@@ -1,0 +1,5 @@
+package opinion
+
+// DiffuseFromGuarded is DiffuseFrom with the saturation guard's in-edge limit
+// chosen by the test: below 0 every run goes dense at its first step.
+var DiffuseFromGuarded = diffuseFrom

@@ -9,25 +9,33 @@ import (
 	"ovm/internal/obs"
 )
 
-// lruCache is a fixed-capacity least-recently-used response cache keyed by
-// canonicalized request strings. Values are treated as immutable by
-// convention: callers must not mutate what they Get.
+// lruCache is a least-recently-used cache keyed by canonicalized request
+// strings, bounded by the total cost of what it holds. A value that reports
+// its size (sized) costs that many bytes, any other value costs 1: the
+// response cache holds a number of responses, an epoch memo a number of
+// bytes. Values are treated as immutable by convention: callers must not
+// mutate what they Get.
 type lruCache struct {
 	mu        sync.Mutex
-	cap       int
+	cap       int64
+	used      int64      // total cost of the resident entries, <= cap
 	ll        *list.List // front = most recently used
 	items     map[string]*list.Element
 	evictions int64
 }
 
+// sized is a cached value that weighs the memory it pins.
+type sized interface{ cacheBytes() int64 }
+
 type lruEntry struct {
-	key string
-	val any
+	key  string
+	val  any
+	cost int64
 }
 
 func newLRUCache(capacity int) *lruCache {
 	return &lruCache{
-		cap:   capacity,
+		cap:   int64(capacity),
 		ll:    list.New(),
 		items: make(map[string]*list.Element),
 	}
@@ -45,36 +53,51 @@ func (c *lruCache) Get(key string) (any, bool) {
 	return el.Value.(*lruEntry).val, true
 }
 
-// Put inserts (or refreshes) a value, evicting the least recently used
-// entry when over capacity.
+// Put inserts (or refreshes) a value, evicting least recently used entries
+// while over capacity.
 func (c *lruCache) Put(key string, val any) { c.PutUnless(key, val, nil) }
 
 // PutUnless is Put with the decision taken under the cache lock: when key is
 // resident and keep(resident) reports true, the resident value stays (and is
 // refreshed). It returns the value the cache now serves for key — val when
-// caching is disabled.
+// caching is disabled or val alone costs more than the capacity, in which
+// case it is not stored.
 func (c *lruCache) PutUnless(key string, val any, keep func(resident any) bool) any {
+	cost := int64(1)
+	if s, ok := val.(sized); ok {
+		cost = s.cacheBytes()
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cap <= 0 {
+	if cost > c.cap {
 		return val
 	}
 	if el, ok := c.items[key]; ok {
 		e := el.Value.(*lruEntry)
-		if keep == nil || !keep(e.val) {
-			e.val = val
+		if keep != nil && keep(e.val) {
+			c.ll.MoveToFront(el)
+			return e.val
 		}
-		c.ll.MoveToFront(el)
-		return e.val
+		c.used -= e.cost
+		c.ll.Remove(el)
 	}
-	c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: val})
-	for c.ll.Len() > c.cap {
+	c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: val, cost: cost})
+	c.used += cost
+	for c.used > c.cap {
 		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry).key)
+		e := c.ll.Remove(oldest).(*lruEntry)
+		delete(c.items, e.key)
+		c.used -= e.cost
 		c.evictions++
 	}
 	return val
+}
+
+// Cost returns the total cost of the cached entries (tests).
+func (c *lruCache) Cost() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.used
 }
 
 // Len returns the number of cached entries.
@@ -97,6 +120,7 @@ func (c *lruCache) Reset() {
 	defer c.mu.Unlock()
 	c.ll.Init()
 	c.items = make(map[string]*list.Element)
+	c.used = 0
 }
 
 // Keys returns the cached keys from most to least recently used (tests).

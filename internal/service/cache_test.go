@@ -64,6 +64,43 @@ func TestLRUZeroCapacityNeverStores(t *testing.T) {
 	}
 }
 
+// weighed is a cached value that reports its size.
+type weighed int64
+
+func (w weighed) cacheBytes() int64 { return int64(w) }
+
+// TestLRUBoundsSizedValuesByCost: values that report a size are bounded by
+// their total, not their number — eviction frees least recently used bytes, a
+// replacement is re-weighed, and a value larger than the whole capacity is
+// handed back without being stored or evicting anything.
+func TestLRUBoundsSizedValuesByCost(t *testing.T) {
+	c := newLRUCache(100)
+	c.Put("a", weighed(40))
+	c.Put("b", weighed(40))
+	c.Put("c", weighed(30)) // 110 > 100: a goes
+	if got := []string{"c", "b"}; !reflect.DeepEqual(c.Keys(), got) || c.Cost() != 70 {
+		t.Fatalf("keys %v cost %d, want %v cost 70", c.Keys(), c.Cost(), got)
+	}
+	c.Put("b", weighed(70)) // re-weighed in place: 100, nothing evicted
+	if c.Cost() != 100 || c.Evictions() != 1 {
+		t.Errorf("after replacing b: cost %d evictions %d, want 100 and 1", c.Cost(), c.Evictions())
+	}
+	if v := c.PutUnless("big", weighed(101), nil); v.(weighed) != 101 || c.Len() != 2 || c.Cost() != 100 {
+		t.Errorf("oversized value: returned %v, cache holds %d entries of cost %d", v, c.Len(), c.Cost())
+	}
+	if v := c.PutUnless("c", weighed(1), func(any) bool { return true }); v.(weighed) != 30 || c.Cost() != 100 {
+		t.Errorf("kept resident: returned %v cost %d, want 30 and 100", v, c.Cost())
+	}
+	c.Put("d", weighed(60)) // c was just refreshed: b (70) goes
+	if got := []string{"d", "c"}; !reflect.DeepEqual(c.Keys(), got) || c.Cost() != 90 {
+		t.Errorf("keys %v cost %d, want %v cost 90", c.Keys(), c.Cost(), got)
+	}
+	c.Reset()
+	if c.Cost() != 0 || c.Len() != 0 {
+		t.Errorf("after Reset: cost %d, %d entries", c.Cost(), c.Len())
+	}
+}
+
 func TestFlightGroupCoalesces(t *testing.T) {
 	g := newFlightGroup()
 	const followers = 8

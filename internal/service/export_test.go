@@ -10,14 +10,15 @@ func (c *Config) SetComputeContext(hook func(context.Context) context.Context) {
 	c.computeContext = hook
 }
 
-// EpochMemoCap is the per-Dataset memo capacity.
-const EpochMemoCap = epochMemoCap
+// EpochMemoBytes is the per-Dataset memo budget.
+const EpochMemoBytes = epochMemoBytes
 
-// EpochMemoLen reports how many values the dataset's current epoch holds.
-func (s *Service) EpochMemoLen(dataset string) int {
+// EpochMemoResident reports how many bytes the values of the dataset's
+// current epoch weigh.
+func (s *Service) EpochMemoResident(dataset string) int64 {
 	ds, serr := s.dataset(dataset)
 	if serr != nil {
 		return -1
 	}
-	return ds.memo.Len()
+	return ds.memo.Cost()
 }

@@ -4,34 +4,39 @@ import (
 	"context"
 	"slices"
 	"strconv"
+	"unsafe"
 
 	"ovm/internal/core"
 	"ovm/internal/obs"
+	"ovm/internal/opinion"
 	"ovm/internal/rwalk"
 	"ovm/internal/voting"
 	"ovm/internal/walks"
 )
 
 // What an epoch remembers. Two kinds of derived value depend on the epoch's
-// system and artifacts but not on the request that first needed them: the
-// competitors' horizon opinions per (target, horizon), and the greedy seed
-// sequence per (walk artifact, score). Both live in Dataset.memo, so they
-// live and die with their Dataset: a query pinned to epoch N can only ever
-// see epoch-N values, and an update starts epoch N+1 empty. Every value is
-// deterministic and immutable once stored, so nothing is locked while one is
-// computed and a racing double computation is harmless. A cancelled or
-// failed computation stores nothing.
+// system and artifacts but not on the request that first needed them: per
+// (target, horizon), the competitors' horizon opinions and the target's
+// seedless trajectory; per (walk artifact, score), the greedy seed sequence.
+// Both live in Dataset.memo, so they live and die with their Dataset: a query
+// pinned to epoch N can only ever see epoch-N values, and an update starts
+// epoch N+1 empty. Every value is deterministic and immutable once stored, so
+// nothing is locked while one is computed and a racing double computation is
+// harmless. A cancelled or failed computation stores nothing.
 
-// epochMemoCap bounds the values one Dataset keeps, least recently used
-// first out. The keys come from request fields (horizon, positional ω), so
-// without a bound a client sweeping one pins (r−1)·n·8 bytes per value for
-// the life of the epoch. A deployment asks a handful of (target, horizon)
-// pairs and scores per epoch; an evicted value is recomputed on next use.
-const epochMemoCap = 32
+// epochMemoBytes bounds the memory one Dataset's memo pins, least recently
+// used first out. The keys come from request fields (horizon, positional ω)
+// and a value grows with the horizon, so without a byte bound a client
+// sweeping horizons pins (r−1+t)·n·8 bytes per value for the life of the
+// epoch. A deployment asks a handful of (target, horizon) pairs and scores
+// per epoch: the budget holds the rows and the horizon-10 trajectory of a
+// 1M-node, 4-candidate system (24 + 80 MB). An evicted value is recomputed on
+// next use; a trajectory that would not fit is not built (see instance).
+const epochMemoBytes = 128 << 20
 
 // Memo accounting. A competitor hit hands back the epoch's rows, a miss
-// diffuses r−1 of them. Over index-served selections and min-seeds probes,
-// rounds run + rounds reused = Σ k exactly.
+// diffuses r−1 of them and the target's trajectory. Over index-served
+// selections and min-seeds probes, rounds run + rounds reused = Σ k exactly.
 var (
 	compMemoHits = obs.NewCounter("ovm_core_competitor_memo_hits_total",
 		"Exact evaluations and selections served competitor rows from the per-epoch memo")
@@ -47,27 +52,58 @@ var (
 		"Index-served selections and probes that extended a non-empty per-epoch seed prefix")
 )
 
+// horizonRows is what an epoch keeps per (target, horizon): the competitors'
+// seedless rows at the horizon, and the target's seedless trajectory to it
+// (nil when it would not fit the memo). Row 0 of the trajectory is the
+// system's own Init slice and weighs nothing here.
+type horizonRows struct {
+	comp [][]float64
+	traj [][]float64
+}
+
+func (h *horizonRows) cacheBytes() int64 {
+	var floats int
+	for _, row := range h.comp {
+		floats += len(row)
+	}
+	if len(h.traj) > 1 {
+		floats += (len(h.traj) - 1) * len(h.traj[1])
+	}
+	return 8 * int64(floats)
+}
+
 // instance returns the (target, horizon) evaluation instance of this epoch.
-// The competitor rows never depend on the target's seeds, so they are
-// diffused once per (target, horizon) and memoized; every greedy and every
-// exact evaluation of the epoch then shares them read-only and pays only the
-// target's diffusion.
+// Neither the competitor rows nor the target's seedless trajectory depend on
+// the target's seeds, so they are diffused once per (target, horizon) and
+// memoized; every greedy and every exact evaluation of the epoch then shares
+// them read-only and pays only for the nodes its own seeds reach. When rows
+// and trajectory together would exceed the memo budget the trajectory is not
+// built, and the instance evaluates densely.
 func (ds *Dataset) instance(ctx context.Context, target, horizon, parallelism int) (*core.Instance, error) {
 	key := "comp|" + strconv.Itoa(target) + "|" + strconv.Itoa(horizon)
-	var B [][]float64
+	var rows *horizonRows
 	if v, ok := ds.memo.Get(key); ok {
 		compMemoHits.Inc()
-		B = v.([][]float64)
+		rows = v.(*horizonRows)
 	} else {
 		compMemoMisses.Inc()
-		rows, err := core.CompetitorOpinionsCtx(ctx, ds.sys, target, horizon, parallelism)
-		if err != nil {
+		rows = &horizonRows{}
+		var err error
+		if rows.comp, err = core.CompetitorOpinionsCtx(ctx, ds.sys, target, horizon, parallelism); err != nil {
 			return nil, err
 		}
+		// Do rows and trajectory fit the budget together? Compared in rows,
+		// not bytes: horizon is a request field of any size.
+		rowBytes := max(8*int64(ds.sys.N()), 1)
+		if int64(horizon) <= (epochMemoBytes-rows.cacheBytes())/rowBytes {
+			if rows.traj, err = opinion.Trajectory(ctx, ds.sys.Candidate(target), horizon, nil, parallelism); err != nil {
+				return nil, err
+			}
+		}
 		// A racing miss stored equal rows first: share those.
-		B = ds.memo.PutUnless(key, rows, func(any) bool { return true }).([][]float64)
+		rows = ds.memo.PutUnless(key, rows, func(any) bool { return true }).(*horizonRows)
 	}
-	return &core.Instance{Sys: ds.sys, Target: target, Horizon: horizon, Comp: B, Parallelism: parallelism}, nil
+	return &core.Instance{Sys: ds.sys, Target: target, Horizon: horizon, Comp: rows.comp, Traj: rows.traj, Parallelism: parallelism}, nil
 }
 
 // greedySource is a persisted walk artifact whose greedy selection answers
@@ -133,6 +169,10 @@ func (ds *Dataset) sourceFor(method string, score voting.Score, target, horizon,
 type greedyPrefix struct {
 	seeds  []int32
 	rounds []walks.RoundCost
+}
+
+func (p *greedyPrefix) cacheBytes() int64 {
+	return 4*int64(len(p.seeds)) + int64(len(p.rounds))*int64(unsafe.Sizeof(walks.RoundCost{}))
 }
 
 // greedy returns the first p.K seeds of the epoch's greedy run over src for

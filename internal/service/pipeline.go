@@ -540,7 +540,7 @@ func (ds *Dataset) noopSuccessor() *Dataset {
 		sketches:  ds.sketches,
 		walkSets:  ds.walkSets,
 		rrs:       ds.rrs,
-		memo:      newLRUCache(epochMemoCap),
+		memo:      newLRUCache(epochMemoBytes),
 	}
 }
 

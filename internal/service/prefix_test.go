@@ -302,13 +302,18 @@ func TestGreedyPrefixConcurrentClients(t *testing.T) {
 	wg.Wait()
 }
 
-// TestGreedyPrefixDiesWithItsEpoch: an update that moves a competitor row
-// and no walk leaves the sketch artifact as it was, yet the greedy over it
-// reads the competitor rows, so epoch N+1 must start from an empty prefix and
-// compute from N+1 rows — and a query that fetched epoch N before the swap
-// keeps reading epoch N's prefix while N+1 fills its own.
+// TestGreedyPrefixDiesWithItsEpoch: an update that moves a competitor row,
+// the target's opinions and no walk leaves the sketch artifact as it was, yet
+// the greedy over it reads the competitor rows and every exact value reads the
+// target's seedless trajectory, so epoch N+1 must start from an empty prefix
+// and compute from N+1 rows — and a query that fetched epoch N before the swap
+// keeps reading epoch N's prefix and trajectory while N+1 fills its own.
 func TestGreedyPrefixDiesWithItsEpoch(t *testing.T) {
 	sys, idx := testWorld(t)
+	drift := func(svc *service.Service) {
+		t.Helper()
+		applyDrift(t, svc, sys, append(competitorOps(), targetOps(false)...))
+	}
 	enter, release := make(chan struct{}), make(chan struct{})
 	var park atomic.Bool
 	cfg := service.Config{}
@@ -340,9 +345,9 @@ func TestGreedyPrefixDiesWithItsEpoch(t *testing.T) {
 	defer oldEpoch.Close()
 	newEpoch := newTestService(t, idx)
 	defer newEpoch.Close()
-	competitorDrift(t, newEpoch, sys)
+	drift(newEpoch)
 	if reflect.DeepEqual(ask(oldEpoch, 10).Seeds, ask(newEpoch, 10).Seeds) {
-		t.Fatal("fixture: the competitor drift left the first 10 plurality seeds unchanged")
+		t.Fatal("fixture: the drift left the first 10 plurality seeds unchanged")
 	}
 
 	ask(svc, 4) // epoch 0 now holds a 4-seed prefix
@@ -359,7 +364,7 @@ func TestGreedyPrefixDiesWithItsEpoch(t *testing.T) {
 		pinned <- resp
 	}()
 	<-enter
-	competitorDrift(t, svc, sys)
+	drift(svc)
 
 	before := obs.CaptureCosts()
 	got := ask(svc, 20)
@@ -493,11 +498,12 @@ func TestResponseOwnsItsSeeds(t *testing.T) {
 	}
 }
 
-// TestEpochMemoIsBounded: horizon is a request field and the competitor rows
-// are keyed by it, so a client sweeping 1000 horizons must not pin 1000 row
-// sets for the life of the epoch. The epoch keeps at most its capacity, the
-// evicted values are recomputed on next use, and every answer — during the
-// sweep, after it, and from the greedy prefix the sweep evicted — equals the
+// TestEpochMemoIsBounded: horizon is a request field, the competitor rows and
+// the target's trajectory are keyed by it and the trajectory grows with it, so
+// a client sweeping 1000 horizons must not pin 1000 of them (here 240 MB) for
+// the life of the epoch. The epoch keeps at most its byte budget, the evicted
+// values are recomputed on next use, and every answer — during the sweep,
+// after it, and from the greedy prefix the sweep evicted — equals the
 // from-scratch value.
 func TestEpochMemoIsBounded(t *testing.T) {
 	d, err := datasets.TwitterDistancingLike(datasets.Options{N: 60, Seed: 3})
@@ -517,7 +523,9 @@ func TestEpochMemoIsBounded(t *testing.T) {
 		if q == 0 {
 			applied = seeds
 		}
-		traj[q] = opinion.NewDiffuser(d.Sys.Candidate(q)).Trajectory(horizons, applied)
+		if traj[q], err = opinion.Trajectory(context.Background(), d.Sys.Candidate(q), horizons, applied, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	idx, err := service.BuildIndex(d.Sys, service.BuildOptions{Target: 0, Horizon: tdHorizon, Seed: tdSeed, SketchTheta: theta})
 	if err != nil {
@@ -557,12 +565,14 @@ func TestEpochMemoIsBounded(t *testing.T) {
 	}
 	for horizon := 0; horizon < horizons; horizon++ {
 		evaluate(horizon)
-		if n := svc.EpochMemoLen("world"); n > service.EpochMemoCap {
-			t.Fatalf("after horizon %d the epoch holds %d values, capacity %d", horizon, n, service.EpochMemoCap)
+		if b := svc.EpochMemoResident("world"); b > service.EpochMemoBytes {
+			t.Fatalf("after horizon %d the epoch holds %d bytes, budget %d", horizon, b, service.EpochMemoBytes)
 		}
 	}
-	if n := svc.EpochMemoLen("world"); n != service.EpochMemoCap {
-		t.Errorf("after the sweep the epoch holds %d values, want the capacity %d", n, service.EpochMemoCap)
+	// Full: the next value of the sweep would not have fitted beside the rest.
+	largest := int64(8 * d.Sys.N() * (horizons + d.Sys.R()))
+	if b := svc.EpochMemoResident("world"); b <= service.EpochMemoBytes-largest || b > service.EpochMemoBytes {
+		t.Errorf("after the sweep the epoch holds %d bytes, want the budget %d filled to within one value (%d)", b, service.EpochMemoBytes, largest)
 	}
 	before := obs.CaptureCosts()
 	evaluate(0) // evicted long ago: its evaluate misses, its wins hits

@@ -360,7 +360,7 @@ func (s *Service) add(name string, idx *serialize.Index) error {
 		sys:       idx.Sys,
 		epoch:     idx.BaseEpoch,
 		baseEpoch: idx.BaseEpoch,
-		memo:      newLRUCache(epochMemoCap),
+		memo:      newLRUCache(epochMemoBytes),
 	}
 	for i, a := range idx.Sketches {
 		set, err := walks.FromSnapshot(idx.Sys.Candidate(a.Target).G, a.Set)

@@ -229,7 +229,7 @@ func (s *Service) repairDataset(ctx context.Context, ds *Dataset, batch dynamic.
 		sys:       newSys,
 		epoch:     ds.epoch + int64(bump),
 		baseEpoch: ds.baseEpoch,
-		memo:      newLRUCache(epochMemoCap),
+		memo:      newLRUCache(epochMemoBytes),
 	}
 	resp := &UpdateResponse{Epoch: next.epoch, NodesTouched: cs.NumTouched()}
 	for _, a := range ds.sketches {

@@ -10,6 +10,11 @@
 #   5. a second daemon serving the same index with -mmap=false answers the
 #      same query with a byte-identical HTTP body (modulo the elapsed-time
 #      field) — the mapped/heap equivalence contract, end to end;
+#   5b. a daemon serving a sparse graph (every out-degree <= 3) answers an
+#      explain:true select-seeds on a warm epoch memo with one diffusion
+#      whose edge steps are below horizon x m (the frontier evaluation; the
+#      n=300 yelp-like graph above saturates and runs dense), and its
+#      exactValue prints as the direct CLI's from-scratch dense value;
 #   6. a dynamic-update batch POSTed to /v1/datasets/default/updates bumps
 #      the epoch, the post-update HTTP seeds equal a fresh CLI run on the
 #      mutated graph (ovm -updates), and the batch cost one WAL line: the
@@ -44,6 +49,7 @@ cleanup() {
   [[ -n "${daemon_pid:-}" ]] && kill "$daemon_pid" 2>/dev/null || true
   [[ -n "${heap_pid:-}" ]] && kill "$heap_pid" 2>/dev/null || true
   [[ -n "${shed_pid:-}" ]] && kill "$shed_pid" 2>/dev/null || true
+  [[ -n "${sparse_pid:-}" ]] && kill "$sparse_pid" 2>/dev/null || true
   rm -rf "$workdir"
 }
 trap cleanup EXIT
@@ -112,6 +118,47 @@ kill -TERM "$heap_pid"
 wait "$heap_pid" || true
 heap_pid=""
 echo "   -mmap and -mmap=false daemons answer byte-identically"
+
+echo "== frontier evaluation on a sparse graph"
+"$workdir/ovmgen" -dataset twitter-distancing-like -n 2000 -seed 7 -out "$workdir/sparse" -system
+"$workdir/ovmd" -build-index -load "$workdir/sparse.system" -out "$workdir/sparse.ovmidx" \
+  -theta 2048 -t 10 -target 0 -seed 7 -walks=false
+sparse_out=$("$workdir/ovm" -load "$workdir/sparse.system" -method RS -score cumulative \
+  -k 5 -t 10 -target 0 -seed 7 -theta 2048)
+sparse_m=$(sed -n 's/^dataset=.* m=\([0-9]*\) .*/\1/p' <<<"$sparse_out")
+sparse_value=$(sed -n 's/^method=RS k=5 exact score=\([0-9.]*\) .*/\1/p' <<<"$sparse_out")
+[[ -n "$sparse_m" && -n "$sparse_value" ]] || { echo "FAIL: could not parse the direct CLI run on the sparse graph"; echo "$sparse_out"; exit 1; }
+sparse_port=18476
+sparse_base="http://127.0.0.1:${sparse_port}"
+"$workdir/ovmd" -listen "127.0.0.1:${sparse_port}" -index "$workdir/sparse.ovmidx" \
+  >"$workdir/daemon_sparse.log" 2>&1 &
+sparse_pid=$!
+for _ in $(seq 1 50); do
+  if curl -sf "$sparse_base/healthz" >/dev/null 2>&1; then break; fi
+  sleep 0.2
+done
+# The first ask of the epoch builds the (target, horizon) rows and the
+# target's seedless trajectory; the probe after it finds them in the memo.
+sparse_request='{"dataset":"default","method":"RS","score":{"name":"plurality"},"k":3,"horizon":10,"target":0,"seed":7,"theta":2048}'
+curl -sf -X POST "$sparse_base/v1/select-seeds" -H 'Content-Type: application/json' -d "$sparse_request" >/dev/null \
+  || { echo "FAIL: warm-up query on the sparse graph"; cat "$workdir/daemon_sparse.log"; exit 1; }
+sparse_request='{"dataset":"default","method":"RS","score":{"name":"cumulative"},"k":5,"horizon":10,"target":0,"seed":7,"theta":2048,"explain":true}'
+sresp=$(curl -sf -X POST "$sparse_base/v1/select-seeds" -H 'Content-Type: application/json' -d "$sparse_request")
+sparse_steps=$(sed -n 's/.*"ovm_opinion_edge_steps_total":\([0-9]*\).*/\1/p' <<<"$sresp")
+grep -q '"ovm_opinion_diffusions_total":1[,}]' <<<"$sresp" \
+  || { echo "FAIL: the warm-memo query did not run exactly one diffusion"; echo "$sresp"; exit 1; }
+[[ -n "$sparse_steps" && "$sparse_steps" -gt 0 && "$sparse_steps" -lt $((10 * sparse_m)) ]] \
+  || { echo "FAIL: warm-memo evaluation cost '$sparse_steps' edge steps, want fewer than horizon x m = $((10 * sparse_m))"; echo "$sresp"; exit 1; }
+if grep -q '"ovm_opinion_dense_fallbacks_total"' <<<"$sresp"; then
+  echo "FAIL: the evaluation fell back to dense steps on a graph of out-degree <= 3"; echo "$sresp"; exit 1
+fi
+sparse_exact=$(sed -n 's/.*"exactValue":\([0-9.eE+-]*\).*/\1/p' <<<"$sresp")
+[[ "$(printf '%.3f' "$sparse_exact")" == "$sparse_value" ]] \
+  || { echo "FAIL: daemon exactValue $sparse_exact != direct CLI from-scratch value $sparse_value"; exit 1; }
+kill -TERM "$sparse_pid"
+wait "$sparse_pid" || true
+sparse_pid=""
+echo "   one diffusion, $sparse_steps edge steps < horizon x m = $((10 * sparse_m)), exactValue $sparse_exact = CLI $sparse_value"
 
 curl -sf "$base/stats" | grep -q '"cacheHits":1' || { echo "FAIL: /stats cache hit count"; exit 1; }
 echo "   /stats ok"

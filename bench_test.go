@@ -743,13 +743,14 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 
 // BenchmarkIndexLoad measures the daemon startup load path on the 12k-node
 // sweep graph with a fully populated index (sketches + RW walks + RR sets):
-// the v2 stream decode onto the heap against the v3 zero-copy mmap open.
-// v3-mmap reports the ratio as load_speedup_x (against an untimed best-of-2
-// v2 reference), the byte-footprint split of the registered dataset
-// (index_bytes on disk, mapped_bytes aliasing the file, heap_bytes
-// resident), and the raw-vs-varint postings size ratio
-// (postings_compression_x). The v2-heap run reports its own index_bytes /
-// heap_bytes for the same dataset, so the trajectory records both layouts.
+// the heap parse of the index file (read it whole, ReadIndex) against the
+// zero-copy mmap open of the same file. v3-mmap reports the ratio as
+// load_speedup_x (against an untimed best-of-2 heap reference), the
+// byte-footprint split of the registered dataset (index_bytes on disk,
+// mapped_bytes aliasing the file, heap_bytes resident), and the
+// raw-vs-varint postings size ratio (postings_compression_x). The v3-heap
+// run reports its own index_bytes / heap_bytes for the same dataset, so the
+// trajectory records both backings.
 func BenchmarkIndexLoad(b *testing.B) {
 	const (
 		horizon = 10
@@ -772,18 +773,8 @@ func BenchmarkIndexLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dir := b.TempDir()
-	v2Path := filepath.Join(dir, "index.v2.ovmidx")
-	v3Path := filepath.Join(dir, "index.v3.ovmidx")
+	v3Path := filepath.Join(b.TempDir(), "index.ovmidx")
 	var buf bytes.Buffer
-	if err := serialize.WriteIndex(&buf, idx); err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(v2Path, buf.Bytes(), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	v2Bytes := int64(buf.Len())
-	buf.Reset()
 	if err := serialize.WriteIndexV3(&buf, idx, serialize.V3Options{}); err != nil {
 		b.Fatal(err)
 	}
@@ -793,9 +784,8 @@ func BenchmarkIndexLoad(b *testing.B) {
 	v3Bytes := int64(buf.Len())
 	buf = bytes.Buffer{}
 
-	// Postings compression: the raw CSR index arrays (what v2-era loads
-	// rebuild in memory, and what V3Options.RawPostings would store) versus
-	// the delta+varint blocks v3 stores by default.
+	// Postings compression: the raw CSR index arrays (what BuildIndex and
+	// repair hold in memory) versus the delta+varint blocks the file stores.
 	var rawPostings, compactPostings int64
 	countIndex := func(off, item, pos []int32) {
 		raw := postings.CSR{Off: off, Item: item, Pos: pos}
@@ -812,8 +802,8 @@ func BenchmarkIndexLoad(b *testing.B) {
 		countIndex(a.Index.Off, a.Index.Item, nil)
 	}
 
-	v2Load := func() *serialize.Index {
-		data, err := os.ReadFile(v2Path)
+	heapLoad := func() *serialize.Index {
+		data, err := os.ReadFile(v3Path)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -834,25 +824,25 @@ func BenchmarkIndexLoad(b *testing.B) {
 		return ds.MappedBytes, ds.HeapBytes
 	}
 
-	b.Run("v2-heap", func(b *testing.B) {
+	b.Run("v3-heap", func(b *testing.B) {
 		var loaded *serialize.Index
 		for i := 0; i < b.N; i++ {
-			loaded = v2Load()
+			loaded = heapLoad()
 		}
 		b.StopTimer()
 		mapped, heap := datasetBytes(loaded)
-		b.ReportMetric(float64(v2Bytes), "index_bytes")
+		b.ReportMetric(float64(v3Bytes), "index_bytes")
 		b.ReportMetric(float64(mapped), "mapped_bytes")
 		b.ReportMetric(float64(heap), "heap_bytes")
 	})
 	b.Run("v3-mmap", func(b *testing.B) {
-		// Untimed v2 reference, best of 2, for the load speedup ratio.
-		var v2Ref time.Duration
+		// Untimed heap reference, best of 2, for the load speedup ratio.
+		var heapRef time.Duration
 		for r := 0; r < 2; r++ {
 			start := time.Now()
-			v2Load()
-			if dur := time.Since(start); v2Ref == 0 || dur < v2Ref {
-				v2Ref = dur
+			heapLoad()
+			if dur := time.Since(start); heapRef == 0 || dur < heapRef {
+				heapRef = dur
 			}
 		}
 		var mi *serialize.MappedIndex
@@ -880,8 +870,8 @@ func BenchmarkIndexLoad(b *testing.B) {
 		b.ReportMetric(float64(v3Bytes), "index_bytes")
 		b.ReportMetric(float64(mapped), "mapped_bytes")
 		b.ReportMetric(float64(heap), "heap_bytes")
-		b.ReportMetric(float64(v2Ref.Nanoseconds()), "v2_heap_ns")
-		b.ReportMetric(float64(v2Ref.Nanoseconds())/(float64(elapsed.Nanoseconds())/float64(b.N)), "load_speedup_x")
+		b.ReportMetric(float64(heapRef.Nanoseconds()), "v3_heap_ns")
+		b.ReportMetric(float64(heapRef.Nanoseconds())/(float64(elapsed.Nanoseconds())/float64(b.N)), "load_speedup_x")
 		b.ReportMetric(float64(rawPostings)/float64(compactPostings), "postings_compression_x")
 	})
 }

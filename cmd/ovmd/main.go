@@ -14,9 +14,9 @@
 // atomically (as OVMIDX v3) only once the log reaches -compact-log batches
 // and at a graceful stop. A restarted daemon maps the checkpoint, replays
 // the WAL, and only then listens — at the same epoch, with the same bytes.
-// Serving a v3 index defaults to a zero-copy mmap load (-mmap=false forces
-// the heap path); a pre-existing v1/v2 file is readable and becomes v3 at
-// its first checkpoint.
+// The index is served zero-copy from an mmap'd region. There is one index
+// format; a file of any other version (the retired v1/v2 included) is
+// refused at startup and left untouched: rebuild it with -build-index.
 //
 // Observability: GET /metrics is a dependency-free Prometheus text
 // exposition (request/stage latency histograms, cache counters,
@@ -81,7 +81,6 @@ func main() {
 		mu      = flag.Float64("mu", 10, "edge-weight decay constant µ for -dataset")
 		seed    = flag.Int64("seed", 1, "random seed (index build; also the dataset synthesis seed)")
 		par     = flag.Int("parallel", 0, "engine worker count (0 = GOMAXPROCS, 1 = serial); never changes any response")
-		mmap    = flag.Bool("mmap", true, "serve a v3 -index zero-copy from an mmap'd region (v1/v2 files and -mmap=false load to the heap); never changes any response")
 		cache   = flag.Int("cache", 1024, "LRU response cache capacity (entries)")
 		compact = flag.Int("compact-log", 1024, "checkpoint the index file (rewrite it at the current epoch and prune the WAL) once the update log (applied + queued batches) reaches this many, bounding WAL size and restart replay cost; a graceful stop checkpoints too (0 = never checkpoint)")
 
@@ -143,7 +142,7 @@ func main() {
 	serve(serveOpts{
 		listen: *listen, name: *name, index: *index, load: *load, dataset: *dataset,
 		n: *n, mu: *mu, seed: *seed, par: *par, cache: *cache, compact: *compact,
-		mmap: *mmap, pprof: *pprofOn, slowLog: *slowLog, slowThreshold: *slowThr,
+		pprof: *pprofOn, slowLog: *slowLog, slowThreshold: *slowThr,
 		tsInterval: *tsEvery, tsCapacity: *tsCap,
 		queryTimeout: *queryTimeout, maxInflight: *maxInflight, maxQueue: *maxQueue,
 		debugFaults: *debugFaults, syncUpdates: *syncUpdates,
@@ -158,15 +157,12 @@ func main() {
 // through the direct CLI and compares a restarted daemon's answers against
 // it. Neither file is modified.
 func dumpUpdateLog(path string) {
-	f, err := os.Open(path)
+	mi, err := serialize.OpenMapped(path)
 	if err != nil {
 		fatal(err)
 	}
-	idx, err := serialize.ReadIndex(f)
-	_ = f.Close()
-	if err != nil {
-		fatal(err)
-	}
+	defer mi.Close()
+	idx := mi.Index
 	entries, _, _, err := persist.ReadWAL(path + ".wal")
 	if err != nil {
 		fatal(err)
@@ -222,7 +218,7 @@ func buildIndex(load, dataset string, n int, mu float64, seed int64, out string,
 		fatal(err)
 	}
 	fmt.Printf("wrote %s (format v%d): n=%d r=%d, %d sketch + %d walk + %d rr artifacts, %d bytes, built in %s\n",
-		out, serialize.IndexFormatV3, sys.N(), sys.R(),
+		out, serialize.IndexFormatVersion, sys.N(), sys.R(),
 		len(idx.Sketches), len(idx.Walks), len(idx.RRs), info.Size(),
 		time.Since(start).Round(time.Millisecond))
 }
@@ -234,7 +230,7 @@ type serveOpts struct {
 	mu                                 float64
 	seed                               int64
 	par, cache, compact                int
-	mmap, pprof                        bool
+	pprof                              bool
 	slowLog                            int
 	slowThreshold                      time.Duration
 	tsInterval                         time.Duration
@@ -276,7 +272,7 @@ func serve(o serveOpts) {
 	switch {
 	case o.index != "":
 		var err error
-		st, err = openStore(iofault.OS, cfg, storeOpts{index: o.index, name: o.name, compact: o.compact, mmap: o.mmap})
+		st, err = openStore(iofault.OS, cfg, storeOpts{index: o.index, name: o.name, compact: o.compact})
 		switch {
 		case err == nil:
 			svc = st.svc

@@ -33,7 +33,6 @@ type storeOpts struct {
 	index   string // the checkpoint; its WAL is index + ".wal"
 	name    string // dataset registration name
 	compact int    // checkpoint once the update log holds this many batches (0 = never)
-	mmap    bool
 }
 
 // errQuarantined reports an index file that could not be read and has been
@@ -48,7 +47,7 @@ type store struct {
 	opts   storeOpts
 	svc    *service.Service
 	wal    *persist.WAL
-	mi     *serialize.MappedIndex // nil on the heap path; never unmapped while serving
+	mi     *serialize.MappedIndex // never closed while serving
 
 	// legacyLog counts the batches in the loaded file's own log section:
 	// replayed at load, counted as log depth until the first checkpoint
@@ -98,7 +97,7 @@ func openStore(fsys iofault.FS, cfg service.Config, o storeOpts) (*store, error)
 		obs.F("replayed", len(idx.Updates)+len(queued)),
 		obs.F("epoch", idx.BaseEpoch+int64(len(idx.Updates)+len(queued))),
 	}
-	if st.mi != nil && st.mi.Mapped() {
+	if st.mi.Mapped() {
 		mode = "mmap"
 		fields = append(fields, obs.F("zeroCopy", fmt.Sprintf("%d bytes zero-copy", st.mi.MappedBytes())))
 	}
@@ -126,17 +125,23 @@ func (st *store) register(idx *serialize.Index, queued []dynamic.Batch, queuedFi
 	return nil
 }
 
-// loadIndex reads the checkpoint: a v3 file zero-copy from an mmap'd
-// region when asked (v1/v2 fall back to heap decode inside OpenMapped),
-// otherwise onto the heap. Served artifacts alias the mapping until their
-// first repair copy-on-writes them, so it stays open for the process
-// lifetime. A missing file is the caller's typo, not corruption, and is
-// returned as is; any other unreadable file (truncated, CRC mismatch, bad
-// magic) is moved aside to <path>.corrupt and reported as errQuarantined.
+// loadIndex reads the checkpoint zero-copy from an mmap'd region (where the
+// platform cannot map, serialize.OpenMapped parses a heap read instead).
+// Served artifacts alias the mapping until their first repair
+// copy-on-writes them, so it stays open for the process lifetime. A missing
+// file is the caller's typo and an intact file of another format version is
+// one this build cannot serve: neither is corruption, both are returned as
+// is (fatal at startup) with the file and its WAL left where they are. Any
+// other unreadable file (truncated, CRC mismatch, bad magic) is moved aside
+// to <path>.corrupt and reported as errQuarantined.
 func (st *store) loadIndex() (*serialize.Index, error) {
-	idx, err := st.readIndex()
-	if err == nil || os.IsNotExist(err) {
-		return idx, err
+	mi, err := serialize.OpenMapped(st.opts.index)
+	if err == nil {
+		st.mi = mi
+		return mi.Index, nil
+	}
+	if os.IsNotExist(err) || errors.Is(err, serialize.ErrUnsupportedVersion) {
+		return nil, err
 	}
 	dst, qerr := persist.Quarantine(st.fsys, st.opts.index)
 	if qerr != nil {
@@ -147,23 +152,6 @@ func (st *store) loadIndex() (*serialize.Index, error) {
 			obs.F("index", st.opts.index), obs.F("err", err), obs.F("movedTo", dst))
 	}
 	return nil, fmt.Errorf("%w: %v", errQuarantined, err)
-}
-
-func (st *store) readIndex() (*serialize.Index, error) {
-	if st.opts.mmap {
-		mi, err := serialize.OpenMapped(st.opts.index)
-		if err != nil {
-			return nil, err
-		}
-		st.mi = mi
-		return mi.Index, nil
-	}
-	f, err := os.Open(st.opts.index)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return serialize.ReadIndex(f)
 }
 
 // openWAL opens (or creates) the index's write-ahead sidecar and

@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -576,5 +579,79 @@ func TestUnreconcilableWALIsQuarantined(t *testing.T) {
 	waitIdle(t, st.svc)
 	if got := walEntries(t, path); len(got) != 1 || got[0].Epoch != 1 {
 		t.Fatalf("fresh WAL after the quarantine: %+v, want epoch 1 alone", got)
+	}
+}
+
+// TestUnreadableIndexIsQuarantined: a torn or bit-flipped checkpoint is
+// moved aside whole to <path>.corrupt and the store reports errQuarantined,
+// on which the daemon starts degraded instead of crash-looping.
+func TestUnreadableIndexIsQuarantined(t *testing.T) {
+	pristine, err := os.ReadFile(writeWorld(t, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(pristine)
+	flipped[len(flipped)/2] ^= 0x40
+	for name, damaged := range map[string][]byte{
+		"torn":     pristine[:len(pristine)/2],
+		"crc":      flipped,
+		"no magic": []byte("not an index at all"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "world.ovmidx")
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := openStore(iofault.OS, service.Config{}, storeOpts{index: path, name: testDataset})
+			if !errors.Is(err, errQuarantined) {
+				t.Fatalf("openStore: %v, want errQuarantined", err)
+			}
+			if kept, err := os.ReadFile(path + ".corrupt"); err != nil || !bytes.Equal(kept, damaged) {
+				t.Fatalf("quarantined file differs from the damaged one (read err %v)", err)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("damaged index still in place (stat err %v)", err)
+			}
+		})
+	}
+}
+
+// TestUnsupportedVersionIsNotCorruption: an intact file of another format
+// version — the retired v1/v2, or one from a newer daemon — is one this
+// build cannot serve, not a damaged one. Startup fails with the remedy and
+// neither the file nor its WAL is touched.
+func TestUnsupportedVersionIsNotCorruption(t *testing.T) {
+	for _, version := range []uint32{1, 2, 99} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "world.ovmidx")
+			// A hand-assembled header, then what a v1 stream began with: the
+			// graph's node and edge counts.
+			file := binary.LittleEndian.AppendUint32([]byte("OVMIDX"), version)
+			file = binary.LittleEndian.AppendUint32(file, 120)
+			file = binary.LittleEndian.AppendUint64(file, 700)
+			wal := []byte(`{"epoch":1,"batch":[{"op":"add_edge","from":3,"to":11,"w":0.8}]}` + "\n")
+			for name, content := range map[string][]byte{path: file, path + ".wal": wal} {
+				if err := os.WriteFile(name, content, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := openStore(iofault.OS, service.Config{}, storeOpts{index: path, name: testDataset})
+			if !errors.Is(err, serialize.ErrUnsupportedVersion) || errors.Is(err, errQuarantined) {
+				t.Fatalf("openStore: %v, want ErrUnsupportedVersion and no quarantine", err)
+			}
+			for _, want := range []string{fmt.Sprintf("format version %d", version), "-build-index"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not say %q", err, want)
+				}
+			}
+			for name, content := range map[string][]byte{path: file, path + ".wal": wal} {
+				if got, err := os.ReadFile(name); err != nil || !bytes.Equal(got, content) {
+					t.Errorf("%s changed on disk (read err %v)", name, err)
+				}
+			}
+			if moved, _ := filepath.Glob(path + "*.corrupt"); len(moved) != 0 {
+				t.Errorf("quarantined %v, want nothing moved", moved)
+			}
+		})
 	}
 }

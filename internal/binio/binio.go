@@ -1,9 +1,9 @@
-// Package binio holds the little-endian primitive codec shared by the
-// binary graph format (internal/graph) and the index container
-// (internal/serialize): fixed-width integer/float writers and readers
-// whose bulk variants allocate in bounded chunks, so a corrupted length
-// field fails on the truncated stream instead of attempting a huge upfront
-// allocation.
+// Package binio holds the little-endian primitive codec of the index
+// container (internal/serialize): fixed-width integer/float writers and
+// readers for its manifest, whose bulk variant allocates in bounded chunks,
+// so a corrupted length field fails on the truncated stream instead of
+// attempting a huge upfront allocation, and (alias.go) the zero-copy views
+// of its array sections.
 package binio
 
 import (
@@ -43,18 +43,6 @@ func WriteI32s(w io.Writer, xs []int32) error {
 	var b [4]byte
 	for _, x := range xs {
 		binary.LittleEndian.PutUint32(b[:], uint32(x))
-		if _, err := w.Write(b[:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteF64s writes the raw little-endian payload of xs (no length prefix).
-func WriteF64s(w io.Writer, xs []float64) error {
-	var b [8]byte
-	for _, x := range xs {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
 		if _, err := w.Write(b[:]); err != nil {
 			return err
 		}
@@ -104,23 +92,6 @@ func ReadI32s(r io.Reader, n int) ([]int32, error) {
 		}
 		for i := 0; i < c; i++ {
 			out = append(out, int32(binary.LittleEndian.Uint32(buf[4*i:])))
-		}
-	}
-	return out, nil
-}
-
-// ReadF64s reads exactly n little-endian float64 values, allocating in
-// Chunk-bounded pieces.
-func ReadF64s(r io.Reader, n int) ([]float64, error) {
-	out := make([]float64, 0, min(n, Chunk))
-	buf := make([]byte, 8*min(n, Chunk))
-	for len(out) < n {
-		c := min(n-len(out), Chunk)
-		if _, err := io.ReadFull(r, buf[:8*c]); err != nil {
-			return nil, fmt.Errorf("binio: payload truncated: %w", err)
-		}
-		for i := 0; i < c; i++ {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:])))
 		}
 	}
 	return out, nil

@@ -5,6 +5,13 @@ import (
 	"math"
 )
 
+// Sanity caps on declared sizes, so a corrupted index fails with an error
+// instead of being served.
+const (
+	maxBinaryNodes = 1 << 28
+	maxBinaryEdges = 1 << 31
+)
+
 // CSRArrays is the exact storage of a Graph, exposed so the v3 index
 // format (internal/serialize) can write the arrays verbatim and alias
 // them back over a read-only mapped region. The slices belong to the
@@ -33,9 +40,9 @@ func (g *Graph) Arrays() CSRArrays {
 	}
 }
 
-// NewFromCSR adopts pre-built CSR arrays without copying, running the
-// same structural validation as the binary reader (offset monotonicity,
-// id ranges, finite non-negative weights, matching in/out edge counts).
+// NewFromCSR adopts pre-built CSR arrays without copying, after validating
+// every structural invariant (offset monotonicity, id ranges, finite
+// non-negative weights, matching in/out edge counts).
 // The arrays may alias read-only storage: a Graph never mutates them.
 func NewFromCSR(a CSRArrays) (*Graph, error) {
 	n := a.N
@@ -78,4 +85,21 @@ func NewFromCSR(a CSRArrays) (*Graph, error) {
 		outDst:           a.OutDst,
 		outW:             a.OutW,
 	}, nil
+}
+
+func validateCSR(start, ids []int32, n, m int, side string) error {
+	if start[0] != 0 || int(start[n]) != m {
+		return fmt.Errorf("graph: %s-offsets must span [0,%d], got [%d,%d]", side, m, start[0], start[n])
+	}
+	for v := 0; v < n; v++ {
+		if start[v+1] < start[v] {
+			return fmt.Errorf("graph: %s-offsets not monotone at node %d", side, v)
+		}
+	}
+	for i, id := range ids {
+		if id < 0 || int(id) >= n {
+			return fmt.Errorf("graph: %s-edge %d references node %d, want [0,%d)", side, i, id, n)
+		}
+	}
+	return nil
 }

@@ -6,65 +6,34 @@
 // artifact reusable: a query whose parameters match loads the artifact and
 // proceeds bit-identically to a from-scratch run.
 //
-// Layout (all integers little-endian):
-//
-//	magic "OVMIDX" + u32 format version (currently 1)
-//	system:   graph (see graph.WriteBinary), u32 r, per candidate
-//	          {u32 nameLen, name, n×f64 init, n×f64 stub}
-//	sketches: u32 count, each {i64 seed, u32 target, u32 horizon, u32 theta,
-//	          walk snapshot}
-//	walks:    u32 count, each {i64 seed, u32 target, u32 horizon, u32 lambda,
-//	          walk snapshot}
-//	rrsets:   u32 count, each {i64 seed, u32 target, u32 model,
-//	          u64 memberLen, members, u64 offLen, offsets}
-//	updates:  (format v2 only) u64 base epoch, u32 batch count, each batch
-//	          {u32 op count, each op {u8 kind, i32 from, i32 to, f64 w,
-//	          u32 candidate, i32 node, f64 value}}
-//	u32 CRC-32 (IEEE) of every preceding byte
-//
-// A walk snapshot is {u32 horizon, u64 nodesLen, nodes, u64 offLen, offs,
-// u64 ownerLen, owners, owner offsets (ownerLen+1)}.
-//
-// Format v2 appends the dynamic-update section: the base epoch the stored
-// artifacts already embody (non-zero after a log compaction rebased them)
-// plus the batches applied since. WriteIndex emits v1 when the section is
-// empty (so update-free indexes stay byte-compatible with the original
-// format) and v2 otherwise; ReadIndex accepts both. A loader starts the
-// dataset at the base epoch and replays the log over the base artifacts via
-// incremental repair, which reproduces the exact epoch the writer was
-// serving.
+// There is one on-disk format, the section-table layout of v3.go. This file
+// holds what is independent of the layout: the Index model and its
+// validation, the stream reader, and the update-log codec of the manifest.
 package serialize
 
 import (
-	"bufio"
-	"encoding/binary"
+	"bytes"
+	"errors"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
 	"math"
 
 	"ovm/internal/binio"
 	"ovm/internal/dynamic"
-	"ovm/internal/graph"
 	"ovm/internal/im"
 	"ovm/internal/opinion"
 	"ovm/internal/walks"
 )
 
-// IndexFormatVersion is the newest on-disk format version. ReadIndex
-// accepts every version in [IndexFormatV1, IndexFormatVersion]; the
-// stream writer WriteIndex emits v1/v2, the section-table writer
-// WriteIndexV3 emits v3.
-const IndexFormatVersion = IndexFormatV3
+// IndexFormatVersion is the one on-disk format version this build reads and
+// writes. Versions 1 and 2 (the retired streaming layouts) and anything
+// newer are refused with ErrUnsupportedVersion, never parsed.
+const IndexFormatVersion = 3
 
-// The format history: v1 has no update-log section; v2 appends one; v3 is
-// the mmap-friendly section-table layout (see v3.go).
-const (
-	IndexFormatV1 = 1
-	IndexFormatV2 = 2
-	IndexFormatV3 = 3
-)
+// ErrUnsupportedVersion reports an index file whose header is intact but
+// names a format version other than IndexFormatVersion. It is not
+// corruption: the file is left alone and must be rebuilt.
+var ErrUnsupportedVersion = errors.New("unsupported index format version")
 
 const indexMagic = "OVMIDX"
 
@@ -77,7 +46,6 @@ const (
 	maxCandidates    = 1 << 16
 	maxUpdateBatches = 1 << 20
 	maxBatchOps      = 1 << 20
-	indexTrailerSz   = 4
 )
 
 // Index bundles an opinion system with its precomputed query-serving
@@ -97,16 +65,6 @@ type Index struct {
 	Updates   []dynamic.Batch
 }
 
-// FormatVersion reports the on-disk version WriteIndex would emit for this
-// index: v1 while the update section is empty, v2 once it carries batches
-// or a non-zero base epoch.
-func (idx *Index) FormatVersion() int {
-	if len(idx.Updates) > 0 || idx.BaseEpoch > 0 {
-		return IndexFormatV2
-	}
-	return IndexFormatV1
-}
-
 // SketchArtifact is a sampled reverse-walk sketch set (the RS method's
 // precomputation), tagged with the parameters that reproduce it: walks are
 // GenerateSampled(target's graph/stub, Horizon, Theta, sketch stream(Seed)).
@@ -118,8 +76,7 @@ type SketchArtifact struct {
 	Set     *walks.Snapshot
 
 	// Index optionally carries the node → walk postings index so loaders
-	// skip the rebuild. Persisted by the v3 format only; WriteIndex (v1/v2)
-	// ignores it.
+	// skip the rebuild.
 	Index *walks.IndexSnapshot
 }
 
@@ -133,7 +90,7 @@ type WalkArtifact struct {
 	Lambda  int
 	Set     *walks.Snapshot
 
-	// Index optionally carries the node → walk postings index (v3 only).
+	// Index optionally carries the node → walk postings index.
 	Index *walks.IndexSnapshot
 }
 
@@ -145,7 +102,7 @@ type RRArtifact struct {
 	Target int
 	Sets   *im.Snapshot
 
-	// Index optionally carries the node → RR-set inverted index (v3 only).
+	// Index optionally carries the node → RR-set inverted index.
 	Index *im.IndexSnapshot
 }
 
@@ -196,233 +153,27 @@ func (idx *Index) Validate() error {
 	return nil
 }
 
-// WriteIndex serializes idx in the versioned binary format, appending a
-// CRC-32 of the whole payload so loaders detect torn or corrupted files.
-func WriteIndex(w io.Writer, idx *Index) error {
-	if err := idx.Validate(); err != nil {
-		return err
-	}
-	if err := checkSystemFinite(idx.Sys); err != nil {
-		return err
-	}
-	version := idx.FormatVersion()
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<20)
-	if _, err := bw.WriteString(indexMagic); err != nil {
-		return err
-	}
-	if err := binio.WriteU32(bw, uint32(version)); err != nil {
-		return err
-	}
-	if err := writeBinarySystem(bw, idx.Sys); err != nil {
-		return err
-	}
-	if err := binio.WriteU32(bw, uint32(len(idx.Sketches))); err != nil {
-		return err
-	}
-	for _, a := range idx.Sketches {
-		if err := binio.WriteI64(bw, a.Seed); err != nil {
-			return err
-		}
-		for _, v := range []uint32{uint32(a.Target), uint32(a.Horizon), uint32(a.Theta)} {
-			if err := binio.WriteU32(bw, v); err != nil {
-				return err
-			}
-		}
-		if err := writeWalkSnapshot(bw, a.Set); err != nil {
-			return err
-		}
-	}
-	if err := binio.WriteU32(bw, uint32(len(idx.Walks))); err != nil {
-		return err
-	}
-	for _, a := range idx.Walks {
-		if err := binio.WriteI64(bw, a.Seed); err != nil {
-			return err
-		}
-		for _, v := range []uint32{uint32(a.Target), uint32(a.Horizon), uint32(a.Lambda)} {
-			if err := binio.WriteU32(bw, v); err != nil {
-				return err
-			}
-		}
-		if err := writeWalkSnapshot(bw, a.Set); err != nil {
-			return err
-		}
-	}
-	if err := binio.WriteU32(bw, uint32(len(idx.RRs))); err != nil {
-		return err
-	}
-	for _, a := range idx.RRs {
-		if err := binio.WriteI64(bw, a.Seed); err != nil {
-			return err
-		}
-		if err := binio.WriteU32(bw, uint32(a.Target)); err != nil {
-			return err
-		}
-		if err := binio.WriteU32(bw, uint32(a.Sets.Model)); err != nil {
-			return err
-		}
-		if err := binWriteI32s(bw, a.Sets.Nodes); err != nil {
-			return err
-		}
-		if err := binWriteI32s(bw, a.Sets.Off); err != nil {
-			return err
-		}
-	}
-	if version >= IndexFormatV2 {
-		if err := binio.WriteU64(bw, uint64(idx.BaseEpoch)); err != nil {
-			return err
-		}
-		if err := writeUpdateLog(bw, idx.Updates); err != nil {
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	// The CRC covers everything flushed so far; write it raw (uncovered).
-	var tail [indexTrailerSz]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	_, err := w.Write(tail[:])
-	return err
-}
-
-// ReadIndex parses and validates the format produced by WriteIndex. The
-// returned artifacts are structurally validated against the system's graph;
-// restoring them into live walk sets / RR collections (walks.FromSnapshot,
-// im.FromSnapshot) performs the deeper invariant checks.
+// ReadIndex reads a whole index file from r and parses it on the heap (the
+// zero-copy path is OpenMapped). The returned artifacts are structurally
+// validated against the system's graph; restoring them into live walk sets
+// / RR collections (walks.FromSnapshot, im.FromSnapshot) performs the
+// deeper invariant checks.
 func ReadIndex(r io.Reader) (*Index, error) {
-	crc := crc32.NewIEEE()
-	cr := &crcReader{r: bufio.NewReaderSize(r, 1<<20), h: crc}
-	magic := make([]byte, len(indexMagic))
-	if _, err := io.ReadFull(cr, magic); err != nil {
-		return nil, fmt.Errorf("serialize: index header: %w", err)
+	var data []byte
+	var err error
+	if sized, ok := r.(interface{ Len() int }); ok {
+		// A reader that knows what is left (bytes.Reader, bytes.Buffer) gets
+		// one allocation for the image; the parsed arrays alias it.
+		data = make([]byte, sized.Len())
+		_, err = io.ReadFull(r, data)
+	} else {
+		data, err = io.ReadAll(r)
 	}
-	if string(magic) != indexMagic {
-		return nil, fmt.Errorf("serialize: bad index magic %q (want %q)", magic, indexMagic)
-	}
-	version, err := binio.ReadU32(cr)
 	if err != nil {
-		return nil, fmt.Errorf("serialize: index header: %w", err)
+		return nil, fmt.Errorf("serialize: reading index: %w", err)
 	}
-	if version < IndexFormatV1 || version > IndexFormatVersion {
-		return nil, fmt.Errorf("serialize: index format version %d unsupported (want %d..%d)", version, IndexFormatV1, IndexFormatVersion)
-	}
-	if version == IndexFormatV3 {
-		// The section-table layout is parsed from a contiguous buffer (its
-		// offsets are absolute); slurp the remainder and rebuild the full
-		// image. Streamed v3 reads always land on the heap — the zero-copy
-		// path is OpenMapped.
-		rest, err := io.ReadAll(cr.r)
-		if err != nil {
-			return nil, fmt.Errorf("serialize: v3 index: %w", err)
-		}
-		data := make([]byte, 0, len(indexMagic)+4+len(rest))
-		data = append(data, indexMagic...)
-		var vb [4]byte
-		binary.LittleEndian.PutUint32(vb[:], version)
-		data = append(data, vb[:]...)
-		data = append(data, rest...)
-		idx, _, err := parseV3(data, false)
-		return idx, err
-	}
-	sys, err := readBinarySystem(cr)
-	if err != nil {
-		return nil, err
-	}
-	idx := &Index{Sys: sys}
-	numSketches, err := binReadCount(cr, maxArtifacts)
-	if err != nil {
-		return nil, fmt.Errorf("serialize: sketch artifact count: %w", err)
-	}
-	for i := 0; i < numSketches; i++ {
-		a := &SketchArtifact{}
-		if a.Seed, err = binio.ReadI64(cr); err != nil {
-			return nil, err
-		}
-		var fields [3]uint32
-		for j := range fields {
-			if fields[j], err = binio.ReadU32(cr); err != nil {
-				return nil, err
-			}
-		}
-		a.Target, a.Horizon, a.Theta = int(fields[0]), int(fields[1]), int(fields[2])
-		if a.Set, err = readWalkSnapshot(cr); err != nil {
-			return nil, fmt.Errorf("serialize: sketch artifact %d: %w", i, err)
-		}
-		idx.Sketches = append(idx.Sketches, a)
-	}
-	numWalks, err := binReadCount(cr, maxArtifacts)
-	if err != nil {
-		return nil, fmt.Errorf("serialize: walk artifact count: %w", err)
-	}
-	for i := 0; i < numWalks; i++ {
-		a := &WalkArtifact{}
-		if a.Seed, err = binio.ReadI64(cr); err != nil {
-			return nil, err
-		}
-		var fields [3]uint32
-		for j := range fields {
-			if fields[j], err = binio.ReadU32(cr); err != nil {
-				return nil, err
-			}
-		}
-		a.Target, a.Horizon, a.Lambda = int(fields[0]), int(fields[1]), int(fields[2])
-		if a.Set, err = readWalkSnapshot(cr); err != nil {
-			return nil, fmt.Errorf("serialize: walk artifact %d: %w", i, err)
-		}
-		idx.Walks = append(idx.Walks, a)
-	}
-	numRRs, err := binReadCount(cr, maxArtifacts)
-	if err != nil {
-		return nil, fmt.Errorf("serialize: rr artifact count: %w", err)
-	}
-	for i := 0; i < numRRs; i++ {
-		a := &RRArtifact{Sets: &im.Snapshot{}}
-		if a.Seed, err = binio.ReadI64(cr); err != nil {
-			return nil, err
-		}
-		var target, model uint32
-		if target, err = binio.ReadU32(cr); err != nil {
-			return nil, err
-		}
-		if model, err = binio.ReadU32(cr); err != nil {
-			return nil, err
-		}
-		a.Target = int(target)
-		a.Sets.Model = im.Model(model)
-		if a.Sets.Nodes, err = binReadI32s(cr); err != nil {
-			return nil, fmt.Errorf("serialize: rr artifact %d members: %w", i, err)
-		}
-		if a.Sets.Off, err = binReadI32s(cr); err != nil {
-			return nil, fmt.Errorf("serialize: rr artifact %d offsets: %w", i, err)
-		}
-		idx.RRs = append(idx.RRs, a)
-	}
-	if version >= IndexFormatV2 {
-		base, err := binio.ReadU64(cr)
-		if err != nil {
-			return nil, fmt.Errorf("serialize: base epoch: %w", err)
-		}
-		if base > math.MaxInt64 {
-			return nil, fmt.Errorf("serialize: base epoch %d overflows", base)
-		}
-		idx.BaseEpoch = int64(base)
-		if idx.Updates, err = readUpdateLog(cr); err != nil {
-			return nil, err
-		}
-	}
-	var tail [indexTrailerSz]byte
-	if _, err := io.ReadFull(cr.r, tail[:]); err != nil {
-		return nil, fmt.Errorf("serialize: index checksum missing: %w", err)
-	}
-	if got, want := crc.Sum32(), binary.LittleEndian.Uint32(tail[:]); got != want {
-		return nil, fmt.Errorf("serialize: index checksum mismatch (file %08x, computed %08x)", want, got)
-	}
-	if err := idx.Validate(); err != nil {
-		return nil, err
-	}
-	return idx, nil
+	idx, _, err := parseV3(data, false)
+	return idx, err
 }
 
 // checkSystemFinite rejects NaN/Inf opinion and stubbornness values — they
@@ -444,137 +195,6 @@ func checkSystemFinite(s *opinion.System) error {
 	return nil
 }
 
-// writeBinarySystem serializes the shared graph (candidate 0's, as in the
-// text format) followed by every candidate's name and vectors.
-func writeBinarySystem(w io.Writer, s *opinion.System) error {
-	if err := graph.WriteBinary(w, s.Candidate(0).G); err != nil {
-		return err
-	}
-	if err := binio.WriteU32(w, uint32(s.R())); err != nil {
-		return err
-	}
-	for q := 0; q < s.R(); q++ {
-		c := s.Candidate(q)
-		name := []byte(c.Name)
-		if len(name) > maxNameLen {
-			return fmt.Errorf("serialize: candidate %d name too long (%d bytes)", q, len(name))
-		}
-		if err := binio.WriteU32(w, uint32(len(name))); err != nil {
-			return err
-		}
-		if _, err := w.Write(name); err != nil {
-			return err
-		}
-		if err := binio.WriteF64s(w, c.Init); err != nil {
-			return err
-		}
-		if err := binio.WriteF64s(w, c.Stub); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readBinarySystem(r io.Reader) (*opinion.System, error) {
-	g, err := graph.ReadBinary(r)
-	if err != nil {
-		return nil, err
-	}
-	rCand, err := binReadCount(r, maxCandidates)
-	if err != nil {
-		return nil, fmt.Errorf("serialize: candidate count: %w", err)
-	}
-	if rCand < 2 {
-		return nil, fmt.Errorf("serialize: need at least 2 candidates, got %d", rCand)
-	}
-	n := g.N()
-	cands := make([]*opinion.Candidate, rCand)
-	for q := range cands {
-		nameLen, err := binReadCount(r, maxNameLen)
-		if err != nil {
-			return nil, fmt.Errorf("serialize: candidate %d name length: %w", q, err)
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(r, name); err != nil {
-			return nil, fmt.Errorf("serialize: candidate %d name: %w", q, err)
-		}
-		init, err := binio.ReadF64s(r, n)
-		if err != nil {
-			return nil, fmt.Errorf("serialize: candidate %d init: %w", q, err)
-		}
-		stub, err := binio.ReadF64s(r, n)
-		if err != nil {
-			return nil, fmt.Errorf("serialize: candidate %d stub: %w", q, err)
-		}
-		cands[q] = &opinion.Candidate{Name: string(name), G: g, Init: init, Stub: stub}
-	}
-	return opinion.NewSystem(cands)
-}
-
-func writeWalkSnapshot(w io.Writer, s *walks.Snapshot) error {
-	if err := binio.WriteU32(w, uint32(s.Horizon)); err != nil {
-		return err
-	}
-	if err := binWriteI32s(w, s.Nodes); err != nil {
-		return err
-	}
-	if err := binWriteI32s(w, s.Off); err != nil {
-		return err
-	}
-	if err := binWriteI32s(w, s.OwnerNodes); err != nil {
-		return err
-	}
-	return binWriteI32s(w, s.OwnerOff)
-}
-
-func readWalkSnapshot(r io.Reader) (*walks.Snapshot, error) {
-	horizon, err := binio.ReadU32(r)
-	if err != nil {
-		return nil, err
-	}
-	s := &walks.Snapshot{Horizon: int(horizon)}
-	if s.Nodes, err = binReadI32s(r); err != nil {
-		return nil, err
-	}
-	if s.Off, err = binReadI32s(r); err != nil {
-		return nil, err
-	}
-	if s.OwnerNodes, err = binReadI32s(r); err != nil {
-		return nil, err
-	}
-	if s.OwnerOff, err = binReadI32s(r); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// crcReader feeds every byte it reads into the running hash.
-type crcReader struct {
-	r io.Reader
-	h hash.Hash32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	if n > 0 {
-		_, _ = c.h.Write(p[:n])
-	}
-	return n, err
-}
-
-// binWriteI32s writes a u32 count followed by the raw payload. Slices
-// beyond the read-side cap are rejected at write time, so WriteIndex can
-// never produce a file whose count ReadIndex refuses (or silently wraps).
-func binWriteI32s(w io.Writer, xs []int32) error {
-	if len(xs) > maxElements {
-		return fmt.Errorf("serialize: slice of %d elements exceeds format limit %d", len(xs), maxElements)
-	}
-	if err := binio.WriteU32(w, uint32(len(xs))); err != nil {
-		return err
-	}
-	return binio.WriteI32s(w, xs)
-}
-
 // binReadCount reads a u32 count and bounds it.
 func binReadCount(r io.Reader, limit int) (int, error) {
 	v, err := binio.ReadU32(r)
@@ -587,17 +207,8 @@ func binReadCount(r io.Reader, limit int) (int, error) {
 	return int(v), nil
 }
 
-// binReadI32s reads a count-prefixed int32 slice.
-func binReadI32s(r io.Reader) ([]int32, error) {
-	count, err := binReadCount(r, maxElements)
-	if err != nil {
-		return nil, err
-	}
-	return binio.ReadI32s(r, count)
-}
-
-// The fixed one-byte codes of the dynamic op kinds in the v2 update-log
-// section. Codes are append-only: never renumber a released code.
+// The fixed one-byte codes of the dynamic op kinds in the manifest's
+// update-log section. Codes are append-only: never renumber a released code.
 var opKindCodes = map[dynamic.OpKind]uint8{
 	dynamic.OpAddEdge:         1,
 	dynamic.OpRemoveEdge:      2,
@@ -614,17 +225,8 @@ var opKindByCode = func() map[uint8]dynamic.OpKind {
 	return m
 }()
 
-// byteWriter is the sink the section writers need: bufio.Writer (v2) and
-// bytes.Buffer (the v3 manifest) both satisfy it, and neither can fail
-// mid-write in practice.
-type byteWriter interface {
-	io.Writer
-	io.ByteWriter
-}
-
-// writeUpdateLog serializes the dynamic-update batches of the v2 section
-// (also embedded verbatim in the v3 manifest).
-func writeUpdateLog(w byteWriter, batches []dynamic.Batch) error {
+// writeUpdateLog serializes the dynamic-update batches into the manifest.
+func writeUpdateLog(w *bytes.Buffer, batches []dynamic.Batch) error {
 	if len(batches) > maxUpdateBatches {
 		return fmt.Errorf("serialize: %d update batches exceed format limit %d", len(batches), maxUpdateBatches)
 	}
@@ -666,7 +268,7 @@ func writeUpdateLog(w byteWriter, batches []dynamic.Batch) error {
 	return nil
 }
 
-// readUpdateLog parses the v2 update-log section.
+// readUpdateLog parses the manifest's update-log section.
 func readUpdateLog(r io.Reader) ([]dynamic.Batch, error) {
 	numBatches, err := binReadCount(r, maxUpdateBatches)
 	if err != nil {

@@ -2,14 +2,21 @@ package serialize_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"ovm/internal/datasets"
 	"ovm/internal/graph"
 	"ovm/internal/im"
 	"ovm/internal/opinion"
+	"ovm/internal/postings"
 	"ovm/internal/sampling"
 	"ovm/internal/serialize"
 	"ovm/internal/walks"
@@ -71,11 +78,7 @@ func buildTestIndex(t testing.TB) *serialize.Index {
 
 func TestIndexRoundTrip(t *testing.T) {
 	idx := buildTestIndex(t)
-	var buf bytes.Buffer
-	if err := serialize.WriteIndex(&buf, idx); err != nil {
-		t.Fatal(err)
-	}
-	got, err := serialize.ReadIndex(bytes.NewReader(buf.Bytes()))
+	got, err := serialize.ReadIndex(bytes.NewReader(writeV3(t, idx)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +122,7 @@ func TestIndexRoundTrip(t *testing.T) {
 
 func TestIndexChecksumDetectsCorruption(t *testing.T) {
 	idx := buildTestIndex(t)
-	var buf bytes.Buffer
-	if err := serialize.WriteIndex(&buf, idx); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := writeV3(t, idx)
 	// Flip one byte somewhere in the middle of the payload.
 	data[len(data)/2] ^= 0x40
 	if _, err := serialize.ReadIndex(bytes.NewReader(data)); err == nil {
@@ -133,24 +132,27 @@ func TestIndexChecksumDetectsCorruption(t *testing.T) {
 
 func TestIndexRejectsWrongVersion(t *testing.T) {
 	idx := buildTestIndex(t)
-	var buf bytes.Buffer
-	if err := serialize.WriteIndex(&buf, idx); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[len("OVMIDX")] = 99 // version field follows the magic
-	if _, err := serialize.ReadIndex(bytes.NewReader(data)); err == nil {
-		t.Error("expected error for unsupported format version")
+	data := writeV3(t, idx)
+	// The version field follows the magic. The retired v1/v2 and any newer
+	// version are refused by the header check with the typed error and the
+	// remedy, whatever follows the header.
+	for _, version := range []byte{1, 2, 4, 99} {
+		data[len("OVMIDX")] = version
+		_, err := serialize.ReadIndex(bytes.NewReader(data))
+		if !errors.Is(err, serialize.ErrUnsupportedVersion) {
+			t.Fatalf("version %d: got %v, want ErrUnsupportedVersion", version, err)
+		}
+		for _, want := range []string{fmt.Sprintf("format version %d", version), "rebuild with ovmd -build-index"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("version %d: error %q does not say %q", version, err, want)
+			}
+		}
 	}
 }
 
 func TestIndexRejectsTruncation(t *testing.T) {
 	idx := buildTestIndex(t)
-	var buf bytes.Buffer
-	if err := serialize.WriteIndex(&buf, idx); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := writeV3(t, idx)
 	for _, cut := range []int{0, 3, len("OVMIDX") + 2, len(data) / 3, len(data) - 1} {
 		if _, err := serialize.ReadIndex(bytes.NewReader(data[:cut])); err == nil {
 			t.Errorf("expected error for index truncated to %d bytes", cut)
@@ -167,8 +169,8 @@ func TestWriteSystemRejectsNaNInf(t *testing.T) {
 	if err := serialize.WriteSystem(&bytes.Buffer{}, sys); err == nil {
 		t.Error("expected WriteSystem to reject Inf opinion")
 	}
-	if err := serialize.WriteIndex(&bytes.Buffer{}, &serialize.Index{Sys: sys}); err == nil {
-		t.Error("expected WriteIndex to reject Inf opinion")
+	if err := serialize.WriteIndexV3(&bytes.Buffer{}, &serialize.Index{Sys: sys}, serialize.V3Options{}); err == nil {
+		t.Error("expected WriteIndexV3 to reject Inf opinion")
 	}
 }
 
@@ -185,39 +187,80 @@ func nanSystem(t *testing.T, bad float64) *opinion.System {
 	return d.Sys
 }
 
+// TestReadIndexAllocatesImageOnce: the heap load holds one copy of the
+// file (the parsed arrays alias it), not a grown-and-reassembled series.
+func TestReadIndexAllocatesImageOnce(t *testing.T) {
+	d, err := datasets.YelpLike(datasets.Options{N: 4000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := writeV3(t, &serialize.Index{Sys: d.Sys})
+	if len(data) < 1<<20 {
+		t.Fatalf("test image is %d bytes, want >= 1 MB", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := serialize.ReadIndex(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(data))*3/2; got >= limit {
+		t.Errorf("ReadIndex of a %d-byte image allocated %d bytes, want < %d", len(data), got, limit)
+	}
+}
+
+// retiredImages are the three inputs this build must refuse, never parse: a
+// bare v1 header, a bare v2 header, and a v3 image whose first postings
+// reference is patched to the retired raw mode 1 (section and table CRCs
+// fixed up, so the mode byte is what the parser reaches).
+func retiredImages(t testing.TB, idx *serialize.Index) [][]byte {
+	t.Helper()
+	header := func(version uint32) []byte {
+		return binary.LittleEndian.AppendUint32([]byte("OVMIDX"), version)
+	}
+	raw := writeV3(t, idx)
+	manifest := v3TableEntry(raw, 0)
+	off, length := binary.LittleEndian.Uint64(manifest[0:]), binary.LittleEndian.Uint64(manifest[8:])
+	payload := raw[off : off+length]
+	// The compact reference is {mode 2, u32 block size, u8 hasPos, ...}; the
+	// first one in the manifest belongs to sketch artifact 0.
+	ref := append([]byte{2}, binary.LittleEndian.AppendUint32(nil, uint32(postings.DefaultBlockSize))...)
+	at := bytes.Index(payload, append(ref, 1))
+	if at < 0 {
+		t.Fatal("no compact postings reference found in the manifest")
+	}
+	payload[at] = 1
+	binary.LittleEndian.PutUint32(manifest[20:], crc32.ChecksumIEEE(payload))
+	fixV3TableCRC(raw)
+	return [][]byte{header(1), header(2), raw}
+}
+
 // FuzzReadIndex feeds arbitrary bytes to the binary index parser: it must
 // either return a valid index or an error — never panic or hang.
 func FuzzReadIndex(f *testing.F) {
-	idx := buildTestIndex(f)
-	var buf bytes.Buffer
-	if err := serialize.WriteIndex(&buf, idx); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:len("OVMIDX")+4])
-	f.Add([]byte("OVMIDX"))
-	f.Add([]byte{})
-	mutated := append([]byte(nil), valid...)
-	mutated[len(mutated)/3] ^= 0xff
-	f.Add(mutated)
-	// v3 section-table seeds: pristine, truncated mid-table, truncated
+	idx := buildTestIndexWithPostings(f)
+	// Section-table seeds: pristine, truncated in the header, mid-table and
 	// mid-payload, and bit-flipped in the table and in a payload.
-	var v3buf bytes.Buffer
-	if err := serialize.WriteIndexV3(&v3buf, idx, serialize.V3Options{}); err != nil {
-		f.Fatal(err)
-	}
-	v3 := v3buf.Bytes()
+	v3 := writeV3(f, idx)
 	f.Add(v3)
+	f.Add(v3[:len("OVMIDX")+4])
 	f.Add(v3[:30])
 	f.Add(v3[:len(v3)/2])
+	f.Add([]byte("OVMIDX"))
+	f.Add([]byte{})
 	v3mut := append([]byte(nil), v3...)
 	v3mut[26] ^= 0x04 // section table entry
 	f.Add(v3mut)
 	v3mut2 := append([]byte(nil), v3...)
 	v3mut2[len(v3mut2)-9] ^= 0x80 // payload byte
 	f.Add(v3mut2)
+	for i, data := range retiredImages(f, idx) {
+		_, err := serialize.ReadIndex(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), "rebuild with ovmd -build-index") {
+			f.Fatalf("retired image %d: got %v, want a refusal naming the remedy", i, err)
+		}
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := serialize.ReadIndex(bytes.NewReader(data))
 		if err == nil && got.Sys == nil {

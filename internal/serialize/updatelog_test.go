@@ -24,58 +24,21 @@ func testUpdateLog() []dynamic.Batch {
 	}
 }
 
-func TestIndexVersionByUpdateLog(t *testing.T) {
-	idx := buildTestIndex(t)
-	if got := idx.FormatVersion(); got != serialize.IndexFormatV1 {
-		t.Fatalf("update-free index has format v%d, want v%d", got, serialize.IndexFormatV1)
-	}
-	var v1 bytes.Buffer
-	if err := serialize.WriteIndex(&v1, idx); err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.LittleEndian.Uint32(v1.Bytes()[len("OVMIDX"):]); got != serialize.IndexFormatV1 {
-		t.Fatalf("wrote version %d for update-free index, want %d", got, serialize.IndexFormatV1)
-	}
-
-	idx.Updates = testUpdateLog()
-	if got := idx.FormatVersion(); got != serialize.IndexFormatV2 {
-		t.Fatalf("index with updates has format v%d, want v%d", got, serialize.IndexFormatV2)
-	}
-	var v2 bytes.Buffer
-	if err := serialize.WriteIndex(&v2, idx); err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.LittleEndian.Uint32(v2.Bytes()[len("OVMIDX"):]); got != serialize.IndexFormatV2 {
-		t.Fatalf("wrote version %d for index with updates, want %d", got, serialize.IndexFormatV2)
-	}
-
-	// The v1 bytes still load (backward compatibility) and carry no log.
-	loaded, err := serialize.ReadIndex(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatalf("v1 file failed to load: %v", err)
-	}
-	if len(loaded.Updates) != 0 {
-		t.Fatalf("v1 file produced %d update batches, want 0", len(loaded.Updates))
-	}
-}
-
 func TestUpdateLogRoundTrip(t *testing.T) {
 	idx := buildTestIndex(t)
 	idx.Updates = testUpdateLog()
-	var buf bytes.Buffer
-	if err := serialize.WriteIndex(&buf, idx); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := serialize.ReadIndex(bytes.NewReader(buf.Bytes()))
+	data := writeV3(t, idx)
+	loaded, err := serialize.ReadIndex(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(loaded.Updates, idx.Updates) {
 		t.Fatalf("update log round-trip mismatch:\n got %+v\nwant %+v", loaded.Updates, idx.Updates)
 	}
-	// And the v2 CRC still guards the appended section.
-	data := buf.Bytes()
-	data[len(data)-10] ^= 0x20
+	// And the manifest's CRC guards the log: flip a byte of its last op.
+	manifest := v3TableEntry(data, 0)
+	end := binary.LittleEndian.Uint64(manifest[0:]) + binary.LittleEndian.Uint64(manifest[8:])
+	data[end-10] ^= 0x20
 	if _, err := serialize.ReadIndex(bytes.NewReader(data)); err == nil {
 		t.Error("expected checksum error after corrupting the update log")
 	}
@@ -84,14 +47,7 @@ func TestUpdateLogRoundTrip(t *testing.T) {
 func TestBaseEpochRoundTrip(t *testing.T) {
 	idx := buildTestIndex(t)
 	idx.BaseEpoch = 7
-	if got := idx.FormatVersion(); got != serialize.IndexFormatV2 {
-		t.Fatalf("non-zero base epoch must force v%d, got v%d", serialize.IndexFormatV2, got)
-	}
-	var buf bytes.Buffer
-	if err := serialize.WriteIndex(&buf, idx); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := serialize.ReadIndex(bytes.NewReader(buf.Bytes()))
+	loaded, err := serialize.ReadIndex(bytes.NewReader(writeV3(t, idx)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +55,7 @@ func TestBaseEpochRoundTrip(t *testing.T) {
 		t.Fatalf("round trip gave baseEpoch=%d updates=%d, want 7/0", loaded.BaseEpoch, len(loaded.Updates))
 	}
 	idx.BaseEpoch = -1
-	if err := serialize.WriteIndex(&buf, idx); err == nil {
+	if err := serialize.WriteIndexV3(&bytes.Buffer{}, idx, serialize.V3Options{}); err == nil {
 		t.Error("negative base epoch must be rejected")
 	}
 }
@@ -108,11 +64,11 @@ func TestUpdateLogValidation(t *testing.T) {
 	idx := buildTestIndex(t)
 	idx.Updates = []dynamic.Batch{{{Kind: dynamic.OpAddEdge, From: -4, To: 0, W: 1}}}
 	var buf bytes.Buffer
-	if err := serialize.WriteIndex(&buf, idx); err == nil {
-		t.Error("expected WriteIndex to reject an out-of-range update op")
+	if err := serialize.WriteIndexV3(&buf, idx, serialize.V3Options{}); err == nil {
+		t.Error("expected WriteIndexV3 to reject an out-of-range update op")
 	}
 	idx.Updates = []dynamic.Batch{{{Kind: dynamic.OpKind("unknown"), From: 0, To: 1, W: 1}}}
-	if err := serialize.WriteIndex(&buf, idx); err == nil {
-		t.Error("expected WriteIndex to reject an unknown op kind")
+	if err := serialize.WriteIndexV3(&buf, idx, serialize.V3Options{}); err == nil {
+		t.Error("expected WriteIndexV3 to reject an unknown op kind")
 	}
 }

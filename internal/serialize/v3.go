@@ -1,14 +1,14 @@
-// Index format v3: the mmap-friendly section-table layout.
+// The index file layout (format version 3, the only one): an mmap-friendly
+// section table.
 //
-// v1/v2 interleave metadata and array payloads in one stream, so loading
-// means decoding every byte into fresh heap slices. v3 separates the two:
-// a small stream-encoded manifest carries the metadata and refers to the
-// bulk arrays by section number, and every array section is stored as its
-// exact little-endian memory image at an 8-byte-aligned offset — so a
-// loader can mmap the file and alias []int32/[]int64/[]float64 slices
-// straight over the region with zero deserialization. Mutable per-process
-// state (truncation pointers, seeds, gain caches, the update log) is never
-// mapped: it lives in the manifest or is rebuilt on load.
+// Metadata and array payloads are kept apart: a small stream-encoded
+// manifest carries the metadata and refers to the bulk arrays by section
+// number, and every array section is stored as its exact little-endian
+// memory image at an 8-byte-aligned offset — so a loader can mmap the file
+// and alias []int32/[]int64/[]float64 slices straight over the region with
+// zero deserialization. Mutable per-process state (truncation pointers,
+// seeds, gain caches, the update log) is never mapped: it lives in the
+// manifest or is rebuilt on load.
 //
 // Layout (all integers little-endian):
 //
@@ -32,10 +32,11 @@
 // is verified eagerly before parsing.
 //
 // Postings indexes (node → walk, node → RR set) are persisted next to
-// their artifacts, either as raw CSR arrays (mode 1) or in the compact
-// delta+varint block form of internal/postings (mode 2, the default —
-// 2–4× smaller). Loaders adopt them after an exact-equality merge check
-// against the artifact storage instead of rebuilding.
+// their artifacts in the compact delta+varint block form of
+// internal/postings (manifest mode byte 2; 0 = no index stored). Loaders
+// adopt them after an exact-equality merge check against the artifact
+// storage instead of rebuilding. Mode 1 (raw CSR arrays) was never written
+// by ovmd and is refused.
 package serialize
 
 import (
@@ -67,17 +68,12 @@ const (
 	v3KindI64      = 5
 
 	v3PostingsNone    = 0
-	v3PostingsRaw     = 1
 	v3PostingsCompact = 2
 )
 
-// V3Options tunes WriteIndexV3.
-type V3Options struct {
-	// RawPostings stores postings indexes as raw CSR arrays instead of the
-	// compact delta+varint form. Raw sections are larger but alias directly
-	// on load with no per-posting decode.
-	RawPostings bool
-}
+// V3Options is empty; it and the "V3" in WriteIndexV3 survive only because
+// the frozen benchmark/target.go passes them. The benchmark re-base removes both.
+type V3Options struct{}
 
 func v3align(off int64) int64 { return (off + 7) &^ 7 }
 
@@ -114,32 +110,12 @@ func (w *v3writer) addI32(xs []int32) uint32   { return w.add(v3KindI32, binio.I
 func (w *v3writer) addI64(xs []int64) uint32   { return w.add(v3KindI64, binio.I64sBytes(xs)) }
 func (w *v3writer) addF64(xs []float64) uint32 { return w.add(v3KindF64, binio.F64sBytes(xs)) }
 
-// writePostingsRef emits a postings reference into the manifest: the raw
-// CSR arrays or the compact blocked form, converting between them as the
-// options demand. snapshotCompact/snapshotRaw describe what the caller
-// holds; exactly one is non-nil (or both nil for "no index stored").
-func (w *v3writer) writePostingsRef(m *bytes.Buffer, raw *postings.CSR, compact *postings.Compact, wantRaw bool) {
-	if raw == nil && compact == nil {
+// writePostingsRef emits a postings reference into the manifest: the
+// compact blocked form, or "no index stored" for nil.
+func (w *v3writer) writePostingsRef(m *bytes.Buffer, compact *postings.Compact) {
+	if compact == nil {
 		m.WriteByte(v3PostingsNone)
 		return
-	}
-	if wantRaw {
-		if raw == nil {
-			csr := compact.ToCSR()
-			raw = &csr
-		}
-		m.WriteByte(v3PostingsRaw)
-		refOff := w.addI32(raw.Off)
-		refItem := w.addI32(raw.Item)
-		refPos := uint32(0)
-		if raw.Pos != nil {
-			refPos = w.addI32(raw.Pos)
-		}
-		mustU32(m, refOff, refItem, refPos)
-		return
-	}
-	if compact == nil {
-		compact = postings.FromCSR(*raw, postings.DefaultBlockSize)
 	}
 	m.WriteByte(v3PostingsCompact)
 	mustU32(m, uint32(compact.BlockSize))
@@ -158,44 +134,44 @@ func mustU32(m *bytes.Buffer, vs ...uint32) {
 	}
 }
 
-// walkIndexForms splits a walks index snapshot into the writer's raw /
-// compact handles.
-func walkIndexForms(is *walks.IndexSnapshot) (*postings.CSR, *postings.Compact) {
-	if is == nil {
-		return nil, nil
+// walkIndexCompact returns the form a walks index snapshot is stored in: a
+// compact one as is, an in-memory raw one (what BuildIndex and repair
+// produce) encoded, nil for none.
+func walkIndexCompact(is *walks.IndexSnapshot) *postings.Compact {
+	switch {
+	case is == nil:
+		return nil
+	case is.Compact != nil:
+		return is.Compact
 	}
-	if is.Compact != nil {
-		return nil, is.Compact
-	}
-	return &postings.CSR{Off: is.Off, Item: is.Walk, Pos: is.Pos}, nil
+	return postings.FromCSR(postings.CSR{Off: is.Off, Item: is.Walk, Pos: is.Pos}, postings.DefaultBlockSize)
 }
 
-func rrIndexForms(is *im.IndexSnapshot) (*postings.CSR, *postings.Compact) {
-	if is == nil {
-		return nil, nil
+func rrIndexCompact(is *im.IndexSnapshot) *postings.Compact {
+	switch {
+	case is == nil:
+		return nil
+	case is.Compact != nil:
+		return is.Compact
 	}
-	if is.Compact != nil {
-		return nil, is.Compact
-	}
-	return &postings.CSR{Off: is.Off, Item: is.Item}, nil
+	return postings.FromCSR(postings.CSR{Off: is.Off, Item: is.Item}, postings.DefaultBlockSize)
 }
 
 // writeWalkSetRef emits a walk snapshot's manifest entry, adding its
 // arrays (and postings index, if any) as sections.
-func (w *v3writer) writeWalkSetRef(m *bytes.Buffer, s *walks.Snapshot, idx *walks.IndexSnapshot, opts V3Options) {
+func (w *v3writer) writeWalkSetRef(m *bytes.Buffer, s *walks.Snapshot, idx *walks.IndexSnapshot) {
 	mustU32(m, uint32(s.Horizon))
 	mustU32(m, w.addI32(s.Nodes), w.addI32(s.Off), w.addI32(s.OwnerNodes), w.addI32(s.OwnerOff))
-	raw, compact := walkIndexForms(idx)
-	w.writePostingsRef(m, raw, compact, opts.RawPostings)
+	w.writePostingsRef(m, walkIndexCompact(idx))
 }
 
-// WriteIndexV3 serializes idx in the v3 section-table layout. Arrays are
-// written as their exact little-endian memory images (zero-copy on
-// little-endian hosts), so WriteIndexV3 + OpenMapped round-trips every
-// artifact bit-identically. Postings indexes attached to artifacts are
-// persisted (compact by default); nil indexes are simply absent and
-// loaders rebuild them.
-func WriteIndexV3(w io.Writer, idx *Index, opts V3Options) error {
+// WriteIndexV3 serializes idx in the section-table layout; it is the only
+// index writer. Arrays are written as their exact little-endian memory
+// images (zero-copy on little-endian hosts), so WriteIndexV3 + OpenMapped
+// round-trips every artifact bit-identically. Postings indexes attached to
+// artifacts are persisted in compact form; nil indexes are simply absent
+// and loaders rebuild them.
+func WriteIndexV3(w io.Writer, idx *Index, _ V3Options) error {
 	if err := idx.Validate(); err != nil {
 		return err
 	}
@@ -234,21 +210,20 @@ func WriteIndexV3(w io.Writer, idx *Index, opts V3Options) error {
 	for _, art := range idx.Sketches {
 		_ = binio.WriteI64(&m, art.Seed)
 		mustU32(&m, uint32(art.Target), uint32(art.Horizon), uint32(art.Theta))
-		vw.writeWalkSetRef(&m, art.Set, art.Index, opts)
+		vw.writeWalkSetRef(&m, art.Set, art.Index)
 	}
 	mustU32(&m, uint32(len(idx.Walks)))
 	for _, art := range idx.Walks {
 		_ = binio.WriteI64(&m, art.Seed)
 		mustU32(&m, uint32(art.Target), uint32(art.Horizon), uint32(art.Lambda))
-		vw.writeWalkSetRef(&m, art.Set, art.Index, opts)
+		vw.writeWalkSetRef(&m, art.Set, art.Index)
 	}
 	mustU32(&m, uint32(len(idx.RRs)))
 	for _, art := range idx.RRs {
 		_ = binio.WriteI64(&m, art.Seed)
 		mustU32(&m, uint32(art.Target), uint32(art.Sets.Model))
 		mustU32(&m, vw.addI32(art.Sets.Nodes), vw.addI32(art.Sets.Off))
-		raw, compact := rrIndexForms(art.Index)
-		vw.writePostingsRef(&m, raw, compact, opts.RawPostings)
+		vw.writePostingsRef(&m, rrIndexCompact(art.Index))
 	}
 
 	// Mutable state: base epoch + update log stay in the manifest.
@@ -276,7 +251,7 @@ func WriteIndexV3(w io.Writer, idx *Index, opts V3Options) error {
 
 	var header [v3HeaderSize]byte
 	copy(header[:], indexMagic)
-	binary.LittleEndian.PutUint32(header[6:], IndexFormatV3)
+	binary.LittleEndian.PutUint32(header[6:], IndexFormatVersion)
 	binary.LittleEndian.PutUint32(header[12:], uint32(numSections))
 	binary.LittleEndian.PutUint32(header[16:], crc32.ChecksumIEEE(table))
 	if _, err := w.Write(header[:]); err != nil {
@@ -380,84 +355,58 @@ func (p *v3parser) bytesSection(ref uint32, what string) ([]byte, error) {
 	return b, nil
 }
 
-// readPostingsRef parses a postings reference from the manifest stream.
-// wantPos states whether this index must carry positions (walk indexes do,
-// RR indexes must not).
-func (p *v3parser) readPostingsRef(r io.Reader, wantPos bool, what string) (raw *postings.CSR, compact *postings.Compact, mapped bool, err error) {
+// readPostingsRef parses a postings reference from the manifest stream: nil
+// for "no index stored", else the compact form. wantPos states whether this
+// index must carry positions (walk indexes do, RR indexes must not).
+func (p *v3parser) readPostingsRef(r io.Reader, wantPos bool, what string) (compact *postings.Compact, mapped bool, err error) {
 	var mode [1]byte
 	if _, err := io.ReadFull(r, mode[:]); err != nil {
-		return nil, nil, false, fmt.Errorf("serialize: v3 %s postings mode: %w", what, err)
+		return nil, false, fmt.Errorf("serialize: v3 %s postings mode: %w", what, err)
 	}
 	switch mode[0] {
 	case v3PostingsNone:
-		return nil, nil, false, nil
-	case v3PostingsRaw:
-		var refs [3]uint32
-		for i := range refs {
-			if refs[i], err = binio.ReadU32(r); err != nil {
-				return nil, nil, false, err
-			}
-		}
-		csr := &postings.CSR{}
-		a1, a2, a3 := true, true, true
-		if csr.Off, a1, err = p.i32s(refs[0], what+" postings off"); err != nil {
-			return nil, nil, false, err
-		}
-		if csr.Item, a2, err = p.i32s(refs[1], what+" postings items"); err != nil {
-			return nil, nil, false, err
-		}
-		if wantPos {
-			if refs[2] == 0 {
-				return nil, nil, false, fmt.Errorf("serialize: v3 %s postings lack positions", what)
-			}
-			if csr.Pos, a3, err = p.i32s(refs[2], what+" postings pos"); err != nil {
-				return nil, nil, false, err
-			}
-		} else if refs[2] != 0 {
-			return nil, nil, false, fmt.Errorf("serialize: v3 %s postings carry unexpected positions", what)
-		}
-		return csr, nil, p.mapped && a1 && a2 && a3, nil
+		return nil, false, nil
 	case v3PostingsCompact:
 		blockSize, err := binio.ReadU32(r)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
 		if blockSize == 0 || blockSize > math.MaxInt32 {
-			return nil, nil, false, fmt.Errorf("serialize: v3 %s postings block size %d", what, blockSize)
+			return nil, false, fmt.Errorf("serialize: v3 %s postings block size %d", what, blockSize)
 		}
 		var hasPos [1]byte
 		if _, err := io.ReadFull(r, hasPos[:]); err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
 		if hasPos[0] > 1 {
-			return nil, nil, false, fmt.Errorf("serialize: v3 %s postings hasPos flag %d", what, hasPos[0])
+			return nil, false, fmt.Errorf("serialize: v3 %s postings hasPos flag %d", what, hasPos[0])
 		}
 		if (hasPos[0] == 1) != wantPos {
-			return nil, nil, false, fmt.Errorf("serialize: v3 %s postings positions mismatch (hasPos=%d)", what, hasPos[0])
+			return nil, false, fmt.Errorf("serialize: v3 %s postings positions mismatch (hasPos=%d)", what, hasPos[0])
 		}
 		var refs [4]uint32
 		for i := range refs {
 			if refs[i], err = binio.ReadU32(r); err != nil {
-				return nil, nil, false, err
+				return nil, false, err
 			}
 		}
 		cp := &postings.Compact{HasPos: hasPos[0] == 1, BlockSize: int32(blockSize)}
 		a1, a2, a3 := true, true, true
 		if cp.Off, a1, err = p.i32s(refs[0], what+" postings off"); err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
 		if cp.FirstBlock, a2, err = p.i32s(refs[1], what+" postings blocks"); err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
 		if cp.BlockOff, a3, err = p.i64s(refs[2], what+" postings block offsets"); err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
 		if cp.Data, err = p.bytesSection(refs[3], what+" postings data"); err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
-		return nil, cp, p.mapped && a1 && a2 && a3, nil
+		return cp, p.mapped && a1 && a2 && a3, nil
 	default:
-		return nil, nil, false, fmt.Errorf("serialize: v3 %s postings mode %d unknown", what, mode[0])
+		return nil, false, fmt.Errorf("serialize: v3 %s postings mode %d unsupported (only the compact form, mode %d, is read); rebuild with ovmd -build-index", what, mode[0], v3PostingsCompact)
 	}
 }
 
@@ -487,33 +436,37 @@ func (p *v3parser) readWalkSetRef(r io.Reader, what string) (*walks.Snapshot, *w
 		return nil, nil, err
 	}
 	s.Mapped = p.mapped && a1 && a2 && a3 && a4
-	raw, compact, idxMapped, err := p.readPostingsRef(r, true, what+" index")
+	compact, idxMapped, err := p.readPostingsRef(r, true, what+" index")
 	if err != nil {
 		return nil, nil, err
 	}
 	var is *walks.IndexSnapshot
-	if raw != nil {
-		is = &walks.IndexSnapshot{Off: raw.Off, Walk: raw.Item, Pos: raw.Pos, Mapped: idxMapped}
-	} else if compact != nil {
+	if compact != nil {
 		is = &walks.IndexSnapshot{Compact: compact, Mapped: idxMapped}
 	}
 	return s, is, nil
 }
 
-// parseV3 validates the section table of a complete v3 file image and
-// decodes the manifest, aliasing array sections over data wherever
-// alignment and endianness allow. With mapped set, the produced snapshots
-// are flagged as frozen storage. Returns the index and the number of
-// payload bytes consumed zero-copy.
+// parseV3 is the one index parser: it checks magic and version, validates
+// the section table of a complete file image and decodes the manifest,
+// aliasing array sections over data wherever alignment and endianness
+// allow. With mapped set, the produced snapshots are flagged as frozen
+// storage. Returns the index and the number of payload bytes consumed
+// zero-copy.
 func parseV3(data []byte, mapped bool) (*Index, int64, error) {
-	if len(data) < v3HeaderSize {
-		return nil, 0, fmt.Errorf("serialize: v3 index truncated (%d bytes)", len(data))
+	if len(data) < len(indexMagic)+4 {
+		return nil, 0, fmt.Errorf("serialize: index truncated (%d bytes)", len(data))
 	}
 	if string(data[:len(indexMagic)]) != indexMagic {
-		return nil, 0, fmt.Errorf("serialize: bad index magic %q", data[:len(indexMagic)])
+		return nil, 0, fmt.Errorf("serialize: bad index magic %q (want %q)", data[:len(indexMagic)], indexMagic)
 	}
-	if v := binary.LittleEndian.Uint32(data[6:]); v != IndexFormatV3 {
-		return nil, 0, fmt.Errorf("serialize: v3 parser got version %d", v)
+	// The version is judged before anything else about the file: an intact
+	// older or newer file is reported as such, not as a damaged v3.
+	if v := binary.LittleEndian.Uint32(data[len(indexMagic):]); v != IndexFormatVersion {
+		return nil, 0, fmt.Errorf("serialize: index format version %d: %w (this build reads and writes only v%d; rebuild with ovmd -build-index)", v, ErrUnsupportedVersion, IndexFormatVersion)
+	}
+	if len(data) < v3HeaderSize {
+		return nil, 0, fmt.Errorf("serialize: v3 index truncated (%d bytes)", len(data))
 	}
 	if binary.LittleEndian.Uint16(data[10:]) != 0 || binary.LittleEndian.Uint32(data[20:]) != 0 {
 		return nil, 0, fmt.Errorf("serialize: v3 header padding not zero")
@@ -740,13 +693,11 @@ func parseV3(data []byte, mapped bool) (*Index, int64, error) {
 			return nil, 0, err
 		}
 		a.Sets.Mapped = mapped && a1 && a2
-		raw, compact, idxMapped, err := p.readPostingsRef(m, false, what+" index")
+		compact, idxMapped, err := p.readPostingsRef(m, false, what+" index")
 		if err != nil {
 			return nil, 0, err
 		}
-		if raw != nil {
-			a.Index = &im.IndexSnapshot{Off: raw.Off, Item: raw.Item, Mapped: idxMapped}
-		} else if compact != nil {
+		if compact != nil {
 			a.Index = &im.IndexSnapshot{Compact: compact, Mapped: idxMapped}
 		}
 		idx.RRs = append(idx.RRs, a)
@@ -806,32 +757,17 @@ func (mi *MappedIndex) Close() error {
 	return r.Close()
 }
 
-// OpenMapped loads an index file with the zero-copy path when possible: a
-// v3 file is mmap'd and its array sections aliased in place; v1/v2 files
-// (and platforms without mmap) fall back to the heap decode of ReadIndex.
-// The caller owns the returned MappedIndex and must Close it after the
-// last use of the Index.
+// OpenMapped loads an index file zero-copy when the platform can map it:
+// the file is mmap'd and its array sections aliased in place. Where mmapio
+// falls back to a heap read the same parse runs over that buffer and
+// Mapped() reports false. The caller owns the returned MappedIndex and must
+// Close it after the last use of the Index.
 func OpenMapped(path string) (*MappedIndex, error) {
 	region, err := mmapio.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	data := region.Data()
-	version := uint32(0)
-	if len(data) >= len(indexMagic)+4 && string(data[:len(indexMagic)]) == indexMagic {
-		version = binary.LittleEndian.Uint32(data[len(indexMagic):])
-	}
-	if version != IndexFormatV3 || !region.Mapped() {
-		// Heap path: stream-decode (v1/v2) or parse the slurped image (v3
-		// on a no-mmap platform); nothing references the region afterwards.
-		idx, rerr := ReadIndex(bytes.NewReader(data))
-		_ = region.Close()
-		if rerr != nil {
-			return nil, rerr
-		}
-		return &MappedIndex{Index: idx}, nil
-	}
-	idx, aliased, err := parseV3(data, true)
+	idx, aliased, err := parseV3(region.Data(), region.Mapped())
 	if err != nil {
 		_ = region.Close()
 		return nil, err

@@ -48,10 +48,10 @@ func buildTestIndexWithPostings(t testing.TB) *serialize.Index {
 	return idx
 }
 
-func writeV3(t testing.TB, idx *serialize.Index, opts serialize.V3Options) []byte {
+func writeV3(t testing.TB, idx *serialize.Index) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := serialize.WriteIndexV3(&buf, idx, opts); err != nil {
+	if err := serialize.WriteIndexV3(&buf, idx, serialize.V3Options{}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -151,36 +151,17 @@ func checkWalkSnapshotEqual(t *testing.T, a, b *walks.Snapshot) {
 
 func TestV3RoundTripHeap(t *testing.T) {
 	idx := buildTestIndexWithPostings(t)
-	data := writeV3(t, idx, serialize.V3Options{})
+	data := writeV3(t, idx)
 	got, err := serialize.ReadIndex(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkIndexEquivalent(t, idx, got)
-}
-
-func TestV3RoundTripRawPostings(t *testing.T) {
-	idx := buildTestIndexWithPostings(t)
-	data := writeV3(t, idx, serialize.V3Options{RawPostings: true})
-	got, err := serialize.ReadIndex(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkIndexEquivalent(t, idx, got)
-}
-
-func TestV3CompactSmallerThanRaw(t *testing.T) {
-	idx := buildTestIndexWithPostings(t)
-	compact := writeV3(t, idx, serialize.V3Options{})
-	raw := writeV3(t, idx, serialize.V3Options{RawPostings: true})
-	if len(compact) >= len(raw) {
-		t.Errorf("compact postings image is %d bytes, raw %d — expected smaller", len(compact), len(raw))
-	}
 }
 
 func TestV3OpenMapped(t *testing.T) {
 	idx := buildTestIndexWithPostings(t)
-	data := writeV3(t, idx, serialize.V3Options{})
+	data := writeV3(t, idx)
 	path := filepath.Join(t.TempDir(), "index.ovm")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -215,31 +196,6 @@ func TestV3OpenMapped(t *testing.T) {
 	}
 }
 
-// OpenMapped must also load v1/v2 stream files via the heap fallback.
-func TestOpenMappedReadsV2(t *testing.T) {
-	idx := buildTestIndex(t)
-	var buf bytes.Buffer
-	if err := serialize.WriteIndex(&buf, idx); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "index.ovm")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mi, err := serialize.OpenMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mi.Close()
-	if mi.Mapped() {
-		t.Error("v2 stream file must load to heap, not stay mapped")
-	}
-	if mi.MappedBytes() != 0 {
-		t.Errorf("v2 load reports %d mapped bytes, want 0", mi.MappedBytes())
-	}
-	checkIndexEquivalent(t, idx, mi.Index)
-}
-
 // v3TableEntry gives mutation access to section table entry i.
 func v3TableEntry(data []byte, i int) []byte {
 	return data[24+i*24 : 24+(i+1)*24]
@@ -256,7 +212,7 @@ func fixV3TableCRC(data []byte) {
 
 func TestV3RejectsCorruption(t *testing.T) {
 	idx := buildTestIndexWithPostings(t)
-	pristine := writeV3(t, idx, serialize.V3Options{})
+	pristine := writeV3(t, idx)
 	numSections := int(binary.LittleEndian.Uint32(pristine[12:]))
 	if numSections < 3 {
 		t.Fatalf("test image has only %d sections", numSections)
@@ -327,7 +283,7 @@ func TestV3RejectsCorruption(t *testing.T) {
 
 func TestV3RejectsTruncation(t *testing.T) {
 	idx := buildTestIndexWithPostings(t)
-	data := writeV3(t, idx, serialize.V3Options{})
+	data := writeV3(t, idx)
 	dir := t.TempDir()
 	for _, cut := range []int{0, 3, 10, 23, 24, 24 + 24, len(data) / 3, len(data) / 2, len(data) - 1} {
 		trunc := data[:cut]

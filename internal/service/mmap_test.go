@@ -2,20 +2,18 @@ package service_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
-	"ovm/internal/dynamic"
 	"ovm/internal/serialize"
 	"ovm/internal/service"
 )
 
-// mmapTestServices builds the heap/mapped service pair: one index written
-// as v3, loaded once with the stream reader (heap arrays) and once through
-// the zero-copy mmap path. The returned cleanup closes the mapping.
+// mmapTestServices builds the heap/mapped service pair: one index file,
+// loaded once with ReadIndex (heap arrays; the same parse OpenMapped runs
+// where the platform cannot map) and once through the zero-copy mmap path.
 func mmapTestServices(t *testing.T) (heapSvc, mappedSvc *service.Service, idx *serialize.Index) {
 	t.Helper()
 	_, idx = testWorld(t)
@@ -47,7 +45,7 @@ func mmapTestServices(t *testing.T) (heapSvc, mappedSvc *service.Service, idx *s
 }
 
 // TestMappedMatchesHeapAcrossScores is the zero-copy correctness contract:
-// a service whose artifacts alias an mmap'd v3 file answers bit-identically
+// a service whose artifacts alias an mmap'd index file answers bit-identically
 // to one loaded onto the heap, across the five voting scores and engine
 // parallelism 1, 4, and 0 — and still after a dynamic update batch has
 // copy-on-write repaired the mapped artifacts.
@@ -129,88 +127,4 @@ func TestMappedMatchesHeapAcrossScores(t *testing.T) {
 		}
 	}
 	compare(t, 1)
-}
-
-// TestV2FileUpgradedToV3OnUpdate is the migration contract ovmd relies on:
-// a daemon serving a legacy v2 stream file persists its first update batch
-// by rewriting the file in v3 (the ovmd persistence hook always writes the
-// current format), and a restarted daemon mmap-loads the rewritten file,
-// resuming at the same epoch with identical seeds.
-func TestV2FileUpgradedToV3OnUpdate(t *testing.T) {
-	_, idx := testWorld(t)
-	path := filepath.Join(t.TempDir(), "world.ovmidx")
-	var v2 bytes.Buffer
-	if err := serialize.WriteIndex(&v2, idx); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, v2.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// First daemon generation: OpenMapped falls back to the heap for the v2
-	// stream file; the persistence hook mirrors ovmd's (append the batch to
-	// the retained base index, rewrite the file as v3).
-	mi, err := serialize.OpenMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mi.Close()
-	if mi.Mapped() {
-		t.Fatal("v2 stream file must not load mapped")
-	}
-	base := mi.Index
-	live := service.New(service.Config{OnUpdate: func(ds string, batches []dynamic.Batch, epoch int64) error {
-		base.Updates = append(base.Updates, batches...)
-		var buf bytes.Buffer
-		if err := serialize.WriteIndexV3(&buf, base, serialize.V3Options{}); err != nil {
-			return err
-		}
-		return os.WriteFile(path, buf.Bytes(), 0o600)
-	}})
-	if err := live.AddIndex("world", base); err != nil {
-		t.Fatal(err)
-	}
-	if _, serr := live.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: testBatch(t, idx)}); serr != nil {
-		t.Fatal(serr)
-	}
-
-	// The file on disk is now a v3 image.
-	rewritten, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(rewritten[:6]) != "OVMIDX" || binary.LittleEndian.Uint32(rewritten[6:]) != serialize.IndexFormatV3 {
-		t.Fatalf("expected the update to rewrite the file as OVMIDX v3, got header % x", rewritten[:10])
-	}
-
-	// Second daemon generation: zero-copy load, replayed to the same epoch,
-	// answering with the same bytes.
-	mi2, err := serialize.OpenMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mi2.Close()
-	if !mi2.Mapped() {
-		t.Skip("platform fell back to heap load")
-	}
-	restarted := newTestService(t, mi2.Index)
-	for _, par := range []int{1, 4, 0} {
-		req := selectReq("RS", "plurality", tdTheta)
-		req.Parallelism = par
-		a, serr := live.SelectSeeds(req)
-		if serr != nil {
-			t.Fatal(serr)
-		}
-		b, serr := restarted.SelectSeeds(req)
-		if serr != nil {
-			t.Fatal(serr)
-		}
-		if a.Epoch != 1 || b.Epoch != 1 {
-			t.Fatalf("P=%d: epochs %d/%d after restart, want 1/1", par, a.Epoch, b.Epoch)
-		}
-		if !reflect.DeepEqual(a.Seeds, b.Seeds) || a.ExactValue != b.ExactValue {
-			t.Fatalf("P=%d: restarted daemon diverged: %v (%.9f) vs %v (%.9f)",
-				par, a.Seeds, a.ExactValue, b.Seeds, b.ExactValue)
-		}
-	}
 }

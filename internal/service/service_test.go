@@ -77,7 +77,7 @@ func TestIndexedMatchesDirectAcrossParallelism(t *testing.T) {
 	// Round-trip the index through the binary format first: the daemon path
 	// is build → write → read → serve.
 	var buf bytes.Buffer
-	if err := serialize.WriteIndex(&buf, idx); err != nil {
+	if err := serialize.WriteIndexV3(&buf, idx, serialize.V3Options{}); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := serialize.ReadIndex(bytes.NewReader(buf.Bytes()))

@@ -124,7 +124,7 @@ func TestApplyUpdatesMatchesFullRebuild(t *testing.T) {
 	}
 }
 
-// TestUpdateLogReplayReachesSameEpoch is the OVMIDX v2 restart contract:
+// TestUpdateLogReplayReachesSameEpoch is the in-file log restart contract:
 // write index + update log, load it in a fresh service, and the replayed
 // dataset answers identically (same seeds, same epoch) to the service that
 // applied the updates live.
@@ -146,11 +146,8 @@ func TestUpdateLogReplayReachesSameEpoch(t *testing.T) {
 	// Persist base artifacts + update log, reload in a "fresh process".
 	idx.Updates = []dynamic.Batch{batch1, batch2}
 	var buf bytes.Buffer
-	if err := serialize.WriteIndex(&buf, idx); err != nil {
+	if err := serialize.WriteIndexV3(&buf, idx, serialize.V3Options{}); err != nil {
 		t.Fatal(err)
-	}
-	if got := idx.FormatVersion(); got != serialize.IndexFormatV2 {
-		t.Fatalf("index with log is v%d, want v2", got)
 	}
 	loaded, err := serialize.ReadIndex(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -258,7 +255,7 @@ func TestExportIndexCompaction(t *testing.T) {
 		t.Fatalf("export gave baseEpoch=%d updates=%d, want 2/0", exported.BaseEpoch, len(exported.Updates))
 	}
 	var buf bytes.Buffer
-	if err := serialize.WriteIndex(&buf, exported); err != nil {
+	if err := serialize.WriteIndexV3(&buf, exported, serialize.V3Options{}); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := serialize.ReadIndex(bytes.NewReader(buf.Bytes()))

@@ -3,7 +3,8 @@
 # bench_record.sh must contain (a) BenchmarkSelection results carrying both
 # the old-vs-new speedup metric and the determinism self-check, (b)
 # BenchmarkIndexLoad results carrying the index byte-footprint split
-# (index_bytes on disk, mapped_bytes zero-copy, heap_bytes resident), and
+# (index_bytes on disk, mapped_bytes zero-copy, heap_bytes resident) and
+# the mmap open's load_speedup_x over the heap parse of the same file, and
 # (c) the live-daemon serving results (ovmload cold/warm/update-concurrent)
 # carrying serving_qps and the p50/p99 latency tail, and (d) the
 # cost-accounting evidence: BenchmarkSelection's postings/walk work

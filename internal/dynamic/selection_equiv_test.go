@@ -10,22 +10,27 @@ import (
 	"ovm/internal/sketch"
 	"ovm/internal/voting"
 	"ovm/internal/walks"
+	"ovm/internal/walks/walksref"
 )
 
 // TestRepairedSelectionIncrementalEquivalence closes the loop between the
 // dynamic-update path and the incremental selection engine: after a
 // mutation batch + incremental repair, greedy selection over the repaired
-// (and index-carrying) walk sets must be bit-identical to the retained
-// full-scan reference over a from-scratch regeneration on the mutated
-// system — for every score kind, both samplers, at parallelism 1/4/0.
+// (and index-carrying) walk sets must be bit-identical to the
+// from-the-definition oracle (walksref) over a from-scratch regeneration on
+// the mutated system — for every score kind, both samplers, at parallelism
+// 1/4/0, on single-shard walk sets and on sets spanning three scan shards.
 func TestRepairedSelectionIncrementalEquivalence(t *testing.T) {
+	t.Run("one-shard", func(t *testing.T) { repairedSelectionEquivalence(t, 12, 500, 1) })
+	t.Run("three-shards", func(t *testing.T) { repairedSelectionEquivalence(t, 40, 4800, 3) })
+}
+
+func repairedSelectionEquivalence(t *testing.T, lambda int32, theta, wantShards int) {
 	const (
 		n       = 120
 		seed    = int64(4)
 		horizon = 5
 		k       = 5
-		theta   = 500
-		lambda  = 12
 	)
 	sys := testSystem(t, n, 9)
 	prob := &core.Problem{Sys: sys, Target: 0, Horizon: horizon, K: k, Score: voting.Cumulative{}}
@@ -101,16 +106,11 @@ func TestRepairedSelectionIncrementalEquivalence(t *testing.T) {
 		{"rs", rsRepaired, rsFresh, func(s *walks.Set) []float64 { return walks.SketchOwnerWeights(s, theta) }},
 	}
 	for _, sm := range samplers {
+		if shards := len(walks.ScanShardBounds(n, sm.fresh.NumWalks())) - 1; shards != wantShards {
+			t.Fatalf("%s: %d walks fold over %d scan shards, want %d", sm.name, sm.fresh.NumWalks(), shards, wantShards)
+		}
 		for _, score := range scores {
-			ref, err := walks.NewEstimator(sm.fresh.Clone(), 0, init, comp, sm.weights(sm.fresh), 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref.UseFullScan(true)
-			refRes, err := ref.SelectGreedy(k, score)
-			if err != nil {
-				t.Fatal(err)
-			}
+			refRes := walksref.New(sm.fresh, 0, init, comp, sm.weights(sm.fresh)).SelectGreedy(k, score)
 			for _, par := range []int{1, 4, 0} {
 				est, err := walks.NewEstimator(sm.repaired.Clone(), 0, init, comp, sm.weights(sm.repaired), par)
 				if err != nil {

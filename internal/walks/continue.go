@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ovm/internal/core"
-	"ovm/internal/obs"
 )
 
 // GreedyRun reports a greedy selection continued from a prefix.
@@ -49,20 +48,11 @@ func ContinueGreedy(p *core.Problem, set *Set, weight []float64, comp [][]float6
 		}
 	}
 	run := &GreedyRun{Seeds: make([]int32, 0, p.K), Replay: RoundCost{Seed: -1}}
-	set.EnsureIndex()
 	for _, u := range prefix {
 		if u < 0 || int(u) >= len(set.inSeed) || set.inSeed[u] {
 			return nil, fmt.Errorf("walks: prefix seed %d is out of range or repeated", u)
 		}
-		set.inSeed[u] = true
-		set.seeds = append(set.seeds, u)
-		hits := set.truncateIndexed(u, nil)
-		if obs.CostEnabled() {
-			entries, blocks := set.postingsCost(u)
-			run.Replay.WalksTruncated += hits
-			run.Replay.PostingsEntries += entries
-			run.Replay.PostingsBlocks += blocks
-		}
+		run.Replay.addTruncate(set, u, set.AddSeed(u, nil))
 	}
 	est, err := NewEstimator(set, p.Target, p.Sys.Candidate(p.Target).Init, comp, weight, parallelism)
 	if err != nil {

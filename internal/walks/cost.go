@@ -14,8 +14,6 @@ import (
 var (
 	walksTruncated = obs.NewCounter("ovm_walks_truncated_total",
 		"Walk truncations applied by seed insertions (end-pointer moves)")
-	fullScanFallbacks = obs.NewCounter("ovm_walks_fullscan_total",
-		"Seed truncations served by the index-free full walk scan")
 	gainCacheHits = obs.NewCounter("ovm_walks_gain_cache_hits_total",
 		"Greedy-round candidate gains served from the incremental cache")
 	gainCacheMisses = obs.NewCounter("ovm_walks_gain_cache_misses_total",
@@ -62,9 +60,6 @@ type RoundCost struct {
 // backing, which decodes nothing). Pure prefix-sum arithmetic.
 func (set *Set) postingsCost(u int32) (entries, blocks int64) {
 	idx := set.idx
-	if idx == nil {
-		return 0, 0
-	}
 	if idx.compact != nil {
 		return int64(idx.compact.Count(u)), int64(idx.compact.Blocks(u))
 	}
@@ -75,9 +70,6 @@ func (set *Set) postingsCost(u int32) (entries, blocks int64) {
 // full gain-cache rebuild consumes.
 func (set *Set) indexCost() (entries, blocks int64) {
 	idx := set.idx
-	if idx == nil {
-		return 0, 0
-	}
 	if idx.compact != nil {
 		return idx.compact.TotalEntries(), idx.compact.TotalBlocks()
 	}
@@ -93,6 +85,19 @@ func (set *Set) accountTruncate(u int32, hits int64) {
 	walksTruncated.Add(hits)
 	entries, blocks := set.postingsCost(u)
 	postings.Account(entries, blocks)
+}
+
+// addTruncate mirrors accountTruncate's global accounting of one seed
+// application into rc, with identical values, so per-round EXPLAIN sums
+// reconcile with the /metrics counter deltas.
+func (rc *RoundCost) addTruncate(set *Set, u int32, hits int64) {
+	if !obs.CostEnabled() {
+		return
+	}
+	entries, blocks := set.postingsCost(u)
+	rc.WalksTruncated += hits
+	rc.PostingsEntries += entries
+	rc.PostingsBlocks += blocks
 }
 
 // beginRound resets the current round's cost accumulator.

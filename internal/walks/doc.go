@@ -21,12 +21,40 @@
 // and re-derived only along the affected walks, so a selection round costs
 // O(elements on the chosen seed's walks) instead of the full O(t·Σλ_v)
 // rescan — including the rank-based extensions needed by the plurality
-// family and the Copeland score. The pre-index full-scan loop is retained
-// behind Estimator.UseFullScan as the equivalence reference.
+// family and the Copeland score. That is the only selection loop. The
+// reference its output is compared against, bit for bit, is the test-only
+// package walksref: the same greedy written from the definition (a rescan of
+// every walk for every candidate), sharing no index, cache or scratch with
+// this package.
 //
 // Generation, truncation, estimate refresh, and the gain scans all run on
 // the internal/engine worker pool. Each owner draws from its own
 // sampling.Stream substream and shard geometry ignores the worker count,
 // so every Set, estimate, and greedy pick is bit-identical across
 // Parallelism settings.
+//
+// # Fold contract
+//
+// Floating-point sums are not associative, so "the same gain" means the
+// same operands added in the same grouping and order. Write rem(w) =
+// 1 − Y(w) for a walk w of owner i with λ_i walks and weight ω_i; w is live
+// while rem(w) > 0 and contains u when u lies on its active prefix. The
+// estimator re-derives what it caches by these rules; walksref computes
+// everything afresh each round by the same rules. Every sum starts from 0.
+//
+//  1. Owner estimate: b̂_i = (Σ Y(w), i's walks in walk order) / λ_i.
+//  2. Cumulative gain of u: ω_i·rem(w)/λ_i over the live walks containing
+//     u, summed in walk order inside each scan shard (ScanShardBounds),
+//     the shard sums then added in ascending shard order. Only gains > 0
+//     compete.
+//  3. Rank-based entry of (u, i): δ = Σ rem(w)/λ_i over i's live walks
+//     containing u, in walk order. A positional gain is
+//     Σ ω_i·(contrib(b̂_i+δ) − contrib(b̂_i)) over u's entries, owners
+//     ascending. Only candidates with an entry compete.
+//  4. Copeland: the weighted win/loss counters are folded over all owners
+//     ascending; a candidate's gain adjusts a copy of them over its entries,
+//     owners then competitors ascending, subtracting the old comparison
+//     before adding the new, and recounts the victories.
+//  5. The pick is the largest gain, ties to the lowest node id; when no
+//     candidate competes it is the lowest non-seed id at gain 0.
 package walks

@@ -12,6 +12,7 @@ import (
 	"ovm/internal/sampling"
 	"ovm/internal/voting"
 	"ovm/internal/walks"
+	"ovm/internal/walks/walksref"
 )
 
 // equivWorld builds a random multi-candidate system plus a walk-set factory
@@ -29,6 +30,25 @@ type equivWorld struct {
 }
 
 func newEquivWorld(t *testing.T, seed int64, n int, sketch bool) *equivWorld {
+	t.Helper()
+	return newEquivWorldSized(t, seed, n, 20, 4*n, sketch)
+}
+
+// newShardedWorld is a world whose walk set spans three scan shards (4 800
+// walks; every other world here has fewer than 2 048, hence one shard), so
+// the shard-by-shard fold of the cumulative gain is compared too.
+func newShardedWorld(t *testing.T, sketch bool) *equivWorld {
+	t.Helper()
+	w := newEquivWorldSized(t, 41, 60, 80, 4800, sketch)
+	if shards := len(walks.ScanShardBounds(w.n, w.makeSet().NumWalks())) - 1; shards < 3 {
+		t.Fatalf("sharded world has %d scan shards, want at least 3", shards)
+	}
+	return w
+}
+
+// newEquivWorldSized is newEquivWorld with lambda walks per node (RW) or
+// theta sketches (RS).
+func newEquivWorldSized(t *testing.T, seed int64, n, lambda, theta int, sketch bool) *equivWorld {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder(n)
@@ -69,7 +89,6 @@ func newEquivWorld(t *testing.T, seed int64, n int, sketch bool) *equivWorld {
 		t.Fatal(err)
 	}
 	if sketch {
-		theta := 4 * n
 		w.makeSet = func() *walks.Set {
 			set, err := walks.GenerateSampled(smp, stubs[0], horizon, theta, sampling.Stream{Seed: seed, ID: 88}, 1)
 			if err != nil {
@@ -81,7 +100,7 @@ func newEquivWorld(t *testing.T, seed int64, n int, sketch bool) *equivWorld {
 	} else {
 		plan := make([]int32, n)
 		for i := range plan {
-			plan[i] = 20
+			plan[i] = int32(lambda)
 		}
 		w.makeSet = func() *walks.Set {
 			set, err := walks.Generate(smp, stubs[0], horizon, plan, sampling.Stream{Seed: seed, ID: 77}, 1)
@@ -105,6 +124,27 @@ func (w *equivWorld) estimator(t *testing.T, parallelism int) *walks.Estimator {
 	return est
 }
 
+// oracle builds the from-the-definition reference over a fresh copy of the
+// world's walk set.
+func (w *equivWorld) oracle() *walksref.Oracle {
+	set := w.makeSet()
+	return walksref.New(set, w.target, w.init, w.comp, w.weights(set))
+}
+
+// scorer is F̂ of one side of a comparison, for every score kind.
+type scorer func(voting.Score) float64
+
+func estScorer(t *testing.T, est *walks.Estimator) scorer {
+	return func(sc voting.Score) float64 {
+		t.Helper()
+		v, err := est.EstimatedScore(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+}
+
 var equivScores = []voting.Score{
 	voting.Cumulative{},
 	voting.Plurality{},
@@ -116,7 +156,7 @@ var equivScores = []voting.Score{
 // requireSameRun asserts bit-identical selection output: seeds, per-round
 // gains, final estimated value, and the post-selection estimated score of
 // every score kind (the estimates and ± counters feed future queries too).
-func requireSameRun(t *testing.T, label string, ref, got *walks.Estimator,
+func requireSameRun(t *testing.T, label string, ref, got scorer,
 	refSeeds, gotSeeds []int32, refGains, gotGains []float64, refValue, gotValue float64) {
 	t.Helper()
 	if len(refSeeds) != len(gotSeeds) {
@@ -134,49 +174,39 @@ func requireSameRun(t *testing.T, label string, ref, got *walks.Estimator,
 		t.Fatalf("%s: value %v, reference %v", label, gotValue, refValue)
 	}
 	for _, sc := range equivScores {
-		rv, err := ref.EstimatedScore(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gv, err := got.EstimatedScore(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rv != gv {
+		if rv, gv := ref(sc), got(sc); rv != gv {
 			t.Fatalf("%s: post-selection %s score %v, reference %v", label, sc.Name(), gv, rv)
 		}
 	}
 }
 
-// TestIncrementalMatchesFullScan is the tentpole equivalence gate: for
-// every score kind, both owner-weight schemes (RW uniform, RS sketch), and
-// parallelism 1/4/0, the incremental postings-index selection must produce
-// bit-identical seeds, gains, and scores to the retained full-scan
-// reference.
+// TestIncrementalMatchesFullScan is the equivalence gate of the selection
+// loop: for every score kind, both owner-weight schemes (RW uniform, RS
+// sketch), and parallelism 1/4/0, the incremental postings-index selection
+// must produce bit-identical seeds, gains, and scores to the full scan
+// written from the definition (walksref) — on the single-shard worlds and on
+// one whose cumulative gains fold over three scan shards.
 func TestIncrementalMatchesFullScan(t *testing.T) {
-	for _, seed := range []int64{3, 17, 99} {
-		for _, sketch := range []bool{false, true} {
-			world := newEquivWorld(t, seed, 40, sketch)
-			for _, score := range equivScores {
-				ref := world.estimator(t, 1)
-				ref.UseFullScan(true)
-				refRes, err := ref.SelectGreedy(8, score)
+	var worlds []*equivWorld
+	for _, sketch := range []bool{false, true} {
+		for _, seed := range []int64{3, 17, 99} {
+			worlds = append(worlds, newEquivWorld(t, seed, 40, sketch))
+		}
+		worlds = append(worlds, newShardedWorld(t, sketch))
+	}
+	for wi, world := range worlds {
+		for _, score := range equivScores {
+			ref := world.oracle()
+			refRes := ref.SelectGreedy(8, score)
+			for _, par := range []int{1, 4, 0} {
+				est := world.estimator(t, par)
+				res, err := est.SelectGreedy(8, score)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, par := range []int{1, 4, 0} {
-					est := world.estimator(t, par)
-					res, err := est.SelectGreedy(8, score)
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := score.Name()
-					if sketch {
-						label += "/sketch"
-					}
-					requireSameRun(t, label, ref, est,
-						refRes.Seeds, res.Seeds, refRes.Gains, res.Gains, refRes.Value, res.Value)
-				}
+				label := fmt.Sprintf("world %d/%s/P%d", wi, score.Name(), par)
+				requireSameRun(t, label, ref.EstimatedScore, estScorer(t, est),
+					refRes.Seeds, res.Seeds, refRes.Gains, res.Gains, refRes.Value, res.Value)
 			}
 		}
 	}
@@ -184,8 +214,8 @@ func TestIncrementalMatchesFullScan(t *testing.T) {
 
 // TestIncrementalCachesAcrossRuns exercises the cross-run cache reuse the
 // γ* pilot heuristic depends on (repeated SelectGreedy calls on one
-// estimator), including switching score kinds between runs, against a
-// reference that replays the same call sequence through the full scan.
+// estimator), including switching score kinds between runs, against the
+// oracle replaying the same call sequence.
 func TestIncrementalCachesAcrossRuns(t *testing.T) {
 	sequences := [][]voting.Score{
 		{voting.Cumulative{}, voting.Cumulative{}, voting.Cumulative{}},
@@ -194,21 +224,16 @@ func TestIncrementalCachesAcrossRuns(t *testing.T) {
 	}
 	for _, seq := range sequences {
 		world := newEquivWorld(t, 7, 30, false)
-		ref := world.estimator(t, 1)
-		ref.UseFullScan(true)
+		ref := world.oracle()
 		est := world.estimator(t, 4)
-		for step, score := range seq {
-			refRes, err := ref.SelectGreedy(2, score)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, score := range seq {
+			refRes := ref.SelectGreedy(2, score)
 			res, err := est.SelectGreedy(2, score)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameRun(t, score.Name(), ref, est,
+			requireSameRun(t, score.Name(), ref.EstimatedScore, estScorer(t, est),
 				refRes.Seeds, res.Seeds, refRes.Gains, res.Gains, refRes.Value, res.Value)
-			_ = step
 		}
 	}
 }
@@ -237,7 +262,7 @@ func TestPairwiseStateDoesNotLeakAcrossRuns(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameRun(t, order[0].Name()+" first", ref, shared,
+				requireSameRun(t, order[0].Name()+" first", estScorer(t, ref), estScorer(t, shared),
 					refFirst.Seeds, first.Seeds, refFirst.Gains, first.Gains, refFirst.Value, first.Value)
 
 				second, err := shared.SelectGreedy(4, order[1])
@@ -246,7 +271,7 @@ func TestPairwiseStateDoesNotLeakAcrossRuns(t *testing.T) {
 				}
 				set := world.makeSet()
 				for _, u := range first.Seeds {
-					set.AddSeed(u, 1)
+					set.AddSeed(u, nil)
 				}
 				fresh, err := walks.NewEstimator(set, world.target, world.init, world.comp, world.weights(set), par)
 				if err != nil {
@@ -256,7 +281,7 @@ func TestPairwiseStateDoesNotLeakAcrossRuns(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameRun(t, order[1].Name()+" after "+order[0].Name(), fresh, shared,
+				requireSameRun(t, order[1].Name()+" after "+order[0].Name(), estScorer(t, fresh), estScorer(t, shared),
 					refSecond.Seeds, second.Seeds, refSecond.Gains, second.Gains, refSecond.Value, second.Value)
 			}
 		}
@@ -269,104 +294,76 @@ func TestPairwiseStateDoesNotLeakAcrossRuns(t *testing.T) {
 // running the k − j missing rounds (ContinueGreedy) reproduces the
 // uninterrupted SelectGreedy(k) of a fresh estimator — seeds, the gains of
 // the rounds it ran and the final value bit for bit, for every j in 0..k−1 —
-// and both match the retained full-scan reference.
+// and both match the oracle, on a single-shard and on the three-shard world.
 func TestContinueGreedyMatchesUninterrupted(t *testing.T) {
 	const k = 8
 	for _, sketch := range []bool{false, true} {
-		world := newEquivWorld(t, 17, 40, sketch)
-		for _, score := range equivScores {
-			ref := world.estimator(t, 1)
-			ref.UseFullScan(true)
-			want, err := ref.SelectGreedy(k, score)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prob := &core.Problem{Sys: world.sys, Target: world.target, Horizon: world.horizon, K: k, Score: score}
-			for _, par := range []int{1, 4} {
-				label := fmt.Sprintf("%s/sketch=%v/P%d", score.Name(), sketch, par)
-				fresh := world.estimator(t, par)
-				whole, err := fresh.SelectGreedy(k, score)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameRun(t, label, ref, fresh, want.Seeds, whole.Seeds, want.Gains, whole.Gains, want.Value, whole.Value)
-				for j := 0; j < k; j++ {
-					set := world.makeSet()
-					run, err := walks.ContinueGreedy(prob, set, world.weights(set), world.comp, want.Seeds[:j], par)
+		for _, world := range []*equivWorld{newEquivWorld(t, 17, 40, sketch), newShardedWorld(t, sketch)} {
+			for _, score := range equivScores {
+				ref := world.oracle()
+				want := ref.SelectGreedy(k, score)
+				prob := &core.Problem{Sys: world.sys, Target: world.target, Horizon: world.horizon, K: k, Score: score}
+				for _, par := range []int{1, 4} {
+					label := fmt.Sprintf("%s/sketch=%v/P%d", score.Name(), sketch, par)
+					fresh := world.estimator(t, par)
+					whole, err := fresh.SelectGreedy(k, score)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !slices.Equal(run.Seeds, want.Seeds) || !slices.Equal(run.Gains, want.Gains[j:]) || run.Value != want.Value {
-						t.Fatalf("%s: continued from %d seeds: seeds %v gains %v value %v, uninterrupted %v %v %v",
-							label, j, run.Seeds, run.Gains, run.Value, want.Seeds, want.Gains[j:], want.Value)
-					}
-					if len(run.Rounds) != k-j || (j == 0) != (run.Replay.WalksTruncated == 0) {
-						t.Fatalf("%s: continued from %d seeds: %d round records, replay %+v", label, j, len(run.Rounds), run.Replay)
+					requireSameRun(t, label, ref.EstimatedScore, estScorer(t, fresh), want.Seeds, whole.Seeds, want.Gains, whole.Gains, want.Value, whole.Value)
+					for j := 0; j < k; j++ {
+						set := world.makeSet()
+						run, err := walks.ContinueGreedy(prob, set, world.weights(set), world.comp, want.Seeds[:j], par)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(run.Seeds, want.Seeds) || !slices.Equal(run.Gains, want.Gains[j:]) || run.Value != want.Value {
+							t.Fatalf("%s: continued from %d seeds: seeds %v gains %v value %v, uninterrupted %v %v %v",
+								label, j, run.Seeds, run.Gains, run.Value, want.Seeds, want.Gains[j:], want.Value)
+						}
+						if len(run.Rounds) != k-j || (j == 0) != (run.Replay.WalksTruncated == 0) {
+							t.Fatalf("%s: continued from %d seeds: %d round records, replay %+v", label, j, len(run.Rounds), run.Replay)
+						}
 					}
 				}
+				if _, err := walks.ContinueGreedy(prob, world.makeSet(), world.weights(world.makeSet()), world.comp, want.Seeds, 1); err == nil {
+					t.Fatalf("%s: a prefix as long as k left no round to run, want an error", score.Name())
+				}
 			}
-			if _, err := walks.ContinueGreedy(prob, world.makeSet(), world.weights(world.makeSet()), world.comp, want.Seeds, 1); err == nil {
-				t.Fatalf("%s: a prefix as long as k left no round to run, want an error", score.Name())
-			}
-		}
-	}
-}
-
-// TestFullScanModeFlip flips one estimator between reference and indexed
-// mode across SelectGreedy runs: reference rounds skip the incremental
-// bookkeeping entirely, so the indexed rounds that follow must detect the
-// stale state and resynchronize before reusing any cache.
-func TestFullScanModeFlip(t *testing.T) {
-	for _, score := range []voting.Score{voting.Cumulative{}, voting.Plurality{}, voting.Copeland{}} {
-		world := newEquivWorld(t, 23, 30, false)
-		ref := world.estimator(t, 1)
-		ref.UseFullScan(true)
-		flip := world.estimator(t, 1)
-		for step := 0; step < 4; step++ {
-			flip.UseFullScan(step%2 == 0) // full-scan, indexed, full-scan, indexed
-			refRes, err := ref.SelectGreedy(2, score)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := flip.SelectGreedy(2, score)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameRun(t, score.Name(), ref, flip,
-				refRes.Seeds, res.Seeds, refRes.Gains, res.Gains, refRes.Value, res.Value)
 		}
 	}
 }
 
 // TestIndexedAddSeedMatchesScan pins the Set-level contract: index-backed
-// truncation must leave every walk's end pointer exactly where the sharded
-// full scan leaves it, seed after seed, including re-truncations of already
-// dead walks and no-op re-adds.
+// truncation must leave every walk's end pointer exactly where the oracle's
+// scan over the walks leaves it, seed after seed, including re-truncations
+// of already dead walks and no-op re-adds. The set starts without an index
+// and builds it on its first AddSeed.
 func TestIndexedAddSeedMatchesScan(t *testing.T) {
 	world := newEquivWorld(t, 11, 35, false)
-	plain := world.makeSet()
+	scan := world.oracle()
 	indexed := world.makeSet()
-	indexed.EnsureIndex()
-	if !indexed.HasIndex() || plain.HasIndex() {
-		t.Fatal("index setup: want exactly one indexed set")
+	if indexed.HasIndex() {
+		t.Fatal("index setup: a generated set should carry no index yet")
 	}
 	r := rand.New(rand.NewSource(5))
+	distinct := map[int32]bool{}
 	for step := 0; step < 12; step++ {
 		u := int32(r.Intn(world.n))
-		plain.AddSeed(u, 1)
-		indexed.AddSeed(u, 1)
-		if plain.NumWalks() != indexed.NumWalks() {
-			t.Fatal("walk counts diverged")
+		distinct[u] = true
+		scan.AddSeed(u)
+		indexed.AddSeed(u, nil)
+		if !indexed.HasIndex() {
+			t.Fatal("AddSeed on a set without an index did not build one")
 		}
-		for w := 0; w < plain.NumWalks(); w++ {
-			a, b := plain.WalkNodes(w), indexed.WalkNodes(w)
-			if len(a) != len(b) {
-				t.Fatalf("step %d seed %d: walk %d truncated to %d nodes, scan reference %d", step, u, w, len(b), len(a))
+		for w := 0; w < indexed.NumWalks(); w++ {
+			if a, b := scan.WalkLen(w), len(indexed.WalkNodes(w)); a != b {
+				t.Fatalf("step %d seed %d: walk %d truncated to %d nodes, scan reference %d", step, u, w, b, a)
 			}
 		}
 	}
-	if len(plain.Seeds()) != len(indexed.Seeds()) {
-		t.Fatal("seed lists diverged")
+	if len(indexed.Seeds()) != len(distinct) {
+		t.Fatalf("seed list has %d entries for %d distinct seeds", len(indexed.Seeds()), len(distinct))
 	}
 }
 
@@ -381,7 +378,7 @@ func TestBytesUsedCountsIndex(t *testing.T) {
 	if withIdx <= base {
 		t.Fatalf("BytesUsed ignores the postings index: %d <= %d", withIdx, base)
 	}
-	set.AddSeed(3, 1)
+	set.AddSeed(3, nil)
 	if set.BytesUsed() <= withIdx {
 		t.Fatalf("BytesUsed ignores the seeds slice: %d <= %d", set.BytesUsed(), withIdx)
 	}

@@ -10,8 +10,9 @@ import (
 
 // Estimator turns a walk Set into voting-score estimates and drives the
 // greedy seed selection of Algorithms 4 and 5. It keeps per-owner opinion
-// estimates b̂_qv[S] refreshed after every seed insertion, and computes
-// marginal gains for all candidate nodes in one scan over the walks.
+// estimates b̂_qv[S] refreshed after every seed insertion, and caches the
+// marginal gain of every candidate node, re-deriving after a seed only what
+// that seed's walks invalidate.
 //
 // Owner weights express how an owner's contribution enters the estimated
 // score: 1 for the RW method (every node is an owner), and m_v·n/θ for the
@@ -35,21 +36,7 @@ type Estimator struct {
 	parallelism int             // engine worker knob (0 = GOMAXPROCS)
 	ctx         context.Context // optional; polled at greedy round boundaries
 
-	// scan scratch
-	stamp      []int32
-	gainAcc    []float64
-	touched    []int32
-	entryCount []int32
-	entryOff   []int32
-	entryOwner []int32
-	entryAdd   []float64
-	gainBuf    []float64 // per-candidate gains, indexed like touched
-
-	// cumulative-scan shards (allocated lazily; geometry fixed per Set)
-	scanShards   int
-	shardAcc     [][]float64
-	shardStamp   [][]int32
-	shardTouched [][]int32
+	shardBounds []int32 // ScanShardBounds of the set: the cumulative gain's fold grouping
 
 	// Copeland state: the weighted pairwise win/loss counters are a pure
 	// function of est, so a change to est only marks them stale and the
@@ -60,17 +47,14 @@ type Estimator struct {
 	cpPlus        [][]float64 // per-worker scratch copies of plus
 	cpMinus       [][]float64 // per-worker scratch copies of minus
 
-	// Incremental-selection state (the postings-index fast path). A walk is
-	// "live" while its remaining headroom rem = 1 − Y(w) is positive; the
-	// first seed landing on its active prefix pins Y(w) to 1 forever, so
-	// live walks never change and dead walks never contribute. share/addVal
-	// cache the per-walk gain contributions (weight·rem/λ and rem/λ), valid
-	// while the walk is live.
-	fullScan  bool      // retained full-scan reference path (equivalence tests)
-	incrStale bool      // incremental state skipped while in fullScan mode
-	live      []bool    // rem > 0, maintained across AddSeed
-	share     []float64 // cumulative gain share of a live walk
-	addVal    []float64 // rank-based estimate delta of a live walk
+	// Selection state. A walk is "live" while its remaining headroom
+	// rem = 1 − Y(w) is positive; the first seed landing on its active prefix
+	// pins Y(w) to 1 forever, so live walks never change and dead walks never
+	// contribute. share/addVal cache the per-walk gain contributions
+	// (weight·rem/λ and rem/λ), valid while the walk is live.
+	live   []bool    // rem > 0, maintained across AddSeed
+	share  []float64 // cumulative gain share of a live walk
+	addVal []float64 // rank-based estimate delta of a live walk
 
 	changedOwners []int32 // scratch: owners with a newly-dead walk this round
 	ownerMark     []bool  // len NumOwners, dedup for changedOwners
@@ -83,12 +67,11 @@ type Estimator struct {
 	cumMark  []bool
 	cumReady bool
 
-	// Rank-based entry cache: per-candidate (owner, estimate-delta) lists —
-	// the aggregated form of the old pass-A/B entry arrays — patched only
-	// for nodes touched by the newly-dead walks or by a changed owner's
-	// surviving walks. rankAll forces a full gain re-evaluation (start of a
-	// SelectGreedy run, and every Copeland round: the ± counters are global
-	// inputs to every candidate's gain).
+	// Rank-based entry cache: per-candidate (owner, estimate-delta) lists,
+	// patched only for nodes touched by the newly-dead walks or by a changed
+	// owner's surviving walks. rankAll forces a full gain re-evaluation
+	// (start of a SelectGreedy run, and every Copeland round: the ± counters
+	// are global inputs to every candidate's gain).
 	entOwner  [][]int32
 	entDelta  [][]float64
 	entCand   []int32
@@ -110,7 +93,7 @@ type Estimator struct {
 // node id); the target row is ignored and may be nil. weight must have one
 // entry per owner. parallelism caps the worker pool for every scan,
 // including the initial estimate refresh performed here (0 = GOMAXPROCS,
-// 1 = serial); SetParallelism can adjust it later.
+// 1 = serial).
 func NewEstimator(set *Set, target int, b0 []float64, comp [][]float64, weight []float64, parallelism int) (*Estimator, error) {
 	n := set.Graph().N()
 	if len(b0) != n {
@@ -135,15 +118,9 @@ func NewEstimator(set *Set, target int, b0 []float64, comp [][]float64, weight [
 		comp:        comp,
 		weight:      weight,
 		est:         make([]float64, set.NumOwners()),
-		stamp:       make([]int32, n),
-		gainAcc:     make([]float64, n),
-		entryCount:  make([]int32, n),
-		entryOff:    make([]int32, n+1),
+		shardBounds: ScanShardBounds(n, set.NumWalks()),
 		plus:        make([]float64, len(comp)),
 		minus:       make([]float64, len(comp)),
-	}
-	for i := range e.stamp {
-		e.stamp[i] = -1
 	}
 	e.walkOwnerIdx = make([]int32, set.NumWalks())
 	for i := 0; i < set.NumOwners(); i++ {
@@ -151,70 +128,32 @@ func NewEstimator(set *Set, target int, b0 []float64, comp [][]float64, weight [
 			e.walkOwnerIdx[w] = int32(i)
 		}
 	}
-	// Shard geometry for the cumulative gain scan: enough walks per shard
-	// to amortize the merge, capped both absolutely and by the per-shard
-	// O(n) scratch each shard carries. Worker count plays no role here.
-	maxByMem := (8 << 20) / (n + 1)
-	if maxByMem < 1 {
-		maxByMem = 1
-	}
-	if maxByMem > 64 {
-		maxByMem = 64
-	}
-	e.scanShards = engine.NumShards(set.NumWalks(), 2048, maxByMem)
 	set.EnsureIndex()
 	e.Refresh()
 	return e, nil
 }
 
-// UseFullScan toggles the retained full-scan reference implementation of
-// the selection loop — the pre-index behavior, faithfully: seeds truncate
-// via the sharded element scan (not the postings index), estimates are
-// fully refreshed every round, and no incremental bookkeeping runs. Both
-// paths produce bit-identical seeds, gains, and scores — the flag exists so
-// equivalence tests and benchmarks can compare them; the incremental state
-// is resynchronized automatically when the indexed path next runs.
-func (e *Estimator) UseFullScan(on bool) { e.fullScan = on }
-
-// resyncIfStale rebuilds the incremental state if reference-mode rounds
-// skipped its maintenance. Called on entry to every indexed operation.
-func (e *Estimator) resyncIfStale() {
-	if e.incrStale {
-		e.syncIncremental()
+// ScanShardBounds returns the fixed partition of a set's walk ids behind the
+// cumulative gain's summation grouping (fold contract, rule 2): shard s
+// holds walks [b[s], b[s+1]), b[0] = 0 and the last entry is numWalks. The
+// geometry depends only on the set's shape, never on the worker count:
+// at least 2048 walks per shard, at most 64 shards, fewer on graphs of more
+// than 128k nodes. It is part of the numbers: changing it changes gain bits.
+func ScanShardBounds(n, numWalks int) []int32 {
+	shards := engine.NumShards(numWalks, 2048, min(64, max(1, (8<<20)/(n+1))))
+	b := make([]int32, shards+1)
+	for s := 0; s < shards; s++ {
+		_, hi := engine.ShardRange(numWalks, shards, s)
+		b[s+1] = int32(hi)
 	}
+	return b
 }
-
-// SetParallelism pins the worker count for all subsequent scans: 0 means
-// GOMAXPROCS, 1 disables concurrency. Estimates, gains, and greedy picks do
-// not depend on this value.
-func (e *Estimator) SetParallelism(p int) { e.parallelism = p }
-
-// Parallelism returns the current worker knob.
-func (e *Estimator) Parallelism() int { return e.parallelism }
 
 // SetContext installs a context polled at the start of every SelectGreedy
 // round; a done context makes the run return ctx.Err(). The estimator (and
 // the Set clone it mutates) must be discarded after a cancelled run — the
 // caller owns both, so nothing shared is left half-updated.
 func (e *Estimator) SetContext(ctx context.Context) { e.ctx = ctx }
-
-// ensureScanScratch allocates the per-shard cumulative-scan buffers.
-func (e *Estimator) ensureScanScratch() {
-	if e.shardAcc != nil {
-		return
-	}
-	n := e.set.Graph().N()
-	e.shardAcc = make([][]float64, e.scanShards)
-	e.shardStamp = make([][]int32, e.scanShards)
-	e.shardTouched = make([][]int32, e.scanShards)
-	for s := range e.shardAcc {
-		e.shardAcc[s] = make([]float64, n)
-		e.shardStamp[s] = make([]int32, n)
-		for i := range e.shardStamp[s] {
-			e.shardStamp[s][i] = -1
-		}
-	}
-}
 
 // ensureWorkerScratch sizes the per-worker Copeland counters.
 func (e *Estimator) ensureWorkerScratch() {
@@ -250,33 +189,12 @@ func SketchOwnerWeights(set *Set, theta int) []float64 {
 	return w
 }
 
-// Refresh recomputes all per-owner estimates from the current truncation
-// state (the Copeland pairwise counts follow on their next read), and
-// resynchronizes the incremental
-// selection state with the set — call it after mutating the set directly
-// (Estimator.AddSeed maintains everything itself).
-func (e *Estimator) Refresh() {
-	e.set.EstimatePerOwner(e.b0, e.est, e.parallelism)
-	e.pairwiseStale = true
-	if e.fullScan {
-		// Reference mode pays exactly the old per-round cost: skip the
-		// incremental resync (the caches are rebuilt lazily if the indexed
-		// path runs later) but still invalidate them — they no longer match
-		// the set's truncation state.
-		e.invalidateIncrementalCaches()
-		e.incrStale = true
-		return
-	}
-	e.syncIncremental()
-	e.incrStale = false
-}
-
 // pairwise brings the weighted Copeland win/loss counters up to date with
-// est by refolding them over all owners in ascending owner order. The fold
-// order is the floating-point contract: the counters must match a
-// from-scratch recompute bit-for-bit, so even the incremental path refolds
-// them (at O(owners·candidates)) instead of applying ± deltas. It must run
-// on the calling goroutine before any fan-out that reads plus/minus.
+// est by refolding them over all owners in ascending owner order (fold
+// contract, rule 4): the counters must match a from-scratch recompute
+// bit-for-bit, so they are refolded (at O(owners·candidates)) instead of
+// patched with ± deltas. It must run on the calling goroutine before any
+// fan-out that reads plus/minus.
 func (e *Estimator) pairwise() {
 	if !e.pairwiseStale {
 		return
@@ -320,28 +238,6 @@ func (e *Estimator) EstimateOf(v int32) (float64, bool) {
 		return e.est[lo], true
 	}
 	return 0, false
-}
-
-// AddSeed applies a seed and refreshes the estimates. On the indexed path
-// this is incremental: only the walks containing u are truncated, only the
-// owners of newly-dead walks have their estimates recomputed, and the gain
-// caches are dirtied along the affected walks — with results bit-identical
-// to the full-scan truncation + full refresh it replaces. In reference mode
-// the seed is applied exactly as before the index existed: sharded scan
-// truncation plus a full refresh.
-func (e *Estimator) AddSeed(u int32) {
-	if e.fullScan || e.set.idx == nil {
-		set := e.set
-		if !set.inSeed[u] {
-			set.inSeed[u] = true
-			set.seeds = append(set.seeds, u)
-			set.truncateScan(u, e.parallelism)
-		}
-		e.Refresh()
-		return
-	}
-	e.resyncIfStale()
-	e.addSeedIncremental(u)
 }
 
 // rankOf returns β for the target at owner-node v given target estimate b:

@@ -8,8 +8,8 @@ import (
 	"ovm/internal/voting"
 )
 
-// This file is the incremental selection engine: the postings-index-backed
-// replacement for the per-round full walk rescan of the greedy loop.
+// This file is the selection engine behind SelectGreedy: cached gains over
+// the postings index instead of a per-round rescan of every walk.
 //
 // The structural fact it exploits: a walk's Y value only ever changes when
 // a seed first lands on its active prefix — at that moment the value pins
@@ -19,20 +19,22 @@ import (
 // O(total walk elements) to O(elements on the walks the chosen seed
 // touches).
 //
-// Bit-identity with the full-scan reference is preserved by re-deriving
-// every dirtied quantity with exactly the summation grouping and order the
-// full scan uses (walk order within the fixed scan shards, shards folded
-// ascending, per-owner entry deltas in walk order, the Copeland ± counters
-// refolded over owners ascending) — an untouched quantity keeps a cached
-// value that a recompute would reproduce bit-for-bit, so caching is
-// invisible in the output at any parallelism.
+// Every dirtied quantity is re-derived with exactly the summation grouping
+// and order of the fold contract in the package doc, which the
+// from-the-definition oracle (package walksref) follows too — an untouched
+// quantity keeps a cached value that a recompute would reproduce
+// bit-for-bit, so caching is invisible in the output at any parallelism.
 
-// syncIncremental recomputes the per-walk liveness and gain-contribution
-// caches from the set's current truncation state and invalidates the gain
-// caches. Called from Refresh, so NewEstimator and direct set mutations
-// both land in a consistent state.
-func (e *Estimator) syncIncremental() {
+// Refresh recomputes everything derived from the set's truncation state:
+// the per-owner estimates (the Copeland pairwise counts follow on their next
+// read) and the per-walk liveness and gain contributions, and drops the gain
+// caches, which the next round rebuilds. NewEstimator runs it; call it again
+// after mutating the set directly (Estimator.AddSeed maintains everything
+// itself).
+func (e *Estimator) Refresh() {
 	set := e.set
+	set.EstimatePerOwner(e.b0, e.est, e.parallelism)
+	e.pairwiseStale = true
 	nw := set.NumWalks()
 	if e.live == nil {
 		e.live = make([]bool, nw)
@@ -55,13 +57,6 @@ func (e *Estimator) syncIncremental() {
 		}
 		return nil
 	})
-	e.invalidateIncrementalCaches()
-	e.incrStale = false
-}
-
-// invalidateIncrementalCaches drops the gain caches (they are rebuilt on
-// the next indexed round) and clears the dirty bookkeeping.
-func (e *Estimator) invalidateIncrementalCaches() {
 	e.cumReady, e.entReady = false, false
 	for _, x := range e.cumDirty {
 		e.cumMark[x] = false
@@ -89,26 +84,24 @@ func (e *Estimator) markRankDirty(x int32) {
 	e.rankDirty = append(e.rankDirty, x)
 }
 
-// addSeedIncremental applies a seed through the postings index: truncate
-// only the walks containing u, record which walks transitioned live → dead,
+// AddSeed applies a seed and refreshes the estimates: truncate only the
+// walks containing u, record which walks transitioned live → dead,
 // recompute only the affected owners' estimates, and dirty the gain caches
 // along the affected walks. State after this call is bit-identical to
 // set.AddSeed + Refresh.
-func (e *Estimator) addSeedIncremental(u int32) {
+func (e *Estimator) AddSeed(u int32) {
 	set := e.set
 	if set.inSeed[u] {
 		return
 	}
-	set.inSeed[u] = true
-	set.seeds = append(set.seeds, u)
 	if e.ownerMark == nil {
 		e.ownerMark = make([]bool, set.NumOwners())
 	}
 	e.changedOwners = e.changedOwners[:0]
-	hits := set.truncateIndexed(u, func(w, oldEnd int32) {
+	hits := set.AddSeed(u, func(w, oldEnd int32) {
 		if !e.live[w] {
-			// Already dead: the truncation moved the end pointer (matching
-			// the full scan) but the value stays 1, so nothing to maintain.
+			// Already dead: the end pointer moved but the value stays 1, so
+			// nothing to maintain.
 			return
 		}
 		e.live[w] = false
@@ -131,31 +124,15 @@ func (e *Estimator) addSeedIncremental(u int32) {
 			}
 		}
 	})
-	if obs.CostEnabled() {
-		// Mirror truncateIndexed's global accounting into the current
-		// greedy round, with identical values, so per-round EXPLAIN sums
-		// reconcile with the /metrics counter deltas.
-		entries, blocks := set.postingsCost(u)
-		e.round.WalksTruncated += hits
-		e.round.PostingsEntries += entries
-		e.round.PostingsBlocks += blocks
-	}
+	e.round.addTruncate(set, u, hits)
 	if len(e.changedOwners) == 0 {
 		return
 	}
-	// Recompute the changed owners' estimates from their walks — the same
-	// walk-order sum EstimatePerOwner uses, restricted to the changed rows,
-	// so every estimate matches a full refresh bit-for-bit.
+	// Only the changed owners' estimates move.
 	owners := e.changedOwners
 	_ = engine.ForEachChunk(e.parallelism, len(owners), 16, 256, func(_, _, lo, hi int) error {
-		for t := lo; t < hi; t++ {
-			i := owners[t]
-			wLo, wHi := set.ownerOff[i], set.ownerOff[i+1]
-			sum := 0.0
-			for w := wLo; w < wHi; w++ {
-				sum += set.WalkValue(int(w), e.b0)
-			}
-			e.est[i] = sum / float64(wHi-wLo)
+		for _, i := range owners[lo:hi] {
+			e.est[i] = set.ownerEstimate(int(i), e.b0)
 		}
 		return nil
 	})
@@ -180,49 +157,29 @@ func (e *Estimator) addSeedIncremental(u int32) {
 	}
 }
 
-// cumGainOf re-derives node u's cumulative marginal gain from its postings,
-// reproducing the full scan's floating-point result exactly: contributions
-// are summed in walk order within each fixed scan shard, and non-empty
-// shard partials are folded in ascending shard order.
+// cumGainOf re-derives node u's cumulative marginal gain from its postings
+// under the fold contract (rule 2): contributions are summed in walk order
+// within each fixed scan shard, and the shard partials are folded in
+// ascending shard order. A shard without a contribution folds +0, which
+// changes no bit.
 func (e *Estimator) cumGainOf(u int32) float64 {
 	set := e.set
 	idx := set.idx
 	if idx.compact != nil {
 		return e.cumGainOfCompact(u)
 	}
-	lo, hi := idx.off[u], idx.off[u+1]
-	if e.scanShards <= 1 {
-		g := 0.0
-		for p := lo; p < hi; p++ {
-			w := idx.walk[p]
-			if e.live[w] && set.off[w]+idx.pos[p] <= set.end[w] {
-				g += e.share[w]
-			}
-		}
-		return g
-	}
-	numWalks := set.NumWalks()
 	g, partial := 0.0, 0.0
-	s := 0
-	_, shardHi := engine.ShardRange(numWalks, e.scanShards, 0)
-	for p := lo; p < hi; p++ {
+	shardHi := e.shardBounds[1:]
+	for p := idx.off[u]; p < idx.off[u+1]; p++ {
 		w := idx.walk[p]
-		for int(w) >= shardHi {
-			if partial != 0 {
-				g += partial
-				partial = 0
-			}
-			s++
-			_, shardHi = engine.ShardRange(numWalks, e.scanShards, s)
+		for w >= shardHi[0] {
+			g, partial, shardHi = g+partial, 0, shardHi[1:]
 		}
 		if e.live[w] && set.off[w]+idx.pos[p] <= set.end[w] {
 			partial += e.share[w]
 		}
 	}
-	if partial != 0 {
-		g += partial
-	}
-	return g
+	return g + partial
 }
 
 // cumGainOfCompact is cumGainOf over the compact postings backing. The
@@ -233,50 +190,28 @@ func (e *Estimator) cumGainOf(u int32) float64 {
 func (e *Estimator) cumGainOfCompact(u int32) float64 {
 	set := e.set
 	it := set.idx.compact.Iter(u)
-	if e.scanShards <= 1 {
-		g := 0.0
-		for {
-			w, rel, ok := it.Next()
-			if !ok {
-				return g
-			}
-			if e.live[w] && set.off[w]+rel <= set.end[w] {
-				g += e.share[w]
-			}
-		}
-	}
-	numWalks := set.NumWalks()
 	g, partial := 0.0, 0.0
-	s := 0
-	_, shardHi := engine.ShardRange(numWalks, e.scanShards, 0)
+	shardHi := e.shardBounds[1:]
 	for {
 		w, rel, ok := it.Next()
 		if !ok {
-			break
+			return g + partial
 		}
-		for int(w) >= shardHi {
-			if partial != 0 {
-				g += partial
-				partial = 0
-			}
-			s++
-			_, shardHi = engine.ShardRange(numWalks, e.scanShards, s)
+		for w >= shardHi[0] {
+			g, partial, shardHi = g+partial, 0, shardHi[1:]
 		}
 		if e.live[w] && set.off[w]+rel <= set.end[w] {
 			partial += e.share[w]
 		}
 	}
-	if partial != 0 {
-		g += partial
-	}
-	return g
 }
 
-// bestCumulativeIndexed is the incremental argmax for the cumulative score:
-// cached per-node gains, recomputed only for nodes dirtied by the last
-// seed's dead walks, with the candidate list compacted as gains drain to
-// zero. Gains and the returned argmax are bit-identical to bestCumulative.
-func (e *Estimator) bestCumulativeIndexed() (int32, float64) {
+// bestCumulative is the argmax for the cumulative score (ties to the lowest
+// id, only positive gains compete): cached per-node gains, recomputed only
+// for nodes dirtied by the last seed's dead walks, with the candidate list
+// compacted as gains drain to zero. Returns (-1, 0) when no node has
+// positive support.
+func (e *Estimator) bestCumulative() (int32, float64) {
 	set := e.set
 	n := set.Graph().N()
 	if !e.cumReady {
@@ -296,10 +231,6 @@ func (e *Estimator) bestCumulativeIndexed() (int32, float64) {
 				e.cumCand = append(e.cumCand, u)
 			}
 		}
-		for _, x := range e.cumDirty {
-			e.cumMark[x] = false
-		}
-		e.cumDirty = e.cumDirty[:0]
 		e.cumReady = true
 		entries, blocks := set.indexCost()
 		e.accountGainScan(0, int64(n), entries, blocks)
@@ -353,8 +284,7 @@ func (e *Estimator) bestCumulativeIndexed() (int32, float64) {
 
 // rebuildEntries re-derives candidate u's aggregated (owner, delta) entry
 // list from its postings: one entry per owner with a surviving live walk
-// containing u, deltas summed in walk order — exactly the consecutive
-// aggregation the full-scan pass B + gain loop performs.
+// containing u, deltas summed in walk order (fold contract, rule 3).
 func (e *Estimator) rebuildEntries(u int32) {
 	set := e.set
 	idx := set.idx
@@ -406,8 +336,9 @@ func (e *Estimator) rebuildEntries(u int32) {
 }
 
 // copelandGainPairs evaluates a candidate's Copeland marginal gain from an
-// aggregated entry list, replicating bestCopeland's counter adjustments
-// (remove old comparison, add new, owners ascending) on per-worker scratch.
+// aggregated entry list (Equation 47): on a per-worker copy of the ±
+// counters, owners ascending, remove the old comparison and add the new
+// (fold contract, rule 4), then recount the one-on-one victories.
 func (e *Estimator) copelandGainPairs(worker int, owners []int32, deltas []float64, curScore float64) float64 {
 	scrPlus, scrMinus := e.cpPlus[worker], e.cpMinus[worker]
 	copy(scrPlus, e.plus)
@@ -448,14 +379,14 @@ func (e *Estimator) copelandGainPairs(worker int, owners []int32, deltas []float
 	return newScore - curScore
 }
 
-// bestRankIndexed is the incremental argmax for the rank-dependent scores:
-// entry lists are kept across rounds and patched only for dirtied nodes;
-// gains are re-evaluated for dirtied candidates (positional family) or for
-// all candidates (Copeland — the ± counters are global inputs to every
-// candidate, and at the start of a SelectGreedy run, where rankAll resets
-// the score-specific gain cache). Results are bit-identical to
-// bestRankBased / bestCopeland.
-func (e *Estimator) bestRankIndexed(pos voting.Positional, copeland bool, curScore float64) (int32, float64) {
+// bestRank is the argmax for the rank-dependent scores (ties to the lowest
+// id, over candidates on at least one live walk): entry lists are kept
+// across rounds and patched only for dirtied nodes; gains are re-evaluated
+// for dirtied candidates (positional family) or for all candidates
+// (Copeland — the ± counters are global inputs to every candidate, and at
+// the start of a SelectGreedy run, where rankAll resets the score-specific
+// gain cache). Returns (-1, 0) when no candidate is left.
+func (e *Estimator) bestRank(pos voting.Positional, copeland bool, curScore float64) (int32, float64) {
 	set := e.set
 	n := set.Graph().N()
 	rebuilt := !e.entReady
@@ -478,10 +409,6 @@ func (e *Estimator) bestRankIndexed(pos voting.Positional, copeland bool, curSco
 				e.entCand = append(e.entCand, u)
 			}
 		}
-		for _, x := range e.rankDirty {
-			e.rankMark[x] = false
-		}
-		e.rankDirty = e.rankDirty[:0]
 		e.rankAll = true
 		e.entReady = true
 	} else if len(e.rankDirty) > 0 {

@@ -206,48 +206,3 @@ func repairIndex(old, set *Set, invalid []bool, parallelism int) *walkIndex {
 	})
 	return idx
 }
-
-// truncateIndexed truncates every walk whose active prefix contains u to
-// u's first occurrence, using the postings index: only walks actually
-// containing u are visited, instead of scanning every element of every
-// walk. onHit, if non-nil, observes each affected walk together with its
-// pre-truncation end pointer (estimators use it to maintain incremental
-// state). The resulting end pointers are identical to the full-scan
-// truncation's. Returns the number of walks truncated; the truncation
-// and its postings drain are recorded in the cost counters.
-func (set *Set) truncateIndexed(u int32, onHit func(w, oldEnd int32)) int64 {
-	idx := set.idx
-	var hits int64
-	if idx.compact != nil {
-		it := idx.compact.Iter(u)
-		for {
-			w, rel, ok := it.Next()
-			if !ok {
-				break
-			}
-			if pos := set.off[w] + rel; pos <= set.end[w] {
-				old := set.end[w]
-				set.end[w] = pos
-				hits++
-				if onHit != nil {
-					onHit(w, old)
-				}
-			}
-		}
-		set.accountTruncate(u, hits)
-		return hits
-	}
-	for p := idx.off[u]; p < idx.off[u+1]; p++ {
-		w := idx.walk[p]
-		if pos := set.off[w] + idx.pos[p]; pos <= set.end[w] {
-			old := set.end[w]
-			set.end[w] = pos
-			hits++
-			if onHit != nil {
-				onHit(w, old)
-			}
-		}
-	}
-	set.accountTruncate(u, hits)
-	return hits
-}

@@ -151,7 +151,7 @@ func TestRepairRejectsSeededAndMismatchedInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	seeded := set.Clone()
-	seeded.AddSeed(0, 1)
+	seeded.AddSeed(0, nil)
 	if _, _, err := walks.Repair(seeded, smp2, stub2, touched, str, 1); err == nil {
 		t.Fatal("repair of a seeded set must fail")
 	}

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"ovm/internal/engine"
 	"ovm/internal/graph"
-	"ovm/internal/obs"
 	"ovm/internal/sampling"
 )
 
@@ -277,53 +275,45 @@ func (set *Set) WalkValue(w int, b0 []float64) float64 {
 	return b0[e]
 }
 
-// AddSeed marks u as a seed and truncates every walk at its first
-// occurrence of u (Post-Generation Truncation, §V-B). With a postings index
-// (EnsureIndex) only the walks actually containing u are visited — cost
-// proportional to u's postings instead of every walk element; without one it
-// falls back to the full scan, sharded over the worker pool. Both paths
-// yield identical end pointers at any parallelism.
-func (set *Set) AddSeed(u int32, parallelism int) {
+// AddSeed marks u as a seed and truncates every walk whose active prefix
+// contains u at u's first occurrence (Post-Generation Truncation, §V-B). It
+// visits only the walks in u's postings, not every element of every walk; a
+// set without a postings index builds one first. onHit, if non-nil,
+// observes each truncated walk together with its pre-truncation end pointer
+// (estimators use it to maintain incremental state). Returns the number of
+// walks truncated (0 when u already is a seed); the truncation and its
+// postings drain are recorded in the cost counters. This is the one place a
+// seed is applied.
+func (set *Set) AddSeed(u int32, onHit func(w, oldEnd int32)) int64 {
 	if set.inSeed[u] {
-		return
+		return 0
 	}
+	set.EnsureIndex()
 	set.inSeed[u] = true
 	set.seeds = append(set.seeds, u)
-	if set.idx != nil {
-		set.truncateIndexed(u, nil)
-		return
-	}
-	set.truncateScan(u, parallelism)
-}
-
-// truncateScan is the index-free truncation: one sharded pass over all
-// remaining walk elements. Retained as the reference path (and the
-// fallback for sets without an index); end pointers match truncateIndexed
-// exactly. Counted as a full-scan fallback in the cost counters; hit
-// counts accumulate per shard (one atomic add per shard, never per walk).
-func (set *Set) truncateScan(u int32, parallelism int) {
-	account := obs.CostEnabled()
-	var hits atomic.Int64
-	_ = engine.ForEachChunk(parallelism, len(set.end), 4096, 256, func(_, _, lo, hi int) error {
-		local := int64(0)
-		for w := lo; w < hi; w++ {
-			for i := set.off[w]; i <= set.end[w]; i++ {
-				if set.nodes[i] == u {
-					set.end[w] = i
-					local++
-					break
-				}
+	var hits int64
+	truncate := func(w, rel int32) {
+		if pos := set.off[w] + rel; pos <= set.end[w] {
+			old := set.end[w]
+			set.end[w] = pos
+			hits++
+			if onHit != nil {
+				onHit(w, old)
 			}
 		}
-		if account && local > 0 {
-			hits.Add(local)
-		}
-		return nil
-	})
-	if account {
-		fullScanFallbacks.Inc()
-		walksTruncated.Add(hits.Load())
 	}
+	if idx := set.idx; idx.compact != nil {
+		it := idx.compact.Iter(u)
+		for w, rel, ok := it.Next(); ok; w, rel, ok = it.Next() {
+			truncate(w, rel)
+		}
+	} else {
+		for p := idx.off[u]; p < idx.off[u+1]; p++ {
+			truncate(idx.walk[p], idx.pos[p])
+		}
+	}
+	set.accountTruncate(u, hits)
+	return hits
 }
 
 // ValueWithSeeds returns the walk's Y value under a hypothetical extra seed
@@ -348,19 +338,25 @@ func (set *Set) WalkNodes(w int) []int32 {
 	return set.nodes[set.off[w] : set.end[w]+1]
 }
 
-// EstimatePerOwner writes the per-owner opinion estimates
-// b̂_v[S] = (1/λ_v)·Σ_w Y-value(w) into out (len NumOwners), sharding the
-// owner scan over the worker pool. Every owner's estimate is an independent
-// reduction over its own walks, so the output is parallelism-invariant.
+// ownerEstimate is b̂_v[S] = (1/λ_v)·Σ_w Y-value(w) of owner i, its walks
+// summed in walk order (fold contract, rule 1).
+func (set *Set) ownerEstimate(i int, b0 []float64) float64 {
+	lo, hi := set.ownerOff[i], set.ownerOff[i+1]
+	sum := 0.0
+	for w := lo; w < hi; w++ {
+		sum += set.WalkValue(int(w), b0)
+	}
+	return sum / float64(hi-lo)
+}
+
+// EstimatePerOwner writes the per-owner opinion estimates into out (len
+// NumOwners), sharding the owner scan over the worker pool. Every owner's
+// estimate is an independent reduction over its own walks, so the output is
+// parallelism-invariant.
 func (set *Set) EstimatePerOwner(b0 []float64, out []float64, parallelism int) {
 	_ = engine.ForEachChunk(parallelism, len(set.ownerNodes), 512, 256, func(_, _, iLo, iHi int) error {
 		for i := iLo; i < iHi; i++ {
-			lo, hi := set.ownerOff[i], set.ownerOff[i+1]
-			sum := 0.0
-			for w := lo; w < hi; w++ {
-				sum += set.WalkValue(int(w), b0)
-			}
-			out[i] = sum / float64(hi-lo)
+			out[i] = set.ownerEstimate(i, b0)
 		}
 		return nil
 	})

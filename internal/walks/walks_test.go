@@ -136,7 +136,7 @@ func TestUnbiasedWithTruncation(t *testing.T) {
 		}
 		sys, set := paperSetup(t, 20000, 11)
 		for _, s := range row.Seeds {
-			set.AddSeed(s, 1)
+			set.AddSeed(s, nil)
 		}
 		est := make([]float64, set.NumOwners())
 		set.EstimatePerOwner(sys.Candidate(0).Init, est, 1)
@@ -153,7 +153,7 @@ func TestUnbiasedWithTruncation(t *testing.T) {
 func TestAddSeedTruncates(t *testing.T) {
 	sys, set := paperSetup(t, 50, 13)
 	b0 := sys.Candidate(0).Init
-	set.AddSeed(2, 1)
+	set.AddSeed(2, nil)
 	if !set.IsSeed(2) {
 		t.Error("IsSeed(2) should be true")
 	}
@@ -171,7 +171,7 @@ func TestAddSeedTruncates(t *testing.T) {
 	}
 	// Idempotent.
 	before := set.Seeds()
-	set.AddSeed(2, 1)
+	set.AddSeed(2, nil)
 	if len(set.Seeds()) != len(before) {
 		t.Error("AddSeed should be idempotent")
 	}

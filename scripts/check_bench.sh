@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Gate on the recorded bench trajectory: the BENCH_<sha>.json produced by
-# bench_record.sh must contain (a) BenchmarkSelection results carrying both
-# the old-vs-new speedup metric and the determinism self-check, (b)
+# bench_record.sh must contain (a) BenchmarkSelection results carrying the
+# determinism self-check (P = 1/4/0 agree bit for bit), (b)
 # BenchmarkIndexLoad results carrying the index byte-footprint split
 # (index_bytes on disk, mapped_bytes zero-copy, heap_bytes resident) and
 # the mmap open's load_speedup_x over the heap parse of the same file, and
@@ -22,7 +22,7 @@ if [[ ! -s "$f" ]]; then
   echo "check_bench: $f is missing or empty" >&2
   exit 1
 fi
-for metric in speedup_x determinism_ok postings_blocks_decoded walks_truncated; do
+for metric in determinism_ok postings_blocks_decoded walks_truncated; do
   if ! grep -q "BenchmarkSelection.*\"${metric}\"" "$f"; then
     echo "check_bench: $f has no BenchmarkSelection result with the ${metric} metric" >&2
     exit 1
@@ -163,4 +163,4 @@ if ! awk -v w="$degraded_qps" -v s="$shed_qps" 'BEGIN { exit !(2 * s >= w) }'; t
   echo "check_bench: warm-shed QPS $shed_qps fell below half the unshedded warm-degraded baseline $degraded_qps — cache hits are not bypassing load shedding" >&2
   exit 1
 fi
-echo "check_bench: $f carries BenchmarkSelection speedup_x + determinism_ok + cost counters, BenchmarkSelectSweep rounds_run/op = 250 in three orders, BenchmarkIncrementalUpdate repair cost counters, BenchmarkCostAccounting overhead, BenchmarkUpdateChurn async-pipeline gates (speedup ${churn_speedup}x, identical_ok=${churn_identical}, churn/baseline p99 ${churn_p99}/${churn_base_p99}ns), BenchmarkIndexLoad index/mapped/heap bytes + load_speedup_x, ovmload cold/warm/update-concurrent/warm-degraded/warm-shed serving_qps + latency percentiles, and the shed-flood robustness counters (shed_total=${shed_total}, warm-shed/warm-degraded QPS = ${shed_qps}/${degraded_qps})"
+echo "check_bench: $f carries BenchmarkSelection determinism_ok + cost counters, BenchmarkSelectSweep rounds_run/op = 250 in three orders, BenchmarkIncrementalUpdate repair cost counters, BenchmarkCostAccounting overhead, BenchmarkUpdateChurn async-pipeline gates (speedup ${churn_speedup}x, identical_ok=${churn_identical}, churn/baseline p99 ${churn_p99}/${churn_base_p99}ns), BenchmarkIndexLoad index/mapped/heap bytes + load_speedup_x, ovmload cold/warm/update-concurrent/warm-degraded/warm-shed serving_qps + latency percentiles, and the shed-flood robustness counters (shed_total=${shed_total}, warm-shed/warm-degraded QPS = ${shed_qps}/${degraded_qps})"

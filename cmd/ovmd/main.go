@@ -81,7 +81,7 @@ func main() {
 		mu      = flag.Float64("mu", 10, "edge-weight decay constant µ for -dataset")
 		seed    = flag.Int64("seed", 1, "random seed (index build; also the dataset synthesis seed)")
 		par     = flag.Int("parallel", 0, "engine worker count (0 = GOMAXPROCS, 1 = serial); never changes any response")
-		cache   = flag.Int("cache", 1024, "LRU response cache capacity (entries)")
+		cache   = flag.Int("cache", 1024, "LRU response cache capacity (entries; -1 = no response cache, every request computes)")
 		compact = flag.Int("compact-log", 1024, "checkpoint the index file (rewrite it at the current epoch and prune the WAL) once the update log (applied + queued batches) reaches this many, bounding WAL size and restart replay cost; a graceful stop checkpoints too (0 = never checkpoint)")
 
 		syncUpdates = flag.Bool("sync-updates", false, "apply update batches inline (blocking POST) instead of the default async pipeline (durable WAL queue + background repair)")
@@ -113,7 +113,7 @@ func main() {
 	checkFlag(*n >= 0, "-n must be >= 0, got %d", *n)
 	checkFlag(*mu > 0, "-mu must be > 0, got %v", *mu)
 	checkFlag(*par >= 0, "-parallel must be >= 0, got %d", *par)
-	checkFlag(*cache >= 0, "-cache must be >= 0, got %d", *cache)
+	checkFlag(*cache >= -1, "-cache must be >= -1, got %d", *cache)
 	checkFlag(*compact >= 0, "-compact-log must be >= 0, got %d", *compact)
 	checkFlag(*theta >= 0, "-theta must be >= 0, got %d", *theta)
 	checkFlag(*rr >= 0, "-rr must be >= 0, got %d", *rr)

@@ -65,6 +65,8 @@ func TestExpositionCompleteness(t *testing.T) {
 		"ovm_greedy_rounds_reused_total",
 		"ovm_greedy_prefix_slices_total",
 		"ovm_greedy_prefix_continues_total",
+		"ovm_greedy_prefix_value_hits_total",
+		"ovm_greedy_prefix_value_misses_total",
 	} {
 		found := false
 		for _, f := range fams {

@@ -38,11 +38,13 @@ type ExplainBlock struct {
 // them, and this computation paid Replay, the truncations that re-apply
 // those seeds, in their place. So on the delivery that computed,
 // Σ Rounds[RoundsReused:] + Replay equals the Cost deltas of the walk and
-// postings counters.
+// postings counters. ValueReused says the epoch had already scored this
+// (artifact, score, k): the computation ran no diffusion for exactValue.
 type GreedyWork struct {
 	Rounds       []walks.RoundCost `json:"rounds,omitempty"`
 	RoundsReused int               `json:"roundsReused,omitempty"`
 	Replay       *walks.RoundCost  `json:"replay,omitempty"`
+	ValueReused  bool              `json:"valueReused,omitempty"`
 }
 
 // explainBlock builds the block for one delivery. span is this request's

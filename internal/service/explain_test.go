@@ -3,6 +3,7 @@ package service_test
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"ovm/internal/service"
@@ -183,19 +184,24 @@ func TestExplainEquivalence(t *testing.T) {
 // computation ran are rounds[roundsReused:]; the ones before came from the
 // epoch's seed prefix and cost it the replay line instead. So
 // Σ rounds[roundsReused:] + replay == cost, for a first ask (nothing
-// reused), a continuation (some) and a slice (all, and no walk work).
+// reused), a continuation (some) and a slice (all, and no walk work). A slice
+// at a k the epoch has scored reuses the value too, and its cost block then
+// names no ovm_opinion_* counter at all.
 func TestExplainRoundsReconcile(t *testing.T) {
 	_, idx := testWorld(t)
 	for _, par := range []int{1, 4, 0} {
 		svc := newTestService(t, idx)
 		for _, c := range []struct {
-			name      string
-			k, reused int
+			name        string
+			k, reused   int
+			valueReused bool
 		}{
-			{"first ask", tdK, 0},
-			{"continuation", tdK + 5, tdK},
-			{"slice", tdK - 2, tdK - 2},
+			{"first ask", tdK, 0, false},
+			{"continuation", tdK + 5, tdK, false},
+			{"slice", tdK - 2, tdK - 2, false},
+			{"scored slice", tdK, tdK, true},
 		} {
+			svc.ResetCache() // the scored slice repeats the first ask's key
 			req := selectReq("RS", "plurality", tdTheta)
 			req.K = c.k
 			req.Parallelism = par
@@ -229,6 +235,17 @@ func TestExplainRoundsReconcile(t *testing.T) {
 				}
 			}
 			cost := ex.Cost
+			if ex.ValueReused != c.valueReused {
+				t.Errorf("P=%d %s: valueReused=%v, want %v", par, c.name, ex.ValueReused, c.valueReused)
+			}
+			if !c.valueReused && cost["ovm_opinion_diffusions_total"] == 0 {
+				t.Errorf("P=%d %s: an unscored key ran no diffusion: %v", par, c.name, cost)
+			}
+			for name, v := range cost {
+				if c.valueReused && strings.HasPrefix(name, "ovm_opinion_") {
+					t.Errorf("P=%d %s: the value was reused, yet the cost block has %s=%d", par, c.name, name, v)
+				}
+			}
 			if got := cost["ovm_walks_truncated_total"]; got != truncated {
 				t.Errorf("P=%d %s: rounds sum %d walks truncated, cost snapshot says %d", par, c.name, truncated, got)
 			}

@@ -13,6 +13,9 @@ func (c *Config) SetComputeContext(hook func(context.Context) context.Context) {
 // EpochMemoBytes is the per-Dataset memo budget.
 const EpochMemoBytes = epochMemoBytes
 
+// PrefixValueOverhead is what one remembered exact value weighs besides its key.
+const PrefixValueOverhead = prefixValueOverhead
+
 // EpochMemoResident reports how many bytes the values of the dataset's
 // current epoch weigh.
 func (s *Service) EpochMemoResident(dataset string) int64 {

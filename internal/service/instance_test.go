@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -323,9 +324,11 @@ func TestColdSelectDiffusionCount(t *testing.T) {
 
 // TestBenchmarkKeysStayOnFrontier runs the benchmark's cold-select key set —
 // 5 scores x k = 1..50 on its 12 000-node graph at horizon 10 — against a
-// warm epoch memo: every exact evaluation is one frontier diffusion that never
-// trips the saturation guard, performs exactly the edge steps the test's own
-// BFS counts for the returned seeds, and at most 35% of the dense horizon x m.
+// warm epoch memo. The first evaluation of each key is one frontier diffusion
+// that never trips the saturation guard, performs exactly the edge steps the
+// test's own BFS counts for the returned seeds, and at most 35% of the dense
+// horizon x m. The epoch then knows every key's value: the same 250 keys in a
+// shuffled order return the same answers for no diffusion and no edge step.
 func TestBenchmarkKeysStayOnFrontier(t *testing.T) {
 	const horizon, theta, seed = 10, 4096, int64(42)
 	d, err := datasets.TwitterDistancingLike(datasets.Options{N: 12000, Seed: seed})
@@ -350,12 +353,19 @@ func TestBenchmarkKeysStayOnFrontier(t *testing.T) {
 		}
 		return resp
 	}
-	ask(instanceScores[0].spec, 1) // builds the epoch's rows and trajectory
+	// Builds the epoch's rows and trajectory without scoring any key.
+	if _, serr := svc.Evaluate(&service.EvaluateRequest{Dataset: "world", Score: instanceScores[0].spec,
+		Horizon: horizon, Target: d.DefaultTarget, Seeds: []int32{0}}); serr != nil {
+		t.Fatal(serr)
+	}
 	target := d.Sys.Candidate(d.DefaultTarget)
 	dense := int64(horizon * target.G.M())
 	var least, most int64 = dense, 0
+	type key struct{ score, k int } // score indexes instanceScores
+	var keys []key
+	first := map[key][]byte{}
 	for k := 1; k <= 50; k++ {
-		for _, sc := range instanceScores {
+		for i, sc := range instanceScores {
 			resp := ask(sc.spec, k)
 			cost := resp.Explain.Cost
 			edges := cost["ovm_opinion_edge_steps_total"]
@@ -365,10 +375,27 @@ func TestBenchmarkKeysStayOnFrontier(t *testing.T) {
 					sc.spec.Name, k, cost, want, dense)
 			}
 			least, most = min(least, edges), max(most, edges)
+			keys = append(keys, key{i, k})
+			first[key{i, k}] = answerBytes(t, resp)
 		}
 	}
-	t.Logf("edge steps per request: %d to %d of %d dense (%.1f%% to %.1f%%)",
+	t.Logf("edge steps per first evaluation: %d to %d of %d dense (%.1f%% to %.1f%%)",
 		least, most, dense, 100*float64(least)/float64(dense), 100*float64(most)/float64(dense))
+
+	rand.New(rand.NewSource(seed)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	before := obs.CaptureCosts()
+	for _, key := range keys {
+		spec := instanceScores[key.score].spec
+		resp := ask(spec, key.k)
+		if got := answerBytes(t, resp); resp.Cached || !resp.Explain.ValueReused || !bytes.Equal(got, first[key]) {
+			t.Fatalf("%s k=%d again (cached=%v valueReused=%v): %s, first answer %s", spec.Name, key.k,
+				resp.Cached, resp.Explain.ValueReused, got, first[key])
+		}
+	}
+	if c := obs.CaptureCosts().Delta(before); c["ovm_opinion_diffusions_total"] != 0 || c["ovm_opinion_edge_steps_total"] != 0 ||
+		c["ovm_greedy_prefix_value_hits_total"] != int64(len(keys)) {
+		t.Errorf("the %d keys again: cost %v, want no diffusion, no edge step and %d value hits", len(keys), c, len(keys))
+	}
 }
 
 // TestDeadlineMidEvaluationReturns504 is the cancellation contract of the

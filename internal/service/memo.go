@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 	"strconv"
+	"sync"
 	"unsafe"
 
 	"ovm/internal/core"
@@ -14,19 +15,20 @@ import (
 	"ovm/internal/walks"
 )
 
-// What an epoch remembers. Two kinds of derived value depend on the epoch's
+// What an epoch remembers. Three kinds of derived value depend on the epoch's
 // system and artifacts but not on the request that first needed them: per
 // (target, horizon), the competitors' horizon opinions and the target's
-// seedless trajectory; per (walk artifact, score), the greedy seed sequence.
-// Both live in Dataset.memo, so they live and die with their Dataset: a query
-// pinned to epoch N can only ever see epoch-N values, and an update starts
-// epoch N+1 empty. Every value is deterministic and immutable once stored, so
-// nothing is locked while one is computed and a racing double computation is
-// harmless. A cancelled or failed computation stores nothing.
+// seedless trajectory; per (walk artifact, score), the greedy seed sequence;
+// per (walk artifact, score, k), the exact value of that sequence's first k
+// seeds. All live in Dataset.memo, so they live and die with their Dataset: a
+// query pinned to epoch N can only ever see epoch-N values, and an update
+// starts epoch N+1 empty. Every value is deterministic and immutable once
+// stored, so nothing is locked while one is computed and a racing double
+// computation is harmless. A cancelled or failed computation stores nothing.
 
 // epochMemoBytes bounds the memory one Dataset's memo pins, least recently
-// used first out. The keys come from request fields (horizon, positional ω)
-// and a value grows with the horizon, so without a byte bound a client
+// used first out. The keys come from request fields (horizon, k, positional
+// ω) and a value grows with the horizon, so without a byte bound a client
 // sweeping horizons pins (r−1+t)·n·8 bytes per value for the life of the
 // epoch. A deployment asks a handful of (target, horizon) pairs and scores
 // per epoch: the budget holds the rows and the horizon-10 trajectory of a
@@ -37,6 +39,8 @@ const epochMemoBytes = 128 << 20
 // Memo accounting. A competitor hit hands back the epoch's rows, a miss
 // diffuses r−1 of them and the target's trajectory. Over index-served
 // selections and min-seeds probes, rounds run + rounds reused = Σ k exactly.
+// Over index-served selections, value hits + value misses = answers computed,
+// and every miss is one exact evaluation.
 var (
 	compMemoHits = obs.NewCounter("ovm_core_competitor_memo_hits_total",
 		"Exact evaluations and selections served competitor rows from the per-epoch memo")
@@ -50,6 +54,10 @@ var (
 		"Index-served selections and probes answered entirely from the per-epoch seed prefix")
 	greedyPrefixContinues = obs.NewCounter("ovm_greedy_prefix_continues_total",
 		"Index-served selections and probes that extended a non-empty per-epoch seed prefix")
+	prefixValueHits = obs.NewCounter("ovm_greedy_prefix_value_hits_total",
+		"Index-served selections whose exact value the epoch had already scored for that artifact, score and k")
+	prefixValueMisses = obs.NewCounter("ovm_greedy_prefix_value_misses_total",
+		"Index-served selections that evaluated their seeds exactly (first score per epoch, artifact, score and k)")
 )
 
 // horizonRows is what an epoch keeps per (target, horizon): the competitors'
@@ -104,6 +112,16 @@ func (ds *Dataset) instance(ctx context.Context, target, horizon, parallelism in
 		rows = ds.memo.PutUnless(key, rows, func(any) bool { return true }).(*horizonRows)
 	}
 	return &core.Instance{Sys: ds.sys, Target: target, Horizon: horizon, Comp: rows.comp, Traj: rows.traj, Parallelism: parallelism}, nil
+}
+
+// instanceOnce defers instance to the first call of the returned function;
+// later calls get the same result. A request that turns out to need neither
+// the competitor rows nor an evaluation never looks the instance up, so it
+// cannot pay a memo build for rows it would not read.
+func (ds *Dataset) instanceOnce(ctx context.Context, target, horizon, parallelism int) func() (*core.Instance, error) {
+	return sync.OnceValues(func() (*core.Instance, error) {
+		return ds.instance(ctx, target, horizon, parallelism)
+	})
 }
 
 // greedySource is a persisted walk artifact whose greedy selection answers
@@ -181,8 +199,9 @@ func (p *greedyPrefix) cacheBytes() int64 {
 // on a private clone (walks.ContinueGreedy re-applies its seeds and runs
 // only the missing rounds), and the result is published when it is longer
 // than what is there by then. The first ask of an epoch continues from the
-// empty prefix, which is the from-scratch selection.
-func (ds *Dataset) greedy(src *greedySource, p *core.Problem, scoreKey string, comp [][]float64, parallelism int) (*greedyAnswer, error) {
+// empty prefix, which is the from-scratch selection. Only a continuation
+// reads the competitor rows, so only it resolves instance.
+func (ds *Dataset) greedy(src *greedySource, p *core.Problem, scoreKey string, instance func() (*core.Instance, error), parallelism int) (*greedyAnswer, error) {
 	key := "greedy|" + src.key + "|" + scoreKey
 	pre := &greedyPrefix{}
 	if v, ok := ds.memo.Get(key); ok {
@@ -191,7 +210,11 @@ func (ds *Dataset) greedy(src *greedySource, p *core.Problem, scoreKey string, c
 	ans := &greedyAnswer{}
 	ans.RoundsReused = min(len(pre.seeds), p.K)
 	if len(pre.seeds) < p.K {
-		run, err := walks.ContinueGreedy(p, src.set.Clone(), src.weights(), comp, pre.seeds, parallelism)
+		inst, err := instance()
+		if err != nil {
+			return nil, err
+		}
+		run, err := walks.ContinueGreedy(p, src.set.Clone(), src.weights(), inst.Comp, pre.seeds, parallelism)
 		if err != nil {
 			return nil, err
 		}
@@ -223,9 +246,50 @@ type greedyAnswer struct {
 	GreedyWork
 }
 
+// prefixValue is the exact value of the first k seeds of the epoch's greedy
+// run over one (artifact, score). Algorithms 4 and 5 never look at k, so
+// within an epoch those seeds, and with them the value, are a function of the
+// key alone.
+type prefixValue struct {
+	value  float64
+	keyLen int
+}
+
+// prefixValueOverhead is what a memo entry pins besides its key bytes: this
+// struct, the lruEntry, its list element and its map slot. A sweep of 12 000
+// values under 24-byte keys measured 174 heap bytes per entry; the 8 value
+// bytes alone would make a k-sweep to n look free.
+const prefixValueOverhead = 168
+
+func (v *prefixValue) cacheBytes() int64 { return prefixValueOverhead + int64(v.keyLen) }
+
+// exactValue returns the exact value of seeds, which must be the first
+// len(seeds) seeds greedy returns for (src, scoreKey) in this epoch, and
+// whether the epoch already knew it. It is the one place an index-served
+// exactValue comes from: a known value costs one memo read and no instance
+// lookup; an unknown one is evaluated by the epoch's instance and published
+// once the evaluation has completed.
+func (ds *Dataset) exactValue(ctx context.Context, src *greedySource, scoreKey string, score voting.Score, seeds []int32, instance func() (*core.Instance, error)) (float64, bool, error) {
+	key := "value|" + src.key + "|" + scoreKey + "|" + strconv.Itoa(len(seeds))
+	if v, ok := ds.memo.Get(key); ok {
+		return v.(*prefixValue).value, true, nil
+	}
+	inst, err := instance()
+	if err != nil {
+		return 0, false, err
+	}
+	value, err := inst.Evaluate(ctx, score, seeds)
+	if err != nil {
+		return 0, false, err
+	}
+	// A racing miss stored equal bits first: either stays.
+	ds.memo.PutUnless(key, &prefixValue{value: value, keyLen: len(key)}, func(any) bool { return true })
+	return value, false, nil
+}
+
 // greedyTally accumulates a request's greedy accounting; flush adds it to
 // the counters once.
-type greedyTally struct{ run, reused, slices, continues int64 }
+type greedyTally struct{ run, reused, slices, continues, valueHits, valueMisses int64 }
 
 func (t *greedyTally) add(a *greedyAnswer) {
 	k := len(a.seeds)
@@ -239,9 +303,20 @@ func (t *greedyTally) add(a *greedyAnswer) {
 	}
 }
 
+// addValue counts one exactValue answer.
+func (t *greedyTally) addValue(reused bool) {
+	if reused {
+		t.valueHits++
+	} else {
+		t.valueMisses++
+	}
+}
+
 func (t *greedyTally) flush() {
 	greedyRoundsRun.Add(t.run)
 	greedyRoundsReused.Add(t.reused)
 	greedyPrefixSlices.Add(t.slices)
 	greedyPrefixContinues.Add(t.continues)
+	prefixValueHits.Add(t.valueHits)
+	prefixValueMisses.Add(t.valueMisses)
 }

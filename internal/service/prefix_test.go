@@ -267,10 +267,13 @@ func TestMinSeedsProbesRunEachRoundOnce(t *testing.T) {
 // TestGreedyPrefixConcurrentClients drives three shuffled orders of the keys
 // through one service from 8 clients at once, with the response cache off so
 // every request computes: racing extensions of one prefix, slices that race
-// a publication, and coalesced identical keys must all return the bytes of a
-// service that answers the key alone. Run under -race.
+// a publication, value reads that race the evaluation they would have reused,
+// and coalesced identical keys must all return the bytes of a service that
+// answers the key alone. Every computation counts one value hit or miss,
+// every key misses at least once, and a diffusion ran for every miss and for
+// every row of a memo build, racing doubles included. Run under -race.
 func TestGreedyPrefixConcurrentClients(t *testing.T) {
-	_, idx := testWorld(t)
+	sys, idx := testWorld(t)
 	keys := prefixKeys()
 	want := aloneAnswers(t, idx, keys)
 	svc := service.New(service.Config{CacheSize: -1})
@@ -278,6 +281,7 @@ func TestGreedyPrefixConcurrentClients(t *testing.T) {
 	if err := svc.AddIndex("world", idx); err != nil {
 		t.Fatal(err)
 	}
+	before := obs.CaptureCosts()
 	var wg sync.WaitGroup
 	for client := 0; client < 8; client++ {
 		order := append([]*service.SelectSeedsRequest(nil), keys...)
@@ -300,6 +304,13 @@ func TestGreedyPrefixConcurrentClients(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	d := valuesSince(before)
+	if d.hits+d.misses != svc.Computations() || d.misses < int64(len(keys)) || d.hits == 0 {
+		t.Errorf("%+v over %d computations of %d keys: want hits + misses = computations, every key missed once", d, svc.Computations(), len(keys))
+	}
+	if want := d.misses + d.rowMisses*int64(sys.R()); d.diffusions != want {
+		t.Errorf("%+v: %d diffusions, want one per value miss and %d per memo build = %d", d, d.diffusions, sys.R(), want)
+	}
 }
 
 // TestGreedyPrefixDiesWithItsEpoch: an update that moves a competitor row,
@@ -504,7 +515,9 @@ func TestResponseOwnsItsSeeds(t *testing.T) {
 // the life of the epoch. The epoch keeps at most its byte budget, the evicted
 // values are recomputed on next use, and every answer — during the sweep,
 // after it, and from the greedy prefix the sweep evicted — equals the
-// from-scratch value.
+// from-scratch value. A select-seeds key asked all through the sweep keeps its
+// prefix and its value while the rows it was scored from are evicted: it then
+// still answers from the two, and does not rebuild rows it would not read.
 func TestEpochMemoIsBounded(t *testing.T) {
 	d, err := datasets.TwitterDistancingLike(datasets.Options{N: 60, Seed: 3})
 	if err != nil {
@@ -563,10 +576,19 @@ func TestEpochMemoIsBounded(t *testing.T) {
 			t.Fatalf("horizon %d: wins %v, from scratch %v", horizon, wins.Wins, want)
 		}
 	}
+	kept := &service.SelectSeedsRequest{Dataset: "world", Method: "RS", Score: service.ScoreSpec{Name: "copeland"},
+		K: 3, Horizon: tdHorizon, Seed: tdSeed, Theta: theta}
+	keptFirst, serr := svc.SelectSeeds(kept)
+	if serr != nil {
+		t.Fatal(serr)
+	}
 	for horizon := 0; horizon < horizons; horizon++ {
 		evaluate(horizon)
 		if b := svc.EpochMemoResident("world"); b > service.EpochMemoBytes {
 			t.Fatalf("after horizon %d the epoch holds %d bytes, budget %d", horizon, b, service.EpochMemoBytes)
+		}
+		if _, serr := svc.SelectSeeds(kept); serr != nil {
+			t.Fatal(serr)
 		}
 	}
 	// Full: the next value of the sweep would not have fitted beside the rest.
@@ -578,6 +600,21 @@ func TestEpochMemoIsBounded(t *testing.T) {
 	evaluate(0) // evicted long ago: its evaluate misses, its wins hits
 	if c := obs.CaptureCosts().Delta(before); c["ovm_core_competitor_memo_misses_total"] != 1 || c["ovm_core_competitor_memo_hits_total"] != 1 {
 		t.Errorf("re-asking an evicted horizon: cost %v, want one miss then one hit", c)
+	}
+	// The kept key's rows went with the sweep (the next reader of its horizon
+	// misses), the key itself costs no memo build and no diffusion.
+	before = obs.CaptureCosts()
+	keptAgain, serr := svc.SelectSeeds(kept)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	if d := valuesSince(before); d != (valueDelta{hits: 1}) || !bytes.Equal(answerBytes(t, keptAgain), answerBytes(t, keptFirst)) {
+		t.Errorf("scored key after its rows were evicted: %+v answer %s, want one value hit equal to %s", d, answerBytes(t, keptAgain), answerBytes(t, keptFirst))
+	}
+	before = obs.CaptureCosts()
+	evaluate(tdHorizon)
+	if d := valuesSince(before); d.rowMisses != 1 {
+		t.Errorf("fixture: the sweep left the rows of horizon %d resident (%+v)", tdHorizon, d)
 	}
 	before = obs.CaptureCosts()
 	again, serr := svc.SelectSeeds(sel)

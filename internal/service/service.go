@@ -894,33 +894,43 @@ func (s *Service) SelectSeedsCtx(ctx context.Context, req *SelectSeedsRequest) (
 // leaves nothing behind and a retry recomputes identically.
 func (s *Service) computeSelect(ctx context.Context, ds *Dataset, req *SelectSeedsRequest, score voting.Score, theta, par int) (*SelectSeedsResponse, error) {
 	prob := &core.Problem{Sys: ds.sys, Target: req.Target, Horizon: req.Horizon, K: req.K, Score: score, Ctx: ctx}
-	inst, err := ds.instance(ctx, req.Target, req.Horizon, par)
-	if err != nil {
-		return nil, err
-	}
 	src, err := ds.sourceFor(req.Method, score, req.Target, req.Horizon, theta, req.Seed)
 	if err != nil {
 		return nil, err
 	}
 	resp := &SelectSeedsResponse{Method: req.Method, Epoch: ds.epoch}
-	switch {
-	case src != nil:
-		var ans *greedyAnswer
-		if ans, err = ds.greedy(src, prob, req.Score.canonical(), inst.Comp, par); err == nil {
-			var tally greedyTally
-			tally.add(ans)
-			tally.flush()
-			resp.Seeds, resp.work = ans.seeds, ans.GreedyWork
-			resp.FromIndex = true
+	if src != nil {
+		// Seeds and value are both the epoch's: the instance is looked up
+		// only if rounds must run or this (artifact, score, k) is unscored.
+		instance := ds.instanceOnce(ctx, req.Target, req.Horizon, par)
+		scoreKey := req.Score.canonical()
+		var tally greedyTally
+		defer tally.flush()
+		ans, err := ds.greedy(src, prob, scoreKey, instance, par)
+		if err != nil {
+			return nil, err
 		}
-	case req.Method == "DM":
+		tally.add(ans)
+		resp.Seeds, resp.work, resp.FromIndex = ans.seeds, ans.GreedyWork, true
+		if resp.ExactValue, resp.work.ValueReused, err = ds.exactValue(ctx, src, scoreKey, score, resp.Seeds, instance); err != nil {
+			return nil, err
+		}
+		tally.addValue(resp.work.ValueReused)
+		return resp, nil
+	}
+	inst, err := ds.instance(ctx, req.Target, req.Horizon, par)
+	if err != nil {
+		return nil, err
+	}
+	switch req.Method {
+	case "DM":
 		resp.Seeds, _, err = core.SelectSeedsDM(prob, par)
-	case req.Method == "RW":
+	case "RW":
 		var res *rwalk.Result
 		if res, err = rwalk.Select(prob, rwalk.Config{Seed: req.Seed, Parallelism: par}); err == nil {
 			resp.Seeds, resp.work.Rounds = res.Seeds, res.Rounds
 		}
-	case req.Method == "RS":
+	case "RS":
 		var res *sketch.Result
 		if res, err = sketch.Select(prob, sketch.Config{FixedTheta: theta, Seed: req.Seed, Parallelism: par}); err == nil {
 			resp.Seeds, resp.work.Rounds = res.Seeds, res.Rounds
@@ -1088,6 +1098,7 @@ func (s *Service) MinSeedsToWinCtx(ctx context.Context, req *MinSeedsRequest) (*
 		if err != nil {
 			return nil, err
 		}
+		instance := func() (*core.Instance, error) { return inst, nil }
 		// The raw θ: an omitted one keeps the heuristic-θ search per probe.
 		src, err := ds.sourceFor(req.Method, score, req.Target, req.Horizon, req.Theta, req.Seed)
 		if err != nil {
@@ -1105,7 +1116,7 @@ func (s *Service) MinSeedsToWinCtx(ctx context.Context, req *MinSeedsRequest) (*
 			sel = func(k int) ([]int32, error) {
 				p := base
 				p.K = k
-				ans, err := ds.greedy(src, &p, scoreKey, inst.Comp, par)
+				ans, err := ds.greedy(src, &p, scoreKey, instance, par)
 				if err != nil {
 					return nil, err
 				}

@@ -14,7 +14,11 @@
 #      explain:true select-seeds on a warm epoch memo with one diffusion
 #      whose edge steps are below horizon x m (the frontier evaluation; the
 #      n=300 yelp-like graph above saturates and runs dense), and its
-#      exactValue prints as the direct CLI's from-scratch dense value;
+#      exactValue prints as the direct CLI's from-scratch dense value; that
+#      daemon runs with -cache -1, and the same request again is computed,
+#      not cached, yet reuses the epoch's value for that (artifact, score,
+#      k): same exactValue, no diffusion in its cost block, one value hit
+#      on /metrics;
 #   6. a dynamic-update batch POSTed to /v1/datasets/default/updates bumps
 #      the epoch, the post-update HTTP seeds equal a fresh CLI run on the
 #      mutated graph (ovm -updates), and the batch cost one WAL line: the
@@ -110,7 +114,7 @@ sparse_value=$(sed -n 's/^method=RS k=5 exact score=\([0-9.]*\) .*/\1/p' <<<"$sp
 [[ -n "$sparse_m" && -n "$sparse_value" ]] || { echo "FAIL: could not parse the direct CLI run on the sparse graph"; echo "$sparse_out"; exit 1; }
 sparse_port=18476
 sparse_base="http://127.0.0.1:${sparse_port}"
-"$workdir/ovmd" -listen "127.0.0.1:${sparse_port}" -index "$workdir/sparse.ovmidx" \
+"$workdir/ovmd" -listen "127.0.0.1:${sparse_port}" -index "$workdir/sparse.ovmidx" -cache -1 \
   >"$workdir/daemon_sparse.log" 2>&1 &
 sparse_pid=$!
 for _ in $(seq 1 50); do
@@ -135,10 +139,27 @@ fi
 sparse_exact=$(sed -n 's/.*"exactValue":\([0-9.eE+-]*\).*/\1/p' <<<"$sresp")
 [[ "$(printf '%.3f' "$sparse_exact")" == "$sparse_value" ]] \
   || { echo "FAIL: daemon exactValue $sparse_exact != direct CLI from-scratch value $sparse_value"; exit 1; }
+grep -q '"valueReused"' <<<"$sresp" \
+  && { echo "FAIL: the first ask of this (artifact, score, k) claims a reused value"; echo "$sresp"; exit 1; }
+# The same request again. With no response cache it is computed, and the
+# epoch remembers the value it scored a moment ago: no diffusion at all.
+sresp2=$(curl -sf -X POST "$sparse_base/v1/select-seeds" -H 'Content-Type: application/json' -d "$sparse_request")
+grep -q '"cached":false' <<<"$sresp2" || { echo "FAIL: -cache -1 daemon served a cached response"; echo "$sresp2"; exit 1; }
+grep -q '"valueReused":true' <<<"$sresp2" || { echo "FAIL: the repeat did not reuse the epoch's value"; echo "$sresp2"; exit 1; }
+if grep -q '"ovm_opinion_diffusions_total"' <<<"$sresp2"; then
+  echo "FAIL: the repeat ran a diffusion for a value the epoch already had"; echo "$sresp2"; exit 1
+fi
+sparse_exact2=$(sed -n 's/.*"exactValue":\([0-9.eE+-]*\).*/\1/p' <<<"$sresp2")
+[[ "$sparse_exact2" == "$sparse_exact" ]] \
+  || { echo "FAIL: reused exactValue $sparse_exact2 != first answer $sparse_exact"; exit 1; }
+sparse_metrics=$(curl -sf "$sparse_base/metrics")
+grep -q '^ovm_greedy_prefix_value_hits_total 1$' <<<"$sparse_metrics" \
+  || { echo "FAIL: /metrics value-hit counter is not 1 after one repeat"; grep '^ovm_greedy_prefix_value' <<<"$sparse_metrics"; exit 1; }
 kill -TERM "$sparse_pid"
 wait "$sparse_pid" || true
 sparse_pid=""
 echo "   one diffusion, $sparse_steps edge steps < horizon x m = $((10 * sparse_m)), exactValue $sparse_exact = CLI $sparse_value"
+echo "   repeat with -cache -1: computed, value reused, no diffusion, exactValue $sparse_exact2"
 
 curl -sf "$base/stats" | grep -q '"cacheHits":1' || { echo "FAIL: /stats cache hit count"; exit 1; }
 echo "   /stats ok"

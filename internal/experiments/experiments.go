@@ -2,7 +2,7 @@
 // evaluation section (§VIII and the appendices) against the synthetic
 // dataset stand-ins, at laptop-friendly scales. Each experiment is a named
 // Runner registered in Registry; cmd/ovmbench exposes them on the command
-// line and bench_test.go exposes them as testing.B benchmarks.
+// line and TestAllExperimentsQuick runs every one at Quick scale.
 //
 // Absolute numbers differ from the paper (different hardware, synthetic
 // data, reduced scale); the reproduced artifact is the *shape*: which

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ovm/internal/dynamic"
+	"ovm/internal/obs"
 	"ovm/internal/serialize"
 	"ovm/internal/service"
 )
@@ -54,9 +55,19 @@ func TestApplyUpdatesMatchesFullRebuild(t *testing.T) {
 	batch := testBatch(t, idx)
 
 	live := newTestService(t, idx)
+	costBefore := obs.CaptureCosts()
 	upd, serr := live.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: batch})
 	if serr != nil {
 		t.Fatal(serr)
+	}
+	// The repair counters on /metrics count what the response reports, walk
+	// for walk (no test of this package runs in parallel with this one).
+	cost := obs.CaptureCosts().Delta(costBefore)
+	if got := cost["ovm_repair_walks_invalidated_total"]; got != int64(upd.WalksInvalidated) {
+		t.Fatalf("ovm_repair_walks_invalidated_total moved by %d, the response reports %d", got, upd.WalksInvalidated)
+	}
+	if got := cost["ovm_repair_walks_seen_total"]; got != int64(upd.WalksTotal) {
+		t.Fatalf("ovm_repair_walks_seen_total moved by %d, the response reports %d", got, upd.WalksTotal)
 	}
 	if upd.Epoch != 1 {
 		t.Fatalf("epoch = %d, want 1", upd.Epoch)

@@ -2,12 +2,14 @@ package walks_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"ovm/internal/core"
 	"ovm/internal/graph"
+	"ovm/internal/obs"
 	"ovm/internal/opinion"
 	"ovm/internal/sampling"
 	"ovm/internal/voting"
@@ -166,11 +168,11 @@ func requireSameRun(t *testing.T, label string, ref, got scorer,
 		if refSeeds[i] != gotSeeds[i] {
 			t.Fatalf("%s: seed[%d] = %d, reference %d", label, i, gotSeeds[i], refSeeds[i])
 		}
-		if refGains[i] != gotGains[i] {
+		if math.Float64bits(refGains[i]) != math.Float64bits(gotGains[i]) {
 			t.Fatalf("%s: gain[%d] = %v, reference %v (not bit-identical)", label, i, gotGains[i], refGains[i])
 		}
 	}
-	if refValue != gotValue {
+	if math.Float64bits(refValue) != math.Float64bits(gotValue) {
 		t.Fatalf("%s: value %v, reference %v", label, gotValue, refValue)
 	}
 	for _, sc := range equivScores {
@@ -185,8 +187,12 @@ func requireSameRun(t *testing.T, label string, ref, got scorer,
 // sketch), and parallelism 1/4/0, the incremental postings-index selection
 // must produce bit-identical seeds, gains, and scores to the full scan
 // written from the definition (walksref) — on the single-shard worlds and on
-// one whose cumulative gains fold over three scan shards.
+// one whose cumulative gains fold over three scan shards. The runs with cost
+// accounting switched off must match the same reference: a counter or a
+// RoundCost field never feeds a gain, and nothing a gain needs sits behind
+// obs.CostEnabled.
 func TestIncrementalMatchesFullScan(t *testing.T) {
+	defer obs.SetCostAccounting(true)
 	var worlds []*equivWorld
 	for _, sketch := range []bool{false, true} {
 		for _, seed := range []int64{3, 17, 99} {
@@ -198,13 +204,20 @@ func TestIncrementalMatchesFullScan(t *testing.T) {
 		for _, score := range equivScores {
 			ref := world.oracle()
 			refRes := ref.SelectGreedy(8, score)
-			for _, par := range []int{1, 4, 0} {
-				est := world.estimator(t, par)
+			for _, run := range []struct {
+				par        int
+				accounting bool
+			}{{1, true}, {4, true}, {0, true}, {1, false}, {4, false}} {
+				obs.SetCostAccounting(run.accounting)
+				est := world.estimator(t, run.par)
 				res, err := est.SelectGreedy(8, score)
 				if err != nil {
 					t.Fatal(err)
 				}
-				label := fmt.Sprintf("world %d/%s/P%d", wi, score.Name(), par)
+				if got := len(est.RoundCosts()); run.accounting != (got > 0) {
+					t.Fatalf("accounting=%v left %d round-cost records", run.accounting, got)
+				}
+				label := fmt.Sprintf("world %d/%s/P%d/accounting=%v", wi, score.Name(), run.par, run.accounting)
 				requireSameRun(t, label, ref.EstimatedScore, estScorer(t, est),
 					refRes.Seeds, res.Seeds, refRes.Gains, res.Gains, refRes.Value, res.Value)
 			}

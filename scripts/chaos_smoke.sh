@@ -3,9 +3,10 @@
 #   1. synthesize a dataset, build an index, and start ovmd with
 #      -compact-log 0, so the index file is never checkpointed and the
 #      write-ahead log (<index>.wal) retains every batch since the build;
-#   2. drive a mutation churn (ovmload -mutate-every) and kill -9 the
-#      daemon mid-churn, several rounds in a row — each kill may land
-#      mid-append of a WAL line, or mid-repair with batches queued;
+#   2. drive a mutation churn (a background curl loop posting a one-op
+#      batch every 20 ms) and kill -9 the daemon mid-churn, several rounds
+#      in a row — each kill may land mid-append of a WAL line, or
+#      mid-repair with batches queued;
 #   3. after every kill the daemon must restart cleanly: the index file
 #      parses (never quarantined), the WAL replays (never quarantined; a
 #      torn final line is dropped), no rewrite temps are left, and queries
@@ -41,7 +42,6 @@ echo "== building binaries"
 go build -o "$workdir/ovm" ./cmd/ovm
 go build -o "$workdir/ovmgen" ./cmd/ovmgen
 go build -o "$workdir/ovmd" ./cmd/ovmd
-go build -o "$workdir/ovmload" ./cmd/ovmload
 
 echo "== synthesizing dataset + building index"
 "$workdir/ovmgen" -dataset yelp-like -n 300 -seed 7 -out "$workdir/chaos" -system
@@ -95,12 +95,25 @@ wait_drained() {
   echo "FAIL: update queue did not drain"; curl -sf "$base/stats"; tail -20 "$workdir/daemon.log"; exit 1
 }
 
+# churn: POST a one-op set_opinion batch every 20 ms until killed, cycling
+# the node id from a start the round number picks. The daemon dies mid-loop
+# by design, so a failed POST is not an error.
+churn() {
+  local node=$(($1 * 97 % 300))
+  while :; do
+    curl -s --max-time 1 -o /dev/null -X POST "$base/v1/datasets/default/updates" \
+      -H 'Content-Type: application/json' \
+      -d "{\"ops\":[{\"op\":\"set_opinion\",\"candidate\":0,\"node\":$node,\"value\":0.$1$((node % 10))}]}" || true
+    node=$(((node + 1) % 300))
+    sleep 0.02
+  done
+}
+
 start_daemon
 assert_healthy
 echo "== kill -9 churn loop ($rounds rounds, ~${churn_secs}s of 20ms mutations each)"
 for round in $(seq 1 "$rounds"); do
-  "$workdir/ovmload" -addr "$base" -duration 10s -workers 2 -t 10 -target 0 \
-    -seed "$round" -endpoint mix -mutate-every 20ms >"$workdir/load_$round.log" 2>&1 &
+  churn "$round" &
   load_pid=$!
   sleep "$churn_secs"
   kill -9 "$daemon_pid"

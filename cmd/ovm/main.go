@@ -19,7 +19,9 @@ import (
 	"ovm/internal/cliutil"
 	"ovm/internal/core"
 	"ovm/internal/dynamic"
+	"ovm/internal/methods"
 	"ovm/internal/serialize"
+	"ovm/internal/voting"
 )
 
 func main() {
@@ -27,8 +29,8 @@ func main() {
 		dataset = flag.String("dataset", "yelp-like", "dataset: "+strings.Join(ovm.DatasetNames, ", "))
 		n       = flag.Int("n", 0, "node count override (0 = dataset default)")
 		mu      = flag.Float64("mu", 10, "edge-weight decay constant µ")
-		method  = flag.String("method", "RS", "method: DM, RW, RS, IC, LT, GED-T, PR, RWR, DC")
-		score   = flag.String("score", "plurality", "score: cumulative, plurality, p-approval, positional, copeland")
+		method  = flag.String("method", "RS", "method: "+strings.Join(methods.Names, ", "))
+		score   = flag.String("score", "plurality", "score: "+strings.Join(voting.ScoreNames, ", "))
 		pVal    = flag.Int("p", 2, "p for p-approval / positional scores")
 		omegaP  = flag.Float64("omegap", 0.5, "ω[p] for the positional score (ω[1..p-1] = 1)")
 		k       = flag.Int("k", 50, "seed budget")
@@ -105,7 +107,10 @@ func main() {
 		}
 		fmt.Printf("replayed %d update batches from %s (%d nodes touched)\n", len(batches), *updates, touched)
 	}
-	sc, err := parseScore(*score, *pVal, *omegaP)
+	// The positional score's ω[1..p] is all ones but its last weight.
+	omega := voting.PApprovalAsPositional(*pVal).Omega
+	omega[*pVal-1] = *omegaP
+	sc, err := voting.ParseScore(*score, *pVal, omega, sys.R())
 	if err != nil {
 		fatal(err)
 	}
@@ -143,28 +148,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("target wins with these seeds: %v\n", ok)
-}
-
-func parseScore(name string, p int, omegaP float64) (ovm.Score, error) {
-	switch name {
-	case "cumulative":
-		return ovm.Cumulative(), nil
-	case "plurality":
-		return ovm.Plurality(), nil
-	case "p-approval":
-		return ovm.PApproval(p), nil
-	case "positional":
-		om := make([]float64, p)
-		for i := 0; i < p-1; i++ {
-			om[i] = 1
-		}
-		om[p-1] = omegaP
-		return ovm.Positional(p, om), nil
-	case "copeland":
-		return ovm.Copeland(), nil
-	default:
-		return nil, fmt.Errorf("unknown score %q", name)
-	}
 }
 
 func printSeeds(seeds []int32) {

@@ -32,19 +32,18 @@ const (
 	MethodDC   Method = "DC"    // degree centrality
 )
 
-// Methods lists all baselines in the paper's presentation order.
-var Methods = []Method{MethodIC, MethodLT, MethodGEDT, MethodPR, MethodRWR, MethodDC}
+// The PageRank/RWR power iteration as Select runs it: the restart
+// complement, the iteration bound and the L1 convergence tolerance.
+const (
+	damping    = 0.85
+	powerIters = 100
+	powerTol   = 1e-10
+)
 
 // Config bundles baseline parameters.
 type Config struct {
 	// IMM holds the IC/LT sampling parameters.
 	IMM im.IMMConfig
-	// Damping is the PageRank/RWR restart complement (default 0.85).
-	Damping float64
-	// PowerIters bounds the PageRank/RWR power iteration (default 100).
-	PowerIters int
-	// PowerTol is the L1 convergence tolerance (default 1e-10).
-	PowerTol float64
 	// Parallelism caps the engine worker pool for the sampling-based
 	// baselines (IC/LT RR-set generation, GED-T greedy evaluation): 0 means
 	// GOMAXPROCS, 1 disables concurrency. Selected seeds are bit-identical
@@ -59,24 +58,10 @@ type Config struct {
 	RRCache *im.RRCollection
 }
 
-func (c Config) withDefaults() Config {
-	if c.Damping == 0 {
-		c.Damping = 0.85
-	}
-	if c.PowerIters == 0 {
-		c.PowerIters = 100
-	}
-	if c.PowerTol == 0 {
-		c.PowerTol = 1e-10
-	}
-	return c
-}
-
 // Select runs the named baseline for the problem's (graph, k), ignoring the
 // problem's voting score except for GED-T (which maximizes the cumulative
 // score no matter the target score, as in the paper).
 func Select(m Method, p *core.Problem, cfg Config) ([]int32, error) {
-	cfg = cfg.withDefaults()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -111,14 +96,12 @@ func Select(m Method, p *core.Problem, cfg Config) ([]int32, error) {
 		q.Score = voting.Cumulative{}
 		seeds, _, err := core.SelectSeedsDM(&q, cfg.Parallelism)
 		return seeds, err
-	case MethodPR:
-		scores, err := pageRankCtx(p.Ctx, g, cfg.Damping, cfg.PowerIters, cfg.PowerTol)
-		if err != nil {
-			return nil, err
+	case MethodPR, MethodRWR:
+		power := pageRankCtx
+		if m == MethodRWR {
+			power = reverseRWRCtx
 		}
-		return TopK(scores, p.K), nil
-	case MethodRWR:
-		scores, err := reverseRWRCtx(p.Ctx, g, cfg.Damping, cfg.PowerIters, cfg.PowerTol)
+		scores, err := power(p.Ctx, g, damping, powerIters, powerTol)
 		if err != nil {
 			return nil, err
 		}

@@ -150,14 +150,8 @@ func (in *Instance) MinSeedsToWin(ctx context.Context, score voting.Score, sel S
 // DMSelector returns a SeedSelector backed by SelectSeedsDM running with
 // the given engine parallelism (0 = GOMAXPROCS).
 func DMSelector(sys *opinion.System, target, horizon int, score voting.Score, parallelism int) SeedSelector {
-	return DMSelectorCtx(nil, sys, target, horizon, score, parallelism)
-}
-
-// DMSelectorCtx is DMSelector with each probe's Problem carrying ctx, so a
-// cancelled min-seeds-to-win query abandons the inner greedy promptly.
-func DMSelectorCtx(ctx context.Context, sys *opinion.System, target, horizon int, score voting.Score, parallelism int) SeedSelector {
 	return func(k int) ([]int32, error) {
-		p := &Problem{Sys: sys, Target: target, Horizon: horizon, K: k, Score: score, Ctx: ctx}
+		p := &Problem{Sys: sys, Target: target, Horizon: horizon, K: k, Score: score}
 		seeds, _, err := SelectSeedsDM(p, parallelism)
 		return seeds, err
 	}

@@ -1,6 +1,7 @@
 package dynamic_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,8 +9,6 @@ import (
 	"ovm/internal/core"
 	"ovm/internal/dynamic"
 	"ovm/internal/opinion"
-	"ovm/internal/rwalk"
-	"ovm/internal/sketch"
 	"ovm/internal/voting"
 	"ovm/internal/walks"
 )
@@ -203,24 +202,6 @@ func TestCoalescedSelectionEquivalence(t *testing.T) {
 		lambda  = 12
 	)
 	sys := testSystem(t, n, 9)
-	prob := &core.Problem{Sys: sys, Target: 0, Horizon: horizon, K: k, Score: voting.Cumulative{}}
-	plan := make([]int32, n)
-	for i := range plan {
-		plan[i] = lambda
-	}
-	rwSeq, err := rwalk.GenerateSet(prob, plan, seed, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rwSeq.EnsureIndex()
-	rsSeq, err := sketch.GenerateSet(prob, theta, seed, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsSeq.EnsureIndex()
-	rwCo, rsCo := rwSeq.Clone(), rsSeq.Clone()
-	rwCo.EnsureIndex()
-	rsCo.EnsureIndex()
 
 	// Three raw batches with pairwise-disjoint edge columns (so they merge
 	// into one run) and overlapping vector writes (so elision is on the
@@ -234,44 +215,29 @@ func TestCoalescedSelectionEquivalence(t *testing.T) {
 			{Kind: dynamic.OpSetOpinion, Cand: 0, Node: 7, Value: 0.95}},
 	}
 
-	// Sequential: apply + repair per raw batch.
+	// Sequential: apply per raw batch.
 	seqSys := sys
+	var changes []*dynamic.ChangeSet
+	var systems []*opinion.System
 	for _, b := range raw {
 		next, cs, err := dynamic.ApplySystem(seqSys, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mprob := &core.Problem{Sys: next, Target: 0, Horizon: horizon, K: k, Score: voting.Cumulative{}}
-		rwSeq, _, err = rwalk.RepairSet(mprob, rwSeq, cs.WalkMask(n, 0), seed, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rsSeq, _, err = sketch.RepairSet(mprob, rsSeq, cs.WalkMask(n, 0), seed, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		changes, systems = append(changes, cs), append(systems, next)
 		seqSys = next
 	}
 
-	// Coalesced: one merged super-batch, one repair.
+	// Coalesced: one merged super-batch.
 	runs := dynamic.Coalesce(raw, 0)
 	if len(runs) != 1 {
 		t.Fatalf("fixture batches formed %d runs, want 1", len(runs))
 	}
-	coSys, cs, err := dynamic.ApplySystem(sys, runs[0].Super)
+	coSys, coChange, err := dynamic.ApplySystem(sys, runs[0].Super)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameBits(t, "selection fixture", coSys, seqSys)
-	mprob := &core.Problem{Sys: coSys, Target: 0, Horizon: horizon, K: k, Score: voting.Cumulative{}}
-	rwCo, _, err = rwalk.RepairSet(mprob, rwCo, cs.WalkMask(n, 0), seed, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsCo, _, err = sketch.RepairSet(mprob, rsCo, cs.WalkMask(n, 0), seed, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	scores := []voting.Score{
 		voting.Cumulative{},
@@ -282,19 +248,22 @@ func TestCoalescedSelectionEquivalence(t *testing.T) {
 	}
 	init := seqSys.Candidate(0).Init
 	comp := core.CompetitorOpinions(seqSys, 0, horizon, 1)
-	type sampler struct {
-		name    string
-		seq, co *walks.Set
-		weights func(*walks.Set) []float64
-	}
-	samplers := []sampler{
-		{"rw", rwSeq, rwCo, func(s *walks.Set) []float64 { return walks.UniformOwnerWeights(s) }},
-		{"rs", rsSeq, rsCo, func(s *walks.Set) []float64 { return walks.SketchOwnerWeights(s, theta) }},
-	}
-	for _, sm := range samplers {
+	for _, d := range walkDraws(seed, lambda, theta) {
+		name := fmt.Sprintf("theta=%d/lambda=%d", d.Theta, d.Lambda)
+		// One repair per raw batch against one repair for the whole run.
+		seq := drawOn(t, d, sys, horizon)
+		for i, cs := range changes {
+			if seq, _, err = d.Repair(nil, groundOf(t, systems[i]), seq, cs.WalkMask(n, 0), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		co, _, err := d.Repair(nil, groundOf(t, coSys), drawOn(t, d, sys, horizon), coChange.WalkMask(n, 0), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, score := range scores {
 			for _, par := range []int{1, 4, 0} {
-				ref, err := walks.NewEstimator(sm.seq.Clone(), 0, init, comp, sm.weights(sm.seq), par)
+				ref, err := walks.NewEstimator(seq.Clone(), 0, init, comp, d.Weights(seq), par)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -302,7 +271,7 @@ func TestCoalescedSelectionEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				est, err := walks.NewEstimator(sm.co.Clone(), 0, init, comp, sm.weights(sm.co), par)
+				est, err := walks.NewEstimator(co.Clone(), 0, init, comp, d.Weights(co), par)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -313,11 +282,11 @@ func TestCoalescedSelectionEquivalence(t *testing.T) {
 				for i := range refRes.Seeds {
 					if refRes.Seeds[i] != res.Seeds[i] || refRes.Gains[i] != res.Gains[i] {
 						t.Fatalf("%s/%s P=%d: round %d (seed, gain) = (%d, %v), sequential (%d, %v)",
-							sm.name, score.Name(), par, i, res.Seeds[i], res.Gains[i], refRes.Seeds[i], refRes.Gains[i])
+							name, score.Name(), par, i, res.Seeds[i], res.Gains[i], refRes.Seeds[i], refRes.Gains[i])
 					}
 				}
 				if refRes.Value != res.Value {
-					t.Fatalf("%s/%s P=%d: value %v, sequential %v", sm.name, score.Name(), par, res.Value, refRes.Value)
+					t.Fatalf("%s/%s P=%d: value %v, sequential %v", name, score.Name(), par, res.Value, refRes.Value)
 				}
 			}
 		}

@@ -5,8 +5,8 @@
 // exactly which nodes' sampled artifacts could have diverged.
 //
 // The contract that makes updates cheap to serve: applying a batch and then
-// incrementally repairing precomputed artifacts (walks.Repair,
-// im.RRCollection.Repair via sketch.RepairSet / rwalk.RepairSet) yields
+// incrementally repairing precomputed artifacts (walks.Draw.Repair,
+// im.RRCollection.Repair) yields
 // artifacts byte-identical to a from-scratch rebuild on the mutated system
 // at the same seed. Batches therefore compose: replaying a persisted update
 // log reproduces the exact serving state the daemon was in when it wrote

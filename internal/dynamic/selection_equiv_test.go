@@ -1,6 +1,7 @@
 package dynamic_test
 
 import (
+	"fmt"
 	"testing"
 
 	"ovm/internal/core"
@@ -25,7 +26,34 @@ func TestRepairedSelectionIncrementalEquivalence(t *testing.T) {
 	t.Run("three-shards", func(t *testing.T) { repairedSelectionEquivalence(t, 40, 4800, 3) })
 }
 
-func repairedSelectionEquivalence(t *testing.T, lambda int32, theta, wantShards int) {
+// walkDraws is the table the repair tests drive through the one shared
+// draw → repair → select path: RW's planned starts and RS's sampled ones.
+func walkDraws(seed int64, lambda, theta int) []walks.Draw {
+	return []walks.Draw{rwalk.Draw(seed, lambda), sketch.Draw(seed, theta)}
+}
+
+// drawOn draws d over sys's candidate 0 and indexes the set (indexed
+// artifacts must stay indexed through repair).
+func drawOn(t *testing.T, d walks.Draw, sys *opinion.System, horizon int) *walks.Set {
+	t.Helper()
+	set, err := d.Generate(nil, groundOf(t, sys), horizon, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.EnsureIndex()
+	return set
+}
+
+func groundOf(t *testing.T, sys *opinion.System) *walks.Ground {
+	t.Helper()
+	gr, err := walks.NewGround(sys.Candidate(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gr
+}
+
+func repairedSelectionEquivalence(t *testing.T, lambda, theta, wantShards int) {
 	const (
 		n       = 120
 		seed    = int64(4)
@@ -33,23 +61,6 @@ func repairedSelectionEquivalence(t *testing.T, lambda int32, theta, wantShards 
 		k       = 5
 	)
 	sys := testSystem(t, n, 9)
-	prob := &core.Problem{Sys: sys, Target: 0, Horizon: horizon, K: k, Score: voting.Cumulative{}}
-
-	plan := make([]int32, n)
-	for i := range plan {
-		plan[i] = lambda
-	}
-	rwOld, err := rwalk.GenerateSet(prob, plan, seed, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rwOld.EnsureIndex() // indexed artifacts must stay indexed through repair
-	rsOld, err := sketch.GenerateSet(prob, theta, seed, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsOld.EnsureIndex()
-
 	batch := dynamic.Batch{
 		{Kind: dynamic.OpAddEdge, From: 3, To: 11, W: 1},
 		{Kind: dynamic.OpAddEdge, From: 40, To: 41, W: 0.5},
@@ -61,31 +72,6 @@ func repairedSelectionEquivalence(t *testing.T, lambda int32, theta, wantShards 
 	if err != nil {
 		t.Fatal(err)
 	}
-	mprob := &core.Problem{Sys: mutated, Target: 0, Horizon: horizon, K: k, Score: voting.Cumulative{}}
-
-	rwRepaired, _, err := rwalk.RepairSet(mprob, rwOld, cs.WalkMask(n, 0), seed, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rwRepaired.HasIndex() {
-		t.Fatal("repair dropped the postings index of an indexed RW set")
-	}
-	rsRepaired, _, err := sketch.RepairSet(mprob, rsOld, cs.WalkMask(n, 0), seed, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rsRepaired.HasIndex() {
-		t.Fatal("repair dropped the postings index of an indexed sketch set")
-	}
-	rwFresh, err := rwalk.GenerateSet(mprob, plan, seed, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsFresh, err := sketch.GenerateSet(mprob, theta, seed, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	scores := []voting.Score{
 		voting.Cumulative{},
 		voting.Plurality{},
@@ -95,24 +81,23 @@ func repairedSelectionEquivalence(t *testing.T, lambda int32, theta, wantShards 
 	}
 	init := mutated.Candidate(0).Init
 	comp := core.CompetitorOpinions(mutated, 0, horizon, 1)
-	type sampler struct {
-		name     string
-		repaired *walks.Set
-		fresh    *walks.Set
-		weights  func(*walks.Set) []float64
-	}
-	samplers := []sampler{
-		{"rw", rwRepaired, rwFresh, func(s *walks.Set) []float64 { return walks.UniformOwnerWeights(s) }},
-		{"rs", rsRepaired, rsFresh, func(s *walks.Set) []float64 { return walks.SketchOwnerWeights(s, theta) }},
-	}
-	for _, sm := range samplers {
-		if shards := len(walks.ScanShardBounds(n, sm.fresh.NumWalks())) - 1; shards != wantShards {
-			t.Fatalf("%s: %d walks fold over %d scan shards, want %d", sm.name, sm.fresh.NumWalks(), shards, wantShards)
+	for _, d := range walkDraws(seed, lambda, theta) {
+		name := fmt.Sprintf("theta=%d/lambda=%d", d.Theta, d.Lambda)
+		repaired, _, err := d.Repair(nil, groundOf(t, mutated), drawOn(t, d, sys, horizon), cs.WalkMask(n, 0), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !repaired.HasIndex() {
+			t.Fatalf("%s: repair dropped the postings index of an indexed set", name)
+		}
+		fresh := drawOn(t, d, mutated, horizon)
+		if shards := len(walks.ScanShardBounds(n, fresh.NumWalks())) - 1; shards != wantShards {
+			t.Fatalf("%s: %d walks fold over %d scan shards, want %d", name, fresh.NumWalks(), shards, wantShards)
 		}
 		for _, score := range scores {
-			refRes := walksref.New(sm.fresh, 0, init, comp, sm.weights(sm.fresh)).SelectGreedy(k, score)
+			refRes := walksref.New(fresh, 0, init, comp, d.Weights(fresh)).SelectGreedy(k, score)
 			for _, par := range []int{1, 4, 0} {
-				est, err := walks.NewEstimator(sm.repaired.Clone(), 0, init, comp, sm.weights(sm.repaired), par)
+				est, err := walks.NewEstimator(repaired.Clone(), 0, init, comp, d.Weights(repaired), par)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -123,11 +108,11 @@ func repairedSelectionEquivalence(t *testing.T, lambda int32, theta, wantShards 
 				for i := range refRes.Seeds {
 					if refRes.Seeds[i] != res.Seeds[i] || refRes.Gains[i] != res.Gains[i] {
 						t.Fatalf("%s/%s P=%d: round %d (seed, gain) = (%d, %v), reference (%d, %v)",
-							sm.name, score.Name(), par, i, res.Seeds[i], res.Gains[i], refRes.Seeds[i], refRes.Gains[i])
+							name, score.Name(), par, i, res.Seeds[i], res.Gains[i], refRes.Seeds[i], refRes.Gains[i])
 					}
 				}
 				if refRes.Value != res.Value {
-					t.Fatalf("%s/%s P=%d: value %v, reference %v", sm.name, score.Name(), par, res.Value, refRes.Value)
+					t.Fatalf("%s/%s P=%d: value %v, reference %v", name, score.Name(), par, res.Value, refRes.Value)
 				}
 			}
 		}

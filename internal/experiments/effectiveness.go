@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"ovm/internal/datasets"
+	"ovm/internal/methods"
 	"ovm/internal/opinion"
 	"ovm/internal/sketch"
 	"ovm/internal/voting"
@@ -31,7 +32,7 @@ func scoreVsK(w io.Writer, p Params, score voting.Score, datasetNames []string, 
 			fmt.Fprintf(w, " %12s", fmt.Sprintf("k=%d", k))
 		}
 		fmt.Fprintf(w, " %12s\n", "time(s)")
-		for _, m := range MethodNames {
+		for _, m := range methods.Names {
 			fmt.Fprintf(w, "%-7s", m)
 			var lastTime float64
 			for _, k := range ks {

@@ -17,12 +17,9 @@ import (
 	"slices"
 	"time"
 
-	"ovm/internal/baselines"
 	"ovm/internal/core"
 	"ovm/internal/datasets"
-	"ovm/internal/im"
-	"ovm/internal/rwalk"
-	"ovm/internal/sketch"
+	"ovm/internal/methods"
 	"ovm/internal/voting"
 )
 
@@ -108,10 +105,6 @@ func init() {
 	register("ablation-sketch-shape", AblationSketchShape)
 }
 
-// MethodNames lists the compared seed selectors in the paper's order:
-// the three proposed methods followed by the six baselines.
-var MethodNames = []string{"DM", "RW", "RS", "IC", "LT", "GED-T", "PR", "RWR", "DC"}
-
 // MethodResult is one (method, k) measurement.
 type MethodResult struct {
 	Method  string
@@ -123,31 +116,15 @@ type MethodResult struct {
 // runMethod executes one seed-selection method on the problem and
 // evaluates the returned seeds exactly.
 func runMethod(name string, p *core.Problem, seed int64, parallelism int) (*MethodResult, error) {
+	opts := methods.Options{Seed: seed, Parallelism: parallelism}
+	opts.RW.MaxWalksPerNode = 400
+	// InitialTheta starts the §VI-E doubling search high enough that
+	// rank-based scores do not declare convergence prematurely on the
+	// scaled-down datasets (the paper's per-dataset θ* are 2^15–2^19).
+	opts.RS.InitialTheta, opts.RS.MaxTheta, opts.RS.ConvergeTol = 1<<13, 1<<18, 0.005
+	opts.Baseline.IMM.MaxSets = 1 << 18
 	start := time.Now()
-	var seeds []int32
-	var err error
-	switch name {
-	case "DM":
-		seeds, _, err = core.SelectSeedsDM(p, parallelism)
-	case "RW":
-		var res *rwalk.Result
-		res, err = rwalk.Select(p, rwalk.Config{Seed: seed, MaxWalksPerNode: 400, Parallelism: parallelism})
-		if res != nil {
-			seeds = res.Seeds
-		}
-	case "RS":
-		var res *sketch.Result
-		// InitialTheta starts the §VI-E doubling search high enough that
-		// rank-based scores do not declare convergence prematurely on the
-		// scaled-down datasets (the paper's per-dataset θ* are 2^15–2^19).
-		res, err = sketch.Select(p, sketch.Config{Seed: seed, InitialTheta: 1 << 13, MaxTheta: 1 << 18, ConvergeTol: 0.005, Parallelism: parallelism})
-		if res != nil {
-			seeds = res.Seeds
-		}
-	default:
-		seeds, err = baselines.Select(baselines.Method(name), p,
-			baselines.Config{IMM: im.IMMConfig{Seed: seed, MaxSets: 1 << 18}, Parallelism: parallelism})
-	}
+	seeds, _, err := methods.Select(name, p, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
@@ -162,16 +139,10 @@ func runMethod(name string, p *core.Problem, seed int64, parallelism int) (*Meth
 // winSelector maps a proposed-method name onto a core.SeedSelector for the
 // FJ-Vote-Win search (Table VI).
 func winSelector(method string, p *core.Problem, seed int64, parallelism int) (core.SeedSelector, error) {
-	switch method {
-	case "DM":
-		return core.DMSelector(p.Sys, p.Target, p.Horizon, p.Score, parallelism), nil
-	case "RW":
-		return rwalk.Selector(*p, rwalk.Config{Seed: seed, MaxWalksPerNode: 200, Parallelism: parallelism}), nil
-	case "RS":
-		return sketch.Selector(*p, sketch.Config{Seed: seed, MaxTheta: 1 << 17, Parallelism: parallelism}), nil
-	default:
-		return nil, fmt.Errorf("experiments: no win selector for method %q", method)
-	}
+	opts := methods.Options{Seed: seed, Parallelism: parallelism}
+	opts.RW.MaxWalksPerNode = 200
+	opts.RS.MaxTheta = 1 << 17
+	return methods.Selector(method, *p, opts)
 }
 
 // defaultProblem builds a problem on a dataset's default target.

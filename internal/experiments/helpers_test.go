@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ovm/internal/core"
+	"ovm/internal/methods"
 	"ovm/internal/paperexample"
 	"ovm/internal/voting"
 )
@@ -98,7 +99,7 @@ func TestRunMethodAllKnown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range MethodNames {
+	for _, m := range methods.Names {
 		p := &core.Problem{Sys: sys, Target: 0, Horizon: 1, K: 1, Score: voting.Cumulative{}}
 		res, err := runMethod(m, p, 1, 1)
 		if err != nil {

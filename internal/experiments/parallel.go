@@ -7,10 +7,8 @@ import (
 	"slices"
 	"time"
 
-	"ovm/internal/core"
 	"ovm/internal/datasets"
-	"ovm/internal/rwalk"
-	"ovm/internal/sketch"
+	"ovm/internal/methods"
 	"ovm/internal/voting"
 )
 
@@ -46,23 +44,11 @@ func ParallelScaling(w io.Writer, p Params) error {
 		workerSweep = append(workerSweep, g)
 	}
 	run := func(method string, par int) ([]int32, float64, error) {
+		opts := methods.Options{Seed: p.Seed, Parallelism: par}
+		opts.RW.MaxWalksPerNode = 300
+		opts.RS.MaxTheta = 1 << 18
 		start := time.Now()
-		var seeds []int32
-		var err error
-		switch method {
-		case "DM":
-			seeds, _, err = core.SelectSeedsDM(prob, par)
-		case "RW":
-			var res *rwalk.Result
-			if res, err = rwalk.Select(prob, rwalk.Config{Seed: p.Seed, MaxWalksPerNode: 300, Parallelism: par}); err == nil {
-				seeds = res.Seeds
-			}
-		case "RS":
-			var res *sketch.Result
-			if res, err = sketch.Select(prob, sketch.Config{Seed: p.Seed, MaxTheta: 1 << 18, Parallelism: par}); err == nil {
-				seeds = res.Seeds
-			}
-		}
+		seeds, _, err := methods.Select(method, prob, opts)
 		return seeds, time.Since(start).Seconds(), err
 	}
 
@@ -71,7 +57,7 @@ func ParallelScaling(w io.Writer, p Params) error {
 		fmt.Fprintf(w, " %9s %8s", fmt.Sprintf("P=%d t(s)", par), "speedup")
 	}
 	fmt.Fprintln(w, "  deterministic")
-	for _, method := range []string{"DM", "RW", "RS"} {
+	for _, method := range methods.Proposed {
 		var baseSeeds []int32
 		var baseTime float64
 		identical := true

@@ -8,6 +8,7 @@ import (
 	"ovm/internal/core"
 	"ovm/internal/datasets"
 	"ovm/internal/im"
+	"ovm/internal/methods"
 	"ovm/internal/rwalk"
 	"ovm/internal/sampling"
 	"ovm/internal/sketch"
@@ -77,13 +78,13 @@ func Fig12(w io.Writer, p Params) error {
 	k := p.size(50, 4)
 	ts := pickInts(p, []int{0, 5, 10, 15, 20, 25, 30}, []int{0, 2, 5})
 	fmt.Fprintf(w, "%6s", "t")
-	for _, m := range []string{"DM", "RW", "RS"} {
+	for _, m := range methods.Proposed {
 		fmt.Fprintf(w, " %12s %10s", m+" score", m+" time")
 	}
 	fmt.Fprintln(w)
 	for _, t := range ts {
 		fmt.Fprintf(w, "%6d", t)
-		for _, m := range []string{"DM", "RW", "RS"} {
+		for _, m := range methods.Proposed {
 			prob := defaultProblem(d, t, k, voting.Cumulative{})
 			res, err := runMethod(m, prob, p.Seed, p.Parallelism)
 			if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"ovm/internal/core"
 	"ovm/internal/datasets"
+	"ovm/internal/methods"
 	"ovm/internal/opinion"
 	"ovm/internal/paperexample"
 	"ovm/internal/voting"
@@ -91,7 +92,7 @@ func Table6(w io.Writer, p Params) error {
 		// already leads these electorates and would win with k* = 0.
 		prob := &core.Problem{Sys: d.Sys, Target: 1, Horizon: horizonFor(p), K: 1, Score: voting.Plurality{}}
 		row := fmt.Sprintf("%-26s", name)
-		for _, m := range []string{"DM", "RW", "RS"} {
+		for _, m := range methods.Proposed {
 			sel, err := winSelector(m, prob, p.Seed, p.Parallelism)
 			if err != nil {
 				return err

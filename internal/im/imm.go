@@ -61,6 +61,12 @@ type IMMResult struct {
 	OPTLowerBound  float64
 }
 
+// RRStream is the substream family IMM draws its RR sets from: set i consumes
+// RRStream(seed).At(i). An index's RR artifacts are drawn from it too, which
+// is what lets IMMCached copy them, so the id is part of every index file on
+// disk (the walk families are in the walks package doc).
+func RRStream(seed int64) sampling.Stream { return sampling.Stream{Seed: seed, ID: 701} }
+
 // IMM runs the two-phase IMM algorithm: the martingale-based sampling phase
 // estimates a lower bound on the optimal spread OPT and derives the
 // required RR-set count θ; the node-selection phase greedily covers the
@@ -74,8 +80,8 @@ func IMM(g *graph.Graph, model Model, k int, cfg IMMConfig) (*IMMResult, error) 
 // instead of re-sampled. Because set i's content is a pure function of the
 // (seed, stream, i) triple, the run is byte-identical to IMM — the cache
 // only shortcuts the sampling cost. cache must have been generated over the
-// same graph and model with the stream family IMM uses (seed cfg.Seed,
-// stream id 701); a mismatched cache is rejected.
+// same graph and model with the stream family IMM uses (RRStream(cfg.Seed));
+// a mismatched cache is rejected.
 func IMMCached(g *graph.Graph, model Model, k int, cfg IMMConfig, cache *RRCollection) (*IMMResult, error) {
 	cfg = cfg.withDefaults()
 	n := g.N()
@@ -92,7 +98,7 @@ func IMMCached(g *graph.Graph, model Model, k int, cfg IMMConfig, cache *RRColle
 	logN := math.Log(nf)
 	logBinom := stats.LogChoose(n, k)
 
-	str := sampling.Stream{Seed: cfg.Seed, ID: 701}
+	str := RRStream(cfg.Seed)
 	if cache != nil {
 		if cache.g != g || cache.model != model || cache.str != str {
 			return nil, fmt.Errorf("im: RR cache generated for a different graph, model, or stream")

@@ -11,6 +11,9 @@
 // the running minimum gap. Gaps are floored (γ can be arbitrarily small in
 // adversarial instances, exploding the bound — the paper assumes γ ≠ 0) and
 // walk counts are capped to keep memory bounded.
+//
+// What is RW's lives here: the walk plan. Drawing the planned set, repairing
+// it and running the greedy over it are walks.Draw's, shared with RS.
 package rwalk
 
 import (
@@ -18,12 +21,15 @@ import (
 	"math"
 
 	"ovm/internal/core"
-	"ovm/internal/graph"
-	"ovm/internal/sampling"
 	"ovm/internal/stats"
 	"ovm/internal/voting"
 	"ovm/internal/walks"
 )
+
+// maxPilotRounds caps the simulated greedy trajectory of the γ* heuristic:
+// beyond a short prefix the running minimum gap stabilizes, while each extra
+// round costs a full walk scan.
+const maxPilotRounds = 20
 
 // Config controls the RW method.
 type Config struct {
@@ -36,13 +42,6 @@ type Config struct {
 	GammaFloor float64
 	// MaxWalksPerNode caps λ_v (default 2000).
 	MaxWalksPerNode int
-	// PilotWalks is α, the pilot walk count per node used by the γ*
-	// heuristic; 0 means use the Theorem 10 count.
-	PilotWalks int
-	// MaxPilotRounds caps the simulated greedy trajectory length of the γ*
-	// heuristic (default 20): beyond a short prefix the running minimum gap
-	// stabilizes, while each extra round costs a full walk scan.
-	MaxPilotRounds int
 	// Seed drives all randomness (walk generation, pilot estimation).
 	Seed int64
 	// Parallelism caps the engine worker pool for walk generation and the
@@ -63,9 +62,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxWalksPerNode == 0 {
 		c.MaxWalksPerNode = 2000
-	}
-	if c.MaxPilotRounds == 0 {
-		c.MaxPilotRounds = 20
 	}
 	return c
 }
@@ -120,58 +116,28 @@ func CumulativeLambda(cfg Config) (int, error) {
 	return lam, nil
 }
 
-// GenerateSet creates the Algorithm 4 walk set for an explicit per-node
-// plan on the problem's target candidate, using the same substream family
-// as Select — the artifact a serving index persists. The returned set is
-// pristine (no seeds applied).
-func GenerateSet(p *core.Problem, plan []int32, seed int64, parallelism int) (*walks.Set, error) {
-	cand := p.Sys.Candidate(p.Target)
-	sampler, err := graph.NewInEdgeSampler(cand.G)
-	if err != nil {
-		return nil, err
-	}
-	return walks.Generate(sampler, cand.Stub, p.Horizon, plan, sampling.Stream{Seed: seed, ID: 101}, parallelism)
+// Draw is how Algorithm 4's walk set is drawn: planned starts from the RW
+// family, lambda walks from every node (Theorem 10's plan, the one an index
+// persists) or, at lambda 0, a per-node plan handed to GeneratePlan.
+func Draw(seed int64, lambda int) walks.Draw {
+	return walks.Draw{Family: walks.FamilyRW, Seed: seed, Lambda: lambda}
 }
 
 // RepairSet incrementally rebuilds a pristine RW walk set after a graph
-// mutation. p must describe the MUTATED system; old is the set generated
-// (with GenerateSet and the same seed) over the pre-mutation graph; touched
-// marks the nodes whose in-neighborhoods or stubbornness changed. The
-// returned set is byte-identical to GenerateSet on the mutated system with
-// the same plan, but only the invalidated owners are regenerated (from
-// their original substreams in the seed's family). p.Ctx, when set, cancels
-// the repair at shard boundaries.
+// mutation (walks.Draw.Repair). p must describe the MUTATED system; old is
+// the set drawn with seed over the pre-mutation graph; touched marks the
+// nodes whose in-neighborhoods or stubbornness changed. p.Ctx, when set,
+// cancels the repair at shard boundaries.
 func RepairSet(p *core.Problem, old *walks.Set, touched []bool, seed int64, parallelism int) (*walks.Set, walks.RepairStats, error) {
-	cand := p.Sys.Candidate(p.Target)
-	sampler, err := graph.NewInEdgeSampler(cand.G)
+	gr, err := walks.NewGround(p.Sys.Candidate(p.Target))
 	if err != nil {
 		return nil, walks.RepairStats{}, err
 	}
-	return walks.RepairCtx(p.Ctx, old, sampler, cand.Stub, touched, sampling.Stream{Seed: seed, ID: 101}, parallelism)
+	return Draw(seed, 0).Repair(p.Ctx, gr, old, touched, parallelism)
 }
 
-// SelectOnSet runs the greedy selection of Algorithm 4 over a pre-generated
-// walk set (freshly generated, or a Clone of a loaded artifact): the
-// empty-prefix case of walks.ContinueGreedy with uniform owner weights, whose
-// contract on set, comp and p.Ctx applies. Given a set produced by
-// GenerateSet with the plan Select would derive, the result's seeds and
-// estimates are byte-identical to Select's.
-func SelectOnSet(p *core.Problem, set *walks.Set, comp [][]float64, parallelism int) (*Result, error) {
-	run, err := walks.ContinueGreedy(p, set, walks.UniformOwnerWeights(set), comp, nil, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Seeds:          run.Seeds,
-		EstimatedValue: run.Value,
-		Gains:          run.Gains,
-		TotalWalks:     set.NumWalks(),
-		BytesUsed:      set.BytesUsed(),
-		Rounds:         run.Rounds,
-	}, nil
-}
-
-// Select runs Algorithm 4 for the given problem.
+// Select runs Algorithm 4 for the given problem: the Theorem 10–12 walk plan,
+// then the greedy of walks.Draw.Greedy over the set drawn with it.
 func Select(p *core.Problem, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -180,8 +146,7 @@ func Select(p *core.Problem, cfg Config) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	cand := p.Sys.Candidate(p.Target)
-	sampler, err := graph.NewInEdgeSampler(cand.G)
+	gr, err := walks.NewGround(p.Sys.Candidate(p.Target))
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +168,7 @@ func Select(p *core.Problem, cfg Config) (*Result, error) {
 			plan[v] = int32(lam)
 		}
 	default:
-		gamma, err := estimateGammaStar(p, cfg, sampler, comp)
+		gamma, err := estimateGammaStar(p, cfg, gr, comp)
 		if err != nil {
 			return nil, err
 		}
@@ -230,61 +195,44 @@ func Select(p *core.Problem, cfg Config) (*Result, error) {
 		}
 	}
 
-	set, err := walks.GenerateCtx(p.Ctx, sampler, cand.Stub, p.Horizon, plan, sampling.Stream{Seed: cfg.Seed, ID: 101}, cfg.Parallelism)
+	d := Draw(cfg.Seed, 0)
+	set, err := d.GeneratePlan(p.Ctx, gr, p.Horizon, plan, cfg.Parallelism)
 	if err != nil {
 		return nil, err
 	}
-	res, err := SelectOnSet(p, set, comp, cfg.Parallelism)
+	run, err := d.Greedy(p, set, comp, nil, cfg.Parallelism)
 	if err != nil {
 		return nil, err
 	}
-	res.Lambda = plan
-	res.Gamma = gammaOut
-	return res, nil
-}
-
-// Selector adapts Select to the core.SeedSelector signature used by
-// MinSeedsToWin.
-func Selector(p core.Problem, cfg Config) core.SeedSelector {
-	return func(k int) ([]int32, error) {
-		q := p
-		q.K = k
-		r, err := Select(&q, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return r.Seeds, nil
-	}
+	return &Result{
+		Seeds:          run.Seeds,
+		EstimatedValue: run.Value,
+		Gains:          run.Gains,
+		TotalWalks:     set.NumWalks(),
+		BytesUsed:      set.BytesUsed(),
+		Lambda:         plan,
+		Gamma:          gammaOut,
+		Rounds:         run.Rounds,
+	}, nil
 }
 
 // estimateGammaStar implements the §V-C pilot heuristic for
 // γ*_v = min_{|S|≤k} min_{x≠q} |b_xv − b̂_qv[S]|: α pilot walks per node
-// estimate the seedless opinions; a simulated greedy trajectory (cumulative
-// gains on the pilot walks) adds up to k pilot seeds, and the running
-// minimum gap per node is recorded after every addition.
-func estimateGammaStar(p *core.Problem, cfg Config, sampler *graph.InEdgeSampler, comp [][]float64) ([]float64, error) {
-	cand := p.Sys.Candidate(p.Target)
+// (the Theorem 10 count) estimate the seedless opinions; a simulated greedy
+// trajectory (cumulative gains on the pilot walks) adds up to k pilot seeds,
+// and the running minimum gap per node is recorded after every addition.
+func estimateGammaStar(p *core.Problem, cfg Config, gr *walks.Ground, comp [][]float64) ([]float64, error) {
 	n := p.Sys.N()
-	alpha := cfg.PilotWalks
-	if alpha == 0 {
-		a, err := stats.WalksForCumulative(cfg.Delta, cfg.Rho)
-		if err != nil {
-			return nil, err
-		}
-		alpha = a
-	}
-	if alpha > cfg.MaxWalksPerNode {
-		alpha = cfg.MaxWalksPerNode
-	}
-	plan := make([]int32, n)
-	for v := range plan {
-		plan[v] = int32(alpha)
-	}
-	set, err := walks.GenerateCtx(p.Ctx, sampler, cand.Stub, p.Horizon, plan, sampling.Stream{Seed: cfg.Seed, ID: 103}, cfg.Parallelism)
+	alpha, err := CumulativeLambda(cfg)
 	if err != nil {
 		return nil, err
 	}
-	est, err := walks.NewEstimator(set, p.Target, cand.Init, comp, walks.UniformOwnerWeights(set), cfg.Parallelism)
+	d := walks.Draw{Family: walks.FamilyRWPilot, Seed: cfg.Seed, Lambda: alpha}
+	set, err := d.Generate(p.Ctx, gr, p.Horizon, cfg.Parallelism)
+	if err != nil {
+		return nil, err
+	}
+	est, err := walks.NewEstimator(set, p.Target, p.Sys.Candidate(p.Target).Init, comp, d.Weights(set), cfg.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -308,11 +256,7 @@ func estimateGammaStar(p *core.Problem, cfg Config, sampler *graph.InEdgeSampler
 		}
 	}
 	record()
-	rounds := p.K
-	if rounds > cfg.MaxPilotRounds {
-		rounds = cfg.MaxPilotRounds
-	}
-	for round := 0; round < rounds && round < n; round++ {
+	for round := 0; round < min(p.K, maxPilotRounds, n); round++ {
 		if _, err := est.SelectGreedy(1, voting.Cumulative{}); err != nil {
 			return nil, err
 		}

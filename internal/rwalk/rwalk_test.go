@@ -7,6 +7,7 @@ import (
 
 	"ovm/internal/core"
 	"ovm/internal/graph"
+	"ovm/internal/methods"
 	"ovm/internal/opinion"
 	"ovm/internal/paperexample"
 	"ovm/internal/rwalk"
@@ -170,7 +171,10 @@ func TestHigherRhoMoreWalks(t *testing.T) {
 
 func TestSelectorAdapter(t *testing.T) {
 	p := paperProblem(t, voting.Plurality{}, 1)
-	sel := rwalk.Selector(*p, rwalk.Config{Seed: 6})
+	sel, err := methods.Selector("RW", *p, methods.Options{Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
 	seeds, err := sel(1)
 	if err != nil {
 		t.Fatal(err)

@@ -3,14 +3,12 @@ package service
 import (
 	"fmt"
 
-	"ovm/internal/core"
 	"ovm/internal/im"
 	"ovm/internal/opinion"
 	"ovm/internal/rwalk"
-	"ovm/internal/sampling"
 	"ovm/internal/serialize"
 	"ovm/internal/sketch"
-	"ovm/internal/voting"
+	"ovm/internal/walks"
 )
 
 // BuildOptions selects which artifacts an index precomputes. Every
@@ -40,10 +38,10 @@ type BuildOptions struct {
 	Parallelism int
 }
 
-// BuildIndex precomputes the serving artifacts for sys. The generation
-// uses the same substream families as the live methods (sketch.GenerateSet,
-// rwalk.GenerateSet, IMM's RR stream), so an artifact loaded later is
-// bit-identical to what a from-scratch query would generate.
+// BuildIndex precomputes the serving artifacts for sys. Each is drawn the
+// way the live method draws it (sketch.Draw, rwalk.Draw, im.RRStream), so an
+// artifact loaded later is bit-identical to what a from-scratch query would
+// generate.
 func BuildIndex(sys *opinion.System, o BuildOptions) (*serialize.Index, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("service: nil system")
@@ -58,48 +56,32 @@ func BuildIndex(sys *opinion.System, o BuildOptions) (*serialize.Index, error) {
 		return nil, fmt.Errorf("service: sketch theta and rr counts must be >= 0")
 	}
 	idx := &serialize.Index{Sys: sys}
-	// The generators only read Sys/Target/Horizon from the problem; K and
-	// Score exist to satisfy the shared Problem shape.
-	prob := &core.Problem{Sys: sys, Target: o.Target, Horizon: o.Horizon, K: 1, Score: voting.Cumulative{}}
+	var draws []walks.Draw
 	if o.SketchTheta > 0 {
-		set, err := sketch.GenerateSet(prob, o.SketchTheta, o.Seed, o.Parallelism)
-		if err != nil {
-			return nil, err
-		}
-		snap, err := set.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		// Persist the postings index too (v3 stores it next to the walks),
-		// so loaders adopt it instead of re-running the counting sort.
-		set.EnsureIndex()
-		idx.Sketches = append(idx.Sketches, &serialize.SketchArtifact{
-			Seed: o.Seed, Target: o.Target, Horizon: o.Horizon, Theta: o.SketchTheta, Set: snap,
-			Index: set.IndexSnapshot(),
-		})
+		draws = append(draws, sketch.Draw(o.Seed, o.SketchTheta))
 	}
 	if o.IncludeWalks {
 		lambda, err := rwalk.CumulativeLambda(rwalk.Config{})
 		if err != nil {
 			return nil, err
 		}
-		plan := make([]int32, sys.N())
-		for v := range plan {
-			plan[v] = int32(lambda)
+		draws = append(draws, rwalk.Draw(o.Seed, lambda))
+	}
+	var gr *walks.Ground
+	if len(draws) > 0 {
+		var err error
+		if gr, err = walks.NewGround(sys.Candidate(o.Target)); err != nil {
+			return nil, err
 		}
-		set, err := rwalk.GenerateSet(prob, plan, o.Seed, o.Parallelism)
+	}
+	for _, d := range draws {
+		set, err := d.Generate(nil, gr, o.Horizon, o.Parallelism)
 		if err != nil {
 			return nil, err
 		}
-		snap, err := set.Snapshot()
-		if err != nil {
+		if err := storeWalks(idx, d, o.Target, o.Horizon, set); err != nil {
 			return nil, err
 		}
-		set.EnsureIndex()
-		idx.Walks = append(idx.Walks, &serialize.WalkArtifact{
-			Seed: o.Seed, Target: o.Target, Horizon: o.Horizon, Lambda: lambda, Set: snap,
-			Index: set.IndexSnapshot(),
-		})
 	}
 	if o.RRSets > 0 {
 		models := o.RRModels
@@ -108,7 +90,7 @@ func BuildIndex(sys *opinion.System, o BuildOptions) (*serialize.Index, error) {
 		}
 		g := sys.Candidate(o.Target).G
 		for _, model := range models {
-			col := im.NewRRCollection(g, model, sampling.Stream{Seed: o.Seed, ID: 701}, o.Parallelism)
+			col := im.NewRRCollection(g, model, im.RRStream(o.Seed), o.Parallelism)
 			col.Add(o.RRSets)
 			snap, err := col.Snapshot()
 			if err != nil {
@@ -121,4 +103,27 @@ func BuildIndex(sys *opinion.System, o BuildOptions) (*serialize.Index, error) {
 		}
 	}
 	return idx, nil
+}
+
+// storeWalks appends a pristine walk set to idx as the serialize artifact
+// type its draw maps to (sampled starts are a sketch artifact, planned ones a
+// walk artifact), with its postings index: v3 stores it next to the walks, so
+// loaders adopt it instead of re-running the counting sort.
+func storeWalks(idx *serialize.Index, d walks.Draw, target, horizon int, set *walks.Set) error {
+	snap, err := set.Snapshot()
+	if err != nil {
+		return err
+	}
+	set.EnsureIndex()
+	index := set.IndexSnapshot()
+	if d.Theta > 0 {
+		idx.Sketches = append(idx.Sketches, &serialize.SketchArtifact{
+			Seed: d.Seed, Target: target, Horizon: horizon, Theta: d.Theta, Set: snap, Index: index,
+		})
+	} else {
+		idx.Walks = append(idx.Walks, &serialize.WalkArtifact{
+			Seed: d.Seed, Target: target, Horizon: horizon, Lambda: d.Lambda, Set: snap, Index: index,
+		})
+	}
+	return nil
 }

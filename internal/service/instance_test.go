@@ -22,7 +22,6 @@ import (
 	"ovm/internal/opinion"
 	"ovm/internal/serialize"
 	"ovm/internal/service"
-	"ovm/internal/sketch"
 	"ovm/internal/voting"
 )
 
@@ -192,9 +191,8 @@ func memoBackedMatchesFromScratch(t *testing.T, sys *opinion.System, idx *serial
 			sc := sc
 			score := sc.score(sys.R())
 			wantFixed := referenceMatrix(sys, fixed)
-			wantMin, minErr := core.MinSeedsToWin(sys, 0, tdHorizon, score, sketch.Selector(
-				core.Problem{Sys: sys, Horizon: tdHorizon, K: 1, Score: score},
-				sketch.Config{FixedTheta: tdTheta, Seed: tdSeed, Parallelism: 1}))
+			wantMin, minErr := core.MinSeedsToWin(sys, 0, tdHorizon, score, librarySelector(
+				"RS", core.Problem{Sys: sys, Horizon: tdHorizon, K: 1, Score: score}, tdTheta))
 			if minErr != nil && !errors.Is(minErr, core.ErrCannotWin) {
 				t.Fatal(minErr)
 			}

@@ -8,9 +8,9 @@ import (
 	"unsafe"
 
 	"ovm/internal/core"
+	"ovm/internal/methods"
 	"ovm/internal/obs"
 	"ovm/internal/opinion"
-	"ovm/internal/rwalk"
 	"ovm/internal/voting"
 	"ovm/internal/walks"
 )
@@ -124,61 +124,35 @@ func (ds *Dataset) instanceOnce(ctx context.Context, target, horizon, parallelis
 	})
 }
 
-// greedySource is a persisted walk artifact whose greedy selection answers
-// a method: an RS sketch set or the RW cumulative walk set.
-type greedySource struct {
-	key   string     // names the artifact within its Dataset
-	set   *walks.Set // pristine; every run clones it
-	theta int        // RS sketch count; 0 selects RW's uniform owner weights
-}
-
-func (src *greedySource) weights() []float64 {
-	if src.theta > 0 {
-		return walks.SketchOwnerWeights(src.set, src.theta)
-	}
-	return walks.UniformOwnerWeights(src.set)
-}
-
-// sketchSource resolves RS: an explicit θ that matches a sketch artifact.
-func (ds *Dataset) sketchSource(_ voting.Score, target, horizon, theta int, seed int64) (*greedySource, error) {
-	if theta <= 0 {
-		return nil, nil
-	}
-	for i, a := range ds.sketches {
-		if a.target == target && a.horizon == horizon && a.theta == theta && a.seed == seed {
-			return &greedySource{key: "rs" + strconv.Itoa(i), set: a.set, theta: theta}, nil
-		}
-	}
-	return nil, nil
-}
-
-// walkSource resolves RW: the cumulative score over the walk artifact that
-// stores the plan a live rwalk.Select would generate for it.
-func (ds *Dataset) walkSource(score voting.Score, target, horizon, _ int, seed int64) (*greedySource, error) {
-	if _, cumulative := score.(voting.Cumulative); !cumulative {
-		return nil, nil
-	}
-	lambda, err := rwalk.CumulativeLambda(rwalk.Config{})
-	if err != nil {
+// sourceFor resolves the walk artifact that serves method under o: the one
+// holding the very set methods.Select would draw for (score, o) on this
+// target and horizon, so the greedy over it is the method's answer bit for
+// bit. That is an RS sketch set at o's pinned θ, or the RW walk set of the
+// cumulative score at o's λ. Nil when the method draws no such set or no
+// artifact holds it.
+func (ds *Dataset) sourceFor(method string, score voting.Score, target, horizon int, o methods.Options) (*walkArtifact, error) {
+	want, ok, err := methods.FixedDraw(method, score, o)
+	if err != nil || !ok {
 		return nil, err
 	}
-	for i, a := range ds.walkSets {
-		if a.target == target && a.horizon == horizon && a.lambda == lambda && a.seed == seed {
-			return &greedySource{key: "rw" + strconv.Itoa(i), set: a.set}, nil
+	for _, a := range ds.walks {
+		if a.draw == want && a.target == target && a.horizon == horizon {
+			return a, nil
 		}
 	}
 	return nil, nil
 }
 
-// sourceFor resolves the artifact that serves method for these request
-// parameters, nil when the method has none or none matches. theta is the
-// sketch count as the endpoint resolved it.
-func (ds *Dataset) sourceFor(method string, score voting.Score, target, horizon, theta int, seed int64) (*greedySource, error) {
-	resolve := methods[method].artifact
-	if resolve == nil {
-		return nil, nil
+// defaultTheta resolves an omitted θ to that of the sketch artifact covering
+// (target, horizon, seed), 0 when there is none, so requests may omit theta
+// and still hit the index. Only RS reads θ.
+func (ds *Dataset) defaultTheta(target, horizon int, seed int64) int {
+	for _, a := range ds.walks {
+		if a.draw.Theta > 0 && a.target == target && a.horizon == horizon && a.draw.Seed == seed {
+			return a.draw.Theta
+		}
 	}
-	return resolve(ds, score, target, horizon, theta, seed)
+	return 0
 }
 
 // greedyPrefix is an immutable snapshot of the epoch's greedy run over one
@@ -196,12 +170,12 @@ func (p *greedyPrefix) cacheBytes() int64 {
 // greedy returns the first p.K seeds of the epoch's greedy run over src for
 // the score scoreKey canonically names. The greedy never looks at k, so a
 // snapshot at least p.K long answers by slicing. A shorter one is continued
-// on a private clone (walks.ContinueGreedy re-applies its seeds and runs
+// on a private clone (walks.Draw.Greedy re-applies its seeds and runs
 // only the missing rounds), and the result is published when it is longer
 // than what is there by then. The first ask of an epoch continues from the
 // empty prefix, which is the from-scratch selection. Only a continuation
 // reads the competitor rows, so only it resolves instance.
-func (ds *Dataset) greedy(src *greedySource, p *core.Problem, scoreKey string, instance func() (*core.Instance, error), parallelism int) (*greedyAnswer, error) {
+func (ds *Dataset) greedy(src *walkArtifact, p *core.Problem, scoreKey string, instance func() (*core.Instance, error), parallelism int) (*greedyAnswer, error) {
 	key := "greedy|" + src.key + "|" + scoreKey
 	pre := &greedyPrefix{}
 	if v, ok := ds.memo.Get(key); ok {
@@ -214,7 +188,7 @@ func (ds *Dataset) greedy(src *greedySource, p *core.Problem, scoreKey string, i
 		if err != nil {
 			return nil, err
 		}
-		run, err := walks.ContinueGreedy(p, src.set.Clone(), src.weights(), inst.Comp, pre.seeds, parallelism)
+		run, err := src.draw.Greedy(p, src.set.Clone(), inst.Comp, pre.seeds, parallelism)
 		if err != nil {
 			return nil, err
 		}
@@ -269,7 +243,7 @@ func (v *prefixValue) cacheBytes() int64 { return prefixValueOverhead + int64(v.
 // exactValue comes from: a known value costs one memo read and no instance
 // lookup; an unknown one is evaluated by the epoch's instance and published
 // once the evaluation has completed.
-func (ds *Dataset) exactValue(ctx context.Context, src *greedySource, scoreKey string, score voting.Score, seeds []int32, instance func() (*core.Instance, error)) (float64, bool, error) {
+func (ds *Dataset) exactValue(ctx context.Context, src *walkArtifact, scoreKey string, score voting.Score, seeds []int32, instance func() (*core.Instance, error)) (float64, bool, error) {
 	key := "value|" + src.key + "|" + scoreKey + "|" + strconv.Itoa(len(seeds))
 	if v, ok := ds.memo.Get(key); ok {
 		return v.(*prefixValue).value, true, nil

@@ -537,8 +537,7 @@ func (ds *Dataset) noopSuccessor() *Dataset {
 		sys:       ds.sys,
 		epoch:     ds.epoch + 1,
 		baseEpoch: ds.baseEpoch,
-		sketches:  ds.sketches,
-		walkSets:  ds.walkSets,
+		walks:     ds.walks,
 		rrs:       ds.rrs,
 		memo:      newLRUCache(epochMemoBytes),
 	}

@@ -16,10 +16,8 @@ import (
 	"ovm/internal/datasets"
 	"ovm/internal/obs"
 	"ovm/internal/opinion"
-	"ovm/internal/rwalk"
 	"ovm/internal/serialize"
 	"ovm/internal/service"
-	"ovm/internal/sketch"
 	"ovm/internal/voting"
 )
 
@@ -123,11 +121,7 @@ func minSeedsCases(sys *opinion.System) []minSeedsCase {
 	minSeedsCasesOnce.Do(func() {
 		add := func(method string, spec service.ScoreSpec, score voting.Score, theta int) {
 			base := core.Problem{Sys: sys, Horizon: tdHorizon, K: 1, Score: score}
-			sel := sketch.Selector(base, sketch.Config{FixedTheta: theta, Seed: tdSeed, Parallelism: 1})
-			if method == "RW" {
-				sel = rwalk.Selector(base, rwalk.Config{Seed: tdSeed, Parallelism: 1})
-			}
-			seeds, err := core.MinSeedsToWin(sys, 0, tdHorizon, score, sel)
+			seeds, err := core.MinSeedsToWin(sys, 0, tdHorizon, score, librarySelector(method, base, theta))
 			if err != nil && !errors.Is(err, core.ErrCannotWin) {
 				panic(err)
 			}

@@ -9,9 +9,9 @@
 //   - Determinism: every response is bit-identical to the corresponding
 //     direct library call (ovm.SelectSeeds and friends) at any engine
 //     parallelism. Indexed queries reuse persisted artifacts through the
-//     same code paths the library uses (walks.ContinueGreedy, the one
-//     function under sketch.SelectOnSet and rwalk.SelectOnSet, and
-//     im.IMMCached), so load-not-recompute never changes an answer.
+//     same code paths the library uses (walks.Draw.Greedy, the one greedy
+//     under both walk methods, and im.IMMCached), so load-not-recompute
+//     never changes an answer.
 //   - Caching: responses are memoized in an LRU cache keyed by the
 //     canonicalized request. The engine parallelism is deliberately
 //     excluded from the key — results do not depend on it.
@@ -31,14 +31,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ovm/internal/baselines"
 	"ovm/internal/core"
 	"ovm/internal/dynamic"
 	"ovm/internal/im"
+	"ovm/internal/methods"
 	"ovm/internal/obs"
 	"ovm/internal/opinion"
 	"ovm/internal/rwalk"
-	"ovm/internal/sampling"
 	"ovm/internal/serialize"
 	"ovm/internal/sketch"
 	"ovm/internal/voting"
@@ -306,27 +305,22 @@ type Dataset struct {
 	sys       *opinion.System
 	epoch     int64 // bumped once per applied update batch
 	baseEpoch int64 // the loaded index's BaseEpoch; epoch-baseEpoch = applied batches
-	sketches  []*sketchArtifact
-	walkSets  []*walkArtifact
+	walks     []*walkArtifact
 	rrs       []*rrArtifact
 
 	// memo holds what the epoch remembers between requests (memo.go).
 	memo *lruCache
 }
 
-type sketchArtifact struct {
-	seed    int64
-	target  int
-	horizon int
-	theta   int
-	set     *walks.Set // pristine; queries run on clones
-}
-
+// walkArtifact is a persisted walk set together with how it was drawn: an RS
+// sketch set (θ sampled starts) or RW's cumulative walk set (λ walks per
+// node). Only the edges that speak serialize's two artifact types or
+// DatasetStats' two counts ask which.
 type walkArtifact struct {
-	seed    int64
+	key     string // names the artifact within its Dataset, in memo keys
+	draw    walks.Draw
 	target  int
 	horizon int
-	lambda  int
 	set     *walks.Set // pristine; queries run on clones
 }
 
@@ -362,43 +356,44 @@ func (s *Service) add(name string, idx *serialize.Index) error {
 		baseEpoch: idx.BaseEpoch,
 		memo:      newLRUCache(epochMemoBytes),
 	}
-	for i, a := range idx.Sketches {
-		set, err := walks.FromSnapshot(idx.Sys.Candidate(a.Target).G, a.Set)
+	// serialize keeps two artifact types; from here on a walk set is a walk
+	// set, sketch sets first.
+	restore := func(d walks.Draw, target, horizon int, snap *walks.Snapshot, index *walks.IndexSnapshot) error {
+		i := len(ds.walks)
+		set, err := walks.FromSnapshot(idx.Sys.Candidate(target).G, snap)
 		if err != nil {
-			return badRequestf("sketch artifact %d: %v", i, err)
+			return badRequestf("walk artifact %d: %v", i, err)
 		}
-		if set.NumWalks() != a.Theta {
-			return badRequestf("sketch artifact %d stores %d walks, want theta=%d", i, set.NumWalks(), a.Theta)
+		want := d.Theta
+		if want == 0 {
+			want = d.Lambda * idx.Sys.N()
+		}
+		if set.NumWalks() != want {
+			return badRequestf("walk artifact %d stores %d walks, want %d (theta=%d, lambda=%d)", i, set.NumWalks(), want, d.Theta, d.Lambda)
 		}
 		// Index once at load time: every per-query Clone shares the postings
 		// index, so indexed queries ride the incremental greedy path without
 		// paying a per-query index build. A v3 file carries the index; adopt
 		// it (verified against storage) instead of rebuilding, falling back
 		// to the rebuild if verification rejects it.
-		if a.Index == nil || set.AdoptIndex(a.Index) != nil {
+		if index == nil || set.AdoptIndex(index) != nil {
 			set.EnsureIndex()
 		}
-		ds.sketches = append(ds.sketches, &sketchArtifact{
-			seed: a.Seed, target: a.Target, horizon: a.Horizon, theta: a.Theta, set: set,
-		})
+		ds.walks = append(ds.walks, &walkArtifact{key: "w" + strconv.Itoa(i), draw: d, target: target, horizon: horizon, set: set})
+		return nil
 	}
-	for i, a := range idx.Walks {
-		set, err := walks.FromSnapshot(idx.Sys.Candidate(a.Target).G, a.Set)
-		if err != nil {
-			return badRequestf("walk artifact %d: %v", i, err)
+	for _, a := range idx.Sketches {
+		if err := restore(sketch.Draw(a.Seed, a.Theta), a.Target, a.Horizon, a.Set, a.Index); err != nil {
+			return err
 		}
-		if set.NumWalks() != a.Lambda*idx.Sys.N() {
-			return badRequestf("walk artifact %d stores %d walks, want lambda×n=%d", i, set.NumWalks(), a.Lambda*idx.Sys.N())
+	}
+	for _, a := range idx.Walks {
+		if err := restore(rwalk.Draw(a.Seed, a.Lambda), a.Target, a.Horizon, a.Set, a.Index); err != nil {
+			return err
 		}
-		if a.Index == nil || set.AdoptIndex(a.Index) != nil {
-			set.EnsureIndex()
-		}
-		ds.walkSets = append(ds.walkSets, &walkArtifact{
-			seed: a.Seed, target: a.Target, horizon: a.Horizon, lambda: a.Lambda, set: set,
-		})
 	}
 	for i, a := range idx.RRs {
-		col, err := im.FromSnapshot(idx.Sys.Candidate(a.Target).G, a.Sets, sampling.Stream{Seed: a.Seed, ID: 701}, s.cfg.Parallelism)
+		col, err := im.FromSnapshot(idx.Sys.Candidate(a.Target).G, a.Sets, im.RRStream(a.Seed), s.cfg.Parallelism)
 		if err != nil {
 			return badRequestf("rr artifact %d: %v", i, err)
 		}
@@ -458,20 +453,12 @@ func (s *Service) dataset(name string) (*Dataset, *Error) {
 	return ds, nil
 }
 
-// defaultSketchTheta reports the θ of the artifact covering (target,
-// horizon, seed), so requests may omit theta and still hit the index.
-func (ds *Dataset) defaultSketchTheta(target, horizon int, seed int64) int {
-	for _, a := range ds.sketches {
-		if a.target == target && a.horizon == horizon && a.seed == seed {
-			return a.theta
-		}
-	}
-	return 0
-}
-
-func (ds *Dataset) rrFor(model im.Model, target int, seed int64) *im.RRCollection {
+// rrFor finds the RR artifact drawn for (target, seed) under the diffusion
+// model the method is named after (IC, LT); IMM then copies its sets instead
+// of sampling them.
+func (ds *Dataset) rrFor(method string, target int, seed int64) *im.RRCollection {
 	for _, a := range ds.rrs {
-		if a.target == target && a.seed == seed && a.col.Model() == model {
+		if a.target == target && a.seed == seed && a.col.Model().String() == method {
 			return a.col
 		}
 	}
@@ -491,27 +478,9 @@ type ScoreSpec struct {
 
 // build validates the spec against a system with r candidates.
 func (sp ScoreSpec) build(r int) (voting.Score, *Error) {
-	var sc voting.Score
-	switch sp.Name {
-	case "cumulative":
-		sc = voting.Cumulative{}
-	case "plurality":
-		sc = voting.Plurality{}
-	case "p-approval":
-		sc = voting.PApproval{P: sp.P}
-	case "positional":
-		sc = voting.Positional{P: sp.P, Omega: sp.Omega}
-	case "copeland":
-		sc = voting.Copeland{}
-	case "borda":
-		sc = voting.BordaAsPositional(r)
-	default:
-		return nil, badRequestf("unknown score %q (want cumulative, plurality, p-approval, positional, copeland, or borda)", sp.Name)
-	}
-	if v, ok := sc.(interface{ Validate(r int) error }); ok {
-		if err := v.Validate(r); err != nil {
-			return nil, badRequestf("invalid score: %v", err)
-		}
+	sc, err := voting.ParseScore(sp.Name, sp.P, sp.Omega, r)
+	if err != nil {
+		return nil, badRequestf("%v", err)
 	}
 	return sc, nil
 }
@@ -796,30 +765,6 @@ func seedsKey(seeds []int32) string {
 	return string(buf)
 }
 
-// methodSpec is what the endpoints need to know about a selection method.
-type methodSpec struct {
-	// minSeeds: min-seeds-to-win accepts it (Problem 2 searches over k, so
-	// it needs a selector whose answer is defined for every k).
-	minSeeds bool
-	// artifact resolves the persisted walk artifact whose greedy selection
-	// answers the method for these request parameters (nil result: none
-	// matches). Methods without such an artifact leave it nil.
-	artifact func(ds *Dataset, score voting.Score, target, horizon, theta int, seed int64) (*greedySource, error)
-}
-
-// methods lists every method select-seeds answers.
-var methods = map[string]methodSpec{
-	"DM":    {minSeeds: true},
-	"RW":    {minSeeds: true, artifact: (*Dataset).walkSource},
-	"RS":    {minSeeds: true, artifact: (*Dataset).sketchSource},
-	"IC":    {},
-	"LT":    {},
-	"GED-T": {},
-	"PR":    {},
-	"RWR":   {},
-	"DC":    {},
-}
-
 // SelectSeeds answers a select-seeds query, preferring precomputed index
 // artifacts when the request parameters match one.
 func (s *Service) SelectSeeds(req *SelectSeedsRequest) (*SelectSeedsResponse, *Error) {
@@ -856,14 +801,14 @@ func (s *Service) SelectSeedsCtx(ctx context.Context, req *SelectSeedsRequest) (
 		return nil, serr
 	}
 	method := req.Method
-	if _, known := methods[method]; !known {
+	if !slices.Contains(methods.Names, method) {
 		return nil, badRequestf("unknown method %q", method)
 	}
 	// Resolve θ before keying the cache so an explicit θ and an omitted one
 	// that resolves to the same artifact share an entry.
 	theta := req.Theta
-	if method == "RS" && theta == 0 {
-		theta = ds.defaultSketchTheta(req.Target, req.Horizon, req.Seed)
+	if theta == 0 {
+		theta = ds.defaultTheta(req.Target, req.Horizon, req.Seed)
 	}
 	// The epoch scopes cache entries per dataset version: an update bumps
 	// it, making every pre-update entry unreachable (it then ages out of
@@ -894,7 +839,9 @@ func (s *Service) SelectSeedsCtx(ctx context.Context, req *SelectSeedsRequest) (
 // leaves nothing behind and a retry recomputes identically.
 func (s *Service) computeSelect(ctx context.Context, ds *Dataset, req *SelectSeedsRequest, score voting.Score, theta, par int) (*SelectSeedsResponse, error) {
 	prob := &core.Problem{Sys: ds.sys, Target: req.Target, Horizon: req.Horizon, K: req.K, Score: score, Ctx: ctx}
-	src, err := ds.sourceFor(req.Method, score, req.Target, req.Horizon, theta, req.Seed)
+	opts := methods.Options{Seed: req.Seed, Parallelism: par}
+	opts.RS.FixedTheta = theta
+	src, err := ds.sourceFor(req.Method, score, req.Target, req.Horizon, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -922,38 +869,10 @@ func (s *Service) computeSelect(ctx context.Context, ds *Dataset, req *SelectSee
 	if err != nil {
 		return nil, err
 	}
-	switch req.Method {
-	case "DM":
-		resp.Seeds, _, err = core.SelectSeedsDM(prob, par)
-	case "RW":
-		var res *rwalk.Result
-		if res, err = rwalk.Select(prob, rwalk.Config{Seed: req.Seed, Parallelism: par}); err == nil {
-			resp.Seeds, resp.work.Rounds = res.Seeds, res.Rounds
-		}
-	case "RS":
-		var res *sketch.Result
-		if res, err = sketch.Select(prob, sketch.Config{FixedTheta: theta, Seed: req.Seed, Parallelism: par}); err == nil {
-			resp.Seeds, resp.work.Rounds = res.Seeds, res.Rounds
-		}
-	default: // the baselines
-		cfg := baselines.Config{Parallelism: par}
-		cfg.IMM.Seed = req.Seed
-		model, isIM := im.IC, false
-		switch req.Method {
-		case "IC":
-			model, isIM = im.IC, true
-		case "LT":
-			model, isIM = im.LT, true
-		}
-		if isIM {
-			if col := ds.rrFor(model, req.Target, req.Seed); col != nil {
-				cfg.RRCache = col
-				resp.FromIndex = true
-			}
-		}
-		resp.Seeds, err = baselines.Select(baselines.Method(req.Method), prob, cfg)
+	if col := ds.rrFor(req.Method, req.Target, req.Seed); col != nil {
+		opts.Baseline.RRCache, resp.FromIndex = col, true
 	}
-	if err != nil {
+	if resp.Seeds, resp.work.Rounds, err = methods.Select(req.Method, prob, opts); err != nil {
 		return nil, err
 	}
 	if resp.ExactValue, err = inst.Evaluate(ctx, score, resp.Seeds); err != nil {
@@ -1087,8 +1006,8 @@ func (s *Service) MinSeedsToWinCtx(ctx context.Context, req *MinSeedsRequest) (*
 	if serr != nil {
 		return nil, serr
 	}
-	if !methods[req.Method].minSeeds {
-		return nil, badRequestf("min-seeds-to-win supports DM, RW, RS; got %q", req.Method)
+	if !slices.Contains(methods.Proposed, req.Method) {
+		return nil, badRequestf("min-seeds-to-win supports %s; got %q", strings.Join(methods.Proposed, ", "), req.Method)
 	}
 	key := fmt.Sprintf("minwin|%s|e=%d|%s|%s|t=%d|q=%d|seed=%d|theta=%d",
 		req.Dataset, ds.epoch, req.Method, req.Score.canonical(), req.Horizon, req.Target, req.Seed, req.Theta)
@@ -1100,18 +1019,22 @@ func (s *Service) MinSeedsToWinCtx(ctx context.Context, req *MinSeedsRequest) (*
 		}
 		instance := func() (*core.Instance, error) { return inst, nil }
 		// The raw θ: an omitted one keeps the heuristic-θ search per probe.
-		src, err := ds.sourceFor(req.Method, score, req.Target, req.Horizon, req.Theta, req.Seed)
+		opts := methods.Options{Seed: req.Seed, Parallelism: par}
+		opts.RS.FixedTheta = req.Theta
+		src, err := ds.sourceFor(req.Method, score, req.Target, req.Horizon, opts)
 		if err != nil {
 			return nil, err
 		}
 		base := core.Problem{Sys: ds.sys, Target: req.Target, Horizon: req.Horizon, K: 1, Score: score, Ctx: cctx}
 		var tally greedyTally
 		defer tally.flush()
-		var sel core.SeedSelector
-		switch {
-		case src != nil:
-			// Every probe reads the epoch's seed prefix, so Algorithm 2's
-			// doubling and binary search run each greedy round at most once.
+		sel, err := methods.Selector(req.Method, base, opts)
+		if err != nil {
+			return nil, err
+		}
+		if src != nil {
+			// Every probe reads the epoch's seed prefix instead, so Algorithm
+			// 2's doubling and binary search run each greedy round at most once.
 			scoreKey := req.Score.canonical()
 			sel = func(k int) ([]int32, error) {
 				p := base
@@ -1123,12 +1046,6 @@ func (s *Service) MinSeedsToWinCtx(ctx context.Context, req *MinSeedsRequest) (*
 				tally.add(ans)
 				return ans.seeds, nil
 			}
-		case req.Method == "DM":
-			sel = core.DMSelectorCtx(cctx, ds.sys, req.Target, req.Horizon, score, par)
-		case req.Method == "RW":
-			sel = rwalk.Selector(base, rwalk.Config{Seed: req.Seed, Parallelism: par})
-		case req.Method == "RS":
-			sel = sketch.Selector(base, sketch.Config{FixedTheta: req.Theta, Seed: req.Seed, Parallelism: par})
 		}
 		seeds, err := inst.MinSeedsToWin(cctx, score, sel)
 		if err == core.ErrCannotWin {
@@ -1286,20 +1203,19 @@ func (s *Service) StatsSnapshot() Stats {
 	for _, name := range sortedNames(s.ds) {
 		ds := s.ds[name]
 		d := DatasetStats{
-			Name:            name,
-			Epoch:           ds.epoch,
-			Nodes:           ds.sys.N(),
-			Edges:           ds.sys.Candidate(0).G.M(),
-			Candidates:      ds.sys.R(),
-			SketchArtifacts: len(ds.sketches),
-			WalkArtifacts:   len(ds.walkSets),
-			RRArtifacts:     len(ds.rrs),
+			Name:        name,
+			Epoch:       ds.epoch,
+			Nodes:       ds.sys.N(),
+			Edges:       ds.sys.Candidate(0).G.M(),
+			Candidates:  ds.sys.R(),
+			RRArtifacts: len(ds.rrs),
 		}
-		for _, a := range ds.sketches {
-			d.MappedBytes += a.set.MappedBytes()
-			d.HeapBytes += a.set.HeapBytes()
-		}
-		for _, a := range ds.walkSets {
+		for _, a := range ds.walks {
+			if a.draw.Theta > 0 {
+				d.SketchArtifacts++
+			} else {
+				d.WalkArtifacts++
+			}
 			d.MappedBytes += a.set.MappedBytes()
 			d.HeapBytes += a.set.HeapBytes()
 		}

@@ -4,13 +4,10 @@ import (
 	"context"
 	"time"
 
-	"ovm/internal/core"
 	"ovm/internal/dynamic"
 	"ovm/internal/obs"
-	"ovm/internal/rwalk"
 	"ovm/internal/serialize"
-	"ovm/internal/sketch"
-	"ovm/internal/voting"
+	"ovm/internal/walks"
 )
 
 // maxUpdateOps bounds a single update batch's op count: together with the
@@ -168,25 +165,10 @@ func (s *Service) ExportIndex(name string) (*serialize.Index, *Error) {
 		return nil, serr
 	}
 	idx := &serialize.Index{Sys: ds.sys, BaseEpoch: ds.epoch}
-	for _, a := range ds.sketches {
-		snap, err := a.set.Snapshot()
-		if err != nil {
+	for _, a := range ds.walks {
+		if err := storeWalks(idx, a.draw, a.target, a.horizon, a.set); err != nil {
 			return nil, internalErr(err)
 		}
-		idx.Sketches = append(idx.Sketches, &serialize.SketchArtifact{
-			Seed: a.seed, Target: a.target, Horizon: a.horizon, Theta: a.theta, Set: snap,
-			Index: a.set.IndexSnapshot(),
-		})
-	}
-	for _, a := range ds.walkSets {
-		snap, err := a.set.Snapshot()
-		if err != nil {
-			return nil, internalErr(err)
-		}
-		idx.Walks = append(idx.Walks, &serialize.WalkArtifact{
-			Seed: a.seed, Target: a.target, Horizon: a.horizon, Lambda: a.lambda, Set: snap,
-			Index: a.set.IndexSnapshot(),
-		})
 	}
 	for _, a := range ds.rrs {
 		snap, err := a.col.Snapshot()
@@ -232,29 +214,24 @@ func (s *Service) repairDataset(ctx context.Context, ds *Dataset, batch dynamic.
 		memo:      newLRUCache(epochMemoBytes),
 	}
 	resp := &UpdateResponse{Epoch: next.epoch, NodesTouched: cs.NumTouched()}
-	for _, a := range ds.sketches {
-		prob := &core.Problem{Sys: newSys, Target: a.target, Horizon: a.horizon, K: 1, Score: voting.Cumulative{}, Ctx: ctx}
-		set, st, err := sketch.RepairSet(prob, a.set, cs.WalkMask(n, a.target), a.seed, par)
+	// The alias sampler of a mutated graph costs O(m): one per target graph,
+	// shared by every artifact over it.
+	grounds := make(map[int]*walks.Ground)
+	for _, a := range ds.walks {
+		gr := grounds[a.target]
+		if gr == nil {
+			if gr, err = walks.NewGround(newSys.Candidate(a.target)); err != nil {
+				return nil, nil, internalErr(err)
+			}
+			grounds[a.target] = gr
+		}
+		set, st, err := a.draw.Repair(ctx, gr, a.set, cs.WalkMask(n, a.target), par)
 		if err != nil {
 			return nil, nil, internalErr(err)
 		}
 		resp.WalksInvalidated += st.WalksInvalidated
 		resp.WalksTotal += st.Walks
-		next.sketches = append(next.sketches, &sketchArtifact{
-			seed: a.seed, target: a.target, horizon: a.horizon, theta: a.theta, set: set,
-		})
-	}
-	for _, a := range ds.walkSets {
-		prob := &core.Problem{Sys: newSys, Target: a.target, Horizon: a.horizon, K: 1, Score: voting.Cumulative{}, Ctx: ctx}
-		set, st, err := rwalk.RepairSet(prob, a.set, cs.WalkMask(n, a.target), a.seed, par)
-		if err != nil {
-			return nil, nil, internalErr(err)
-		}
-		resp.WalksInvalidated += st.WalksInvalidated
-		resp.WalksTotal += st.Walks
-		next.walkSets = append(next.walkSets, &walkArtifact{
-			seed: a.seed, target: a.target, horizon: a.horizon, lambda: a.lambda, set: set,
-		})
+		next.walks = append(next.walks, &walkArtifact{key: a.key, draw: a.draw, target: a.target, horizon: a.horizon, set: set})
 	}
 	edgeMask := cs.EdgeMask(n)
 	for _, a := range ds.rrs {

@@ -11,6 +11,11 @@
 // Figs 13/14. The theoretical admissibility curves of Eq 44 (plurality) and
 // Eq 48 (Copeland) are exposed as PluralityThetaLHS / CopelandThetaLHS for
 // the Fig 3 study.
+//
+// What is RS's lives here: how many sketches. Drawing the sampled set,
+// repairing it and running the greedy over it are walks.Draw's, shared with
+// RW; GenerateSet, RepairSet and SelectOnSet spell those three calls for a
+// sketch set.
 package sketch
 
 import (
@@ -18,8 +23,6 @@ import (
 	"math"
 
 	"ovm/internal/core"
-	"ovm/internal/graph"
-	"ovm/internal/sampling"
 	"ovm/internal/stats"
 	"ovm/internal/voting"
 	"ovm/internal/walks"
@@ -125,6 +128,12 @@ func Select(p *core.Problem, cfg Config) (*Result, error) {
 	return SelectWithTheta(p, theta, cfg.Seed, cfg.Parallelism)
 }
 
+// Draw is how Algorithm 5's sketch set is drawn: θ sampled starts from the RS
+// family.
+func Draw(seed int64, theta int) walks.Draw {
+	return walks.Draw{Family: walks.FamilyRS, Seed: seed, Theta: theta}
+}
+
 // SelectWithTheta runs Algorithm 5 with a fixed sketch count θ.
 // Parallelism follows the usual engine convention (0 = GOMAXPROCS, 1 =
 // serial) and never changes the selected seeds.
@@ -143,47 +152,42 @@ func SelectWithTheta(p *core.Problem, theta int, seed int64, parallelism int) (*
 	return SelectOnSet(p, set, theta, comp, parallelism)
 }
 
-// GenerateSet creates the θ-sketch walk set of Algorithm 5 for the
-// problem's target and horizon, using the same substream family as
-// SelectWithTheta — the set a serving index persists so queries can skip
-// regeneration. The returned set is pristine (no seeds applied).
+// GenerateSet draws the θ-sketch walk set of Algorithm 5 for the problem's
+// target and horizon (walks.Draw.Generate) — the set a serving index persists
+// so queries can skip regeneration. The returned set is pristine (no seeds
+// applied).
 func GenerateSet(p *core.Problem, theta int, seed int64, parallelism int) (*walks.Set, error) {
 	if theta < 1 {
 		return nil, fmt.Errorf("sketch: theta must be >= 1, got %d", theta)
 	}
-	cand := p.Sys.Candidate(p.Target)
-	sampler, err := graph.NewInEdgeSampler(cand.G)
+	gr, err := walks.NewGround(p.Sys.Candidate(p.Target))
 	if err != nil {
 		return nil, err
 	}
-	return walks.GenerateSampledCtx(p.Ctx, sampler, cand.Stub, p.Horizon, theta, sampling.Stream{Seed: seed, ID: 211}, parallelism)
+	return Draw(seed, theta).Generate(p.Ctx, gr, p.Horizon, parallelism)
 }
 
 // RepairSet incrementally rebuilds a pristine sketch set after a graph
-// mutation. p must describe the MUTATED system; old is the set generated
-// (with GenerateSet and the same seed) over the pre-mutation graph; touched
-// marks the nodes whose in-neighborhoods or stubbornness changed. The
-// returned set is byte-identical to GenerateSet on the mutated system, but
-// only the invalidated owners are regenerated (from their original
-// substreams in the seed's family). p.Ctx, when set, cancels the repair at
-// shard boundaries.
+// mutation (walks.Draw.Repair). p must describe the MUTATED system; old is
+// the set drawn with seed over the pre-mutation graph; touched marks the
+// nodes whose in-neighborhoods or stubbornness changed. p.Ctx, when set,
+// cancels the repair at shard boundaries.
 func RepairSet(p *core.Problem, old *walks.Set, touched []bool, seed int64, parallelism int) (*walks.Set, walks.RepairStats, error) {
-	cand := p.Sys.Candidate(p.Target)
-	sampler, err := graph.NewInEdgeSampler(cand.G)
+	gr, err := walks.NewGround(p.Sys.Candidate(p.Target))
 	if err != nil {
 		return nil, walks.RepairStats{}, err
 	}
-	return walks.RepairCtx(p.Ctx, old, sampler, cand.Stub, touched, sampling.Stream{Seed: seed, ID: 211}, parallelism)
+	return Draw(seed, old.NumWalks()).Repair(p.Ctx, gr, old, touched, parallelism)
 }
 
 // SelectOnSet runs the greedy selection of Algorithm 5 over a pre-generated
-// sketch set (freshly generated, or a Clone of a loaded artifact): the
-// empty-prefix case of walks.ContinueGreedy with the RS owner weights, whose
-// contract on set, comp and p.Ctx applies. Given a set produced by
-// GenerateSet with matching parameters, the result is byte-identical to
-// SelectWithTheta.
+// sketch set (freshly generated, or a Clone of a loaded artifact):
+// walks.Draw.Greedy from the empty prefix, whose contract on set, comp and
+// p.Ctx applies. Given a set produced by GenerateSet with matching
+// parameters, the result is byte-identical to SelectWithTheta.
 func SelectOnSet(p *core.Problem, set *walks.Set, theta int, comp [][]float64, parallelism int) (*Result, error) {
-	run, err := walks.ContinueGreedy(p, set, walks.SketchOwnerWeights(set, theta), comp, nil, parallelism)
+	// The owner weights depend on θ alone, not on the seed the set was drawn with.
+	run, err := Draw(0, theta).Greedy(p, set, comp, nil, parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -216,20 +220,6 @@ func selectCumulative(p *core.Problem, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// Selector adapts Select to the core.SeedSelector signature used by
-// MinSeedsToWin.
-func Selector(p core.Problem, cfg Config) core.SeedSelector {
-	return func(k int) ([]int32, error) {
-		q := p
-		q.K = k
-		r, err := Select(&q, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return r.Seeds, nil
-	}
-}
-
 // EstimateOPT returns a lower bound on the optimal cumulative score for
 // size-K seed sets, combining three certificates:
 //
@@ -249,7 +239,7 @@ func EstimateOPT(p *core.Problem, cfg Config) (float64, error) {
 	lb := math.Max(float64(p.K), base)
 
 	epsPrime := math.Sqrt2 * cfg.Epsilon
-	sampler, err := graph.NewInEdgeSampler(cand.G)
+	gr, err := walks.NewGround(cand)
 	if err != nil {
 		return 0, err
 	}
@@ -266,11 +256,12 @@ func EstimateOPT(p *core.Problem, cfg Config) (float64, error) {
 		if theta < 1 {
 			theta = 1
 		}
-		set, err := walks.GenerateSampledCtx(p.Ctx, sampler, cand.Stub, p.Horizon, theta, sampling.Stream{Seed: cfg.Seed, ID: uint64(223 + int(x))}, cfg.Parallelism)
+		d := walks.Draw{Family: walks.FamilyRSOpt + uint64(int(x)), Seed: cfg.Seed, Theta: theta}
+		set, err := d.Generate(p.Ctx, gr, p.Horizon, cfg.Parallelism)
 		if err != nil {
 			return 0, err
 		}
-		est, err := walks.NewEstimator(set, p.Target, cand.Init, comp, walks.SketchOwnerWeights(set, theta), cfg.Parallelism)
+		est, err := walks.NewEstimator(set, p.Target, cand.Init, comp, d.Weights(set), cfg.Parallelism)
 		if err != nil {
 			return 0, err
 		}

@@ -6,6 +6,7 @@ import (
 
 	"ovm/internal/core"
 	"ovm/internal/graph"
+	"ovm/internal/methods"
 	"ovm/internal/opinion"
 	"ovm/internal/paperexample"
 	"ovm/internal/sketch"
@@ -230,7 +231,10 @@ func TestSmallestAdmissibleTheta(t *testing.T) {
 
 func TestSelectorAdapter(t *testing.T) {
 	p := paperProblem(t, voting.Plurality{}, 1)
-	sel := sketch.Selector(*p, sketch.Config{Seed: 6, InitialTheta: 512, MaxTheta: 1 << 13})
+	sel, err := methods.Selector("RS", *p, methods.Options{RS: sketch.Config{Seed: 6, InitialTheta: 512, MaxTheta: 1 << 13}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	win, err := core.MinSeedsToWin(p.Sys, 0, 1, voting.Plurality{}, sel)
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ package voting
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Rank returns β(b_qv): the rank of candidate q in user v's preference
@@ -253,4 +254,39 @@ func BordaAsPositional(r int) Positional {
 		om[i] = float64(r-1-i) / float64(r-1)
 	}
 	return Positional{P: r, Omega: om}
+}
+
+// ScoreNames lists the score names ParseScore accepts.
+var ScoreNames = []string{"cumulative", "plurality", "p-approval", "positional", "copeland", "borda"}
+
+// ParseScore builds the named score for a system with r candidates and
+// validates it against r. p parameterizes p-approval and positional, omega
+// holds positional's weights ω[1..p]; the other names ignore both. It is the
+// one parser of the score vocabulary: the ovm command and the daemon's
+// request decoder both call it.
+func ParseScore(name string, p int, omega []float64, r int) (Score, error) {
+	var sc Score
+	switch name {
+	case "cumulative":
+		sc = Cumulative{}
+	case "plurality":
+		sc = Plurality{}
+	case "p-approval":
+		sc = PApproval{P: p}
+	case "positional":
+		sc = Positional{P: p, Omega: omega}
+	case "copeland":
+		sc = Copeland{}
+	case "borda":
+		sc = BordaAsPositional(r)
+	default:
+		last := len(ScoreNames) - 1
+		return nil, fmt.Errorf("unknown score %q (want %s, or %s)", name, strings.Join(ScoreNames[:last], ", "), ScoreNames[last])
+	}
+	if v, ok := sc.(interface{ Validate(r int) error }); ok {
+		if err := v.Validate(r); err != nil {
+			return nil, fmt.Errorf("invalid score: %w", err)
+		}
+	}
+	return sc, nil
 }

@@ -1,6 +1,7 @@
 package walks_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"ovm/internal/datasets"
 	"ovm/internal/obs"
 	"ovm/internal/rwalk"
+	"ovm/internal/sketch"
 	"ovm/internal/voting"
 	"ovm/internal/walks"
 )
@@ -33,26 +35,39 @@ func BenchmarkCostAccounting(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prob := &core.Problem{Sys: d.Sys, Target: d.DefaultTarget, Horizon: horizon, K: k, Score: voting.Cumulative{}}
-	plan := make([]int32, d.Sys.N())
-	for i := range plan {
-		plan[i] = lambda
-	}
-	base, err := rwalk.GenerateSet(prob, plan, seed, 0)
+	gr, err := walks.NewGround(d.Sys.Candidate(d.DefaultTarget))
 	if err != nil {
 		b.Fatal(err)
 	}
-	base.EnsureIndex()
 	comp := core.CompetitorOpinions(d.Sys, d.DefaultTarget, horizon, 0)
 	init := d.Sys.Candidate(d.DefaultTarget).Init
+	// Both kinds of start, the same number of walks each.
+	for _, draw := range []walks.Draw{rwalk.Draw(seed, lambda), sketch.Draw(seed, lambda*d.Sys.N())} {
+		b.Run(fmt.Sprintf("theta=%d", draw.Theta), func(b *testing.B) {
+			base, err := draw.Generate(nil, gr, horizon, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			base.EnsureIndex()
+			costAccountingOverhead(b, func() *walks.Estimator {
+				est, err := walks.NewEstimator(base.Clone(), d.DefaultTarget, init, comp, draw.Weights(base), 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return est
+			}, k)
+		})
+	}
+}
+
+// costAccountingOverhead times k plurality rounds on a fresh estimator with
+// accounting on and off and applies the 2% gate.
+func costAccountingOverhead(b *testing.B, newEstimator func() *walks.Estimator, k int) {
 	score := voting.Plurality{}
 	defer obs.SetCostAccounting(true)
 	run := func(on bool) (time.Duration, *core.GreedyResult) {
 		obs.SetCostAccounting(on)
-		est, err := walks.NewEstimator(base.Clone(), d.DefaultTarget, init, comp, walks.UniformOwnerWeights(base), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		est := newEstimator()
 		start := time.Now()
 		res, err := est.SelectGreedy(k, score)
 		dur := time.Since(start)

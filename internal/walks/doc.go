@@ -33,6 +33,36 @@
 // so every Set, estimate, and greedy pick is bit-identical across
 // Parallelism settings.
 //
+// # Draws and substream families
+//
+// RS is RW with a different walk plan (§VI-A, footnote 6): the same t-step
+// reverse walks, started at θ uniformly sampled nodes with λ_v = 1 per
+// sample instead of at every node with λ_v planned by Theorems 10–12, and
+// Algorithm 5's greedy is Algorithm 4's over that set with owner weights
+// m_v·n/θ instead of 1. A Draw carries exactly that difference: the substream
+// family and seed, and Theta (sampled starts) or Lambda / an explicit plan
+// (planned starts). Draw.Generate and Draw.GeneratePlan draw the set,
+// Draw.Repair rebuilds it after a graph mutation from the stream it was
+// drawn with, Draw.Weights gives the greedy its owner weights and
+// Draw.Greedy runs it. Packages rwalk and sketch keep what is theirs (how
+// many walks: the γ* pilot, the θ search) and say how their set is drawn with
+// rwalk.Draw and sketch.Draw; the service keeps one kind of walk artifact
+// with its Draw as data.
+//
+// Owner v of a set drawn from (family, seed) consumes
+// Stream{seed, family}.Sub(walkStream).At(v), and sampled starts come from
+// .Sub(startStream).At(0), so the family id decides every byte of the set.
+// The ids are part of every index file on disk and are defined once:
+//
+//	101        FamilyRW       Algorithm 4's walk set (rwalk.Draw)
+//	103        FamilyRWPilot  the γ* pilot walks of §V-C
+//	211        FamilyRS       Algorithm 5's sketch set (sketch.Draw)
+//	223 + ⌊x⌋  FamilyRSOpt    EstimateOPT's test set at threshold x
+//	701        im.RRStream    IMM's RR sets (package im; listed for the map)
+//
+// TestGoldenBytesAcrossCommits pins the bytes each of them draws on a fixed
+// graph and seed, against digests recorded before the ids were named.
+//
 // # Fold contract
 //
 // Floating-point sums are not associative, so "the same gain" means the

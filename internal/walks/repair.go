@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"ovm/internal/engine"
-	"ovm/internal/graph"
 	"ovm/internal/obs"
-	"ovm/internal/sampling"
 )
 
 // RepairStats reports how much of a walk set an incremental repair had to
@@ -19,34 +17,30 @@ type RepairStats struct {
 	OwnersInvalidated, WalksInvalidated int
 }
 
-// Repair incrementally rebuilds a pristine walk set after a graph mutation,
-// producing the set a full regeneration on the mutated graph would produce —
-// byte-identical — while only regenerating the owners whose walks could have
-// diverged.
+// Repair incrementally rebuilds old, a pristine walk set drawn with d, after
+// a graph mutation, producing the set drawing d afresh on the mutated graph
+// would produce — byte-identical — while only regenerating the owners whose
+// walks could have diverged.
 //
 // touched marks the mutated nodes: every node whose in-neighborhood
 // (sources or weights) or stubbornness changed. An owner is invalidated
 // when any node of any of its stored walks is touched; its walks are then
 // regenerated on the mutated graph from the owner's original substream
-// str.Sub(walkStream).At(owner) — the same stream a from-scratch Generate /
-// GenerateSampled consumes. Walks of untouched owners replay the identical
-// random draws on the mutated graph (every node they visit kept its
-// stubbornness and in-edge distribution bit-identical), so copying them
-// verbatim equals regenerating them.
+// Sub(walkStream).At(owner) of d's family — the same stream a from-scratch
+// generation consumes, and since the set travels with its Draw it cannot be
+// another. Walks of untouched owners replay the identical random draws on
+// the mutated graph (every node they visit kept its stubbornness and in-edge
+// distribution bit-identical), so copying them verbatim equals regenerating
+// them.
 //
-// s and stub must describe the MUTATED graph; str must be the stream the
-// set was originally generated with. The owner grouping (and for sketch
-// sets, the sampled start multiset) depends only on (str, n), so it is
-// preserved as-is.
-func Repair(old *Set, s *graph.InEdgeSampler, stub []float64, touched []bool, str sampling.Stream, parallelism int) (*Set, RepairStats, error) {
-	return RepairCtx(nil, old, s, stub, touched, str, parallelism)
-}
-
-// RepairCtx is Repair with cooperative cancellation at shard boundaries
-// (nil ctx never cancels): the async update pipeline's applier threads its
-// run context through here so a shutdown can abandon an in-flight
-// background repair instead of waiting it out.
-func RepairCtx(ctx context.Context, old *Set, s *graph.InEdgeSampler, stub []float64, touched []bool, str sampling.Stream, parallelism int) (*Set, RepairStats, error) {
+// gr must describe the MUTATED graph. The owner grouping (and for sampled
+// starts, the start multiset) depends only on (d, n), so it is preserved
+// as-is. ctx cancels at shard boundaries (nil never cancels): the async
+// update pipeline's applier threads its run context through here so a
+// shutdown can abandon an in-flight background repair instead of waiting it
+// out.
+func (d Draw) Repair(ctx context.Context, gr *Ground, old *Set, touched []bool, parallelism int) (*Set, RepairStats, error) {
+	s, stub, str := gr.s, gr.stub, d.stream()
 	var stats RepairStats
 	g := s.Graph()
 	n := g.N()

@@ -46,32 +46,23 @@ const (
 	walkStream  = 2
 )
 
-// Generate creates plan[v] walks from every node v (Direct Generation with
-// an empty seed set). Nodes with plan[v] == 0 get no walks. The stub slice
-// supplies per-node termination probabilities (the stubbornness d_v).
+// GeneratePlan draws plan[v] walks from every node v (Direct Generation with
+// an empty seed set; RW's per-node counts of Theorems 10–12). Nodes with
+// plan[v] == 0 get no walks.
 //
 // Generation is sharded by start node over the engine worker pool. Each
-// owner v consumes its own random substream str.Sub(walkStream).At(v), so
-// the returned Set is bit-identical for every parallelism value (0 =
-// GOMAXPROCS workers).
-func Generate(s *graph.InEdgeSampler, stub []float64, horizon int, plan []int32, str sampling.Stream, parallelism int) (*Set, error) {
-	return GenerateCtx(nil, s, stub, horizon, plan, str, parallelism)
-}
-
-// GenerateCtx is Generate with cooperative cancellation at owner-shard
-// boundaries: once ctx is done the remaining shards are skipped, the partial
-// set is discarded, and ctx.Err() is returned.
-func GenerateCtx(ctx context.Context, s *graph.InEdgeSampler, stub []float64, horizon int, plan []int32, str sampling.Stream, parallelism int) (*Set, error) {
-	g := s.Graph()
-	n := g.N()
+// owner v consumes its own random substream Sub(walkStream).At(v) of the
+// draw's family, so the returned Set is bit-identical for every parallelism
+// value (0 = GOMAXPROCS workers). ctx cancels at owner-shard boundaries (nil
+// never cancels): the remaining shards are skipped, the partial set is
+// discarded, and ctx.Err() is returned.
+func (d Draw) GeneratePlan(ctx context.Context, gr *Ground, horizon int, plan []int32, parallelism int) (*Set, error) {
+	n := gr.s.Graph().N()
 	if len(plan) != n {
 		return nil, fmt.Errorf("walks: plan has %d entries, want %d", len(plan), n)
 	}
-	if len(stub) != n {
-		return nil, fmt.Errorf("walks: stub has %d entries, want %d", len(stub), n)
-	}
-	if horizon < 0 {
-		return nil, fmt.Errorf("walks: negative horizon %d", horizon)
+	if err := gr.check(horizon); err != nil {
+		return nil, err
 	}
 	totalWalks := 0
 	for v, c := range plan {
@@ -98,38 +89,25 @@ func GenerateCtx(ctx context.Context, s *graph.InEdgeSampler, stub []float64, ho
 		owners = append(owners, v)
 		counts = append(counts, plan[v])
 	}
-	return generateGrouped(ctx, s, stub, horizon, owners, counts, totalWalks, str, parallelism)
+	return generateGrouped(ctx, gr, horizon, owners, counts, totalWalks, d.stream(), parallelism)
 }
 
-// GenerateSampled creates theta walks whose start nodes are drawn uniformly
+// generateSampled draws d.Theta walks whose start nodes are sampled uniformly
 // at random with replacement (the sketch set of §VI-A, with λ_v = 1 per
 // sample). Walks from repeated samples of the same node are grouped under
 // one owner, so per-owner averages realize the footnote-6 estimator.
-// Sketch generation is sharded by owner exactly like Generate and is
+// Sketch generation is sharded by owner exactly like GeneratePlan and is
 // equally reproducible across parallelism values.
-func GenerateSampled(s *graph.InEdgeSampler, stub []float64, horizon, theta int, str sampling.Stream, parallelism int) (*Set, error) {
-	return GenerateSampledCtx(nil, s, stub, horizon, theta, str, parallelism)
-}
-
-// GenerateSampledCtx is GenerateSampled with the cancellation semantics of
-// GenerateCtx.
-func GenerateSampledCtx(ctx context.Context, s *graph.InEdgeSampler, stub []float64, horizon, theta int, str sampling.Stream, parallelism int) (*Set, error) {
-	g := s.Graph()
-	n := g.N()
-	if len(stub) != n {
-		return nil, fmt.Errorf("walks: stub has %d entries, want %d", len(stub), n)
-	}
-	if horizon < 0 {
-		return nil, fmt.Errorf("walks: negative horizon %d", horizon)
-	}
-	if theta <= 0 {
-		return nil, fmt.Errorf("walks: need theta > 0, got %d", theta)
+func (d Draw) generateSampled(ctx context.Context, gr *Ground, horizon, parallelism int) (*Set, error) {
+	if err := gr.check(horizon); err != nil {
+		return nil, err
 	}
 	// Start nodes come from a single sequential substream: theta cheap draws,
 	// not worth sharding, and the sorted multiset is what the walk stage
 	// consumes anyway.
-	rng := str.Sub(startStream).At(0)
-	starts := make([]int32, theta)
+	rng := d.stream().Sub(startStream).At(0)
+	n := gr.s.Graph().N()
+	starts := make([]int32, d.Theta)
 	for i := range starts {
 		starts[i] = int32(rng.Intn(n))
 	}
@@ -142,17 +120,17 @@ func GenerateSampledCtx(ctx context.Context, s *graph.InEdgeSampler, stub []floa
 	}
 	owners := make([]int32, 0, distinct)
 	counts := make([]int32, 0, distinct)
-	for i := 0; i < theta; {
+	for i := 0; i < d.Theta; {
 		v := starts[i]
 		c := int32(0)
-		for i < theta && starts[i] == v {
+		for i < d.Theta && starts[i] == v {
 			c++
 			i++
 		}
 		owners = append(owners, v)
 		counts = append(counts, c)
 	}
-	return generateGrouped(ctx, s, stub, horizon, owners, counts, theta, str, parallelism)
+	return generateGrouped(ctx, gr, horizon, owners, counts, d.Theta, d.stream(), parallelism)
 }
 
 // walkShard is one shard's locally-buffered generation output: concatenated
@@ -165,8 +143,8 @@ type walkShard struct {
 // appendOwnerWalks generates count walks starting at v, drawing every random
 // number from rng (the owner's private substream), and appends the node
 // sequences and per-walk lengths to the shard buffers. This loop is THE
-// definition of an owner's walks: Generate, GenerateSampled, and Repair all
-// route through it, which is what makes selective regeneration byte-identical
+// definition of an owner's walks: every generation and Repair route through
+// it, which is what makes selective regeneration byte-identical
 // to full regeneration.
 func appendOwnerWalks(s *graph.InEdgeSampler, stub []float64, horizon int, v int32, count int32, rng sampling.Source, out walkShard) walkShard {
 	for j := int32(0); j < count; j++ {
@@ -198,11 +176,12 @@ func (set *Set) foldShards(shards []walkShard) {
 	}
 }
 
-// generateGrouped runs the sharded walk generation common to Generate and
-// GenerateSampled: owners (ascending, with per-owner walk counts) are cut
+// generateGrouped runs the sharded walk generation common to planned and
+// sampled starts: owners (ascending, with per-owner walk counts) are cut
 // into contiguous shards, each shard generates its owners' walks into local
 // buffers, and the shard outputs are concatenated in shard order.
-func generateGrouped(ctx context.Context, s *graph.InEdgeSampler, stub []float64, horizon int, owners, counts []int32, totalWalks int, str sampling.Stream, parallelism int) (*Set, error) {
+func generateGrouped(ctx context.Context, gr *Ground, horizon int, owners, counts []int32, totalWalks int, str sampling.Stream, parallelism int) (*Set, error) {
+	s, stub := gr.s, gr.stub
 	g := s.Graph()
 	n := g.N()
 	set := &Set{

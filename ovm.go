@@ -44,13 +44,13 @@
 package ovm
 
 import (
-	"fmt"
 	"time"
 
 	"ovm/internal/baselines"
 	"ovm/internal/core"
 	"ovm/internal/datasets"
 	"ovm/internal/graph"
+	"ovm/internal/methods"
 	"ovm/internal/opinion"
 	"ovm/internal/rwalk"
 	"ovm/internal/sampling"
@@ -153,33 +153,18 @@ const (
 )
 
 // Methods lists every selectable method.
-var Methods = []Method{
-	MethodDM, MethodRW, MethodRS,
-	MethodIC, MethodLT, MethodGEDT, MethodPR, MethodRWR, MethodDC,
-}
+var Methods = func() []Method {
+	ms := make([]Method, len(methods.Names))
+	for i, name := range methods.Names {
+		ms[i] = Method(name)
+	}
+	return ms
+}()
 
 // SelectOptions tunes SelectSeeds; the zero value (or nil) uses the
 // paper's default parameters (ρ=0.9, δ=0.1, ε=0.1, l=1) and full
 // parallelism.
-type SelectOptions struct {
-	RW       RWConfig
-	RS       RSConfig
-	Baseline BaselineConfig
-	// Seed drives randomness for RW/RS/baselines when their configs leave
-	// it unset.
-	Seed int64
-	// Parallelism caps the engine worker pool used by every method's hot
-	// path (DM gain evaluation, walk/sketch/RR-set generation, greedy
-	// scans): 0 means GOMAXPROCS, 1 disables concurrency, any other value
-	// pins the worker count. It seeds the per-method configs when their
-	// own Parallelism fields are 0.
-	//
-	// Parallelism is a pure execution knob: shard geometry, random
-	// substreams, and reduction order are fixed independently of the worker
-	// count, so SelectSeeds returns bit-identical seeds and values for
-	// every setting.
-	Parallelism int
-}
+type SelectOptions = methods.Options
 
 // Selection is the outcome of SelectSeeds.
 type Selection struct {
@@ -198,47 +183,7 @@ func SelectSeeds(p *Problem, m Method, opts *SelectOptions) (*Selection, error) 
 		opts = &SelectOptions{}
 	}
 	start := time.Now()
-	var seeds []int32
-	var err error
-	switch m {
-	case MethodDM:
-		seeds, _, err = core.SelectSeedsDM(p, opts.Parallelism)
-	case MethodRW:
-		cfg := opts.RW
-		if cfg.Seed == 0 {
-			cfg.Seed = opts.Seed
-		}
-		if cfg.Parallelism == 0 {
-			cfg.Parallelism = opts.Parallelism
-		}
-		var res *rwalk.Result
-		if res, err = rwalk.Select(p, cfg); err == nil {
-			seeds = res.Seeds
-		}
-	case MethodRS:
-		cfg := opts.RS
-		if cfg.Seed == 0 {
-			cfg.Seed = opts.Seed
-		}
-		if cfg.Parallelism == 0 {
-			cfg.Parallelism = opts.Parallelism
-		}
-		var res *sketch.Result
-		if res, err = sketch.Select(p, cfg); err == nil {
-			seeds = res.Seeds
-		}
-	case MethodIC, MethodLT, MethodGEDT, MethodPR, MethodRWR, MethodDC:
-		cfg := opts.Baseline
-		if cfg.IMM.Seed == 0 {
-			cfg.IMM.Seed = opts.Seed
-		}
-		if cfg.Parallelism == 0 {
-			cfg.Parallelism = opts.Parallelism
-		}
-		seeds, err = baselines.Select(baselines.Method(m), p, cfg)
-	default:
-		return nil, fmt.Errorf("ovm: unknown method %q", m)
-	}
+	seeds, _, err := methods.Select(string(m), p, *opts)
 	if err != nil {
 		return nil, err
 	}
@@ -272,30 +217,9 @@ func MinSeedsToWin(sys *System, target, horizon int, score Score, m Method, opts
 		opts = &SelectOptions{}
 	}
 	base := core.Problem{Sys: sys, Target: target, Horizon: horizon, K: 1, Score: score}
-	var sel core.SeedSelector
-	switch m {
-	case MethodDM:
-		sel = core.DMSelector(sys, target, horizon, score, opts.Parallelism)
-	case MethodRW:
-		cfg := opts.RW
-		if cfg.Seed == 0 {
-			cfg.Seed = opts.Seed
-		}
-		if cfg.Parallelism == 0 {
-			cfg.Parallelism = opts.Parallelism
-		}
-		sel = rwalk.Selector(base, cfg)
-	case MethodRS:
-		cfg := opts.RS
-		if cfg.Seed == 0 {
-			cfg.Seed = opts.Seed
-		}
-		if cfg.Parallelism == 0 {
-			cfg.Parallelism = opts.Parallelism
-		}
-		sel = sketch.Selector(base, cfg)
-	default:
-		return nil, fmt.Errorf("ovm: MinSeedsToWin supports DM, RW, RS; got %q", m)
+	sel, err := methods.Selector(string(m), base, *opts)
+	if err != nil {
+		return nil, err
 	}
 	return core.MinSeedsToWin(sys, target, horizon, score, sel)
 }

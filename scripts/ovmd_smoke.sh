@@ -6,7 +6,10 @@
 #      default zero-copy mmap path;
 #   4. /healthz answers, a select-seeds query over HTTP returns exactly the
 #      seeds the direct CLI (ovm -theta) computes, and a repeat of the same
-#      query is served from the cache;
+#      query is served from the cache; an index-served RW cumulative answer
+#      and an RS borda answer equal the direct CLI's too (both methods run
+#      the one greedy over their artifact, and the daemon and the CLI parse
+#      a score name with the same function);
 #   5. the daemon's load line reports the index served zero-copy (the
 #      mapped/heap equivalence contract itself is proven in Go:
 #      internal/service TestMappedMatchesHeapAcrossScores);
@@ -97,6 +100,21 @@ echo "   seeds match the direct CLI and came from the index"
 resp2=$(curl -sf -X POST "$base/v1/select-seeds" -H 'Content-Type: application/json' -d "$request")
 grep -q '"cached":true' <<<"$resp2" || { echo "FAIL: repeat query was not cached"; exit 1; }
 echo "   repeat query served from cache"
+
+echo "== the other walk method and the sixth score against the direct CLI"
+for pair in "RW cumulative" "RS borda"; do
+  read -r m sc <<<"$pair"
+  cli_out=$("$workdir/ovm" -load "$workdir/smoke.system" -method "$m" -score "$sc" \
+    -k 5 -t 10 -target 0 -seed 7 -theta 2048)
+  want=$(sed -n 's/^seeds ([0-9]* total): \[\([0-9 ]*\)\].*/\1/p' <<<"$cli_out")
+  [[ -n "$want" ]] || { echo "FAIL: could not parse direct CLI seeds for $m $sc"; echo "$cli_out"; exit 1; }
+  body='{"dataset":"default","method":"'$m'","score":{"name":"'$sc'"},"k":5,"horizon":10,"target":0,"seed":7,"theta":2048}'
+  xresp=$(curl -sf -X POST "$base/v1/select-seeds" -H 'Content-Type: application/json' -d "$body")
+  xgot=$(sed -n 's/.*"seeds":\[\([0-9,]*\)\].*/\1/p' <<<"$xresp" | tr ',' ' ')
+  [[ "$xgot" == "$want" ]] || { echo "FAIL: daemon $m $sc seeds ($xgot) != direct CLI seeds ($want)"; exit 1; }
+  grep -q '"fromIndex":true' <<<"$xresp" || { echo "FAIL: $m $sc did not use the loaded index: $xresp"; exit 1; }
+  echo "   $m $sc: seeds $xgot match the direct CLI and came from the index"
+done
 
 echo "== zero-copy load"
 grep -q "bytes zero-copy" "$workdir/daemon.log" \

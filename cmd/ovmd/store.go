@@ -127,8 +127,10 @@ func (st *store) register(idx *serialize.Index, queued []dynamic.Batch, queuedFi
 
 // loadIndex reads the checkpoint zero-copy from an mmap'd region (where the
 // platform cannot map, serialize.OpenMapped parses a heap read instead).
-// Served artifacts alias the mapping until their first repair
-// copy-on-writes them, so it stays open for the process lifetime. A missing
+// Served walk artifacts keep the mapping as their base for as long as they
+// live: a repair writes only a heap overlay beside it, and only an overlay
+// outgrowing its share folds into a heap base. RR collections still copy on
+// their first repair. So the mapping stays open for the process lifetime. A missing
 // file is the caller's typo and an intact file of another format version is
 // one this build cannot serve: neither is corruption, both are returned as
 // is (fatal at startup) with the file and its WAL left where they are. Any

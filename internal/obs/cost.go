@@ -13,7 +13,7 @@ import (
 // mmapio) increment at coarse serial points. The counters answer "how
 // much work" where the histograms in the service layer answer "how
 // long": postings entries iterated, walks truncated, RR sets scanned,
-// bytes copy-on-repaired, and so on.
+// bytes a repair wrote, and so on.
 //
 // Three consumers read the registry:
 //

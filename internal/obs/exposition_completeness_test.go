@@ -50,6 +50,7 @@ func TestExpositionCompleteness(t *testing.T) {
 		"ovm_walks_truncated_total",
 		"ovm_walks_gain_cache_hits_total",
 		"ovm_repair_copy_bytes_total",
+		"ovm_repair_overlay_folds_total",
 		"ovm_repair_invalidated_walk_pct",
 		"ovm_rr_sets_scanned_total",
 		"ovm_dynamic_batches_applied_total",

@@ -1,6 +1,10 @@
 package service
 
-import "context"
+import (
+	"context"
+
+	"ovm/internal/walks"
+)
 
 // SetComputeContext installs the test-only hook that wraps every detached
 // compute context, letting robustness tests cancel a computation at a
@@ -15,6 +19,19 @@ const EpochMemoBytes = epochMemoBytes
 
 // PrefixValueOverhead is what one remembered exact value weighs besides its key.
 const PrefixValueOverhead = prefixValueOverhead
+
+// WalkSets returns the current epoch's walk sets, in artifact order.
+func (s *Service) WalkSets(dataset string) []*walks.Set {
+	ds, serr := s.dataset(dataset)
+	if serr != nil {
+		return nil
+	}
+	var sets []*walks.Set
+	for _, a := range ds.walks {
+		sets = append(sets, a.set)
+	}
+	return sets
+}
 
 // EpochMemoResident reports how many bytes the values of the dataset's
 // current epoch weigh.

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ovm/internal/dynamic"
 	"ovm/internal/serialize"
 	"ovm/internal/service"
 )
@@ -47,8 +48,9 @@ func mmapTestServices(t *testing.T) (heapSvc, mappedSvc *service.Service, idx *s
 // TestMappedMatchesHeapAcrossScores is the zero-copy correctness contract:
 // a service whose artifacts alias an mmap'd index file answers bit-identically
 // to one loaded onto the heap, across the five voting scores and engine
-// parallelism 1, 4, and 0 — and still after a dynamic update batch has
-// copy-on-write repaired the mapped artifacts.
+// parallelism 1, 4, and 0 — and still after each of several update batches
+// has repaired the artifacts, overlays over the mapped base on one side and
+// over the heap base on the other.
 func TestMappedMatchesHeapAcrossScores(t *testing.T) {
 	heapSvc, mappedSvc, idx := mmapTestServices(t)
 
@@ -114,17 +116,73 @@ func TestMappedMatchesHeapAcrossScores(t *testing.T) {
 		t.Errorf("heap dataset reports %d mapped bytes, want 0", hd.MappedBytes)
 	}
 
-	// Apply the same mutation batch to both; repair copy-on-writes the
-	// touched mapped sections to the heap, and answers must stay identical.
-	batch := testBatch(t, idx)
-	for _, svc := range []*service.Service{heapSvc, mappedSvc} {
-		upd, serr := svc.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: batch})
-		if serr != nil {
-			t.Fatal(serr)
+	// Apply the same mutation batches to both; answers must stay identical
+	// after every one.
+	batches := append([]dynamic.Batch{testBatch(t, idx)}, churnBatches(7, idx.Sys.N(), 3)...)
+	for i, batch := range batches {
+		for _, svc := range []*service.Service{heapSvc, mappedSvc} {
+			upd, serr := svc.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: batch})
+			if serr != nil {
+				t.Fatal(serr)
+			}
+			if upd.Epoch != int64(i+1) {
+				t.Fatalf("epoch = %d, want %d", upd.Epoch, i+1)
+			}
 		}
-		if upd.Epoch != 1 {
-			t.Fatalf("epoch = %d, want 1", upd.Epoch)
+		compare(t, int64(i+1))
+	}
+}
+
+// TestMappingStaysTheBase: 64 churn-shaped batches on a mapped index leave
+// the mapping as every walk artifact's base — the dataset's mapped bytes
+// are what they were at load — and grow its heap by exactly the overlays
+// the test's own ledger accounts for.
+func TestMappingStaysTheBase(t *testing.T) {
+	idx, path := churnWorld(t)
+	mi, err := serialize.OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mi.Close() })
+	if !mi.Mapped() {
+		t.Skip("platform fell back to heap load; nothing is mapped")
+	}
+	svc := newTestService(t, mi.Index)
+	n := idx.Sys.N()
+	atLoad := svc.StatsSnapshot().Datasets[0]
+	if atLoad.MappedBytes == 0 {
+		t.Fatal("mapped dataset reports zero mapped bytes")
+	}
+	sys := idx.Sys
+	ledgers := make([]overlayLedger, len(svc.WalkSets("world")))
+	for i, b := range churnBatches(42, n, 64) {
+		next, cs, err := dynamic.ApplySystem(sys, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys = next
+		before := svc.WalkSets("world")
+		if _, serr := svc.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: b}); serr != nil {
+			t.Fatalf("batch %d: %v", i, serr)
+		}
+		for a, set := range svc.WalkSets("world") {
+			ledgers[a].repair(t, before[a], set, cs.WalkMask(n, 0))
 		}
 	}
-	compare(t, 1)
+	var overlays int64
+	for a, set := range svc.WalkSets("world") {
+		total, _ := ledgers[a].weigh(set)
+		overlays += total
+	}
+	after := svc.StatsSnapshot().Datasets[0]
+	if after.Epoch != 64 {
+		t.Fatalf("epoch %d after 64 batches", after.Epoch)
+	}
+	if after.MappedBytes != atLoad.MappedBytes {
+		t.Fatalf("mapped bytes %d after 64 batches, %d at load: a repair moved the base", after.MappedBytes, atLoad.MappedBytes)
+	}
+	if overlays == 0 || after.HeapBytes-atLoad.HeapBytes != overlays {
+		t.Fatalf("heap grew by %d bytes over 64 batches, the overlays weigh %d", after.HeapBytes-atLoad.HeapBytes, overlays)
+	}
+	t.Logf("64 batches: %d mapped bytes kept, overlays weigh %d bytes", after.MappedBytes, overlays)
 }

@@ -49,7 +49,7 @@ func ContinueGreedy(p *core.Problem, set *Set, weight []float64, comp [][]float6
 	}
 	run := &GreedyRun{Seeds: make([]int32, 0, p.K), Replay: RoundCost{Seed: -1}}
 	for _, u := range prefix {
-		if u < 0 || int(u) >= len(set.inSeed) || set.inSeed[u] {
+		if u < 0 || int(u) >= set.n || set.IsSeed(u) {
 			return nil, fmt.Errorf("walks: prefix seed %d is out of range or repeated", u)
 		}
 		run.Replay.addTruncate(set, u, set.AddSeed(u, nil))

@@ -25,7 +25,9 @@ var (
 	repairWalksSeen = obs.NewCounter("ovm_repair_walks_seen_total",
 		"Walks examined by incremental repairs")
 	repairCopyBytes = obs.NewCounter("ovm_repair_copy_bytes_total",
-		"Index bytes copied from compact or mapped storage to heap arrays during repair (copy-on-repair)")
+		"Bytes walk-set repairs wrote: overlay walks, postings, owner table and bitmap, and fold bases")
+	repairFolds = obs.NewCounter("ovm_repair_overlay_folds_total",
+		"Walk-set repairs whose overlay outgrew its share of the walks and was folded into a fresh base")
 )
 
 func init() {
@@ -56,24 +58,33 @@ type RoundCost struct {
 }
 
 // postingsCost returns what a full drain of node u's postings costs:
-// entries yielded and varint blocks decoded (0 blocks on the raw CSR
-// backing, which decodes nothing). Pure prefix-sum arithmetic.
+// entries read from the base (the overlay-masked ones included) and the
+// overlay, and varint blocks decoded (0 on a raw CSR base, which decodes
+// nothing). Pure prefix-sum arithmetic.
 func (set *Set) postingsCost(u int32) (entries, blocks int64) {
-	idx := set.idx
-	if idx.compact != nil {
-		return int64(idx.compact.Count(u)), int64(idx.compact.Blocks(u))
+	if idx := set.idx; idx.compact != nil {
+		entries, blocks = int64(idx.compact.Count(u)), int64(idx.compact.Blocks(u))
+	} else {
+		entries = int64(idx.off[u+1] - idx.off[u])
 	}
-	return int64(idx.off[u+1] - idx.off[u]), 0
+	if ov := set.ov; ov != nil {
+		entries += int64(ov.post.off[u+1] - ov.post.off[u])
+	}
+	return entries, blocks
 }
 
 // indexCost returns the cost of draining every node's postings — what a
 // full gain-cache rebuild consumes.
 func (set *Set) indexCost() (entries, blocks int64) {
-	idx := set.idx
-	if idx.compact != nil {
-		return idx.compact.TotalEntries(), idx.compact.TotalBlocks()
+	if idx := set.idx; idx.compact != nil {
+		entries, blocks = idx.compact.TotalEntries(), idx.compact.TotalBlocks()
+	} else {
+		entries = int64(len(idx.walk))
 	}
-	return int64(len(idx.walk)), 0
+	if ov := set.ov; ov != nil {
+		entries += int64(len(ov.post.walk))
+	}
+	return entries, blocks
 }
 
 // accountTruncate records one indexed truncation: the walks hit plus

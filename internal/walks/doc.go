@@ -63,10 +63,39 @@
 // TestGoldenBytesAcrossCommits pins the bytes each of them draws on a fixed
 // graph and seed, against digests recorded before the ids were named.
 //
+// # Storage
+//
+// A Set is an immutable base plus an immutable overlay. The base is what a
+// load, a generation or a fold produced: flat walk arrays grouped by owner
+// and a postings index, heap or mapped from an index file, raw CSR or
+// compact — whatever backing they arrived in. Nothing writes to it again.
+// The overlay holds the owners repairs have replaced since: their
+// regenerated walks at their original walk ids, those walks' postings, and a
+// bitmap of the replaced walks that masks the base's stale postings.
+//
+// Draw.Repair finds the invalid owners from the touched nodes' postings,
+// regenerates them from their substreams, and builds the next overlay on
+// top of the previous one, sharing every owner entry it does not replace; a
+// repair that invalidates nothing returns its input. It writes O(n +
+// overlay postings + walks/64) bytes and copies no base array, so a mapped base
+// stays mapped. Once an overlay holds more than 1/foldShare of the walks,
+// the repair folds base + overlay into a fresh heap base.
+//
+// Readers see one set: Set.walk / Set.ownerWalks read a walk from wherever
+// it lives, and Set.postings merges the base's live postings with the
+// overlay's in ascending walk id. Snapshot and IndexSnapshot fold the two
+// into the flat arrays and postings a from-scratch generation of the same
+// set would have, which is what ExportIndex and checkpoints store. A
+// pristine set (loaded, generated or repaired) carries no truncation state;
+// Clone, AddSeed and NewEstimator create it.
+//
 // # Fold contract
 //
 // Floating-point sums are not associative, so "the same gain" means the
-// same operands added in the same grouping and order. Write rem(w) =
+// same operands added in the same grouping and order. Walk order is walk-id
+// order, and an overlay presents every replaced walk at its original walk
+// id, so a repaired set feeds these rules the operands a rebuilt one would,
+// in the same order. Write rem(w) =
 // 1 − Y(w) for a walk w of owner i with λ_i walks and weight ω_i; w is live
 // while rem(w) > 0 and contains u when u lies on its active prefix. The
 // estimator re-derives what it caches by these rules; walksref computes

@@ -95,7 +95,7 @@ type Estimator struct {
 // including the initial estimate refresh performed here (0 = GOMAXPROCS,
 // 1 = serial).
 func NewEstimator(set *Set, target int, b0 []float64, comp [][]float64, weight []float64, parallelism int) (*Estimator, error) {
-	n := set.Graph().N()
+	n := set.N()
 	if len(b0) != n {
 		return nil, fmt.Errorf("walks: b0 has %d entries, want %d", len(b0), n)
 	}
@@ -129,6 +129,7 @@ func NewEstimator(set *Set, target int, b0 []float64, comp [][]float64, weight [
 		}
 	}
 	set.EnsureIndex()
+	set.truncState()
 	e.Refresh()
 	return e, nil
 }
@@ -181,7 +182,7 @@ func UniformOwnerWeights(set *Set) []float64 {
 // SketchOwnerWeights returns the RS weights m_v·n/θ, where m_v is the number
 // of sketches started at owner v (Equation 35 / 42 scaling).
 func SketchOwnerWeights(set *Set, theta int) []float64 {
-	n := float64(set.Graph().N())
+	n := float64(set.N())
 	w := make([]float64, set.NumOwners())
 	for i := range w {
 		w[i] = float64(set.OwnerWalkCount(i)) * n / float64(theta)

@@ -20,30 +20,33 @@ type IndexSnapshot struct {
 }
 
 // IndexSnapshot captures the set's postings index, or nil if none is
-// built. The slices alias the live index; treat them as immutable.
+// built: the base's own when there is no overlay (the slices alias it;
+// treat them as immutable), else base + overlay folded into fresh raw
+// arrays, equal to EnsureIndex over Snapshot's arrays.
 func (set *Set) IndexSnapshot() *IndexSnapshot {
 	if set.idx == nil {
 		return nil
 	}
+	idx := set.foldIndex()
 	return &IndexSnapshot{
-		Off:     set.idx.off,
-		Walk:    set.idx.walk,
-		Pos:     set.idx.pos,
-		Compact: set.idx.compact,
-		Mapped:  set.idx.mapped,
+		Off:     idx.off,
+		Walk:    idx.walk,
+		Pos:     idx.pos,
+		Compact: idx.compact,
+		Mapped:  idx.mapped,
 	}
 }
 
-// AdoptIndex installs a stored postings index instead of rebuilding it
-// with EnsureIndex. The index is verified exactly equal to what
-// EnsureIndex would produce, by a single merge pass over the walk
+// AdoptIndex installs a stored postings index as the base's instead of
+// rebuilding it with EnsureIndex. The index is verified exactly equal to
+// what EnsureIndex would produce, by a single merge pass over the base walk
 // storage: node u's expected postings are precisely u's first occurrences
 // across walks in ascending walk order, so each first occurrence must
 // match u's next unconsumed posting and every posting must be consumed.
 // O(walk elements + postings); an incomplete or corrupted index is
 // rejected before it can influence truncation or gains.
 func (set *Set) AdoptIndex(is *IndexSnapshot) error {
-	n := set.g.N()
+	n := set.n
 	nw := set.NumWalks()
 	if is.Compact != nil {
 		c := is.Compact
@@ -110,7 +113,7 @@ func (set *Set) AdoptIndex(is *IndexSnapshot) error {
 // the candidate index's next posting for that node (next returns ok=false
 // when the node's postings are exhausted).
 func (set *Set) verifyIndexMerge(next func(u int32) (walk, pos int32, ok bool)) error {
-	stamp := make([]int32, set.g.N())
+	stamp := make([]int32, set.n)
 	for i := range stamp {
 		stamp[i] = -1
 	}

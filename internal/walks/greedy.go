@@ -44,7 +44,7 @@ func classifyScore(score voting.Score) (scoreKind, voting.Positional, error) {
 // the package doc, and parallelism-invariant: shard geometry and merge order
 // are fixed and ties break to the lowest node id.
 func (e *Estimator) SelectGreedy(k int, score voting.Score) (*core.GreedyResult, error) {
-	n := e.set.Graph().N()
+	n := e.set.N()
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("walks: need 1 <= k <= n, got k=%d n=%d", k, n)
 	}

@@ -33,27 +33,32 @@ import (
 // itself).
 func (e *Estimator) Refresh() {
 	set := e.set
-	set.EstimatePerOwner(e.b0, e.est, e.parallelism)
 	e.pairwiseStale = true
-	nw := set.NumWalks()
 	if e.live == nil {
+		nw := set.NumWalks()
 		e.live = make([]bool, nw)
 		e.share = make([]float64, nw)
 		e.addVal = make([]float64, nw)
 	}
-	_ = engine.ForEachChunk(e.parallelism, nw, 4096, 256, func(_, _, lo, hi int) error {
-		for w := lo; w < hi; w++ {
-			val := set.WalkValue(w, e.b0)
-			rem := 1 - val
-			if rem <= 0 {
-				e.live[w], e.share[w], e.addVal[w] = false, 0, 0
-				continue
+	// One pass per owner: its estimate sums the walk values in walk order
+	// (fold contract, rule 1, as ownerEstimate), and each walk's liveness
+	// and gain shares follow from the same value.
+	_ = engine.ForEachChunk(e.parallelism, set.NumOwners(), 512, 256, func(_, _, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			nodes, off := set.ownerWalks(i)
+			first, cnt := set.ownerOff[i], float64(len(off)-1)
+			sum := 0.0
+			for k := range len(off) - 1 {
+				w := first + int32(k)
+				val := set.endValue(nodes, off, k, w, e.b0)
+				sum += val
+				if rem := 1 - val; rem > 0 {
+					e.live[w], e.share[w], e.addVal[w] = true, e.weight[i]*rem/cnt, rem/cnt
+				} else {
+					e.live[w], e.share[w], e.addVal[w] = false, 0, 0
+				}
 			}
-			i := e.walkOwnerIdx[w]
-			cnt := float64(set.OwnerWalkCount(int(i)))
-			e.live[w] = true
-			e.share[w] = e.weight[i] * rem / cnt
-			e.addVal[w] = rem / cnt
+			e.est[i] = sum / cnt
 		}
 		return nil
 	})
@@ -91,7 +96,7 @@ func (e *Estimator) markRankDirty(x int32) {
 // set.AddSeed + Refresh.
 func (e *Estimator) AddSeed(u int32) {
 	set := e.set
-	if set.inSeed[u] {
+	if set.IsSeed(u) {
 		return
 	}
 	if e.ownerMark == nil {
@@ -113,8 +118,7 @@ func (e *Estimator) AddSeed(u int32) {
 		if e.cumReady || e.entReady {
 			// Every distinct node on the walk's pre-truncation prefix loses
 			// this walk's contribution.
-			for p := set.off[w]; p <= oldEnd; p++ {
-				x := set.nodes[p]
+			for _, x := range set.walk(w)[:oldEnd+1] {
 				if e.cumReady {
 					e.markCumDirty(x)
 				}
@@ -145,8 +149,8 @@ func (e *Estimator) AddSeed(u int32) {
 				if !e.live[w] {
 					continue
 				}
-				for p := set.off[w]; p <= set.end[w]; p++ {
-					e.markRankDirty(set.nodes[p])
+				for _, x := range set.active(w) {
+					e.markRankDirty(x)
 				}
 			}
 		}
@@ -164,46 +168,20 @@ func (e *Estimator) AddSeed(u int32) {
 // changes no bit.
 func (e *Estimator) cumGainOf(u int32) float64 {
 	set := e.set
-	idx := set.idx
-	if idx.compact != nil {
-		return e.cumGainOfCompact(u)
-	}
 	g, partial := 0.0, 0.0
 	shardHi := e.shardBounds[1:]
-	for p := idx.off[u]; p < idx.off[u+1]; p++ {
-		w := idx.walk[p]
-		for w >= shardHi[0] {
-			g, partial, shardHi = g+partial, 0, shardHi[1:]
-		}
-		if e.live[w] && set.off[w]+idx.pos[p] <= set.end[w] {
-			partial += e.share[w]
+	it := set.postings(u)
+	for ws, rels := it.block(); len(ws) > 0; ws, rels = it.block() {
+		for j, w := range ws {
+			for w >= shardHi[0] {
+				g, partial, shardHi = g+partial, 0, shardHi[1:]
+			}
+			if e.live[w] && rels[j] <= set.end[w] {
+				partial += e.share[w]
+			}
 		}
 	}
 	return g + partial
-}
-
-// cumGainOfCompact is cumGainOf over the compact postings backing. The
-// iterator yields postings in exactly the raw arrays' order, and the shard
-// fold replicates the raw path's grouping, so the float result is
-// bit-identical. The iterator is a stack value — no shared decode state,
-// safe under the concurrent gain scans.
-func (e *Estimator) cumGainOfCompact(u int32) float64 {
-	set := e.set
-	it := set.idx.compact.Iter(u)
-	g, partial := 0.0, 0.0
-	shardHi := e.shardBounds[1:]
-	for {
-		w, rel, ok := it.Next()
-		if !ok {
-			return g + partial
-		}
-		for w >= shardHi[0] {
-			g, partial, shardHi = g+partial, 0, shardHi[1:]
-		}
-		if e.live[w] && set.off[w]+rel <= set.end[w] {
-			partial += e.share[w]
-		}
-	}
 }
 
 // bestCumulative is the argmax for the cumulative score (ties to the lowest
@@ -213,7 +191,7 @@ func (e *Estimator) cumGainOfCompact(u int32) float64 {
 // positive support.
 func (e *Estimator) bestCumulative() (int32, float64) {
 	set := e.set
-	n := set.Graph().N()
+	n := set.N()
 	if !e.cumReady {
 		if e.cumGain == nil {
 			e.cumGain = make([]float64, n)
@@ -287,34 +265,13 @@ func (e *Estimator) bestCumulative() (int32, float64) {
 // containing u, deltas summed in walk order (fold contract, rule 3).
 func (e *Estimator) rebuildEntries(u int32) {
 	set := e.set
-	idx := set.idx
 	eo, ed := e.entOwner[u][:0], e.entDelta[u][:0]
 	cur := int32(-1)
 	var delta float64
-	if idx.compact != nil {
-		it := idx.compact.Iter(u)
-		for {
-			w, rel, ok := it.Next()
-			if !ok {
-				break
-			}
-			if !e.live[w] || set.off[w]+rel > set.end[w] {
-				continue
-			}
-			i := e.walkOwnerIdx[w]
-			if i != cur {
-				if cur >= 0 {
-					eo = append(eo, cur)
-					ed = append(ed, delta)
-				}
-				cur, delta = i, 0
-			}
-			delta += e.addVal[w]
-		}
-	} else {
-		for p := idx.off[u]; p < idx.off[u+1]; p++ {
-			w := idx.walk[p]
-			if !e.live[w] || set.off[w]+idx.pos[p] > set.end[w] {
+	it := set.postings(u)
+	for ws, rels := it.block(); len(ws) > 0; ws, rels = it.block() {
+		for j, w := range ws {
+			if !e.live[w] || rels[j] > set.end[w] {
 				continue
 			}
 			i := e.walkOwnerIdx[w]
@@ -388,7 +345,7 @@ func (e *Estimator) copelandGainPairs(worker int, owners []int32, deltas []float
 // gain cache). Returns (-1, 0) when no candidate is left.
 func (e *Estimator) bestRank(pos voting.Positional, copeland bool, curScore float64) (int32, float64) {
 	set := e.set
-	n := set.Graph().N()
+	n := set.N()
 	rebuilt := !e.entReady
 	if !e.entReady {
 		if e.entOwner == nil {

@@ -3,6 +3,7 @@ package walks
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ovm/internal/graph"
@@ -10,15 +11,18 @@ import (
 	"ovm/internal/sampling"
 )
 
-// TestRepairIndexMatchesRebuild pins the splice-patch contract: the index a
-// Repair derives by patching only the regenerated owners' postings must be
-// structurally identical to a from-scratch counting-sort build over the
-// repaired storage — for empty, sparse, and dense touched masks.
+// TestRepairIndexMatchesRebuild pins the overlay contract through a chain of
+// repairs: after every step the set's postings — base less the replaced
+// walks, merged with the overlay's — and the folded IndexSnapshot must equal
+// a from-scratch counting-sort build over the folded walks, and the folded
+// walks a from-scratch generation. The chain takes empty, single-node,
+// sparse and dense touched masks, so it repairs on top of an overlay,
+// regenerates owners the overlay already replaced, and folds.
 func TestRepairIndexMatchesRebuild(t *testing.T) {
-	const n = 60
+	const n, horizon = 300, 6
 	r := rand.New(rand.NewSource(21))
 	b := graph.NewBuilder(n)
-	for i := 0; i < 4*n; i++ {
+	for i := 0; i < 3*n; i++ {
 		_ = b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)), r.Float64()+0.05)
 	}
 	g, err := b.BuildColumnStochastic()
@@ -31,54 +35,102 @@ func TestRepairIndexMatchesRebuild(t *testing.T) {
 	}
 	stub := make([]float64, n)
 	for v := range stub {
-		stub[v] = 0.1 + 0.8*r.Float64()
+		stub[v] = 0.4 + 0.5*r.Float64()
 	}
 	plan := make([]int32, n)
 	for i := range plan {
 		plan[i] = int32(3 + r.Intn(5))
 	}
 	str := sampling.Stream{Seed: 33, ID: 77}
-	old, err := Generate(smp, stub, 6, plan, str, 1)
+	set, err := Generate(smp, stub, horizon, plan, str, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old.EnsureIndex()
+	set.EnsureIndex()
 
-	// A "mutation" that flips some stubbornness values forces those owners'
-	// walks to regenerate with different lengths, shifting the flat layout.
-	masks := map[string]func(v int) bool{
-		"none":   func(int) bool { return false },
-		"sparse": func(v int) bool { return v%17 == 3 },
-		"dense":  func(v int) bool { return v%2 == 0 },
+	masks := []func(v int) bool{
+		func(int) bool { return false },
+		func(v int) bool { return v == 17 },
+		func(v int) bool { return v == 40 },
+		func(v int) bool { return v == 17 || v == 41 },
+		func(v int) bool { return v == 101 },
+		func(v int) bool { return v%17 == 3 },
+		func(v int) bool { return v == 250 },
+		func(v int) bool { return v%2 == 0 },
+		func(v int) bool { return v == 5 },
 	}
-	for name, hit := range masks {
+	var overlaid, superseded, folded int
+	for step, hit := range masks {
 		touched := make([]bool, n)
-		newStub := append([]float64(nil), stub...)
 		for v := 0; v < n; v++ {
 			if hit(v) {
 				touched[v] = true
-				newStub[v] = 0.1 + 0.8*r.Float64()
+				stub[v] = 0.4 + 0.5*r.Float64()
 			}
 		}
-		repaired, _, err := Repair(old, smp, newStub, touched, str, 1)
+		prev := set
+		var stats RepairStats
+		if set, stats, err = Repair(prev, smp, stub, touched, str, 1); err != nil {
+			t.Fatal(err)
+		}
+		if stats.OwnersInvalidated == 0 {
+			if set != prev || stats.CopyBytes != 0 {
+				t.Fatalf("step %d: a repair that invalidates nothing must return its input and write nothing", step)
+			}
+			continue
+		}
+		switch {
+		case stats.Folded:
+			folded++
+			if set.ov != nil || set.storageMapped {
+				t.Fatalf("step %d: a fold must leave a heap base and no overlay", step)
+			}
+		case set.ov == nil:
+			t.Fatalf("step %d: repair without a fold left no overlay", step)
+		default:
+			overlaid++
+			if &set.nodes[0] != &prev.nodes[0] || set.idx != prev.idx {
+				t.Fatalf("step %d: repair copied the base", step)
+			}
+			if prev.ov != nil && set.ov.walks < prev.ov.walks+stats.WalksInvalidated {
+				superseded++
+			}
+		}
+
+		fresh, err := Generate(smp, stub, horizon, plan, str, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if repaired.idx == nil {
-			t.Fatalf("%s: repair dropped the index", name)
+		snap, err := set.Snapshot()
+		if err != nil {
+			t.Fatal(err)
 		}
-		fresh := postings.Build(n, repaired.off, repaired.nodes, true)
-		if !reflect.DeepEqual(repaired.idx.off, fresh.Off) {
-			t.Fatalf("%s: patched index offsets differ from rebuild", name)
+		if !slices.Equal(snap.Nodes, fresh.nodes) || !slices.Equal(snap.Off, fresh.off) {
+			t.Fatalf("step %d: folded walks differ from a fresh generation", step)
 		}
-		if !reflect.DeepEqual(repaired.idx.walk, fresh.Item) {
-			t.Fatalf("%s: patched index walk ids differ from rebuild", name)
+		want := postings.Build(n, snap.Off, snap.Nodes, true)
+		is := set.IndexSnapshot()
+		if !reflect.DeepEqual(is.Off, want.Off) || !reflect.DeepEqual(is.Walk, want.Item) || !reflect.DeepEqual(is.Pos, want.Pos) {
+			t.Fatalf("step %d: folded index differs from a rebuild", step)
 		}
-		if !reflect.DeepEqual(repaired.idx.pos, fresh.Pos) {
-			t.Fatalf("%s: patched index positions differ from rebuild", name)
+		for u := range n {
+			var ws, ps []int32
+			it := set.postings(int32(u))
+			for bw, br := it.block(); len(bw) > 0; bw, br = it.block() {
+				ws, ps = append(ws, bw...), append(ps, br...)
+			}
+			lo, hi := want.Off[u], want.Off[u+1]
+			if !slices.Equal(ws, want.Item[lo:hi]) || !slices.Equal(ps, want.Pos[lo:hi]) {
+				t.Fatalf("step %d: postings of node %d differ from a rebuild", step, u)
+			}
 		}
-		if name == "none" && &repaired.idx.walk[0] != &old.idx.walk[0] {
-			t.Fatal("none: an untouched repair should share the old index storage")
+		for w := range int32(set.NumWalks()) {
+			if !slices.Equal(set.walk(w), snap.Nodes[snap.Off[w]:snap.Off[w+1]]) {
+				t.Fatalf("step %d: walk %d reads differently from its folded copy", step, w)
+			}
 		}
+	}
+	if overlaid < 3 || superseded == 0 || folded == 0 {
+		t.Fatalf("chain exercised %d overlay repairs (%d superseding), %d folds; want ≥3, ≥1, ≥1", overlaid, superseded, folded)
 	}
 }

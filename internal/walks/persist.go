@@ -2,6 +2,7 @@ package walks
 
 import (
 	"fmt"
+	"slices"
 
 	"ovm/internal/graph"
 )
@@ -24,25 +25,29 @@ type Snapshot struct {
 	OwnerOff   []int32 // CSR into walk ids per owner
 
 	// Mapped marks the slices as aliasing a read-only mapped region (set
-	// by the v3 zero-copy loader). The restored Set treats them as frozen
-	// storage; mutation paths copy-on-write instead of writing in place.
+	// by the v3 zero-copy loader). The restored Set keeps them as its base,
+	// which nothing writes: repairs add an overlay beside it.
 	Mapped bool
 }
 
-// Snapshot captures the set's pristine state. It fails if seeds have been
-// applied: truncation is irreversible, so a truncated set no longer
-// represents the generation-time artifact.
+// Snapshot captures the set's pristine state as flat arrays in walk-id
+// order. A set without an overlay hands out its base arrays (treat them as
+// immutable); a repaired one folds base + overlay into fresh heap arrays,
+// the same arrays generating the set afresh would produce. It fails if
+// seeds have been applied: truncation is irreversible, so a truncated set
+// no longer represents the generation-time artifact.
 func (set *Set) Snapshot() (*Snapshot, error) {
 	if len(set.seeds) > 0 {
 		return nil, fmt.Errorf("walks: cannot snapshot a set with %d seeds applied", len(set.seeds))
 	}
+	nodes, off := set.flatten()
 	return &Snapshot{
 		Horizon:    set.horizon,
-		Nodes:      set.nodes,
-		Off:        set.off,
+		Nodes:      nodes,
+		Off:        off,
 		OwnerNodes: set.ownerNodes,
 		OwnerOff:   set.ownerOff,
-		Mapped:     set.storageMapped,
+		Mapped:     set.storageMapped && set.ov == nil,
 	}, nil
 }
 
@@ -98,45 +103,30 @@ func FromSnapshot(g *graph.Graph, s *Snapshot) (*Set, error) {
 			}
 		}
 	}
-	set := &Set{
-		g:             g,
+	return &Set{
+		n:             n,
 		horizon:       s.Horizon,
 		nodes:         s.Nodes,
 		off:           s.Off,
-		end:           make([]int32, numWalks),
 		ownerNodes:    s.OwnerNodes,
 		ownerOff:      s.OwnerOff,
-		inSeed:        make([]bool, n),
 		storageMapped: s.Mapped,
-	}
-	for w := 0; w < numWalks; w++ {
-		set.end[w] = s.Off[w+1] - 1
-	}
-	return set, nil
+	}, nil
 }
 
 // Clone returns an independent Set sharing the immutable walk storage
-// (node sequences, offsets, owner grouping — and the postings index, which
-// is derived purely from that storage) but with private truncation state,
-// so concurrent queries can each run their own greedy selection over one
-// loaded artifact without copying the walks themselves.
+// (base, overlay and postings index) but with private truncation state —
+// created here for a pristine set, copied otherwise — so concurrent queries
+// can each run their own greedy selection over one loaded artifact without
+// copying the walks themselves.
 func (set *Set) Clone() *Set {
-	c := &Set{
-		g:             set.g,
-		horizon:       set.horizon,
-		nodes:         set.nodes,
-		off:           set.off,
-		end:           make([]int32, len(set.end)),
-		ownerNodes:    set.ownerNodes,
-		ownerOff:      set.ownerOff,
-		inSeed:        make([]bool, len(set.inSeed)),
-		idx:           set.idx,
-		storageMapped: set.storageMapped,
+	c := *set
+	if set.end == nil {
+		c.truncState()
+		return &c
 	}
-	copy(c.end, set.end)
-	copy(c.inSeed, set.inSeed)
-	if len(set.seeds) > 0 {
-		c.seeds = append([]int32(nil), set.seeds...)
-	}
-	return c
+	c.end = slices.Clone(set.end)
+	c.inSeed = slices.Clone(set.inSeed)
+	c.seeds = slices.Clone(set.seeds)
+	return &c
 }

@@ -3,35 +3,49 @@ package walks
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"ovm/internal/engine"
 	"ovm/internal/obs"
 )
 
 // RepairStats reports how much of a walk set an incremental repair had to
-// regenerate.
+// regenerate, and what it wrote to do so.
 type RepairStats struct {
 	// Owners / Walks are the set's totals.
 	Owners, Walks int
 	// OwnersInvalidated / WalksInvalidated count the regenerated portion.
 	OwnersInvalidated, WalksInvalidated int
+	// CopyBytes counts every byte the repair wrote: the new overlay's walks,
+	// postings, owner table and bitmap, and a fold's fresh base.
+	CopyBytes int64
+	// Folded reports that the overlay outgrew its share and was folded into
+	// a fresh base.
+	Folded bool
 }
 
 // Repair incrementally rebuilds old, a pristine walk set drawn with d, after
 // a graph mutation, producing the set drawing d afresh on the mutated graph
-// would produce — byte-identical — while only regenerating the owners whose
-// walks could have diverged.
+// would produce — walk for walk and posting for posting — while only
+// regenerating the owners whose walks could have diverged.
 //
 // touched marks the mutated nodes: every node whose in-neighborhood
 // (sources or weights) or stubbornness changed. An owner is invalidated
-// when any node of any of its stored walks is touched; its walks are then
+// when any node of any of its stored walks is touched; the touched nodes'
+// postings name exactly those walks, so finding them costs the touched
+// nodes' postings, not a scan of the set. Invalid owners' walks are
 // regenerated on the mutated graph from the owner's original substream
 // Sub(walkStream).At(owner) of d's family — the same stream a from-scratch
 // generation consumes, and since the set travels with its Draw it cannot be
 // another. Walks of untouched owners replay the identical random draws on
 // the mutated graph (every node they visit kept its stubbornness and in-edge
-// distribution bit-identical), so copying them verbatim equals regenerating
-// them.
+// distribution bit-identical), so keeping them equals regenerating them.
+//
+// Nothing of old is copied or written: the result shares old's base and
+// carries a new overlay (old's, with the regenerated owners in place of
+// theirs), folded into a fresh base once it outgrows 1/foldShare of the
+// walks. When no owner is invalid the result is old itself. old gains a
+// postings index if it had none.
 //
 // gr must describe the MUTATED graph. The owner grouping (and for sampled
 // starts, the start multiset) depends only on (d, n), so it is preserved
@@ -40,98 +54,124 @@ type RepairStats struct {
 // shutdown can abandon an in-flight background repair instead of waiting it
 // out.
 func (d Draw) Repair(ctx context.Context, gr *Ground, old *Set, touched []bool, parallelism int) (*Set, RepairStats, error) {
-	s, stub, str := gr.s, gr.stub, d.stream()
 	var stats RepairStats
-	g := s.Graph()
-	n := g.N()
+	n := gr.s.Graph().N()
 	if len(old.seeds) > 0 {
 		return nil, stats, fmt.Errorf("walks: cannot repair a set with %d seeds applied", len(old.seeds))
 	}
-	if old.g.N() != n {
-		return nil, stats, fmt.Errorf("walks: repair graph has %d nodes, set was generated over %d", n, old.g.N())
+	if old.n != n {
+		return nil, stats, fmt.Errorf("walks: repair graph has %d nodes, set was generated over %d", n, old.n)
 	}
-	if len(stub) != n {
-		return nil, stats, fmt.Errorf("walks: stub has %d entries, want %d", len(stub), n)
+	if len(gr.stub) != n {
+		return nil, stats, fmt.Errorf("walks: stub has %d entries, want %d", len(gr.stub), n)
 	}
 	if len(touched) != n {
 		return nil, stats, fmt.Errorf("walks: touched mask has %d entries, want %d", len(touched), n)
 	}
-	owners := old.ownerNodes
-	horizon := old.horizon
-	stats.Owners = len(owners)
+	stats.Owners = old.NumOwners()
 	stats.Walks = old.NumWalks()
 
-	// Phase 1: invalidation scan — an owner is dirty iff any stored walk of
-	// its group visits a touched node.
-	invalid := make([]bool, len(owners))
-	scanErr := engine.ForEachChunkCtx(ctx, parallelism, len(owners), 64, 256, func(_, _, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			first, last := old.ownerOff[i], old.ownerOff[i+1]
-			for p := old.off[first]; p < old.off[last] && !invalid[i]; p++ {
-				if touched[old.nodes[p]] {
-					invalid[i] = true
-				}
-			}
-		}
-		return nil
-	})
-	if scanErr != nil {
-		return nil, stats, scanErr
-	}
-	for i := range invalid {
-		if invalid[i] {
-			stats.OwnersInvalidated++
-			stats.WalksInvalidated += int(old.ownerOff[i+1] - old.ownerOff[i])
-		}
+	old.EnsureIndex()
+	invalid := old.invalidOwners(touched)
+	for _, i := range invalid {
+		stats.OwnersInvalidated++
+		stats.WalksInvalidated += old.OwnerWalkCount(int(i))
 	}
 	if obs.CostEnabled() {
 		repairWalksSeen.Add(int64(stats.Walks))
 		repairWalksInvalid.Add(int64(stats.WalksInvalidated))
 		repairOwnersRegen.Add(int64(stats.OwnersInvalidated))
 	}
-
-	// Phase 2: selective regeneration, sharded exactly like generateGrouped
-	// so the flat layout matches a full rebuild.
-	set := &Set{
-		g:          g,
-		horizon:    horizon,
-		ownerNodes: owners,
-		ownerOff:   old.ownerOff,
-		off:        make([]int32, 1, old.NumWalks()+1),
-		end:        make([]int32, 0, old.NumWalks()),
-		inSeed:     make([]bool, n),
+	if len(invalid) == 0 {
+		return old, stats, nil
 	}
-	walkStr := str.Sub(walkStream)
-	numShards := engine.NumShards(len(owners), 64, 256)
+
+	regen, err := d.regenerate(ctx, gr, old, invalid, parallelism)
+	if err != nil {
+		return nil, stats, err
+	}
+	set := *old
+	set.end, set.inSeed = nil, nil // old may be an unseeded Clone; the result is pristine
+	set.ov, stats.CopyBytes = old.nextOverlay(regen)
+	if set.ov.walks*foldShare > set.NumWalks() {
+		stats.CopyBytes += set.fold()
+		stats.Folded = true
+	}
+	if obs.CostEnabled() {
+		repairCopyBytes.Add(stats.CopyBytes)
+		if stats.Folded {
+			repairFolds.Add(1)
+		}
+	}
+	return &set, stats, nil
+}
+
+// invalidOwners returns, ascending, the owners one of whose walks lists a
+// touched node, read off the touched nodes' postings.
+func (set *Set) invalidOwners(touched []bool) []int32 {
+	var invalid []int32
+	for u, hit := range touched {
+		if !hit {
+			continue
+		}
+		it := set.postings(int32(u))
+		last := -1
+		for ws, _ := it.block(); len(ws) > 0; ws, _ = it.block() {
+			for _, w := range ws {
+				if last >= 0 && w < set.ownerOff[last+1] {
+					continue // postings ascend, so this is the last walk's owner
+				}
+				last = set.ownerOf(w)
+				invalid = append(invalid, int32(last))
+			}
+		}
+	}
+	slices.Sort(invalid)
+	return slices.Compact(invalid)
+}
+
+// regenerate draws the invalid owners' walks afresh on gr, sharded like
+// generateGrouped, and lays them out as overlay entries over one block of
+// nodes and one of walk offsets.
+func (d Draw) regenerate(ctx context.Context, gr *Ground, old *Set, invalid []int32, parallelism int) ([]ovOwner, error) {
+	walkStr := d.stream().Sub(walkStream)
+	numShards := engine.NumShards(len(invalid), 64, 256)
 	shards, err := engine.MapCtx(ctx, parallelism, numShards, func(_, sh int) (walkShard, error) {
-		lo, hi := engine.ShardRange(len(owners), numShards, sh)
+		lo, hi := engine.ShardRange(len(invalid), numShards, sh)
 		var out walkShard
-		out.lens = make([]int32, 0, int(old.ownerOff[hi]-old.ownerOff[lo]))
-		for i := lo; i < hi; i++ {
-			first, last := old.ownerOff[i], old.ownerOff[i+1]
-			if invalid[i] {
-				v := owners[i]
-				out = appendOwnerWalks(s, stub, horizon, v, last-first, walkStr.At(uint64(v)), out)
-				continue
-			}
-			out.nodes = append(out.nodes, old.nodes[old.off[first]:old.off[last]]...)
-			for w := first; w < last; w++ {
-				out.lens = append(out.lens, old.off[w+1]-old.off[w])
-			}
+		for _, i := range invalid[lo:hi] {
+			v := old.ownerNodes[i]
+			out = appendOwnerWalks(gr.s, gr.stub, old.horizon, v, old.ownerOff[i+1]-old.ownerOff[i], walkStr.At(uint64(v)), out)
 		}
 		return out, nil
 	})
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
-	set.foldShards(shards)
-	// An indexed set stays indexed through repair: kept owners' postings
-	// are copied verbatim (walk ids and walk-relative positions are stable)
-	// and only the regenerated owners' postings are re-derived and spliced
-	// in — identical to rebuilding the index from scratch, without the full
-	// counting sort.
-	if old.idx != nil {
-		set.idx = repairIndex(old, set, invalid, parallelism)
+	var elems, walks int
+	for _, sh := range shards {
+		elems += len(sh.nodes)
+		walks += len(sh.lens)
 	}
-	return set, stats, nil
+	nodes := make([]int32, 0, elems)
+	off := make([]int32, 0, walks+len(invalid))
+	lens := make([]int32, 0, walks)
+	for _, sh := range shards {
+		nodes = append(nodes, sh.nodes...)
+		lens = append(lens, sh.lens...)
+	}
+	regen := make([]ovOwner, len(invalid))
+	pos := int32(0)
+	for j, i := range invalid {
+		first, last := old.ownerOff[i], old.ownerOff[i+1]
+		lo, start := len(off), pos
+		off = append(off, 0)
+		for _, l := range lens[:last-first] {
+			pos += l
+			off = append(off, pos-start)
+		}
+		lens = lens[last-first:]
+		regen[j] = ovOwner{first: first, off: off[lo:len(off):len(off)], nodes: nodes[start:pos:pos]}
+	}
+	return regen, nil
 }

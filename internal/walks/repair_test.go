@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ovm/internal/graph"
+	"ovm/internal/opinion"
 	"ovm/internal/sampling"
 	"ovm/internal/walks"
 )
@@ -127,6 +128,37 @@ func TestRepairSampledMatchesFullRegeneration(t *testing.T) {
 	}
 	if stats.WalksInvalidated == 0 || stats.WalksInvalidated == stats.Walks {
 		t.Fatalf("expected partial invalidation, got %d of %d walks", stats.WalksInvalidated, stats.Walks)
+	}
+}
+
+// TestRepairUntouchedSharesSet: a batch whose walk mask is all false for a
+// target — opinion-only, or touching only another candidate — leaves every
+// owner valid, so the repair returns its input set itself, writes nothing
+// and allocates nothing.
+func TestRepairUntouchedSharesSet(t *testing.T) {
+	const n = 200
+	g, _, stub, _, _ := repairWorld(t, n, 7)
+	gr, err := walks.NewGround(&opinion.Candidate{G: g, Stub: stub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	untouched := make([]bool, n)
+	for _, d := range []walks.Draw{{Family: walks.FamilyRW, Seed: 9, Lambda: 8}, {Family: walks.FamilyRS, Seed: 9, Theta: 1500}} {
+		set, err := d.Generate(nil, gr, 12, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set.EnsureIndex()
+		got, stats, err := d.Repair(nil, gr, set, untouched, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != set || stats.CopyBytes != 0 || stats.OwnersInvalidated != 0 {
+			t.Fatalf("theta=%d: untouched repair returned a new set (%v) or wrote %d bytes", d.Theta, got != set, stats.CopyBytes)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _, _, _ = d.Repair(nil, gr, set, untouched, 0) }); allocs != 0 {
+			t.Fatalf("theta=%d: untouched repair allocates %v times", d.Theta, allocs)
+		}
 	}
 }
 

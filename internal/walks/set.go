@@ -11,31 +11,37 @@ import (
 	"ovm/internal/sampling"
 )
 
-// Set is a collection of t-step reverse random walks stored in flat arrays,
-// grouped contiguously by start node (owner), with per-walk truncation
-// state for Post-Generation Truncation.
+// Set is a collection of t-step reverse random walks grouped by start node
+// (owner), with per-walk truncation state for Post-Generation Truncation.
+//
+// Its storage has two immutable parts (see Storage in the package doc): a
+// base of flat arrays, mapped or heap, as a load, a generation or a fold
+// produced it, and an overlay holding the owners repairs have replaced since.
+// Every reader goes through walk or ownerWalks (a walk's nodes) and postings
+// (a node's walks), which present the two as one set in walk-id order.
 type Set struct {
-	g       *graph.Graph
+	n       int // nodes of the graph the walks run over
 	horizon int
 
-	nodes []int32 // concatenated walk sequences (walk w is nodes[off[w]:off[w+1]])
-	off   []int32 // len numWalks+1
-	end   []int32 // absolute index into nodes of each walk's current end node
+	nodes      []int32    // base: concatenated walk sequences (walk w is nodes[off[w]:off[w+1]])
+	off        []int32    // base: len numWalks+1
+	ownerNodes []int32    // distinct start nodes, ascending
+	ownerOff   []int32    // CSR into walk ids: owner i owns walks [ownerOff[i], ownerOff[i+1])
+	idx        *walkIndex // base node → walk postings (nil until EnsureIndex)
 
-	ownerNodes []int32 // distinct start nodes, ascending
-	ownerOff   []int32 // CSR into walk ids: owner i owns walks [ownerOff[i], ownerOff[i+1])
-
-	inSeed []bool // seed markers (len n)
-	seeds  []int32
-
-	idx *walkIndex // node → walk postings (nil until EnsureIndex; shared by Clones)
-
-	// storageMapped records that the immutable arrays (nodes, off,
-	// ownerNodes, ownerOff) alias a read-only mapped region. Mutable state
-	// (end, inSeed, seeds) is always heap-allocated, and every mutation
-	// path (AddSeed, Repair) writes only to heap state or to fresh arrays,
-	// so a mapped Set behaves identically to a heap one.
+	// storageMapped records that the four arrays above alias a read-only
+	// mapped region. Nothing ever writes to them: a repair adds an overlay
+	// and a fold writes fresh heap arrays.
 	storageMapped bool
+
+	ov *overlay // owners replaced by repairs since the base; nil when none
+
+	// Truncation state, private to one Set: nil on a pristine set (a loaded,
+	// generated or repaired artifact); Clone, AddSeed and NewEstimator
+	// create it.
+	end    []int32 // per walk, the offset of its current end node from its start
+	inSeed []bool  // seed markers (len n)
+	seeds  []int32
 }
 
 // Substream family offsets within a walk-generation Stream: walks for owner
@@ -164,13 +170,11 @@ func appendOwnerWalks(s *graph.InEdgeSampler, stub []float64, horizon int, v int
 }
 
 // foldShards concatenates per-shard outputs into the set's flat arrays in
-// ascending shard order, deriving walk offsets and pristine end pointers.
+// ascending shard order, deriving the walk offsets.
 func (set *Set) foldShards(shards []walkShard) {
 	for _, sh := range shards {
 		for _, l := range sh.lens {
-			pos := set.off[len(set.off)-1]
-			set.end = append(set.end, pos+l-1)
-			set.off = append(set.off, pos+l)
+			set.off = append(set.off, set.off[len(set.off)-1]+l)
 		}
 		set.nodes = append(set.nodes, sh.nodes...)
 	}
@@ -182,16 +186,12 @@ func (set *Set) foldShards(shards []walkShard) {
 // buffers, and the shard outputs are concatenated in shard order.
 func generateGrouped(ctx context.Context, gr *Ground, horizon int, owners, counts []int32, totalWalks int, str sampling.Stream, parallelism int) (*Set, error) {
 	s, stub := gr.s, gr.stub
-	g := s.Graph()
-	n := g.N()
 	set := &Set{
-		g:          g,
+		n:          s.Graph().N(),
 		horizon:    horizon,
 		ownerNodes: owners,
 		ownerOff:   make([]int32, len(owners)+1),
 		off:        make([]int32, 1, totalWalks+1),
-		end:        make([]int32, 0, totalWalks),
-		inSeed:     make([]bool, n),
 	}
 	for i, c := range counts {
 		set.ownerOff[i+1] = set.ownerOff[i] + c
@@ -219,7 +219,7 @@ func generateGrouped(ctx context.Context, gr *Ground, horizon int, owners, count
 }
 
 // NumWalks returns the total number of walks.
-func (set *Set) NumWalks() int { return len(set.end) }
+func (set *Set) NumWalks() int { return len(set.off) - 1 }
 
 // NumOwners returns the number of distinct start nodes.
 func (set *Set) NumOwners() int { return len(set.ownerNodes) }
@@ -232,23 +232,104 @@ func (set *Set) OwnerWalkCount(i int) int {
 	return int(set.ownerOff[i+1] - set.ownerOff[i])
 }
 
+// ownerOf returns the owner index of walk w.
+func (set *Set) ownerOf(w int32) int {
+	i, found := slices.BinarySearch(set.ownerOff, w)
+	if !found {
+		i--
+	}
+	return i
+}
+
 // Horizon returns the walk length bound t.
 func (set *Set) Horizon() int { return set.horizon }
 
-// Graph returns the underlying graph.
-func (set *Set) Graph() *graph.Graph { return set.g }
+// N returns the node count of the graph the walks run over.
+func (set *Set) N() int { return set.n }
 
 // Seeds returns the seed nodes applied so far (in insertion order).
 func (set *Set) Seeds() []int32 { return set.seeds }
 
 // IsSeed reports whether v has been applied as a seed.
-func (set *Set) IsSeed(v int32) bool { return set.inSeed[v] }
+func (set *Set) IsSeed(v int32) bool { return set.inSeed != nil && set.inSeed[v] }
+
+// walk returns walk w's stored node sequence: the overlay's when a repair
+// replaced it, the base's otherwise. With ownerWalks, this is how a walk is
+// read.
+func (set *Set) walk(w int32) []int32 {
+	if ov := set.ov; ov != nil && ov.has(w) {
+		o := ov.owner(w)
+		k := w - o.first
+		return o.nodes[o.off[k]:o.off[k+1]]
+	}
+	return set.nodes[set.off[w]:set.off[w+1]]
+}
+
+// ownerWalks returns owner i's walks as a block of nodes and offsets into
+// it: the owner's k-th walk is nodes[off[k]:off[k+1]]. Repairs replace
+// owners whole, so the block is either the base's or one overlay entry's;
+// scans in owner order resolve the storage once per owner instead of once
+// per walk.
+func (set *Set) ownerWalks(i int) (nodes, off []int32) {
+	first := set.ownerOff[i]
+	if ov := set.ov; ov != nil && ov.has(first) {
+		o := ov.owner(first)
+		return o.nodes, o.off
+	}
+	return set.nodes, set.off[first : set.ownerOff[i+1]+1]
+}
+
+// active returns walk w's active prefix: its stored sequence up to the
+// current truncation point.
+func (set *Set) active(w int32) []int32 {
+	s := set.walk(w)
+	if set.end != nil {
+		s = s[:set.end[w]+1]
+	}
+	return s
+}
+
+// truncState gives a pristine set its truncation state: every walk ends at
+// its last stored node and no node is a seed. Only the Set's owner may call
+// it; a shared artifact is truncated through a Clone.
+func (set *Set) truncState() {
+	if set.end != nil {
+		return
+	}
+	end := make([]int32, set.NumWalks())
+	off := set.off[:len(end)+1]
+	for w := range end {
+		end[w] = off[w+1] - off[w] - 1
+	}
+	if ov := set.ov; ov != nil {
+		for _, o := range ov.owners {
+			for k := range len(o.off) - 1 {
+				end[o.first+int32(k)] = o.off[k+1] - o.off[k] - 1
+			}
+		}
+	}
+	set.end, set.inSeed = end, make([]bool, set.n)
+}
 
 // WalkValue returns Y_qu[S] for walk w: 1 if the (truncated) end node is a
 // seed, else the initial opinion b0 of the end node.
 func (set *Set) WalkValue(w int, b0 []float64) float64 {
-	e := set.nodes[set.end[w]]
-	if set.inSeed[e] {
+	a := set.active(int32(w))
+	if e := a[len(a)-1]; !set.IsSeed(e) {
+		return b0[e]
+	}
+	return 1
+}
+
+// endValue is Y of walk w, the k-th walk of a block from ownerWalks: 1 if
+// its current end node is a seed, else that node's initial opinion.
+func (set *Set) endValue(nodes, off []int32, k int, w int32, b0 []float64) float64 {
+	p := off[k+1] - 1
+	if set.end != nil {
+		p = off[k] + set.end[w]
+	}
+	e := nodes[p]
+	if set.IsSeed(e) {
 		return 1
 	}
 	return b0[e]
@@ -258,12 +339,13 @@ func (set *Set) WalkValue(w int, b0 []float64) float64 {
 // contains u at u's first occurrence (Post-Generation Truncation, §V-B). It
 // visits only the walks in u's postings, not every element of every walk; a
 // set without a postings index builds one first. onHit, if non-nil,
-// observes each truncated walk together with its pre-truncation end pointer
-// (estimators use it to maintain incremental state). Returns the number of
-// walks truncated (0 when u already is a seed); the truncation and its
-// postings drain are recorded in the cost counters. This is the one place a
-// seed is applied.
+// observes each truncated walk together with its pre-truncation end (an
+// offset from the walk's start; estimators use it to maintain incremental
+// state). Returns the number of walks truncated (0 when u already is a
+// seed); the truncation and its postings drain are recorded in the cost
+// counters. This is the one place a seed is applied.
 func (set *Set) AddSeed(u int32, onHit func(w, oldEnd int32)) int64 {
+	set.truncState()
 	if set.inSeed[u] {
 		return 0
 	}
@@ -271,24 +353,17 @@ func (set *Set) AddSeed(u int32, onHit func(w, oldEnd int32)) int64 {
 	set.inSeed[u] = true
 	set.seeds = append(set.seeds, u)
 	var hits int64
-	truncate := func(w, rel int32) {
-		if pos := set.off[w] + rel; pos <= set.end[w] {
-			old := set.end[w]
-			set.end[w] = pos
-			hits++
-			if onHit != nil {
-				onHit(w, old)
+	it := set.postings(u)
+	for ws, rels := it.block(); len(ws) > 0; ws, rels = it.block() {
+		for j, w := range ws {
+			if rel := rels[j]; rel <= set.end[w] {
+				old := set.end[w]
+				set.end[w] = rel
+				hits++
+				if onHit != nil {
+					onHit(w, old)
+				}
 			}
-		}
-	}
-	if idx := set.idx; idx.compact != nil {
-		it := idx.compact.Iter(u)
-		for w, rel, ok := it.Next(); ok; w, rel, ok = it.Next() {
-			truncate(w, rel)
-		}
-	} else {
-		for p := idx.off[u]; p < idx.off[u+1]; p++ {
-			truncate(idx.walk[p], idx.pos[p])
 		}
 	}
 	set.accountTruncate(u, hits)
@@ -299,33 +374,28 @@ func (set *Set) AddSeed(u int32, onHit func(w, oldEnd int32)) int64 {
 // mask, without mutating the truncation state. Used by property tests
 // (Lemma 3) and the γ* estimation heuristic.
 func (set *Set) ValueWithSeeds(w int, b0 []float64, seedMask []bool) float64 {
-	for i := set.off[w]; i <= set.end[w]; i++ {
-		if seedMask[set.nodes[i]] {
+	for _, u := range set.active(int32(w)) {
+		if seedMask[u] {
 			return 1
 		}
 	}
-	e := set.nodes[set.end[w]]
-	if set.inSeed[e] {
-		return 1
-	}
-	return b0[e]
+	return set.WalkValue(w, b0)
 }
 
 // WalkNodes returns walk w's node sequence up to the current truncation
 // point (aliases internal storage; do not modify).
-func (set *Set) WalkNodes(w int) []int32 {
-	return set.nodes[set.off[w] : set.end[w]+1]
-}
+func (set *Set) WalkNodes(w int) []int32 { return set.active(int32(w)) }
 
 // ownerEstimate is b̂_v[S] = (1/λ_v)·Σ_w Y-value(w) of owner i, its walks
 // summed in walk order (fold contract, rule 1).
 func (set *Set) ownerEstimate(i int, b0 []float64) float64 {
-	lo, hi := set.ownerOff[i], set.ownerOff[i+1]
+	nodes, off := set.ownerWalks(i)
+	first := set.ownerOff[i]
 	sum := 0.0
-	for w := lo; w < hi; w++ {
-		sum += set.WalkValue(int(w), b0)
+	for k := range len(off) - 1 {
+		sum += set.endValue(nodes, off, k, first+int32(k), b0)
 	}
-	return sum / float64(hi-lo)
+	return sum / float64(len(off)-1)
 }
 
 // EstimatePerOwner writes the per-owner opinion estimates into out (len
@@ -342,12 +412,17 @@ func (set *Set) EstimatePerOwner(b0 []float64, out []float64, parallelism int) {
 }
 
 // BytesUsed approximates the walk storage footprint, for the memory study
-// (Fig 17): the flat walk arrays, owner grouping, seed state, and — when
-// built — the node → walk postings index.
+// (Fig 17): the flat walk arrays, owner grouping, overlay, seed state, and
+// — when built — the node → walk postings index.
 func (set *Set) BytesUsed() int64 { return set.MappedBytes() + set.HeapBytes() }
 
-// mutableBytes is the per-process mutable state: truncation pointers, seed
-// markers, and the seed list — always heap-allocated, even for a mapped set.
+// baseBytes is the base's walk storage: the flat arrays and owner grouping.
+func (set *Set) baseBytes() int64 {
+	return 4 * int64(len(set.nodes)+len(set.off)+len(set.ownerNodes)+len(set.ownerOff))
+}
+
+// mutableBytes is the truncation state: end offsets, seed markers and the
+// seed list — heap-allocated, and absent on a pristine set.
 func (set *Set) mutableBytes() int64 {
 	return int64(len(set.end))*4 + int64(len(set.inSeed)) + int64(len(set.seeds))*4
 }
@@ -355,12 +430,11 @@ func (set *Set) mutableBytes() int64 {
 // MappedBytes reports how much of the footprint aliases a read-only mapped
 // region (0 for a heap-backed set). The walk storage and the postings index
 // are accounted separately: a mapped set can still carry a heap-built index
-// and vice versa.
+// and vice versa. Repairs never change it; only a fold does.
 func (set *Set) MappedBytes() int64 {
 	b := int64(0)
 	if set.storageMapped {
-		b = int64(len(set.nodes))*4 + int64(len(set.off))*4 +
-			int64(len(set.ownerNodes))*4 + int64(len(set.ownerOff))*4
+		b = set.baseBytes()
 	}
 	if set.idx != nil && set.idx.mapped {
 		b += set.idx.bytes()
@@ -368,12 +442,12 @@ func (set *Set) MappedBytes() int64 {
 	return b
 }
 
-// HeapBytes reports the heap-resident remainder of the footprint.
+// HeapBytes reports the heap-resident remainder of the footprint: what of
+// the base is not mapped, the overlay, and the truncation state.
 func (set *Set) HeapBytes() int64 {
-	b := set.mutableBytes()
+	b := set.mutableBytes() + set.ov.bytes()
 	if !set.storageMapped {
-		b += int64(len(set.nodes))*4 + int64(len(set.off))*4 +
-			int64(len(set.ownerNodes))*4 + int64(len(set.ownerOff))*4
+		b += set.baseBytes()
 	}
 	if set.idx != nil && !set.idx.mapped {
 		b += set.idx.bytes()

@@ -34,7 +34,7 @@ type Oracle struct {
 
 // New snapshots set; the arguments are those of walks.NewEstimator.
 func New(set *walks.Set, target int, b0 []float64, comp [][]float64, weight []float64) *Oracle {
-	n := set.Graph().N()
+	n := set.N()
 	o := &Oracle{
 		bounds: walks.ScanShardBounds(n, set.NumWalks()),
 		inSeed: make([]bool, n),

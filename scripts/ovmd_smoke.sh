@@ -21,7 +21,9 @@
 #      daemon runs with -cache -1, and the same request again is computed,
 #      not cached, yet reuses the epoch's value for that (artifact, score,
 #      k): same exactValue, no diffusion in its cost block, one value hit
-#      on /metrics;
+#      on /metrics; three update batches on that daemon then leave /stats
+#      mappedBytes exactly where it was (a repair writes a heap overlay
+#      beside the mapped base) while heapBytes grows;
 #   6. a dynamic-update batch POSTed to /v1/datasets/default/updates bumps
 #      the epoch, the post-update HTTP seeds equal a fresh CLI run on the
 #      mutated graph (ovm -updates), and the batch cost one WAL line: the
@@ -173,11 +175,34 @@ sparse_exact2=$(sed -n 's/.*"exactValue":\([0-9.eE+-]*\).*/\1/p' <<<"$sresp2")
 sparse_metrics=$(curl -sf "$sparse_base/metrics")
 grep -q '^ovm_greedy_prefix_value_hits_total 1$' <<<"$sparse_metrics" \
   || { echo "FAIL: /metrics value-hit counter is not 1 after one repeat"; grep '^ovm_greedy_prefix_value' <<<"$sparse_metrics"; exit 1; }
+# Updates leave the mapping as the sketch set's base: a repair writes only a
+# heap overlay, so mappedBytes stays put while heapBytes grows.
+stat_field() { sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p" <<<"$2"; }
+sparse_stats=$(curl -sf "$sparse_base/stats")
+mapped_before=$(stat_field mappedBytes "$sparse_stats")
+heap_before=$(stat_field heapBytes "$sparse_stats")
+for nodes in "3 40" "77 150" "901 1500"; do
+  read -r a b <<<"$nodes"
+  curl -sf -X POST "$sparse_base/v1/datasets/default/updates" -H 'Content-Type: application/json' \
+    -d '{"ops":[{"op":"set_stubbornness","candidate":0,"node":'$a',"value":0.3},{"op":"set_stubbornness","candidate":0,"node":'$b',"value":0.6},{"op":"set_opinion","candidate":1,"node":'$a',"value":0.2}]}' >/dev/null \
+    || { echo "FAIL: update batch on the sparse daemon"; exit 1; }
+done
+curl -sf -X POST "$sparse_base/v1/select-seeds" -H 'Content-Type: application/json' \
+  -d '{"dataset":"default","method":"RS","score":{"name":"plurality"},"k":3,"horizon":10,"target":0,"seed":7,"theta":2048,"minEpoch":3}' >/dev/null \
+  || { echo "FAIL: minEpoch query after the sparse updates"; exit 1; }
+sparse_stats=$(curl -sf "$sparse_base/stats")
+mapped_after=$(stat_field mappedBytes "$sparse_stats")
+heap_after=$(stat_field heapBytes "$sparse_stats")
+[[ -n "$mapped_before" && "$mapped_before" -gt 0 && "$mapped_after" == "$mapped_before" ]] \
+  || { echo "FAIL: /stats mappedBytes $mapped_before before three update batches, $mapped_after after"; echo "$sparse_stats"; exit 1; }
+[[ "$heap_after" -gt "$heap_before" ]] \
+  || { echo "FAIL: /stats heapBytes $heap_before -> $heap_after: the updates left no overlay"; echo "$sparse_stats"; exit 1; }
 kill -TERM "$sparse_pid"
 wait "$sparse_pid" || true
 sparse_pid=""
 echo "   one diffusion, $sparse_steps edge steps < horizon x m = $((10 * sparse_m)), exactValue $sparse_exact = CLI $sparse_value"
 echo "   repeat with -cache -1: computed, value reused, no diffusion, exactValue $sparse_exact2"
+echo "   three update batches: mappedBytes stayed $mapped_after, heapBytes $heap_before -> $heap_after (the overlay)"
 
 curl -sf "$base/stats" | grep -q '"cacheHits":1' || { echo "FAIL: /stats cache hit count"; exit 1; }
 echo "   /stats ok"

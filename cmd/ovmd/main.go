@@ -11,9 +11,12 @@
 // the mutated graph) and the dataset epoch bumps by one. When serving from
 // an -index file, every acknowledged batch is one fsync'd line in the
 // <index>.wal sidecar; the index file itself is a checkpoint, rewritten
-// atomically (as OVMIDX v3) only once the log reaches -compact-log batches
-// and at a graceful stop. A restarted daemon maps the checkpoint, replays
-// the WAL, and only then listens — at the same epoch, with the same bytes.
+// atomically (as OVMIDX v3) only once the log reaches -compact-log batches,
+// once a walk set's overlay of repaired walks outgrows its share, and at a
+// graceful stop; the file just written becomes the base the daemon serves,
+// so the heap holds only what changed since. A restarted daemon maps the
+// checkpoint, replays the WAL, and only then listens — at the same epoch,
+// with the same bytes.
 // The index is served zero-copy from an mmap'd region. There is one index
 // format; a file of any other version (the retired v1/v2 included) is
 // refused at startup and left untouched: rebuild it with -build-index.
@@ -82,7 +85,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed (index build; also the dataset synthesis seed)")
 		par     = flag.Int("parallel", 0, "engine worker count (0 = GOMAXPROCS, 1 = serial); never changes any response")
 		cache   = flag.Int("cache", 1024, "LRU response cache capacity (entries; -1 = no response cache, every request computes)")
-		compact = flag.Int("compact-log", 1024, "checkpoint the index file (rewrite it at the current epoch and prune the WAL) once the update log (applied + queued batches) reaches this many, bounding WAL size and restart replay cost; a graceful stop checkpoints too (0 = never checkpoint)")
+		compact = flag.Int("compact-log", 1024, "checkpoint the index file (rewrite it at the current epoch, serve the file written, and prune the WAL) once the update log (applied + queued batches) reaches this many, bounding WAL depth and restart replay cost; an outgrown overlay of repaired walks and a graceful stop checkpoint too (0 = never checkpoint; repairs then fold overlays on the heap)")
 
 		syncUpdates = flag.Bool("sync-updates", false, "apply update batches inline (blocking POST) instead of the default async pipeline (durable WAL queue + background repair)")
 

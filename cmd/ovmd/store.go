@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"ovm/internal/dynamic"
 	"ovm/internal/iofault"
+	"ovm/internal/mmapio"
 	"ovm/internal/obs"
 	"ovm/internal/persist"
 	"ovm/internal/serialize"
@@ -21,12 +24,21 @@ import (
 // file is a checkpoint. A batch costs one fsync'd JSONL line — async at
 // accept, -sync-updates just before the swap — and never touches the
 // index file. The file is rewritten whole (export, temp + fsync + rename,
-// then WAL prune) only once the log holds -compact-log batches, and once
-// more at a graceful stop, so its O(index size) cost is paid per thousand
-// batches and the restart replay stays bounded. A restart maps the
-// checkpoint and replays the WAL through the live coalesce+repair path.
-// An index written by an earlier daemon may still carry batches in its own
-// log section; they replay first and fold into the next checkpoint.
+// then WAL prune) only once the log holds -compact-log batches, once a
+// walk set's overlay outgrows its share, and once more at a graceful stop,
+// so its O(index size) cost is paid per many batches and the restart
+// replay stays bounded. The checkpoint is also the walk sets' only fold:
+// the writer streams each set from its mapped base plus heap overlay, and
+// the file just written is mapped and becomes the base every later
+// version serves, with an overlay of only what changed since. Only the
+// write holds up the update being swapped in; the new file is verified
+// and installed beside the updates that follow. So the heap holds
+// overlays only. A restart maps the checkpoint — the very bytes the
+// process served — and replays the WAL through the live coalesce+repair
+// path. An index written by an earlier daemon may still carry batches in
+// its own log section; they replay first and fold into the next
+// checkpoint. -compact-log 0 never checkpoints, and repairs then fold
+// outgrown overlays into heap bases instead.
 
 // storeOpts names the index file a store serves.
 type storeOpts struct {
@@ -47,12 +59,17 @@ type store struct {
 	opts   storeOpts
 	svc    *service.Service
 	wal    *persist.WAL
-	mi     *serialize.MappedIndex // never closed while serving
 
 	// legacyLog counts the batches in the loaded file's own log section:
 	// replayed at load, counted as log depth until the first checkpoint
 	// folds them in. Stats readers load it while an update stores it.
 	legacyLog atomic.Int64
+
+	// installs tracks the checkpoints being verified and installed as the
+	// dataset's base; installing says one is, so an overlay that outgrew its
+	// share is not checkpointed again before its checkpoint is the base.
+	installs   sync.WaitGroup
+	installing atomic.Int32
 }
 
 // openStore loads the checkpoint at o.index, builds a service on cfg with
@@ -68,12 +85,14 @@ func openStore(fsys iofault.FS, cfg service.Config, o storeOpts) (*store, error)
 	if removed, err := persist.CleanStaleTemps(fsys, o.index); err == nil && len(removed) > 0 {
 		st.logger.Warn("removed stale index temp files from an interrupted checkpoint", obs.F("files", strings.Join(removed, ", ")))
 	}
-	idx, err := st.loadIndex()
+	mi, err := st.loadIndex()
 	if err != nil {
 		return nil, err
 	}
+	idx := mi.Index
 	queued, queuedFirst, err := st.openWAL(idx.BaseEpoch + int64(len(idx.Updates)))
 	if err != nil {
+		_ = mi.Close()
 		return nil, err
 	}
 	st.legacyLog.Store(int64(len(idx.Updates)))
@@ -84,11 +103,6 @@ func openStore(fsys iofault.FS, cfg service.Config, o storeOpts) (*store, error)
 		return st.wal.Append(persist.WALEntry{Epoch: epoch, Batch: batch})
 	}
 	cfg.OnUpdate = st.beforeSwap
-	st.svc = service.New(cfg)
-	if err := st.register(idx, queued, queuedFirst); err != nil {
-		st.svc.Close()
-		return nil, err
-	}
 	mode := "heap"
 	fields := []obs.Field{
 		obs.F("path", o.index),
@@ -97,20 +111,25 @@ func openStore(fsys iofault.FS, cfg service.Config, o storeOpts) (*store, error)
 		obs.F("replayed", len(idx.Updates)+len(queued)),
 		obs.F("epoch", idx.BaseEpoch+int64(len(idx.Updates)+len(queued))),
 	}
-	if st.mi.Mapped() {
+	if mi.Mapped() {
 		mode = "mmap"
-		fields = append(fields, obs.F("zeroCopy", fmt.Sprintf("%d bytes zero-copy", st.mi.MappedBytes())))
+		fields = append(fields, obs.F("zeroCopy", fmt.Sprintf("%d bytes zero-copy", mi.MappedBytes())))
+	}
+	st.svc = service.New(cfg)
+	if err := st.register(mi, queued, queuedFirst); err != nil {
+		st.svc.Close()
+		return nil, err
 	}
 	st.logger.Info("loaded index (no recomputation)", append([]obs.Field{obs.F("mode", mode)}, fields...)...)
 	return st, nil
 }
 
-// register adds the loaded index to the service as the dataset (replaying
+// register hands the loaded file to the service as the dataset (replaying
 // its own log section, if it has one) and then drains the batches recovered
 // from the WAL through the same applier as live traffic, in either update
 // mode, so they land on the epochs that were promised.
-func (st *store) register(idx *serialize.Index, queued []dynamic.Batch, queuedFirst int64) error {
-	if err := st.svc.AddIndex(st.opts.name, idx); err != nil {
+func (st *store) register(mi *serialize.MappedIndex, queued []dynamic.Batch, queuedFirst int64) error {
+	if err := st.svc.AddMapped(st.opts.name, mi, st.opts.compact > 0); err != nil {
 		return err
 	}
 	if len(queued) == 0 {
@@ -127,20 +146,20 @@ func (st *store) register(idx *serialize.Index, queued []dynamic.Batch, queuedFi
 
 // loadIndex reads the checkpoint zero-copy from an mmap'd region (where the
 // platform cannot map, serialize.OpenMapped parses a heap read instead).
-// Served walk artifacts keep the mapping as their base for as long as they
-// live: a repair writes only a heap overlay beside it, and only an overlay
-// outgrowing its share folds into a heap base. RR collections still copy on
-// their first repair. So the mapping stays open for the process lifetime. A missing
+// The service owns the mapping from registration on: every dataset version
+// built on it holds it, and it closes once the last of them and of the
+// requests reading them is gone — after the next checkpoint has become the
+// base (see checkpoint). With -compact-log 0 no checkpoint replaces it, so
+// it stays open for the process lifetime. A missing
 // file is the caller's typo and an intact file of another format version is
 // one this build cannot serve: neither is corruption, both are returned as
 // is (fatal at startup) with the file and its WAL left where they are. Any
 // other unreadable file (truncated, CRC mismatch, bad magic) is moved aside
 // to <path>.corrupt and reported as errQuarantined.
-func (st *store) loadIndex() (*serialize.Index, error) {
+func (st *store) loadIndex() (*serialize.MappedIndex, error) {
 	mi, err := serialize.OpenMapped(st.opts.index)
 	if err == nil {
-		st.mi = mi
-		return mi.Index, nil
+		return mi, nil
 	}
 	if os.IsNotExist(err) || errors.Is(err, serialize.ErrUnsupportedVersion) {
 		return nil, err
@@ -221,7 +240,7 @@ func (st *store) logDepth() int {
 // batches were logged at accept, and batches replayed from the WAL at
 // startup are in it by definition; only a live -sync-updates batch is new,
 // and this append is its one durable write. Then, with the log long
-// enough, checkpoint.
+// enough or a walk set's overlay past its share, checkpoint.
 func (st *store) beforeSwap(_ string, batches []dynamic.Batch, epoch int64) error {
 	first, logged := epoch-int64(len(batches))+1, st.wal.LastEpoch()
 	for i, b := range batches {
@@ -231,19 +250,31 @@ func (st *store) beforeSwap(_ string, batches []dynamic.Batch, epoch int64) erro
 			}
 		}
 	}
-	if st.opts.compact > 0 && st.logDepth() >= st.opts.compact {
-		st.checkpoint()
+	if st.opts.compact > 0 {
+		switch {
+		case st.logDepth() >= st.opts.compact:
+			st.checkpoint(service.CheckpointLog)
+		case st.installing.Load() == 0 && st.svc.OverlayOutgrown(st.opts.name):
+			st.checkpoint(service.CheckpointOverlay)
+		}
 	}
 	return nil
 }
 
-// checkpoint rewrites the index file as the VISIBLE dataset and prunes the
-// WAL behind it. Called before a swap it exports the pre-swap state, so it
-// never outruns the log: the run being swapped in stays in the WAL and
-// replays on top of the new base. A failure at any step is only logged —
-// the previous checkpoint and the whole WAL still describe every epoch,
-// and the next run past the threshold tries again.
-func (st *store) checkpoint() {
+// checkpoint rewrites the index file as the VISIBLE dataset, prunes the
+// WAL behind it, and maps the file it wrote to serve it. Called before a
+// swap it exports the pre-swap state, so it never outruns the log: the run
+// being swapped in stays in the WAL and replays on top of the new base. A
+// failure to write is only logged — the previous checkpoint and the whole
+// WAL still describe every epoch — and, like a failure to map or install
+// the file, turns the dataset back to heap folds (service.CheckpointFailed)
+// until the next run past the log threshold writes one that installs. The
+// mapped file is verified and installed in the background (install), off
+// the update path; until then, and for good if that fails, the previous
+// base serves. Every version is built on one file
+// or the other, never on a mix, and a restart maps the new one. A graceful
+// stop's checkpoint is only written.
+func (st *store) checkpoint(reason service.CheckpointReason) {
 	start := time.Now()
 	exported, serr := st.svc.ExportIndex(st.opts.name)
 	var err error
@@ -254,6 +285,11 @@ func (st *store) checkpoint() {
 	}
 	if err != nil {
 		st.logger.Warn("checkpoint failed; keeping the previous one and the whole WAL", obs.F("err", err))
+		epoch := int64(math.MaxInt64) // no export: whatever file serves is behind
+		if exported != nil {
+			epoch = exported.BaseEpoch
+		}
+		st.svc.CheckpointFailed(st.opts.name, epoch)
 		return
 	}
 	st.legacyLog.Store(0)
@@ -266,26 +302,57 @@ func (st *store) checkpoint() {
 		st.logger.Warn("WAL prune after checkpoint failed; entries dedupe at restart", obs.F("err", err))
 		pruned = 0
 	}
-	st.svc.ObserveCheckpoint(time.Since(start))
+	if reason != service.CheckpointShutdown {
+		if region, err := st.fsys.Map(st.opts.index); err != nil {
+			st.logger.Warn("checkpoint written but not mapped; serving the previous base", obs.F("err", err))
+			st.svc.CheckpointFailed(st.opts.name, exported.BaseEpoch)
+		} else {
+			st.installing.Add(1)
+			st.installs.Add(1)
+			go st.install(region, exported.BaseEpoch)
+		}
+	}
+	st.svc.ObserveCheckpoint(reason, time.Since(start))
 	var bytes int64
 	if info, err := st.fsys.Stat(st.opts.index); err == nil {
 		bytes = info.Size()
 	}
-	st.logger.Info("checkpointed index",
+	st.logger.Info("checkpointed index", obs.F("reason", string(reason)),
 		obs.F("epoch", exported.BaseEpoch), obs.F("bytes", bytes), obs.F("walPruned", pruned),
 		obs.F("walDepth", st.wal.Depth()), obs.F("durMs", float64(time.Since(start).Nanoseconds())/1e6),
 		obs.F("path", st.opts.index))
 }
 
+// install parses the mapped checkpoint at epoch — CRC-checked, its postings
+// verified against its walks as at startup — and makes it the dataset's
+// base (service.Rebase).
+func (st *store) install(region *mmapio.Region, epoch int64) {
+	defer st.installs.Done()
+	defer st.installing.Add(-1)
+	start := time.Now()
+	mi, err := serialize.OpenRegion(region)
+	if err == nil {
+		err = st.svc.Rebase(context.Background(), st.opts.name, mi)
+	}
+	if err != nil {
+		st.logger.Warn("checkpoint written but not installed; serving the previous base", obs.F("epoch", epoch), obs.F("err", err))
+		st.svc.CheckpointFailed(st.opts.name, epoch)
+		return
+	}
+	st.logger.Info("installed checkpoint as the base", obs.F("epoch", epoch),
+		obs.F("durMs", float64(time.Since(start).Nanoseconds())/1e6))
+}
+
 // Close is the graceful stop: the appliers end (a repair in flight is
-// abandoned; its batches stay in the WAL), and whatever the WAL holds up
-// to the visible epoch is folded into a final checkpoint, so the next
-// start has nothing to replay. -compact-log 0 leaves the log alone here
-// too.
+// abandoned; its batches stay in the WAL), and whatever the log holds up
+// to the visible epoch — WAL entries and a loaded file's own log section
+// alike — is folded into a final checkpoint, so the next start has nothing
+// to replay. -compact-log 0 leaves the log alone here too.
 func (st *store) Close() {
 	st.svc.Close()
-	if st.opts.compact > 0 && st.wal.Depth() > 0 {
-		st.checkpoint()
+	st.installs.Wait()
+	if st.opts.compact > 0 && st.logDepth() > 0 {
+		st.checkpoint(service.CheckpointShutdown)
 	}
 	_ = st.wal.Close()
 }

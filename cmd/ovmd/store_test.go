@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -60,16 +61,18 @@ func writeWorld(t testing.TB, updates []dynamic.Batch) string {
 	return path
 }
 
-// mixedBatches is a stream whose batches touch disjoint edge columns, so a
-// replay that finds them all queued merges them into one repair.
+// mixedBatches is a stream of edge, stubbornness and opinion ops whose
+// walk-touching ops hit only nodes 0, 1 and 2, which few walks visit: all
+// six together invalidate a few percent of each walk set, so no overlay
+// outgrows its share and a store checkpoints only when its log asks.
 func mixedBatches() []dynamic.Batch {
 	return []dynamic.Batch{
-		{{Kind: dynamic.OpAddEdge, From: 3, To: 11, W: 0.8}, {Kind: dynamic.OpSetOpinion, Cand: 0, Node: 33, Value: 0.2}},
-		{{Kind: dynamic.OpAddEdge, From: 17, To: 4, W: 1.2}, {Kind: dynamic.OpSetStubbornness, Cand: 0, Node: 40, Value: 0.15}},
-		{{Kind: dynamic.OpSetWeight, From: 9, To: 21, W: 2}, {Kind: dynamic.OpSetOpinion, Cand: 0, Node: 33, Value: 0.95}},
-		{{Kind: dynamic.OpAddEdge, From: 50, To: 60, W: 0.5}},
-		{{Kind: dynamic.OpSetOpinion, Cand: 0, Node: 7, Value: 0.4}, {Kind: dynamic.OpSetStubbornness, Cand: 0, Node: 8, Value: 0.3}},
-		{{Kind: dynamic.OpRemoveEdge, From: 50, To: 60}, {Kind: dynamic.OpSetOpinion, Cand: 0, Node: 90, Value: 0.7}},
+		{{Kind: dynamic.OpAddEdge, From: 0, To: 1, W: 0.8}, {Kind: dynamic.OpSetOpinion, Cand: 0, Node: 33, Value: 0.2}},
+		{{Kind: dynamic.OpAddEdge, From: 15, To: 0, W: 1.2}, {Kind: dynamic.OpSetStubbornness, Cand: 0, Node: 2, Value: 0.15}},
+		{{Kind: dynamic.OpSetWeight, From: 3, To: 2, W: 2}, {Kind: dynamic.OpSetOpinion, Cand: 0, Node: 33, Value: 0.95}},
+		{{Kind: dynamic.OpAddEdge, From: 0, To: 2, W: 0.5}},
+		{{Kind: dynamic.OpSetOpinion, Cand: 0, Node: 7, Value: 0.4}, {Kind: dynamic.OpSetStubbornness, Cand: 0, Node: 0, Value: 0.3}},
+		{{Kind: dynamic.OpRemoveEdge, From: 0, To: 2}, {Kind: dynamic.OpSetOpinion, Cand: 0, Node: 90, Value: 0.7}},
 	}
 }
 
@@ -86,6 +89,9 @@ func openTestStore(t testing.TB, fsys iofault.FS, path string, async bool, compa
 // descriptor go, and nothing is written on the way out.
 func kill(st *store) {
 	st.svc.Close()
+	// A checkpoint being installed only reads the file: letting it finish
+	// changes nothing on disk, and nothing outlives the test.
+	st.installs.Wait()
 	_ = st.wal.Close()
 }
 
@@ -190,11 +196,43 @@ func crashIn(f func()) (crashed bool) {
 	return false
 }
 
+// fileBase is the epoch the index file at path is a checkpoint of.
+func fileBase(t testing.TB, path string) int64 {
+	t.Helper()
+	idx := readIndexFile(t, path)
+	if len(idx.Updates) != 0 {
+		t.Fatalf("checkpoint carries %d logged batches, want none", len(idx.Updates))
+	}
+	return idx.BaseEpoch
+}
+
+// checkWAL asserts that the WAL continues the file's checkpoint at base up
+// to epoch n, entry for entry, and reports whether it still holds entries
+// the checkpoint covers.
+func checkWAL(t testing.TB, path string, base, n int64) (covered bool) {
+	t.Helper()
+	next := base + 1
+	for _, e := range walEntries(t, path) {
+		if e.Epoch <= base {
+			covered = true
+			continue
+		}
+		if e.Epoch != next {
+			t.Fatalf("WAL entry at epoch %d, want %d: it does not continue the checkpoint at %d", e.Epoch, next, base)
+		}
+		next++
+	}
+	if next != n+1 {
+		t.Fatalf("WAL reaches epoch %d over a checkpoint at %d, want %d", next-1, base, n)
+	}
+	return covered
+}
+
 // TestCrashPoints kills the store at each point of a batch's life — logged,
-// visible, mid-checkpoint, checkpointed but not yet pruned, gracefully
-// stopped — and restarts it. Every batch was acknowledged before the kill,
-// so every restart must reach the last promised epoch and answer with the
-// bytes of an uninterrupted sync replay.
+// visible, mid-checkpoint, checkpointed but not yet pruned or mapped,
+// gracefully stopped — and restarts it. Every batch was acknowledged before
+// the kill, so every restart must reach the last promised epoch and answer
+// with the bytes of an uninterrupted sync replay.
 func TestCrashPoints(t *testing.T) {
 	batches := mixedBatches()
 	n := len(batches)
@@ -263,6 +301,20 @@ func TestCrashPoints(t *testing.T) {
 			walLeft: n,
 		},
 		{
+			// A graceful stop's checkpoint is never mapped: this is one taken
+			// while serving, killed after the prune, before its file serves.
+			name: "checkpoint renamed and pruned, not mapped", async: true, compact: 1024,
+			die: func(t *testing.T, st *store, fsys *iofault.Faulty) {
+				waitIdle(t, st.svc)
+				fsys.Reset()
+				fsys.Inject(iofault.OpMap, 0, iofault.ActCrash)
+				if !crashIn(func() { st.checkpoint(service.CheckpointLog) }) {
+					t.Fatal("the checkpoint never mapped its file")
+				}
+				kill(st)
+			},
+		},
+		{
 			name: "graceful stop", async: true, compact: 1024,
 			die: func(t *testing.T, st *store, _ *iofault.Faulty) {
 				waitIdle(t, st.svc)
@@ -298,8 +350,8 @@ func TestCrashPoints(t *testing.T) {
 				t.Fatalf("index file untouched = %v, want %v", !tc.indexUntouched, tc.indexUntouched)
 			}
 			if !tc.indexUntouched {
-				if idx := readIndexFile(t, path); idx.BaseEpoch != int64(n) || len(idx.Updates) != 0 {
-					t.Fatalf("checkpoint is at epoch %d with %d logged batches, want %d and 0", idx.BaseEpoch, len(idx.Updates), n)
+				if base := fileBase(t, path); base != int64(n) {
+					t.Fatalf("checkpoint is at epoch %d, want %d", base, n)
 				}
 			}
 			if got := len(walEntries(t, path)); got != tc.walLeft {
@@ -378,6 +430,7 @@ func failedCheckpoint(t *testing.T, async bool) {
 
 	// The fourth run retries before its swap: the checkpoint is the visible
 	// epoch 3, and batch 4 stays in the log on top of it.
+	fsys.Reset()
 	send(t, st.svc, batches[3:4])
 	waitIdle(t, st.svc)
 	if idx := readIndexFile(t, path); idx.BaseEpoch != 3 {
@@ -390,7 +443,7 @@ func failedCheckpoint(t *testing.T, async bool) {
 	if err := st.svc.WriteMetrics(&metrics); err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range []string{"ovmd_checkpoints_total 1\n", `ovmd_stage_duration_seconds_count{stage="checkpoint"} 1` + "\n"} {
+	for _, line := range []string{`ovmd_checkpoints_total{reason="log"} 1` + "\n", `ovmd_stage_duration_seconds_count{stage="checkpoint"} 1` + "\n"} {
 		if !strings.Contains(metrics.String(), line) {
 			t.Errorf("/metrics lacks %q", line)
 		}
@@ -451,8 +504,9 @@ func TestReplayRegroupsBatches(t *testing.T) {
 			applied: append(append([]dynamic.Batch(nil), poisoned[:2]...), poisoned[3:]...), failed: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			// No checkpoints: the restart replays every batch from the WAL.
 			path := writeWorld(t, nil)
-			st := openTestStore(t, iofault.OS, path, true, 1024)
+			st := openTestStore(t, iofault.OS, path, true, 0)
 			for i := range tc.batches {
 				send(t, st.svc, tc.batches[i:i+1])
 				waitIdle(t, st.svc)
@@ -463,7 +517,7 @@ func TestReplayRegroupsBatches(t *testing.T) {
 			}
 			kill(st)
 
-			re := openTestStore(t, iofault.OS, path, true, 1024)
+			re := openTestStore(t, iofault.OS, path, true, 0)
 			defer kill(re)
 			replayed := answers(t, re.svc)
 			if replayed != live {
@@ -502,41 +556,55 @@ func epochField(epoch int) string {
 
 // TestLegacyInIndexLogStillLoads: a file written by an earlier daemon
 // carries applied batches in its own log section, with the batches after
-// them in the WAL. Both replay, both count as log depth, and the next
-// checkpoint folds them into one base.
+// them in the WAL — or none there at all. Both replay, both count as log
+// depth, and a graceful stop checkpoints them into one base.
 func TestLegacyInIndexLogStillLoads(t *testing.T) {
 	batches := mixedBatches()
-	n := len(batches)
-	path := writeWorld(t, batches[:2])
-	wal, _, err := persist.OpenWAL(iofault.OS, path+".wal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Epochs 1 and 2 are duplicates of the in-file log, as a crash between
-	// the old daemon's rewrite and its prune left them.
-	for i, b := range batches {
-		if err := wal.Append(persist.WALEntry{Epoch: int64(i + 1), Batch: b}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := wal.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		wal  bool // epochs 1..6 in the WAL, else none
+	}{{"with a WAL", true}, {"without a WAL", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			logged := batches[:2]
+			if tc.wal {
+				logged = batches
+			}
+			n := len(logged)
+			path := writeWorld(t, batches[:2])
+			if tc.wal {
+				wal, _, err := persist.OpenWAL(iofault.OS, path+".wal")
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Epochs 1 and 2 are duplicates of the in-file log, as a
+				// crash between the old daemon's rewrite and its prune left
+				// them.
+				for i, b := range batches {
+					if err := wal.Append(persist.WALEntry{Epoch: int64(i + 1), Batch: b}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := wal.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	want := syncReplay(t, batches)
-	st := openTestStore(t, iofault.OS, path, true, 1024)
-	if got := answers(t, st.svc); got != want {
-		t.Fatalf("legacy log + WAL diverged from the sync replay:\n got %s\nwant %s", got, want)
-	}
-	if got := st.logDepth(); got != n {
-		t.Fatalf("log depth = %d, want %d (2 in the file, %d in the WAL)", got, n, n-2)
-	}
-	st.Close()
-	if idx := readIndexFile(t, path); idx.BaseEpoch != int64(n) || len(idx.Updates) != 0 {
-		t.Fatalf("checkpoint is at epoch %d with %d logged batches, want %d and 0", idx.BaseEpoch, len(idx.Updates), n)
-	}
-	if _, err := os.Stat(path + ".wal"); !os.IsNotExist(err) {
-		t.Fatalf("WAL survived the graceful stop (stat err %v)", err)
+			want := syncReplay(t, logged)
+			st := openTestStore(t, iofault.OS, path, true, 1024)
+			if got := answers(t, st.svc); got != want {
+				t.Fatalf("legacy log + WAL diverged from the sync replay:\n got %s\nwant %s", got, want)
+			}
+			if got := st.logDepth(); got != n {
+				t.Fatalf("log depth = %d, want %d (2 in the file, %d in the WAL)", got, n, n-2)
+			}
+			st.Close()
+			if idx := readIndexFile(t, path); idx.BaseEpoch != int64(n) || len(idx.Updates) != 0 {
+				t.Fatalf("checkpoint is at epoch %d with %d logged batches, want %d and 0", idx.BaseEpoch, len(idx.Updates), n)
+			}
+			if _, err := os.Stat(path + ".wal"); !os.IsNotExist(err) {
+				t.Fatalf("WAL survived the graceful stop (stat err %v)", err)
+			}
+		})
 	}
 }
 
@@ -651,6 +719,202 @@ func TestUnsupportedVersionIsNotCorruption(t *testing.T) {
 			}
 			if moved, _ := filepath.Glob(path + "*.corrupt"); len(moved) != 0 {
 				t.Errorf("quarantined %v, want nothing moved", moved)
+			}
+		})
+	}
+}
+
+// churnBatches is the benchmark's paced writer in miniature: two
+// set_opinion ops, one set_stubbornness and an edge op that cycles
+// add_edge, set_weight and remove_edge over the edge it added.
+func churnBatches(seed int64, n, count int) []dynamic.Batch {
+	r := rand.New(rand.NewSource(seed))
+	vec := func(kind dynamic.OpKind) dynamic.Op {
+		return dynamic.Op{Kind: kind, Cand: r.Intn(2), Node: int32(r.Intn(n)), Value: r.Float64()}
+	}
+	var edge [2]int32
+	out := make([]dynamic.Batch, count)
+	for i := range out {
+		b := dynamic.Batch{vec(dynamic.OpSetOpinion), vec(dynamic.OpSetOpinion), vec(dynamic.OpSetStubbornness)}
+		switch i % 3 {
+		case 0:
+			from, to := int32(r.Intn(n)), int32(r.Intn(n-1))
+			if to >= from {
+				to++
+			}
+			edge = [2]int32{from, to}
+			b = append(b, dynamic.Op{Kind: dynamic.OpAddEdge, From: from, To: to, W: 0.1 + r.Float64()})
+		case 1:
+			b = append(b, dynamic.Op{Kind: dynamic.OpSetWeight, From: edge[0], To: edge[1], W: 0.1 + r.Float64()})
+		case 2:
+			b = append(b, dynamic.Op{Kind: dynamic.OpRemoveEdge, From: edge[0], To: edge[1]})
+		}
+		out[i] = b
+	}
+	return out
+}
+
+// checkpointsBy reads ovmd_checkpoints_total by reason off /metrics.
+func checkpointsBy(t testing.TB, svc *service.Service) map[string]int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := svc.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]int)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		var reason string
+		var n int
+		if _, err := fmt.Sscanf(line, `ovmd_checkpoints_total{reason=%q} %d`, &reason, &n); err == nil {
+			out[reason] = n
+		}
+	}
+	return out
+}
+
+// TestCheckpointedStoreAnswersLikeHeapFold: a store whose walk sets fold
+// only by checkpoint — every 8 batches, or sooner when an overlay outgrows
+// its share (on this small world, most batches), each time rebasing onto
+// the file it wrote — and one that never checkpoints and folds on the heap
+// answer every byte alike, before and after 64 churn batches, and again
+// after a restart.
+func TestCheckpointedStoreAnswersLikeHeapFold(t *testing.T) {
+	batches := churnBatches(7, 120, 64)
+	stores := map[int]*store{}
+	for _, compact := range []int{8, 0} {
+		stores[compact] = openTestStore(t, iofault.OS, writeWorld(t, nil), true, compact)
+	}
+	if a, b := answers(t, stores[8].svc), answers(t, stores[0].svc); a != b {
+		t.Fatalf("before the batches:\n-compact-log 8 %s\n-compact-log 0 %s", a, b)
+	}
+	for i := range batches {
+		for _, st := range stores {
+			send(t, st.svc, batches[i:i+1])
+			waitIdle(t, st.svc)
+		}
+	}
+	want := answers(t, stores[0].svc)
+	if got := answers(t, stores[8].svc); got != want {
+		t.Fatalf("after 64 batches:\n-compact-log 8 %s\n-compact-log 0 %s", got, want)
+	}
+	if by := checkpointsBy(t, stores[8].svc); by["overlay"] == 0 {
+		t.Fatalf("checkpoints by reason %v: no outgrown overlay asked for one", by)
+	}
+	if by := checkpointsBy(t, stores[0].svc); by["log"]+by["overlay"] != 0 {
+		t.Fatalf("-compact-log 0 checkpointed: %v", by)
+	}
+	path := stores[8].opts.index
+	kill(stores[8])
+	kill(stores[0])
+	re := openTestStore(t, iofault.OS, path, true, 8)
+	defer kill(re)
+	if got := answers(t, re.svc); got != want {
+		t.Fatalf("after a restart:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestRemapFailureKeepsPreviousBase: when the file a checkpoint wrote cannot
+// be mapped, the dataset keeps serving the base it had — no version is
+// built on both files — and answers as before; the checkpoint still stands
+// on disk, the WAL is pruned behind it, and a restart maps it.
+func TestRemapFailureKeepsPreviousBase(t *testing.T) {
+	batches := mixedBatches()
+	n := int64(len(batches))
+	path := writeWorld(t, nil)
+	fsys := iofault.NewFaulty(iofault.OS)
+	st := openTestStore(t, fsys, path, true, 2)
+	for i := range 64 {
+		fsys.Inject(iofault.OpMap, i, iofault.ActError)
+	}
+	for i := range batches {
+		send(t, st.svc, batches[i:i+1])
+		waitIdle(t, st.svc)
+		if got, want := answers(t, st.svc), syncReplay(t, batches[:i+1]); got != want {
+			t.Fatalf("batch %d: answers diverged:\n got %s\nwant %s", i, got, want)
+		}
+	}
+	var mapFailures int
+	for _, p := range fsys.Trace() {
+		if p.Op == iofault.OpMap {
+			mapFailures++
+		}
+	}
+	base := fileBase(t, path)
+	if mapFailures == 0 || base == 0 {
+		t.Fatalf("%d remaps failed, the file is at epoch %d: no checkpoint was written and refused", mapFailures, base)
+	}
+	if checkWAL(t, path, base, n) {
+		t.Fatal("the WAL was not pruned behind the unmapped checkpoint")
+	}
+	var metrics bytes.Buffer
+	if err := st.svc.WriteMetrics(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(metrics.String(), "\novmd_index_mappings_open 1\n") {
+		t.Fatal("a refused checkpoint left a second mapping open")
+	}
+	want := answers(t, st.svc)
+	kill(st)
+	re := openTestStore(t, iofault.OS, path, true, 2)
+	defer kill(re)
+	if got := answers(t, re.svc); got != want {
+		t.Fatalf("restart on the unmapped checkpoint diverged:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestFailingCheckpointsKeepHeapBounded: when every checkpoint fails — its
+// rename, or the map of the file it wrote — the dataset folds outgrown
+// overlays on the heap again and never holds more heap or index bytes
+// than a store without checkpoints, instead of growing its overlays toward
+// the whole set; and it retries only when its log asks, not on every batch its
+// overlay stays outgrown. A failed rename leaves the WAL whole, so from the
+// log bound on every batch retries, as before overlays checkpointed; a
+// failed map comes after the prune, so the log asks once per -compact-log
+// batches.
+func TestFailingCheckpointsKeepHeapBounded(t *testing.T) {
+	const compact = 8
+	batches := churnBatches(11, 120, 64)
+	for _, tc := range []struct {
+		op          iofault.Op
+		maxAttempts int
+	}{
+		{iofault.OpRename, len(batches) - compact + 2},
+		{iofault.OpMap, len(batches)/compact + 2},
+	} {
+		t.Run(string(tc.op), func(t *testing.T) {
+			fsys := iofault.NewFaulty(iofault.OS)
+			st := openTestStore(t, fsys, writeWorld(t, nil), true, compact)
+			defer kill(st)
+			ref := openTestStore(t, iofault.OS, writeWorld(t, nil), true, 0)
+			defer kill(ref)
+			fsys.Reset()
+			for i := range len(batches) {
+				fsys.Inject(tc.op, i, iofault.ActError)
+			}
+			for i := range batches {
+				for _, s := range []*store{st, ref} {
+					send(t, s.svc, batches[i:i+1])
+					waitIdle(t, s.svc)
+				}
+				// Heap and mapped bytes alike: an overlay that outgrew its
+				// share sits on the heap beside the whole mapped base.
+				got, want := st.svc.StatsSnapshot().Datasets[0], ref.svc.StatsSnapshot().Datasets[0]
+				if got.HeapBytes > want.HeapBytes || got.IndexBytes > want.IndexBytes {
+					t.Fatalf("batch %d: %d heap of %d index bytes, a store without checkpoints holds %d of %d",
+						i, got.HeapBytes, got.IndexBytes, want.HeapBytes, want.IndexBytes)
+				}
+			}
+			if got, want := answers(t, st.svc), answers(t, ref.svc); got != want {
+				t.Fatalf("answers diverged from the heap-fold store:\n got %s\nwant %s", got, want)
+			}
+			attempts := 0
+			for _, p := range fsys.Trace() {
+				if p.Op == tc.op {
+					attempts++
+				}
+			}
+			if attempts == 0 || attempts > tc.maxAttempts {
+				t.Fatalf("%d checkpoints tried over %d batches at -compact-log %d, want 1 to %d", attempts, len(batches), compact, tc.maxAttempts)
 			}
 		})
 	}

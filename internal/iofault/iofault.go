@@ -26,6 +26,7 @@ import (
 	"os"
 	"sync"
 
+	"ovm/internal/mmapio"
 	"ovm/internal/obs"
 )
 
@@ -33,7 +34,8 @@ import (
 type Op string
 
 // The persist path's operation kinds, in the order writeIndexAtomic uses
-// them. OpRemove covers the temp-file cleanup on error paths.
+// them. OpRemove covers the temp-file cleanup on error paths; OpMap is the
+// read-only mapping of a file just written, which a daemon serves next.
 const (
 	OpCreateTemp Op = "create-temp"
 	OpWrite      Op = "write"
@@ -43,10 +45,11 @@ const (
 	OpRename     Op = "rename"
 	OpRemove     Op = "remove"
 	OpSyncDir    Op = "sync-dir"
+	OpMap        Op = "map"
 )
 
 // Ops lists every injectable operation kind.
-var Ops = []Op{OpCreateTemp, OpWrite, OpChmod, OpSync, OpClose, OpRename, OpRemove, OpSyncDir}
+var Ops = []Op{OpCreateTemp, OpWrite, OpChmod, OpSync, OpClose, OpRename, OpRemove, OpSyncDir, OpMap}
 
 // Action selects what an injected fault does.
 type Action int
@@ -116,6 +119,8 @@ type FS interface {
 	// SyncDir opens the directory and fsyncs it, making a prior rename in
 	// it durable. Failure is reported but the rename itself has happened.
 	SyncDir(dir string) error
+	// Map maps a file read-only (mmapio.Open).
+	Map(name string) (*mmapio.Region, error)
 }
 
 // OS is the passthrough production implementation.
@@ -130,9 +135,10 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	}
 	return f, nil
 }
-func (osFS) Rename(oldpath, newpath string) error  { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error              { return os.Remove(name) }
-func (osFS) Stat(name string) (fs.FileInfo, error) { return os.Stat(name) }
+func (osFS) Rename(oldpath, newpath string) error    { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                { return os.Remove(name) }
+func (osFS) Stat(name string) (fs.FileInfo, error)   { return os.Stat(name) }
+func (osFS) Map(name string) (*mmapio.Region, error) { return mmapio.Open(name) }
 func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
@@ -253,6 +259,13 @@ func (f *Faulty) Stat(name string) (fs.FileInfo, error) {
 	// Stat is read-only and never a durability hazard: not an injection
 	// point, not traced.
 	return f.inner.Stat(name)
+}
+
+func (f *Faulty) Map(name string) (*mmapio.Region, error) {
+	if p, act, ok := f.step(OpMap); ok {
+		return nil, fire(p, act)
+	}
+	return f.inner.Map(name)
 }
 
 func (f *Faulty) SyncDir(dir string) error {

@@ -110,7 +110,16 @@ func (e *Exposition) Gauge(name, help string, v float64) {
 // GaugeVec emits a labeled gauge family with the given samples, in the
 // order given (callers pass them pre-sorted for deterministic output).
 func (e *Exposition) GaugeVec(name, help string, samples []Sample) {
-	e.header(name, "gauge", help)
+	e.vec(name, "gauge", help, samples)
+}
+
+// CounterVec emits a labeled counter family, like GaugeVec.
+func (e *Exposition) CounterVec(name, help string, samples []Sample) {
+	e.vec(name, "counter", help, samples)
+}
+
+func (e *Exposition) vec(name, typ, help string, samples []Sample) {
+	e.header(name, typ, help)
 	for _, s := range samples {
 		e.sample(name, s.Labels, formatValue(s.Value))
 	}

@@ -3,6 +3,7 @@ package postings
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // DefaultBlockSize is the number of postings per varint block. 128 keeps
@@ -39,54 +40,144 @@ type Compact struct {
 	BlockSize int32
 }
 
-// FromCSR compresses a CSR whose postings are strictly ascending per
-// member (distinct items) into blocked delta+varint form. blockSize <= 0
+// Encode compresses a CSR whose postings are strictly ascending per member
+// (distinct items) into blocked delta+varint form, returned as an
+// Encoder's Finish does: Data nil and the payload as chunks. blockSize <= 0
 // selects DefaultBlockSize. Panics if a member's postings are not strictly
 // ascending — both producers in this repo guarantee it.
-func FromCSR(c CSR, blockSize int) *Compact {
+func Encode(c CSR, blockSize int) (*Compact, [][]byte) {
+	n := len(c.Off) - 1
+	e := NewEncoder(n, c.Pos != nil, blockSize, len(c.Item))
+	for v := 0; v < n; v++ {
+		lo, hi := c.Off[v], c.Off[v+1]
+		var pos []int32
+		if c.Pos != nil {
+			pos = c.Pos[lo:hi]
+		}
+		e.Add(c.Item[lo:hi], pos)
+		e.End()
+	}
+	return e.Finish()
+}
+
+// encChunk is the size of an Encoder's payload chunks.
+const encChunk = 256 << 10
+
+// Encoder builds the compact form member by member from postings that
+// already arrive in order — items strictly ascending within a member,
+// members 0..n-1 — so a producer merging several sources never lays out a
+// raw CSR first. It is the one encoding of the format: Encode runs it too.
+// The payload grows in fixed-size chunks, so nothing already encoded is
+// copied to make room; Finish hands the chunks out in order.
+type Encoder struct {
+	c      Compact // Data unused: the payload is chunks
+	chunks [][]byte
+	size   int64 // payload bytes before the last chunk
+	cnt    int32 // postings of the member being added
+	prev   int32
+}
+
+// NewEncoder starts an encoding of n members. hint bounds the total
+// postings from above; it sizes the block table once (0 lets it grow).
+func NewEncoder(n int, hasPos bool, blockSize, hint int) *Encoder {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	n := len(c.Off) - 1
-	out := &Compact{
-		Off:        c.Off,
-		FirstBlock: make([]int32, n+1),
-		HasPos:     c.Pos != nil,
+	e := &Encoder{c: Compact{
+		Off:        make([]int32, 1, n+1),
+		FirstBlock: make([]int32, 1, n+1),
+		HasPos:     hasPos,
 		BlockSize:  int32(blockSize),
+	}}
+	if hint > 0 {
+		e.c.BlockOff = make([]int64, 0, hint/blockSize+n+1)
 	}
-	totalBlocks := 0
-	for v := 0; v < n; v++ {
-		cnt := int(c.Off[v+1] - c.Off[v])
-		totalBlocks += (cnt + blockSize - 1) / blockSize
-		out.FirstBlock[v+1] = int32(totalBlocks)
-	}
-	out.BlockOff = make([]int64, totalBlocks+1)
-	var buf [binary.MaxVarintLen64]byte
-	data := make([]byte, 0, len(c.Item)) // deltas usually beat 4 bytes/entry
-	block := 0
-	for v := 0; v < n; v++ {
-		lo, hi := int(c.Off[v]), int(c.Off[v+1])
-		for p := lo; p < hi; p++ {
-			inBlock := (p - lo) % blockSize
-			if inBlock == 0 {
-				out.BlockOff[block] = int64(len(data))
-				block++
-				data = append(data, buf[:binary.PutUvarint(buf[:], uint64(c.Item[p]))]...)
-			} else {
-				delta := c.Item[p] - c.Item[p-1]
-				if delta <= 0 {
-					panic(fmt.Sprintf("postings: member %d items not strictly ascending at %d", v, p))
-				}
-				data = append(data, buf[:binary.PutUvarint(buf[:], uint64(delta))]...)
+	return e
+}
+
+// Add appends postings to the current member: items strictly ascending,
+// continuing the member's previous ones, with their positions when the
+// encoding carries them (pos is ignored otherwise).
+func (e *Encoder) Add(items, pos []int32) {
+	bs := e.c.BlockSize
+	for i, item := range items {
+		d := e.room(2 * binary.MaxVarintLen32)
+		if e.cnt%bs == 0 {
+			e.c.BlockOff = append(e.c.BlockOff, e.size+int64(len(d)))
+			d = binary.AppendUvarint(d, uint64(item))
+		} else {
+			if item <= e.prev {
+				panic(fmt.Sprintf("postings: member %d items not strictly ascending (%d after %d)", len(e.c.Off)-1, item, e.prev))
 			}
-			if out.HasPos {
-				data = append(data, buf[:binary.PutUvarint(buf[:], uint64(c.Pos[p]))]...)
-			}
+			d = binary.AppendUvarint(d, uint64(item-e.prev))
 		}
+		if e.c.HasPos {
+			d = binary.AppendUvarint(d, uint64(pos[i]))
+		}
+		e.chunks[len(e.chunks)-1] = d
+		e.prev = item
+		e.cnt++
 	}
-	out.BlockOff[totalBlocks] = int64(len(data))
-	out.Data = data
-	return out
+}
+
+func (e *Encoder) last() []byte { return e.chunks[len(e.chunks)-1] }
+
+// room returns the last chunk, after starting a new one if it has less than
+// need bytes of room.
+func (e *Encoder) room(need int) []byte {
+	if len(e.chunks) == 0 || cap(e.last())-len(e.last()) < need {
+		if len(e.chunks) > 0 {
+			e.size += int64(len(e.last()))
+		}
+		e.chunks = append(e.chunks, make([]byte, 0, encChunk))
+	}
+	return e.last()
+}
+
+// Copy appends member v of c as the next member, block for block. A
+// member's encoding depends on its postings alone, so this writes the bytes
+// Add would for the same postings without decoding them; c must share the
+// encoder's block size and positions flag. Call it between members (after
+// End), in place of Add and End.
+func (e *Encoder) Copy(c *Compact, v int32) {
+	if c.BlockSize != e.c.BlockSize || c.HasPos != e.c.HasPos || e.cnt != 0 {
+		panic("postings: Copy needs the same block layout, at a member boundary")
+	}
+	start := c.BlockOff[c.FirstBlock[v]]
+	at := e.size
+	if len(e.chunks) > 0 {
+		at += int64(len(e.last()))
+	}
+	for _, off := range c.BlockOff[c.FirstBlock[v]:c.FirstBlock[v+1]] {
+		e.c.BlockOff = append(e.c.BlockOff, off-start+at)
+	}
+	data := c.Data[start:c.BlockOff[c.FirstBlock[v+1]]]
+	for len(data) > 0 {
+		d := e.room(1)
+		k := min(len(data), cap(d)-len(d))
+		e.chunks[len(e.chunks)-1] = append(d, data[:k]...)
+		data = data[k:]
+	}
+	e.c.Off = append(e.c.Off, e.c.Off[len(e.c.Off)-1]+c.Off[v+1]-c.Off[v])
+	e.c.FirstBlock = append(e.c.FirstBlock, int32(len(e.c.BlockOff)))
+}
+
+// End closes the current member; the next Add starts member len(Off)-1.
+func (e *Encoder) End() {
+	e.c.Off = append(e.c.Off, e.c.Off[len(e.c.Off)-1]+e.cnt)
+	e.c.FirstBlock = append(e.c.FirstBlock, int32(len(e.c.BlockOff)))
+	e.cnt = 0
+}
+
+// Finish returns the encoding: every field but Data, which stays nil, and
+// the payload as chunks whose concatenation is Data.
+func (e *Encoder) Finish() (*Compact, [][]byte) {
+	size := e.size
+	if len(e.chunks) > 0 {
+		size += int64(len(e.last()))
+	}
+	e.c.BlockOff = append(e.c.BlockOff, size)
+	return &e.c, e.chunks
 }
 
 // ToCSR decodes back to the raw CSR form. The result owns fresh heap
@@ -229,12 +320,41 @@ func (c *Compact) Seek(v, target int32) Iterator {
 }
 
 // Validate checks structural integrity so that iteration over adopted
-// (possibly file-backed) storage can never read out of bounds or loop:
-// prefix sums monotone and consistent, block offsets ascending and
-// in-bounds, every varint well-formed, items strictly ascending within a
-// member and within [0, numItems), pos within [0, maxPos] when present,
-// and the payload exactly consumed. O(total postings).
+// (possibly file-backed) storage can never read out of bounds or loop: the
+// tables pass CheckTables, every member passes a Checked pass (varints
+// well-formed, items strictly ascending, blocks where the table says, the
+// member's bytes exactly consumed), items lie in [0, numItems) and pos in
+// [0, maxPos] when present. O(total postings).
 func (c *Compact) Validate(numItems int, maxPos int32) error {
+	if err := c.CheckTables(); err != nil {
+		return err
+	}
+	for v := range int32(c.NumMembers()) {
+		it := c.Checked(v)
+		for {
+			item, pos, ok, err := it.Next()
+			if err != nil {
+				return fmt.Errorf("%w in member %d", err, v)
+			}
+			if !ok {
+				break
+			}
+			if int(item) >= numItems || pos > maxPos {
+				return fmt.Errorf("postings: member %d posting (%d, %d) out of range (numItems %d, maxPos %d)", v, item, pos, numItems, maxPos)
+			}
+		}
+		if !it.Done() {
+			return fmt.Errorf("postings: member %d leaves unread payload bytes", v)
+		}
+	}
+	return nil
+}
+
+// CheckTables is Validate without the payload: prefix sums monotone and
+// consistent with the block size, block offsets ascending from 0 and ending
+// at the payload's end. O(members + blocks). Iterating every member with
+// Checked then validates the payload too.
+func (c *Compact) CheckTables() error {
 	n := len(c.Off) - 1
 	if n < 0 {
 		return fmt.Errorf("postings: empty Off")
@@ -266,67 +386,124 @@ func (c *Compact) Validate(numItems int, maxPos int32) error {
 			return fmt.Errorf("postings: member %d has %d blocks, want %d", v, c.FirstBlock[v+1]-c.FirstBlock[v], want)
 		}
 	}
+	if c.BlockOff[0] != 0 {
+		return fmt.Errorf("postings: first block at byte %d, not 0", c.BlockOff[0])
+	}
 	for b := 0; b < blocks; b++ {
-		if c.BlockOff[b] < 0 || c.BlockOff[b] > c.BlockOff[b+1] {
+		if c.BlockOff[b] > c.BlockOff[b+1] {
 			return fmt.Errorf("postings: block offsets not monotone at %d", b)
 		}
 	}
 	if c.BlockOff[blocks] != int64(len(c.Data)) {
 		return fmt.Errorf("postings: final block offset %d != payload %d", c.BlockOff[blocks], len(c.Data))
 	}
-	// Full decode pass with explicit bounds, mirroring Iterator.
-	cur := 0
-	read := func() (uint64, error) {
-		x, k := binary.Uvarint(c.Data[cur:])
-		if k <= 0 {
-			return 0, fmt.Errorf("postings: malformed varint at byte %d", cur)
-		}
-		cur += k
-		return x, nil
-	}
-	block := 0
-	for v := 0; v < n; v++ {
-		cnt := int(c.Off[v+1]) - int(c.Off[v])
-		prev := int32(-1)
-		for i := 0; i < cnt; i++ {
-			var item int64
-			if i%bs == 0 {
-				if int64(cur) != c.BlockOff[block] {
-					return fmt.Errorf("postings: member %d block %d starts at %d, table says %d", v, block, cur, c.BlockOff[block])
-				}
-				block++
-				abs, err := read()
-				if err != nil {
-					return err
-				}
-				item = int64(abs)
-			} else {
-				d, err := read()
-				if err != nil {
-					return err
-				}
-				if d == 0 {
-					return fmt.Errorf("postings: member %d zero delta", v)
-				}
-				item = int64(prev) + int64(d)
-			}
-			if item <= int64(prev) || item >= int64(numItems) {
-				return fmt.Errorf("postings: member %d item %d out of range (prev %d, numItems %d)", v, item, prev, numItems)
-			}
-			prev = int32(item)
-			if c.HasPos {
-				p, err := read()
-				if err != nil {
-					return err
-				}
-				if p > uint64(maxPos) {
-					return fmt.Errorf("postings: member %d pos %d exceeds %d", v, p, maxPos)
-				}
-			}
-		}
-	}
-	if cur != len(c.Data) {
-		return fmt.Errorf("postings: %d trailing payload bytes", len(c.Data)-cur)
-	}
 	return nil
+}
+
+// Checked iterates one member of an encoding whose tables passed
+// CheckTables but whose payload is unchecked: it reads only the member's
+// own bytes, and Next reports a malformed varint, a value past int32, a
+// zero delta, or a block that does not start where the table says, rather
+// than trusting them. Once Next has reported the member exhausted, Done says
+// whether exactly its bytes were read. Checking every member this way, in
+// any order, validates the payload; Validate adds the item and position
+// ranges, which a caller comparing against its own expected postings checks
+// anyway.
+type Checked struct {
+	data    []byte  // the member's bytes
+	at      int64   // payload offset of data[0]
+	blocks  []int64 // payload offsets of the member's blocks not yet begun
+	cur     int
+	remain  int32
+	inBlock int32
+	prev    int32
+	hasPos  bool
+	bs      int32
+}
+
+// Checked positions a checked iterator at the start of member v.
+func (c *Compact) Checked(v int32) Checked {
+	lo, hi := c.BlockOff[c.FirstBlock[v]], c.BlockOff[c.FirstBlock[v+1]]
+	return Checked{
+		data:   c.Data[lo:hi],
+		at:     lo,
+		blocks: c.BlockOff[c.FirstBlock[v]:c.FirstBlock[v+1]],
+		remain: c.Off[v+1] - c.Off[v],
+		prev:   -1,
+		hasPos: c.HasPos,
+		bs:     c.BlockSize,
+	}
+}
+
+// Next returns the next posting, ok false once the member is exhausted.
+func (it *Checked) Next() (item, pos int32, ok bool, err error) {
+	if it.remain == 0 {
+		return 0, 0, false, nil
+	}
+	var x uint32
+	if it.inBlock == 0 {
+		if it.at+int64(it.cur) != it.blocks[0] {
+			return 0, 0, false, fmt.Errorf("postings: block starts at byte %d, table says %d", it.at+int64(it.cur), it.blocks[0])
+		}
+		it.blocks = it.blocks[1:]
+		it.inBlock = min(it.remain, it.bs)
+		if x, err = it.uvarint(); err != nil {
+			return 0, 0, false, err
+		}
+		if item = int32(x); item <= it.prev {
+			return 0, 0, false, fmt.Errorf("postings: block starts at item %d after item %d", item, it.prev)
+		}
+	} else {
+		if x, err = it.uvarint(); err != nil {
+			return 0, 0, false, err
+		}
+		if item = it.prev + int32(x); x == 0 || item < it.prev {
+			return 0, 0, false, fmt.Errorf("postings: delta %d after item %d", x, it.prev)
+		}
+	}
+	if it.hasPos {
+		if x, err = it.uvarint(); err != nil {
+			return 0, 0, false, err
+		}
+		pos = int32(x)
+	}
+	it.prev = item
+	it.inBlock--
+	it.remain--
+	return item, pos, true, nil
+}
+
+// Done reports whether every posting and every byte of the member was read.
+func (it *Checked) Done() bool { return it.remain == 0 && it.cur == len(it.data) }
+
+// uvarint decodes a varint of at most 31 bits from the member's bytes. A
+// one-byte varint, what most deltas and positions are, takes the inlined
+// path.
+func (it *Checked) uvarint() (uint32, error) {
+	if it.cur < len(it.data) {
+		if b := it.data[it.cur]; b < 0x80 {
+			it.cur++
+			return uint32(b), nil
+		}
+	}
+	return it.uvarintLong()
+}
+
+func (it *Checked) uvarintLong() (uint32, error) {
+	var x uint32
+	for s := uint(0); s < 35; s += 7 {
+		if it.cur == len(it.data) {
+			return 0, fmt.Errorf("postings: varint runs past its member at byte %d", it.at+int64(it.cur))
+		}
+		b := it.data[it.cur]
+		it.cur++
+		if b < 0x80 {
+			if x |= uint32(b) << s; x > math.MaxInt32 || (s == 28 && b > 0x0f) {
+				break
+			}
+			return x, nil
+		}
+		x |= uint32(b&0x7f) << s
+	}
+	return 0, fmt.Errorf("postings: malformed varint before byte %d", it.at+int64(it.cur))
 }

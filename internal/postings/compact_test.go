@@ -3,6 +3,7 @@ package postings
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -31,6 +32,13 @@ func randomCSR(r *rand.Rand, n, numItems, maxPerMember int, withPos bool) CSR {
 	return c
 }
 
+// fromCSR is Encode with the payload made contiguous.
+func fromCSR(c CSR, blockSize int) *Compact {
+	cp, chunks := Encode(c, blockSize)
+	cp.Data = slices.Concat(chunks...)
+	return cp
+}
+
 func sortInts(xs []int) {
 	for i := 1; i < len(xs); i++ {
 		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
@@ -44,7 +52,7 @@ func TestCompactRoundTrip(t *testing.T) {
 	for _, withPos := range []bool{false, true} {
 		for _, bs := range []int{1, 3, 128} {
 			csr := randomCSR(r, 200, 1000, 300, withPos)
-			cp := FromCSR(csr, bs)
+			cp := fromCSR(csr, bs)
 			if err := cp.Validate(1000, 63); err != nil {
 				t.Fatalf("bs=%d withPos=%v: Validate: %v", bs, withPos, err)
 			}
@@ -75,10 +83,40 @@ func TestCompactRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncoderCopyMatchesAdd: members copied block for block from another
+// encoding, interleaved with members added posting by posting, give the
+// bytes of encoding everything afresh — across payload chunk boundaries.
+func TestEncoderCopyMatchesAdd(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	csr := randomCSR(r, 1500, 60000, 700, true)
+	want := fromCSR(csr, DefaultBlockSize)
+	if want.BlockOff[len(want.BlockOff)-1] < 2*encChunk {
+		t.Fatalf("payload %d bytes does not span chunks", want.BlockOff[len(want.BlockOff)-1])
+	}
+	n := len(csr.Off) - 1
+	e := NewEncoder(n, true, DefaultBlockSize, 0)
+	for v := range n {
+		if r.Intn(3) > 0 {
+			e.Copy(want, int32(v))
+			continue
+		}
+		lo, hi := csr.Off[v], csr.Off[v+1]
+		e.Add(csr.Item[lo:hi], csr.Pos[lo:hi])
+		e.End()
+	}
+	got, chunks := e.Finish()
+	for _, c := range chunks {
+		got.Data = append(got.Data, c...)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("copied and added members encode differently from Encode")
+	}
+}
+
 func TestCompactSeek(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	csr := randomCSR(r, 50, 5000, 600, true)
-	cp := FromCSR(csr, 16)
+	cp := fromCSR(csr, 16)
 	for v := 0; v < 50; v++ {
 		for _, target := range []int32{0, 1, 17, 2500, 4999, 5000} {
 			it := cp.Seek(int32(v), target)
@@ -114,7 +152,7 @@ func TestCompactCompression(t *testing.T) {
 		}
 		csr.Off[v+1] = int32(len(csr.Item))
 	}
-	cp := FromCSR(csr, DefaultBlockSize)
+	cp := fromCSR(csr, DefaultBlockSize)
 	raw := int64(4 * len(csr.Item))
 	if cp.Bytes()-int64(4*len(cp.Off)) >= raw/2 {
 		t.Fatalf("compact %d bytes vs raw %d: expected >=2x compression", cp.Bytes(), raw)
@@ -125,7 +163,7 @@ func TestCompactValidateRejects(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	csr := randomCSR(r, 20, 100, 30, true)
 	fresh := func() *Compact {
-		c := FromCSR(csr, 8)
+		c := fromCSR(csr, 8)
 		// Deep copy so mutations don't leak between cases.
 		cp := *c
 		cp.Off = append([]int32(nil), c.Off...)
@@ -137,6 +175,12 @@ func TestCompactValidateRejects(t *testing.T) {
 	cases := map[string]func(c *Compact){
 		"truncated payload": func(c *Compact) { c.Data = c.Data[:len(c.Data)-1] },
 		"trailing bytes":    func(c *Compact) { c.Data = append(c.Data, 0) },
+		"leading bytes": func(c *Compact) {
+			c.Data = append([]byte{0}, c.Data...)
+			for i := range c.BlockOff {
+				c.BlockOff[i]++
+			}
+		},
 		"bad block offset":  func(c *Compact) { c.BlockOff[1]++ },
 		"non-monotone off":  func(c *Compact) { c.Off[3] = c.Off[4] + 1 },
 		"bad block count":   func(c *Compact) { c.FirstBlock[5]++ },
@@ -148,11 +192,44 @@ func TestCompactValidateRejects(t *testing.T) {
 			}
 		},
 	}
+	// checked reports whether CheckTables plus a Checked pass over every
+	// member accept c, and that they read what Iter does.
+	checked := func(c *Compact) bool {
+		if c.CheckTables() != nil {
+			return false
+		}
+		for v := range int32(c.NumMembers()) {
+			it := c.Checked(v)
+			for {
+				item, pos, ok, err := it.Next()
+				if err != nil {
+					return false
+				}
+				if !ok {
+					break
+				}
+				if p := csr.Off[v] + int32(c.Off[v+1]-c.Off[v]) - it.remain - 1; item != csr.Item[p] || pos != csr.Pos[p] {
+					t.Fatalf("member %d: Checked read (%d, %d), want (%d, %d)", v, item, pos, csr.Item[p], csr.Pos[p])
+				}
+			}
+			if !it.Done() {
+				return false
+			}
+		}
+		return true
+	}
+	if !checked(fresh()) {
+		t.Fatal("Checked rejected an intact index")
+	}
 	for name, mutate := range cases {
 		c := fresh()
 		mutate(c)
 		if err := c.Validate(100, 63); err == nil {
 			t.Errorf("%s: Validate accepted corrupted index", name)
+		}
+		// Item ranges are the Checked caller's to compare.
+		if name != "item out of range" && checked(c) {
+			t.Errorf("%s: Checked accepted corrupted index", name)
 		}
 	}
 }

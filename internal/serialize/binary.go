@@ -78,6 +78,11 @@ type SketchArtifact struct {
 	// Index optionally carries the node → walk postings index so loaders
 	// skip the rebuild.
 	Index *walks.IndexSnapshot
+
+	// Live, in place of Set and Index, is a pristine indexed set the writer
+	// streams (BuildIndex and ExportIndex produce these); a loaded index
+	// never carries one.
+	Live *walks.Set
 }
 
 // WalkArtifact is a per-node walk set generated with the RW method's
@@ -92,6 +97,9 @@ type WalkArtifact struct {
 
 	// Index optionally carries the node → walk postings index.
 	Index *walks.IndexSnapshot
+
+	// Live, in place of Set and Index: see SketchArtifact.Live.
+	Live *walks.Set
 }
 
 // RRArtifact is a reverse-reachable set collection for one diffusion model,
@@ -113,8 +121,8 @@ func (idx *Index) Validate() error {
 		return fmt.Errorf("serialize: index has no system")
 	}
 	for i, a := range idx.Sketches {
-		if a.Set == nil {
-			return fmt.Errorf("serialize: sketch artifact %d has no walk set", i)
+		if (a.Set == nil) == (a.Live == nil) {
+			return fmt.Errorf("serialize: sketch artifact %d needs exactly one of a walk set snapshot and a live set", i)
 		}
 		if a.Target < 0 || a.Target >= idx.Sys.R() {
 			return fmt.Errorf("serialize: sketch artifact %d targets candidate %d of %d", i, a.Target, idx.Sys.R())
@@ -124,8 +132,8 @@ func (idx *Index) Validate() error {
 		}
 	}
 	for i, a := range idx.Walks {
-		if a.Set == nil {
-			return fmt.Errorf("serialize: walk artifact %d has no walk set", i)
+		if (a.Set == nil) == (a.Live == nil) {
+			return fmt.Errorf("serialize: walk artifact %d needs exactly one of a walk set snapshot and a live set", i)
 		}
 		if a.Target < 0 || a.Target >= idx.Sys.R() {
 			return fmt.Errorf("serialize: walk artifact %d targets candidate %d of %d", i, a.Target, idx.Sys.R())

@@ -40,6 +40,7 @@
 package serialize
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -92,27 +93,55 @@ func v3elemSize(kind uint32) int64 {
 
 // --- writer ---
 
+// v3section is one payload of the file: its kind, length and CRC — the
+// table entry, which precedes every payload — and emit, which hands the
+// payload out in order, in chunks. A section streamed from live storage is
+// emitted twice, once to measure it and once to write it, and never laid
+// out whole.
 type v3section struct {
-	kind    uint32
-	payload []byte
+	kind   uint32
+	size   int64
+	crc    uint32
+	chunks int
+	emit   func(fn func([]byte) error) error
 }
 
 type v3writer struct {
 	sections []v3section
 }
 
-func (w *v3writer) add(kind uint32, payload []byte) uint32 {
-	w.sections = append(w.sections, v3section{kind: kind, payload: payload})
+// addStream adds a section emit hands out, measuring it with one pass.
+func (w *v3writer) addStream(kind uint32, emit func(fn func([]byte) error) error) uint32 {
+	s := v3section{kind: kind, emit: emit}
+	_ = emit(func(b []byte) error {
+		s.size += int64(len(b))
+		s.crc = crc32.Update(s.crc, crc32.IEEETable, b)
+		s.chunks++
+		return nil
+	})
+	w.sections = append(w.sections, s)
 	return uint32(len(w.sections) - 1)
+}
+
+func (w *v3writer) add(kind uint32, payload []byte) uint32 {
+	return w.addStream(kind, func(fn func([]byte) error) error { return fn(payload) })
 }
 
 func (w *v3writer) addI32(xs []int32) uint32   { return w.add(v3KindI32, binio.I32sBytes(xs)) }
 func (w *v3writer) addI64(xs []int64) uint32   { return w.add(v3KindI64, binio.I64sBytes(xs)) }
 func (w *v3writer) addF64(xs []float64) uint32 { return w.add(v3KindF64, binio.F64sBytes(xs)) }
 
+// addI32Stream adds an i32 section each emits in chunks.
+func (w *v3writer) addI32Stream(each func(fn func([]int32) error) error) uint32 {
+	return w.addStream(v3KindI32, func(fn func([]byte) error) error {
+		return each(func(xs []int32) error { return fn(binio.I32sBytes(xs)) })
+	})
+}
+
 // writePostingsRef emits a postings reference into the manifest: the
-// compact blocked form, or "no index stored" for nil.
-func (w *v3writer) writePostingsRef(m *bytes.Buffer, compact *postings.Compact) {
+// compact blocked form, whose payload is data (Data itself, or the chunks
+// an Encoder left), or "no index stored" for nil.
+func (w *v3writer) writePostingsRef(m *bytes.Buffer, compact *postings.Compact, data [][]byte) {
 	if compact == nil {
 		m.WriteByte(v3PostingsNone)
 		return
@@ -124,7 +153,15 @@ func (w *v3writer) writePostingsRef(m *bytes.Buffer, compact *postings.Compact) 
 		hasPos = 1
 	}
 	m.WriteByte(hasPos)
-	mustU32(m, w.addI32(compact.Off), w.addI32(compact.FirstBlock), w.add(v3KindI64, binio.I64sBytes(compact.BlockOff)), w.add(v3KindBytes, compact.Data))
+	mustU32(m, w.addI32(compact.Off), w.addI32(compact.FirstBlock), w.addI64(compact.BlockOff),
+		w.addStream(v3KindBytes, func(fn func([]byte) error) error {
+			for _, b := range data {
+				if err := fn(b); err != nil {
+					return err
+				}
+			}
+			return nil
+		}))
 }
 
 // mustU32 writes little-endian u32s to a bytes.Buffer (which cannot fail).
@@ -134,43 +171,61 @@ func mustU32(m *bytes.Buffer, vs ...uint32) {
 	}
 }
 
-// walkIndexCompact returns the form a walks index snapshot is stored in: a
-// compact one as is, an in-memory raw one (what BuildIndex and repair
-// produce) encoded, nil for none.
-func walkIndexCompact(is *walks.IndexSnapshot) *postings.Compact {
+// walkIndexCompact returns the form a walks index snapshot is stored in,
+// with its payload: a compact one as is, an in-memory raw one encoded, nil
+// for none.
+func walkIndexCompact(is *walks.IndexSnapshot) (*postings.Compact, [][]byte) {
 	switch {
 	case is == nil:
-		return nil
+		return nil, nil
 	case is.Compact != nil:
-		return is.Compact
+		return is.Compact, [][]byte{is.Compact.Data}
 	}
-	return postings.FromCSR(postings.CSR{Off: is.Off, Item: is.Walk, Pos: is.Pos}, postings.DefaultBlockSize)
+	return postings.Encode(postings.CSR{Off: is.Off, Item: is.Walk, Pos: is.Pos}, postings.DefaultBlockSize)
 }
 
-func rrIndexCompact(is *im.IndexSnapshot) *postings.Compact {
+func rrIndexCompact(is *im.IndexSnapshot) (*postings.Compact, [][]byte) {
 	switch {
 	case is == nil:
-		return nil
+		return nil, nil
 	case is.Compact != nil:
-		return is.Compact
+		return is.Compact, [][]byte{is.Compact.Data}
 	}
-	return postings.FromCSR(postings.CSR{Off: is.Off, Item: is.Item}, postings.DefaultBlockSize)
+	return postings.Encode(postings.CSR{Off: is.Off, Item: is.Item}, postings.DefaultBlockSize)
 }
 
-// writeWalkSetRef emits a walk snapshot's manifest entry, adding its
-// arrays (and postings index, if any) as sections.
-func (w *v3writer) writeWalkSetRef(m *bytes.Buffer, s *walks.Snapshot, idx *walks.IndexSnapshot) {
+// writeWalkSetRef emits a walk artifact's manifest entry, adding its arrays
+// and postings index as sections: streamed from a live set's base and
+// overlay in walk-id order, or a snapshot's arrays as they are. Both write
+// the same bytes for the same walks.
+func (w *v3writer) writeWalkSetRef(m *bytes.Buffer, live *walks.Set, s *walks.Snapshot, idx *walks.IndexSnapshot) {
+	if live != nil {
+		owners, ownerOff := live.Owners()
+		mustU32(m, uint32(live.Horizon()))
+		mustU32(m, w.addI32Stream(live.EachNodes), w.addI32Stream(live.EachOff), w.addI32(owners), w.addI32(ownerOff))
+		c, data := live.CompactPostings()
+		w.writePostingsRef(m, c, data)
+		return
+	}
 	mustU32(m, uint32(s.Horizon))
 	mustU32(m, w.addI32(s.Nodes), w.addI32(s.Off), w.addI32(s.OwnerNodes), w.addI32(s.OwnerOff))
-	w.writePostingsRef(m, walkIndexCompact(idx))
+	c, data := walkIndexCompact(idx)
+	w.writePostingsRef(m, c, data)
 }
+
+// v3WriteBuffer coalesces the small blocks a streamed section emits (an
+// overlay owner's walks, a chunk of offsets); larger ones pass straight
+// through.
+const v3WriteBuffer = 64 << 10
 
 // WriteIndexV3 serializes idx in the section-table layout; it is the only
 // index writer. Arrays are written as their exact little-endian memory
 // images (zero-copy on little-endian hosts), so WriteIndexV3 + OpenMapped
-// round-trips every artifact bit-identically. Postings indexes attached to
-// artifacts are persisted in compact form; nil indexes are simply absent
-// and loaders rebuild them.
+// round-trips every artifact bit-identically. A live walk set (the Live
+// field) is streamed from its base and overlay, its postings encoded as it
+// goes: writing it allocates its compact postings and no copy of its walks.
+// Postings indexes attached to artifacts are persisted in compact form; nil
+// indexes are simply absent and loaders rebuild them.
 func WriteIndexV3(w io.Writer, idx *Index, _ V3Options) error {
 	if err := idx.Validate(); err != nil {
 		return err
@@ -210,20 +265,21 @@ func WriteIndexV3(w io.Writer, idx *Index, _ V3Options) error {
 	for _, art := range idx.Sketches {
 		_ = binio.WriteI64(&m, art.Seed)
 		mustU32(&m, uint32(art.Target), uint32(art.Horizon), uint32(art.Theta))
-		vw.writeWalkSetRef(&m, art.Set, art.Index)
+		vw.writeWalkSetRef(&m, art.Live, art.Set, art.Index)
 	}
 	mustU32(&m, uint32(len(idx.Walks)))
 	for _, art := range idx.Walks {
 		_ = binio.WriteI64(&m, art.Seed)
 		mustU32(&m, uint32(art.Target), uint32(art.Horizon), uint32(art.Lambda))
-		vw.writeWalkSetRef(&m, art.Set, art.Index)
+		vw.writeWalkSetRef(&m, art.Live, art.Set, art.Index)
 	}
 	mustU32(&m, uint32(len(idx.RRs)))
 	for _, art := range idx.RRs {
 		_ = binio.WriteI64(&m, art.Seed)
 		mustU32(&m, uint32(art.Target), uint32(art.Sets.Model))
 		mustU32(&m, vw.addI32(art.Sets.Nodes), vw.addI32(art.Sets.Off))
-		vw.writePostingsRef(&m, rrIndexCompact(art.Index))
+		c, data := rrIndexCompact(art.Index)
+		vw.writePostingsRef(&m, c, data)
 	}
 
 	// Mutable state: base epoch + update log stay in the manifest.
@@ -231,7 +287,9 @@ func WriteIndexV3(w io.Writer, idx *Index, _ V3Options) error {
 	if err := writeUpdateLog(&m, idx.Updates); err != nil {
 		return err
 	}
-	vw.sections[0] = v3section{kind: v3KindManifest, payload: m.Bytes()}
+	manifest := m.Bytes()
+	vw.sections[0] = v3section{kind: v3KindManifest, size: int64(len(manifest)), crc: crc32.ChecksumIEEE(manifest), chunks: 1,
+		emit: func(fn func([]byte) error) error { return fn(manifest) }}
 
 	// Layout: header, table, then payloads at ascending 8-aligned offsets.
 	numSections := len(vw.sections)
@@ -243,10 +301,10 @@ func WriteIndexV3(w io.Writer, idx *Index, _ V3Options) error {
 	for i, s := range vw.sections {
 		e := table[i*v3EntrySize:]
 		binary.LittleEndian.PutUint64(e[0:], uint64(cur))
-		binary.LittleEndian.PutUint64(e[8:], uint64(len(s.payload)))
+		binary.LittleEndian.PutUint64(e[8:], uint64(s.size))
 		binary.LittleEndian.PutUint32(e[16:], s.kind)
-		binary.LittleEndian.PutUint32(e[20:], crc32.ChecksumIEEE(s.payload))
-		cur = v3align(cur + int64(len(s.payload)))
+		binary.LittleEndian.PutUint32(e[20:], s.crc)
+		cur = v3align(cur + s.size)
 	}
 
 	var header [v3HeaderSize]byte
@@ -260,6 +318,9 @@ func WriteIndexV3(w io.Writer, idx *Index, _ V3Options) error {
 	if _, err := w.Write(table); err != nil {
 		return err
 	}
+	// A pad and a one-chunk payload are one write each; the chunks of a
+	// streamed section are coalesced, and flushed before the next section.
+	bw := bufio.NewWriterSize(w, v3WriteBuffer)
 	var pad [8]byte
 	written := int64(v3HeaderSize + len(table))
 	for _, s := range vw.sections {
@@ -269,10 +330,25 @@ func WriteIndexV3(w io.Writer, idx *Index, _ V3Options) error {
 			}
 			written = aligned
 		}
-		if _, err := w.Write(s.payload); err != nil {
+		out := w
+		if s.chunks > 1 {
+			out = bw
+		}
+		var size int64
+		if err := s.emit(func(b []byte) error {
+			size += int64(len(b))
+			_, err := out.Write(b)
+			return err
+		}); err != nil {
 			return err
 		}
-		written += int64(len(s.payload))
+		if size != s.size {
+			return fmt.Errorf("serialize: section emitted %d bytes, measured %d", size, s.size)
+		}
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		written += size
 	}
 	return nil
 }
@@ -767,6 +843,12 @@ func OpenMapped(path string) (*MappedIndex, error) {
 	if err != nil {
 		return nil, err
 	}
+	return OpenRegion(region)
+}
+
+// OpenRegion is OpenMapped over a region the caller mapped; the returned
+// index owns it (a parse failure closes it).
+func OpenRegion(region *mmapio.Region) (*MappedIndex, error) {
 	idx, aliased, err := parseV3(region.Data(), region.Mapped())
 	if err != nil {
 		_ = region.Close()

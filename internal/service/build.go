@@ -79,9 +79,7 @@ func BuildIndex(sys *opinion.System, o BuildOptions) (*serialize.Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := storeWalks(idx, d, o.Target, o.Horizon, set); err != nil {
-			return nil, err
-		}
+		storeWalks(idx, d, o.Target, o.Horizon, set)
 	}
 	if o.RRSets > 0 {
 		models := o.RRModels
@@ -107,23 +105,17 @@ func BuildIndex(sys *opinion.System, o BuildOptions) (*serialize.Index, error) {
 
 // storeWalks appends a pristine walk set to idx as the serialize artifact
 // type its draw maps to (sampled starts are a sketch artifact, planned ones a
-// walk artifact), with its postings index: v3 stores it next to the walks, so
-// loaders adopt it instead of re-running the counting sort.
-func storeWalks(idx *serialize.Index, d walks.Draw, target, horizon int, set *walks.Set) error {
-	snap, err := set.Snapshot()
-	if err != nil {
-		return err
-	}
+// walk artifact), live, with its postings index: v3 streams both out, so
+// loaders adopt the index instead of re-running the counting sort.
+func storeWalks(idx *serialize.Index, d walks.Draw, target, horizon int, set *walks.Set) {
 	set.EnsureIndex()
-	index := set.IndexSnapshot()
 	if d.Theta > 0 {
 		idx.Sketches = append(idx.Sketches, &serialize.SketchArtifact{
-			Seed: d.Seed, Target: target, Horizon: horizon, Theta: d.Theta, Set: snap, Index: index,
+			Seed: d.Seed, Target: target, Horizon: horizon, Theta: d.Theta, Live: set,
 		})
 	} else {
 		idx.Walks = append(idx.Walks, &serialize.WalkArtifact{
-			Seed: d.Seed, Target: target, Horizon: horizon, Lambda: d.Lambda, Set: snap, Index: index,
+			Seed: d.Seed, Target: target, Horizon: horizon, Lambda: d.Lambda, Live: set,
 		})
 	}
-	return nil
 }

@@ -26,6 +26,7 @@ func (s *Service) WalkSets(dataset string) []*walks.Set {
 	if serr != nil {
 		return nil
 	}
+	defer ds.release()
 	var sets []*walks.Set
 	for _, a := range ds.walks {
 		sets = append(sets, a.set)
@@ -40,5 +41,6 @@ func (s *Service) EpochMemoResident(dataset string) int64 {
 	if serr != nil {
 		return -1
 	}
+	defer ds.release()
 	return ds.memo.Cost()
 }

@@ -124,7 +124,12 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	e.Counter("ovmd_errors_total", "Requests that returned an error.", float64(st.Errors))
 	e.Counter("ovmd_updates_total", "Mutation batches applied.", float64(st.Updates))
 	e.Counter("ovmd_update_coalesced_ops_total", "Update ops elided by async batch coalescing (merged or dead-write-dropped before repair).", float64(st.CoalescedOps))
-	e.Counter("ovmd_checkpoints_total", "Index-file checkpoints written (dataset exported, file rewritten atomically, update log pruned behind it).", float64(st.Checkpoints))
+	checkpoints := make([]obs.Sample, len(checkpointReasons))
+	for i, r := range checkpointReasons {
+		checkpoints[i] = obs.Sample{Labels: []obs.Label{{Name: "reason", Value: string(r)}}, Value: float64(s.checkpoints[i].Load())}
+	}
+	e.CounterVec("ovmd_checkpoints_total", "Index-file checkpoints written (dataset exported, file rewritten atomically, update log pruned behind it), by reason: the update log reached its bound, a walk set's overlay outgrew its share, or a graceful stop.", checkpoints)
+	e.Gauge("ovmd_index_mappings_open", "Index file mappings datasets still hold: 1 while serving one file, 2 while a checkpoint is installed or the queries holding an epoch of the previous one finish.", float64(s.mappingsOpen.Load()))
 	e.Gauge("ovmd_update_queue_depth", "Accepted-but-unapplied async update batches across datasets.", float64(st.UpdateQueueDepth))
 	e.Counter("ovmd_shed_total", "Computations shed by admission control (inflight cap reached, queue full).", float64(st.Shed))
 	e.Counter("ovmd_timeouts_total", "Queries that exceeded their deadline (deadline_exceeded responses).", float64(st.Timeouts))

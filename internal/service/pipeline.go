@@ -125,6 +125,7 @@ func (s *Service) EnqueueUpdates(req *UpdateRequest) (*UpdateResponse, *Error) {
 		s.observeAccept(req.Dataset, start, 0, serr)
 		return nil, serr
 	}
+	defer ds.release()
 	if err := req.Ops.Validate(ds.sys.N(), ds.sys.R()); err != nil {
 		serr := badRequestf("%v", err)
 		s.observeAccept(req.Dataset, start, ds.epoch, serr)
@@ -260,6 +261,7 @@ func (s *Service) SeedQueued(name string, batches []dynamic.Batch, firstEpoch in
 	if serr != nil {
 		return serr
 	}
+	defer ds.release()
 	if len(batches) == 0 {
 		return nil
 	}
@@ -294,7 +296,10 @@ func (s *Service) WaitIdle(ctx context.Context, name string) *Error {
 	p.mu.Lock()
 	target := p.assigned
 	p.mu.Unlock()
-	_, serr := s.awaitEpoch(ctx, name, target)
+	ds, serr := s.awaitEpoch(ctx, name, target)
+	if serr == nil {
+		ds.release()
+	}
 	return serr
 }
 
@@ -336,16 +341,18 @@ func (s *Service) UpdateLagSnapshot() obs.HistSnapshot {
 
 // datasetAtEpoch is the query-path dataset fetch: min <= 0 (or already
 // reached) returns the current snapshot with zero extra cost; otherwise
-// it blocks until the async applier publishes the requested epoch.
+// it blocks until the async applier publishes the requested epoch. The
+// dataset comes held, as from dataset.
 func (s *Service) datasetAtEpoch(ctx context.Context, name string, min int64) (*Dataset, *Error) {
 	ds, serr := s.dataset(name)
 	if serr != nil || min <= ds.epoch {
 		return ds, serr
 	}
+	ds.release()
 	return s.awaitEpoch(ctx, name, min)
 }
 
-// awaitEpoch returns the dataset once its visible epoch reaches min,
+// awaitEpoch returns the dataset, held, once its visible epoch reaches min,
 // blocking on the swap-notification channel. min <= 0 returns the current
 // snapshot immediately.
 func (s *Service) awaitEpoch(ctx context.Context, name string, min int64) (*Dataset, *Error) {
@@ -353,6 +360,9 @@ func (s *Service) awaitEpoch(ctx context.Context, name string, min int64) (*Data
 		s.mu.RLock()
 		ds, ok := s.ds[name]
 		ch := s.epochCh
+		if ok && ds.epoch >= min {
+			ds.hold()
+		}
 		s.mu.RUnlock()
 		if !ok {
 			return s.dataset(name) // assembles the typed not-found error
@@ -370,14 +380,26 @@ func (s *Service) awaitEpoch(ctx context.Context, name string, min int64) (*Data
 
 // swapDataset publishes next as the visible snapshot and wakes every
 // epoch waiter. Both the sync and async update paths go through here, so
-// minEpoch waits work in either mode.
-func (s *Service) swapDataset(name string, next *Dataset) {
+// minEpoch waits work in either mode. The caller's hold on next becomes the
+// registry's, and the registry's hold on the version it replaces is
+// released. applied are the batches next derived from the visible version
+// by: they are noted on the dataset's anchor in the same critical section,
+// so a reader of both sees a version and exactly the batches behind it.
+// The update paths call it under updMu.
+func (s *Service) swapDataset(name string, next *Dataset, applied []dynamic.Batch) {
 	s.mu.Lock()
+	if a := s.anchors[name]; a != nil {
+		a.applied = append(a.applied, applied...)
+	}
+	prev := s.ds[name]
 	s.ds[name] = next
 	ch := s.epochCh
 	s.epochCh = make(chan struct{})
 	s.mu.Unlock()
 	close(ch)
+	if prev != nil {
+		prev.release()
+	}
 }
 
 // run is the applier goroutine: it sleeps until an enqueue nudges it,
@@ -483,6 +505,8 @@ func (s *Service) applyRun(p *updatePipeline, run dynamic.CoalescedRun, raw []qu
 	if serr != nil {
 		return nil // dataset dropped out from under the pipeline; drop the run
 	}
+	defer ds.release()
+	applied := []dynamic.Batch{run.Super}
 	next, _, serr := s.repairDataset(p.ctx, ds, run.Super, len(raw), span)
 	if serr != nil {
 		if err := p.ctx.Err(); err != nil {
@@ -491,11 +515,17 @@ func (s *Service) applyRun(p *updatePipeline, run dynamic.CoalescedRun, raw []qu
 		// The merged super-batch failed. Fall back to applying the raw
 		// batches one at a time so one poisoned batch cannot take its
 		// neighbors down with it.
+		applied = applied[:0]
 		next = ds
 		for _, q := range raw {
 			n2, _, serr := s.repairDataset(p.ctx, next, q.ops, 1, span)
-			if serr != nil {
+			if serr == nil {
+				applied = append(applied, q.ops)
+			} else {
 				if err := p.ctx.Err(); err != nil {
+					if next != ds {
+						next.release()
+					}
 					return err
 				}
 				s.errorCount.Add(1)
@@ -504,19 +534,23 @@ func (s *Service) applyRun(p *updatePipeline, run dynamic.CoalescedRun, raw []qu
 					obs.F("error", serr.Message))
 				n2 = next.noopSuccessor()
 			}
+			if next != ds {
+				next.release()
+			}
 			next = n2
 		}
 	} else if elided := totalOps(raw) - len(run.Super); elided > 0 {
 		s.coalescedOps.Add(int64(elided))
 	}
 	if err := s.persistUpdate(span, p.name, rawBatches(raw), next.epoch); err != nil {
+		next.release()
 		s.errorCount.Add(1)
 		s.tel.logger.Warn("update persistence failed; will retry",
 			obs.F("dataset", p.name), obs.F("error", err.Error()))
 		return err
 	}
 	swap := time.Now()
-	s.swapDataset(p.name, next)
+	s.swapDataset(p.name, next, applied)
 	span.Add("swap", time.Since(swap))
 	s.updates.Add(int64(len(raw)))
 	now := time.Now()
@@ -530,8 +564,9 @@ func (s *Service) applyRun(p *updatePipeline, run dynamic.CoalescedRun, raw []qu
 
 // noopSuccessor is the epoch bump a failed queued batch consumes: same
 // system, same artifacts, fresh epoch memo (every epoch starts with its
-// own, so successors never share one).
+// own, so successors never share one). It comes held, like a repair's.
 func (ds *Dataset) noopSuccessor() *Dataset {
+	ds.hold()
 	return &Dataset{
 		name:      ds.name,
 		sys:       ds.sys,
@@ -540,6 +575,7 @@ func (ds *Dataset) noopSuccessor() *Dataset {
 		walks:     ds.walks,
 		rrs:       ds.rrs,
 		memo:      newLRUCache(epochMemoBytes),
+		file:      ds.file,
 	}
 }
 

@@ -140,8 +140,8 @@ func TestDeadlineExceededPromptlyOnBenchGraph(t *testing.T) {
 		}
 		return svc
 	}
-	// RW computes its walk sets from scratch here (no index): a multi-second
-	// cold selection the 100ms deadline is guaranteed to interrupt.
+	// RW computes its walk sets from scratch here (no index): a cold
+	// selection long enough for the deadline below to interrupt.
 	req := &service.SelectSeedsRequest{
 		Dataset: "sweep",
 		Method:  "RW",
@@ -152,27 +152,28 @@ func TestDeadlineExceededPromptlyOnBenchGraph(t *testing.T) {
 		Seed:    seed,
 	}
 
-	// Uncancelled baseline on its own service instance. Its duration also
-	// validates the fixture: the deadline below must expire mid-compute.
+	// Uncancelled baseline on its own service instance. Its duration sets
+	// the deadline below — 100ms, or a third of the baseline on a machine
+	// fast enough to finish in under 300ms — so it expires mid-compute.
 	baseline := newSvc()
 	baseStart := time.Now()
 	want, serr := baseline.SelectSeeds(req)
 	if serr != nil {
 		t.Fatal(serr)
 	}
-	if baseDur := time.Since(baseStart); baseDur < 300*time.Millisecond {
-		t.Fatalf("fixture too fast (%v): a 100ms deadline would not reliably expire mid-compute", baseDur)
+	deadline := min(100*time.Millisecond, time.Since(baseStart)/3).Truncate(time.Millisecond)
+	if deadline < 20*time.Millisecond {
+		t.Fatalf("fixture too fast (%v deadline): it would not reliably expire mid-compute", deadline)
 	}
 
 	svc := newSvc()
-	const deadline = 100 * time.Millisecond
 	timed := *req
 	timed.TimeoutMs = int(deadline / time.Millisecond)
 	start := time.Now()
 	_, serr = svc.SelectSeeds(&timed)
 	elapsed := time.Since(start)
 	if serr == nil {
-		t.Fatal("a 100ms deadline must expire during a cold 12k-node selection")
+		t.Fatalf("a %v deadline must expire during a cold 12k-node selection", deadline)
 	}
 	if serr.Code != service.CodeDeadlineExceeded {
 		t.Fatalf("error code = %s, want %s", serr.Code, service.CodeDeadlineExceeded)

@@ -195,15 +195,18 @@ func (c Config) withDefaults() Config {
 
 // Service is a concurrent query server over registered datasets.
 type Service struct {
-	cfg    Config
-	mu     sync.RWMutex
-	ds     map[string]*Dataset
-	cache  *lruCache
-	flight *flightGroup
-	adm    *admission
-	start  time.Time
-	tel    *telemetry
-	tsdb   *obs.TimeSeries
+	cfg Config
+	mu  sync.RWMutex
+	ds  map[string]*Dataset
+	// anchors holds, per dataset with checkpoints, the version its last
+	// export captured and what was swapped in on top of it (mapping.go).
+	anchors map[string]*anchor
+	cache   *lruCache
+	flight  *flightGroup
+	adm     *admission
+	start   time.Time
+	tel     *telemetry
+	tsdb    *obs.TimeSeries
 
 	// updMu serializes update application (sync ApplyUpdates calls and the
 	// async applier's runs) so every epoch derives from its predecessor
@@ -229,10 +232,11 @@ type Service struct {
 	inflight     atomic.Int64
 	updates      atomic.Int64
 	coalescedOps atomic.Int64
-	checkpoints  atomic.Int64
+	checkpoints  [len(checkpointReasons)]atomic.Int64 // by reason
 	// checkpointNs totals the durations ObserveCheckpoint was given, so
 	// persistUpdate can tell how much of a hook call was a checkpoint.
 	checkpointNs atomic.Int64
+	mappingsOpen atomic.Int64 // index file mappings datasets still hold
 	shed         atomic.Int64
 	timeouts     atomic.Int64
 	canceledReqs atomic.Int64
@@ -245,6 +249,7 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:       cfg,
 		ds:        make(map[string]*Dataset),
+		anchors:   make(map[string]*anchor),
 		cache:     newLRUCache(cfg.CacheSize),
 		flight:    newFlightGroup(),
 		adm:       newAdmission(cfg.MaxInflight, cfg.MaxQueue),
@@ -287,7 +292,7 @@ func (s *Service) sampleServiceSeries(sample func(name string, v float64)) {
 	sample("ovmd_errors_total", float64(s.errorCount.Load()))
 	sample("ovmd_updates_total", float64(s.updates.Load()))
 	sample("ovmd_update_coalesced_ops_total", float64(s.coalescedOps.Load()))
-	sample("ovmd_checkpoints_total", float64(s.checkpoints.Load()))
+	sample("ovmd_checkpoints_total", float64(s.checkpointTotal()))
 	sample("ovmd_update_queue_depth", float64(s.totalQueueDepth()))
 	sample("ovmd_inflight", float64(s.inflight.Load()))
 	sample("ovmd_shed_total", float64(s.shed.Load()))
@@ -310,6 +315,10 @@ type Dataset struct {
 
 	// memo holds what the epoch remembers between requests (memo.go).
 	memo *lruCache
+
+	// file is the index file mapping the arrays alias (nil when they are
+	// the dataset's own); see mapping.go.
+	file *mapping
 }
 
 // walkArtifact is a persisted walk set together with how it was drawn: an RS
@@ -332,22 +341,45 @@ type rrArtifact struct {
 
 // AddDataset registers sys under name with no precomputed artifacts.
 func (s *Service) AddDataset(name string, sys *opinion.System) error {
-	return s.add(name, &serialize.Index{Sys: sys})
+	return s.add(name, &serialize.Index{Sys: sys}, nil)
 }
 
 // AddIndex registers a loaded index under name, restoring every artifact
 // into live, query-ready form (walk sets with fresh truncation state, RR
-// collections with the inverted index prebuilt for lock-free reads).
+// collections with the inverted index prebuilt for lock-free reads). A walk
+// artifact that carries a live set (BuildIndex's, ExportIndex's) is adopted
+// as it is.
 func (s *Service) AddIndex(name string, idx *serialize.Index) error {
-	return s.add(name, idx)
+	return s.add(name, idx, nil)
 }
 
-func (s *Service) add(name string, idx *serialize.Index) error {
+// add registers the dataset restore builds; file, nil or holding the
+// caller's one reference, is released if that fails.
+func (s *Service) add(name string, idx *serialize.Index, file *mapping) error {
 	if name == "" {
+		file.release()
 		return badRequestf("dataset name must not be empty")
 	}
+	ds, serr := s.restore(name, idx, file)
+	if serr != nil {
+		return serr
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, dup := s.ds[name]; dup {
+		ds.release()
+		return badRequestf("dataset %q already registered", name)
+	}
+	s.ds[name] = ds
+	return nil
+}
+
+// restore builds the dataset an index describes, at the epoch its log
+// reaches, holding file's reference (released on failure).
+func (s *Service) restore(name string, idx *serialize.Index, file *mapping) (*Dataset, *Error) {
 	if err := idx.Validate(); err != nil {
-		return badRequestf("invalid index: %v", err)
+		file.release()
+		return nil, badRequestf("invalid index: %v", err)
 	}
 	ds := &Dataset{
 		name:      name,
@@ -355,14 +387,18 @@ func (s *Service) add(name string, idx *serialize.Index) error {
 		epoch:     idx.BaseEpoch,
 		baseEpoch: idx.BaseEpoch,
 		memo:      newLRUCache(epochMemoBytes),
+		file:      file,
 	}
 	// serialize keeps two artifact types; from here on a walk set is a walk
 	// set, sketch sets first.
-	restore := func(d walks.Draw, target, horizon int, snap *walks.Snapshot, index *walks.IndexSnapshot) error {
+	restoreWalks := func(d walks.Draw, target, horizon int, live *walks.Set, snap *walks.Snapshot, index *walks.IndexSnapshot) error {
 		i := len(ds.walks)
-		set, err := walks.FromSnapshot(idx.Sys.Candidate(target).G, snap)
-		if err != nil {
-			return badRequestf("walk artifact %d: %v", i, err)
+		set := live
+		if set == nil {
+			var err error
+			if set, err = walks.FromSnapshot(idx.Sys.Candidate(target).G, snap); err != nil {
+				return badRequestf("walk artifact %d: %v", i, err)
+			}
 		}
 		want := d.Theta
 		if want == 0 {
@@ -382,20 +418,24 @@ func (s *Service) add(name string, idx *serialize.Index) error {
 		ds.walks = append(ds.walks, &walkArtifact{key: "w" + strconv.Itoa(i), draw: d, target: target, horizon: horizon, set: set})
 		return nil
 	}
+	fail := func(serr *Error) (*Dataset, *Error) {
+		ds.release()
+		return nil, serr
+	}
 	for _, a := range idx.Sketches {
-		if err := restore(sketch.Draw(a.Seed, a.Theta), a.Target, a.Horizon, a.Set, a.Index); err != nil {
-			return err
+		if err := restoreWalks(sketch.Draw(a.Seed, a.Theta), a.Target, a.Horizon, a.Live, a.Set, a.Index); err != nil {
+			return fail(asError(err))
 		}
 	}
 	for _, a := range idx.Walks {
-		if err := restore(rwalk.Draw(a.Seed, a.Lambda), a.Target, a.Horizon, a.Set, a.Index); err != nil {
-			return err
+		if err := restoreWalks(rwalk.Draw(a.Seed, a.Lambda), a.Target, a.Horizon, a.Live, a.Set, a.Index); err != nil {
+			return fail(asError(err))
 		}
 	}
 	for i, a := range idx.RRs {
 		col, err := im.FromSnapshot(idx.Sys.Candidate(a.Target).G, a.Sets, im.RRStream(a.Seed), s.cfg.Parallelism)
 		if err != nil {
-			return badRequestf("rr artifact %d: %v", i, err)
+			return fail(badRequestf("rr artifact %d: %v", i, err))
 		}
 		if a.Index == nil || col.AdoptIndex(a.Index) != nil {
 			col.EnsureIndex()
@@ -408,17 +448,12 @@ func (s *Service) add(name string, idx *serialize.Index) error {
 	for i, b := range idx.Updates {
 		next, _, serr := s.repairDataset(nil, ds, b, 1, nil)
 		if serr != nil {
-			return badRequestf("replaying update batch %d: %s", i, serr.Message)
+			return fail(badRequestf("replaying update batch %d: %s", i, serr.Message))
 		}
+		ds.release()
 		ds = next
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.ds[name]; dup {
-		return badRequestf("dataset %q already registered", name)
-	}
-	s.ds[name] = ds
-	return nil
+	return ds, nil
 }
 
 // Datasets lists the registered dataset names, sorted.
@@ -436,6 +471,8 @@ func (s *Service) Datasets() []string {
 // ResetCache drops every cached response (benchmarks and tests).
 func (s *Service) ResetCache() { s.cache.Reset() }
 
+// dataset returns the visible version of a dataset, held: the caller
+// releases it once done reading.
 func (s *Service) dataset(name string) (*Dataset, *Error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -450,6 +487,7 @@ func (s *Service) dataset(name string) (*Dataset, *Error) {
 		sort.Strings(names)
 		return nil, notFoundf("unknown dataset %q (have: %s)", name, strings.Join(names, ", "))
 	}
+	ds.hold()
 	return ds, nil
 }
 
@@ -691,7 +729,11 @@ func (s *Service) cachedQuery(ctx context.Context, endpoint string, ds *Dataset,
 	}
 	s.cacheMisses.Add(1)
 	doStart := time.Now()
+	// The computation holds ds itself: it may outlive every waiter until its
+	// next cancellation poll. Only a leader's closure runs.
+	ds.hold()
 	out, shared, werr := s.flight.Do(ctx, key, func(cctx context.Context) *computeOutcome {
+		defer ds.release()
 		if err := s.adm.acquire(cctx); err != nil {
 			return &computeOutcome{err: err}
 		}
@@ -723,6 +765,7 @@ func (s *Service) cachedQuery(ctx context.Context, endpoint string, ds *Dataset,
 		return o
 	})
 	if shared {
+		ds.release()
 		s.coalesced.Add(1)
 		span.Add("singleflight-wait", time.Since(doStart))
 	}
@@ -787,6 +830,7 @@ func (s *Service) SelectSeedsCtx(ctx context.Context, req *SelectSeedsRequest) (
 	if serr != nil {
 		return nil, serr
 	}
+	defer ds.release()
 	if serr := s.validCommon(ds, req.Target, req.Horizon, req.Parallelism, req.TimeoutMs); serr != nil {
 		return nil, serr
 	}
@@ -895,6 +939,7 @@ func (s *Service) EvaluateCtx(ctx context.Context, req *EvaluateRequest) (*Evalu
 	if serr != nil {
 		return nil, serr
 	}
+	defer ds.release()
 	key := fmt.Sprintf("eval|%s|e=%d|%s|t=%d|q=%d|seeds=%s",
 		req.Dataset, ds.epoch, req.Score.canonical(), req.Horizon, req.Target, seedsKey(req.Seeds))
 	v, cached, span, serr := s.cachedQuery(ctx, endpointEvaluate, ds, req.Score.Name, key, func(cctx context.Context) (any, error) {
@@ -934,6 +979,7 @@ func (s *Service) WinsCtx(ctx context.Context, req *EvaluateRequest) (*WinsRespo
 	if serr != nil {
 		return nil, serr
 	}
+	defer ds.release()
 	key := fmt.Sprintf("wins|%s|e=%d|%s|t=%d|q=%d|seeds=%s",
 		req.Dataset, ds.epoch, req.Score.canonical(), req.Horizon, req.Target, seedsKey(req.Seeds))
 	v, cached, span, serr := s.cachedQuery(ctx, endpointWins, ds, req.Score.Name, key, func(cctx context.Context) (any, error) {
@@ -959,24 +1005,31 @@ func (s *Service) WinsCtx(ctx context.Context, req *EvaluateRequest) (*WinsRespo
 	return &resp, nil
 }
 
+// evalCommon returns the dataset held, as datasetAtEpoch does, when the
+// request is valid.
 func (s *Service) evalCommon(ctx context.Context, req *EvaluateRequest) (*Dataset, voting.Score, *Error) {
 	ds, serr := s.datasetAtEpoch(ctx, req.Dataset, req.MinEpoch)
 	if serr != nil {
 		return nil, nil, serr
 	}
-	if serr := s.validCommon(ds, req.Target, req.Horizon, req.Parallelism, req.TimeoutMs); serr != nil {
-		return nil, nil, serr
-	}
-	for i, v := range req.Seeds {
-		if v < 0 || int(v) >= ds.sys.N() {
-			return nil, nil, badRequestf("seeds[%d]=%d out of range [0,%d)", i, v, ds.sys.N())
-		}
-	}
-	score, serr := req.Score.build(ds.sys.R())
+	score, serr := s.evalValid(ds, req)
 	if serr != nil {
+		ds.release()
 		return nil, nil, serr
 	}
 	return ds, score, nil
+}
+
+func (s *Service) evalValid(ds *Dataset, req *EvaluateRequest) (voting.Score, *Error) {
+	if serr := s.validCommon(ds, req.Target, req.Horizon, req.Parallelism, req.TimeoutMs); serr != nil {
+		return nil, serr
+	}
+	for i, v := range req.Seeds {
+		if v < 0 || int(v) >= ds.sys.N() {
+			return nil, badRequestf("seeds[%d]=%d out of range [0,%d)", i, v, ds.sys.N())
+		}
+	}
+	return req.Score.build(ds.sys.R())
 }
 
 // MinSeedsToWin answers a Problem-2 query: the smallest seed set with which
@@ -996,6 +1049,7 @@ func (s *Service) MinSeedsToWinCtx(ctx context.Context, req *MinSeedsRequest) (*
 	if serr != nil {
 		return nil, serr
 	}
+	defer ds.release()
 	if serr := s.validCommon(ds, req.Target, req.Horizon, req.Parallelism, req.TimeoutMs); serr != nil {
 		return nil, serr
 	}
@@ -1197,7 +1251,7 @@ func (s *Service) StatsSnapshot() Stats {
 	}
 	st.UpdateQueueDepth = int64(s.totalQueueDepth())
 	st.CoalescedOps = s.coalescedOps.Load()
-	st.Checkpoints = s.checkpoints.Load()
+	st.Checkpoints = s.checkpointTotal()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, name := range sortedNames(s.ds) {

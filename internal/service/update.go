@@ -6,6 +6,7 @@ import (
 
 	"ovm/internal/dynamic"
 	"ovm/internal/obs"
+	"ovm/internal/opinion"
 	"ovm/internal/serialize"
 	"ovm/internal/walks"
 )
@@ -89,9 +90,11 @@ func (s *Service) ApplyUpdates(req *UpdateRequest) (*UpdateResponse, *Error) {
 		}
 		ctx, cancel := s.reqContext(context.Background(), 0)
 		defer cancel()
-		if _, serr := s.awaitEpoch(ctx, req.Dataset, resp.Epoch); serr != nil {
+		ds, serr := s.awaitEpoch(ctx, req.Dataset, resp.Epoch)
+		if serr != nil {
 			return nil, serr
 		}
+		ds.release()
 		return resp, nil
 	}
 	start := time.Now()
@@ -108,6 +111,7 @@ func (s *Service) ApplyUpdates(req *UpdateRequest) (*UpdateResponse, *Error) {
 		s.tel.observe(span, endpointUpdates, req.Dataset, "", 0, false, string(serr.Code))
 		return nil, serr
 	}
+	defer ds.release()
 	next, resp, serr := s.repairDataset(nil, ds, req.Ops, 1, span)
 	if serr != nil {
 		s.errorCount.Add(1)
@@ -115,13 +119,14 @@ func (s *Service) ApplyUpdates(req *UpdateRequest) (*UpdateResponse, *Error) {
 		return nil, serr
 	}
 	if err := s.persistUpdate(span, req.Dataset, []dynamic.Batch{req.Ops}, next.epoch); err != nil {
+		next.release()
 		s.errorCount.Add(1)
 		serr := internalErr(err)
 		s.tel.observe(span, endpointUpdates, ds.name, "", ds.epoch, false, string(serr.Code))
 		return nil, serr
 	}
 	swap := time.Now()
-	s.swapDataset(req.Dataset, next)
+	s.swapDataset(req.Dataset, next, []dynamic.Batch{req.Ops})
 	span.Add("swap", time.Since(swap))
 	s.updates.Add(1)
 	resp.ElapsedMs = float64(time.Since(start).Microseconds()) / 1000
@@ -144,31 +149,63 @@ func (s *Service) persistUpdate(span *obs.Span, dataset string, batches []dynami
 	return err
 }
 
+// CheckpointReason says why an index file was checkpointed: the reason
+// label of ovmd_checkpoints_total.
+type CheckpointReason string
+
+// The checkpoint reasons.
+const (
+	CheckpointLog      CheckpointReason = "log"      // the update log reached its bound
+	CheckpointOverlay  CheckpointReason = "overlay"  // a walk set's overlay outgrew its share
+	CheckpointShutdown CheckpointReason = "shutdown" // a graceful stop
+)
+
+var checkpointReasons = [...]CheckpointReason{CheckpointLog, CheckpointOverlay, CheckpointShutdown}
+
 // ObserveCheckpoint records one completed checkpoint of an index file (the
 // dataset exported, written out and the update log pruned behind it) in
 // ovmd_checkpoints_total and the "checkpoint" stage. The owner of the file
 // calls it: from inside OnUpdate, or once no update can run any more.
-func (s *Service) ObserveCheckpoint(d time.Duration) {
-	s.checkpoints.Add(1)
+func (s *Service) ObserveCheckpoint(reason CheckpointReason, d time.Duration) {
+	for i, r := range checkpointReasons {
+		if r == reason {
+			s.checkpoints[i].Add(1)
+		}
+	}
 	s.checkpointNs.Add(d.Nanoseconds())
 	s.tel.stageHist.With("checkpoint").Observe(d)
+}
+
+func (s *Service) checkpointTotal() int64 {
+	var n int64
+	for i := range s.checkpoints {
+		n += s.checkpoints[i].Load()
+	}
+	return n
 }
 
 // ExportIndex snapshots a dataset's current state — the mutated system and
 // its incrementally repaired artifacts — as a self-contained index with an
 // empty update log and BaseEpoch set to the dataset's epoch. Reloading the
 // export resumes at the same epoch with the same bytes; ovmd writes it out
-// as the checkpoint that lets a grown update log be pruned.
+// as the checkpoint that lets a grown update log be pruned. The walk
+// artifacts are the live sets, which the writer streams, and the export
+// aliases the dataset's storage: write it while that version cannot be
+// retired (from OnUpdate, or while no update runs). For a dataset with
+// checkpoints (AddMapped) the exported version is also what Rebase moves
+// the dataset from, once the export is written and mapped.
 func (s *Service) ExportIndex(name string) (*serialize.Index, *Error) {
 	ds, serr := s.dataset(name)
 	if serr != nil {
 		return nil, serr
 	}
+	defer ds.release()
+	if ds.checkpointed() {
+		s.setAnchor(ds)
+	}
 	idx := &serialize.Index{Sys: ds.sys, BaseEpoch: ds.epoch}
 	for _, a := range ds.walks {
-		if err := storeWalks(idx, a.draw, a.target, a.horizon, a.set); err != nil {
-			return nil, internalErr(err)
-		}
+		storeWalks(idx, a.draw, a.target, a.horizon, a.set)
 	}
 	for _, a := range ds.rrs {
 		snap, err := a.col.Snapshot()
@@ -183,7 +220,8 @@ func (s *Service) ExportIndex(name string) (*serialize.Index, *Error) {
 }
 
 // repairDataset applies one batch to a dataset snapshot and incrementally
-// repairs every artifact, returning the next (immutable) dataset version.
+// repairs every artifact, returning the next (immutable) dataset version,
+// held for the caller.
 // It holds no service locks: callers pass an immutable snapshot, so repair
 // work runs concurrently with query traffic. The span (nil-safe; replay
 // passes nil) receives "apply" and "repair" stage timings.
@@ -212,6 +250,7 @@ func (s *Service) repairDataset(ctx context.Context, ds *Dataset, batch dynamic.
 		epoch:     ds.epoch + int64(bump),
 		baseEpoch: ds.baseEpoch,
 		memo:      newLRUCache(epochMemoBytes),
+		file:      ds.file,
 	}
 	resp := &UpdateResponse{Epoch: next.epoch, NodesTouched: cs.NumTouched()}
 	// The alias sampler of a mutated graph costs O(m): one per target graph,
@@ -225,7 +264,11 @@ func (s *Service) repairDataset(ctx context.Context, ds *Dataset, batch dynamic.
 			}
 			grounds[a.target] = gr
 		}
-		set, st, err := a.draw.Repair(ctx, gr, a.set, cs.WalkMask(n, a.target), par)
+		repair := a.draw.Repair
+		if ds.foldsByCheckpoint() {
+			repair = a.draw.RepairOverlay
+		}
+		set, st, err := repair(ctx, gr, a.set, cs.WalkMask(n, a.target), par)
 		if err != nil {
 			return nil, nil, internalErr(err)
 		}
@@ -233,16 +276,27 @@ func (s *Service) repairDataset(ctx context.Context, ds *Dataset, batch dynamic.
 		resp.WalksTotal += st.Walks
 		next.walks = append(next.walks, &walkArtifact{key: a.key, draw: a.draw, target: a.target, horizon: a.horizon, set: set})
 	}
-	edgeMask := cs.EdgeMask(n)
-	for _, a := range ds.rrs {
-		col, st, err := a.col.RepairCtx(ctx, newSys.Candidate(a.target).G, edgeMask)
+	if next.rrs, err = repairRRs(ctx, ds.rrs, newSys, cs, resp); err != nil {
+		return nil, nil, internalErr(err)
+	}
+	next.hold()
+	return next, resp, nil
+}
+
+// repairRRs resamples the RR collections a batch invalidated into fresh
+// ones over the mutated system, adding the counts to resp.
+func repairRRs(ctx context.Context, rrs []*rrArtifact, sys *opinion.System, cs *dynamic.ChangeSet, resp *UpdateResponse) ([]*rrArtifact, error) {
+	edgeMask := cs.EdgeMask(sys.N())
+	out := make([]*rrArtifact, 0, len(rrs))
+	for _, a := range rrs {
+		col, st, err := a.col.RepairCtx(ctx, sys.Candidate(a.target).G, edgeMask)
 		if err != nil {
-			return nil, nil, internalErr(err)
+			return nil, err
 		}
 		col.EnsureIndex()
 		resp.RRSetsInvalidated += st.SetsInvalidated
 		resp.RRSetsTotal += st.Sets
-		next.rrs = append(next.rrs, &rrArtifact{seed: a.seed, target: a.target, col: col})
+		out = append(out, &rrArtifact{seed: a.seed, target: a.target, col: col})
 	}
-	return next, resp, nil
+	return out, nil
 }

@@ -78,14 +78,26 @@
 // top of the previous one, sharing every owner entry it does not replace; a
 // repair that invalidates nothing returns its input. It writes O(n +
 // overlay postings + walks/64) bytes and copies no base array, so a mapped base
-// stays mapped. Once an overlay holds more than 1/foldShare of the walks,
-// the repair folds base + overlay into a fresh heap base.
+// stays mapped. Once an overlay holds more than 1/foldShare of the walks
+// (OverlayFull) it is folded, and a deployment has exactly one fold
+// trigger for that:
+//   - without an index file behind the set (library use, tests, a daemon
+//     that never checkpoints), Repair folds base + overlay into a fresh heap
+//     base;
+//   - with one, RepairOverlay never folds: the set's owner writes it out as
+//     a checkpoint and serves the file it wrote as the next base, with an
+//     overlay of only what changed since (Set.Rebase moves a later repair
+//     of the checkpointed set onto it). The heap then holds overlays only.
+//     If a checkpoint fails, the owner goes back to Repair until one
+//     installs, so a failing disk costs what a file-less set does.
 //
 // Readers see one set: Set.walk / Set.ownerWalks read a walk from wherever
 // it lives, and Set.postings merges the base's live postings with the
 // overlay's in ascending walk id. Snapshot and IndexSnapshot fold the two
 // into the flat arrays and postings a from-scratch generation of the same
-// set would have, which is what ExportIndex and checkpoints store. A
+// set would have. An index writer streams the same bytes without building
+// them: EachNodes, EachOff and CompactPostings hand out base and overlay in
+// walk-id order, and the postings are encoded node by node as merged. A
 // pristine set (loaded, generated or repaired) carries no truncation state;
 // Clone, AddSeed and NewEstimator create it.
 //

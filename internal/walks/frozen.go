@@ -47,7 +47,6 @@ func (set *Set) IndexSnapshot() *IndexSnapshot {
 // rejected before it can influence truncation or gains.
 func (set *Set) AdoptIndex(is *IndexSnapshot) error {
 	n := set.n
-	nw := set.NumWalks()
 	if is.Compact != nil {
 		c := is.Compact
 		if len(c.Off) != n+1 {
@@ -56,22 +55,11 @@ func (set *Set) AdoptIndex(is *IndexSnapshot) error {
 		if !c.HasPos {
 			return fmt.Errorf("walks: compact index lacks positions")
 		}
-		if err := c.Validate(nw, int32(set.horizon)); err != nil {
+		if err := c.CheckTables(); err != nil {
 			return fmt.Errorf("walks: %w", err)
 		}
-		cursors := make([]postings.Iterator, n)
-		for u := 0; u < n; u++ {
-			cursors[u] = c.Iter(int32(u))
-		}
-		if err := set.verifyIndexMerge(func(u int32) (int32, int32, bool) {
-			return cursors[u].Next()
-		}); err != nil {
+		if err := set.verifyCompactMerge(c); err != nil {
 			return err
-		}
-		for u := 0; u < n; u++ {
-			if _, _, ok := cursors[u].Next(); ok {
-				return fmt.Errorf("walks: index lists node %d in a walk that does not contain it", u)
-			}
 		}
 		set.idx = &walkIndex{compact: c, mapped: is.Mapped}
 		return nil
@@ -128,6 +116,41 @@ func (set *Set) verifyIndexMerge(next func(u int32) (walk, pos int32, ok bool)) 
 			if !ok || iw != int32(w) || rel != p-set.off[w] {
 				return fmt.Errorf("walks: index postings of node %d disagree with walk %d", u, w)
 			}
+		}
+	}
+	return nil
+}
+
+// verifyCompactMerge is verifyIndexMerge over a compact index whose tables
+// passed CheckTables, decoding each node's postings with a Checked
+// iterator: the one pass validates the payload and compares it with the
+// walks, and every node's bytes must be read to their end.
+func (set *Set) verifyCompactMerge(c *postings.Compact) error {
+	cursors := make([]postings.Checked, set.n)
+	stamp := make([]int32, set.n)
+	for u := range cursors {
+		cursors[u] = c.Checked(int32(u))
+		stamp[u] = -1
+	}
+	for w := range int32(set.NumWalks()) {
+		lo, hi := set.off[w], set.off[w+1]
+		for p, u := range set.nodes[lo:hi] {
+			if stamp[u] == w {
+				continue
+			}
+			stamp[u] = w
+			iw, rel, ok, err := cursors[u].Next()
+			if err != nil {
+				return fmt.Errorf("walks: node %d: %w", u, err)
+			}
+			if !ok || iw != w || rel != int32(p) {
+				return fmt.Errorf("walks: index postings of node %d disagree with walk %d", u, w)
+			}
+		}
+	}
+	for u := range cursors {
+		if !cursors[u].Done() {
+			return fmt.Errorf("walks: index lists node %d in a walk that does not contain it", u)
 		}
 	}
 	return nil

@@ -9,10 +9,54 @@ import (
 )
 
 // foldShare bounds an overlay: once it holds more than 1/foldShare of a
-// set's walks, Repair folds base + overlay into a fresh heap base. Below it,
-// a repair writes O(n + overlay postings + walks/64) bytes; the fold writes
-// the whole set once.
+// set's walks it is full, and Repair folds base + overlay into a fresh heap
+// base (RepairOverlay leaves that to a checkpoint). Below it, a repair
+// writes O(n + overlay postings + walks/64) bytes; a fold writes the whole
+// set once.
 const foldShare = 16
+
+// OverlayFull reports whether the overlay holds more than 1/foldShare of the
+// walks: what makes Repair fold, and a checkpointed set's owner write it out.
+func (set *Set) OverlayFull() bool {
+	return set.ov != nil && set.ov.walks*foldShare > set.NumWalks()
+}
+
+// Rebase returns set, a repair of at, over base: a set that holds at's
+// walks in other storage (a checkpoint of at, loaded, or an earlier
+// Rebase of at). The result is base with the owners set regenerated after
+// at laid over it as a repair would; those at's overlay held are in base
+// already. It holds the walks and postings set does, in the same order,
+// and writes nothing but its overlay. A set folded since at (its base is no
+// longer at's) already holds its walks in storage of its own and is
+// returned as is.
+func (set *Set) Rebase(base, at *Set) *Set {
+	if unsafe.SliceData(set.off) != unsafe.SliceData(at.off) {
+		return set
+	}
+	out := *base
+	out.end, out.inSeed, out.seeds = nil, nil, nil
+	if set.ov == nil {
+		return &out
+	}
+	var prev, fresh []ovOwner
+	if at.ov != nil {
+		prev = at.ov.owners
+	}
+	for _, o := range set.ov.owners {
+		for len(prev) > 0 && prev[0].first < o.first {
+			prev = prev[1:]
+		}
+		// Entries a repair keeps are shared with the set it repaired.
+		if len(prev) > 0 && unsafe.SliceData(prev[0].nodes) == unsafe.SliceData(o.nodes) {
+			continue
+		}
+		fresh = append(fresh, o)
+	}
+	if len(fresh) > 0 {
+		out.ov, _ = base.nextOverlay(fresh)
+	}
+	return &out
+}
 
 // overlay is what repairs have replaced since a set's base: the regenerated
 // owners' walks at their original walk ids, those walks' postings, and a
@@ -221,20 +265,31 @@ func mergePostings(n int, prev walkIndex, stale, regen []ovOwner) walkIndex {
 			eachFirst(r.nodes[r.off[k]:r.off[k+1]], func(u, rel int32) { fresh = append(fresh, posting{u, w, rel}) })
 		}
 	}
-	// Sorted by node; walk order is kept within one.
-	slices.SortStableFunc(fresh, func(a, b posting) int { return cmp.Compare(a.u, b.u) })
+	// Sorted by node, walk order within one (no two postings share both).
+	slices.SortFunc(fresh, func(a, b posting) int { return cmp.Or(cmp.Compare(a.u, b.u), cmp.Compare(a.w, b.w)) })
 	total := len(prev.walk) + len(fresh)
 	for _, o := range stale {
 		for k := range len(o.off) - 1 {
 			eachFirst(o.nodes[o.off[k]:o.off[k+1]], func(int32, int32) { total-- })
 		}
 	}
-	isStale := func(w int32) bool {
-		i, found := slices.BinarySearchFunc(stale, w, func(o ovOwner, w int32) int { return cmp.Compare(o.first, w) })
-		if !found {
-			i--
+	// The stale entries' walks as a bitmap over their id span: every
+	// posting of prev is tested against it.
+	var staleLo, staleHi int32
+	var staleBits []uint64
+	if len(stale) > 0 {
+		last := stale[len(stale)-1]
+		staleLo, staleHi = stale[0].first, last.first+int32(len(last.off)-1)
+		staleBits = make([]uint64, (staleHi-staleLo+63)/64)
+		for _, o := range stale {
+			for w := o.first - staleLo; w < o.first-staleLo+int32(len(o.off)-1); w++ {
+				staleBits[w>>6] |= 1 << (w & 63)
+			}
 		}
-		return i >= 0 && w < stale[i].first+int32(len(stale[i].off)-1)
+	}
+	isStale := func(w int32) bool {
+		w -= staleLo
+		return w >= 0 && w < staleHi-staleLo && staleBits[w>>6]&(1<<(w&63)) != 0
 	}
 	p := walkIndex{off: make([]int32, n+1), walk: make([]int32, total), pos: make([]int32, total)}
 	dst, f := int32(0), 0

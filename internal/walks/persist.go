@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"ovm/internal/graph"
+	"ovm/internal/postings"
 )
 
 // Snapshot is the portable, pristine (no seeds applied) state of a walk
@@ -49,6 +50,145 @@ func (set *Set) Snapshot() (*Snapshot, error) {
 		OwnerOff:   set.ownerOff,
 		Mapped:     set.storageMapped && set.ov == nil,
 	}, nil
+}
+
+// EachNodes hands fn the set's walk elements in walk-id order — the flat
+// node array Snapshot would build — as blocks that alias the base and the
+// overlay (read-only, valid during the call), so an index writer streams
+// base + overlay without folding them. A set without an overlay is one
+// block.
+func (set *Set) EachNodes(fn func([]int32) error) error {
+	return set.eachRun(func(lo, hi int32) error {
+		return fn(set.nodes[set.off[lo]:set.off[hi]])
+	}, func(o *ovOwner) error {
+		return fn(o.nodes)
+	})
+}
+
+// offChunk is how many walk offsets EachOff hands out at a time.
+const offChunk = 4096
+
+// EachOff hands fn the walk offsets Snapshot would build (len NumWalks+1,
+// starting at 0), in chunks: the base's own array when there is no overlay,
+// else offsets shifted into a buffer that is reused between calls.
+func (set *Set) EachOff(fn func([]int32) error) error {
+	if set.ov == nil {
+		return fn(set.off)
+	}
+	buf := make([]int32, 1, offChunk)
+	at := int32(0) // elements emitted so far
+	put := func(off []int32, shift int32) error {
+		for len(off) > 0 {
+			if len(buf) == cap(buf) {
+				if err := fn(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
+			}
+			k := min(len(off), cap(buf)-len(buf))
+			at := len(buf)
+			buf = buf[:at+k]
+			for i, x := range off[:k] {
+				buf[at+i] = x + shift
+			}
+			off = off[k:]
+		}
+		return nil
+	}
+	err := set.eachRun(func(lo, hi int32) error {
+		shift := at - set.off[lo]
+		at += set.off[hi] - set.off[lo]
+		return put(set.off[lo+1:hi+1], shift)
+	}, func(o *ovOwner) error {
+		shift := at
+		at += o.off[len(o.off)-1]
+		return put(o.off[1:], shift)
+	})
+	if err != nil {
+		return err
+	}
+	return fn(buf)
+}
+
+// eachRun visits the set in walk-id order as maximal runs of base walks
+// [lo, hi) and replaced owners, skipping empty runs.
+func (set *Set) eachRun(base func(lo, hi int32) error, replaced func(o *ovOwner) error) error {
+	cur := int32(0)
+	if ov := set.ov; ov != nil {
+		for i := range ov.owners {
+			o := &ov.owners[i]
+			if o.first > cur {
+				if err := base(cur, o.first); err != nil {
+					return err
+				}
+			}
+			if err := replaced(o); err != nil {
+				return err
+			}
+			cur = o.first + int32(len(o.off)-1)
+		}
+	}
+	if nw := int32(set.NumWalks()); nw > cur {
+		return base(cur, nw)
+	}
+	return nil
+}
+
+// Owners returns the owner grouping: distinct start nodes ascending, and
+// the CSR of their walk ids (shared; do not modify). Repairs never change
+// it.
+func (set *Set) Owners() (nodes, off []int32) { return set.ownerNodes, set.ownerOff }
+
+// CompactPostings returns the set's postings index in the compact form an
+// index file stores, with its payload as chunks whose concatenation is the
+// Data field: the base's own index when it is compact and there is no
+// overlay, else base + overlay encoded node by node from the merged
+// postings, which allocates the compact form and nothing else. A node the
+// overlay leaves alone — no replaced walk and no regenerated one contains
+// it — has the base's postings, and a compact base's encoding of them is
+// copied as it is. Nil without an index.
+func (set *Set) CompactPostings() (*postings.Compact, [][]byte) {
+	if set.idx == nil {
+		return nil, nil
+	}
+	base := set.idx.compact
+	if base != nil && set.ov == nil {
+		return base, [][]byte{base.Data}
+	}
+	entries, _ := set.indexCost() // base + overlay: a bound, masked postings included
+	e := postings.NewEncoder(set.n, true, postings.DefaultBlockSize, int(entries))
+	var touched []bool
+	if base != nil && base.BlockSize == postings.DefaultBlockSize {
+		touched = set.overlayNodes()
+	}
+	for u := range set.n {
+		if touched != nil && !touched[u] {
+			e.Copy(base, int32(u))
+			continue
+		}
+		it := set.postings(int32(u))
+		for ws, rels := it.block(); len(ws) > 0; ws, rels = it.block() {
+			e.Add(ws, rels)
+		}
+		e.End()
+	}
+	return e.Finish()
+}
+
+// overlayNodes marks the nodes whose postings the overlay changes: those on
+// a replaced walk as the base stores it, and those on a regenerated one.
+func (set *Set) overlayNodes() []bool {
+	touched := make([]bool, set.n)
+	ov := set.ov
+	for u := range set.n {
+		touched[u] = ov.post.off[u+1] > ov.post.off[u]
+	}
+	for _, o := range ov.owners {
+		for _, u := range set.nodes[set.off[o.first]:set.off[o.first+int32(len(o.off)-1)]] {
+			touched[u] = true
+		}
+	}
+	return touched
 }
 
 // FromSnapshot reconstructs a pristine Set over g, validating every

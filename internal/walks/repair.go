@@ -54,6 +54,18 @@ type RepairStats struct {
 // shutdown can abandon an in-flight background repair instead of waiting it
 // out.
 func (d Draw) Repair(ctx context.Context, gr *Ground, old *Set, touched []bool, parallelism int) (*Set, RepairStats, error) {
+	return d.repair(ctx, gr, old, touched, parallelism, true)
+}
+
+// RepairOverlay is Repair for a set whose fold is a checkpoint: it never
+// folds, however far the overlay outgrows its share. Its owner writes the
+// set to an index file once OverlayFull reports true and serves the file it
+// wrote as the next base (see Storage in the package doc).
+func (d Draw) RepairOverlay(ctx context.Context, gr *Ground, old *Set, touched []bool, parallelism int) (*Set, RepairStats, error) {
+	return d.repair(ctx, gr, old, touched, parallelism, false)
+}
+
+func (d Draw) repair(ctx context.Context, gr *Ground, old *Set, touched []bool, parallelism int, fold bool) (*Set, RepairStats, error) {
 	var stats RepairStats
 	n := gr.s.Graph().N()
 	if len(old.seeds) > 0 {
@@ -93,7 +105,7 @@ func (d Draw) Repair(ctx context.Context, gr *Ground, old *Set, touched []bool, 
 	set := *old
 	set.end, set.inSeed = nil, nil // old may be an unseeded Clone; the result is pristine
 	set.ov, stats.CopyBytes = old.nextOverlay(regen)
-	if set.ov.walks*foldShare > set.NumWalks() {
+	if fold && set.OverlayFull() {
 		stats.CopyBytes += set.fold()
 		stats.Folded = true
 	}

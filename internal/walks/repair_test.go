@@ -162,6 +162,99 @@ func TestRepairUntouchedSharesSet(t *testing.T) {
 	}
 }
 
+// TestRebaseKeepsOnlyLaterOwners: a set repaired twice, rebased onto a
+// reload of the set after the first repair, holds the same walks and
+// postings as before, and its overlay is exactly the one repairing the
+// reload itself would leave: the second repair's owners. A set folded since
+// the reloaded one is left as it is.
+func TestRebaseKeepsOnlyLaterOwners(t *testing.T) {
+	const n = 200
+	g, ng, stub, stub2, touched := repairWorld(t, n, 7)
+	stub3 := append([]float64(nil), stub2...)
+	stub3[60] = 0.5
+	touched2 := make([]bool, n)
+	touched2[60] = true
+	ground := func(g *graph.Graph, stub []float64) *walks.Ground {
+		gr, err := walks.NewGround(&opinion.Candidate{G: g, Stub: stub})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gr
+	}
+	for _, d := range []walks.Draw{{Family: walks.FamilyRW, Seed: 9, Lambda: 8}, {Family: walks.FamilyRS, Seed: 9, Theta: 1500}} {
+		set, err := d.Generate(nil, ground(g, stub), 12, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set.EnsureIndex()
+		at, _, err := d.RepairOverlay(nil, ground(ng, stub2), set, touched, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, _, err := d.RepairOverlay(nil, ground(ng, stub3), at, touched2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := walks.FromSnapshot(ng, snap(t, at))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := base.AdoptIndex(at.IndexSnapshot()); err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := d.RepairOverlay(nil, ground(ng, stub3), base, touched2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := next.Rebase(base, at)
+		if !reflect.DeepEqual(snap(t, got), snap(t, next)) || !reflect.DeepEqual(got.IndexSnapshot(), next.IndexSnapshot()) {
+			t.Fatalf("theta=%d: the rebased set stores other walks than the one it rebased", d.Theta)
+		}
+		if got.HeapBytes() != want.HeapBytes() || got.HeapBytes() >= next.HeapBytes() {
+			t.Fatalf("theta=%d: rebased overlay %d bytes, repairing the reload leaves %d, before the rebase %d",
+				d.Theta, got.HeapBytes(), want.HeapBytes(), next.HeapBytes())
+		}
+		if at.Rebase(base, at).HeapBytes() != base.HeapBytes() {
+			t.Fatalf("theta=%d: rebasing the checkpointed set itself kept an overlay", d.Theta)
+		}
+		// A later repair moves in two steps as in one: onto the move of
+		// the set it repaired.
+		stub4 := append([]float64(nil), stub3...)
+		stub4[120] = 0.25
+		touched3 := make([]bool, n)
+		touched3[120] = true
+		last, _, err := d.RepairOverlay(nil, ground(ng, stub4), next, touched3, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last == next {
+			t.Fatalf("theta=%d: node 120 is on no walk", d.Theta)
+		}
+		once, twice := last.Rebase(base, at), last.Rebase(got, next)
+		if !reflect.DeepEqual(snap(t, twice), snap(t, last)) || !reflect.DeepEqual(twice.IndexSnapshot(), last.IndexSnapshot()) {
+			t.Fatalf("theta=%d: a set moved in two steps stores other walks than the one it moved", d.Theta)
+		}
+		if twice.HeapBytes() != once.HeapBytes() {
+			t.Fatalf("theta=%d: moved in two steps the overlay is %d bytes, in one %d", d.Theta, twice.HeapBytes(), once.HeapBytes())
+		}
+		// A set folded since at keeps the walks it owns.
+		all := make([]bool, n)
+		for v := range all {
+			all[v] = true
+		}
+		folded, st, err := d.Repair(nil, ground(ng, stub4), next, all, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Folded {
+			t.Fatalf("theta=%d: regenerating every owner did not fold", d.Theta)
+		}
+		if folded.Rebase(base, at) != folded {
+			t.Fatalf("theta=%d: a set folded since the checkpoint was moved onto it", d.Theta)
+		}
+	}
+}
+
 func TestRepairRejectsSeededAndMismatchedInputs(t *testing.T) {
 	const n = 50
 	g, ng, stub, stub2, touched := repairWorld(t, n, 9)

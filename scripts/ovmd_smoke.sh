@@ -23,7 +23,9 @@
 #      k): same exactValue, no diffusion in its cost block, one value hit
 #      on /metrics; three update batches on that daemon then leave /stats
 #      mappedBytes exactly where it was (a repair writes a heap overlay
-#      beside the mapped base) while heapBytes grows;
+#      beside the mapped base) while heapBytes grows; a fourth batch
+#      brings its log to -compact-log 4, and the checkpoint it writes
+#      becomes the base: heapBytes falls, one mapping stays open;
 #   6. a dynamic-update batch POSTed to /v1/datasets/default/updates bumps
 #      the epoch, the post-update HTTP seeds equal a fresh CLI run on the
 #      mutated graph (ovm -updates), and the batch cost one WAL line: the
@@ -134,7 +136,7 @@ sparse_value=$(sed -n 's/^method=RS k=5 exact score=\([0-9.]*\) .*/\1/p' <<<"$sp
 [[ -n "$sparse_m" && -n "$sparse_value" ]] || { echo "FAIL: could not parse the direct CLI run on the sparse graph"; echo "$sparse_out"; exit 1; }
 sparse_port=18476
 sparse_base="http://127.0.0.1:${sparse_port}"
-"$workdir/ovmd" -listen "127.0.0.1:${sparse_port}" -index "$workdir/sparse.ovmidx" -cache -1 \
+"$workdir/ovmd" -listen "127.0.0.1:${sparse_port}" -index "$workdir/sparse.ovmidx" -cache -1 -compact-log 4 \
   >"$workdir/daemon_sparse.log" 2>&1 &
 sparse_pid=$!
 for _ in $(seq 1 50); do
@@ -197,12 +199,37 @@ heap_after=$(stat_field heapBytes "$sparse_stats")
   || { echo "FAIL: /stats mappedBytes $mapped_before before three update batches, $mapped_after after"; echo "$sparse_stats"; exit 1; }
 [[ "$heap_after" -gt "$heap_before" ]] \
   || { echo "FAIL: /stats heapBytes $heap_before -> $heap_after: the updates left no overlay"; echo "$sparse_stats"; exit 1; }
+# A fourth batch, opinions only, brings the log to -compact-log 4: the
+# daemon checkpoints epoch 3 before swapping it in, then verifies the file
+# it wrote in the background and serves it as the new base. The overlays are
+# in that file now, and an opinion invalidates no walk, so nothing is left
+# on the heap once the install is done.
+curl -sf -X POST "$sparse_base/v1/datasets/default/updates" -H 'Content-Type: application/json' \
+  -d '{"ops":[{"op":"set_opinion","candidate":0,"node":5,"value":0.4}]}' >/dev/null \
+  || { echo "FAIL: fourth update batch on the sparse daemon"; exit 1; }
+curl -sf -X POST "$sparse_base/v1/select-seeds" -H 'Content-Type: application/json' \
+  -d '{"dataset":"default","method":"RS","score":{"name":"plurality"},"k":3,"horizon":10,"target":0,"seed":7,"theta":2048,"minEpoch":4}' >/dev/null \
+  || { echo "FAIL: minEpoch query after the checkpoint"; exit 1; }
+for _ in $(seq 1 50); do
+  sparse_stats=$(curl -sf "$sparse_base/stats")
+  heap_ckpt=$(stat_field heapBytes "$sparse_stats")
+  [[ -n "$heap_ckpt" && "$heap_ckpt" -lt "$heap_after" ]] && break
+  sleep 0.1
+done
+[[ -n "$heap_ckpt" && "$heap_ckpt" -lt "$heap_after" ]] \
+  || { echo "FAIL: /stats heapBytes $heap_after -> $heap_ckpt across a checkpoint: the file did not become the base"; echo "$sparse_stats"; exit 1; }
+sparse_metrics=$(curl -sf "$sparse_base/metrics")
+grep -q '^ovmd_checkpoints_total{reason="log"} 1$' <<<"$sparse_metrics" \
+  || { echo "FAIL: /metrics does not count one log checkpoint"; grep '^ovmd_checkpoints_total' <<<"$sparse_metrics"; exit 1; }
+grep -q '^ovmd_index_mappings_open 1$' <<<"$sparse_metrics" \
+  || { echo "FAIL: the previous mapping is still open after the checkpoint"; grep '^ovmd_index_mappings_open' <<<"$sparse_metrics"; exit 1; }
 kill -TERM "$sparse_pid"
 wait "$sparse_pid" || true
 sparse_pid=""
 echo "   one diffusion, $sparse_steps edge steps < horizon x m = $((10 * sparse_m)), exactValue $sparse_exact = CLI $sparse_value"
 echo "   repeat with -cache -1: computed, value reused, no diffusion, exactValue $sparse_exact2"
 echo "   three update batches: mappedBytes stayed $mapped_after, heapBytes $heap_before -> $heap_after (the overlay)"
+echo "   a log checkpoint became the base: heapBytes $heap_after -> $heap_ckpt, one mapping open"
 
 curl -sf "$base/stats" | grep -q '"cacheHits":1' || { echo "FAIL: /stats cache hit count"; exit 1; }
 echo "   /stats ok"
@@ -299,7 +326,7 @@ grep -q '^ovmd_dataset_epoch{dataset="default"} 1$' <<<"$metrics" \
   || { echo "FAIL: /metrics epoch gauge did not reach 1 after the update"; exit 1; }
 grep -q '^ovmd_dataset_update_log_depth{dataset="default"} 1$' <<<"$metrics" \
   || { echo "FAIL: /metrics update-log-depth gauge did not reach 1"; exit 1; }
-grep -q '^ovmd_checkpoints_total 0$' <<<"$metrics" \
+grep -q '^ovmd_checkpoints_total{reason="log"} 0$' <<<"$metrics" \
   || { echo "FAIL: /metrics checkpoint counter missing, or one update checkpointed the index"; exit 1; }
 grep -q '^ovmd_stage_duration_seconds_count{stage="repair"}' <<<"$metrics" \
   || { echo "FAIL: /metrics has no update-pipeline stage histogram"; exit 1; }

@@ -1,5 +1,5 @@
 // Command ovmd is the opinion-maximization query daemon: it loads an
-// opinion system once, restores (or builds) precomputed walk/sketch/RR-set
+// opinion system once, restores (or builds) precomputed walk/sketch
 // indexes, and serves select-seeds, evaluate, wins, min-seeds-to-win, and
 // dynamic-update queries over HTTP/JSON — concurrently, with an LRU
 // response cache and singleflight coalescing, and with every answer
@@ -107,7 +107,6 @@ func main() {
 		out    = flag.String("out", "index.ovmidx", "index output path for -build-index")
 		theta  = flag.Int("theta", 8192, "sketch count θ precomputed for the RS method (0 = skip)")
 		walks  = flag.Bool("walks", true, "precompute the RW method's cumulative-score walk set")
-		rr     = flag.Int("rr", 0, "reverse-reachable sets precomputed per IC/LT model (0 = skip)")
 		tBuild = flag.Int("t", 20, "time horizon the index artifacts are generated for")
 		target = flag.Int("target", 0, "target candidate the index artifacts serve")
 	)
@@ -119,7 +118,6 @@ func main() {
 	checkFlag(*cache >= -1, "-cache must be >= -1, got %d", *cache)
 	checkFlag(*compact >= 0, "-compact-log must be >= 0, got %d", *compact)
 	checkFlag(*theta >= 0, "-theta must be >= 0, got %d", *theta)
-	checkFlag(*rr >= 0, "-rr must be >= 0, got %d", *rr)
 	checkFlag(*tBuild >= 0, "-t must be >= 0, got %d", *tBuild)
 	checkFlag(*target >= 0, "-target must be >= 0, got %d", *target)
 	checkFlag(*slowLog >= 0, "-slow-log must be >= 0, got %d", *slowLog)
@@ -134,7 +132,7 @@ func main() {
 	checkFlag(err == nil, "-log-level: %v", err)
 
 	if *build {
-		buildIndex(*load, *dataset, *n, *mu, *seed, *out, *theta, *walks, *rr, *tBuild, *target, *par)
+		buildIndex(*load, *dataset, *n, *mu, *seed, *out, *theta, *walks, *tBuild, *target, *par)
 		return
 	}
 	if *dumpUpdates {
@@ -189,7 +187,7 @@ func dumpUpdateLog(path string) {
 
 // buildIndex implements ovmd -build-index: load or synthesize a system,
 // precompute the artifacts, and write the versioned binary index.
-func buildIndex(load, dataset string, n int, mu float64, seed int64, out string, theta int, walks bool, rr, horizon, target, par int) {
+func buildIndex(load, dataset string, n int, mu float64, seed int64, out string, theta int, walks bool, horizon, target, par int) {
 	sys := loadSystem(load, dataset, n, mu, seed)
 	cliutil.CheckArg("ovmd", core.ValidateTargetHorizon(target, horizon, sys.R()))
 	start := time.Now()
@@ -199,7 +197,6 @@ func buildIndex(load, dataset string, n int, mu float64, seed int64, out string,
 		Seed:         seed,
 		SketchTheta:  theta,
 		IncludeWalks: walks,
-		RRSets:       rr,
 		Parallelism:  par,
 	})
 	if err != nil {
@@ -220,9 +217,9 @@ func buildIndex(load, dataset string, n int, mu float64, seed int64, out string,
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("wrote %s (format v%d): n=%d r=%d, %d sketch + %d walk + %d rr artifacts, %d bytes, built in %s\n",
+	fmt.Printf("wrote %s (format v%d): n=%d r=%d, %d sketch + %d walk artifacts, %d bytes, built in %s\n",
 		out, serialize.IndexFormatVersion, sys.N(), sys.R(),
-		len(idx.Sketches), len(idx.Walks), len(idx.RRs), info.Size(),
+		len(idx.Sketches), len(idx.Walks), info.Size(),
 		time.Since(start).Round(time.Millisecond))
 }
 

@@ -107,7 +107,7 @@ func openStore(fsys iofault.FS, cfg service.Config, o storeOpts) (*store, error)
 	fields := []obs.Field{
 		obs.F("path", o.index),
 		obs.F("n", idx.Sys.N()), obs.F("r", idx.Sys.R()),
-		obs.F("sketches", len(idx.Sketches)), obs.F("walks", len(idx.Walks)), obs.F("rrs", len(idx.RRs)),
+		obs.F("sketches", len(idx.Sketches)), obs.F("walks", len(idx.Walks)),
 		obs.F("replayed", len(idx.Updates)+len(queued)),
 		obs.F("epoch", idx.BaseEpoch+int64(len(idx.Updates)+len(queued))),
 	}
@@ -332,7 +332,7 @@ func (st *store) install(region *mmapio.Region, epoch int64) {
 	start := time.Now()
 	mi, err := serialize.OpenRegion(region)
 	if err == nil {
-		err = st.svc.Rebase(context.Background(), st.opts.name, mi)
+		err = st.svc.Rebase(st.opts.name, mi)
 	}
 	if err != nil {
 		st.logger.Warn("checkpoint written but not installed; serving the previous base", obs.F("epoch", epoch), obs.F("err", err))

@@ -40,7 +40,7 @@ func buildWorld(t testing.TB) *serialize.Index {
 	}
 	idx, err := service.BuildIndex(d.Sys, service.BuildOptions{
 		Target: 0, Horizon: testHorizon, Seed: testSeed,
-		SketchTheta: testTheta, IncludeWalks: true, RRSets: 300,
+		SketchTheta: testTheta, IncludeWalks: true,
 	})
 	if err != nil {
 		t.Fatal(err)

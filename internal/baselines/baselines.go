@@ -49,13 +49,6 @@ type Config struct {
 	// GOMAXPROCS, 1 disables concurrency. Selected seeds are bit-identical
 	// across Parallelism values. It seeds IMM.Parallelism when that is 0.
 	Parallelism int
-	// RRCache optionally supplies a precomputed RR-set collection for the
-	// IC/LT baselines (a loaded ovmd index artifact). It is consulted only
-	// when its model matches the requested baseline; the IMM run copies
-	// cached set prefixes instead of re-sampling them and stays
-	// byte-identical to an uncached run. The cache must stem from the same
-	// graph and IMM stream (seed IMM.Seed) — im.IMMCached rejects mismatches.
-	RRCache *im.RRCollection
 }
 
 // Select runs the named baseline for the problem's (graph, k), ignoring the
@@ -72,21 +65,13 @@ func Select(m Method, p *core.Problem, cfg Config) ([]int32, error) {
 		cfg.IMM.Ctx = p.Ctx
 	}
 	g := p.Sys.Candidate(p.Target).G
-	rrCache := func(model im.Model) *im.RRCollection {
-		if cfg.RRCache != nil && cfg.RRCache.Model() == model {
-			return cfg.RRCache
-		}
-		return nil
-	}
 	switch m {
-	case MethodIC:
-		res, err := im.IMMCached(g, im.IC, p.K, cfg.IMM, rrCache(im.IC))
-		if err != nil {
-			return nil, err
+	case MethodIC, MethodLT:
+		model := im.IC
+		if m == MethodLT {
+			model = im.LT
 		}
-		return res.Seeds, nil
-	case MethodLT:
-		res, err := im.IMMCached(g, im.LT, p.K, cfg.IMM, rrCache(im.LT))
+		res, err := im.IMM(g, model, p.K, cfg.IMM)
 		if err != nil {
 			return nil, err
 		}

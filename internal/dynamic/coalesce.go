@@ -14,7 +14,7 @@ import "ovm/internal/obs"
 //
 // # Equivalence proof
 //
-// Artifacts (walk sets, sketches, RR collections) are byte-determined by
+// Artifacts (walk sets and sketches) are byte-determined by
 // the system they are built on: the repair contract (see the package
 // comment) makes repairing after a batch byte-identical to a from-scratch
 // rebuild on the mutated system, so repairing once after a super-batch and

@@ -5,8 +5,7 @@
 // exactly which nodes' sampled artifacts could have diverged.
 //
 // The contract that makes updates cheap to serve: applying a batch and then
-// incrementally repairing precomputed artifacts (walks.Draw.Repair,
-// im.RRCollection.Repair) yields
+// incrementally repairing precomputed artifacts (walks.Draw.Repair) yields
 // artifacts byte-identical to a from-scratch rebuild on the mutated system
 // at the same seed. Batches therefore compose: replaying a persisted update
 // log reproduces the exact serving state the daemon was in when it wrote
@@ -28,7 +27,7 @@ import (
 )
 
 // Update cost accounting: mutation volume applied. The per-artifact
-// repair cost it triggers is accounted where it happens (walks/im
+// repair cost it triggers is accounted where it happens (the walks
 // repair counters); these give the numerator to amortize it over.
 var (
 	batchesApplied = obs.NewCounter("ovm_dynamic_batches_applied_total",
@@ -131,8 +130,8 @@ func (b Batch) validateEdge(i int, op Op, n int) error {
 // ChangeSet reports which nodes a batch touched, per invalidation domain.
 type ChangeSet struct {
 	// EdgeTouched lists (sorted) the destinations whose in-neighborhoods
-	// changed; it invalidates walks and RR sets for every candidate, since
-	// all candidates share one graph.
+	// changed; it invalidates walks for every candidate, since all
+	// candidates share one graph.
 	EdgeTouched []int32
 	// StubTouched lists, per candidate, the (sorted, unique) nodes whose
 	// stubbornness changed; it invalidates walks generated for that
@@ -163,20 +162,13 @@ func (cs *ChangeSet) NumTouched() int {
 	return len(seen)
 }
 
-// EdgeMask renders EdgeTouched as a node mask — the invalidation input for
-// RR-set repair, which never reads stubbornness or opinions.
-func (cs *ChangeSet) EdgeMask(n int) []bool {
+// WalkMask renders the walk-invalidation mask for one candidate's walk
+// artifacts: edge-touched nodes plus that candidate's stub-touched nodes.
+func (cs *ChangeSet) WalkMask(n, cand int) []bool {
 	mask := make([]bool, n)
 	for _, v := range cs.EdgeTouched {
 		mask[v] = true
 	}
-	return mask
-}
-
-// WalkMask renders the walk-invalidation mask for one candidate's walk
-// artifacts: edge-touched nodes plus that candidate's stub-touched nodes.
-func (cs *ChangeSet) WalkMask(n, cand int) []bool {
-	mask := cs.EdgeMask(n)
 	for _, v := range cs.StubTouched[cand] {
 		mask[v] = true
 	}

@@ -82,8 +82,9 @@ func TestApplySystem(t *testing.T) {
 	if !mask[9] || !mask[5] || mask[14] {
 		t.Fatalf("WalkMask(0) wrong: edge=%v stub=%v opinion=%v", mask[9], mask[5], mask[14])
 	}
-	if m := cs.EdgeMask(80); !m[9] || m[5] {
-		t.Fatal("EdgeMask must contain only edge-touched nodes")
+	// Candidate 1 changed no stubbornness: its mask is the edge-touched nodes alone.
+	if m := cs.WalkMask(80, 1); !m[9] || m[5] {
+		t.Fatal("WalkMask(1) must contain only edge-touched nodes")
 	}
 }
 

@@ -3,11 +3,9 @@ package im
 import "ovm/internal/obs"
 
 // RR-set cost accounting: sampling volume (sets drawn, cursor
-// advances), coverage work (sets visited during greedy cover), and
-// repair churn (sets resampled after a mutation). All counts are
-// accumulated locally and flushed with one atomic add per Add /
-// GreedyCover / Repair call — the samplers' sharded inner loops are
-// untouched.
+// advances) and coverage work (sets visited during greedy cover). All
+// counts are accumulated locally and flushed with one atomic add per Add /
+// GreedyCover call — the samplers' sharded inner loops are untouched.
 var (
 	rrSetsSampled = obs.NewCounter("ovm_rr_sets_sampled_total",
 		"Reverse-reachable sets sampled (initial generation and top-ups)")
@@ -15,8 +13,4 @@ var (
 		"Advances of the global RR draw cursor (substream indices consumed)")
 	rrSetsScanned = obs.NewCounter("ovm_rr_sets_scanned_total",
 		"RR sets visited by greedy-cover covering-set scans")
-	rrSetsResampled = obs.NewCounter("ovm_rr_sets_resampled_total",
-		"RR sets resampled by incremental repairs (members touched a mutated node)")
-	rrRepairSetsSeen = obs.NewCounter("ovm_rr_repair_sets_seen_total",
-		"RR sets examined by incremental repairs")
 )

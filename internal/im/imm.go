@@ -28,8 +28,7 @@ type IMMConfig struct {
 	Parallelism int
 	// Ctx, when set, is polled between sampling/cover phases; a done
 	// context abandons the run with ctx.Err(). Only the run's private
-	// RRCollection is discarded (the optional cache is read-only here), so
-	// a retry is bit-identical.
+	// RRCollection is discarded, so a retry is bit-identical.
 	Ctx context.Context
 }
 
@@ -62,9 +61,9 @@ type IMMResult struct {
 }
 
 // RRStream is the substream family IMM draws its RR sets from: set i consumes
-// RRStream(seed).At(i). An index's RR artifacts are drawn from it too, which
-// is what lets IMMCached copy them, so the id is part of every index file on
-// disk (the walk families are in the walks package doc).
+// RRStream(seed).At(i), so IMM's seeds depend on the id. No index file holds
+// RR sets; the walks package's golden test pins what the family draws (the
+// walk families are in the walks package doc).
 func RRStream(seed int64) sampling.Stream { return sampling.Stream{Seed: seed, ID: 701} }
 
 // IMM runs the two-phase IMM algorithm: the martingale-based sampling phase
@@ -72,17 +71,6 @@ func RRStream(seed int64) sampling.Stream { return sampling.Stream{Seed: seed, I
 // required RR-set count θ; the node-selection phase greedily covers the
 // sampled sets.
 func IMM(g *graph.Graph, model Model, k int, cfg IMMConfig) (*IMMResult, error) {
-	return IMMCached(g, model, k, cfg, nil)
-}
-
-// IMMCached is IMM with an optional precomputed RR-set collection acting as
-// a sampling cache: any set index already present in cache is copied
-// instead of re-sampled. Because set i's content is a pure function of the
-// (seed, stream, i) triple, the run is byte-identical to IMM — the cache
-// only shortcuts the sampling cost. cache must have been generated over the
-// same graph and model with the stream family IMM uses (RRStream(cfg.Seed));
-// a mismatched cache is rejected.
-func IMMCached(g *graph.Graph, model Model, k int, cfg IMMConfig, cache *RRCollection) (*IMMResult, error) {
 	cfg = cfg.withDefaults()
 	n := g.N()
 	if k < 1 || k > n {
@@ -98,17 +86,10 @@ func IMMCached(g *graph.Graph, model Model, k int, cfg IMMConfig, cache *RRColle
 	logN := math.Log(nf)
 	logBinom := stats.LogChoose(n, k)
 
-	str := RRStream(cfg.Seed)
-	if cache != nil {
-		if cache.g != g || cache.model != model || cache.str != str {
-			return nil, fmt.Errorf("im: RR cache generated for a different graph, model, or stream")
-		}
-	}
-
 	// Phase 1: estimate a lower bound on OPT (Algorithm 2 of [3]).
 	epsPrime := math.Sqrt2 * cfg.Epsilon
 	lambdaPrime := (2 + 2*epsPrime/3) * (logBinom + cfg.L*logN + math.Log(math.Max(math.Log2(nf), 1))) * nf / (epsPrime * epsPrime)
-	col := NewRRCollection(g, model, str, cfg.Parallelism)
+	col := NewRRCollection(g, model, RRStream(cfg.Seed), cfg.Parallelism)
 	lb := 1.0
 	for i := 1; i < int(math.Ceil(math.Log2(nf))); i++ {
 		if err := cfg.ctxErr(); err != nil {
@@ -120,7 +101,7 @@ func IMMCached(g *graph.Graph, model Model, k int, cfg IMMConfig, cache *RRColle
 			thetaI = cfg.MaxSets
 		}
 		if col.NumSets() < thetaI {
-			col.AddCached(thetaI-col.NumSets(), cache)
+			col.Add(thetaI - col.NumSets())
 		}
 		_, frac := col.GreedyCover(k)
 		if nf*frac >= (1+epsPrime)*x {
@@ -144,7 +125,7 @@ func IMMCached(g *graph.Graph, model Model, k int, cfg IMMConfig, cache *RRColle
 		return nil, err
 	}
 	if col.NumSets() < theta {
-		col.AddCached(theta-col.NumSets(), cache)
+		col.Add(theta - col.NumSets())
 	}
 	if err := cfg.ctxErr(); err != nil {
 		return nil, err

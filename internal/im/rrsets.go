@@ -21,24 +21,15 @@ type RRCollection struct {
 	model       Model
 	str         sampling.Stream
 	parallelism int
-	drawn       int // total sets generated so far (the global index cursor)
 
 	nodes []int32 // concatenated set members
 	off   []int32 // len numSets+1
 
-	// storageMapped records that nodes/off alias a read-only mapped region.
-	// Add and AddCached stay safe because the adopted slices are
-	// capacity-capped: append always reallocates to heap.
-	storageMapped bool
-
-	// Inverted index, rebuilt lazily by buildIndex — either raw CSR arrays
-	// or an adopted compact (delta+varint) backing; both enumerate a node's
-	// covering sets in ascending set order.
-	idxNodes   []int32 // concatenated set ids per node
-	idxOff     []int32 // len n+1
-	idxCompact *postings.Compact
-	idxMapped  bool // index backing aliases a read-only mapped region
-	indexed    int  // number of sets included in the index
+	// Inverted index (node → ascending set ids), rebuilt lazily by
+	// buildIndex; indexed is the number of sets it covers.
+	idxNodes []int32 // concatenated set ids per node
+	idxOff   []int32 // len n+1
+	indexed  int
 
 	// Per-worker sampling scratch, reused across Add calls.
 	scratchVisited [][]bool
@@ -78,7 +69,7 @@ func (c *RRCollection) Add(count int) {
 		return
 	}
 	n := c.g.N()
-	base := c.drawn
+	base := c.NumSets()
 	if w := engine.Workers(c.parallelism); len(c.scratchVisited) < w {
 		c.scratchVisited = make([][]bool, w)
 		c.scratchQueue = make([][]int32, w)
@@ -113,7 +104,6 @@ func (c *RRCollection) Add(count int) {
 		}
 		c.nodes = append(c.nodes, sh.nodes...)
 	}
-	c.drawn += count
 	c.indexed = 0 // invalidate index
 	if obs.CostEnabled() {
 		rrSetsSampled.Add(int64(count))
@@ -199,26 +189,7 @@ func (c *RRCollection) buildIndex() {
 	csr := postings.Build(c.g.N(), c.off, c.nodes, false)
 	c.idxOff = csr.Off
 	c.idxNodes = csr.Item
-	c.idxCompact, c.idxMapped = nil, false
 	c.indexed = c.NumSets()
-}
-
-// forEachCoveringSet visits the RR sets containing v in ascending set
-// order, whichever index backing is installed.
-func (c *RRCollection) forEachCoveringSet(v int32, fn func(sid int32)) {
-	if c.idxCompact != nil {
-		it := c.idxCompact.Iter(v)
-		for {
-			sid, _, ok := it.Next()
-			if !ok {
-				return
-			}
-			fn(sid)
-		}
-	}
-	for _, sid := range c.idxNodes[c.idxOff[v]:c.idxOff[v+1]] {
-		fn(sid)
-	}
 }
 
 // GreedyCover selects k nodes greedily maximizing the number of covered RR
@@ -236,18 +207,14 @@ func (c *RRCollection) GreedyCover(k int) ([]int32, float64) {
 	}
 	degree := make([]int32, n)
 	for v := 0; v < n; v++ {
-		if c.idxCompact != nil {
-			degree[v] = c.idxCompact.Count(int32(v))
-		} else {
-			degree[v] = c.idxOff[v+1] - c.idxOff[v]
-		}
+		degree[v] = c.idxOff[v+1] - c.idxOff[v]
 	}
 	coveredSet := make([]bool, numSets)
 	seeds := make([]int32, 0, k)
 	coveredCount := 0
 	// Coverage work is accumulated locally across picks (this loop is
 	// serial) and flushed to the counters once at the end.
-	var scanned, entries, blocks int64
+	var scanned int64
 	for len(seeds) < k {
 		best, bestDeg := int32(-1), int32(-1)
 		for v := int32(0); v < int32(n); v++ {
@@ -260,16 +227,11 @@ func (c *RRCollection) GreedyCover(k int) ([]int32, float64) {
 		}
 		seeds = append(seeds, best)
 		degree[best] = -1 // never re-pick
-		if c.idxCompact != nil {
-			entries += int64(c.idxCompact.Count(best))
-			blocks += int64(c.idxCompact.Blocks(best))
-		} else {
-			entries += int64(c.idxOff[best+1] - c.idxOff[best])
-		}
-		c.forEachCoveringSet(best, func(sid int32) {
-			scanned++
+		covering := c.idxNodes[c.idxOff[best]:c.idxOff[best+1]]
+		scanned += int64(len(covering))
+		for _, sid := range covering {
 			if coveredSet[sid] {
-				return
+				continue
 			}
 			coveredSet[sid] = true
 			coveredCount++
@@ -278,11 +240,11 @@ func (c *RRCollection) GreedyCover(k int) ([]int32, float64) {
 					degree[u]--
 				}
 			}
-		})
+		}
 	}
 	if obs.CostEnabled() {
 		rrSetsScanned.Add(scanned)
-		postings.Account(entries, blocks)
+		postings.Account(scanned, 0)
 	}
 	return seeds, float64(coveredCount) / float64(numSets)
 }

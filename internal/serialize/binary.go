@@ -1,10 +1,10 @@
 // Binary index format: the persistent artifact store behind ovmd's
 // load-not-recompute startup. One file bundles a complete opinion system
 // (exact CSR graph + per-candidate vectors) with any number of precomputed
-// sketch sets, walk sets, and RR-set collections, each tagged with the
-// generation parameters (target, horizon, θ/λ/count, seed) that make the
-// artifact reusable: a query whose parameters match loads the artifact and
-// proceeds bit-identically to a from-scratch run.
+// sketch sets and walk sets, each tagged with the generation parameters
+// (target, horizon, θ/λ, seed) that make the artifact reusable: a query
+// whose parameters match loads the artifact and proceeds bit-identically to
+// a from-scratch run.
 //
 // There is one on-disk format, the section-table layout of v3.go. This file
 // holds what is independent of the layout: the Index model and its
@@ -20,7 +20,6 @@ import (
 
 	"ovm/internal/binio"
 	"ovm/internal/dynamic"
-	"ovm/internal/im"
 	"ovm/internal/opinion"
 	"ovm/internal/walks"
 )
@@ -57,10 +56,14 @@ const (
 // compaction rebased the artifacts onto the live dataset state; the
 // restored dataset's epoch is BaseEpoch + len(Updates).
 type Index struct {
-	Sys       *opinion.System
-	Sketches  []*SketchArtifact
-	Walks     []*WalkArtifact
-	RRs       []*RRArtifact
+	Sys      *opinion.System
+	Sketches []*SketchArtifact
+	Walks    []*WalkArtifact
+	// RRs is always nil: an index holds no RR-set collections (the reader
+	// skips those an older file stores, the writer writes none). The field
+	// survives only because the frozen benchmark/trace.go names it; the
+	// benchmark re-base deletes it.
+	RRs       []struct{}
 	BaseEpoch int64
 	Updates   []dynamic.Batch
 }
@@ -102,18 +105,6 @@ type WalkArtifact struct {
 	Live *walks.Set
 }
 
-// RRArtifact is a reverse-reachable set collection for one diffusion model,
-// sampled from the IMM stream family of the given seed. Loaded collections
-// serve as sampling caches for IC/LT baseline queries.
-type RRArtifact struct {
-	Seed   int64
-	Target int
-	Sets   *im.Snapshot
-
-	// Index optionally carries the node → RR-set inverted index.
-	Index *im.IndexSnapshot
-}
-
 // Validate checks the index invariants that do not require replaying
 // generation: shapes, ranges, and finite values.
 func (idx *Index) Validate() error {
@@ -142,14 +133,6 @@ func (idx *Index) Validate() error {
 			return fmt.Errorf("serialize: walk artifact %d has horizon %d, lambda %d", i, a.Horizon, a.Lambda)
 		}
 	}
-	for i, a := range idx.RRs {
-		if a.Sets == nil {
-			return fmt.Errorf("serialize: rr artifact %d has no set collection", i)
-		}
-		if a.Target < 0 || a.Target >= idx.Sys.R() {
-			return fmt.Errorf("serialize: rr artifact %d targets candidate %d of %d", i, a.Target, idx.Sys.R())
-		}
-	}
 	if idx.BaseEpoch < 0 {
 		return fmt.Errorf("serialize: negative base epoch %d", idx.BaseEpoch)
 	}
@@ -164,8 +147,7 @@ func (idx *Index) Validate() error {
 // ReadIndex reads a whole index file from r and parses it on the heap (the
 // zero-copy path is OpenMapped). The returned artifacts are structurally
 // validated against the system's graph; restoring them into live walk sets
-// / RR collections (walks.FromSnapshot, im.FromSnapshot) performs the
-// deeper invariant checks.
+// (walks.FromSnapshot) performs the deeper invariant checks.
 func ReadIndex(r io.Reader) (*Index, error) {
 	var data []byte
 	var err error

@@ -14,7 +14,6 @@ import (
 
 	"ovm/internal/datasets"
 	"ovm/internal/graph"
-	"ovm/internal/im"
 	"ovm/internal/opinion"
 	"ovm/internal/postings"
 	"ovm/internal/sampling"
@@ -23,7 +22,7 @@ import (
 )
 
 // buildTestIndex assembles a small but fully populated index: one sketch
-// artifact, one walk artifact, and one RR artifact over a synthetic system.
+// artifact and one walk artifact over a synthetic system.
 func buildTestIndex(t testing.TB) *serialize.Index {
 	t.Helper()
 	d, err := datasets.YelpLike(datasets.Options{N: 80, Seed: 5})
@@ -62,17 +61,10 @@ func buildTestIndex(t testing.TB) *serialize.Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := im.NewRRCollection(cand.G, im.IC, sampling.Stream{Seed: seed, ID: 701}, 0)
-	col.Add(50)
-	rrSnap, err := col.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
 	return &serialize.Index{
 		Sys:      sys,
 		Sketches: []*serialize.SketchArtifact{{Seed: seed, Target: 0, Horizon: horizon, Theta: theta, Set: sketchSnap}},
 		Walks:    []*serialize.WalkArtifact{{Seed: seed, Target: 0, Horizon: horizon, Lambda: lambda, Set: walkSnap}},
-		RRs:      []*serialize.RRArtifact{{Seed: seed, Target: 0, Sets: rrSnap}},
 	}
 }
 
@@ -99,8 +91,8 @@ func TestIndexRoundTrip(t *testing.T) {
 		t.Fatal("graph edges differ after round trip")
 	}
 	// Artifacts: parameters and snapshots bit-exact.
-	if len(got.Sketches) != 1 || len(got.Walks) != 1 || len(got.RRs) != 1 {
-		t.Fatalf("artifact counts %d/%d/%d, want 1/1/1", len(got.Sketches), len(got.Walks), len(got.RRs))
+	if len(got.Sketches) != 1 || len(got.Walks) != 1 || got.RRs != nil {
+		t.Fatalf("artifact counts %d/%d/%d, want 1/1/0", len(got.Sketches), len(got.Walks), len(got.RRs))
 	}
 	if !reflect.DeepEqual(idx.Sketches[0], got.Sketches[0]) {
 		t.Error("sketch artifact differs after round trip")
@@ -108,15 +100,9 @@ func TestIndexRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(idx.Walks[0], got.Walks[0]) {
 		t.Error("walk artifact differs after round trip")
 	}
-	if !reflect.DeepEqual(idx.RRs[0], got.RRs[0]) {
-		t.Error("rr artifact differs after round trip")
-	}
 	// Restored artifacts must be live: FromSnapshot accepts them.
 	if _, err := walks.FromSnapshot(got.Sys.Candidate(0).G, got.Sketches[0].Set); err != nil {
 		t.Errorf("restoring sketch set: %v", err)
-	}
-	if _, err := im.FromSnapshot(got.Sys.Candidate(0).G, got.RRs[0].Sets, sampling.Stream{Seed: got.RRs[0].Seed, ID: 701}, 0); err != nil {
-		t.Errorf("restoring rr collection: %v", err)
 	}
 }
 

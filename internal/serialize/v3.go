@@ -31,12 +31,16 @@
 // — so a reader over a mapped region never faults, and every payload CRC
 // is verified eagerly before parsing.
 //
-// Postings indexes (node → walk, node → RR set) are persisted next to
-// their artifacts in the compact delta+varint block form of
-// internal/postings (manifest mode byte 2; 0 = no index stored). Loaders
-// adopt them after an exact-equality merge check against the artifact
-// storage instead of rebuilding. Mode 1 (raw CSR arrays) was never written
-// by ovmd and is refused.
+// Node → walk postings indexes are persisted next to their walk sets in the
+// compact delta+varint block form of internal/postings (manifest mode byte
+// 2; 0 = no index stored). Loaders adopt them after an exact-equality merge
+// check against the walk storage instead of rebuilding. Mode 1 (raw CSR
+// arrays) was never written by ovmd and is refused.
+//
+// The manifest's RR-set artifact list is always empty in a file written
+// now. An older file may hold RR-set collections: the reader verifies their
+// sections' checksums with every other section's and skips their manifest
+// entries, so the file loads, and its next checkpoint holds none.
 package serialize
 
 import (
@@ -50,7 +54,6 @@ import (
 
 	"ovm/internal/binio"
 	"ovm/internal/graph"
-	"ovm/internal/im"
 	"ovm/internal/mmapio"
 	"ovm/internal/opinion"
 	"ovm/internal/postings"
@@ -184,16 +187,6 @@ func walkIndexCompact(is *walks.IndexSnapshot) (*postings.Compact, [][]byte) {
 	return postings.Encode(postings.CSR{Off: is.Off, Item: is.Walk, Pos: is.Pos}, postings.DefaultBlockSize)
 }
 
-func rrIndexCompact(is *im.IndexSnapshot) (*postings.Compact, [][]byte) {
-	switch {
-	case is == nil:
-		return nil, nil
-	case is.Compact != nil:
-		return is.Compact, [][]byte{is.Compact.Data}
-	}
-	return postings.Encode(postings.CSR{Off: is.Off, Item: is.Item}, postings.DefaultBlockSize)
-}
-
 // writeWalkSetRef emits a walk artifact's manifest entry, adding its arrays
 // and postings index as sections: streamed from a live set's base and
 // overlay in walk-id order, or a snapshot's arrays as they are. Both write
@@ -273,14 +266,7 @@ func WriteIndexV3(w io.Writer, idx *Index, _ V3Options) error {
 		mustU32(&m, uint32(art.Target), uint32(art.Horizon), uint32(art.Lambda))
 		vw.writeWalkSetRef(&m, art.Live, art.Set, art.Index)
 	}
-	mustU32(&m, uint32(len(idx.RRs)))
-	for _, art := range idx.RRs {
-		_ = binio.WriteI64(&m, art.Seed)
-		mustU32(&m, uint32(art.Target), uint32(art.Sets.Model))
-		mustU32(&m, vw.addI32(art.Sets.Nodes), vw.addI32(art.Sets.Off))
-		c, data := rrIndexCompact(art.Index)
-		vw.writePostingsRef(&m, c, data)
-	}
+	mustU32(&m, 0) // RR-set artifacts: none
 
 	// Mutable state: base epoch + update log stay in the manifest.
 	_ = binio.WriteU64(&m, uint64(idx.BaseEpoch))
@@ -431,10 +417,10 @@ func (p *v3parser) bytesSection(ref uint32, what string) ([]byte, error) {
 	return b, nil
 }
 
-// readPostingsRef parses a postings reference from the manifest stream: nil
-// for "no index stored", else the compact form. wantPos states whether this
-// index must carry positions (walk indexes do, RR indexes must not).
-func (p *v3parser) readPostingsRef(r io.Reader, wantPos bool, what string) (compact *postings.Compact, mapped bool, err error) {
+// readPostingsRef parses a walk set's postings reference from the manifest
+// stream: nil for "no index stored", else the compact form, which must carry
+// positions.
+func (p *v3parser) readPostingsRef(r io.Reader, what string) (compact *postings.Compact, mapped bool, err error) {
 	var mode [1]byte
 	if _, err := io.ReadFull(r, mode[:]); err != nil {
 		return nil, false, fmt.Errorf("serialize: v3 %s postings mode: %w", what, err)
@@ -454,11 +440,8 @@ func (p *v3parser) readPostingsRef(r io.Reader, wantPos bool, what string) (comp
 		if _, err := io.ReadFull(r, hasPos[:]); err != nil {
 			return nil, false, err
 		}
-		if hasPos[0] > 1 {
-			return nil, false, fmt.Errorf("serialize: v3 %s postings hasPos flag %d", what, hasPos[0])
-		}
-		if (hasPos[0] == 1) != wantPos {
-			return nil, false, fmt.Errorf("serialize: v3 %s postings positions mismatch (hasPos=%d)", what, hasPos[0])
+		if hasPos[0] != 1 {
+			return nil, false, fmt.Errorf("serialize: v3 %s postings hasPos flag %d, want 1", what, hasPos[0])
 		}
 		var refs [4]uint32
 		for i := range refs {
@@ -466,7 +449,7 @@ func (p *v3parser) readPostingsRef(r io.Reader, wantPos bool, what string) (comp
 				return nil, false, err
 			}
 		}
-		cp := &postings.Compact{HasPos: hasPos[0] == 1, BlockSize: int32(blockSize)}
+		cp := &postings.Compact{HasPos: true, BlockSize: int32(blockSize)}
 		a1, a2, a3 := true, true, true
 		if cp.Off, a1, err = p.i32s(refs[0], what+" postings off"); err != nil {
 			return nil, false, err
@@ -512,7 +495,7 @@ func (p *v3parser) readWalkSetRef(r io.Reader, what string) (*walks.Snapshot, *w
 		return nil, nil, err
 	}
 	s.Mapped = p.mapped && a1 && a2 && a3 && a4
-	compact, idxMapped, err := p.readPostingsRef(r, true, what+" index")
+	compact, idxMapped, err := p.readPostingsRef(r, what+" index")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -521,6 +504,28 @@ func (p *v3parser) readWalkSetRef(r io.Reader, what string) (*walks.Snapshot, *w
 		is = &walks.IndexSnapshot{Compact: compact, Mapped: idxMapped}
 	}
 	return s, is, nil
+}
+
+// skipRRArtifact reads past one RR-set artifact's manifest entry, as an
+// older writer laid it out: seed (i64), target and model (u32 each), the
+// members and offsets section refs, then a postings reference (mode byte;
+// the compact form adds a block size, a positions flag and four refs).
+func skipRRArtifact(r io.Reader) error {
+	if _, err := io.CopyN(io.Discard, r, 8+4*4); err != nil {
+		return err
+	}
+	var mode [1]byte
+	if _, err := io.ReadFull(r, mode[:]); err != nil {
+		return err
+	}
+	switch mode[0] {
+	case v3PostingsNone:
+		return nil
+	case v3PostingsCompact:
+		_, err := io.CopyN(io.Discard, r, 4+1+4*4)
+		return err
+	}
+	return fmt.Errorf("postings mode %d unsupported", mode[0])
 }
 
 // parseV3 is the one index parser: it checks magic and version, validates
@@ -741,42 +746,9 @@ func parseV3(data []byte, mapped bool) (*Index, int64, error) {
 		return nil, 0, fmt.Errorf("serialize: v3 rr artifact count: %w", err)
 	}
 	for i := 0; i < numRRs; i++ {
-		a := &RRArtifact{Sets: &im.Snapshot{}}
-		if a.Seed, err = binio.ReadI64(m); err != nil {
-			return nil, 0, err
+		if err := skipRRArtifact(m); err != nil {
+			return nil, 0, fmt.Errorf("serialize: v3 rr artifact %d: %w", i, err)
 		}
-		var target, model uint32
-		if target, err = binio.ReadU32(m); err != nil {
-			return nil, 0, err
-		}
-		if model, err = binio.ReadU32(m); err != nil {
-			return nil, 0, err
-		}
-		a.Target = int(target)
-		a.Sets.Model = im.Model(model)
-		var refs [2]uint32
-		for j := range refs {
-			if refs[j], err = binio.ReadU32(m); err != nil {
-				return nil, 0, err
-			}
-		}
-		what := fmt.Sprintf("rr artifact %d", i)
-		a1, a2 := true, true
-		if a.Sets.Nodes, a1, err = p.i32s(refs[0], what+" members"); err != nil {
-			return nil, 0, err
-		}
-		if a.Sets.Off, a2, err = p.i32s(refs[1], what+" offsets"); err != nil {
-			return nil, 0, err
-		}
-		a.Sets.Mapped = mapped && a1 && a2
-		compact, idxMapped, err := p.readPostingsRef(m, false, what+" index")
-		if err != nil {
-			return nil, 0, err
-		}
-		if compact != nil {
-			a.Index = &im.IndexSnapshot{Compact: compact, Mapped: idxMapped}
-		}
-		idx.RRs = append(idx.RRs, a)
 	}
 
 	base, err := binio.ReadU64(m)

@@ -9,8 +9,6 @@ import (
 	"reflect"
 	"testing"
 
-	"ovm/internal/im"
-	"ovm/internal/sampling"
 	"ovm/internal/serialize"
 	"ovm/internal/walks"
 )
@@ -36,14 +34,6 @@ func buildTestIndexWithPostings(t testing.TB) *serialize.Index {
 		}
 		set.EnsureIndex()
 		art.Index = set.IndexSnapshot()
-	}
-	for _, art := range idx.RRs {
-		col, err := im.FromSnapshot(g, art.Sets, sampling.Stream{Seed: art.Seed, ID: 701}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		col.EnsureIndex()
-		art.Index = col.IndexSnapshot()
 	}
 	return idx
 }
@@ -76,10 +66,10 @@ func checkIndexEquivalent(t *testing.T, want, got *serialize.Index) {
 	if !reflect.DeepEqual(want.Sys.Candidate(0).G.Edges(), got.Sys.Candidate(0).G.Edges()) {
 		t.Fatal("graph edges differ")
 	}
-	if len(got.Sketches) != len(want.Sketches) || len(got.Walks) != len(want.Walks) || len(got.RRs) != len(want.RRs) {
-		t.Fatalf("artifact counts %d/%d/%d, want %d/%d/%d",
+	if len(got.Sketches) != len(want.Sketches) || len(got.Walks) != len(want.Walks) || got.RRs != nil {
+		t.Fatalf("artifact counts %d/%d/%d, want %d/%d/0",
 			len(got.Sketches), len(got.Walks), len(got.RRs),
-			len(want.Sketches), len(want.Walks), len(want.RRs))
+			len(want.Sketches), len(want.Walks))
 	}
 	g := got.Sys.Candidate(0).G
 	for i, a := range want.Sketches {
@@ -111,24 +101,6 @@ func checkIndexEquivalent(t *testing.T, want, got *serialize.Index) {
 		if b.Index != nil {
 			if err := set.AdoptIndex(b.Index); err != nil {
 				t.Fatalf("adopting walk index %d: %v", i, err)
-			}
-		}
-	}
-	for i, a := range want.RRs {
-		b := got.RRs[i]
-		if a.Seed != b.Seed || a.Target != b.Target || a.Sets.Model != b.Sets.Model {
-			t.Fatalf("rr artifact %d parameters differ", i)
-		}
-		if !reflect.DeepEqual(a.Sets.Nodes, b.Sets.Nodes) || !reflect.DeepEqual(a.Sets.Off, b.Sets.Off) {
-			t.Fatalf("rr artifact %d storage differs", i)
-		}
-		col, err := im.FromSnapshot(g, b.Sets, sampling.Stream{Seed: b.Seed, ID: 701}, 0)
-		if err != nil {
-			t.Fatalf("restoring rr collection %d: %v", i, err)
-		}
-		if b.Index != nil {
-			if err := col.AdoptIndex(b.Index); err != nil {
-				t.Fatalf("adopting rr index %d: %v", i, err)
 			}
 		}
 	}
@@ -187,11 +159,6 @@ func TestV3OpenMapped(t *testing.T) {
 		}
 		if art.Index == nil || art.Index.Compact == nil {
 			t.Error("mapped walk artifact lacks compact index")
-		}
-	}
-	for _, art := range mi.Index.RRs {
-		if !art.Sets.Mapped {
-			t.Error("mapped rr artifact storage not flagged Mapped")
 		}
 	}
 }

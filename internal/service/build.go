@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 
-	"ovm/internal/im"
 	"ovm/internal/opinion"
 	"ovm/internal/rwalk"
 	"ovm/internal/serialize"
@@ -27,21 +26,14 @@ type BuildOptions struct {
 	// IncludeWalks precomputes the RW method's cumulative-score walk set
 	// (Theorem 10's per-node λ under the default rwalk configuration).
 	IncludeWalks bool
-	// RRSets precomputes that many reverse-reachable sets per model in
-	// RRModels for the IC/LT baselines (0 = skip).
-	RRSets int
-	// RRModels lists the diffusion models to precompute RR sets for;
-	// empty with RRSets > 0 means both IC and LT.
-	RRModels []im.Model
 	// Parallelism caps the engine worker pool during the build (0 =
 	// GOMAXPROCS). It never changes the produced artifacts.
 	Parallelism int
 }
 
 // BuildIndex precomputes the serving artifacts for sys. Each is drawn the
-// way the live method draws it (sketch.Draw, rwalk.Draw, im.RRStream), so an
-// artifact loaded later is bit-identical to what a from-scratch query would
-// generate.
+// way the live method draws it (sketch.Draw, rwalk.Draw), so an artifact
+// loaded later is bit-identical to what a from-scratch query would generate.
 func BuildIndex(sys *opinion.System, o BuildOptions) (*serialize.Index, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("service: nil system")
@@ -52,8 +44,8 @@ func BuildIndex(sys *opinion.System, o BuildOptions) (*serialize.Index, error) {
 	if o.Horizon < 0 {
 		return nil, fmt.Errorf("service: horizon must be >= 0, got %d", o.Horizon)
 	}
-	if o.SketchTheta < 0 || o.RRSets < 0 {
-		return nil, fmt.Errorf("service: sketch theta and rr counts must be >= 0")
+	if o.SketchTheta < 0 {
+		return nil, fmt.Errorf("service: sketch theta must be >= 0")
 	}
 	idx := &serialize.Index{Sys: sys}
 	var draws []walks.Draw
@@ -80,25 +72,6 @@ func BuildIndex(sys *opinion.System, o BuildOptions) (*serialize.Index, error) {
 			return nil, err
 		}
 		storeWalks(idx, d, o.Target, o.Horizon, set)
-	}
-	if o.RRSets > 0 {
-		models := o.RRModels
-		if len(models) == 0 {
-			models = []im.Model{im.IC, im.LT}
-		}
-		g := sys.Candidate(o.Target).G
-		for _, model := range models {
-			col := im.NewRRCollection(g, model, im.RRStream(o.Seed), o.Parallelism)
-			col.Add(o.RRSets)
-			snap, err := col.Snapshot()
-			if err != nil {
-				return nil, err
-			}
-			col.EnsureIndex()
-			idx.RRs = append(idx.RRs, &serialize.RRArtifact{
-				Seed: o.Seed, Target: o.Target, Sets: snap, Index: col.IndexSnapshot(),
-			})
-		}
 	}
 	return idx, nil
 }

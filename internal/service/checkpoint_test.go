@@ -93,7 +93,7 @@ func (f *filed) install() error {
 	if err != nil {
 		return err
 	}
-	return f.svc.Rebase(context.Background(), "world", mi)
+	return f.svc.Rebase("world", mi)
 }
 
 // checkpoint writes and installs a checkpoint while no update runs.

@@ -1,12 +1,10 @@
 package service
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 
 	"ovm/internal/dynamic"
-	"ovm/internal/opinion"
 	"ovm/internal/serialize"
 )
 
@@ -123,15 +121,15 @@ func (s *Service) AddMapped(name string, mi *serialize.MappedIndex, checkpoints 
 // Rebase installs mi, the dataset's last ExportIndex written to its file,
 // as the dataset's base. It restores a version from mi — verified like any
 // load — and moves the visible version onto it: the batches swapped in
-// since the export are applied again to the checkpoint's system and RR
-// collections, and each walk set keeps the owners they regenerated as an
-// overlay over the checkpoint's (walks.Set.Rebase), so no walk is drawn
-// twice and every answer stays bit-identical. All of that runs beside the
+// since the export are applied again to the checkpoint's system, and each
+// walk set keeps the owners they regenerated as an overlay over the
+// checkpoint's (walks.Set.Rebase), so no walk is drawn twice and every
+// answer stays bit-identical. All of that runs beside the
 // updates; only the versions swapped in meanwhile are moved under the
 // update lock, at the cost of one repair. The service owns mi from the
 // call on; if Rebase fails, mi is closed and the dataset keeps its base.
 // Rebase waits for a running update, so never call it from OnUpdate.
-func (s *Service) Rebase(ctx context.Context, name string, mi *serialize.MappedIndex) error {
+func (s *Service) Rebase(name string, mi *serialize.MappedIndex) error {
 	file := s.newMapping(mi, true)
 	if len(mi.Index.Updates) > 0 {
 		file.release()
@@ -160,7 +158,7 @@ func (s *Service) Rebase(ctx context.Context, name string, mi *serialize.MappedI
 	if len(cur.walks) != len(vis.walks) {
 		return fmt.Errorf("service: checkpoint has %d walk sets, the dataset %d", len(cur.walks), len(vis.walks))
 	}
-	moved, err := s.rebase(ctx, cur, a.at, vis, done)
+	moved, err := s.rebase(cur, a.at, vis, done)
 	if err != nil {
 		return err
 	}
@@ -183,7 +181,7 @@ func (s *Service) Rebase(ctx context.Context, name string, mi *serialize.MappedI
 		return serr
 	}
 	defer latest.release()
-	next, err := s.rebase(ctx, moved, vis, latest, a.applied[len(done):])
+	next, err := s.rebase(moved, vis, latest, a.applied[len(done):])
 	if err != nil {
 		return err
 	}
@@ -193,8 +191,8 @@ func (s *Service) Rebase(ctx context.Context, name string, mi *serialize.MappedI
 
 // rebase returns vis — derived from at by the applied batches — moved onto
 // base, which holds at's state in other storage; held, on base's file.
-func (s *Service) rebase(ctx context.Context, base, at, vis *Dataset, applied []dynamic.Batch) (*Dataset, error) {
-	sys, rrs, err := replaySystem(ctx, base.sys, base.rrs, applied)
+func (s *Service) rebase(base, at, vis *Dataset, applied []dynamic.Batch) (*Dataset, error) {
+	sys, _, err := dynamic.ReplaySystem(base.sys, applied)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +201,6 @@ func (s *Service) rebase(ctx context.Context, base, at, vis *Dataset, applied []
 		sys:       sys,
 		epoch:     vis.epoch,
 		baseEpoch: base.baseEpoch,
-		rrs:       rrs,
 		memo:      newLRUCache(epochMemoBytes),
 		file:      base.file,
 	}
@@ -214,22 +211,6 @@ func (s *Service) rebase(ctx context.Context, base, at, vis *Dataset, applied []
 	}
 	next.hold()
 	return next, nil
-}
-
-// replaySystem applies batches to sys and the RR collections over it, as
-// the repairs that swapped them in did.
-func replaySystem(ctx context.Context, sys *opinion.System, rrs []*rrArtifact, batches []dynamic.Batch) (*opinion.System, []*rrArtifact, error) {
-	for _, b := range batches {
-		next, cs, err := dynamic.ApplySystem(sys, b)
-		if err != nil {
-			return nil, nil, err
-		}
-		if rrs, err = repairRRs(ctx, rrs, next, cs, &UpdateResponse{}); err != nil {
-			return nil, nil, err
-		}
-		sys = next
-	}
-	return sys, rrs, nil
 }
 
 // OverlayOutgrown reports whether one of the visible version's walk sets

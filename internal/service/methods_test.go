@@ -7,6 +7,7 @@ import (
 
 	"ovm/internal/core"
 	"ovm/internal/methods"
+	"ovm/internal/opinion"
 	"ovm/internal/service"
 	"ovm/internal/voting"
 )
@@ -29,6 +30,33 @@ func librarySelector(method string, base core.Problem, theta int) core.SeedSelec
 	return sel
 }
 
+// requireLibraryAnswer checks a select-seeds response no artifact served
+// against the direct library call on sys, the system of the epoch it
+// answered at: methods.Select's seeds and the Float64bits of their exact
+// value.
+func requireLibraryAnswer(t testing.TB, sys *opinion.System, req *service.SelectSeedsRequest, got *service.SelectSeedsResponse) {
+	t.Helper()
+	score, err := voting.ParseScore(req.Score.Name, req.Score.P, req.Score.Omega, sys.R())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob := &core.Problem{Sys: sys, Target: req.Target, Horizon: req.Horizon, K: req.K, Score: score}
+	opts := methods.Options{Seed: req.Seed, Parallelism: req.Parallelism}
+	opts.RS.FixedTheta = req.Theta
+	want, _, err := methods.Select(req.Method, prob, opts)
+	if err != nil {
+		t.Fatalf("%s: library: %v", req.Method, err)
+	}
+	wantValue, err := core.EvaluateExact(sys, req.Target, req.Horizon, score, want, req.Parallelism)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.FromIndex || !slices.Equal(got.Seeds, want) || math.Float64bits(got.ExactValue) != math.Float64bits(wantValue) {
+		t.Fatalf("%s %s P=%d: daemon (%v, %v, fromIndex=%v), library (%v, %v)",
+			req.Method, req.Score.Name, req.Parallelism, got.Seeds, got.ExactValue, got.FromIndex, want, wantValue)
+	}
+}
+
 // TestEveryMethodMatchesLibrary is the serving contract without an index:
 // for every name in the one method list, at P = 1 and 4, select-seeds
 // returns the seeds of the direct library call and a Float64bits-equal exact
@@ -43,27 +71,16 @@ func TestEveryMethodMatchesLibrary(t *testing.T) {
 	const k = 3
 	for _, method := range methods.Names {
 		for _, par := range []int{1, 4} {
-			prob := &core.Problem{Sys: sys, Target: 0, Horizon: tdHorizon, K: k, Score: voting.Plurality{}}
-			want, _, err := methods.Select(method, prob, libraryOptions(tdTheta, par))
-			if err != nil {
-				t.Fatalf("%s P=%d: library: %v", method, par, err)
-			}
-			wantValue, err := core.EvaluateExact(sys, 0, tdHorizon, voting.Plurality{}, want, par)
-			if err != nil {
-				t.Fatal(err)
-			}
 			req := selectReq(method, "plurality", tdTheta)
 			req.K, req.Parallelism = k, par
 			got, serr := svc.SelectSeeds(req)
 			if serr != nil {
 				t.Fatalf("%s P=%d: daemon: %v", method, par, serr)
 			}
-			if got.FromIndex || got.Method != method {
-				t.Errorf("%s P=%d: response says method %q, fromIndex %v", method, par, got.Method, got.FromIndex)
+			if got.Method != method {
+				t.Errorf("%s P=%d: response says method %q", method, par, got.Method)
 			}
-			if !slices.Equal(got.Seeds, want) || math.Float64bits(got.ExactValue) != math.Float64bits(wantValue) {
-				t.Errorf("%s P=%d: daemon (%v, %v), library (%v, %v)", method, par, got.Seeds, got.ExactValue, want, wantValue)
-			}
+			requireLibraryAnswer(t, sys, req, got)
 		}
 	}
 }

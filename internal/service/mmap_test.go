@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ovm/internal/dynamic"
+	"ovm/internal/opinion"
 	"ovm/internal/serialize"
 	"ovm/internal/service"
 )
@@ -50,7 +51,8 @@ func mmapTestServices(t *testing.T) (heapSvc, mappedSvc *service.Service, idx *s
 // to one loaded onto the heap, across the five voting scores and engine
 // parallelism 1, 4, and 0 — and still after each of several update batches
 // has repaired the artifacts, overlays over the mapped base on one side and
-// over the heap base on the other.
+// over the heap base on the other. IC, which no artifact serves, answers as
+// the library does on the epoch's system.
 func TestMappedMatchesHeapAcrossScores(t *testing.T) {
 	heapSvc, mappedSvc, idx := mmapTestServices(t)
 
@@ -67,7 +69,7 @@ func TestMappedMatchesHeapAcrossScores(t *testing.T) {
 		{"RS/copeland", "RS", service.ScoreSpec{Name: "copeland"}, tdTheta},
 		{"IC/plurality", "IC", service.ScoreSpec{Name: "plurality"}, 0},
 	}
-	compare := func(t *testing.T, wantEpoch int64) {
+	compare := func(t *testing.T, sys *opinion.System, wantEpoch int64) {
 		t.Helper()
 		for _, tc := range cases {
 			for _, par := range []int{1, 4, 0} {
@@ -88,7 +90,10 @@ func TestMappedMatchesHeapAcrossScores(t *testing.T) {
 					t.Fatalf("%s P=%d: mapped answer diverged from heap:\nheap   %v (%.9f)\nmapped %v (%.9f)",
 						tc.name, par, a.Seeds, a.ExactValue, b.Seeds, b.ExactValue)
 				}
-				if !b.FromIndex {
+				if tc.method == "IC" {
+					requireLibraryAnswer(t, sys, req, a)
+					requireLibraryAnswer(t, sys, req, b)
+				} else if !b.FromIndex {
 					t.Fatalf("%s P=%d: mapped artifact was not used", tc.name, par)
 				}
 				if a.Epoch != wantEpoch || b.Epoch != wantEpoch {
@@ -98,7 +103,7 @@ func TestMappedMatchesHeapAcrossScores(t *testing.T) {
 		}
 	}
 
-	compare(t, 0)
+	compare(t, idx.Sys, 0)
 
 	// The mapped dataset must report part of its footprint as mapped bytes.
 	stats := mappedSvc.StatsSnapshot()
@@ -119,6 +124,7 @@ func TestMappedMatchesHeapAcrossScores(t *testing.T) {
 	// Apply the same mutation batches to both; answers must stay identical
 	// after every one.
 	batches := append([]dynamic.Batch{testBatch(t, idx)}, churnBatches(7, idx.Sys.N(), 3)...)
+	sys := idx.Sys
 	for i, batch := range batches {
 		for _, svc := range []*service.Service{heapSvc, mappedSvc} {
 			upd, serr := svc.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: batch})
@@ -129,7 +135,12 @@ func TestMappedMatchesHeapAcrossScores(t *testing.T) {
 				t.Fatalf("epoch = %d, want %d", upd.Epoch, i+1)
 			}
 		}
-		compare(t, int64(i+1))
+		next, _, err := dynamic.ApplySystem(sys, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys = next
+		compare(t, sys, int64(i+1))
 	}
 }
 

@@ -573,7 +573,6 @@ func (ds *Dataset) noopSuccessor() *Dataset {
 		epoch:     ds.epoch + 1,
 		baseEpoch: ds.baseEpoch,
 		walks:     ds.walks,
-		rrs:       ds.rrs,
 		memo:      newLRUCache(epochMemoBytes),
 		file:      ds.file,
 	}

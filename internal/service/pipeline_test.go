@@ -37,7 +37,8 @@ func pipelineBatches() []dynamic.Batch {
 // a stream of batches accepted asynchronously (and possibly coalesced by
 // the background applier) lands on the same final epoch and serves
 // byte-identical answers to the same batches applied synchronously one at
-// a time.
+// a time. IC, which no artifact serves, answers as the library does on the
+// replayed system.
 func TestAsyncUpdatesMatchSyncReplay(t *testing.T) {
 	_, idx := testWorld(t)
 	batches := pipelineBatches()
@@ -76,6 +77,10 @@ func TestAsyncUpdatesMatchSyncReplay(t *testing.T) {
 		t.Fatal(serr)
 	}
 
+	replayed, _, err := dynamic.ReplaySystem(idx.Sys, batches)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, method := range []struct {
 		name, score string
 		theta       int
@@ -95,6 +100,9 @@ func TestAsyncUpdatesMatchSyncReplay(t *testing.T) {
 		if !reflect.DeepEqual(a.Seeds, b.Seeds) || a.ExactValue != b.ExactValue {
 			t.Fatalf("%s: async diverged from sync: %v %v vs %v %v",
 				method.name, a.Seeds, a.ExactValue, b.Seeds, b.ExactValue)
+		}
+		if method.name == "IC" {
+			requireLibraryAnswer(t, replayed, req, b)
 		}
 	}
 	st := async.StatsSnapshot()

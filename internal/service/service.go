@@ -1,17 +1,16 @@
 // Package service is the query-serving core behind the ovmd daemon: a
 // registry of named opinion systems with precomputed artifacts (sketch
-// sets, walk sets, RR-set collections), answering select-seeds, evaluate,
-// wins, and min-seeds-to-win queries concurrently on the engine worker
-// pool.
+// sets and walk sets), answering select-seeds, evaluate, wins, and
+// min-seeds-to-win queries concurrently on the engine worker pool.
 //
 // Three properties define the serving contract:
 //
 //   - Determinism: every response is bit-identical to the corresponding
 //     direct library call (ovm.SelectSeeds and friends) at any engine
 //     parallelism. Indexed queries reuse persisted artifacts through the
-//     same code paths the library uses (walks.Draw.Greedy, the one greedy
-//     under both walk methods, and im.IMMCached), so load-not-recompute
-//     never changes an answer.
+//     same code path the library uses (walks.Draw.Greedy, the one greedy
+//     under both walk methods), so load-not-recompute never changes an
+//     answer; every other method runs methods.Select itself.
 //   - Caching: responses are memoized in an LRU cache keyed by the
 //     canonicalized request. The engine parallelism is deliberately
 //     excluded from the key — results do not depend on it.
@@ -33,7 +32,6 @@ import (
 
 	"ovm/internal/core"
 	"ovm/internal/dynamic"
-	"ovm/internal/im"
 	"ovm/internal/methods"
 	"ovm/internal/obs"
 	"ovm/internal/opinion"
@@ -311,7 +309,6 @@ type Dataset struct {
 	epoch     int64 // bumped once per applied update batch
 	baseEpoch int64 // the loaded index's BaseEpoch; epoch-baseEpoch = applied batches
 	walks     []*walkArtifact
-	rrs       []*rrArtifact
 
 	// memo holds what the epoch remembers between requests (memo.go).
 	memo *lruCache
@@ -333,22 +330,15 @@ type walkArtifact struct {
 	set     *walks.Set // pristine; queries run on clones
 }
 
-type rrArtifact struct {
-	seed   int64
-	target int
-	col    *im.RRCollection // index prebuilt; used read-only as a cache
-}
-
 // AddDataset registers sys under name with no precomputed artifacts.
 func (s *Service) AddDataset(name string, sys *opinion.System) error {
 	return s.add(name, &serialize.Index{Sys: sys}, nil)
 }
 
-// AddIndex registers a loaded index under name, restoring every artifact
-// into live, query-ready form (walk sets with fresh truncation state, RR
-// collections with the inverted index prebuilt for lock-free reads). A walk
-// artifact that carries a live set (BuildIndex's, ExportIndex's) is adopted
-// as it is.
+// AddIndex registers a loaded index under name, restoring every walk set
+// into live, query-ready form (fresh truncation state, postings index
+// adopted or built). A walk artifact that carries a live set (BuildIndex's,
+// ExportIndex's) is adopted as it is.
 func (s *Service) AddIndex(name string, idx *serialize.Index) error {
 	return s.add(name, idx, nil)
 }
@@ -432,16 +422,6 @@ func (s *Service) restore(name string, idx *serialize.Index, file *mapping) (*Da
 			return fail(asError(err))
 		}
 	}
-	for i, a := range idx.RRs {
-		col, err := im.FromSnapshot(idx.Sys.Candidate(a.Target).G, a.Sets, im.RRStream(a.Seed), s.cfg.Parallelism)
-		if err != nil {
-			return fail(badRequestf("rr artifact %d: %v", i, err))
-		}
-		if a.Index == nil || col.AdoptIndex(a.Index) != nil {
-			col.EnsureIndex()
-		}
-		ds.rrs = append(ds.rrs, &rrArtifact{seed: a.Seed, target: a.Target, col: col})
-	}
 	// Replay the index's update log through the same incremental-repair
 	// path live updates use: the restarted daemon lands on exactly the
 	// epoch (and bytes) the writer was serving.
@@ -489,18 +469,6 @@ func (s *Service) dataset(name string) (*Dataset, *Error) {
 	}
 	ds.hold()
 	return ds, nil
-}
-
-// rrFor finds the RR artifact drawn for (target, seed) under the diffusion
-// model the method is named after (IC, LT); IMM then copies its sets instead
-// of sampling them.
-func (ds *Dataset) rrFor(method string, target int, seed int64) *im.RRCollection {
-	for _, a := range ds.rrs {
-		if a.target == target && a.seed == seed && a.col.Model().String() == method {
-			return a.col
-		}
-	}
-	return nil
 }
 
 // ScoreSpec is the wire form of a voting score.
@@ -878,9 +846,9 @@ func (s *Service) SelectSeedsCtx(ctx context.Context, req *SelectSeedsRequest) (
 
 // computeSelect runs a selection under ctx. Cancellation mid-greedy is
 // safe for determinism: the RW/RS paths run on clones of the pristine
-// artifact sets, the IM paths treat the cached RR collection as read-only,
-// and the epoch memo only ever stores complete values — so an abandoned run
-// leaves nothing behind and a retry recomputes identically.
+// artifact sets, every other selection draws only private state, and the
+// epoch memo only ever stores complete values — so an abandoned run leaves
+// nothing behind and a retry recomputes identically.
 func (s *Service) computeSelect(ctx context.Context, ds *Dataset, req *SelectSeedsRequest, score voting.Score, theta, par int) (*SelectSeedsResponse, error) {
 	prob := &core.Problem{Sys: ds.sys, Target: req.Target, Horizon: req.Horizon, K: req.K, Score: score, Ctx: ctx}
 	opts := methods.Options{Seed: req.Seed, Parallelism: par}
@@ -912,9 +880,6 @@ func (s *Service) computeSelect(ctx context.Context, ds *Dataset, req *SelectSee
 	inst, err := ds.instance(ctx, req.Target, req.Horizon, par)
 	if err != nil {
 		return nil, err
-	}
-	if col := ds.rrFor(req.Method, req.Target, req.Seed); col != nil {
-		opts.Baseline.RRCache, resp.FromIndex = col, true
 	}
 	if resp.Seeds, resp.work.Rounds, err = methods.Select(req.Method, prob, opts); err != nil {
 		return nil, err
@@ -1186,7 +1151,6 @@ type DatasetStats struct {
 	Candidates      int    `json:"candidates"`
 	SketchArtifacts int    `json:"sketchArtifacts"`
 	WalkArtifacts   int    `json:"walkArtifacts"`
-	RRArtifacts     int    `json:"rrArtifacts"`
 	// IndexBytes = MappedBytes + HeapBytes: the artifact footprint, split
 	// into bytes aliasing a read-only file mapping (shared, evictable page
 	// cache) and bytes resident on the Go heap.
@@ -1257,12 +1221,11 @@ func (s *Service) StatsSnapshot() Stats {
 	for _, name := range sortedNames(s.ds) {
 		ds := s.ds[name]
 		d := DatasetStats{
-			Name:        name,
-			Epoch:       ds.epoch,
-			Nodes:       ds.sys.N(),
-			Edges:       ds.sys.Candidate(0).G.M(),
-			Candidates:  ds.sys.R(),
-			RRArtifacts: len(ds.rrs),
+			Name:       name,
+			Epoch:      ds.epoch,
+			Nodes:      ds.sys.N(),
+			Edges:      ds.sys.Candidate(0).G.M(),
+			Candidates: ds.sys.R(),
 		}
 		for _, a := range ds.walks {
 			if a.draw.Theta > 0 {
@@ -1272,10 +1235,6 @@ func (s *Service) StatsSnapshot() Stats {
 			}
 			d.MappedBytes += a.set.MappedBytes()
 			d.HeapBytes += a.set.HeapBytes()
-		}
-		for _, a := range ds.rrs {
-			d.MappedBytes += a.col.MappedBytes()
-			d.HeapBytes += a.col.HeapBytes()
 		}
 		d.IndexBytes = d.MappedBytes + d.HeapBytes
 		d.UpdateQueueDepth = int64(s.QueueDepth(name))

@@ -3,6 +3,7 @@ package service_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -37,7 +38,6 @@ func testWorld(t testing.TB) (*ovm.System, *serialize.Index) {
 		Seed:         tdSeed,
 		SketchTheta:  tdTheta,
 		IncludeWalks: true,
-		RRSets:       300,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,8 @@ func selectReq(method, score string, theta int) *service.SelectSeedsRequest {
 // TestIndexedMatchesDirectAcrossParallelism is the end-to-end determinism
 // contract: a daemon serving loaded artifacts returns byte-identical seeds
 // and scores to the direct ovm.SelectSeeds call, at every parallelism, for
-// the RS (sketch artifact), RW (walk artifact), and IC (RR cache) paths.
+// the RS (sketch artifact) and RW (walk artifact) paths, and for IC, which no
+// artifact serves.
 func TestIndexedMatchesDirectAcrossParallelism(t *testing.T) {
 	sys, idx := testWorld(t)
 
@@ -91,20 +92,21 @@ func TestIndexedMatchesDirectAcrossParallelism(t *testing.T) {
 		"cumulative": ovm.Cumulative(),
 	}
 	cases := []struct {
-		name   string
-		method ovm.Method
-		score  string
-		direct func(par int) *ovm.SelectOptions
+		name      string
+		method    ovm.Method
+		score     string
+		fromIndex bool
+		direct    func(par int) *ovm.SelectOptions
 	}{
-		{"RS/plurality", ovm.MethodRS, "plurality", func(par int) *ovm.SelectOptions {
+		{"RS/plurality", ovm.MethodRS, "plurality", true, func(par int) *ovm.SelectOptions {
 			opts := &ovm.SelectOptions{Seed: tdSeed, Parallelism: par}
 			opts.RS.FixedTheta = tdTheta
 			return opts
 		}},
-		{"RW/cumulative", ovm.MethodRW, "cumulative", func(par int) *ovm.SelectOptions {
+		{"RW/cumulative", ovm.MethodRW, "cumulative", true, func(par int) *ovm.SelectOptions {
 			return &ovm.SelectOptions{Seed: tdSeed, Parallelism: par}
 		}},
-		{"IC/plurality", ovm.MethodIC, "plurality", func(par int) *ovm.SelectOptions {
+		{"IC/plurality", ovm.MethodIC, "plurality", false, func(par int) *ovm.SelectOptions {
 			return &ovm.SelectOptions{Seed: tdSeed, Parallelism: par}
 		}},
 	}
@@ -125,13 +127,13 @@ func TestIndexedMatchesDirectAcrossParallelism(t *testing.T) {
 				if serr != nil {
 					t.Fatal(serr)
 				}
-				if !got.FromIndex {
-					t.Fatalf("par=%d: expected the loaded artifact to serve the query", par)
+				if got.FromIndex != tc.fromIndex {
+					t.Fatalf("par=%d: fromIndex=%v, want %v", par, got.FromIndex, tc.fromIndex)
 				}
 				if !reflect.DeepEqual(got.Seeds, direct.Seeds) {
 					t.Fatalf("par=%d: daemon seeds %v != direct %v", par, got.Seeds, direct.Seeds)
 				}
-				if got.ExactValue != direct.ExactValue {
+				if math.Float64bits(got.ExactValue) != math.Float64bits(direct.ExactValue) {
 					t.Fatalf("par=%d: daemon value %v != direct %v", par, got.ExactValue, direct.ExactValue)
 				}
 				if i == 0 {

@@ -6,7 +6,6 @@ import (
 
 	"ovm/internal/dynamic"
 	"ovm/internal/obs"
-	"ovm/internal/opinion"
 	"ovm/internal/serialize"
 	"ovm/internal/walks"
 )
@@ -47,12 +46,10 @@ type UpdateResponse struct {
 	// set (mutated in-neighborhoods, stubbornness, or opinions).
 	NodesTouched int `json:"nodesTouched"`
 	// WalksInvalidated / WalksTotal cover the sketch and RW walk
-	// artifacts; RRSetsInvalidated / RRSetsTotal cover the RR collections.
-	WalksInvalidated  int     `json:"walksInvalidated"`
-	WalksTotal        int     `json:"walksTotal"`
-	RRSetsInvalidated int     `json:"rrSetsInvalidated"`
-	RRSetsTotal       int     `json:"rrSetsTotal"`
-	ElapsedMs         float64 `json:"elapsedMs"`
+	// artifacts.
+	WalksInvalidated int     `json:"walksInvalidated"`
+	WalksTotal       int     `json:"walksTotal"`
+	ElapsedMs        float64 `json:"elapsedMs"`
 }
 
 // ApplyUpdates applies one mutation batch to a registered dataset: the
@@ -207,15 +204,6 @@ func (s *Service) ExportIndex(name string) (*serialize.Index, *Error) {
 	for _, a := range ds.walks {
 		storeWalks(idx, a.draw, a.target, a.horizon, a.set)
 	}
-	for _, a := range ds.rrs {
-		snap, err := a.col.Snapshot()
-		if err != nil {
-			return nil, internalErr(err)
-		}
-		idx.RRs = append(idx.RRs, &serialize.RRArtifact{
-			Seed: a.seed, Target: a.target, Sets: snap, Index: a.col.IndexSnapshot(),
-		})
-	}
 	return idx, nil
 }
 
@@ -276,27 +264,6 @@ func (s *Service) repairDataset(ctx context.Context, ds *Dataset, batch dynamic.
 		resp.WalksTotal += st.Walks
 		next.walks = append(next.walks, &walkArtifact{key: a.key, draw: a.draw, target: a.target, horizon: a.horizon, set: set})
 	}
-	if next.rrs, err = repairRRs(ctx, ds.rrs, newSys, cs, resp); err != nil {
-		return nil, nil, internalErr(err)
-	}
 	next.hold()
 	return next, resp, nil
-}
-
-// repairRRs resamples the RR collections a batch invalidated into fresh
-// ones over the mutated system, adding the counts to resp.
-func repairRRs(ctx context.Context, rrs []*rrArtifact, sys *opinion.System, cs *dynamic.ChangeSet, resp *UpdateResponse) ([]*rrArtifact, error) {
-	edgeMask := cs.EdgeMask(sys.N())
-	out := make([]*rrArtifact, 0, len(rrs))
-	for _, a := range rrs {
-		col, st, err := a.col.RepairCtx(ctx, sys.Candidate(a.target).G, edgeMask)
-		if err != nil {
-			return nil, err
-		}
-		col.EnsureIndex()
-		resp.RRSetsInvalidated += st.SetsInvalidated
-		resp.RRSetsTotal += st.Sets
-		out = append(out, &rrArtifact{seed: a.seed, target: a.target, col: col})
-	}
-	return out, nil
 }

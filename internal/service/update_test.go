@@ -49,7 +49,8 @@ func testBatch(t *testing.T, idx *serialize.Index) dynamic.Batch {
 // contract: after a mutation batch, seeds served from the incrementally
 // repaired index are byte-identical to seeds from a service whose index was
 // rebuilt from scratch on the mutated system — for the DM, RW, RS, and IC
-// paths, at parallelism 1, 4, and 0.
+// paths, at parallelism 1, 4, and 0. IC, which no artifact serves, also
+// equals the library's answer on the mutated system.
 func TestApplyUpdatesMatchesFullRebuild(t *testing.T) {
 	_, idx := testWorld(t)
 	batch := testBatch(t, idx)
@@ -72,7 +73,7 @@ func TestApplyUpdatesMatchesFullRebuild(t *testing.T) {
 	if upd.Epoch != 1 {
 		t.Fatalf("epoch = %d, want 1", upd.Epoch)
 	}
-	if upd.WalksTotal == 0 || upd.RRSetsTotal == 0 {
+	if upd.WalksTotal == 0 {
 		t.Fatal("update response must report artifact totals")
 	}
 	if upd.WalksInvalidated == 0 || upd.WalksInvalidated == upd.WalksTotal {
@@ -91,7 +92,6 @@ func TestApplyUpdatesMatchesFullRebuild(t *testing.T) {
 		Seed:         tdSeed,
 		SketchTheta:  tdTheta,
 		IncludeWalks: true,
-		RRSets:       300,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,8 +128,13 @@ func TestApplyUpdatesMatchesFullRebuild(t *testing.T) {
 			if a.Epoch != 1 {
 				t.Fatalf("%s P=%d: live epoch = %d, want 1", method, par, a.Epoch)
 			}
-			if (method == "RS" || method == "RW" || method == "IC") && !a.FromIndex {
-				t.Fatalf("%s P=%d: repaired artifact was not used", method, par)
+			switch method {
+			case "RS", "RW":
+				if !a.FromIndex {
+					t.Fatalf("%s P=%d: repaired artifact was not used", method, par)
+				}
+			case "IC":
+				requireLibraryAnswer(t, mutated, req, a)
 			}
 		}
 	}
@@ -250,10 +255,11 @@ func TestUpdateScopesResponseCache(t *testing.T) {
 func TestExportIndexCompaction(t *testing.T) {
 	_, idx := testWorld(t)
 	live := newTestService(t, idx)
-	for _, b := range []dynamic.Batch{
+	applied := []dynamic.Batch{
 		testBatch(t, idx),
 		{{Kind: dynamic.OpAddEdge, From: 50, To: 60, W: 1}},
-	} {
+	}
+	for _, b := range applied {
 		if _, serr := live.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: b}); serr != nil {
 			t.Fatal(serr)
 		}
@@ -279,6 +285,10 @@ func TestExportIndexCompaction(t *testing.T) {
 	}
 	check := func(stage string) {
 		t.Helper()
+		sys, _, err := dynamic.ReplaySystem(idx.Sys, applied)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, method := range []string{"RS", "RW", "IC"} {
 			score, theta := "plurality", tdTheta
 			if method == "RW" {
@@ -296,9 +306,12 @@ func TestExportIndexCompaction(t *testing.T) {
 			if serr != nil {
 				t.Fatal(serr)
 			}
-			if !reflect.DeepEqual(a.Seeds, b.Seeds) || a.Epoch != b.Epoch || !b.FromIndex {
+			if !reflect.DeepEqual(a.Seeds, b.Seeds) || a.Epoch != b.Epoch || b.FromIndex != (method != "IC") {
 				t.Fatalf("%s %s: compacted service diverged (epochs %d/%d, fromIndex=%v)",
 					stage, method, a.Epoch, b.Epoch, b.FromIndex)
+			}
+			if method == "IC" {
+				requireLibraryAnswer(t, sys, req, b)
 			}
 		}
 	}
@@ -306,6 +319,7 @@ func TestExportIndexCompaction(t *testing.T) {
 	// Further updates must stay in lockstep: the rebased artifacts carry
 	// the same seeds and substream families.
 	next := dynamic.Batch{{Kind: dynamic.OpAddEdge, From: 5, To: 77, W: 0.4}}
+	applied = append(applied, next)
 	for _, svc := range []*service.Service{live, compacted} {
 		resp, serr := svc.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: next})
 		if serr != nil {

@@ -58,7 +58,9 @@
 //	103        FamilyRWPilot  the γ* pilot walks of §V-C
 //	211        FamilyRS       Algorithm 5's sketch set (sketch.Draw)
 //	223 + ⌊x⌋  FamilyRSOpt    EstimateOPT's test set at threshold x
-//	701        im.RRStream    IMM's RR sets (package im; listed for the map)
+//	701        im.RRStream    IMM's RR sets (package im; listed for the map:
+//	                          IMM and the golden test draw from it, no index
+//	                          file stores it)
 //
 // TestGoldenBytesAcrossCommits pins the bytes each of them draws on a fixed
 // graph and seed, against digests recorded before the ids were named.

@@ -75,7 +75,8 @@ func TestFacadeVoter(t *testing.T) {
 
 // TestFacadeIndexFileIsTheDaemonFile: ovm.WriteIndex writes the file ovmd
 // serves — mapped zero-copy, stored postings adopted in place of a rebuild
-// — and a service over it answers exactly as one over the in-memory index.
+// — and a service over it answers exactly as one over the in-memory index,
+// from the index where an artifact matches (RS, RW) and without one (IC).
 func TestFacadeIndexFileIsTheDaemonFile(t *testing.T) {
 	d, err := ovm.LoadDataset("yelp-like", ovm.DatasetOptions{N: 200, Seed: 3})
 	if err != nil {
@@ -83,7 +84,7 @@ func TestFacadeIndexFileIsTheDaemonFile(t *testing.T) {
 	}
 	const horizon, theta, seed = 8, 512, int64(5)
 	idx, err := ovm.BuildIndex(d.Sys, ovm.IndexBuildOptions{
-		Horizon: horizon, Seed: seed, SketchTheta: theta, IncludeWalks: true, RRSets: 300,
+		Horizon: horizon, Seed: seed, SketchTheta: theta, IncludeWalks: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,8 +119,8 @@ func TestFacadeIndexFileIsTheDaemonFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	if mi.Mapped() {
-		// Every artifact byte of the file — walk and RR storage and their
-		// postings indexes — is served in place: a postings index rebuilt at
+		// Every artifact byte of the file — walk storage and its postings
+		// indexes — is served in place: a postings index rebuilt at
 		// load would sit on the heap and leave its stored sections unused.
 		a := d.Sys.Candidate(0).G.Arrays()
 		system := int64(len(a.InStart)+len(a.InSrc)+len(a.OutStart)+len(a.OutDst))*4 +
@@ -131,7 +132,8 @@ func TestFacadeIndexFileIsTheDaemonFile(t *testing.T) {
 	for _, q := range []struct {
 		method, score string
 		theta         int
-	}{{"RS", "plurality", theta}, {"RW", "cumulative", 0}, {"IC", "plurality", 0}} {
+		fromIndex     bool
+	}{{"RS", "plurality", theta, true}, {"RW", "cumulative", 0, true}, {"IC", "plurality", 0, false}} {
 		req := &ovm.SelectSeedsRequest{
 			Dataset: "world", Method: q.method, Score: ovm.ScoreSpec{Name: q.score},
 			K: 6, Horizon: horizon, Seed: seed, Theta: q.theta,
@@ -144,7 +146,7 @@ func TestFacadeIndexFileIsTheDaemonFile(t *testing.T) {
 		if serr != nil {
 			t.Fatal(serr)
 		}
-		if !got.FromIndex || !reflect.DeepEqual(got.Seeds, want.Seeds) ||
+		if got.FromIndex != q.fromIndex || !reflect.DeepEqual(got.Seeds, want.Seeds) ||
 			math.Float64bits(got.ExactValue) != math.Float64bits(want.ExactValue) {
 			t.Errorf("%s/%s over the file: %v (%v, fromIndex=%v), in memory %v (%v)",
 				q.method, q.score, got.Seeds, got.ExactValue, got.FromIndex, want.Seeds, want.ExactValue)

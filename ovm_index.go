@@ -8,7 +8,7 @@ import (
 )
 
 // Index bundles an opinion system with precomputed query-serving artifacts
-// (sketch sets, walk sets, RR-set collections). Build one with BuildIndex
+// (sketch sets and walk sets). Build one with BuildIndex
 // and persist it with WriteIndex: the file is the one ovmd -build-index
 // writes, which ovmd -index maps zero-copy. ReadIndex loads it onto the
 // heap. Queries whose parameters match an artifact reuse it and return

@@ -46,7 +46,7 @@ go build -o "$workdir/ovmd" ./cmd/ovmd
 echo "== synthesizing dataset + building index"
 "$workdir/ovmgen" -dataset yelp-like -n 300 -seed 7 -out "$workdir/chaos" -system
 "$workdir/ovmd" -build-index -load "$workdir/chaos.system" -out "$workdir/chaos.ovmidx" \
-  -theta 2048 -t 10 -target 0 -seed 7 -rr 300
+  -theta 2048 -t 10 -target 0 -seed 7
 
 start_daemon() {
   "$workdir/ovmd" -listen "127.0.0.1:${port}" -index "$workdir/chaos.ovmidx" \

@@ -9,7 +9,8 @@
 #      query is served from the cache; an index-served RW cumulative answer
 #      and an RS borda answer equal the direct CLI's too (both methods run
 #      the one greedy over their artifact, and the daemon and the CLI parse
-#      a score name with the same function);
+#      a score name with the same function); IC and LT, which no artifact
+#      serves, answer the direct CLI's seeds with "fromIndex":false;
 #   5. the daemon's load line reports the index served zero-copy (the
 #      mapped/heap equivalence contract itself is proven in Go:
 #      internal/service TestMappedMatchesHeapAcrossScores);
@@ -72,7 +73,7 @@ go build -o "$workdir/ovmd" ./cmd/ovmd
 echo "== synthesizing dataset + building index"
 "$workdir/ovmgen" -dataset yelp-like -n 300 -seed 7 -out "$workdir/smoke" -system
 "$workdir/ovmd" -build-index -load "$workdir/smoke.system" -out "$workdir/smoke.ovmidx" \
-  -theta 2048 -t 10 -target 0 -seed 7 -rr 300
+  -theta 2048 -t 10 -target 0 -seed 7
 
 echo "== computing expected seeds with the direct CLI"
 direct_out=$("$workdir/ovm" -load "$workdir/smoke.system" -method RS -score plurality \
@@ -118,6 +119,20 @@ for pair in "RW cumulative" "RS borda"; do
   [[ "$xgot" == "$want" ]] || { echo "FAIL: daemon $m $sc seeds ($xgot) != direct CLI seeds ($want)"; exit 1; }
   grep -q '"fromIndex":true' <<<"$xresp" || { echo "FAIL: $m $sc did not use the loaded index: $xresp"; exit 1; }
   echo "   $m $sc: seeds $xgot match the direct CLI and came from the index"
+done
+
+echo "== IC and LT, which no artifact serves, against the direct CLI"
+for m in IC LT; do
+  cli_out=$("$workdir/ovm" -load "$workdir/smoke.system" -method "$m" -score plurality \
+    -k 5 -t 10 -target 0 -seed 7)
+  want=$(sed -n 's/^seeds ([0-9]* total): \[\([0-9 ]*\)\].*/\1/p' <<<"$cli_out")
+  [[ -n "$want" ]] || { echo "FAIL: could not parse direct CLI seeds for $m"; echo "$cli_out"; exit 1; }
+  body='{"dataset":"default","method":"'$m'","score":{"name":"plurality"},"k":5,"horizon":10,"target":0,"seed":7}'
+  xresp=$(curl -sf -X POST "$base/v1/select-seeds" -H 'Content-Type: application/json' -d "$body")
+  xgot=$(sed -n 's/.*"seeds":\[\([0-9,]*\)\].*/\1/p' <<<"$xresp" | tr ',' ' ')
+  [[ "$xgot" == "$want" ]] || { echo "FAIL: daemon $m seeds ($xgot) != direct CLI seeds ($want)"; exit 1; }
+  grep -q '"fromIndex":false' <<<"$xresp" || { echo "FAIL: $m claims an index served it: $xresp"; exit 1; }
+  echo "   $m plurality: seeds $xgot match the direct CLI, computed without an index"
 done
 
 echo "== zero-copy load"

@@ -5,10 +5,11 @@
 // response cache and singleflight coalescing, and with every answer
 // bit-identical to the direct library call at any parallelism.
 //
-// Live updates: POST /v1/datasets/{name}/updates applies a mutation batch
-// (edge insert/delete/re-weight, opinion/stubbornness drift); the loaded
-// artifacts are incrementally repaired (byte-identical to a full rebuild of
-// the mutated graph) and the dataset epoch bumps by one. When serving from
+// Live updates: POST /v1/datasets/{name}/updates accepts a mutation batch
+// (edge insert/delete/re-weight, opinion/stubbornness drift) and returns
+// the epoch it becomes visible at; in the background the loaded artifacts
+// are incrementally repaired (byte-identical to a full rebuild of the
+// mutated graph) and the dataset epoch bumps by one. When serving from
 // an -index file, every acknowledged batch is one fsync'd line in the
 // <index>.wal sidecar; the index file itself is a checkpoint, rewritten
 // atomically (as OVMIDX v3) only once the log reaches -compact-log batches,
@@ -87,8 +88,6 @@ func main() {
 		cache   = flag.Int("cache", 1024, "LRU response cache capacity (entries; -1 = no response cache, every request computes)")
 		compact = flag.Int("compact-log", 1024, "checkpoint the index file (rewrite it at the current epoch, serve the file written, and prune the WAL) once the update log (applied + queued batches) reaches this many, bounding WAL depth and restart replay cost; an outgrown overlay of repaired walks and a graceful stop checkpoint too (0 = never checkpoint; repairs then fold overlays on the heap)")
 
-		syncUpdates = flag.Bool("sync-updates", false, "apply update batches inline (blocking POST) instead of the default async pipeline (durable WAL queue + background repair)")
-
 		queryTimeout = flag.Duration("query-timeout", 0, "per-query deadline; an expired query returns deadline_exceeded (504) and its computation stops at the next cancellation poll (0 = unbounded; requests may override with timeoutMs)")
 		maxInflight  = flag.Int("max-inflight", 0, "cap on concurrently computing queries; cache hits always answer (0 = unlimited)")
 		maxQueue     = flag.Int("max-queue", 64, "computations allowed to wait for a free slot once -max-inflight is reached; overflow is shed with 429 + Retry-After (only meaningful with -max-inflight > 0)")
@@ -146,8 +145,7 @@ func main() {
 		pprof: *pprofOn, slowLog: *slowLog, slowThreshold: *slowThr,
 		tsInterval: *tsEvery, tsCapacity: *tsCap,
 		queryTimeout: *queryTimeout, maxInflight: *maxInflight, maxQueue: *maxQueue,
-		debugFaults: *debugFaults, syncUpdates: *syncUpdates,
-		logger: obs.NewLogger(os.Stderr, level, *logFormat == "json"),
+		debugFaults: *debugFaults, logger: obs.NewLogger(os.Stderr, level, *logFormat == "json"),
 	})
 }
 
@@ -238,7 +236,6 @@ type serveOpts struct {
 	queryTimeout                       time.Duration
 	maxInflight, maxQueue              int
 	debugFaults                        bool
-	syncUpdates                        bool
 	logger                             *obs.Logger
 }
 
@@ -262,7 +259,6 @@ func serve(o serveOpts) {
 		MaxInflight:        o.maxInflight,
 		MaxQueue:           o.maxQueue,
 		DebugFaults:        o.debugFaults,
-		AsyncUpdates:       !o.syncUpdates,
 	}
 	if o.slowLog == 0 {
 		cfg.SlowQueryLog = -1 // 0 means "disabled" on the flag, "default" in Config

@@ -21,13 +21,12 @@ import (
 )
 
 // Persistence trade-off: the WAL sidecar is the update log and the index
-// file is a checkpoint. A batch costs one fsync'd JSONL line — async at
-// accept, -sync-updates just before the swap — and never touches the
-// index file. The file is rewritten whole (export, temp + fsync + rename,
-// then WAL prune) only once the log holds -compact-log batches, once a
-// walk set's overlay outgrows its share, and once more at a graceful stop,
-// so its O(index size) cost is paid per many batches and the restart
-// replay stays bounded. The checkpoint is also the walk sets' only fold:
+// file is a checkpoint. A batch costs one fsync'd JSONL line, written at
+// accept, and never touches the index file. The file is rewritten whole
+// (export, temp + fsync + rename, then WAL prune) only once the log holds
+// -compact-log batches, once a walk set's overlay outgrows its share, and
+// once more at a graceful stop, so its O(index size) cost is paid per many
+// batches and the restart replay stays bounded. The checkpoint is also the walk sets' only fold:
 // the writer streams each set from its mapped base plus heap overlay, and
 // the file just written is mapped and becomes the base every later
 // version serves, with an overlay of only what changed since. Only the
@@ -97,8 +96,9 @@ func openStore(fsys iofault.FS, cfg service.Config, o storeOpts) (*store, error)
 	}
 	st.legacyLog.Store(int64(len(idx.Updates)))
 	cfg.UpdateLogDepth = func(string) int { return st.logDepth() }
-	// Durability before acknowledgement: an async-accepted batch is on
-	// disk (fsync'd WAL line) before the accepted response is sent.
+	// Durability before acknowledgement: an accepted batch is on disk
+	// (fsync'd WAL line) before the accepted response is sent. This is its
+	// one durable write; a batch replayed at startup is in the WAL already.
 	cfg.OnEnqueue = func(_ string, batch dynamic.Batch, epoch int64) error {
 		return st.wal.Append(persist.WALEntry{Epoch: epoch, Batch: batch})
 	}
@@ -126,8 +126,8 @@ func openStore(fsys iofault.FS, cfg service.Config, o storeOpts) (*store, error)
 
 // register hands the loaded file to the service as the dataset (replaying
 // its own log section, if it has one) and then drains the batches recovered
-// from the WAL through the same applier as live traffic, in either update
-// mode, so they land on the epochs that were promised.
+// from the WAL through the same applier as live traffic, so they land on
+// the epochs that were promised.
 func (st *store) register(mi *serialize.MappedIndex, queued []dynamic.Batch, queuedFirst int64) error {
 	if err := st.svc.AddMapped(st.opts.name, mi, st.opts.compact > 0); err != nil {
 		return err
@@ -236,20 +236,11 @@ func (st *store) logDepth() int {
 }
 
 // beforeSwap is the service's OnUpdate hook: a repaired run is about to
-// become visible as epoch, so its batches must be in the log first. Async
-// batches were logged at accept, and batches replayed from the WAL at
-// startup are in it by definition; only a live -sync-updates batch is new,
-// and this append is its one durable write. Then, with the log long
-// enough or a walk set's overlay past its share, checkpoint.
-func (st *store) beforeSwap(_ string, batches []dynamic.Batch, epoch int64) error {
-	first, logged := epoch-int64(len(batches))+1, st.wal.LastEpoch()
-	for i, b := range batches {
-		if e := first + int64(i); e > logged {
-			if err := st.wal.Append(persist.WALEntry{Epoch: e, Batch: b}); err != nil {
-				return err
-			}
-		}
-	}
+// become visible, and its batches are in the WAL already (logged at accept,
+// or read from it at startup). With the log long enough or a walk set's
+// overlay past its share, checkpoint the version the run replaces. A failed
+// checkpoint never holds up the swap.
+func (st *store) beforeSwap(string, []dynamic.Batch, int64) error {
 	if st.opts.compact > 0 {
 		switch {
 		case st.logDepth() >= st.opts.compact:

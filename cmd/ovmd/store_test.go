@@ -76,9 +76,9 @@ func mixedBatches() []dynamic.Batch {
 	}
 }
 
-func openTestStore(t testing.TB, fsys iofault.FS, path string, async bool, compact int) *store {
+func openTestStore(t testing.TB, fsys iofault.FS, path string, compact int) *store {
 	t.Helper()
-	st, err := openStore(fsys, service.Config{AsyncUpdates: async}, storeOpts{index: path, name: testDataset, compact: compact})
+	st, err := openStore(fsys, service.Config{}, storeOpts{index: path, name: testDataset, compact: compact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func kill(st *store) {
 func send(t testing.TB, svc *service.Service, batches []dynamic.Batch) {
 	t.Helper()
 	for i, b := range batches {
-		if _, serr := svc.Update(&service.UpdateRequest{Dataset: testDataset, Ops: b}); serr != nil {
+		if _, serr := svc.EnqueueUpdates(&service.UpdateRequest{Dataset: testDataset, Ops: b}); serr != nil {
 			t.Fatalf("batch %d: %v", i, serr)
 		}
 	}
@@ -137,16 +137,21 @@ func answers(t testing.TB, svc *service.Service) string {
 	return out.String()
 }
 
-// syncReplay is the reference: the batches applied one at a time, with no
-// store, no log and no interruption.
-func syncReplay(t testing.TB, batches []dynamic.Batch) string {
+// uncoalescedReplay is the reference: one blocking ApplyUpdates per batch,
+// so no two batches ever share a repair, with no store, no log and no
+// interruption.
+func uncoalescedReplay(t testing.TB, batches []dynamic.Batch) string {
 	t.Helper()
 	svc := service.New(service.Config{})
 	defer svc.Close()
 	if err := svc.AddIndex(testDataset, buildWorld(t)); err != nil {
 		t.Fatal(err)
 	}
-	send(t, svc, batches)
+	for i, b := range batches {
+		if _, serr := svc.ApplyUpdates(&service.UpdateRequest{Dataset: testDataset, Ops: b}); serr != nil {
+			t.Fatalf("batch %d: %v", i, serr)
+		}
+	}
 	return answers(t, svc)
 }
 
@@ -232,15 +237,14 @@ func checkWAL(t testing.TB, path string, base, n int64) (covered bool) {
 // visible, mid-checkpoint, checkpointed but not yet pruned or mapped,
 // gracefully stopped — and restarts it. Every batch was acknowledged before
 // the kill, so every restart must reach the last promised epoch and answer
-// with the bytes of an uninterrupted sync replay.
+// with the bytes of an uninterrupted, uncoalesced replay.
 func TestCrashPoints(t *testing.T) {
 	batches := mixedBatches()
 	n := len(batches)
-	want := syncReplay(t, batches)
+	want := uncoalescedReplay(t, batches)
 
 	cases := []struct {
 		name    string
-		async   bool
 		compact int
 		// die drives the acknowledged batches' store to its death.
 		die func(t *testing.T, st *store, fsys *iofault.Faulty)
@@ -251,14 +255,14 @@ func TestCrashPoints(t *testing.T) {
 		tempsLeft      bool
 	}{
 		{
-			name: "after accept", async: true, compact: 1024,
+			name: "after accept", compact: 1024,
 			die: func(t *testing.T, st *store, _ *iofault.Faulty) {
 				kill(st) // whatever the applier had reached
 			},
 			indexUntouched: true, walLeft: n,
 		},
 		{
-			name: "after swap, no checkpoint", async: true, compact: 1024,
+			name: "after swap, no checkpoint", compact: 1024,
 			die: func(t *testing.T, st *store, _ *iofault.Faulty) {
 				waitIdle(t, st.svc)
 				kill(st)
@@ -266,14 +270,7 @@ func TestCrashPoints(t *testing.T) {
 			indexUntouched: true, walLeft: n,
 		},
 		{
-			name: "sync mode, after swap", async: false, compact: 1024,
-			die: func(t *testing.T, st *store, _ *iofault.Faulty) {
-				kill(st)
-			},
-			indexUntouched: true, walLeft: n,
-		},
-		{
-			name: "during the checkpoint temp write", async: true, compact: 1024,
+			name: "during the checkpoint temp write", compact: 1024,
 			die: func(t *testing.T, st *store, fsys *iofault.Faulty) {
 				waitIdle(t, st.svc)
 				fsys.Reset()
@@ -286,7 +283,7 @@ func TestCrashPoints(t *testing.T) {
 			indexUntouched: true, walLeft: n, tempsLeft: true,
 		},
 		{
-			name: "checkpoint renamed, WAL not pruned", async: true, compact: 1024,
+			name: "checkpoint renamed, WAL not pruned", compact: 1024,
 			die: func(t *testing.T, st *store, fsys *iofault.Faulty) {
 				waitIdle(t, st.svc)
 				fsys.Reset()
@@ -303,7 +300,7 @@ func TestCrashPoints(t *testing.T) {
 		{
 			// A graceful stop's checkpoint is never mapped: this is one taken
 			// while serving, killed after the prune, before its file serves.
-			name: "checkpoint renamed and pruned, not mapped", async: true, compact: 1024,
+			name: "checkpoint renamed and pruned, not mapped", compact: 1024,
 			die: func(t *testing.T, st *store, fsys *iofault.Faulty) {
 				waitIdle(t, st.svc)
 				fsys.Reset()
@@ -315,14 +312,14 @@ func TestCrashPoints(t *testing.T) {
 			},
 		},
 		{
-			name: "graceful stop", async: true, compact: 1024,
+			name: "graceful stop", compact: 1024,
 			die: func(t *testing.T, st *store, _ *iofault.Faulty) {
 				waitIdle(t, st.svc)
 				st.Close()
 			},
 		},
 		{
-			name: "graceful stop, -compact-log 0", async: true, compact: 0,
+			name: "graceful stop, -compact-log 0", compact: 0,
 			die: func(t *testing.T, st *store, _ *iofault.Faulty) {
 				waitIdle(t, st.svc)
 				st.Close()
@@ -338,7 +335,7 @@ func TestCrashPoints(t *testing.T) {
 				t.Fatal(err)
 			}
 			fsys := iofault.NewFaulty(iofault.OS)
-			st := openTestStore(t, fsys, path, tc.async, tc.compact)
+			st := openTestStore(t, fsys, path, tc.compact)
 			send(t, st.svc, batches)
 			tc.die(t, st, fsys)
 
@@ -362,15 +359,15 @@ func TestCrashPoints(t *testing.T) {
 			}
 
 			fsys.Reset()
-			re := openTestStore(t, fsys, path, tc.async, tc.compact)
+			re := openTestStore(t, fsys, path, tc.compact)
 			defer kill(re)
 			if got := answers(t, re.svc); got != want {
-				t.Fatalf("restart diverged from the uninterrupted sync replay:\n got %s\nwant %s", got, want)
+				t.Fatalf("restart diverged from the uninterrupted replay:\n got %s\nwant %s", got, want)
 			}
 			if temps := staleTemps(t, path); len(temps) > 0 {
 				t.Fatalf("restart left stale temps: %v", temps)
 			}
-			// Replaying the log must not log it again, in either mode.
+			// Replaying the log must not log it again.
 			wantDepth := tc.walLeft
 			if !tc.indexUntouched {
 				wantDepth = 0 // the checkpoint covers every entry still in the file
@@ -390,73 +387,68 @@ func TestCrashPoints(t *testing.T) {
 // file is the old one, the WAL is whole — and the next run past the
 // threshold checkpoints and prunes.
 func TestFailedCheckpointKeepsLogAndIndex(t *testing.T) {
-	for _, mode := range []struct {
-		name  string
-		async bool
-	}{{"async", true}, {"sync-updates", false}} {
-		t.Run(mode.name, func(t *testing.T) { failedCheckpoint(t, mode.async) })
-	}
-}
-
-func failedCheckpoint(t *testing.T, async bool) {
-	batches := mixedBatches()
-	path := writeWorld(t, nil)
-	built, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsys := iofault.NewFaulty(iofault.OS)
-	st := openTestStore(t, fsys, path, async, 3)
-	fsys.Reset()
-	fsys.Inject(iofault.OpRename, 0, iofault.ActError)
-
-	// One run per batch: the third brings the log to the threshold.
-	for i := 0; i < 3; i++ {
-		send(t, st.svc, batches[i:i+1])
-		waitIdle(t, st.svc)
-	}
-	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(built, now) {
-		t.Fatalf("a failed checkpoint changed the index file (read err %v)", err)
-	}
-	if got := len(walEntries(t, path)); got != 3 {
-		t.Fatalf("WAL holds %d entries after a failed checkpoint, want 3", got)
-	}
-	if temps := staleTemps(t, path); len(temps) > 0 {
-		t.Fatalf("failed checkpoint left temps: %v", temps)
-	}
-	if stats := st.svc.StatsSnapshot(); stats.Checkpoints != 0 || stats.Datasets[0].Epoch != 3 {
-		t.Fatalf("after the failed checkpoint: %d checkpoints at epoch %d, want 0 at 3", stats.Checkpoints, stats.Datasets[0].Epoch)
-	}
-
-	// The fourth run retries before its swap: the checkpoint is the visible
-	// epoch 3, and batch 4 stays in the log on top of it.
-	fsys.Reset()
-	send(t, st.svc, batches[3:4])
-	waitIdle(t, st.svc)
-	if idx := readIndexFile(t, path); idx.BaseEpoch != 3 {
-		t.Fatalf("retried checkpoint is at epoch %d, want 3", idx.BaseEpoch)
-	}
-	if got := walEntries(t, path); len(got) != 1 || got[0].Epoch != 4 {
-		t.Fatalf("WAL after the retried checkpoint: %+v, want epoch 4 alone", got)
-	}
-	var metrics bytes.Buffer
-	if err := st.svc.WriteMetrics(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range []string{`ovmd_checkpoints_total{reason="log"} 1` + "\n", `ovmd_stage_duration_seconds_count{stage="checkpoint"} 1` + "\n"} {
-		if !strings.Contains(metrics.String(), line) {
-			t.Errorf("/metrics lacks %q", line)
+	// Updates are enqueued and applied by the background applier, the
+	// one update path the daemon has.
+	t.Run("async", func(t *testing.T) {
+		batches := mixedBatches()
+		path := writeWorld(t, nil)
+		built, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	send(t, st.svc, batches[4:])
-	waitIdle(t, st.svc)
-	kill(st)
+		fsys := iofault.NewFaulty(iofault.OS)
+		st := openTestStore(t, fsys, path, 3)
+		fsys.Reset()
+		fsys.Inject(iofault.OpRename, 0, iofault.ActError)
 
-	re := openTestStore(t, iofault.OS, path, async, 3)
-	defer kill(re)
-	if got, want := answers(t, re.svc), syncReplay(t, batches); got != want {
-		t.Fatalf("restart diverged from the uninterrupted sync replay:\n got %s\nwant %s", got, want)
-	}
+		// One run per batch: the third brings the log to the threshold.
+		for i := 0; i < 3; i++ {
+			send(t, st.svc, batches[i:i+1])
+			waitIdle(t, st.svc)
+		}
+		if now, err := os.ReadFile(path); err != nil || !bytes.Equal(built, now) {
+			t.Fatalf("a failed checkpoint changed the index file (read err %v)", err)
+		}
+		if got := len(walEntries(t, path)); got != 3 {
+			t.Fatalf("WAL holds %d entries after a failed checkpoint, want 3", got)
+		}
+		if temps := staleTemps(t, path); len(temps) > 0 {
+			t.Fatalf("failed checkpoint left temps: %v", temps)
+		}
+		if stats := st.svc.StatsSnapshot(); stats.Checkpoints != 0 || stats.Datasets[0].Epoch != 3 {
+			t.Fatalf("after the failed checkpoint: %d checkpoints at epoch %d, want 0 at 3", stats.Checkpoints, stats.Datasets[0].Epoch)
+		}
+
+		// The fourth run retries before its swap: the checkpoint is the visible
+		// epoch 3, and batch 4 stays in the log on top of it.
+		fsys.Reset()
+		send(t, st.svc, batches[3:4])
+		waitIdle(t, st.svc)
+		if idx := readIndexFile(t, path); idx.BaseEpoch != 3 {
+			t.Fatalf("retried checkpoint is at epoch %d, want 3", idx.BaseEpoch)
+		}
+		if got := walEntries(t, path); len(got) != 1 || got[0].Epoch != 4 {
+			t.Fatalf("WAL after the retried checkpoint: %+v, want epoch 4 alone", got)
+		}
+		var metrics bytes.Buffer
+		if err := st.svc.WriteMetrics(&metrics); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range []string{`ovmd_checkpoints_total{reason="log"} 1` + "\n", `ovmd_stage_duration_seconds_count{stage="checkpoint"} 1` + "\n"} {
+			if !strings.Contains(metrics.String(), line) {
+				t.Errorf("/metrics lacks %q", line)
+			}
+		}
+		send(t, st.svc, batches[4:])
+		waitIdle(t, st.svc)
+		kill(st)
+
+		re := openTestStore(t, iofault.OS, path, 3)
+		defer kill(re)
+		if got, want := answers(t, re.svc), uncoalescedReplay(t, batches); got != want {
+			t.Fatalf("restart diverged from the uninterrupted replay:\n got %s\nwant %s", got, want)
+		}
+	})
 }
 
 // TestReplayRegroupsBatches: the live run repairs each batch on its own
@@ -495,7 +487,7 @@ func TestReplayRegroupsBatches(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		batches []dynamic.Batch
-		applied []dynamic.Batch // what a sync replay can apply; nil = all
+		applied []dynamic.Batch // the batches that change state; nil = all
 		failed  int64           // batches the repair refuses, live and again on replay
 	}{
 		{name: "paced mix on one edge", batches: paced},
@@ -506,7 +498,7 @@ func TestReplayRegroupsBatches(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// No checkpoints: the restart replays every batch from the WAL.
 			path := writeWorld(t, nil)
-			st := openTestStore(t, iofault.OS, path, true, 0)
+			st := openTestStore(t, iofault.OS, path, 0)
 			for i := range tc.batches {
 				send(t, st.svc, tc.batches[i:i+1])
 				waitIdle(t, st.svc)
@@ -517,7 +509,7 @@ func TestReplayRegroupsBatches(t *testing.T) {
 			}
 			kill(st)
 
-			re := openTestStore(t, iofault.OS, path, true, 0)
+			re := openTestStore(t, iofault.OS, path, 0)
 			defer kill(re)
 			replayed := answers(t, re.svc)
 			if replayed != live {
@@ -531,17 +523,17 @@ func TestReplayRegroupsBatches(t *testing.T) {
 				t.Fatalf("replay refused %d batches, want %d", stats.Errors, tc.failed)
 			}
 			if tc.applied == nil {
-				if want := syncReplay(t, tc.batches); replayed != want {
-					t.Fatalf("replay diverged from the sync replay:\n got %s\nwant %s", replayed, want)
+				if want := uncoalescedReplay(t, tc.batches); replayed != want {
+					t.Fatalf("replay diverged from the uncoalesced replay:\n got %s\nwant %s", replayed, want)
 				}
 				return
 			}
-			// The sync reference skips the failed batch and so sits one
-			// epoch lower; everything else must agree.
-			want := syncReplay(t, tc.applied)
+			// A reference that never saw the failed batch sits one epoch
+			// lower; everything else must agree.
+			want := uncoalescedReplay(t, tc.applied)
 			from, to := epochField(len(tc.applied)), epochField(len(tc.batches))
 			if want = strings.ReplaceAll(want, from, to); replayed != want {
-				t.Fatalf("replay diverged from the sync replay without the failed batch:\n got %s\nwant %s", replayed, want)
+				t.Fatalf("replay diverged from the uncoalesced replay without the failed batch:\n got %s\nwant %s", replayed, want)
 			}
 		})
 	}
@@ -589,10 +581,10 @@ func TestLegacyInIndexLogStillLoads(t *testing.T) {
 				}
 			}
 
-			want := syncReplay(t, logged)
-			st := openTestStore(t, iofault.OS, path, true, 1024)
+			want := uncoalescedReplay(t, logged)
+			st := openTestStore(t, iofault.OS, path, 1024)
 			if got := answers(t, st.svc); got != want {
-				t.Fatalf("legacy log + WAL diverged from the sync replay:\n got %s\nwant %s", got, want)
+				t.Fatalf("legacy log + WAL diverged from the uncoalesced replay:\n got %s\nwant %s", got, want)
 			}
 			if got := st.logDepth(); got != n {
 				t.Fatalf("log depth = %d, want %d (2 in the file, %d in the WAL)", got, n, n-2)
@@ -630,7 +622,7 @@ func TestUnreconcilableWALIsQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := openTestStore(t, iofault.OS, path, true, 1024)
+	st := openTestStore(t, iofault.OS, path, 1024)
 	defer kill(st)
 	kept, err := os.ReadFile(path + ".wal.corrupt")
 	if err != nil || !bytes.Equal(kept, orphaned) {
@@ -782,7 +774,7 @@ func TestCheckpointedStoreAnswersLikeHeapFold(t *testing.T) {
 	batches := churnBatches(7, 120, 64)
 	stores := map[int]*store{}
 	for _, compact := range []int{8, 0} {
-		stores[compact] = openTestStore(t, iofault.OS, writeWorld(t, nil), true, compact)
+		stores[compact] = openTestStore(t, iofault.OS, writeWorld(t, nil), compact)
 	}
 	if a, b := answers(t, stores[8].svc), answers(t, stores[0].svc); a != b {
 		t.Fatalf("before the batches:\n-compact-log 8 %s\n-compact-log 0 %s", a, b)
@@ -806,7 +798,7 @@ func TestCheckpointedStoreAnswersLikeHeapFold(t *testing.T) {
 	path := stores[8].opts.index
 	kill(stores[8])
 	kill(stores[0])
-	re := openTestStore(t, iofault.OS, path, true, 8)
+	re := openTestStore(t, iofault.OS, path, 8)
 	defer kill(re)
 	if got := answers(t, re.svc); got != want {
 		t.Fatalf("after a restart:\n got %s\nwant %s", got, want)
@@ -822,14 +814,14 @@ func TestRemapFailureKeepsPreviousBase(t *testing.T) {
 	n := int64(len(batches))
 	path := writeWorld(t, nil)
 	fsys := iofault.NewFaulty(iofault.OS)
-	st := openTestStore(t, fsys, path, true, 2)
+	st := openTestStore(t, fsys, path, 2)
 	for i := range 64 {
 		fsys.Inject(iofault.OpMap, i, iofault.ActError)
 	}
 	for i := range batches {
 		send(t, st.svc, batches[i:i+1])
 		waitIdle(t, st.svc)
-		if got, want := answers(t, st.svc), syncReplay(t, batches[:i+1]); got != want {
+		if got, want := answers(t, st.svc), uncoalescedReplay(t, batches[:i+1]); got != want {
 			t.Fatalf("batch %d: answers diverged:\n got %s\nwant %s", i, got, want)
 		}
 	}
@@ -855,7 +847,7 @@ func TestRemapFailureKeepsPreviousBase(t *testing.T) {
 	}
 	want := answers(t, st.svc)
 	kill(st)
-	re := openTestStore(t, iofault.OS, path, true, 2)
+	re := openTestStore(t, iofault.OS, path, 2)
 	defer kill(re)
 	if got := answers(t, re.svc); got != want {
 		t.Fatalf("restart on the unmapped checkpoint diverged:\n got %s\nwant %s", got, want)
@@ -883,9 +875,9 @@ func TestFailingCheckpointsKeepHeapBounded(t *testing.T) {
 	} {
 		t.Run(string(tc.op), func(t *testing.T) {
 			fsys := iofault.NewFaulty(iofault.OS)
-			st := openTestStore(t, fsys, writeWorld(t, nil), true, compact)
+			st := openTestStore(t, fsys, writeWorld(t, nil), compact)
 			defer kill(st)
-			ref := openTestStore(t, iofault.OS, writeWorld(t, nil), true, 0)
+			ref := openTestStore(t, iofault.OS, writeWorld(t, nil), 0)
 			defer kill(ref)
 			fsys.Reset()
 			for i := range len(batches) {

@@ -12,11 +12,13 @@
 //
 // The market then goes live: three "days" of mutations (viewers drifting
 // toward rival platforms, new follow edges) are POSTed to the running
-// daemon via /v1/datasets/{name}/updates. Each batch bumps the dataset
-// epoch, incrementally repairs the sketch index (only invalidated walks
-// regenerate), and the current market winner is tracked flipping over time
-// — with the post-update answers still byte-identical to a direct library
-// call on the mutated system.
+// daemon via /v1/datasets/{name}/updates. The daemon accepts each batch
+// with the epoch it will become visible at and repairs the sketch index in
+// the background (only invalidated walks regenerate); the queries that
+// follow pass that epoch as minEpoch, so they read the write. The current
+// market winner is tracked flipping over time — with the post-update
+// answers still byte-identical to a direct library call on the mutated
+// system. The example exits 1 if either cross-check fails.
 package main
 
 import (
@@ -28,6 +30,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"os"
 	"time"
 
 	"ovm"
@@ -127,7 +130,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("daemon == direct library result: %v\n", equalSeeds(direct.Seeds, pluralitySeeds) && direct.ExactValue == again.ExactValue)
+	sameAtStart := equalSeeds(direct.Seeds, pluralitySeeds) && direct.ExactValue == again.ExactValue
+	fmt.Printf("daemon == direct library result: %v\n", sameAtStart)
 
 	var stats ovm.ServiceStats
 	getJSON(base+"/stats", &stats)
@@ -141,18 +145,17 @@ func main() {
 	// ------------------------------------------------------------------
 	fmt.Printf("\n-- live market: three days of churn --\n")
 	fmt.Printf("day 0 (epoch 0): winner by plurality is %s\n",
-		platforms[marketWinner(base, len(platforms), horizon)])
+		platforms[marketWinner(base, len(platforms), horizon, 0)])
 
 	var applied []ovm.UpdateBatch
+	var epoch int64 // the epoch the last accepted batch was promised
 	for day := 1; day <= 3; day++ {
 		rival := day % len(platforms) // today's surging platform
 		batch := churnBatch(n, day, rival)
-		upd := postUpdates(base, "streaming", batch)
+		epoch = postUpdates(base, "streaming", batch).Epoch
 		applied = append(applied, batch)
-		win := marketWinner(base, len(platforms), horizon)
-		fmt.Printf("day %d (epoch %d): %4d ops, %d nodes touched, %d/%d sketch walks regenerated (%.1f%%) → winner %s\n",
-			day, upd.Epoch, len(batch), upd.NodesTouched, upd.WalksInvalidated, upd.WalksTotal,
-			100*float64(upd.WalksInvalidated)/float64(upd.WalksTotal), platforms[win])
+		win := marketWinner(base, len(platforms), horizon, epoch)
+		fmt.Printf("day %d (epoch %d): %4d ops → winner %s\n", day, epoch, len(batch), platforms[win])
 	}
 
 	// The campaign re-plans on the mutated market: the repaired sketch
@@ -160,7 +163,7 @@ func main() {
 	// byte-identical to a direct library call on the same mutated system.
 	postMutation := postSelect(base, &ovm.SelectSeedsRequest{
 		Dataset: "streaming", Method: "RS", Score: ovm.ScoreSpec{Name: "plurality"},
-		K: k, Horizon: horizon, Target: target, Seed: seed, Theta: theta,
+		K: k, Horizon: horizon, Target: target, Seed: seed, Theta: theta, MinEpoch: epoch,
 	})
 	fmt.Printf("\nre-planned campaign at epoch %d: fromIndex=%v, %.1fms, overlap with day-0 seeds %.0f%%\n",
 		postMutation.Epoch, postMutation.FromIndex, postMutation.ElapsedMs, overlapPct(postMutation.Seeds, pluralitySeeds))
@@ -175,13 +178,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("daemon (incremental repair) == direct library on mutated graph: %v\n",
-		equalSeeds(directMut.Seeds, postMutation.Seeds) && directMut.ExactValue == postMutation.ExactValue)
+	sameAfterUpdates := equalSeeds(directMut.Seeds, postMutation.Seeds) && directMut.ExactValue == postMutation.ExactValue
+	fmt.Printf("daemon (incremental repair) == direct library on mutated graph: %v\n", sameAfterUpdates)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		log.Fatal(err)
+	}
+	svc.Close()
+	if !sameAtStart || !sameAfterUpdates {
+		fmt.Fprintln(os.Stderr, "the daemon's answers differ from the direct library call")
+		os.Exit(1)
 	}
 }
 
@@ -209,14 +217,15 @@ func churnBatch(n, day, rival int) ovm.UpdateBatch {
 }
 
 // marketWinner asks the daemon for every platform's seedless plurality
-// score and returns the argmax — the platform currently winning the vote.
-func marketWinner(base string, platforms, horizon int) int {
+// score at minEpoch or later and returns the argmax — the platform winning
+// the vote.
+func marketWinner(base string, platforms, horizon int, minEpoch int64) int {
 	best, bestScore := 0, -1.0
 	for q := 0; q < platforms; q++ {
 		var resp ovm.EvaluateResponse
 		postJSON(base+"/v1/evaluate", &ovm.EvaluateRequest{
 			Dataset: "streaming", Score: ovm.ScoreSpec{Name: "plurality"},
-			Horizon: horizon, Target: q,
+			Horizon: horizon, Target: q, MinEpoch: minEpoch,
 		}, &resp)
 		if resp.Value > bestScore {
 			best, bestScore = q, resp.Value

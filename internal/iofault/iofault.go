@@ -35,7 +35,9 @@ type Op string
 
 // The persist path's operation kinds, in the order writeIndexAtomic uses
 // them. OpRemove covers the temp-file cleanup on error paths; OpMap is the
-// read-only mapping of a file just written, which a daemon serves next.
+// read-only mapping of a file just written, which a daemon serves next;
+// OpOpenAppend opens the update log, whose appends are writes and syncs
+// like a temp file's.
 const (
 	OpCreateTemp Op = "create-temp"
 	OpWrite      Op = "write"
@@ -46,10 +48,11 @@ const (
 	OpRemove     Op = "remove"
 	OpSyncDir    Op = "sync-dir"
 	OpMap        Op = "map"
+	OpOpenAppend Op = "open-append"
 )
 
 // Ops lists every injectable operation kind.
-var Ops = []Op{OpCreateTemp, OpWrite, OpChmod, OpSync, OpClose, OpRename, OpRemove, OpSyncDir, OpMap}
+var Ops = []Op{OpCreateTemp, OpWrite, OpChmod, OpSync, OpClose, OpRename, OpRemove, OpSyncDir, OpMap, OpOpenAppend}
 
 // Action selects what an injected fault does.
 type Action int
@@ -108,11 +111,16 @@ type File interface {
 	Sync() error
 	Close() error
 	Name() string
+	Truncate(size int64) error
 }
 
-// FS abstracts the filesystem operations of the atomic-rewrite sequence.
+// FS abstracts the filesystem operations of the atomic-rewrite sequence
+// and of the update log's appends.
 type FS interface {
 	CreateTemp(dir, pattern string) (File, error)
+	// OpenAppend opens name write-only for appending, creating it if it
+	// does not exist.
+	OpenAppend(name string) (File, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	Stat(name string) (fs.FileInfo, error)
@@ -130,6 +138,13 @@ type osFS struct{}
 
 func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	f, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+func (osFS) OpenAppend(name string) (File, error) {
+	f, err := os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -241,6 +256,17 @@ func (f *Faulty) CreateTemp(dir, pattern string) (File, error) {
 	return &faultyFile{fs: f, inner: inner}, nil
 }
 
+func (f *Faulty) OpenAppend(name string) (File, error) {
+	if p, act, ok := f.step(OpOpenAppend); ok {
+		return nil, fire(p, act)
+	}
+	inner, err := f.inner.OpenAppend(name)
+	if err != nil {
+		return nil, err
+	}
+	return &faultyFile{fs: f, inner: inner}, nil
+}
+
 func (f *Faulty) Rename(oldpath, newpath string) error {
 	if p, act, ok := f.step(OpRename); ok {
 		return fire(p, act)
@@ -315,6 +341,10 @@ func (ff *faultyFile) Sync() error {
 	}
 	return ff.inner.Sync()
 }
+
+// Truncate only cuts a failed append back off its file, after a fault: it
+// is on no clean run's trace, so it is not an injection point.
+func (ff *faultyFile) Truncate(size int64) error { return ff.inner.Truncate(size) }
 
 func (ff *faultyFile) Close() error {
 	if p, act, ok := ff.fs.step(OpClose); ok {

@@ -13,16 +13,15 @@ import (
 )
 
 // Write-ahead log: the daemon's update log. Every accepted batch is
-// appended (JSONL, one fsync'd line per batch) BEFORE it is acknowledged
-// (async: before the accept response; sync: before the epoch swap), so a
-// crash never loses an acknowledged update. Each entry carries the epoch
+// appended (JSONL, one fsync'd line per batch) BEFORE the accept response,
+// so a crash never loses an acknowledged update. Each entry carries the epoch
 // the batch was promised; the index file is a checkpoint of some epoch,
 // and on restart the entries that checkpoint already covers are skipped (a
 // crash between the checkpoint rename and the WAL prune would otherwise
 // double-apply them) while the remainder replays in order.
 //
-// The append path uses os directly — iofault.FS has no append primitive —
-// and holds one O_APPEND descriptor between appends. A torn trailing line
+// The append path holds one O_APPEND descriptor (iofault.FS.OpenAppend)
+// between appends. A torn trailing line
 // is exactly the un-acknowledged crash shape: it is dropped, and cut off
 // the file, on open. Pruning rewrites the remainder through the same
 // atomic temp + rename + dir-sync machinery as the index itself, under
@@ -45,7 +44,7 @@ type WAL struct {
 	// whenever Prune replaces or removes the file under it; size is the
 	// length of the complete lines behind it, which a failed append
 	// truncates back to.
-	f    *os.File
+	f    iofault.File
 	size int64
 }
 
@@ -117,18 +116,6 @@ func (w *WAL) Depth() int {
 	return len(w.pending)
 }
 
-// LastEpoch is the epoch of the newest entry the log holds, 0 when it is
-// empty. A caller about to log a batch that may already be in the log (a
-// replay of the log itself) appends only past this epoch.
-func (w *WAL) LastEpoch() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if n := len(w.pending); n > 0 {
-		return w.pending[n-1].Epoch
-	}
-	return 0
-}
-
 // Append durably records one accepted batch: the line is written and
 // fsync'd before Append returns, so the caller may acknowledge the update.
 // A failed append leaves no partial line behind.
@@ -143,11 +130,11 @@ func (w *WAL) Append(e WALEntry) error {
 		return err
 	}
 	if w.f == nil {
-		f, err := os.OpenFile(w.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := w.fsys.OpenAppend(w.path)
 		if err != nil {
 			return err
 		}
-		info, err := f.Stat()
+		info, err := w.fsys.Stat(w.path)
 		if err != nil {
 			_ = f.Close()
 			return err

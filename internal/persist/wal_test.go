@@ -1,6 +1,7 @@
 package persist_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -164,8 +165,8 @@ func TestWALClose(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("close before any append: %v", err)
 	}
-	if w.LastEpoch() != 0 {
-		t.Fatalf("empty log LastEpoch = %d", w.LastEpoch())
+	if w.Depth() != 0 {
+		t.Fatalf("empty log depth = %d", w.Depth())
 	}
 	for e := int64(8); e <= 9; e++ {
 		if err := w.Append(persist.WALEntry{Epoch: e, Batch: walBatch(0.5)}); err != nil {
@@ -175,8 +176,8 @@ func TestWALClose(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.LastEpoch() != 9 {
-		t.Fatalf("LastEpoch = %d, want 9", w.LastEpoch())
+	if got := w.Pending(); len(got) != 2 || got[1].Epoch != 9 {
+		t.Fatalf("pending after close/append cycles: %+v, want epochs 8 and 9", got)
 	}
 	if entries, _, torn, err := persist.ReadWAL(path); err != nil || torn || len(entries) != 2 {
 		t.Fatalf("after close/append cycles: %d entries, torn %v, err %v", len(entries), torn, err)
@@ -218,5 +219,49 @@ func TestWALPruneTempsSweepable(t *testing.T) {
 	}
 	if len(removed) != 1 || removed[0] != stale {
 		t.Fatalf("sweep removed %v, want %v", removed, stale)
+	}
+}
+
+// TestWALAppendFaultLeavesNoLine sweeps every file operation of a fresh
+// log's first two appends with an error and a torn write: an append that
+// fails leaves no byte of its line behind, and its epoch appends cleanly
+// on the next try.
+func TestWALAppendFaultLeavesNoLine(t *testing.T) {
+	appendTwo := func(t *testing.T, fsys iofault.FS, path string) {
+		t.Helper()
+		w, _, err := persist.OpenWAL(fsys, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		for e := int64(1); e <= 2; e++ {
+			if err := w.Append(persist.WALEntry{Epoch: e, Batch: walBatch(float64(e) / 10)}); err == nil {
+				continue
+			}
+			if entries, _, torn, err := persist.ReadWAL(path); err != nil || torn || len(entries) != int(e-1) {
+				t.Fatalf("after a failed append of epoch %d: %d entries, torn %v, err %v", e, len(entries), torn, err)
+			}
+			if err := w.Append(persist.WALEntry{Epoch: e, Batch: walBatch(float64(e) / 10)}); err != nil {
+				t.Fatalf("retrying epoch %d: %v", e, err)
+			}
+		}
+		if entries, _, torn, err := persist.ReadWAL(path); err != nil || torn || len(entries) != 2 || entries[1].Epoch != 2 {
+			t.Fatalf("log after two appends: %+v, torn %v, err %v", entries, torn, err)
+		}
+	}
+	rec := iofault.NewFaulty(iofault.OS)
+	appendTwo(t, rec, filepath.Join(t.TempDir(), "idx.ovmidx.wal"))
+	points := rec.Trace()
+	if len(points) == 0 || points[0].Op != iofault.OpOpenAppend {
+		t.Fatalf("append trace %v does not start by opening the log", points)
+	}
+	for _, p := range points {
+		for _, act := range []iofault.Action{iofault.ActError, iofault.ActTornWrite} {
+			t.Run(fmt.Sprintf("%s#%d/%s", p.Op, p.Occurrence, act), func(t *testing.T) {
+				fsys := iofault.NewFaulty(iofault.OS)
+				fsys.Inject(p.Op, p.Occurrence, act)
+				appendTwo(t, fsys, filepath.Join(t.TempDir(), "idx.ovmidx.wal"))
+			})
+		}
 	}
 }

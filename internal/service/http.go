@@ -66,7 +66,7 @@ func (s *Service) Handler() http.Handler {
 		name := r.PathValue("name")
 		handleQuery(s, w, r, func(req *UpdateRequest) (*UpdateResponse, *Error) {
 			req.Dataset = name // the path segment is authoritative
-			return s.Update(req)
+			return s.EnqueueUpdates(req)
 		})
 	})
 	mux.HandleFunc("/v1/datasets", func(w http.ResponseWriter, r *http.Request) {

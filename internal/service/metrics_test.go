@@ -3,6 +3,7 @@ package service_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -107,7 +108,8 @@ func TestMetricsExposition(t *testing.T) {
 	defer ts.Close()
 
 	// 3 identical select-seeds (1 computed + 2 cache hits), 1 evaluate,
-	// 1 update = 5 observations in the request histogram.
+	// 1 update = 6 observations in the request histogram: the updates series
+	// counts the batch's accept and the run that applied it.
 	for i := 0; i < 3; i++ {
 		postJSON(t, ts.URL+"/v1/select-seeds", selectReq("RS", "plurality", tdTheta)).Body.Close()
 	}
@@ -116,6 +118,13 @@ func TestMetricsExposition(t *testing.T) {
 		Horizon: tdHorizon, Target: 0, Seeds: []int32{1, 2, 3},
 	}).Body.Close()
 	postJSON(t, ts.URL+"/v1/datasets/world/updates", &service.UpdateRequest{Ops: batch}).Body.Close()
+	// Close waits for the applier to finish the run, observations included.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if serr := svc.WaitIdle(ctx, "world"); serr != nil {
+		t.Fatal(serr)
+	}
+	svc.Close()
 
 	samples := scrape(t, ts)
 
@@ -129,8 +138,8 @@ func TestMetricsExposition(t *testing.T) {
 			histCount += v
 		}
 	}
-	if histCount != 5 {
-		t.Errorf("request histogram total count = %v, want 5 (3 select + 1 evaluate + 1 update)", histCount)
+	if histCount != 6 {
+		t.Errorf("request histogram total count = %v, want 6 (3 select + 1 evaluate + 1 update accepted and applied)", histCount)
 	}
 	checks := []struct {
 		needles []string
@@ -143,7 +152,7 @@ func TestMetricsExposition(t *testing.T) {
 		{[]string{"ovmd_dataset_epoch", `dataset="world"`}, 1},
 		{[]string{"ovmd_dataset_update_log_depth", `dataset="world"`}, 1},
 		{[]string{"ovmd_request_duration_seconds_count", `endpoint="select-seeds"`, `dataset="world"`, `score="plurality"`}, 3},
-		{[]string{"ovmd_request_duration_seconds_count", `endpoint="updates"`}, 1},
+		{[]string{"ovmd_request_duration_seconds_count", `endpoint="updates"`}, 2},
 	}
 	for _, c := range checks {
 		got, ok := sampleValue(samples, c.needles...)
@@ -277,16 +286,19 @@ func TestStructuredQueryLogging(t *testing.T) {
 	if _, serr := svc.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: testBatch(t, idx)}); serr != nil {
 		t.Fatal(serr)
 	}
+	svc.Close() // the applier logs its run once it has swapped it in
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d log lines, want 2 (query + update):\n%s", len(lines), buf.String())
+	if len(lines) != 3 {
+		t.Fatalf("got %d log lines, want 3 (query, update accepted, update applied):\n%s", len(lines), buf.String())
 	}
-	var query, update map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &query); err != nil {
-		t.Fatal(err)
+	var query, accepted, update map[string]any
+	for i, m := range []*map[string]any{&query, &accepted, &update} {
+		if err := json.Unmarshal([]byte(lines[i]), m); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := json.Unmarshal([]byte(lines[1]), &update); err != nil {
-		t.Fatal(err)
+	if accepted["msg"] != "update accepted" || accepted["epoch"] != float64(1) {
+		t.Errorf("accept line: %v", accepted)
 	}
 	if query["msg"] != "query" || query["level"] != "debug" || query["dataset"] != "world" || query["endpoint"] != "select-seeds" {
 		t.Errorf("query line: %v", query)

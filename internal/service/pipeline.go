@@ -10,11 +10,11 @@ import (
 	"ovm/internal/obs"
 )
 
-// The async update pipeline: POST /updates appends the batch to a durable
-// queue and returns immediately with the epoch the batch WILL become
-// visible at; a per-dataset background applier coalesces the queue and
-// runs the incremental repair off the request path, so reads keep serving
-// epoch N at full throughput while N+1 builds.
+// The update pipeline, the only way an epoch is made: POST /updates
+// appends the batch to a durable queue and returns immediately with the
+// epoch the batch WILL become visible at; a per-dataset background applier
+// coalesces the queue and runs the incremental repair off the request
+// path, so reads keep serving epoch N at full throughput while N+1 builds.
 //
 // The epoch promise is the load-bearing contract: the accepted response
 // names a target epoch, and that epoch must materialize with exactly that
@@ -176,7 +176,7 @@ func (s *Service) EnqueueUpdates(req *UpdateRequest) (*UpdateResponse, *Error) {
 
 // observeAccept records the accept-path latency under the updates
 // endpoint (the applier separately observes the apply spans) and logs the
-// acceptance. Errors feed the error counter exactly like the sync path.
+// acceptance. A rejected batch counts as an error.
 func (s *Service) observeAccept(dataset string, start time.Time, epoch int64, serr *Error) {
 	dur := time.Since(start)
 	s.tel.reqHist.With(endpointUpdates, dataset, "").Observe(dur)
@@ -379,13 +379,12 @@ func (s *Service) awaitEpoch(ctx context.Context, name string, min int64) (*Data
 }
 
 // swapDataset publishes next as the visible snapshot and wakes every
-// epoch waiter. Both the sync and async update paths go through here, so
-// minEpoch waits work in either mode. The caller's hold on next becomes the
-// registry's, and the registry's hold on the version it replaces is
-// released. applied are the batches next derived from the visible version
-// by: they are noted on the dataset's anchor in the same critical section,
-// so a reader of both sees a version and exactly the batches behind it.
-// The update paths call it under updMu.
+// epoch waiter (minEpoch queries, WaitIdle, a blocking ApplyUpdates). The
+// caller's hold on next becomes the registry's, and the registry's hold on
+// the version it replaces is released. applied are the batches next derived
+// from the visible version by: they are noted on the dataset's anchor in
+// the same critical section, so a reader of both sees a version and exactly
+// the batches behind it. The applier calls it under updMu.
 func (s *Service) swapDataset(name string, next *Dataset, applied []dynamic.Batch) {
 	s.mu.Lock()
 	if a := s.anchors[name]; a != nil {
@@ -483,9 +482,9 @@ func (p *updatePipeline) requeueFront(qs []queuedBatch) {
 
 // applyRun applies one coalesced run: repair on the super-batch, hand the
 // RAW batches to the persist hook (the log stays a faithful history;
-// coalescing is a runtime optimization, never a storage format), swap,
-// notify epoch waiters, and record the accepted-to-visible lag of every
-// raw batch.
+// coalescing is a runtime optimization, never a storage format), record the
+// accepted-to-visible lag of every raw batch, then swap and notify epoch
+// waiters.
 //
 // A non-nil return means "retry later" (persistence failed or the
 // pipeline is shutting down); the caller requeues. Apply failures never
@@ -507,7 +506,7 @@ func (s *Service) applyRun(p *updatePipeline, run dynamic.CoalescedRun, raw []qu
 	}
 	defer ds.release()
 	applied := []dynamic.Batch{run.Super}
-	next, _, serr := s.repairDataset(p.ctx, ds, run.Super, len(raw), span)
+	next, serr := s.repairDataset(p.ctx, ds, run.Super, len(raw), span)
 	if serr != nil {
 		if err := p.ctx.Err(); err != nil {
 			return err
@@ -518,7 +517,7 @@ func (s *Service) applyRun(p *updatePipeline, run dynamic.CoalescedRun, raw []qu
 		applied = applied[:0]
 		next = ds
 		for _, q := range raw {
-			n2, _, serr := s.repairDataset(p.ctx, next, q.ops, 1, span)
+			n2, serr := s.repairDataset(p.ctx, next, q.ops, 1, span)
 			if serr == nil {
 				applied = append(applied, q.ops)
 			} else {
@@ -549,15 +548,17 @@ func (s *Service) applyRun(p *updatePipeline, run dynamic.CoalescedRun, raw []qu
 			obs.F("dataset", p.name), obs.F("error", err.Error()))
 		return err
 	}
-	swap := time.Now()
-	s.swapDataset(p.name, next, applied)
-	span.Add("swap", time.Since(swap))
+	// Count before publishing: a caller the swap wakes (WaitIdle, minEpoch)
+	// must read /stats and /metrics with this run in them.
 	s.updates.Add(int64(len(raw)))
 	now := time.Now()
 	lag := s.tel.lagHist.With()
 	for _, q := range raw {
 		lag.ObserveNs(now.Sub(q.acceptedAt).Nanoseconds())
 	}
+	swap := time.Now()
+	s.swapDataset(p.name, next, applied)
+	span.Add("swap", time.Since(swap))
 	s.tel.observe(span, endpointUpdates, p.name, "", next.epoch, false, "")
 	return nil
 }

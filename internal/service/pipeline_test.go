@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -33,30 +34,32 @@ func pipelineBatches() []dynamic.Batch {
 	}
 }
 
+// sameAnswer reports whether two selections agree bit for bit: the same
+// seeds and the same exact value down to its last bit.
+func sameAnswer(a, b *service.SelectSeedsResponse) bool {
+	return reflect.DeepEqual(a.Seeds, b.Seeds) && math.Float64bits(a.ExactValue) == math.Float64bits(b.ExactValue)
+}
+
 // TestAsyncUpdatesMatchSyncReplay is the pipeline's equivalence contract:
-// a stream of batches accepted asynchronously (and possibly coalesced by
+// a stream of batches accepted without waiting (and possibly coalesced by
 // the background applier) lands on the same final epoch and serves
-// byte-identical answers to the same batches applied synchronously one at
-// a time. IC, which no artifact serves, answers as the library does on the
-// replayed system.
+// bit-identical answers to the same batches applied one blocking
+// ApplyUpdates at a time, never coalesced — and both equal a service whose
+// index was rebuilt from scratch on the replayed system. IC, which no
+// artifact serves, answers as the library does on the replayed system.
 func TestAsyncUpdatesMatchSyncReplay(t *testing.T) {
 	_, idx := testWorld(t)
 	batches := pipelineBatches()
 
-	sync := newTestService(t, idx)
-	defer sync.Close()
+	serial := newTestService(t, idx)
 	for _, b := range batches {
-		if _, serr := sync.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: b}); serr != nil {
+		if _, serr := serial.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: b}); serr != nil {
 			t.Fatal(serr)
 		}
 	}
 
 	_, idx2 := testWorld(t)
-	async := service.New(service.Config{AsyncUpdates: true})
-	defer async.Close()
-	if err := async.AddIndex("world", idx2); err != nil {
-		t.Fatal(err)
-	}
+	async := newTestService(t, idx2)
 	var lastPromise int64
 	for i, b := range batches {
 		resp, serr := async.EnqueueUpdates(&service.UpdateRequest{Dataset: "world", Ops: b})
@@ -64,7 +67,7 @@ func TestAsyncUpdatesMatchSyncReplay(t *testing.T) {
 			t.Fatal(serr)
 		}
 		if !resp.Accepted {
-			t.Fatal("async enqueue must report accepted")
+			t.Fatal("enqueue must report accepted")
 		}
 		if resp.Epoch != int64(i)+1 {
 			t.Fatalf("promised epoch = %d, want %d", resp.Epoch, i+1)
@@ -77,29 +80,31 @@ func TestAsyncUpdatesMatchSyncReplay(t *testing.T) {
 		t.Fatal(serr)
 	}
 
-	replayed, _, err := dynamic.ReplaySystem(idx.Sys, batches)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebuilt, replayed := rebuiltService(t, idx, batches)
 	for _, method := range []struct {
 		name, score string
 		theta       int
 	}{{"RS", "plurality", tdTheta}, {"RW", "cumulative", 0}, {"IC", "cumulative", 0}} {
 		req := selectReq(method.name, method.score, method.theta)
-		a, serr := sync.SelectSeeds(req)
-		if serr != nil {
-			t.Fatal(serr)
+		var got [3]*service.SelectSeedsResponse
+		for i, svc := range []*service.Service{serial, async, rebuilt} {
+			resp, serr := svc.SelectSeeds(req)
+			if serr != nil {
+				t.Fatal(serr)
+			}
+			got[i] = resp
 		}
-		b, serr := async.SelectSeeds(req)
-		if serr != nil {
-			t.Fatal(serr)
-		}
+		a, b, r := got[0], got[1], got[2]
 		if a.Epoch != lastPromise || b.Epoch != lastPromise {
 			t.Fatalf("%s: epochs %d / %d, want both %d", method.name, a.Epoch, b.Epoch, lastPromise)
 		}
-		if !reflect.DeepEqual(a.Seeds, b.Seeds) || a.ExactValue != b.ExactValue {
-			t.Fatalf("%s: async diverged from sync: %v %v vs %v %v",
+		if !sameAnswer(a, b) {
+			t.Fatalf("%s: async diverged from the serial replay: %v %v vs %v %v",
 				method.name, a.Seeds, a.ExactValue, b.Seeds, b.ExactValue)
+		}
+		if !sameAnswer(b, r) {
+			t.Fatalf("%s: async diverged from the rebuild: %v %v vs %v %v",
+				method.name, b.Seeds, b.ExactValue, r.Seeds, r.ExactValue)
 		}
 		if method.name == "IC" {
 			requireLibraryAnswer(t, replayed, req, b)
@@ -120,16 +125,13 @@ func TestAsyncUpdatesMatchSyncReplay(t *testing.T) {
 // TestSeedQueuedCoalesces proves the applier merges a pre-seeded queue:
 // SeedQueued loads every batch before the applier's first pop, so the
 // disjoint-column stream coalesces into fewer repairs and the elided-op
-// counter moves — while the answers still match the sync replay.
+// counter moves — while the answers still match the serial replay and the
+// rebuild from scratch.
 func TestSeedQueuedCoalesces(t *testing.T) {
 	_, idx := testWorld(t)
 	batches := pipelineBatches()
 
-	async := service.New(service.Config{AsyncUpdates: true})
-	defer async.Close()
-	if err := async.AddIndex("world", idx); err != nil {
-		t.Fatal(err)
-	}
+	async := newTestService(t, idx)
 	if serr := async.SeedQueued("world", batches, 1); serr != nil {
 		t.Fatal(serr)
 	}
@@ -147,25 +149,25 @@ func TestSeedQueuedCoalesces(t *testing.T) {
 	}
 
 	_, idx2 := testWorld(t)
-	sync := newTestService(t, idx2)
-	defer sync.Close()
+	serial := newTestService(t, idx2)
 	for _, b := range batches {
-		if _, serr := sync.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: b}); serr != nil {
+		if _, serr := serial.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: b}); serr != nil {
 			t.Fatal(serr)
 		}
 	}
+	rebuilt, _ := rebuiltService(t, idx, batches)
 	req := selectReq("RS", "plurality", tdTheta)
-	a, serr := sync.SelectSeeds(req)
-	if serr != nil {
-		t.Fatal(serr)
+	var got [3]*service.SelectSeedsResponse
+	for i, svc := range []*service.Service{serial, async, rebuilt} {
+		resp, serr := svc.SelectSeeds(req)
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		got[i] = resp
 	}
-	b, serr := async.SelectSeeds(req)
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	if !reflect.DeepEqual(a.Seeds, b.Seeds) || a.ExactValue != b.ExactValue {
-		t.Fatalf("coalesced drain diverged from sync replay: %v %v vs %v %v",
-			a.Seeds, a.ExactValue, b.Seeds, b.ExactValue)
+	if !sameAnswer(got[0], got[1]) || !sameAnswer(got[2], got[1]) {
+		t.Fatalf("coalesced drain %v %v diverged: serial replay %v %v, rebuild %v %v",
+			got[1].Seeds, got[1].ExactValue, got[0].Seeds, got[0].ExactValue, got[2].Seeds, got[2].ExactValue)
 	}
 }
 
@@ -177,7 +179,7 @@ func TestConsistentSnapshotDuringRepair(t *testing.T) {
 	_, idx := testWorld(t)
 	batches := pipelineBatches()
 
-	// Reference values per epoch from a synchronous service.
+	// Reference values per epoch, one blocking ApplyUpdates at a time.
 	seeds := []int32{1, 7, 19}
 	evalReq := func(minEpoch int64) *service.EvaluateRequest {
 		return &service.EvaluateRequest{
@@ -186,7 +188,6 @@ func TestConsistentSnapshotDuringRepair(t *testing.T) {
 		}
 	}
 	ref := newTestService(t, idx)
-	defer ref.Close()
 	want := map[int64]float64{}
 	r0, serr := ref.Evaluate(evalReq(0))
 	if serr != nil {
@@ -205,7 +206,7 @@ func TestConsistentSnapshotDuringRepair(t *testing.T) {
 	}
 
 	_, idx2 := testWorld(t)
-	async := service.New(service.Config{AsyncUpdates: true, CacheSize: -1})
+	async := service.New(service.Config{CacheSize: -1})
 	defer async.Close()
 	if err := async.AddIndex("world", idx2); err != nil {
 		t.Fatal(err)
@@ -268,11 +269,7 @@ func TestConsistentSnapshotDuringRepair(t *testing.T) {
 // unreachable minEpoch times out with deadline_exceeded.
 func TestReadYourWrites(t *testing.T) {
 	_, idx := testWorld(t)
-	async := service.New(service.Config{AsyncUpdates: true})
-	defer async.Close()
-	if err := async.AddIndex("world", idx); err != nil {
-		t.Fatal(err)
-	}
+	async := newTestService(t, idx)
 	acc, serr := async.EnqueueUpdates(&service.UpdateRequest{Dataset: "world", Ops: pipelineBatches()[0]})
 	if serr != nil {
 		t.Fatal(serr)
@@ -303,11 +300,7 @@ func TestReadYourWrites(t *testing.T) {
 // against the graph as it WILL be once the queue drains.
 func TestEnqueueValidation(t *testing.T) {
 	_, idx := testWorld(t)
-	async := service.New(service.Config{AsyncUpdates: true})
-	defer async.Close()
-	if err := async.AddIndex("world", idx); err != nil {
-		t.Fatal(err)
-	}
+	async := newTestService(t, idx)
 	// Shape violation: out-of-range node.
 	if _, serr := async.EnqueueUpdates(&service.UpdateRequest{Dataset: "world", Ops: dynamic.Batch{
 		{Kind: dynamic.OpSetOpinion, Cand: 0, Node: 100000, Value: 0.5},
@@ -345,22 +338,26 @@ func TestEnqueueValidation(t *testing.T) {
 	}
 }
 
-// TestAsyncBlockingApply: ApplyUpdates on an async service preserves the
-// blocking contract (returns only once the batch is visible).
-func TestAsyncBlockingApply(t *testing.T) {
-	_, idx := testWorld(t)
-	async := service.New(service.Config{AsyncUpdates: true})
-	defer async.Close()
-	if err := async.AddIndex("world", idx); err != nil {
+// TestCountersPublishedWithEpoch: a caller the swap wakes reads /stats with
+// the swapped-in batches already counted. After each of 200 blocking
+// ApplyUpdates, the updates counter and the visible-lag histogram hold
+// exactly the batches applied so far.
+func TestCountersPublishedWithEpoch(t *testing.T) {
+	svc := service.New(service.Config{})
+	defer svc.Close()
+	if err := svc.AddIndex("world", tortureWorld(t)); err != nil {
 		t.Fatal(err)
 	}
-	resp, serr := async.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: pipelineBatches()[0]})
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	st := async.StatsSnapshot()
-	if st.Datasets[0].Epoch != resp.Epoch {
-		t.Fatalf("blocking apply returned before visibility: visible %d, promised %d",
-			st.Datasets[0].Epoch, resp.Epoch)
+	for i := 1; i <= 200; i++ {
+		b := dynamic.Batch{{Kind: dynamic.OpSetOpinion, Cand: 0, Node: int32(i % 60), Value: float64(i%10) / 10}}
+		if _, serr := svc.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: b}); serr != nil {
+			t.Fatal(serr)
+		}
+		if got := svc.StatsSnapshot().Updates; got != int64(i) {
+			t.Fatalf("after %d blocking updates /stats counts %d", i, got)
+		}
+		if got := svc.UpdateLagSnapshot().Count; got != int64(i) {
+			t.Fatalf("after %d blocking updates the lag histogram holds %d", i, got)
+		}
 	}
 }

@@ -416,39 +416,104 @@ func TestOversizedBodyRejectedWith413(t *testing.T) {
 }
 
 // TestPersistFailureKeepsOldEpoch is the persist-before-swap contract at the
-// service layer: when the persistence hook fails, the update must not become
-// visible — the epoch stays, and queries keep answering on the old dataset.
+// service layer: while the hook before the swap (OnUpdate) fails, the
+// accepted batch does not become visible and the applier retries; once the
+// hook succeeds the promised epoch appears.
 func TestPersistFailureKeepsOldEpoch(t *testing.T) {
 	_, idx := testWorld(t)
-	cfg := service.Config{
-		OnUpdate: func(string, []dynamic.Batch, int64) error {
-			return fmt.Errorf("disk on fire")
+	var svc *service.Service
+	var calls atomic.Int32
+	svc = service.New(service.Config{
+		OnUpdate: func(_ string, batches []dynamic.Batch, epoch int64) error {
+			n := calls.Add(1)
+			if got := svc.StatsSnapshot().Datasets[0].Epoch; got != 0 {
+				t.Errorf("hook call %d: epoch %d visible before the hook succeeded", n, got)
+			}
+			if len(batches) != 1 || epoch != 1 {
+				t.Errorf("hook call %d: %d batches up to epoch %d, want 1 up to 1", n, len(batches), epoch)
+			}
+			if n <= 2 {
+				return fmt.Errorf("disk on fire")
+			}
+			return nil
 		},
-	}
-	svc := service.New(cfg)
+	})
+	defer svc.Close()
 	if err := svc.AddIndex("world", idx); err != nil {
 		t.Fatal(err)
 	}
-	before, serr := svc.SelectSeeds(selectReq("RS", "plurality", 0))
+	acc, serr := svc.EnqueueUpdates(&service.UpdateRequest{Dataset: "world", Ops: testBatch(t, idx)})
 	if serr != nil {
 		t.Fatal(serr)
 	}
-	_, serr = svc.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: testBatch(t, idx)})
-	if serr == nil {
-		t.Fatal("update must fail when persistence fails")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if serr := svc.WaitIdle(ctx, "world"); serr != nil {
+		t.Fatal(serr)
 	}
 	st := svc.StatsSnapshot()
-	if len(st.Datasets) != 1 || st.Datasets[0].Epoch != 0 {
-		t.Fatalf("epoch after failed persist = %+v, want 0", st.Datasets)
+	if calls.Load() != 3 || st.Datasets[0].Epoch != acc.Epoch {
+		t.Fatalf("after %d hook calls the epoch is %d, want 3 calls and the promised %d", calls.Load(), st.Datasets[0].Epoch, acc.Epoch)
 	}
-	svc.ResetCache()
-	after, serr := svc.SelectSeeds(selectReq("RS", "plurality", 0))
+	if st.Errors != 2 {
+		t.Fatalf("errors = %d, want the 2 failed hook calls", st.Errors)
+	}
+	got, serr := svc.SelectSeeds(selectReq("RS", "plurality", 0))
 	if serr != nil {
 		t.Fatal(serr)
 	}
-	if !reflect.DeepEqual(after.Seeds, before.Seeds) || after.ExactValue != before.ExactValue || after.Epoch != 0 {
-		t.Errorf("answers changed after a failed persist: %v/%v epoch %d, want %v/%v epoch 0",
-			after.Seeds, after.ExactValue, after.Epoch, before.Seeds, before.ExactValue)
+	_, idx2 := testWorld(t)
+	ref := newTestService(t, idx2)
+	if _, serr := ref.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: testBatch(t, idx)}); serr != nil {
+		t.Fatal(serr)
+	}
+	want, serr := ref.SelectSeeds(selectReq("RS", "plurality", 0))
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	if !sameAnswer(got, want) || got.Epoch != 1 {
+		t.Errorf("after the retried hook: %v/%v at epoch %d, want %v/%v at 1", got.Seeds, got.ExactValue, got.Epoch, want.Seeds, want.ExactValue)
+	}
+}
+
+// TestEnqueuePersistFailurePromisesNothing: when the durable write at accept
+// (OnEnqueue) fails, the batch is refused as internal, no epoch is promised
+// or queued, and the next accepted batch gets the epoch the refused one
+// would have.
+func TestEnqueuePersistFailurePromisesNothing(t *testing.T) {
+	_, idx := testWorld(t)
+	var fail atomic.Bool
+	fail.Store(true)
+	svc := service.New(service.Config{
+		OnEnqueue: func(string, dynamic.Batch, int64) error {
+			if fail.Load() {
+				return fmt.Errorf("disk full")
+			}
+			return nil
+		},
+	})
+	defer svc.Close()
+	if err := svc.AddIndex("world", idx); err != nil {
+		t.Fatal(err)
+	}
+	req := &service.UpdateRequest{Dataset: "world", Ops: testBatch(t, idx)}
+	resp, serr := svc.EnqueueUpdates(req)
+	if serr == nil || serr.Code != service.CodeInternal || resp != nil {
+		t.Fatalf("failed durable write: got %+v / %v, want an internal error and no promise", resp, serr)
+	}
+	if depth := svc.QueueDepth("world"); depth != 0 {
+		t.Fatalf("a refused batch was queued: depth %d", depth)
+	}
+	fail.Store(false)
+	resp, serr = svc.ApplyUpdates(req)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	if resp.Epoch != 1 {
+		t.Fatalf("the next accepted batch was promised epoch %d, want 1", resp.Epoch)
+	}
+	if epoch := svc.StatsSnapshot().Datasets[0].Epoch; epoch != 1 {
+		t.Fatalf("visible epoch = %d, want 1", epoch)
 	}
 }
 
@@ -508,25 +573,110 @@ func readIndexFile(t *testing.T, path string) *serialize.Index {
 	return idx
 }
 
-// ovmdOnUpdate replicates the daemon's persist-before-swap hook: append the
-// batch to the file's update log, rewrite atomically, roll back the
-// in-memory log on failure.
-func ovmdOnUpdate(fsys iofault.FS, path string, idx *serialize.Index) func(string, []dynamic.Batch, int64) error {
-	return func(_ string, batches []dynamic.Batch, _ int64) error {
-		n0 := len(idx.Updates)
-		idx.Updates = append(idx.Updates, batches...)
-		if err := persist.WriteIndexAtomic(fsys, path, idx); err != nil {
-			idx.Updates = idx.Updates[:n0]
-			return err
+// daemonWrites replicates on fsys what ovmd writes for the index file at
+// path when it serves it with -compact-log 1. OnEnqueue appends the accepted
+// batch to the WAL: the batch's one durable write. OnUpdate checkpoints the
+// visible version before each swap: export, atomic rewrite, then the WAL
+// pruned behind it; as in the daemon, a failed checkpoint is only skipped.
+// A simulated crash in either hook becomes an error and closes dead: the
+// "process" has died, and the test only stops it.
+type daemonWrites struct {
+	svc      *service.Service
+	wal      *persist.WAL
+	dead     chan struct{}
+	deadOnce sync.Once
+}
+
+func openDaemonWrites(t *testing.T, fsys iofault.FS, path string, idx *serialize.Index) *daemonWrites {
+	t.Helper()
+	wal, _, err := persist.OpenWAL(fsys, path+".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &daemonWrites{wal: wal, dead: make(chan struct{})}
+	d.svc = service.New(service.Config{
+		OnEnqueue: func(_ string, batch dynamic.Batch, epoch int64) (err error) {
+			defer d.survive(&err)
+			return wal.Append(persist.WALEntry{Epoch: epoch, Batch: batch})
+		},
+		OnUpdate: func(string, []dynamic.Batch, int64) (err error) {
+			defer d.survive(&err)
+			exported, serr := d.svc.ExportIndex("world")
+			if serr != nil {
+				return serr
+			}
+			if persist.WriteIndexAtomic(fsys, path, exported) == nil {
+				_ = wal.Prune(exported.BaseEpoch)
+			}
+			return nil
+		},
+	})
+	if err := d.svc.AddIndex("world", idx); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// survive, deferred in a hook, turns a simulated crash into an error.
+func (d *daemonWrites) survive(err *error) {
+	if r := recover(); r != nil {
+		if _, ok := r.(*iofault.Crash); !ok {
+			panic(r)
 		}
-		return nil
+		d.deadOnce.Do(func() { close(d.dead) })
+		*err = fmt.Errorf("%v", r)
 	}
 }
 
-// TestUpdatePersistCrashTorture sweeps every file operation of the
-// update-log persist sequence with an error, a torn write, and a simulated
-// crash. After each fault the "daemon" restarts from the file: the index
-// must parse (never a torn in-between), land on the old or the new epoch,
+// update posts batch and waits for it to become visible, for the hooks to
+// die, or for the accept to be refused. It reports the accept's error.
+func (d *daemonWrites) update(t *testing.T, batch dynamic.Batch) *service.Error {
+	t.Helper()
+	_, serr := d.svc.EnqueueUpdates(&service.UpdateRequest{Dataset: "world", Ops: batch})
+	if serr != nil {
+		return serr
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	go func() {
+		select {
+		case <-d.dead:
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
+	if werr := d.svc.WaitIdle(ctx, "world"); werr != nil && !d.crashed() {
+		t.Fatalf("accepted batch never became visible: %v", werr)
+	}
+	return nil
+}
+
+func (d *daemonWrites) crashed() bool {
+	select {
+	case <-d.dead:
+		return true
+	default:
+		return false
+	}
+}
+
+// stop ends the daemon: the applier, then the WAL's descriptor, whose close
+// is a file operation too and may crash.
+func (d *daemonWrites) stop() {
+	d.svc.Close()
+	func() {
+		defer d.survive(new(error))
+		_ = d.wal.Close()
+	}()
+}
+
+// TestUpdatePersistCrashTorture sweeps every file operation the daemon
+// performs for one update — the WAL append at accept, then a checkpoint
+// before the swap — with an error, a torn write, and a simulated crash.
+// After each fault the "daemon" restarts the way ovmd does (OpenWAL →
+// AddIndex → SeedQueued → WaitIdle): the index must parse (never a torn
+// in-between), land on the old or the new epoch — the new one whenever the
+// batch was accepted, the old one whenever it was refused without a crash —
 // and serve seeds bit-identical to a clean run at that epoch.
 func TestUpdatePersistCrashTorture(t *testing.T) {
 	base := tortureWorld(t)
@@ -548,31 +698,27 @@ func TestUpdatePersistCrashTorture(t *testing.T) {
 		if serr != nil {
 			t.Fatal(serr)
 		}
+		svc.Close()
 		if resp.Epoch != epoch {
 			t.Fatalf("baseline epoch = %d, want %d", resp.Epoch, epoch)
 		}
 		baselines[epoch] = resp
 	}
 
-	// Recording pass: enumerate the injection points of one clean persist.
+	// Recording pass: enumerate the injection points of one clean update.
 	recPath := filepath.Join(t.TempDir(), "world.ovmidx")
 	if err := persist.WriteIndexAtomic(iofault.OS, recPath, base); err != nil {
 		t.Fatal(err)
 	}
 	rec := iofault.NewFaulty(iofault.OS)
-	{
-		loaded := readIndexFile(t, recPath)
-		svc := service.New(service.Config{OnUpdate: ovmdOnUpdate(rec, recPath, loaded)})
-		if err := svc.AddIndex("world", loaded); err != nil {
-			t.Fatal(err)
-		}
-		if _, serr := svc.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: batch}); serr != nil {
-			t.Fatal(serr)
-		}
+	d := openDaemonWrites(t, rec, recPath, readIndexFile(t, recPath))
+	if serr := d.update(t, batch); serr != nil || d.crashed() {
+		t.Fatalf("clean update: %v (crashed %v)", serr, d.crashed())
 	}
+	d.stop()
 	points := rec.Trace()
-	if len(points) < 5 {
-		t.Fatalf("suspiciously short persist trace: %v", points)
+	if len(points) < 5 || points[0].Op != iofault.OpOpenAppend {
+		t.Fatalf("suspicious persist trace: %v", points)
 	}
 
 	actions := []iofault.Action{iofault.ActError, iofault.ActTornWrite, iofault.ActCrash}
@@ -583,44 +729,56 @@ func TestUpdatePersistCrashTorture(t *testing.T) {
 				if err := persist.WriteIndexAtomic(iofault.OS, path, base); err != nil {
 					t.Fatal(err)
 				}
-				loaded := readIndexFile(t, path)
 				fsys := iofault.NewFaulty(iofault.OS)
 				fsys.Inject(p.Op, p.Occurrence, act)
-				svc := service.New(service.Config{OnUpdate: ovmdOnUpdate(fsys, path, loaded)})
-				if err := svc.AddIndex("world", loaded); err != nil {
-					t.Fatal(err)
-				}
-
-				var serr *service.Error
-				crashed := false
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							if _, ok := r.(*iofault.Crash); !ok {
-								panic(r)
-							}
-							crashed = true
-						}
-					}()
-					_, serr = svc.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: batch})
-				}()
-
-				// Persist-before-swap: an update that reported an error must
-				// not have become visible on the still-running daemon.
-				if !crashed && serr != nil {
-					if st := svc.StatsSnapshot(); st.Datasets[0].Epoch != 0 {
-						t.Errorf("failed persist swapped anyway: live epoch = %d", st.Datasets[0].Epoch)
+				d := openDaemonWrites(t, fsys, path, readIndexFile(t, path))
+				serr := d.update(t, batch)
+				// Nothing is promised that is not on disk: a refused batch
+				// never becomes visible on the still-running daemon.
+				if serr != nil && !d.crashed() {
+					if serr.Code != service.CodeInternal {
+						t.Errorf("refused with %s, want internal", serr.Code)
+					}
+					if st := d.svc.StatsSnapshot(); st.Datasets[0].Epoch != 0 {
+						t.Errorf("refused batch became visible: live epoch = %d", st.Datasets[0].Epoch)
 					}
 				}
+				d.stop()
+				crashed := d.crashed()
 
-				// "Restart": sweep temps, reload the file, replay its log.
-				if _, err := persist.CleanStaleTemps(iofault.OS, path); err != nil {
-					t.Fatal(err)
+				// "Restart": sweep temps, map the checkpoint, replay its WAL.
+				for _, p := range []string{path, path + ".wal"} {
+					if _, err := persist.CleanStaleTemps(iofault.OS, p); err != nil {
+						t.Fatal(err)
+					}
 				}
 				re := readIndexFile(t, path)
+				wal, _, err := persist.OpenWAL(iofault.OS, path+".wal")
+				if err != nil {
+					t.Fatalf("WAL unreadable after the fault: %v", err)
+				}
+				defer wal.Close()
+				if err := wal.Prune(re.BaseEpoch); err != nil {
+					t.Fatal(err)
+				}
 				restarted := service.New(service.Config{})
+				defer restarted.Close()
 				if err := restarted.AddIndex("world", re); err != nil {
 					t.Fatal(err)
+				}
+				if rem := wal.Pending(); len(rem) > 0 {
+					queued := make([]dynamic.Batch, len(rem))
+					for i, e := range rem {
+						queued[i] = e.Batch
+					}
+					if serr := restarted.SeedQueued("world", queued, rem[0].Epoch); serr != nil {
+						t.Fatal(serr)
+					}
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				defer cancel()
+				if serr := restarted.WaitIdle(ctx, "world"); serr != nil {
+					t.Fatal(serr)
 				}
 				got, qerr := restarted.SelectSeeds(tortureReq())
 				if qerr != nil {
@@ -629,11 +787,14 @@ func TestUpdatePersistCrashTorture(t *testing.T) {
 				if got.Epoch != 0 && got.Epoch != 1 {
 					t.Fatalf("restarted epoch = %d: neither old nor new", got.Epoch)
 				}
-				if !crashed && serr == nil && got.Epoch != 1 {
-					t.Errorf("update reported success but the restart landed on epoch %d", got.Epoch)
+				switch {
+				case serr == nil && got.Epoch != 1:
+					t.Errorf("the batch was accepted but the restart landed on epoch %d", got.Epoch)
+				case serr != nil && !crashed && got.Epoch != 0:
+					t.Errorf("the batch was refused but the restart landed on epoch %d", got.Epoch)
 				}
 				want := baselines[got.Epoch]
-				if !reflect.DeepEqual(got.Seeds, want.Seeds) || got.ExactValue != want.ExactValue {
+				if !sameAnswer(got, want) {
 					t.Errorf("epoch %d seeds after restart = %v/%v, want bit-identical %v/%v",
 						got.Epoch, got.Seeds, got.ExactValue, want.Seeds, want.ExactValue)
 				}

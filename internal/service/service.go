@@ -111,26 +111,24 @@ type Config struct {
 	// Parallelism is the engine worker knob applied to queries that do not
 	// pin their own: 0 means GOMAXPROCS, 1 forces serial execution.
 	Parallelism int
-	// OnUpdate, when set, runs after a repair and before the post-update
-	// dataset becomes visible: whatever must be durable first is written
-	// here (ovmd logs a -sync-updates batch to the WAL, and checkpoints the
-	// index file once the log is long). The batches are the raw accepted
-	// batches in application order — the async pipeline may repair several
-	// per swap, and batches recovered with SeedQueued pass through too —
-	// and epoch is the dataset version after all of them. An error aborts
-	// the update without swapping (the async applier retries).
-	OnUpdate func(dataset string, batches []dynamic.Batch, epoch int64) error
-	// AsyncUpdates routes updates through the durable queue + background
-	// applier: POST /updates validates, logs (OnEnqueue), and returns the
-	// target epoch immediately; the repair runs off the request path and
-	// consecutive batches coalesce when provably equivalent. Off = the
-	// classic blocking apply.
-	AsyncUpdates bool
-	// OnEnqueue, when set with AsyncUpdates, durably logs an accepted
-	// batch BEFORE the accepted response is returned (ovmd appends it to
-	// the index's write-ahead log). An error rejects the batch — nothing
-	// is promised that is not on disk.
+	// OnEnqueue, when set, durably logs an accepted batch BEFORE the
+	// accepted response is returned (ovmd appends it to the index's
+	// write-ahead log): the one durable write of every batch. An error
+	// rejects the batch — nothing is promised that is not on disk.
 	OnEnqueue func(dataset string, batch dynamic.Batch, epoch int64) error
+	// OnUpdate, when set, runs after a repair and before the post-update
+	// dataset becomes visible (ovmd checkpoints the index file here once
+	// its log is long). The batches are the raw accepted batches in
+	// application order — one repair may cover several, and batches
+	// recovered with SeedQueued pass through too — and epoch is the dataset
+	// version after all of them. An error aborts the swap; the applier
+	// retries the run.
+	OnUpdate func(dataset string, batches []dynamic.Batch, epoch int64) error
+	// AsyncUpdates is ignored: every batch goes through the queue and the
+	// background applier. The field survives only because the frozen
+	// benchmark/target.go sets it; the benchmark re-base (ROADMAP item 1)
+	// deletes it, as it does serialize.Index.RRs.
+	AsyncUpdates bool
 	// Logger, when set, emits structured log lines: queries at debug,
 	// updates and failures at info/warn. Nil disables logging.
 	Logger *obs.Logger
@@ -206,9 +204,8 @@ type Service struct {
 	tel     *telemetry
 	tsdb    *obs.TimeSeries
 
-	// updMu serializes update application (sync ApplyUpdates calls and the
-	// async applier's runs) so every epoch derives from its predecessor
-	// (no lost updates); queries never take it.
+	// updMu serializes the appliers' runs (and Rebase) so every epoch
+	// derives from its predecessor (no lost updates); queries never take it.
 	updMu sync.Mutex
 
 	// epochCh is closed and replaced (under mu) on every dataset swap;
@@ -426,7 +423,7 @@ func (s *Service) restore(name string, idx *serialize.Index, file *mapping) (*Da
 	// path live updates use: the restarted daemon lands on exactly the
 	// epoch (and bytes) the writer was serving.
 	for i, b := range idx.Updates {
-		next, _, serr := s.repairDataset(nil, ds, b, 1, nil)
+		next, serr := s.repairDataset(nil, ds, b, 1, nil)
 		if serr != nil {
 			return fail(badRequestf("replaying update batch %d: %s", i, serr.Message))
 		}
@@ -529,8 +526,8 @@ type SelectSeedsRequest struct {
 	// and is excluded from the cache key.
 	TimeoutMs int `json:"timeoutMs,omitempty"`
 	// MinEpoch blocks the query until the dataset's visible epoch reaches
-	// this value (read-your-writes with async updates: pass the epoch an
-	// accepted update promised). The wait is bounded by the query deadline.
+	// this value (read-your-writes: pass the epoch an accepted update
+	// promised). The wait is bounded by the query deadline.
 	// Zero reads the current snapshot. Excluded from the cache key — the
 	// answer depends only on the snapshot served.
 	MinEpoch int64 `json:"minEpoch,omitempty"`
@@ -1163,7 +1160,7 @@ type DatasetStats struct {
 	// batches applied since the base index plus the queue depth.
 	UpdateLogDepth int64 `json:"updateLogDepth"`
 	// UpdateQueueDepth is the accepted-but-unapplied batch count for this
-	// dataset's async pipeline (0 when updates are synchronous).
+	// dataset's pipeline.
 	UpdateQueueDepth int64 `json:"updateQueueDepth"`
 }
 

@@ -48,6 +48,7 @@ func testWorld(t testing.TB) (*ovm.System, *serialize.Index) {
 func newTestService(t testing.TB, idx *serialize.Index) *service.Service {
 	t.Helper()
 	svc := service.New(service.Config{})
+	t.Cleanup(svc.Close)
 	if err := svc.AddIndex("world", idx); err != nil {
 		t.Fatal(err)
 	}

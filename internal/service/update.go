@@ -11,7 +11,7 @@ import (
 )
 
 // maxUpdateOps bounds a single update batch's op count: together with the
-// HTTP layer's byte bound (maxBodyBytes) it keeps one request from holding
+// HTTP layer's byte bound (maxBodyBytes) it keeps one batch from holding
 // the update lock — and the incremental repair — for an unbounded time.
 // Larger mutations must be split into multiple batches (each is atomic and
 // bumps the epoch by one).
@@ -26,113 +26,47 @@ type UpdateRequest struct {
 	Ops dynamic.Batch `json:"ops"`
 }
 
-// UpdateResponse reports the post-update dataset version and how much of
-// the precomputed index the incremental repair had to regenerate. An
-// async-accepted response carries Accepted=true, the PROMISED epoch, and
-// the queue depth; the repair stats stay zero (the repair has not run
-// yet — pass Epoch as a query's minEpoch to read your write).
+// UpdateResponse acknowledges an accepted batch: the epoch it was promised
+// and the queue depth behind it. The repair has not run yet; pass Epoch as a
+// query's minEpoch to read your write. What the repair regenerates is
+// counted on /metrics (ovm_dynamic_nodes_touched_total,
+// ovm_repair_walks_invalidated_total, ovm_repair_walks_seen_total).
 type UpdateResponse struct {
-	// Epoch is the dataset version after this batch; every query response
-	// carries the epoch it was computed at. With async updates this is the
-	// epoch the batch WILL become visible at.
+	// Epoch is the dataset version this batch becomes visible at; every
+	// query response carries the epoch it was computed at.
 	Epoch int64 `json:"epoch"`
-	// Accepted is true when the batch was durably queued for background
-	// application rather than applied inline.
+	// Accepted is true: the batch was validated, durably logged
+	// (Config.OnEnqueue) and queued for the background applier.
 	Accepted bool `json:"accepted,omitempty"`
 	// QueueDepth is the accepted-but-unapplied batch count after this
-	// enqueue (async only).
-	QueueDepth int `json:"queueDepth,omitempty"`
-	// NodesTouched counts the distinct nodes named by the batch's change
-	// set (mutated in-neighborhoods, stubbornness, or opinions).
-	NodesTouched int `json:"nodesTouched"`
-	// WalksInvalidated / WalksTotal cover the sketch and RW walk
-	// artifacts.
-	WalksInvalidated int     `json:"walksInvalidated"`
-	WalksTotal       int     `json:"walksTotal"`
-	ElapsedMs        float64 `json:"elapsedMs"`
+	// enqueue.
+	QueueDepth int     `json:"queueDepth,omitempty"`
+	ElapsedMs  float64 `json:"elapsedMs"`
 }
 
-// ApplyUpdates applies one mutation batch to a registered dataset: the
-// system is delta-applied and every precomputed artifact is incrementally
-// repaired (regenerating only invalidated samples, each from its original
-// substream), so post-update answers are byte-identical to a full rebuild
-// of the mutated system at the same seed.
-//
-// The swap is atomic and versioned: in-flight queries finish on the
-// pre-update dataset (and report its epoch); queries arriving after the
-// swap see the new epoch. Response-cache entries are scoped per (dataset,
-// epoch) — the epoch is part of every cache key — so stale answers can
-// never be served after an update. Concurrent ApplyUpdates calls are
-// serialized; each successful batch bumps the epoch by exactly one. When a
-// persistence hook is configured (Config.OnUpdate), it runs before the
-// swap, so a crash never leaves the daemon ahead of its log.
-// Update is the transport-facing dispatcher: with Config.AsyncUpdates it
-// enqueues (EnqueueUpdates) and returns the accepted/target-epoch
-// response immediately; otherwise it applies inline (ApplyUpdates).
-func (s *Service) Update(req *UpdateRequest) (*UpdateResponse, *Error) {
-	if s.cfg.AsyncUpdates {
-		return s.EnqueueUpdates(req)
-	}
-	return s.ApplyUpdates(req)
-}
-
+// ApplyUpdates is EnqueueUpdates that returns only once the promised epoch
+// is visible: every precomputed artifact has been incrementally repaired
+// (regenerating only invalidated samples, each from its original
+// substream), so the answers are byte-identical to a full rebuild of the
+// mutated system at the same seed. Each call's batch is its own epoch;
+// batches from concurrent callers may share a repair.
 func (s *Service) ApplyUpdates(req *UpdateRequest) (*UpdateResponse, *Error) {
-	if s.cfg.AsyncUpdates {
-		// Preserve the blocking contract on an async service: enqueue, then
-		// wait for the promised epoch to become visible. The repair stats
-		// are not reconstructed — callers that need them run synchronously.
-		resp, serr := s.EnqueueUpdates(req)
-		if serr != nil {
-			return nil, serr
-		}
-		ctx, cancel := s.reqContext(context.Background(), 0)
-		defer cancel()
-		ds, serr := s.awaitEpoch(ctx, req.Dataset, resp.Epoch)
-		if serr != nil {
-			return nil, serr
-		}
-		ds.release()
-		return resp, nil
-	}
-	start := time.Now()
-	span := obs.NewSpan(endpointUpdates)
-	if len(req.Ops) > maxUpdateOps {
-		serr := badRequestf("update batch has %d ops, limit is %d: split the mutation into multiple batches", len(req.Ops), maxUpdateOps)
-		s.tel.observe(span, endpointUpdates, req.Dataset, "", 0, false, string(serr.Code))
-		return nil, serr
-	}
-	s.updMu.Lock()
-	defer s.updMu.Unlock()
-	ds, serr := s.dataset(req.Dataset)
+	resp, serr := s.EnqueueUpdates(req)
 	if serr != nil {
-		s.tel.observe(span, endpointUpdates, req.Dataset, "", 0, false, string(serr.Code))
 		return nil, serr
 	}
-	defer ds.release()
-	next, resp, serr := s.repairDataset(nil, ds, req.Ops, 1, span)
+	ctx, cancel := s.reqContext(context.Background(), 0)
+	defer cancel()
+	ds, serr := s.awaitEpoch(ctx, req.Dataset, resp.Epoch)
 	if serr != nil {
-		s.errorCount.Add(1)
-		s.tel.observe(span, endpointUpdates, ds.name, "", ds.epoch, false, string(serr.Code))
 		return nil, serr
 	}
-	if err := s.persistUpdate(span, req.Dataset, []dynamic.Batch{req.Ops}, next.epoch); err != nil {
-		next.release()
-		s.errorCount.Add(1)
-		serr := internalErr(err)
-		s.tel.observe(span, endpointUpdates, ds.name, "", ds.epoch, false, string(serr.Code))
-		return nil, serr
-	}
-	swap := time.Now()
-	s.swapDataset(req.Dataset, next, []dynamic.Batch{req.Ops})
-	span.Add("swap", time.Since(swap))
-	s.updates.Add(1)
-	resp.ElapsedMs = float64(time.Since(start).Microseconds()) / 1000
-	s.tel.observe(span, endpointUpdates, next.name, "", next.epoch, false, "")
+	ds.release()
 	return resp, nil
 }
 
-// persistUpdate runs Config.OnUpdate as the span's "persist" stage. Both
-// update paths call it under updMu, just before the swap. A checkpoint the
+// persistUpdate runs Config.OnUpdate as the span's "persist" stage. The
+// applier calls it under updMu, just before the swap. A checkpoint the
 // hook reports through ObserveCheckpoint while it runs is a stage of its
 // own, so its time is taken out of persist's.
 func (s *Service) persistUpdate(span *obs.Span, dataset string, batches []dynamic.Batch, epoch int64) error {
@@ -215,18 +149,18 @@ func (s *Service) ExportIndex(name string) (*serialize.Index, *Error) {
 // passes nil) receives "apply" and "repair" stage timings.
 //
 // ctx cancels the repair at shard boundaries (nil never cancels); the
-// async applier threads its pipeline context through so shutdown can
-// abandon a background repair. bump is the epoch increment — 1 for a
+// applier threads its pipeline context through so shutdown can abandon a
+// background repair. bump is the epoch increment — 1 for a
 // plain batch, len(run.Raw) when batch is a coalesced super-batch that
 // stands in for several promised epochs.
-func (s *Service) repairDataset(ctx context.Context, ds *Dataset, batch dynamic.Batch, bump int, span *obs.Span) (*Dataset, *UpdateResponse, *Error) {
+func (s *Service) repairDataset(ctx context.Context, ds *Dataset, batch dynamic.Batch, bump int, span *obs.Span) (*Dataset, *Error) {
 	apply := time.Now()
 	newSys, cs, err := dynamic.ApplySystem(ds.sys, batch)
 	span.Add("apply", time.Since(apply))
 	if err != nil {
 		// Everything ApplySystem rejects is caused by the request content
 		// (schema violations, out-of-range ids, removing missing edges).
-		return nil, nil, badRequestf("%v", err)
+		return nil, badRequestf("%v", err)
 	}
 	repair := time.Now()
 	defer func() { span.Add("repair", time.Since(repair)) }()
@@ -240,7 +174,6 @@ func (s *Service) repairDataset(ctx context.Context, ds *Dataset, batch dynamic.
 		memo:      newLRUCache(epochMemoBytes),
 		file:      ds.file,
 	}
-	resp := &UpdateResponse{Epoch: next.epoch, NodesTouched: cs.NumTouched()}
 	// The alias sampler of a mutated graph costs O(m): one per target graph,
 	// shared by every artifact over it.
 	grounds := make(map[int]*walks.Ground)
@@ -248,7 +181,7 @@ func (s *Service) repairDataset(ctx context.Context, ds *Dataset, batch dynamic.
 		gr := grounds[a.target]
 		if gr == nil {
 			if gr, err = walks.NewGround(newSys.Candidate(a.target)); err != nil {
-				return nil, nil, internalErr(err)
+				return nil, internalErr(err)
 			}
 			grounds[a.target] = gr
 		}
@@ -256,14 +189,12 @@ func (s *Service) repairDataset(ctx context.Context, ds *Dataset, batch dynamic.
 		if ds.foldsByCheckpoint() {
 			repair = a.draw.RepairOverlay
 		}
-		set, st, err := repair(ctx, gr, a.set, cs.WalkMask(n, a.target), par)
+		set, _, err := repair(ctx, gr, a.set, cs.WalkMask(n, a.target), par)
 		if err != nil {
-			return nil, nil, internalErr(err)
+			return nil, internalErr(err)
 		}
-		resp.WalksInvalidated += st.WalksInvalidated
-		resp.WalksTotal += st.Walks
 		next.walks = append(next.walks, &walkArtifact{key: a.key, draw: a.draw, target: a.target, horizon: a.horizon, set: set})
 	}
 	next.hold()
-	return next, resp, nil
+	return next, nil
 }

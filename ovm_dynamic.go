@@ -27,7 +27,8 @@ type (
 	UpdateChangeSet = dynamic.ChangeSet
 	// ApplyUpdatesRequest is the wire form of a dataset update.
 	ApplyUpdatesRequest = service.UpdateRequest
-	// ApplyUpdatesResponse reports the new epoch and repair statistics.
+	// ApplyUpdatesResponse reports the epoch an accepted update becomes
+	// visible at.
 	ApplyUpdatesResponse = service.UpdateResponse
 )
 

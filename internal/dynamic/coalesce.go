@@ -1,7 +1,5 @@
 package dynamic
 
-import "ovm/internal/obs"
-
 // Coalescing: the async update pipeline accepts batches faster than it
 // repairs them, so by the time the applier picks the queue up there are
 // usually several raw batches waiting. Repair cost is dominated by the
@@ -65,9 +63,6 @@ import "ovm/internal/obs"
 // sequential replay on the system (CSR arrays and vectors compared bitwise)
 // and end-to-end through repair + selection across all five scores.
 
-var coalescedOps = obs.NewCounter("ovm_dynamic_coalesced_ops_total",
-	"Mutation ops elided by update coalescing (dead vector writes and overwritten set_weights)")
-
 // CoalescedRun is one super-batch plus the raw batches it replaces. The
 // super-batch advances the epoch by len(Raw): the raw batches are what the
 // update log persists, the super-batch is what the applier repairs with.
@@ -111,14 +106,8 @@ func Coalesce(batches []Batch, maxOps int) []CoalescedRun {
 		})
 		cols = bcols
 	}
-	var elided int
 	for i := range runs {
-		before := len(runs[i].Super)
 		runs[i].Super = elideDeadOps(runs[i].Super)
-		elided += before - len(runs[i].Super)
-	}
-	if elided > 0 && obs.CostEnabled() {
-		coalescedOps.Add(int64(elided))
 	}
 	return runs
 }

@@ -2,7 +2,8 @@ package obs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -24,6 +25,10 @@ import (
 //     before/after and attach the per-query work to its Span;
 //   - the TimeSeries ring samples the registry on a timer.
 //
+// The same Registry type also holds a service's own counters (requests,
+// cache hits, checkpoints): those are not cost counters, so they live in
+// a registry per service, outside CaptureCosts and ungated by CostEnabled.
+//
 // Counting discipline: registered counters are global and atomic, so
 // they must never be touched inside per-item inner loops. Compute code
 // accumulates locally (or derives counts arithmetically from prefix
@@ -31,14 +36,10 @@ import (
 // instrumentation sites are additionally gated on CostEnabled so the
 // overhead can be proven ~zero (see BenchmarkCostAccounting).
 
-// Counter is a monotonically increasing atomic counter registered under
-// a unique name. The zero Counter is usable but unregistered; normal
+// Counter is a monotonically increasing atomic counter, registered as one
+// series of a Registry. The zero Counter is usable but unregistered; normal
 // construction is through NewCounter, which registers it.
-type Counter struct {
-	name string
-	help string
-	v    atomic.Int64
-}
+type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by n. Safe for concurrent use.
 func (c *Counter) Add(n int64) { c.v.Add(n) }
@@ -49,59 +50,85 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Name returns the registered metric name.
-func (c *Counter) Name() string { return c.name }
+// Gauge is a registered value that moves both ways: Add a negative n to
+// lower it.
+type Gauge struct{ Counter }
 
-// gaugeFunc is a registered derived gauge: its value is computed on
-// demand from other state (e.g. pool utilization from busy/capacity ns).
-type gaugeFunc struct {
-	name string
-	help string
-	fn   func() float64
+// series is one registered series: a family name, the labels fixed at
+// registration, and how to read its value.
+type series struct {
+	name   string
+	labels []Label
+	key    string // name and labels as /metrics writes them (seriesKey)
+	help   string
+	gauge  bool
+	value  func() float64
+	c      *Counter // the counter behind a NewCounter series, for CaptureCosts
 }
 
-// registry holds every registered counter and gauge. There is one
-// process-global instance; package-level counters register themselves in
-// var blocks at init time, so registration races are impossible and a
-// duplicate name is a programming error that panics immediately.
-type registry struct {
-	mu       sync.RWMutex
-	names    map[string]struct{}
-	counters []*Counter
-	gauges   []gaugeFunc
+// Registry holds registered counters and gauges, kept sorted by series
+// key, so a family's series sit together. The zero Registry is empty and
+// ready to use. The process-global one (Default) holds the compute
+// packages' cost counters, which register themselves in var blocks at init
+// time; a Service declares its own counters in a registry of its own. A
+// duplicate series is a programming error that panics immediately.
+type Registry struct {
+	mu     sync.RWMutex
+	series []series
 }
 
-var defaultRegistry = &registry{names: make(map[string]struct{})}
+var defaultRegistry Registry
 
-func (r *registry) register(name string) {
+// Default returns the process-global registry behind the package-level
+// NewCounter, NewGaugeFunc, Families and CaptureCosts.
+func Default() *Registry { return &defaultRegistry }
+
+func (r *Registry) add(s series) {
+	s.key = seriesKey(s.name, s.labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.names[name]; dup {
-		panic(fmt.Sprintf("obs: duplicate metric registration %q", name))
+	i, dup := slices.BinarySearchFunc(r.series, s.key, func(e series, key string) int { return strings.Compare(e.key, key) })
+	if dup {
+		panic(fmt.Sprintf("obs: duplicate metric registration %q", s.key))
 	}
-	r.names[name] = struct{}{}
+	r.series = slices.Insert(r.series, i, s)
 }
 
-// NewCounter creates and registers a counter in the process-global
-// registry. Panics if the name is already taken — metric names are a
-// public contract, so a collision is a bug, not a condition to handle.
-func NewCounter(name, help string) *Counter {
-	defaultRegistry.register(name)
-	c := &Counter{name: name, help: help}
-	defaultRegistry.mu.Lock()
-	defaultRegistry.counters = append(defaultRegistry.counters, c)
-	defaultRegistry.mu.Unlock()
+// NewCounter creates and registers a counter, one series of the family
+// name with the given fixed labels. Panics if the series is already taken
+// — metric names are a public contract, so a collision is a bug, not a
+// condition to handle.
+func (r *Registry) NewCounter(name, help string, labels ...Label) *Counter {
+	c := &Counter{}
+	r.add(series{name: name, labels: labels, help: help, value: func() float64 { return float64(c.Load()) }, c: c})
 	return c
+}
+
+// NewCounterFunc registers a counter whose value fn reads from the state
+// that owns it. fn must be safe for concurrent calls.
+func (r *Registry) NewCounterFunc(name, help string, fn func() int64) {
+	r.add(series{name: name, help: help, value: func() float64 { return float64(fn()) }})
+}
+
+// NewGauge creates and registers a settable gauge.
+func (r *Registry) NewGauge(name, help string) *Gauge {
+	g := &Gauge{}
+	r.add(series{name: name, help: help, gauge: true, value: func() float64 { return float64(g.Load()) }})
+	return g
 }
 
 // NewGaugeFunc registers a derived gauge whose value is computed by fn at
 // read time. fn must be safe for concurrent calls.
-func NewGaugeFunc(name, help string, fn func() float64) {
-	defaultRegistry.register(name)
-	defaultRegistry.mu.Lock()
-	defaultRegistry.gauges = append(defaultRegistry.gauges, gaugeFunc{name: name, help: help, fn: fn})
-	defaultRegistry.mu.Unlock()
+func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
+	r.add(series{name: name, help: help, gauge: true, value: fn})
 }
+
+// NewCounter creates and registers a counter in the process-global
+// registry.
+func NewCounter(name, help string) *Counter { return defaultRegistry.NewCounter(name, help) }
+
+// NewGaugeFunc registers a derived gauge in the process-global registry.
+func NewGaugeFunc(name, help string, fn func() float64) { defaultRegistry.NewGaugeFunc(name, help, fn) }
 
 // costDisabled gates every instrumentation site. The zero value means
 // enabled: accounting is on by default and SetCostAccounting(false) is
@@ -120,13 +147,16 @@ func SetCostAccounting(on bool) { costDisabled.Store(!on) }
 // its compute closure and attaches the Delta to the query's Span.
 type CostSnapshot map[string]int64
 
-// CaptureCosts snapshots all registered counters.
+// CaptureCosts snapshots all counters of the process-global registry.
 func CaptureCosts() CostSnapshot {
-	defaultRegistry.mu.RLock()
-	defer defaultRegistry.mu.RUnlock()
-	s := make(CostSnapshot, len(defaultRegistry.counters))
-	for _, c := range defaultRegistry.counters {
-		s[c.name] = c.v.Load()
+	r := &defaultRegistry
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	s := make(CostSnapshot, len(r.series))
+	for _, se := range r.series {
+		if se.c != nil {
+			s[se.key] = se.c.Load()
+		}
 	}
 	return s
 }
@@ -143,28 +173,28 @@ func (s CostSnapshot) Delta(prev CostSnapshot) CostSnapshot {
 	return d
 }
 
-// MetricFamily is one registered metric's current reading, as consumed
+// MetricFamily is one registered series' current reading, as consumed
 // by the exposition writer and the time-series sampler.
 type MetricFamily struct {
 	Name    string
+	Labels  []Label // fixed at registration; nil for an unlabeled family
+	Key     string  // Name and Labels as /metrics writes them: the ring's key
 	Help    string
 	Value   float64
 	IsGauge bool
 }
 
-// Families returns every registered counter and gauge with its current
-// value, sorted by name — the registry's read API for exposition and
-// sampling.
-func Families() []MetricFamily {
-	defaultRegistry.mu.RLock()
-	fams := make([]MetricFamily, 0, len(defaultRegistry.counters)+len(defaultRegistry.gauges))
-	for _, c := range defaultRegistry.counters {
-		fams = append(fams, MetricFamily{Name: c.name, Help: c.help, Value: float64(c.v.Load())})
+// Families returns every registered series with its current value, sorted
+// by key — the registry's read API for exposition and sampling.
+func (r *Registry) Families() []MetricFamily {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	fams := make([]MetricFamily, len(r.series))
+	for i, s := range r.series {
+		fams[i] = MetricFamily{Name: s.name, Labels: s.labels, Key: s.key, Help: s.help, Value: s.value(), IsGauge: s.gauge}
 	}
-	for _, g := range defaultRegistry.gauges {
-		fams = append(fams, MetricFamily{Name: g.name, Help: g.help, Value: g.fn(), IsGauge: true})
-	}
-	defaultRegistry.mu.RUnlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].Name < fams[j].Name })
 	return fams
 }
+
+// Families reads the process-global registry.
+func Families() []MetricFamily { return defaultRegistry.Families() }

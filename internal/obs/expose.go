@@ -8,8 +8,8 @@ import (
 )
 
 // Exposition writes Prometheus text-format (version 0.0.4) metric
-// families by hand — no client library, no registry. Families are emitted
-// in call order; series within a family come from the caller (or, for
+// families by hand — no client library. Families are emitted in call
+// order; series within a family come from the caller (or, for
 // HistogramVec, in deterministic sorted-label order), so the output is
 // stable and golden-testable. The first write error sticks and later
 // calls no-op.
@@ -74,52 +74,51 @@ func (e *Exposition) header(name, typ, help string) {
 }
 
 func (e *Exposition) sample(name string, labels []Label, value string) {
+	e.printf(seriesKey(name, labels) + " " + value + "\n")
+}
+
+// seriesKey renders a series' name and labels as the exposition writes
+// them: name{a="x",b="y"}, or the bare name when there are no labels.
+func seriesKey(name string, labels []Label) string {
+	if len(labels) == 0 {
+		return name
+	}
 	var sb strings.Builder
 	sb.WriteString(name)
-	if len(labels) > 0 {
-		sb.WriteByte('{')
-		for i, l := range labels {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString(l.Name)
-			sb.WriteString(`="`)
-			sb.WriteString(escapeLabel(l.Value))
-			sb.WriteByte('"')
+	sb.WriteByte('{')
+	for i, l := range labels {
+		if i > 0 {
+			sb.WriteByte(',')
 		}
-		sb.WriteByte('}')
+		sb.WriteString(l.Name)
+		sb.WriteString(`="`)
+		sb.WriteString(escapeLabel(l.Value))
+		sb.WriteByte('"')
 	}
-	sb.WriteByte(' ')
-	sb.WriteString(value)
-	sb.WriteByte('\n')
-	e.printf(sb.String())
+	sb.WriteByte('}')
+	return sb.String()
 }
 
-// Counter emits a single-series counter family.
-func (e *Exposition) Counter(name, help string, v float64) {
-	e.header(name, "counter", help)
-	e.sample(name, nil, formatValue(v))
-}
-
-// Gauge emits a single-series gauge family.
-func (e *Exposition) Gauge(name, help string, v float64) {
-	e.header(name, "gauge", help)
-	e.sample(name, nil, formatValue(v))
+// Registry emits every series of r, in key order, with one HELP/TYPE
+// header per family.
+func (e *Exposition) Registry(r *Registry) {
+	fams := r.Families()
+	for i, f := range fams {
+		if i == 0 || f.Name != fams[i-1].Name {
+			typ := "counter"
+			if f.IsGauge {
+				typ = "gauge"
+			}
+			e.header(f.Name, typ, f.Help)
+		}
+		e.sample(f.Name, f.Labels, formatValue(f.Value))
+	}
 }
 
 // GaugeVec emits a labeled gauge family with the given samples, in the
 // order given (callers pass them pre-sorted for deterministic output).
 func (e *Exposition) GaugeVec(name, help string, samples []Sample) {
-	e.vec(name, "gauge", help, samples)
-}
-
-// CounterVec emits a labeled counter family, like GaugeVec.
-func (e *Exposition) CounterVec(name, help string, samples []Sample) {
-	e.vec(name, "counter", help, samples)
-}
-
-func (e *Exposition) vec(name, typ, help string, samples []Sample) {
-	e.header(name, typ, help)
+	e.header(name, "gauge", help)
 	for _, s := range samples {
 		e.sample(name, s.Labels, formatValue(s.Value))
 	}

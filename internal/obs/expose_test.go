@@ -8,14 +8,21 @@ import (
 )
 
 // TestExpositionGolden pins the Prometheus text exposition byte-for-byte
-// for a small fixed registry: counter, gauge, labeled gauges, and a
-// histogram vector with two series (one empty bucket range elided is NOT
-// allowed — every bound appears, cumulative).
+// for a small fixed registry — a counter, a counter family with one series
+// per fixed label, settable and derived gauges, registered out of order —
+// then labeled gauges and a histogram vector with two series (one empty
+// bucket range elided is NOT allowed — every bound appears, cumulative).
 func TestExpositionGolden(t *testing.T) {
+	r := new(Registry)
+	r.NewGaugeFunc("ovmd_uptime_seconds", "Seconds since start.", func() float64 { return 1.5 })
+	r.NewCounter("ovmd_checkpoints_total", "Checkpoints.", Label{"reason", "shutdown"})
+	r.NewCounter("ovmd_requests_total", "Total queries received.").Add(42)
+	r.NewCounter("ovmd_checkpoints_total", "Checkpoints.", Label{"reason", "log"}).Inc()
+	r.NewCounterFunc("ovmd_cache_evictions_total", "Evictions.", func() int64 { return 5 })
+	r.NewGauge("ovmd_inflight", "In flight.").Add(-2)
 	var buf bytes.Buffer
 	e := NewExposition(&buf)
-	e.Counter("ovmd_requests_total", "Total queries received.", 42)
-	e.Gauge("ovmd_uptime_seconds", "Seconds since start.", 1.5)
+	e.Registry(r)
 	e.GaugeVec("ovmd_dataset_epoch", "Current dataset epoch.", []Sample{
 		{Labels: []Label{{"dataset", "default"}}, Value: 3},
 		{Labels: []Label{{"dataset", `we"ird`}}, Value: 7},
@@ -33,6 +40,16 @@ func TestExpositionGolden(t *testing.T) {
 	got := buf.String()
 
 	want := strings.Join([]string{
+		"# HELP ovmd_cache_evictions_total Evictions.",
+		"# TYPE ovmd_cache_evictions_total counter",
+		"ovmd_cache_evictions_total 5",
+		"# HELP ovmd_checkpoints_total Checkpoints.",
+		"# TYPE ovmd_checkpoints_total counter",
+		`ovmd_checkpoints_total{reason="log"} 1`,
+		`ovmd_checkpoints_total{reason="shutdown"} 0`,
+		"# HELP ovmd_inflight In flight.",
+		"# TYPE ovmd_inflight gauge",
+		"ovmd_inflight -2",
 		"# HELP ovmd_requests_total Total queries received.",
 		"# TYPE ovmd_requests_total counter",
 		"ovmd_requests_total 42",
@@ -90,7 +107,9 @@ func TestExpositionParses(t *testing.T) {
 	vec := NewHistogramVec("x_seconds", "help text with spaces", "a", "b")
 	vec.With("v1", "v 2").ObserveNs(123)
 	e.HistogramVec(vec)
-	e.Counter("c_total", "c", 0)
+	r := new(Registry)
+	r.NewCounter("c_total", "c", Label{"k", "v 1"})
+	e.Registry(r)
 	if e.Flush() != nil {
 		t.Fatal(e.Err())
 	}

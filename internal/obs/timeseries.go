@@ -14,16 +14,16 @@ type TSPoint struct {
 
 // TSSource produces the series values for one sample. It is called with
 // a sample callback and must invoke it once per series. The indirection
-// lets tests feed deterministic values and lets the service layer merge
-// its own gauges with the registry's.
+// lets tests feed deterministic values and lets the service layer sample
+// its own registry beside the process-global one.
 type TSSource func(sample func(name string, v float64))
 
-// RegistrySource samples every counter and gauge in the process-global
-// registry.
-func RegistrySource() TSSource {
+// RegistrySource samples every counter and gauge in r, each under its
+// MetricFamily.Key.
+func RegistrySource(r *Registry) TSSource {
 	return func(sample func(string, float64)) {
-		for _, f := range Families() {
-			sample(f.Name, f.Value)
+		for _, f := range r.Families() {
+			sample(f.Key, f.Value)
 		}
 	}
 }

@@ -67,7 +67,7 @@ func TestRegistrySource(t *testing.T) {
 	c := NewCounter("test_ts_registry_total", "help")
 	c.Add(7)
 	vals := make(map[string]float64)
-	RegistrySource()(func(name string, v float64) { vals[name] = v })
+	RegistrySource(Default())(func(name string, v float64) { vals[name] = v })
 	if vals["test_ts_registry_total"] != 7 {
 		t.Errorf("registry source sampled %v, want 7", vals["test_ts_registry_total"])
 	}

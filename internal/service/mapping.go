@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"ovm/internal/dynamic"
+	"ovm/internal/obs"
 	"ovm/internal/serialize"
 )
 
@@ -33,12 +34,12 @@ type mapping struct {
 	checkpointed bool        // the owner checkpoints the dataset and installs each checkpoint
 	stalled      atomic.Bool // a later checkpoint failed: repairs fold on the heap
 	refs         atomic.Int64
-	open         *atomic.Int64 // the service's open-mappings gauge
+	open         *obs.Gauge // the service's open-mappings gauge
 }
 
 // newMapping wraps mi with one reference, the caller's.
 func (s *Service) newMapping(mi *serialize.MappedIndex, checkpointed bool) *mapping {
-	m := &mapping{mi: mi, epoch: mi.Index.BaseEpoch, checkpointed: checkpointed, open: &s.mappingsOpen}
+	m := &mapping{mi: mi, epoch: mi.Index.BaseEpoch, checkpointed: checkpointed, open: s.mappingsOpen}
 	m.refs.Store(1)
 	s.mappingsOpen.Add(1)
 	return m

@@ -184,6 +184,52 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestRingCoversMetrics is the drift guard between /metrics and the
+// time-series ring: every series of a counter or gauge family on /metrics
+// (the service's registry and the process-global one), apart from the
+// per-dataset ovmd_dataset_* gauges, is a key of a ring sample, and every
+// family has a HELP line.
+func TestRingCoversMetrics(t *testing.T) {
+	svc := service.New(service.Config{})
+	defer svc.Close()
+	var buf bytes.Buffer
+	if err := svc.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	svc.TimeSeries().Sample(now)
+	pts := svc.TimeSeries().Window(0, now)
+	ring := pts[len(pts)-1].Values
+	help := make(map[string]bool)
+	types := make(map[string]string)
+	series := 0
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case strings.HasPrefix(line, "# HELP "):
+			help[f[2]] = true
+		case strings.HasPrefix(line, "# TYPE "):
+			types[f[2]] = f[3]
+			if !help[f[2]] {
+				t.Errorf("family %s has no HELP line", f[2])
+			}
+		default:
+			key := f[0]
+			name, _, _ := strings.Cut(key, "{")
+			if typ := types[name]; (typ != "counter" && typ != "gauge") || strings.HasPrefix(name, "ovmd_dataset_") {
+				continue
+			}
+			series++
+			if _, ok := ring[key]; !ok {
+				t.Errorf("%s is on /metrics but the time-series ring does not sample it", key)
+			}
+		}
+	}
+	if series == 0 {
+		t.Fatal("no counter or gauge series on /metrics")
+	}
+}
+
 // TestStatsEndpointsAndSlowQueries checks the /stats endpoint summaries
 // and the slow-query debug endpoint after real traffic.
 func TestStatsEndpointsAndSlowQueries(t *testing.T) {

@@ -506,6 +506,7 @@ func (s *Service) applyRun(p *updatePipeline, run dynamic.CoalescedRun, raw []qu
 	}
 	defer ds.release()
 	applied := []dynamic.Batch{run.Super}
+	elided := totalOps(raw) - len(run.Super) // 0 once the raw batches run one by one
 	next, serr := s.repairDataset(p.ctx, ds, run.Super, len(raw), span)
 	if serr != nil {
 		if err := p.ctx.Err(); err != nil {
@@ -514,7 +515,7 @@ func (s *Service) applyRun(p *updatePipeline, run dynamic.CoalescedRun, raw []qu
 		// The merged super-batch failed. Fall back to applying the raw
 		// batches one at a time so one poisoned batch cannot take its
 		// neighbors down with it.
-		applied = applied[:0]
+		applied, elided = applied[:0], 0
 		next = ds
 		for _, q := range raw {
 			n2, serr := s.repairDataset(p.ctx, next, q.ops, 1, span)
@@ -538,8 +539,6 @@ func (s *Service) applyRun(p *updatePipeline, run dynamic.CoalescedRun, raw []qu
 			}
 			next = n2
 		}
-	} else if elided := totalOps(raw) - len(run.Super); elided > 0 {
-		s.coalescedOps.Add(int64(elided))
 	}
 	if err := s.persistUpdate(span, p.name, rawBatches(raw), next.epoch); err != nil {
 		next.release()
@@ -549,8 +548,11 @@ func (s *Service) applyRun(p *updatePipeline, run dynamic.CoalescedRun, raw []qu
 		return err
 	}
 	// Count before publishing: a caller the swap wakes (WaitIdle, minEpoch)
-	// must read /stats and /metrics with this run in them.
+	// must read /stats and /metrics with this run in them. After the persist:
+	// a run whose persist fails is requeued and coalesced again, and only the
+	// attempt that lands counts.
 	s.updates.Add(int64(len(raw)))
+	s.coalescedOps.Add(int64(elided))
 	now := time.Now()
 	lag := s.tel.lagHist.With()
 	for _, q := range raw {

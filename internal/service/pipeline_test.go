@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"sync"
@@ -168,6 +169,40 @@ func TestSeedQueuedCoalesces(t *testing.T) {
 	if !sameAnswer(got[0], got[1]) || !sameAnswer(got[2], got[1]) {
 		t.Fatalf("coalesced drain %v %v diverged: serial replay %v %v, rebuild %v %v",
 			got[1].Seeds, got[1].ExactValue, got[0].Seeds, got[0].ExactValue, got[2].Seeds, got[2].ExactValue)
+	}
+}
+
+// TestCoalescedOpsCountedOnce: a run whose persist fails goes back to the
+// queue and is coalesced again; only the attempt that lands counts the ops
+// it elided, so one failed persist leaves the counter where a clean drain
+// of the same batches puts it.
+func TestCoalescedOpsCountedOnce(t *testing.T) {
+	coalescedOps := func(failures int) int64 {
+		_, idx := testWorld(t)
+		svc := service.New(service.Config{OnUpdate: func(string, []dynamic.Batch, int64) error {
+			if failures > 0 {
+				failures--
+				return errors.New("injected persist failure")
+			}
+			return nil
+		}})
+		defer svc.Close()
+		if err := svc.AddIndex("world", idx); err != nil {
+			t.Fatal(err)
+		}
+		if serr := svc.SeedQueued("world", pipelineBatches(), 1); serr != nil {
+			t.Fatal(serr)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if serr := svc.WaitIdle(ctx, "world"); serr != nil {
+			t.Fatal(serr)
+		}
+		return svc.StatsSnapshot().CoalescedOps
+	}
+	clean, retried := coalescedOps(0), coalescedOps(1)
+	if clean == 0 || retried != clean {
+		t.Fatalf("coalesced ops: %d after a failed persist and its retry, %d after a clean drain", retried, clean)
 	}
 }
 

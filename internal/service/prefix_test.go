@@ -298,9 +298,9 @@ func TestGreedyPrefixConcurrentClients(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	d := valuesSince(before)
-	if d.hits+d.misses != svc.Computations() || d.misses < int64(len(keys)) || d.hits == 0 {
-		t.Errorf("%+v over %d computations of %d keys: want hits + misses = computations, every key missed once", d, svc.Computations(), len(keys))
+	d, computations := valuesSince(before), svc.StatsSnapshot().Computations
+	if d.hits+d.misses != computations || d.misses < int64(len(keys)) || d.hits == 0 {
+		t.Errorf("%+v over %d computations of %d keys: want hits + misses = computations, every key missed once", d, computations, len(keys))
 	}
 	if want := d.misses + d.rowMisses*int64(sys.R()); d.diffusions != want {
 		t.Errorf("%+v: %d diffusions, want one per value miss and %d per memo build = %d", d, d.diffusions, sys.R(), want)

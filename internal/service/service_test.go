@@ -241,7 +241,7 @@ func TestSingleflightCoalescing(t *testing.T) {
 	if len(responses) != callers {
 		t.Fatalf("got %d responses, want %d", len(responses), callers)
 	}
-	if got := svc.Computations(); got != 1 {
+	if got := svc.StatsSnapshot().Computations; got != 1 {
 		t.Errorf("computations = %d, want 1 (singleflight + cache must coalesce)", got)
 	}
 	for _, r := range responses[1:] {
@@ -271,7 +271,7 @@ func TestServiceCacheEviction(t *testing.T) {
 	if resp.Cached {
 		t.Error("evicted entry must be recomputed")
 	}
-	if got := svc.Computations(); got != 3 {
+	if got := svc.StatsSnapshot().Computations; got != 3 {
 		t.Errorf("computations = %d, want 3", got)
 	}
 }

@@ -91,28 +91,14 @@ const (
 	CheckpointShutdown CheckpointReason = "shutdown" // a graceful stop
 )
 
-var checkpointReasons = [...]CheckpointReason{CheckpointLog, CheckpointOverlay, CheckpointShutdown}
-
 // ObserveCheckpoint records one completed checkpoint of an index file (the
 // dataset exported, written out and the update log pruned behind it) in
 // ovmd_checkpoints_total and the "checkpoint" stage. The owner of the file
 // calls it: from inside OnUpdate, or once no update can run any more.
 func (s *Service) ObserveCheckpoint(reason CheckpointReason, d time.Duration) {
-	for i, r := range checkpointReasons {
-		if r == reason {
-			s.checkpoints[i].Add(1)
-		}
-	}
+	s.checkpoints[reason].Inc()
 	s.checkpointNs.Add(d.Nanoseconds())
 	s.tel.stageHist.With("checkpoint").Observe(d)
-}
-
-func (s *Service) checkpointTotal() int64 {
-	var n int64
-	for i := range s.checkpoints {
-		n += s.checkpoints[i].Load()
-	}
-	return n
 }
 
 // ExportIndex snapshots a dataset's current state — the mutated system and

@@ -70,9 +70,9 @@ func TestPrefixValueScoredOncePerKey(t *testing.T) {
 					t.Fatalf("%s (cached=%v fromIndex=%v): %s, alone %s", prefixKeyName(req), resp.Cached, resp.FromIndex, got, want[prefixKeyName(req)])
 				}
 			}
-			d, distinct := valuesSince(before), int64(len(keys))
-			if d.hits+d.misses != svc.Computations() || svc.Computations() != int64(len(order)) {
-				t.Errorf("value hits %d + misses %d over %d computations of %d requests", d.hits, d.misses, svc.Computations(), len(order))
+			d, distinct, computations := valuesSince(before), int64(len(keys)), svc.StatsSnapshot().Computations
+			if d.hits+d.misses != computations || computations != int64(len(order)) {
+				t.Errorf("value hits %d + misses %d over %d computations of %d requests", d.hits, d.misses, computations, len(order))
 			}
 			if d.misses != distinct || d.rowMisses != 1 || d.diffusions != distinct+int64(sys.R()) {
 				t.Errorf("%+v: want %d misses (one per key), one memo build and %d diffusions", d, distinct, distinct+int64(sys.R()))

@@ -374,7 +374,11 @@ grep -q '"at":' <<<"$tsout" \
   || { echo "FAIL: /debug/timeseries window is empty (default sampler not running?)"; echo "$tsout"; exit 1; }
 grep -q 'ovm_walks_truncated_total' <<<"$tsout" \
   || { echo "FAIL: /debug/timeseries samples lack the registry cost counters"; echo "$tsout"; exit 1; }
-echo "   /debug/timeseries serves a non-empty window with cost counters"
+for key in ovmd_index_mappings_open ovmd_cache_evictions_total; do
+  grep -q "\"${key}\":" <<<"$tsout" \
+    || { echo "FAIL: /debug/timeseries samples lack the service series ${key}"; echo "$tsout"; exit 1; }
+done
+echo "   /debug/timeseries serves a non-empty window with cost counters and every service series"
 slowq=$(curl -sf "$base/debug/slow-queries")
 grep -q '"endpoint":"select-seeds"' <<<"$slowq" \
   || { echo "FAIL: /debug/slow-queries has no select-seeds entry"; exit 1; }

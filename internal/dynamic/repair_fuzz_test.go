@@ -10,6 +10,7 @@ import (
 	"ovm/internal/core"
 	"ovm/internal/dynamic"
 	"ovm/internal/opinion"
+	"ovm/internal/postings"
 	"ovm/internal/voting"
 	"ovm/internal/walks"
 	"ovm/internal/walks/walksref"
@@ -89,9 +90,9 @@ var repairCorpus = [][]byte{
 // batch sequence, an RS sketch set (θ) and an RW walk set (λ), each
 // repaired batch by batch at parallelism 1 and at 4, must equal
 // Draw.Generate + EnsureIndex on ReplaySystem of the batches so far — the
-// folded Snapshot and IndexSnapshot byte for byte — and ContinueGreedy over
-// the overlaid set must equal walksref over the rebuilt one for the
-// plurality score. Run over the seed corpus it must also see overlays built
+// folded Snapshot and the postings CompactPostings stores, decoded, value
+// for value — and ContinueGreedy over the overlaid set must equal walksref
+// over the rebuilt one for the plurality score. Run over the seed corpus it must also see overlays built
 // on overlays and a fold.
 func FuzzRepairMatchesRebuild(f *testing.F) {
 	var inputs, overlaid, folded int
@@ -108,6 +109,15 @@ func FuzzRepairMatchesRebuild(f *testing.F) {
 	if inputs == len(repairCorpus) && (overlaid == 0 || folded == 0) {
 		f.Fatalf("seed corpus made %d overlay repairs and %d folds; it must make both", overlaid, folded)
 	}
+}
+
+// storedPostings decodes a set's postings as an index file stores them
+// (CompactPostings) back to CSR arrays.
+func storedPostings(set *walks.Set) postings.CSR {
+	c, chunks := set.CompactPostings()
+	cp := *c
+	cp.Data = slices.Concat(chunks...)
+	return cp.ToCSR()
 }
 
 // checkRepairChain runs FuzzRepairMatchesRebuild's checks over one input and
@@ -156,7 +166,7 @@ func checkRepairChain(t *testing.T, data []byte) (overlaid, folded int) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: repaired walks differ from a rebuild on the replayed system", name)
 				}
-				if !reflect.DeepEqual(set.IndexSnapshot(), rebuilt.IndexSnapshot()) {
+				if !reflect.DeepEqual(storedPostings(set), storedPostings(rebuilt)) {
 					t.Fatalf("%s: repaired postings differ from a rebuild on the replayed system", name)
 				}
 				p := &core.Problem{Sys: cur, Target: 0, Horizon: horizon, K: k, Score: score}

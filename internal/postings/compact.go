@@ -40,35 +40,15 @@ type Compact struct {
 	BlockSize int32
 }
 
-// Encode compresses a CSR whose postings are strictly ascending per member
-// (distinct items) into blocked delta+varint form, returned as an
-// Encoder's Finish does: Data nil and the payload as chunks. blockSize <= 0
-// selects DefaultBlockSize. Panics if a member's postings are not strictly
-// ascending — both producers in this repo guarantee it.
-func Encode(c CSR, blockSize int) (*Compact, [][]byte) {
-	n := len(c.Off) - 1
-	e := NewEncoder(n, c.Pos != nil, blockSize, len(c.Item))
-	for v := 0; v < n; v++ {
-		lo, hi := c.Off[v], c.Off[v+1]
-		var pos []int32
-		if c.Pos != nil {
-			pos = c.Pos[lo:hi]
-		}
-		e.Add(c.Item[lo:hi], pos)
-		e.End()
-	}
-	return e.Finish()
-}
-
 // encChunk is the size of an Encoder's payload chunks.
 const encChunk = 256 << 10
 
 // Encoder builds the compact form member by member from postings that
 // already arrive in order — items strictly ascending within a member,
 // members 0..n-1 — so a producer merging several sources never lays out a
-// raw CSR first. It is the one encoding of the format: Encode runs it too.
-// The payload grows in fixed-size chunks, so nothing already encoded is
-// copied to make room; Finish hands the chunks out in order.
+// raw CSR first. It is the one encoding of the format. The payload grows
+// in fixed-size chunks, so nothing already encoded is copied to make room;
+// Finish hands the chunks out in order.
 type Encoder struct {
 	c      Compact // Data unused: the payload is chunks
 	chunks [][]byte
@@ -266,8 +246,8 @@ func (it *Iterator) Next() (item, pos int32, ok bool) {
 }
 
 // uvarint decodes one uvarint at the cursor. Bounds are enforced by the
-// slice; Validate guarantees a well-formed stream so this never trips on
-// adopted data.
+// slice; an adopted encoding was read through once with Checked, which
+// guarantees a well-formed stream, so this never trips on it.
 func (it *Iterator) uvarint() uint64 {
 	var x uint64
 	var s uint
@@ -319,41 +299,10 @@ func (c *Compact) Seek(v, target int32) Iterator {
 	return it
 }
 
-// Validate checks structural integrity so that iteration over adopted
-// (possibly file-backed) storage can never read out of bounds or loop: the
-// tables pass CheckTables, every member passes a Checked pass (varints
-// well-formed, items strictly ascending, blocks where the table says, the
-// member's bytes exactly consumed), items lie in [0, numItems) and pos in
-// [0, maxPos] when present. O(total postings).
-func (c *Compact) Validate(numItems int, maxPos int32) error {
-	if err := c.CheckTables(); err != nil {
-		return err
-	}
-	for v := range int32(c.NumMembers()) {
-		it := c.Checked(v)
-		for {
-			item, pos, ok, err := it.Next()
-			if err != nil {
-				return fmt.Errorf("%w in member %d", err, v)
-			}
-			if !ok {
-				break
-			}
-			if int(item) >= numItems || pos > maxPos {
-				return fmt.Errorf("postings: member %d posting (%d, %d) out of range (numItems %d, maxPos %d)", v, item, pos, numItems, maxPos)
-			}
-		}
-		if !it.Done() {
-			return fmt.Errorf("postings: member %d leaves unread payload bytes", v)
-		}
-	}
-	return nil
-}
-
-// CheckTables is Validate without the payload: prefix sums monotone and
-// consistent with the block size, block offsets ascending from 0 and ending
-// at the payload's end. O(members + blocks). Iterating every member with
-// Checked then validates the payload too.
+// CheckTables checks an encoding's tables, not its payload: prefix sums
+// monotone and consistent with the block size, block offsets ascending from
+// 0 and ending at the payload's end. O(members + blocks). Iterating every
+// member with Checked then validates the payload too.
 func (c *Compact) CheckTables() error {
 	n := len(c.Off) - 1
 	if n < 0 {
@@ -406,9 +355,9 @@ func (c *Compact) CheckTables() error {
 // zero delta, or a block that does not start where the table says, rather
 // than trusting them. Once Next has reported the member exhausted, Done says
 // whether exactly its bytes were read. Checking every member this way, in
-// any order, validates the payload; Validate adds the item and position
-// ranges, which a caller comparing against its own expected postings checks
-// anyway.
+// any order, validates the payload. Item and position ranges are the
+// caller's to check: walks.Set.AdoptIndex compares every posting with the
+// one its walks expect.
 type Checked struct {
 	data    []byte  // the member's bytes
 	at      int64   // payload offset of data[0]

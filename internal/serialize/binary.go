@@ -57,7 +57,7 @@ const (
 // restored dataset's epoch is BaseEpoch + len(Updates).
 type Index struct {
 	Sys      *opinion.System
-	Sketches []*SketchArtifact
+	Sketches []*WalkArtifact
 	Walks    []*WalkArtifact
 	// RRs is always nil: an index holds no RR-set collections (the reader
 	// skips those an older file stores, the writer writes none). The field
@@ -68,14 +68,15 @@ type Index struct {
 	Updates   []dynamic.Batch
 }
 
-// SketchArtifact is a sampled reverse-walk sketch set (the RS method's
-// precomputation), tagged with the parameters that reproduce it: walks are
-// GenerateSampled(target's graph/stub, Horizon, Theta, sketch stream(Seed)).
-type SketchArtifact struct {
-	Seed    int64
+// WalkArtifact is a stored walk set and how it was drawn: an RS sketch set
+// (θ sampled starts, Algorithm 5's precomputation) or RW's cumulative walk
+// set (λ walks from every node at the horizon, Theorem 10's λ, already
+// capped). Its walks are the Draw's Generate over the target's graph and
+// stubbornness at Horizon.
+type WalkArtifact struct {
+	walks.Draw
 	Target  int
 	Horizon int
-	Theta   int
 	Set     *walks.Snapshot
 
 	// Index optionally carries the node → walk postings index so loaders
@@ -88,49 +89,69 @@ type SketchArtifact struct {
 	Live *walks.Set
 }
 
-// WalkArtifact is a per-node walk set generated with the RW method's
-// uniform cumulative plan: Lambda walks from every node at the given
-// horizon (Theorem 10's λ, already capped).
-type WalkArtifact struct {
-	Seed    int64
-	Target  int
-	Horizon int
-	Lambda  int
-	Set     *walks.Snapshot
+// artifactList is one of the file's two artifact lists. The list fixes its
+// draws' family and which of θ and λ the file stores, so a draw filed in
+// the other list is invalid.
+type artifactList struct {
+	name    string
+	family  uint64
+	sampled bool // θ sampled starts; else λ walks from every node
+	arts    *[]*WalkArtifact
+}
 
-	// Index optionally carries the node → walk postings index.
-	Index *walks.IndexSnapshot
+// lists returns the artifact lists in file order: sketch sets, then walk
+// sets.
+func (idx *Index) lists() [2]artifactList {
+	return [2]artifactList{
+		{"sketch", walks.FamilyRS, true, &idx.Sketches},
+		{"walk", walks.FamilyRW, false, &idx.Walks},
+	}
+}
 
-	// Live, in place of Set and Index: see SketchArtifact.Live.
-	Live *walks.Set
+// draw is the Draw of an artifact in l that the file records as seed and
+// count.
+func (l artifactList) draw(seed int64, count int) walks.Draw {
+	if l.sampled {
+		return walks.Draw{Family: l.family, Seed: seed, Theta: count}
+	}
+	return walks.Draw{Family: l.family, Seed: seed, Lambda: count}
+}
+
+// count is the one count of d the file records for l: θ or λ.
+func (l artifactList) count(d walks.Draw) int {
+	if l.sampled {
+		return d.Theta
+	}
+	return d.Lambda
 }
 
 // Validate checks the index invariants that do not require replaying
-// generation: shapes, ranges, and finite values.
+// generation: shapes, ranges, finite values, and that each artifact's draw
+// belongs to its list and its walks were drawn at its horizon.
 func (idx *Index) Validate() error {
 	if idx.Sys == nil {
 		return fmt.Errorf("serialize: index has no system")
 	}
-	for i, a := range idx.Sketches {
-		if (a.Set == nil) == (a.Live == nil) {
-			return fmt.Errorf("serialize: sketch artifact %d needs exactly one of a walk set snapshot and a live set", i)
-		}
-		if a.Target < 0 || a.Target >= idx.Sys.R() {
-			return fmt.Errorf("serialize: sketch artifact %d targets candidate %d of %d", i, a.Target, idx.Sys.R())
-		}
-		if a.Horizon < 0 || a.Theta < 1 {
-			return fmt.Errorf("serialize: sketch artifact %d has horizon %d, theta %d", i, a.Horizon, a.Theta)
-		}
-	}
-	for i, a := range idx.Walks {
-		if (a.Set == nil) == (a.Live == nil) {
-			return fmt.Errorf("serialize: walk artifact %d needs exactly one of a walk set snapshot and a live set", i)
-		}
-		if a.Target < 0 || a.Target >= idx.Sys.R() {
-			return fmt.Errorf("serialize: walk artifact %d targets candidate %d of %d", i, a.Target, idx.Sys.R())
-		}
-		if a.Horizon < 0 || a.Lambda < 1 {
-			return fmt.Errorf("serialize: walk artifact %d has horizon %d, lambda %d", i, a.Horizon, a.Lambda)
+	for _, l := range idx.lists() {
+		for i, a := range *l.arts {
+			if (a.Set == nil) == (a.Live == nil) {
+				return fmt.Errorf("serialize: %s artifact %d needs exactly one of a walk set snapshot and a live set", l.name, i)
+			}
+			if a.Target < 0 || a.Target >= idx.Sys.R() {
+				return fmt.Errorf("serialize: %s artifact %d targets candidate %d of %d", l.name, i, a.Target, idx.Sys.R())
+			}
+			if n := l.count(a.Draw); n < 1 || a.Draw != l.draw(a.Seed, n) {
+				return fmt.Errorf("serialize: %s artifact %d has draw %+v, want %+v", l.name, i, a.Draw, l.draw(a.Seed, max(n, 1)))
+			}
+			var setHorizon int
+			if a.Live != nil {
+				setHorizon = a.Live.Horizon()
+			} else {
+				setHorizon = a.Set.Horizon
+			}
+			if a.Horizon < 0 || a.Horizon != setHorizon {
+				return fmt.Errorf("serialize: %s artifact %d declares horizon %d, its walks were drawn at %d", l.name, i, a.Horizon, setHorizon)
+			}
 		}
 	}
 	if idx.BaseEpoch < 0 {

@@ -63,8 +63,8 @@ func buildTestIndex(t testing.TB) *serialize.Index {
 	}
 	return &serialize.Index{
 		Sys:      sys,
-		Sketches: []*serialize.SketchArtifact{{Seed: seed, Target: 0, Horizon: horizon, Theta: theta, Set: sketchSnap}},
-		Walks:    []*serialize.WalkArtifact{{Seed: seed, Target: 0, Horizon: horizon, Lambda: lambda, Set: walkSnap}},
+		Sketches: []*serialize.WalkArtifact{{Draw: walks.Draw{Family: walks.FamilyRS, Seed: seed, Theta: theta}, Target: 0, Horizon: horizon, Set: sketchSnap}},
+		Walks:    []*serialize.WalkArtifact{{Draw: walks.Draw{Family: walks.FamilyRW, Seed: seed, Lambda: lambda}, Target: 0, Horizon: horizon, Set: walkSnap}},
 	}
 }
 

@@ -142,12 +142,15 @@ func (w *v3writer) addI32Stream(each func(fn func([]int32) error) error) uint32 
 }
 
 // writePostingsRef emits a postings reference into the manifest: the
-// compact blocked form, whose payload is data (Data itself, or the chunks
-// an Encoder left), or "no index stored" for nil.
+// compact blocked form, whose payload is data (the chunks an Encoder left,
+// or nil for compact.Data itself), or "no index stored" for nil.
 func (w *v3writer) writePostingsRef(m *bytes.Buffer, compact *postings.Compact, data [][]byte) {
 	if compact == nil {
 		m.WriteByte(v3PostingsNone)
 		return
+	}
+	if data == nil {
+		data = [][]byte{compact.Data}
 	}
 	m.WriteByte(v3PostingsCompact)
 	mustU32(m, uint32(compact.BlockSize))
@@ -174,25 +177,15 @@ func mustU32(m *bytes.Buffer, vs ...uint32) {
 	}
 }
 
-// walkIndexCompact returns the form a walks index snapshot is stored in,
-// with its payload: a compact one as is, an in-memory raw one encoded, nil
-// for none.
-func walkIndexCompact(is *walks.IndexSnapshot) (*postings.Compact, [][]byte) {
-	switch {
-	case is == nil:
-		return nil, nil
-	case is.Compact != nil:
-		return is.Compact, [][]byte{is.Compact.Data}
-	}
-	return postings.Encode(postings.CSR{Off: is.Off, Item: is.Walk, Pos: is.Pos}, postings.DefaultBlockSize)
-}
-
-// writeWalkSetRef emits a walk artifact's manifest entry, adding its arrays
-// and postings index as sections: streamed from a live set's base and
-// overlay in walk-id order, or a snapshot's arrays as they are. Both write
-// the same bytes for the same walks.
-func (w *v3writer) writeWalkSetRef(m *bytes.Buffer, live *walks.Set, s *walks.Snapshot, idx *walks.IndexSnapshot) {
-	if live != nil {
+// writeArtifact emits an artifact's manifest entry — seed, target, horizon
+// and count, the θ or λ its list stores — and adds its arrays and postings
+// index as sections: streamed from a live set's base and overlay in walk-id
+// order, or a snapshot's arrays and compact postings as they are. Both
+// write the same bytes for the same walks.
+func (w *v3writer) writeArtifact(m *bytes.Buffer, a *WalkArtifact, count int) {
+	_ = binio.WriteI64(m, a.Seed)
+	mustU32(m, uint32(a.Target), uint32(a.Horizon), uint32(count))
+	if live := a.Live; live != nil {
 		owners, ownerOff := live.Owners()
 		mustU32(m, uint32(live.Horizon()))
 		mustU32(m, w.addI32Stream(live.EachNodes), w.addI32Stream(live.EachOff), w.addI32(owners), w.addI32(ownerOff))
@@ -200,10 +193,14 @@ func (w *v3writer) writeWalkSetRef(m *bytes.Buffer, live *walks.Set, s *walks.Sn
 		w.writePostingsRef(m, c, data)
 		return
 	}
+	s := a.Set
 	mustU32(m, uint32(s.Horizon))
 	mustU32(m, w.addI32(s.Nodes), w.addI32(s.Off), w.addI32(s.OwnerNodes), w.addI32(s.OwnerOff))
-	c, data := walkIndexCompact(idx)
-	w.writePostingsRef(m, c, data)
+	var c *postings.Compact
+	if a.Index != nil {
+		c = a.Index.Compact
+	}
+	w.writePostingsRef(m, c, nil)
 }
 
 // v3WriteBuffer coalesces the small blocks a streamed section emits (an
@@ -254,17 +251,11 @@ func WriteIndexV3(w io.Writer, idx *Index, _ V3Options) error {
 	}
 
 	// Artifacts.
-	mustU32(&m, uint32(len(idx.Sketches)))
-	for _, art := range idx.Sketches {
-		_ = binio.WriteI64(&m, art.Seed)
-		mustU32(&m, uint32(art.Target), uint32(art.Horizon), uint32(art.Theta))
-		vw.writeWalkSetRef(&m, art.Live, art.Set, art.Index)
-	}
-	mustU32(&m, uint32(len(idx.Walks)))
-	for _, art := range idx.Walks {
-		_ = binio.WriteI64(&m, art.Seed)
-		mustU32(&m, uint32(art.Target), uint32(art.Horizon), uint32(art.Lambda))
-		vw.writeWalkSetRef(&m, art.Live, art.Set, art.Index)
+	for _, l := range idx.lists() {
+		mustU32(&m, uint32(len(*l.arts)))
+		for _, a := range *l.arts {
+			vw.writeArtifact(&m, a, l.count(a.Draw))
+		}
 	}
 	mustU32(&m, 0) // RR-set artifacts: none
 
@@ -469,41 +460,45 @@ func (p *v3parser) readPostingsRef(r io.Reader, what string) (compact *postings.
 	}
 }
 
-func (p *v3parser) readWalkSetRef(r io.Reader, what string) (*walks.Snapshot, *walks.IndexSnapshot, error) {
-	horizon, err := binio.ReadU32(r)
+// readArtifact parses one manifest entry of list l, the draw's family
+// taken from the list.
+func (p *v3parser) readArtifact(r io.Reader, l artifactList, what string) (*WalkArtifact, error) {
+	seed, err := binio.ReadI64(r)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var refs [4]uint32
-	for i := range refs {
-		if refs[i], err = binio.ReadU32(r); err != nil {
-			return nil, nil, err
+	var fields [8]uint32 // target, horizon, count, the set's horizon, its four section refs
+	for i := range fields {
+		if fields[i], err = binio.ReadU32(r); err != nil {
+			return nil, err
 		}
 	}
-	s := &walks.Snapshot{Horizon: int(horizon)}
+	a := &WalkArtifact{Draw: l.draw(seed, int(fields[2])), Target: int(fields[0]), Horizon: int(fields[1])}
+	s := &walks.Snapshot{Horizon: int(fields[3])}
+	refs := fields[4:]
 	a1, a2, a3, a4 := true, true, true, true
 	if s.Nodes, a1, err = p.i32s(refs[0], what+" nodes"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if s.Off, a2, err = p.i32s(refs[1], what+" offsets"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if s.OwnerNodes, a3, err = p.i32s(refs[2], what+" owners"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if s.OwnerOff, a4, err = p.i32s(refs[3], what+" owner offsets"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s.Mapped = p.mapped && a1 && a2 && a3 && a4
+	a.Set = s
 	compact, idxMapped, err := p.readPostingsRef(r, what+" index")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var is *walks.IndexSnapshot
 	if compact != nil {
-		is = &walks.IndexSnapshot{Compact: compact, Mapped: idxMapped}
+		a.Index = &walks.IndexSnapshot{Compact: compact, Mapped: idxMapped}
 	}
-	return s, is, nil
+	return a, nil
 }
 
 // skipRRArtifact reads past one RR-set artifact's manifest entry, as an
@@ -699,47 +694,18 @@ func parseV3(data []byte, mapped bool) (*Index, int64, error) {
 	idx := &Index{Sys: sys}
 
 	// Artifacts.
-	numSketches, err := binReadCount(m, maxArtifacts)
-	if err != nil {
-		return nil, 0, fmt.Errorf("serialize: v3 sketch artifact count: %w", err)
-	}
-	for i := 0; i < numSketches; i++ {
-		a := &SketchArtifact{}
-		if a.Seed, err = binio.ReadI64(m); err != nil {
-			return nil, 0, err
+	for _, l := range idx.lists() {
+		num, err := binReadCount(m, maxArtifacts)
+		if err != nil {
+			return nil, 0, fmt.Errorf("serialize: v3 %s artifact count: %w", l.name, err)
 		}
-		var fields [3]uint32
-		for j := range fields {
-			if fields[j], err = binio.ReadU32(m); err != nil {
+		for i := 0; i < num; i++ {
+			a, err := p.readArtifact(m, l, fmt.Sprintf("%s artifact %d", l.name, i))
+			if err != nil {
 				return nil, 0, err
 			}
+			*l.arts = append(*l.arts, a)
 		}
-		a.Target, a.Horizon, a.Theta = int(fields[0]), int(fields[1]), int(fields[2])
-		if a.Set, a.Index, err = p.readWalkSetRef(m, fmt.Sprintf("sketch artifact %d", i)); err != nil {
-			return nil, 0, err
-		}
-		idx.Sketches = append(idx.Sketches, a)
-	}
-	numWalks, err := binReadCount(m, maxArtifacts)
-	if err != nil {
-		return nil, 0, fmt.Errorf("serialize: v3 walk artifact count: %w", err)
-	}
-	for i := 0; i < numWalks; i++ {
-		a := &WalkArtifact{}
-		if a.Seed, err = binio.ReadI64(m); err != nil {
-			return nil, 0, err
-		}
-		var fields [3]uint32
-		for j := range fields {
-			if fields[j], err = binio.ReadU32(m); err != nil {
-				return nil, 0, err
-			}
-		}
-		a.Target, a.Horizon, a.Lambda = int(fields[0]), int(fields[1]), int(fields[2])
-		if a.Set, a.Index, err = p.readWalkSetRef(m, fmt.Sprintf("walk artifact %d", i)); err != nil {
-			return nil, 0, err
-		}
-		idx.Walks = append(idx.Walks, a)
 	}
 	numRRs, err := binReadCount(m, maxArtifacts)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ovm/internal/serialize"
@@ -19,23 +20,24 @@ func buildTestIndexWithPostings(t testing.TB) *serialize.Index {
 	t.Helper()
 	idx := buildTestIndex(t)
 	g := idx.Sys.Candidate(0).G
-	for _, art := range idx.Sketches {
+	for _, art := range slices.Concat(idx.Sketches, idx.Walks) {
 		set, err := walks.FromSnapshot(g, art.Set)
 		if err != nil {
 			t.Fatal(err)
 		}
 		set.EnsureIndex()
-		art.Index = set.IndexSnapshot()
-	}
-	for _, art := range idx.Walks {
-		set, err := walks.FromSnapshot(g, art.Set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		set.EnsureIndex()
-		art.Index = set.IndexSnapshot()
+		art.Index = storedIndex(set)
 	}
 	return idx
+}
+
+// storedIndex is a set's postings in the form an index file stores them:
+// CompactPostings with its payload joined into Data.
+func storedIndex(set *walks.Set) *walks.IndexSnapshot {
+	c, chunks := set.CompactPostings()
+	cp := *c
+	cp.Data = slices.Concat(chunks...)
+	return &walks.IndexSnapshot{Compact: &cp}
 }
 
 func writeV3(t testing.TB, idx *serialize.Index) []byte {
@@ -72,26 +74,11 @@ func checkIndexEquivalent(t *testing.T, want, got *serialize.Index) {
 			len(want.Sketches), len(want.Walks))
 	}
 	g := got.Sys.Candidate(0).G
-	for i, a := range want.Sketches {
-		b := got.Sketches[i]
-		if a.Seed != b.Seed || a.Target != b.Target || a.Horizon != b.Horizon || a.Theta != b.Theta {
-			t.Fatalf("sketch artifact %d parameters differ", i)
-		}
-		checkWalkSnapshotEqual(t, a.Set, b.Set)
-		set, err := walks.FromSnapshot(g, b.Set)
-		if err != nil {
-			t.Fatalf("restoring sketch set %d: %v", i, err)
-		}
-		if b.Index != nil {
-			if err := set.AdoptIndex(b.Index); err != nil {
-				t.Fatalf("adopting sketch index %d: %v", i, err)
-			}
-		}
-	}
-	for i, a := range want.Walks {
-		b := got.Walks[i]
-		if a.Seed != b.Seed || a.Target != b.Target || a.Horizon != b.Horizon || a.Lambda != b.Lambda {
-			t.Fatalf("walk artifact %d parameters differ", i)
+	gotArts := slices.Concat(got.Sketches, got.Walks)
+	for i, a := range slices.Concat(want.Sketches, want.Walks) {
+		b := gotArts[i]
+		if a.Draw != b.Draw || a.Target != b.Target || a.Horizon != b.Horizon {
+			t.Fatalf("artifact %d parameters differ", i)
 		}
 		checkWalkSnapshotEqual(t, a.Set, b.Set)
 		set, err := walks.FromSnapshot(g, b.Set)

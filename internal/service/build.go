@@ -76,19 +76,16 @@ func BuildIndex(sys *opinion.System, o BuildOptions) (*serialize.Index, error) {
 	return idx, nil
 }
 
-// storeWalks appends a pristine walk set to idx as the serialize artifact
-// type its draw maps to (sampled starts are a sketch artifact, planned ones a
-// walk artifact), live, with its postings index: v3 streams both out, so
-// loaders adopt the index instead of re-running the counting sort.
+// storeWalks appends a pristine walk set to idx, live, with its postings
+// index, in the artifact list its draw belongs to: sampled starts are the
+// sketch sets, planned ones the walk sets. v3 streams both out, so loaders
+// adopt the index instead of re-running the counting sort.
 func storeWalks(idx *serialize.Index, d walks.Draw, target, horizon int, set *walks.Set) {
 	set.EnsureIndex()
+	a := &serialize.WalkArtifact{Draw: d, Target: target, Horizon: horizon, Live: set}
 	if d.Theta > 0 {
-		idx.Sketches = append(idx.Sketches, &serialize.SketchArtifact{
-			Seed: d.Seed, Target: target, Horizon: horizon, Theta: d.Theta, Live: set,
-		})
+		idx.Sketches = append(idx.Sketches, a)
 	} else {
-		idx.Walks = append(idx.Walks, &serialize.WalkArtifact{
-			Seed: d.Seed, Target: target, Horizon: horizon, Lambda: d.Lambda, Live: set,
-		})
+		idx.Walks = append(idx.Walks, a)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -104,13 +105,11 @@ func (f *filed) checkpoint() error {
 	return f.install()
 }
 
-// rawPostings is a postings index snapshot as raw CSR arrays, whichever
-// backing it has.
-func rawPostings(is *walks.IndexSnapshot) postings.CSR {
-	if is.Compact != nil {
-		return is.Compact.ToCSR()
-	}
-	return postings.CSR{Off: is.Off, Item: is.Walk, Pos: is.Pos}
+// rawPostings decodes stored compact postings to raw CSR arrays.
+func rawPostings(c *postings.Compact, chunks [][]byte) postings.CSR {
+	cp := *c
+	cp.Data = slices.Concat(chunks...)
+	return cp.ToCSR()
 }
 
 // sameWalks reports whether two sets store the same walks and postings.
@@ -124,14 +123,14 @@ func sameWalks(a, b *walks.Set) bool {
 		return false
 	}
 	sa.Mapped, sb.Mapped = false, false
-	return reflect.DeepEqual(sa, sb) && reflect.DeepEqual(rawPostings(a.IndexSnapshot()), rawPostings(b.IndexSnapshot()))
+	return reflect.DeepEqual(sa, sb) && reflect.DeepEqual(rawPostings(a.CompactPostings()), rawPostings(b.CompactPostings()))
 }
 
 // TestCheckpointIsTheLiveSets is the oracle of the streaming checkpoint and
 // the rebase behind it. At every checkpoint of 64 churn batches:
-//   - the file's walk arrays and postings equal each live set's Snapshot and
-//     IndexSnapshot as they were exported, base + overlay folded by the
-//     reference path;
+//   - the file's walk arrays equal each live set's Snapshot as it was
+//     exported, base + overlay folded by the reference path, and its
+//     postings a counting-sort build over those arrays;
 //   - the version Rebase moves onto the file holds what a fresh load of the
 //     file repaired by the same batches holds, and the same as a heap
 //     service that never checkpointed, which it answers like;
@@ -151,7 +150,7 @@ func TestCheckpointIsTheLiveSets(t *testing.T) {
 				t.Fatal(err)
 			}
 			snaps = append(snaps, s)
-			posts = append(posts, rawPostings(set.IndexSnapshot()))
+			posts = append(posts, postings.Build(idx.Sys.N(), s.Off, s.Nodes, true))
 		}
 		var buf bytes.Buffer
 		if err := serialize.WriteIndexV3(&buf, exp, serialize.V3Options{}); err != nil {
@@ -170,8 +169,8 @@ func TestCheckpointIsTheLiveSets(t *testing.T) {
 			if !reflect.DeepEqual(a.set, snaps[i]) {
 				t.Fatalf("checkpoint at epoch %d: artifact %d's walk arrays differ from the live set's Snapshot", exp.BaseEpoch, i)
 			}
-			if !reflect.DeepEqual(rawPostings(a.idx), posts[i]) {
-				t.Fatalf("checkpoint at epoch %d: artifact %d's postings differ from the live set's IndexSnapshot", exp.BaseEpoch, i)
+			if !reflect.DeepEqual(rawPostings(a.idx.Compact, [][]byte{a.idx.Compact.Data}), posts[i]) {
+				t.Fatalf("checkpoint at epoch %d: artifact %d's postings differ from a rebuild over the live set's Snapshot", exp.BaseEpoch, i)
 			}
 		}
 		checked++

@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,9 +33,7 @@ import (
 	"ovm/internal/dynamic"
 	"ovm/internal/obs"
 	"ovm/internal/opinion"
-	"ovm/internal/rwalk"
 	"ovm/internal/serialize"
-	"ovm/internal/sketch"
 	"ovm/internal/walks"
 )
 
@@ -287,8 +286,8 @@ type Dataset struct {
 
 // walkArtifact is a persisted walk set together with how it was drawn: an RS
 // sketch set (θ sampled starts) or RW's cumulative walk set (λ walks per
-// node). Only the edges that speak serialize's two artifact types or
-// DatasetStats' two counts ask which.
+// node). Only storeWalks, which files it in one of the index's two lists,
+// and DatasetStats' two counts ask which.
 type walkArtifact struct {
 	key     string // names the artifact within its Dataset, in memo keys
 	draw    walks.Draw
@@ -346,48 +345,37 @@ func (s *Service) restore(name string, idx *serialize.Index, file *mapping) (*Da
 		memo:      newLRUCache(epochMemoBytes),
 		file:      file,
 	}
-	// serialize keeps two artifact types; from here on a walk set is a walk
-	// set, sketch sets first.
-	restoreWalks := func(d walks.Draw, target, horizon int, live *walks.Set, snap *walks.Snapshot, index *walks.IndexSnapshot) error {
+	fail := func(serr *Error) (*Dataset, *Error) {
+		ds.release()
+		return nil, serr
+	}
+	// Sketch sets first, then walk sets: the file's order, which names the
+	// artifacts in memo keys.
+	for _, a := range slices.Concat(idx.Sketches, idx.Walks) {
 		i := len(ds.walks)
-		set := live
+		set := a.Live
 		if set == nil {
 			var err error
-			if set, err = walks.FromSnapshot(idx.Sys.Candidate(target).G, snap); err != nil {
-				return badRequestf("walk artifact %d: %v", i, err)
+			if set, err = walks.FromSnapshot(idx.Sys.Candidate(a.Target).G, a.Set); err != nil {
+				return fail(badRequestf("walk artifact %d: %v", i, err))
 			}
 		}
-		want := d.Theta
+		want := a.Theta
 		if want == 0 {
-			want = d.Lambda * idx.Sys.N()
+			want = a.Lambda * idx.Sys.N()
 		}
 		if set.NumWalks() != want {
-			return badRequestf("walk artifact %d stores %d walks, want %d (theta=%d, lambda=%d)", i, set.NumWalks(), want, d.Theta, d.Lambda)
+			return fail(badRequestf("walk artifact %d stores %d walks, want %d (theta=%d, lambda=%d)", i, set.NumWalks(), want, a.Theta, a.Lambda))
 		}
 		// Index once at load time: every per-query Clone shares the postings
 		// index, so indexed queries ride the incremental greedy path without
 		// paying a per-query index build. A v3 file carries the index; adopt
 		// it (verified against storage) instead of rebuilding, falling back
 		// to the rebuild if verification rejects it.
-		if index == nil || set.AdoptIndex(index) != nil {
+		if a.Index == nil || set.AdoptIndex(a.Index) != nil {
 			set.EnsureIndex()
 		}
-		ds.walks = append(ds.walks, &walkArtifact{key: "w" + strconv.Itoa(i), draw: d, target: target, horizon: horizon, set: set})
-		return nil
-	}
-	fail := func(serr *Error) (*Dataset, *Error) {
-		ds.release()
-		return nil, serr
-	}
-	for _, a := range idx.Sketches {
-		if err := restoreWalks(sketch.Draw(a.Seed, a.Theta), a.Target, a.Horizon, a.Live, a.Set, a.Index); err != nil {
-			return fail(asError(err))
-		}
-	}
-	for _, a := range idx.Walks {
-		if err := restoreWalks(rwalk.Draw(a.Seed, a.Lambda), a.Target, a.Horizon, a.Live, a.Set, a.Index); err != nil {
-			return fail(asError(err))
-		}
+		ds.walks = append(ds.walks, &walkArtifact{key: "w" + strconv.Itoa(i), draw: a.Draw, target: a.Target, horizon: a.Horizon, set: set})
 	}
 	// Replay the index's update log through the same incremental-repair
 	// path live updates use: the restarted daemon lands on exactly the

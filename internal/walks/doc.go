@@ -46,8 +46,8 @@
 // drawn with, Draw.Weights gives the greedy its owner weights and
 // Draw.Greedy runs it. Packages rwalk and sketch keep what is theirs (how
 // many walks: the γ* pilot, the θ search) and say how their set is drawn with
-// rwalk.Draw and sketch.Draw; the service keeps one kind of walk artifact
-// with its Draw as data.
+// rwalk.Draw and sketch.Draw; serialize and the service keep one kind of
+// walk artifact with its Draw as data.
 //
 // Owner v of a set drawn from (family, seed) consumes
 // Stream{seed, family}.Sub(walkStream).At(v), and sampled starts come from
@@ -95,11 +95,13 @@
 //
 // Readers see one set: Set.walk / Set.ownerWalks read a walk from wherever
 // it lives, and Set.postings merges the base's live postings with the
-// overlay's in ascending walk id. Snapshot and IndexSnapshot fold the two
-// into the flat arrays and postings a from-scratch generation of the same
-// set would have. An index writer streams the same bytes without building
-// them: EachNodes, EachOff and CompactPostings hand out base and overlay in
-// walk-id order, and the postings are encoded node by node as merged. A
+// overlay's in ascending walk id. Snapshot folds the two into the flat
+// arrays a from-scratch generation of the same set would have, and
+// CompactPostings encodes its postings. An index writer streams the same
+// bytes without building them: EachNodes, EachOff and CompactPostings hand
+// out base and overlay in walk-id order, and the postings are encoded node
+// by node as merged; IndexSnapshot, the postings' portable form, is only
+// this compact one. A
 // pristine set (loaded, generated or repaired) carries no truncation state;
 // Clone, AddSeed and NewEstimator create it.
 //

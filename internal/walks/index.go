@@ -15,12 +15,13 @@ import (
 // walk the overlay replaced is masked by the overlay's bitmap. Positions are
 // walk-relative, so a posting never depends on where its walk is stored.
 //
-// The index has two interchangeable backings: raw CSR arrays (off/walk/pos,
-// built by EnsureIndex, a fold, and every overlay's own postings) or a
-// delta+varint compact form (adopted from a v3 index file, possibly
-// aliasing a read-only mapped region). Set.postings reads both and yields
-// identical postings in identical order, so the choice is invisible in
-// results.
+// The index has two interchangeable in-memory backings: raw CSR arrays
+// (off/walk/pos, built by EnsureIndex, a fold, and every overlay's own
+// postings) or a delta+varint compact form (adopted from a v3 index file,
+// possibly aliasing a read-only mapped region). Set.postings reads both and
+// yields identical postings in identical order, so the choice is invisible
+// in results. Only the compact form leaves the set (CompactPostings,
+// IndexSnapshot): the raw one is never stored.
 type walkIndex struct {
 	off  []int32 // len n+1: node v's postings are walk/pos[off[v]:off[v+1]]
 	walk []int32 // walk ids, ascending per node

@@ -11,9 +11,21 @@ import (
 	"ovm/internal/sampling"
 )
 
+// StoredIndex is the set's postings in the form an index file stores them:
+// CompactPostings with its payload joined into Data.
+func StoredIndex(set *Set) *IndexSnapshot {
+	c, chunks := set.CompactPostings()
+	if c == nil {
+		return nil
+	}
+	cp := *c
+	cp.Data = slices.Concat(chunks...)
+	return &IndexSnapshot{Compact: &cp}
+}
+
 // TestRepairIndexMatchesRebuild pins the overlay contract through a chain of
 // repairs: after every step the set's postings — base less the replaced
-// walks, merged with the overlay's — and the folded IndexSnapshot must equal
+// walks, merged with the overlay's — and the stored (compact) postings must decode to
 // a from-scratch counting-sort build over the folded walks, and the folded
 // walks a from-scratch generation. The chain takes empty, single-node,
 // sparse and dense touched masks, so it repairs on top of an overlay,
@@ -109,8 +121,7 @@ func TestRepairIndexMatchesRebuild(t *testing.T) {
 			t.Fatalf("step %d: folded walks differ from a fresh generation", step)
 		}
 		want := postings.Build(n, snap.Off, snap.Nodes, true)
-		is := set.IndexSnapshot()
-		if !reflect.DeepEqual(is.Off, want.Off) || !reflect.DeepEqual(is.Walk, want.Item) || !reflect.DeepEqual(is.Pos, want.Pos) {
+		if !reflect.DeepEqual(StoredIndex(set).Compact.ToCSR(), want) {
 			t.Fatalf("step %d: folded index differs from a rebuild", step)
 		}
 		for u := range n {

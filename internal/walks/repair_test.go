@@ -3,10 +3,12 @@ package walks_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ovm/internal/graph"
 	"ovm/internal/opinion"
+	"ovm/internal/postings"
 	"ovm/internal/sampling"
 	"ovm/internal/walks"
 )
@@ -199,7 +201,7 @@ func TestRebaseKeepsOnlyLaterOwners(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := base.AdoptIndex(at.IndexSnapshot()); err != nil {
+		if err := base.AdoptIndex(walks.StoredIndex(at)); err != nil {
 			t.Fatal(err)
 		}
 		want, _, err := d.RepairOverlay(nil, ground(ng, stub3), base, touched2, 0)
@@ -207,7 +209,7 @@ func TestRebaseKeepsOnlyLaterOwners(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := next.Rebase(base, at)
-		if !reflect.DeepEqual(snap(t, got), snap(t, next)) || !reflect.DeepEqual(got.IndexSnapshot(), next.IndexSnapshot()) {
+		if !reflect.DeepEqual(snap(t, got), snap(t, next)) || !reflect.DeepEqual(walks.StoredIndex(got).Compact.ToCSR(), walks.StoredIndex(next).Compact.ToCSR()) {
 			t.Fatalf("theta=%d: the rebased set stores other walks than the one it rebased", d.Theta)
 		}
 		if got.HeapBytes() != want.HeapBytes() || got.HeapBytes() >= next.HeapBytes() {
@@ -231,7 +233,7 @@ func TestRebaseKeepsOnlyLaterOwners(t *testing.T) {
 			t.Fatalf("theta=%d: node 120 is on no walk", d.Theta)
 		}
 		once, twice := last.Rebase(base, at), last.Rebase(got, next)
-		if !reflect.DeepEqual(snap(t, twice), snap(t, last)) || !reflect.DeepEqual(twice.IndexSnapshot(), last.IndexSnapshot()) {
+		if !reflect.DeepEqual(snap(t, twice), snap(t, last)) || !reflect.DeepEqual(walks.StoredIndex(twice).Compact.ToCSR(), walks.StoredIndex(last).Compact.ToCSR()) {
 			t.Fatalf("theta=%d: a set moved in two steps stores other walks than the one it moved", d.Theta)
 		}
 		if twice.HeapBytes() != once.HeapBytes() {
@@ -285,5 +287,70 @@ func TestRepairRejectsSeededAndMismatchedInputs(t *testing.T) {
 	}
 	if _, _, err := walks.Repair(set, smp2, stub2, touched[:n-1], str, 1); err == nil {
 		t.Fatal("repair with short touched mask must fail")
+	}
+}
+
+// TestAdoptIndexRejectsCorruptPostings: the loader's check adopts a set's
+// stored postings and refuses ones its walks do not produce, among them an
+// item out of range — a posting past the last walk, and a first item
+// garbled to 0xff 0xff — which the encoding alone cannot tell from a valid
+// one.
+func TestAdoptIndexRejectsCorruptPostings(t *testing.T) {
+	const n = 200
+	g, _, stub, _, _ := repairWorld(t, n, 3)
+	gr, err := walks.NewGround(&opinion.Candidate{G: g, Stub: stub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := walks.Draw{Family: walks.FamilyRS, Seed: 4, Theta: 600}.Generate(nil, gr, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.EnsureIndex()
+	stored := snap(t, set)
+	adopt := func(is *walks.IndexSnapshot) error {
+		fresh, err := walks.FromSnapshot(g, stored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fresh.AdoptIndex(is)
+	}
+	if err := adopt(walks.StoredIndex(set)); err != nil {
+		t.Fatalf("intact postings refused: %v", err)
+	}
+
+	// The last node with postings gets one more, past the last walk.
+	csr := walks.StoredIndex(set).Compact.ToCSR()
+	last := n - 1
+	for csr.Off[last+1] == csr.Off[last] {
+		last--
+	}
+	e := postings.NewEncoder(n, true, postings.DefaultBlockSize, 0)
+	for v := range n {
+		lo, hi := csr.Off[v], csr.Off[v+1]
+		e.Add(csr.Item[lo:hi], csr.Pos[lo:hi])
+		if v == last {
+			e.Add([]int32{int32(set.NumWalks())}, []int32{0})
+		}
+		e.End()
+	}
+	past, chunks := e.Finish()
+	past.Data = slices.Concat(chunks...)
+
+	garbled := walks.StoredIndex(set)
+	garbled.Compact.Data[0], garbled.Compact.Data[1] = 0xff, 0xff
+
+	short := walks.StoredIndex(set)
+	short.Compact.Off = short.Compact.Off[:n]
+
+	for name, is := range map[string]*walks.IndexSnapshot{
+		"item out of range":  {Compact: past},
+		"garbled first item": garbled,
+		"too few nodes":      short,
+		"no postings":        {},
+	} {
+		if err := adopt(is); err == nil {
+			t.Errorf("%s: AdoptIndex accepted it", name)
+		}
 	}
 }

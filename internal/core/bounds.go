@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
 	"ovm/internal/engine"
 	"ovm/internal/graph"
@@ -61,103 +63,82 @@ func CoverageValue(g *graph.Graph, horizon int, base []bool, scale float64, seed
 	return scale * float64(cnt)
 }
 
-// GreedyCoverage maximizes scale·|N_S^(t) ∪ base| over size-k seed sets with
-// the incremental lazy-greedy algorithm (the function is monotone
-// submodular, Theorems 6/7, so CELF-style laziness is exact). It returns
-// the usual GreedyResult; Evaluations counts BFS probes. The initial
-// all-nodes gain sweep runs on the engine worker pool (one BFS state per
-// worker); the lazy loop stays serial so the heap evolves exactly as in
-// the sequential algorithm, keeping results parallelism-invariant.
-func GreedyCoverage(g *graph.Graph, horizon int, base []bool, scale float64, k, parallelism int) (*GreedyResult, error) {
-	n := g.N()
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("core: need 1 <= k <= n, got k=%d n=%d", k, n)
+// coverage is the objective |N_S^(t) ∪ base| of the sandwich upper bounds
+// (Definitions 4 and 6), unscaled: its gains are reach counts, so the greedy
+// picks by reach even where the bound's scale is 0. Gains runs one BFS state
+// per worker; covered is only written by Add, between sweeps.
+type coverage struct {
+	horizon, parallelism int
+	covered              []bool
+	bfs                  []*graph.BFS
+	total, evals         int
+}
+
+func newCoverage(g *graph.Graph, horizon int, base []bool, parallelism int) *coverage {
+	c := &coverage{
+		horizon:     horizon,
+		parallelism: parallelism,
+		covered:     slices.Clone(base),
+		bfs:         make([]*graph.BFS, engine.Workers(parallelism)),
 	}
-	if len(base) != n {
-		return nil, fmt.Errorf("core: base mask has %d entries, want %d", len(base), n)
+	for i := range c.bfs {
+		c.bfs[i] = graph.NewBFS(g)
 	}
-	res := &GreedyResult{}
-	covered := make([]bool, n)
-	baseCount := 0
-	for v, in := range base {
+	for _, in := range base {
 		if in {
-			covered[v] = true
-			baseCount++
+			c.total++
 		}
 	}
-	bfs := graph.NewBFS(g)
-	// Initial marginal gains, sharded across per-worker BFS states (covered
-	// is read-only during the sweep).
-	type entry struct {
-		node  int32
-		gain  int
-		stamp int
-	}
-	entries := make([]entry, n)
-	workers := make([]*graph.BFS, engine.Workers(parallelism))
-	_ = engine.ForEachChunk(parallelism, n, 64, 1024, func(worker, _, lo, hi int) error {
-		wbfs := workers[worker]
-		if wbfs == nil {
-			wbfs = graph.NewBFS(g)
-			workers[worker] = wbfs
+	return c
+}
+
+func (c *coverage) N() int { return len(c.covered) }
+
+func (c *coverage) Gains(ctx context.Context, cands []int32, out []float64) error {
+	c.evals += len(cands)
+	return sweep(ctx, c.parallelism, len(cands), 64, 1024, func(worker, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = float64(c.bfs[worker].CountNewlyReachable(cands[i:i+1], c.horizon, c.covered))
 		}
-		for v := int32(lo); v < int32(hi); v++ {
-			entries[v] = entry{node: v, gain: wbfs.CountNewlyReachable([]int32{v}, horizon, covered), stamp: 0}
-		}
-		return nil
 	})
-	res.Evaluations += n
-	// Binary max-heap over entries.
-	h := make([]int, n) // heap of indices into entries
-	for i := range h {
-		h[i] = i
+}
+
+func (c *coverage) Add(v int32, _ float64) {
+	c.total += c.bfs[0].MarkReachable([]int32{v}, c.horizon, c.covered)
+}
+
+func (c *coverage) Value() float64 { return float64(c.total) }
+
+func (c *coverage) Evaluations() int { return c.evals }
+
+// GreedyCoverage maximizes scale·|N_S^(t) ∪ base| over size-k seed sets with
+// GreedyCELF (the function is monotone submodular, Theorems 6/7, so the
+// laziness is exact). Evaluations counts BFS probes. The greedy runs on
+// unscaled reach counts; scale is applied to the gains and the value after.
+func GreedyCoverage(g *graph.Graph, horizon int, base []bool, scale float64, k, parallelism int) (*GreedyResult, error) {
+	return greedyCoverage(nil, g, horizon, base, scale, k, parallelism)
+}
+
+// greedyCoverage is GreedyCoverage with ctx polled as GreedyCELF polls it.
+func greedyCoverage(ctx context.Context, g *graph.Graph, horizon int, base []bool, scale float64, k, parallelism int) (*GreedyResult, error) {
+	if len(base) != g.N() {
+		return nil, fmt.Errorf("core: base mask has %d entries, want %d", len(base), g.N())
 	}
-	less := func(i, j int) bool { return entries[h[i]].gain > entries[h[j]].gain }
-	var down func(i, size int)
-	down = func(i, size int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			largest := i
-			if l < size && less(l, largest) {
-				largest = l
-			}
-			if r < size && less(r, largest) {
-				largest = r
-			}
-			if largest == i {
-				return
-			}
-			h[i], h[largest] = h[largest], h[i]
-			i = largest
-		}
+	res, err := GreedyCELF(ctx, newCoverage(g, horizon, base, parallelism), k)
+	if err != nil {
+		return nil, err
 	}
-	for i := n/2 - 1; i >= 0; i-- {
-		down(i, n)
+	for i := range res.Gains {
+		res.Gains[i] *= scale
 	}
-	size := n
-	seeds := make([]int32, 0, k)
-	total := baseCount
-	for len(seeds) < k && size > 0 {
-		top := &entries[h[0]]
-		if top.stamp == len(seeds) {
-			seeds = append(seeds, top.node)
-			gained := bfs.MarkReachable([]int32{top.node}, horizon, covered)
-			total += gained
-			res.Gains = append(res.Gains, scale*float64(gained))
-			h[0] = h[size-1]
-			size--
-			down(0, size)
-			continue
-		}
-		top.gain = bfs.CountNewlyReachable([]int32{top.node}, horizon, covered)
-		top.stamp = len(seeds)
-		res.Evaluations++
-		down(0, size)
-	}
-	res.Seeds = seeds
-	res.Value = scale * float64(total)
+	res.Value *= scale
 	return res, nil
 }
+
+var (
+	_ Objective = (*coverage)(nil)
+	_ Objective = (*DMObjective)(nil)
+)
 
 // PositionalBounds packages the LB/UB surrogate parameters for the
 // positional-p-approval family (§IV-B). For plurality use

@@ -4,8 +4,12 @@
 // It provides:
 //
 //   - Problem (§II-C): the FJ-Vote instance definition;
-//   - the greedy framework of Algorithm 1 with CELF lazy evaluation,
-//     driven by exact direct-matrix (DM) opinion computation (§III-C);
+//   - the greedy framework of Algorithm 1: two drivers, Greedy and its
+//     CELF lazy variant GreedyCELF, over one Objective interface with two
+//     implementations, the exact direct-matrix (DM) opinion computation of
+//     §III-C (DMObjective) and the sandwich upper bounds' t-hop coverage
+//     (GreedyCoverage). Every DM objective of a selection reads one
+//     Instance's competitor rows;
 //   - the sandwich approximation of Algorithm 3 (§IV) with the paper's
 //     submodular bound constructions — the favorable users set V_q^(t)
 //     (Definition 1), the reachable users set N_S^(t) (Definition 2), and

@@ -4,12 +4,14 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+
+	"ovm/internal/engine"
 )
 
 // ctxErr polls an optional context; nil means "never cancelled". The greedy
-// drivers call it at round (and heap-iteration) boundaries — the same
-// granularity the engine pool uses for shards — so a cancelled selection
-// abandons work promptly without ever publishing a partial result.
+// drivers call it at round (and heap-iteration) boundaries, and the engine
+// polls the same ctx at every chunk of an objective's sweep, so a cancelled
+// selection abandons work promptly without ever publishing a partial result.
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil
@@ -17,56 +19,71 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
+// Objective is a non-negative, non-decreasing set function over nodes that
+// the greedy drivers maximize under a cardinality constraint. It carries the
+// picks so far, so one Objective serves one greedy run.
+type Objective interface {
+	// N returns the ground-set size.
+	N() int
+	// Gains writes into out[i] the marginal gain of cands[i] over the picks
+	// so far. It may fan the candidates over the engine worker pool; out[i]
+	// never depends on the scheduling. A ctx error leaves out garbage.
+	Gains(ctx context.Context, cands []int32, out []float64) error
+	// Add picks v, whose marginal gain Gains reported as gain.
+	Add(v int32, gain float64)
+	// Value returns the objective at the picks so far.
+	Value() float64
+	// Evaluations counts the evaluations performed since construction.
+	Evaluations() int
+}
+
+// sweep runs fn over the chunks of n candidates that ForEachChunkCtx cuts,
+// ctx polled per chunk. A single candidate, which is what the lazy loop
+// re-evaluates, runs inline on worker 0: the pool's fan-out would cost more
+// than the evaluation.
+func sweep(ctx context.Context, parallelism, n, minPerShard, maxShards int, fn func(worker, lo, hi int)) error {
+	if n == 1 {
+		fn(0, 0, 1)
+		return nil
+	}
+	return engine.ForEachChunkCtx(ctx, parallelism, n, minPerShard, maxShards, func(worker, _, lo, hi int) error {
+		fn(worker, lo, hi)
+		return nil
+	})
+}
+
 // GreedyResult reports the outcome of a greedy run.
 type GreedyResult struct {
 	Seeds       []int32   // selected seeds in pick order
 	Gains       []float64 // marginal gain of each pick
 	Value       float64   // objective value of the full seed set
-	Evaluations int       // number of Objective.Value calls
+	Evaluations int       // the objective's Evaluations at the end of the run
 }
 
-// evaluateBatch computes Value(base ∪ {cand}) for every candidate, through
-// ValueBatch when the objective supports it (fanning the evaluations over
-// the worker pool) and serially otherwise. out[i] corresponds to cands[i].
-// The candidate order — and hence every downstream argmax or heap build —
-// is identical on both paths.
-func evaluateBatch(obj Objective, base []int32, cands []int32, out []float64) {
-	if bo, ok := obj.(BatchObjective); ok {
-		bo.ValueBatch(base, cands, out)
-		return
+// checkK is the drivers' cardinality constraint: 1 <= k <= n.
+func checkK(k, n int) error {
+	if k < 1 || k > n {
+		return fmt.Errorf("core: need 1 <= k <= n, got k=%d n=%d", k, n)
 	}
-	scratch := make([]int32, 0, len(base)+1)
-	for i, v := range cands {
-		scratch = append(scratch[:0], base...)
-		scratch = append(scratch, v)
-		out[i] = obj.Value(scratch)
-	}
+	return nil
 }
 
 // Greedy is Algorithm 1: k rounds, each picking the node with the maximum
 // marginal gain, re-evaluating every remaining candidate node per round.
 // Exact but O(k·n) objective evaluations; prefer GreedyCELF for
-// non-decreasing submodular objectives. If obj implements BatchObjective,
-// each round's candidate sweep runs on the worker pool; picks are identical
-// either way (candidates are scanned in ascending node order with
-// first-max-wins tie-breaking).
-func Greedy(obj Objective, k int) (*GreedyResult, error) {
-	return GreedyCtx(nil, obj, k)
-}
-
-// GreedyCtx is Greedy with cooperative cancellation at round boundaries.
-func GreedyCtx(ctx context.Context, obj Objective, k int) (*GreedyResult, error) {
+// non-decreasing submodular objectives. Candidates are scanned in ascending
+// node order with first-max-wins tie-breaking, so the picks do not depend on
+// how obj schedules a sweep. ctx, when non-nil, is polled every round and by
+// obj's sweeps.
+func Greedy(ctx context.Context, obj Objective, k int) (*GreedyResult, error) {
 	n := obj.N()
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("core: need 1 <= k <= n, got k=%d n=%d", k, n)
+	if err := checkK(k, n); err != nil {
+		return nil, err
 	}
-	res := &GreedyResult{}
-	seeds := make([]int32, 0, k)
+	res := &GreedyResult{Seeds: make([]int32, 0, k)}
 	inSeed := make([]bool, n)
-	cur := obj.Value(nil)
-	res.Evaluations++
 	cands := make([]int32, 0, n)
-	vals := make([]float64, 0, n)
+	gains := make([]float64, n)
 	for round := 0; round < k; round++ {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
@@ -77,25 +94,25 @@ func GreedyCtx(ctx context.Context, obj Objective, k int) (*GreedyResult, error)
 				cands = append(cands, v)
 			}
 		}
-		vals = vals[:len(cands)]
-		evaluateBatch(obj, seeds, cands, vals)
-		res.Evaluations += len(cands)
+		if err := obj.Gains(ctx, cands, gains[:len(cands)]); err != nil {
+			return nil, err
+		}
 		best, bestGain := int32(-1), -1.0
 		for i, v := range cands {
-			if gain := vals[i] - cur; gain > bestGain {
-				best, bestGain = v, gain
+			if gains[i] > bestGain {
+				best, bestGain = v, gains[i]
 			}
 		}
 		if best < 0 {
 			break
 		}
-		seeds = append(seeds, best)
+		obj.Add(best, bestGain)
 		inSeed[best] = true
-		cur += bestGain
+		res.Seeds = append(res.Seeds, best)
 		res.Gains = append(res.Gains, bestGain)
 	}
-	res.Seeds = seeds
-	res.Value = cur
+	res.Value = obj.Value()
+	res.Evaluations = obj.Evaluations()
 	return res, nil
 }
 
@@ -127,68 +144,57 @@ func (h *celfHeap) Pop() any {
 // non-submodular objectives it degrades to a heuristic, matching how the
 // paper applies the greedy feasible solution SF.
 //
-// The initial full sweep — the dominant cost, n evaluations — runs on the
-// worker pool when obj implements BatchObjective. The lazy re-evaluation
-// loop is kept strictly serial so the heap evolves exactly as in the
-// sequential algorithm; results are therefore bit-identical across
-// Parallelism values.
-func GreedyCELF(obj Objective, k int) (*GreedyResult, error) {
-	return GreedyCELFCtx(nil, obj, k)
-}
-
-// GreedyCELFCtx is GreedyCELF with cooperative cancellation, polled before
-// the initial full sweep and at every lazy-loop iteration.
-func GreedyCELFCtx(ctx context.Context, obj Objective, k int) (*GreedyResult, error) {
+// The initial full sweep, the dominant cost at n evaluations, is one Gains
+// call that obj may fan over the worker pool. The lazy loop re-evaluates one
+// candidate at a time, so the heap evolves exactly as in the sequential
+// algorithm and results are bit-identical across Parallelism values. ctx,
+// when non-nil, is polled before the sweep, by it, and at every lazy-loop
+// iteration.
+func GreedyCELF(ctx context.Context, obj Objective, k int) (*GreedyResult, error) {
 	n := obj.N()
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("core: need 1 <= k <= n, got k=%d n=%d", k, n)
+	if err := checkK(k, n); err != nil {
+		return nil, err
 	}
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	res := &GreedyResult{}
-	base := obj.Value(nil)
-	res.Evaluations++
-	seeds := make([]int32, 0, k)
-	scratch := make([]int32, 0, k)
-
 	cands := make([]int32, n)
-	vals := make([]float64, n)
-	for v := int32(0); v < int32(n); v++ {
-		cands[v] = v
+	gains := make([]float64, n)
+	for v := range cands {
+		cands[v] = int32(v)
 	}
-	evaluateBatch(obj, nil, cands, vals)
-	res.Evaluations += n
-	h := make(celfHeap, 0, n)
-	for v := int32(0); v < int32(n); v++ {
-		h = append(h, celfEntry{node: v, gain: vals[v] - base, stamp: 0})
+	if err := obj.Gains(ctx, cands, gains); err != nil {
+		return nil, err
+	}
+	h := make(celfHeap, n)
+	for v := range h {
+		h[v] = celfEntry{node: int32(v), gain: gains[v]}
 	}
 	heap.Init(&h)
 
-	cur := base
-	for len(seeds) < k && h.Len() > 0 {
+	res := &GreedyResult{Seeds: make([]int32, 0, k)}
+	for len(res.Seeds) < k && h.Len() > 0 {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
 		top := h[0]
-		if top.stamp == len(seeds) {
+		if top.stamp == len(res.Seeds) {
 			// Gain is fresh w.r.t. the current seed set: accept.
 			heap.Pop(&h)
-			seeds = append(seeds, top.node)
-			cur += top.gain
+			obj.Add(top.node, top.gain)
+			res.Seeds = append(res.Seeds, top.node)
 			res.Gains = append(res.Gains, top.gain)
 			continue
 		}
 		// Stale: recompute gain w.r.t. the current seed set.
-		scratch = append(scratch[:0], seeds...)
-		scratch = append(scratch, top.node)
-		gain := obj.Value(scratch) - cur
-		res.Evaluations++
-		h[0].gain = gain
-		h[0].stamp = len(seeds)
+		if err := obj.Gains(ctx, cands[top.node:top.node+1], gains[:1]); err != nil {
+			return nil, err
+		}
+		h[0].gain = gains[0]
+		h[0].stamp = len(res.Seeds)
 		heap.Fix(&h, 0)
 	}
-	res.Seeds = seeds
-	res.Value = cur
+	res.Value = obj.Value()
+	res.Evaluations = obj.Evaluations()
 	return res, nil
 }

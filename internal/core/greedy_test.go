@@ -21,6 +21,20 @@ func paperProblem(t *testing.T, score voting.Score, k int) *Problem {
 	return &Problem{Sys: sys, Target: 0, Horizon: 1, K: k, Score: score}
 }
 
+// dmObjective builds a fresh DM objective for p's instance at the given
+// engine parallelism.
+func dmObjective(t *testing.T, p *Problem, parallelism int) *DMObjective {
+	t.Helper()
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	in, err := NewInstance(nil, p.Sys, p.Target, p.Horizon, parallelism)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewDMObjective(in, p.Score, parallelism)
+}
+
 func randomSystem(t *testing.T, r *rand.Rand, n, rCand int) *opinion.System {
 	t.Helper()
 	b := graph.NewBuilder(n)
@@ -93,11 +107,8 @@ func TestProblemValidate(t *testing.T) {
 func TestGreedyPicksTableIBestCumulative(t *testing.T) {
 	// Table I: seeding user 1 (index 0) maximizes the cumulative score (3.30).
 	p := paperProblem(t, voting.Cumulative{}, 1)
-	obj, err := NewDMObjective(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Greedy(obj, 1)
+	obj := dmObjective(t, p, 1)
+	res, err := Greedy(nil, obj, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,19 +125,13 @@ func TestGreedyCELFMatchesGreedyOnCumulative(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		sys := randomSystem(t, r, 12+r.Intn(10), 2)
 		p := &Problem{Sys: sys, Target: 0, Horizon: 3, K: 3, Score: voting.Cumulative{}}
-		o1, err := NewDMObjective(p)
+		o1 := dmObjective(t, p, 1)
+		o2 := dmObjective(t, p, 1)
+		plain, err := Greedy(nil, o1, p.K)
 		if err != nil {
 			t.Fatal(err)
 		}
-		o2, err := NewDMObjective(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain, err := Greedy(o1, p.K)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lazy, err := GreedyCELF(o2, p.K)
+		lazy, err := GreedyCELF(nil, o2, p.K)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,11 +154,8 @@ func TestGreedyApproximationVsBruteForce(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		sys := randomSystem(t, r, 8, 2)
 		p := &Problem{Sys: sys, Target: 0, Horizon: 2, K: 2, Score: voting.Cumulative{}}
-		obj, err := NewDMObjective(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := GreedyCELF(obj, p.K)
+		obj := dmObjective(t, p, 1)
+		res, err := GreedyCELF(nil, obj, p.K)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,34 +181,53 @@ func TestGreedyApproximationVsBruteForce(t *testing.T) {
 
 func TestGreedyErrors(t *testing.T) {
 	p := paperProblem(t, voting.Cumulative{}, 1)
-	obj, err := NewDMObjective(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Greedy(obj, 0); err == nil {
+	obj := dmObjective(t, p, 1)
+	if _, err := Greedy(nil, obj, 0); err == nil {
 		t.Error("expected error for k=0")
 	}
-	if _, err := Greedy(obj, 99); err == nil {
+	if _, err := Greedy(nil, obj, 99); err == nil {
 		t.Error("expected error for k>n")
 	}
-	if _, err := GreedyCELF(obj, 0); err == nil {
+	if _, err := GreedyCELF(nil, obj, 0); err == nil {
 		t.Error("expected error for k=0")
 	}
-	if _, err := GreedyCELF(obj, 99); err == nil {
+	if _, err := GreedyCELF(nil, obj, 99); err == nil {
 		t.Error("expected error for k>n")
 	}
 }
 
 func TestDMObjectiveCountsEvaluations(t *testing.T) {
 	p := paperProblem(t, voting.Cumulative{}, 2)
-	obj, err := NewDMObjective(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = obj.Value(nil)
-	_ = obj.Value([]int32{0})
-	if obj.Evaluations() != 2 {
-		t.Errorf("evaluations = %d, want 2", obj.Evaluations())
+	for _, par := range []int{1, 4} {
+		obj := dmObjective(t, p, par)
+		if obj.Evaluations() != 1 {
+			t.Errorf("P=%d: evaluations after construction = %d, want 1 (the empty set)", par, obj.Evaluations())
+		}
+		cands := []int32{0, 2, 3}
+		gains := make([]float64, len(cands))
+		if err := obj.Gains(nil, cands, gains); err != nil {
+			t.Fatal(err)
+		}
+		base, err := EvaluateExact(p.Sys, p.Target, p.Horizon, p.Score, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range cands {
+			want, err := EvaluateExact(p.Sys, p.Target, p.Horizon, p.Score, []int32{v}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gains[i] != want-base {
+				t.Errorf("P=%d: gain of %d = %v, want %v", par, v, gains[i], want-base)
+			}
+		}
+		obj.Add(cands[0], gains[0])
+		if err := obj.Gains(nil, cands[1:2], gains[:1]); err != nil {
+			t.Fatal(err)
+		}
+		if obj.Evaluations() != 5 {
+			t.Errorf("P=%d: evaluations = %d, want 5", par, obj.Evaluations())
+		}
 	}
 }
 
@@ -214,11 +235,8 @@ func TestGreedySeedsAreDistinct(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	sys := randomSystem(t, r, 15, 2)
 	p := &Problem{Sys: sys, Target: 0, Horizon: 2, K: 5, Score: voting.Cumulative{}}
-	obj, err := NewDMObjective(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := GreedyCELF(obj, p.K)
+	obj := dmObjective(t, p, 1)
+	res, err := GreedyCELF(nil, obj, p.K)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,55 +1,90 @@
 package core
 
 import (
+	"context"
+
+	"ovm/internal/engine"
 	"ovm/internal/opinion"
 	"ovm/internal/voting"
 )
 
-// Objective is a non-negative, non-decreasing set function over nodes that
-// the greedy framework maximizes under a cardinality constraint.
-type Objective interface {
-	// N returns the ground-set size.
-	N() int
-	// Value returns F(S) for the given seed set.
-	Value(seeds []int32) float64
-}
-
 // DMObjective evaluates a voting score exactly by direct matrix-vector
-// iteration (the DM method of §III-C): each Value call re-diffuses the
-// target candidate's opinions with the seed set applied, at O(Horizon·m)
-// cost, while competitor rows are shared and precomputed.
+// iteration (the DM method of §III-C): each evaluation re-diffuses the
+// target's opinions with the seed set applied, at O(Horizon·m) cost, against
+// the Instance's shared competitor rows. Gains shards the candidates over
+// the engine pool, one diffusion per candidate on the executing worker's
+// private diffuser. Each diffusion is an independent deterministic
+// computation, so gains are bit-identical for every parallelism.
 type DMObjective struct {
-	prob  *Problem
-	diff  *opinion.Diffuser
-	b     [][]float64 // competitor rows precomputed; target row swapped per call
-	evals int
+	in          *Instance
+	score       voting.Score
+	parallelism int
+	workers     []dmWorker
+	picks       []int32
+	cur         float64
+	evals       int
 }
 
-// NewDMObjective precomputes competitor opinions and prepares the diffuser.
-func NewDMObjective(p *Problem) (*DMObjective, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
+// dmWorker is one worker's evaluation state: its diffuser, its row headers
+// (the competitor entries aliasing Instance.Comp, the target entry swapped
+// per evaluation) and its seed-set scratch.
+type dmWorker struct {
+	diff  *opinion.Diffuser
+	b     [][]float64
+	seeds []int32
+}
+
+func (w *dmWorker) value(o *DMObjective, seeds []int32) float64 {
+	w.b[o.in.Target] = w.diff.Run(o.in.Horizon, seeds)
+	return o.score.Eval(w.b, o.in.Target)
+}
+
+// NewDMObjective prepares engine.Workers(parallelism) evaluators over in's
+// competitor rows (0 = GOMAXPROCS, 1 = serial) and evaluates the empty seed
+// set, which counts as the first evaluation. score must be valid for in.
+func NewDMObjective(in *Instance, score voting.Score, parallelism int) *DMObjective {
 	o := &DMObjective{
-		prob: p,
-		diff: opinion.NewDiffuser(p.Sys.Candidate(p.Target)),
-		b:    CompetitorOpinions(p.Sys, p.Target, p.Horizon, 1),
+		in:          in,
+		score:       score,
+		parallelism: parallelism,
+		workers:     make([]dmWorker, engine.Workers(parallelism)),
 	}
-	return o, nil
+	for i := range o.workers {
+		b := make([][]float64, len(in.Comp))
+		copy(b, in.Comp) // competitor rows shared read-only across workers
+		o.workers[i] = dmWorker{diff: opinion.NewDiffuser(in.Sys.Candidate(in.Target)), b: b}
+	}
+	o.cur = o.workers[0].value(o, nil)
+	o.evals = 1
+	return o
 }
 
 // N implements Objective.
-func (o *DMObjective) N() int { return o.prob.Sys.N() }
+func (o *DMObjective) N() int { return o.in.Sys.N() }
 
-// Value implements Objective.
-func (o *DMObjective) Value(seeds []int32) float64 {
-	o.evals++
-	o.b[o.prob.Target] = o.diff.Run(o.prob.Horizon, seeds)
-	return o.prob.Score.Eval(o.b, o.prob.Target)
+// Gains implements Objective, one candidate per engine chunk.
+func (o *DMObjective) Gains(ctx context.Context, cands []int32, out []float64) error {
+	o.evals += len(cands)
+	return sweep(ctx, o.parallelism, len(cands), 1, len(cands), func(worker, lo, hi int) {
+		w := &o.workers[worker]
+		for i := lo; i < hi; i++ {
+			w.seeds = append(append(w.seeds[:0], o.picks...), cands[i])
+			out[i] = w.value(o, w.seeds) - o.cur
+		}
+	})
 }
 
-// Evaluations returns how many exact evaluations were performed (used by
-// the efficiency experiments).
+// Add implements Objective.
+func (o *DMObjective) Add(v int32, gain float64) {
+	o.picks = append(o.picks, v)
+	o.cur += gain
+}
+
+// Value implements Objective.
+func (o *DMObjective) Value() float64 { return o.cur }
+
+// Evaluations implements Objective: the exact evaluations performed (used
+// by the efficiency experiments).
 func (o *DMObjective) Evaluations() int { return o.evals }
 
 // restrictedCumulative is the voting score behind the sandwich lower bound

@@ -65,39 +65,28 @@ func SandwichPositional(p *Problem, parallelism int) (*SandwichResult, error) {
 	}
 
 	// SU: greedy on UB(S) = ω[1]·|N_S^(t) ∪ V_q^(t)| (Definition 4).
-	su, err := GreedyCoverage(p.Sys.Candidate(p.Target).G, p.Horizon, bounds.Favorable, bounds.Omega1, p.K, parallelism)
+	g := p.Sys.Candidate(p.Target).G
+	su, err := greedyCoverage(p.Ctx, g, p.Horizon, bounds.Favorable, bounds.Omega1, p.K, parallelism)
 	if err != nil {
-		return nil, err
-	}
-	if err := ctxErr(p.Ctx); err != nil {
 		return nil, err
 	}
 
 	// SL: greedy (CELF; the LB is submodular by Theorem 5) on
 	// LB(S) = ω[p]·Σ_{v∈V_q^(t)} b_qv^(t)[S] (Definition 3).
-	lbProb := inner
-	lbProb.Score = restrictedCumulative{mask: bounds.Favorable, scale: bounds.OmegaP}
-	lbObj, err := NewParallelDMObjective(&lbProb, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	sl, err := GreedyCELFCtx(p.Ctx, lbObj, p.K)
+	lb := restrictedCumulative{mask: bounds.Favorable, scale: bounds.OmegaP}
+	sl, err := GreedyCELF(p.Ctx, NewDMObjective(in, lb, parallelism), p.K)
 	if err != nil {
 		return nil, err
 	}
 
 	// SF: standard greedy feasible solution on F itself.
-	fObj, err := NewParallelDMObjective(&inner, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	sf, err := GreedyCELFCtx(p.Ctx, fObj, p.K)
+	sf, err := GreedyCELF(p.Ctx, NewDMObjective(in, pos, parallelism), p.K)
 	if err != nil {
 		return nil, err
 	}
 
 	return assembleSandwich(&inner, in, su, sl, sf, func(seeds []int32) float64 {
-		return CoverageValue(p.Sys.Candidate(p.Target).G, p.Horizon, bounds.Favorable, bounds.Omega1, seeds)
+		return CoverageValue(g, p.Horizon, bounds.Favorable, bounds.Omega1, seeds)
 	})
 }
 
@@ -120,29 +109,22 @@ func SandwichCopeland(p *Problem, parallelism int) (*SandwichResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	fObj, err := NewParallelDMObjective(p, parallelism)
-	if err != nil {
-		return nil, err
-	}
-
 	weakly := WeaklyFavorableSet(noSeedB, p.Target)
 	n := p.Sys.N()
 	r := p.Sys.R()
 	scale := float64(r-1) / float64(n/2+1)
 
-	su, err := GreedyCoverage(p.Sys.Candidate(p.Target).G, p.Horizon, weakly, scale, p.K, parallelism)
+	g := p.Sys.Candidate(p.Target).G
+	su, err := greedyCoverage(p.Ctx, g, p.Horizon, weakly, scale, p.K, parallelism)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctxErr(p.Ctx); err != nil {
-		return nil, err
-	}
-	sf, err := GreedyCELFCtx(p.Ctx, fObj, p.K)
+	sf, err := GreedyCELF(p.Ctx, NewDMObjective(in, p.Score, parallelism), p.K)
 	if err != nil {
 		return nil, err
 	}
 	return assembleSandwich(p, in, su, nil, sf, func(seeds []int32) float64 {
-		return CoverageValue(p.Sys.Candidate(p.Target).G, p.Horizon, weakly, scale, seeds)
+		return CoverageValue(g, p.Horizon, weakly, scale, seeds)
 	})
 }
 
@@ -185,11 +167,11 @@ func SelectSeedsDM(p *Problem, parallelism int) ([]int32, float64, error) {
 	}
 	switch p.Score.(type) {
 	case voting.Cumulative:
-		obj, err := NewParallelDMObjective(p, parallelism)
+		in, err := NewInstance(p.Ctx, p.Sys, p.Target, p.Horizon, parallelism)
 		if err != nil {
 			return nil, 0, err
 		}
-		res, err := GreedyCELFCtx(p.Ctx, obj, p.K)
+		res, err := GreedyCELF(p.Ctx, NewDMObjective(in, p.Score, parallelism), p.K)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -264,6 +264,15 @@ func TestSelectSeedsDMAllScores(t *testing.T) {
 	}
 }
 
+// dmSelector is a SeedSelector backed by SelectSeedsDM.
+func dmSelector(sys *opinion.System, target, horizon int, score voting.Score, parallelism int) SeedSelector {
+	return func(k int) ([]int32, error) {
+		p := &Problem{Sys: sys, Target: target, Horizon: horizon, K: k, Score: score}
+		seeds, _, err := SelectSeedsDM(p, parallelism)
+		return seeds, err
+	}
+}
+
 func TestWinsAndMinSeedsToWin(t *testing.T) {
 	p := paperProblem(t, voting.Plurality{}, 1)
 	// No seeds: c1 plurality 2, c2 plurality 2 → tie → not a win.
@@ -274,7 +283,7 @@ func TestWinsAndMinSeedsToWin(t *testing.T) {
 	if ok {
 		t.Error("c1 should not win without seeds (tie)")
 	}
-	seeds, err := MinSeedsToWin(p.Sys, 0, 1, voting.Plurality{}, DMSelector(p.Sys, 0, 1, voting.Plurality{}, 0))
+	seeds, err := MinSeedsToWin(p.Sys, 0, 1, voting.Plurality{}, dmSelector(p.Sys, 0, 1, voting.Plurality{}, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +302,7 @@ func TestWinsAndMinSeedsToWin(t *testing.T) {
 func TestMinSeedsToWinAlreadyWinning(t *testing.T) {
 	// Make c2 the target: with no seeds c2's cumulative is 2.825 > 2.55.
 	p := paperProblem(t, voting.Cumulative{}, 1)
-	seeds, err := MinSeedsToWin(p.Sys, 1, 1, voting.Cumulative{}, DMSelector(p.Sys, 1, 1, voting.Cumulative{}, 0))
+	seeds, err := MinSeedsToWin(p.Sys, 1, 1, voting.Cumulative{}, dmSelector(p.Sys, 1, 1, voting.Cumulative{}, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +324,7 @@ func TestMinSeedsToWinImpossible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = MinSeedsToWin(sys, 0, 1, voting.Plurality{}, DMSelector(sys, 0, 1, voting.Plurality{}, 0))
+	_, err = MinSeedsToWin(sys, 0, 1, voting.Plurality{}, dmSelector(sys, 0, 1, voting.Plurality{}, 0))
 	if err != ErrCannotWin {
 		t.Errorf("expected ErrCannotWin, got %v", err)
 	}

@@ -146,13 +146,3 @@ func (in *Instance) MinSeedsToWin(ctx context.Context, score voting.Score, sel S
 	}
 	return best, nil
 }
-
-// DMSelector returns a SeedSelector backed by SelectSeedsDM running with
-// the given engine parallelism (0 = GOMAXPROCS).
-func DMSelector(sys *opinion.System, target, horizon int, score voting.Score, parallelism int) SeedSelector {
-	return func(k int) ([]int32, error) {
-		p := &Problem{Sys: sys, Target: target, Horizon: horizon, K: k, Score: score}
-		seeds, _, err := SelectSeedsDM(p, parallelism)
-		return seeds, err
-	}
-}

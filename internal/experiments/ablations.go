@@ -30,17 +30,18 @@ func AblationCELF(w io.Writer, p Params) error {
 	prob := defaultProblem(d, horizonFor(p), k, voting.Cumulative{})
 	fmt.Fprintf(w, "n=%d k=%d t=%d\n", d.Sys.N(), k, prob.Horizon)
 	fmt.Fprintf(w, "%-8s %12s %14s %12s\n", "variant", "value", "evaluations", "time(s)")
+	in, err := core.NewInstance(nil, prob.Sys, prob.Target, prob.Horizon, 1)
+	if err != nil {
+		return err
+	}
 	for _, variant := range []string{"plain", "CELF"} {
-		obj, err := core.NewDMObjective(prob)
-		if err != nil {
-			return err
-		}
+		obj := core.NewDMObjective(in, prob.Score, 1)
 		start := time.Now()
 		var res *core.GreedyResult
 		if variant == "plain" {
-			res, err = core.Greedy(obj, k)
+			res, err = core.Greedy(nil, obj, k)
 		} else {
-			res, err = core.GreedyCELF(obj, k)
+			res, err = core.GreedyCELF(nil, obj, k)
 		}
 		if err != nil {
 			return err

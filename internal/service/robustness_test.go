@@ -60,7 +60,7 @@ func (c *countdownCtx) Done() <-chan struct{} { return c.done }
 // parallelism.
 func TestCancelMidGreedyLeavesNoPartialState(t *testing.T) {
 	_, idx := testWorld(t)
-	for _, method := range []string{"RS", "RW"} {
+	for _, method := range []string{"RS", "RW", "DM"} {
 		for _, par := range []int{1, 4, 0} {
 			t.Run(fmt.Sprintf("%s/P%d", method, par), func(t *testing.T) {
 				// Baseline: the same query on a service that never cancels.

@@ -475,9 +475,10 @@ func TestReplayRegroupsBatches(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		burst = append(burst, dynamic.Batch{{Kind: dynamic.OpSetOpinion, Cand: 0, Node: int32(i % 5), Value: float64(i+1) / 20}})
 	}
-	// Two adds that overflow the column sum pass validation and fail the
-	// repair: the batch holds its epoch as a no-op. On replay it sits inside
-	// a super-batch that fails with it and is taken apart again.
+	// Two adds that overflow the column sum fail the repair. Accept refuses
+	// such a batch, but a log written before it did holds it: on replay the
+	// batch sits inside a super-batch that fails with it, is taken apart
+	// again and holds its epoch as a no-op.
 	poisoned := mixedBatches()
 	poisoned[2] = dynamic.Batch{
 		{Kind: dynamic.OpAddEdge, From: 30, To: 31, W: math.MaxFloat64},
@@ -488,31 +489,41 @@ func TestReplayRegroupsBatches(t *testing.T) {
 		name    string
 		batches []dynamic.Batch
 		applied []dynamic.Batch // the batches that change state; nil = all
-		failed  int64           // batches the repair refuses, live and again on replay
+		failed  int64           // batches the repair refuses on replay
+		logged  bool            // written to the WAL as is, not accepted live
 	}{
 		{name: "paced mix on one edge", batches: paced},
 		{name: "one-op burst", batches: burst},
 		{name: "a batch that fails to apply", batches: poisoned,
-			applied: append(append([]dynamic.Batch(nil), poisoned[:2]...), poisoned[3:]...), failed: 1},
+			applied: append(append([]dynamic.Batch(nil), poisoned[:2]...), poisoned[3:]...), failed: 1, logged: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// No checkpoints: the restart replays every batch from the WAL.
 			path := writeWorld(t, nil)
 			st := openTestStore(t, iofault.OS, path, 0)
-			for i := range tc.batches {
-				send(t, st.svc, tc.batches[i:i+1])
-				waitIdle(t, st.svc)
-			}
-			live := answers(t, st.svc)
-			if got := st.svc.StatsSnapshot().Errors; got != tc.failed {
-				t.Fatalf("live run refused %d batches, want %d", got, tc.failed)
+			var live string
+			if tc.logged {
+				for i, b := range tc.batches {
+					if err := st.wal.Append(persist.WALEntry{Epoch: int64(i + 1), Batch: b}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else {
+				for i := range tc.batches {
+					send(t, st.svc, tc.batches[i:i+1])
+					waitIdle(t, st.svc)
+				}
+				live = answers(t, st.svc)
+				if got := st.svc.StatsSnapshot().Errors; got != 0 {
+					t.Fatalf("live run refused %d batches", got)
+				}
 			}
 			kill(st)
 
 			re := openTestStore(t, iofault.OS, path, 0)
 			defer kill(re)
 			replayed := answers(t, re.svc)
-			if replayed != live {
+			if !tc.logged && replayed != live {
 				t.Fatalf("replay diverged from the live run:\n got %s\nwant %s", replayed, live)
 			}
 			stats := re.svc.StatsSnapshot()

@@ -86,10 +86,16 @@ type Batch []Op
 // Validate checks every op against a system shape with n nodes and r
 // candidates. It catches everything checkable without graph state; stateful
 // failures (removing a missing edge) surface when the batch is applied.
+//
+// The repair divides a destination's raw in-weights by their sum, which
+// must be finite. A column sums to 1 before the batch, so 1 plus the
+// batch's add/set weights into it bounds that sum: Validate rejects a batch
+// whose bound overflows.
 func (b Batch) Validate(n, r int) error {
 	if len(b) == 0 {
 		return fmt.Errorf("dynamic: empty update batch")
 	}
+	var colBound map[int32]float64
 	for i, op := range b {
 		switch op.Kind {
 		case OpAddEdge, OpSetWeight:
@@ -99,6 +105,17 @@ func (b Batch) Validate(n, r int) error {
 			if math.IsNaN(op.W) || math.IsInf(op.W, 0) || op.W <= 0 {
 				return fmt.Errorf("dynamic: op %d (%s) weight %v must be positive and finite", i, op.Kind, op.W)
 			}
+			if colBound == nil {
+				colBound = make(map[int32]float64)
+			}
+			sum, ok := colBound[op.To]
+			if !ok {
+				sum = 1
+			}
+			if sum += op.W; math.IsInf(sum, 0) {
+				return fmt.Errorf("dynamic: op %d (%s) in-weights of node %d would sum past the float64 range", i, op.Kind, op.To)
+			}
+			colBound[op.To] = sum
 		case OpRemoveEdge:
 			if err := b.validateEdge(i, op, n); err != nil {
 				return err

@@ -120,6 +120,15 @@ func TestBatchValidate(t *testing.T) {
 	if err := ok.Validate(n, r); err != nil {
 		t.Fatalf("valid batch rejected: %v", err)
 	}
+	// Weights into one column must leave its sum finite; the same weights
+	// spread over two columns do.
+	big := func(to int32) dynamic.Op { return dynamic.Op{Kind: dynamic.OpAddEdge, From: 1, To: to, W: 1e308} }
+	if err := (dynamic.Batch{big(2), big(3)}).Validate(n, r); err != nil {
+		t.Fatalf("finite column sums rejected: %v", err)
+	}
+	if err := (dynamic.Batch{big(2), big(2)}).Validate(n, r); err == nil {
+		t.Fatal("a column sum past the float64 range must fail validation")
+	}
 }
 
 func TestReadBatches(t *testing.T) {

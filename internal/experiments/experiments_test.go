@@ -2,6 +2,7 @@ package experiments_test
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,22 +38,26 @@ func TestTable1IsSelfVerifying(t *testing.T) {
 	}
 }
 
+// TestRegistryComplete: the registry runs exactly the paper's artifacts,
+// the ablations and the worker sweep, in this order.
 func TestRegistryComplete(t *testing.T) {
-	// Every paper artifact has a registered experiment.
 	want := []string{
 		"table1", "fig2", "fig3", "table3", "table4",
 		"fig6", "fig7", "fig8", "fig9", "fig10",
 		"table6", "fig11", "fig12", "fig13", "fig14",
 		"fig15", "fig16", "fig17", "fig18", "fig19",
 		"ablation-celf", "ablation-truncation", "ablation-sketch-shape",
-		"ext-robustness", "ext-borda", "parallel-scaling",
+		"parallel-scaling",
+	}
+	if !slices.Equal(experiments.Order, want) {
+		t.Errorf("Order = %q, want %q", experiments.Order, want)
 	}
 	for _, id := range want {
-		if _, ok := experiments.Registry[id]; !ok {
+		if experiments.Registry[id] == nil {
 			t.Errorf("experiment %q missing from registry", id)
 		}
 	}
-	if len(experiments.Order) != len(want) {
-		t.Errorf("registry has %d experiments, want %d", len(experiments.Order), len(want))
+	if len(experiments.Registry) != len(want) {
+		t.Errorf("registry has %d experiments, want %d", len(experiments.Registry), len(want))
 	}
 }

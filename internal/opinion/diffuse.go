@@ -224,60 +224,6 @@ func Matrix(s *System, t int, target int, seeds []int32, parallelism int) ([][]f
 	return out, nil
 }
 
-// MaxAbsDiff returns max_v |a[v] − b[v]|; used for convergence detection.
-func MaxAbsDiff(a, b []float64) float64 {
-	m := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// StepsToConverge runs FJ until successive iterates differ by at most tol
-// in max-norm or maxSteps is reached. It returns the number of steps taken
-// and whether convergence was declared.
-func StepsToConverge(c *Candidate, seeds []int32, tol float64, maxSteps int) (int, bool) {
-	init, stub := seeded(c, seeds)
-	cur, next := slices.Clone(init), make([]float64, c.G.N())
-	for step := 1; step <= maxSteps; step++ {
-		Step(c.G, cur, next, init, stub)
-		if MaxAbsDiff(cur, next) <= tol {
-			return step, true
-		}
-		cur, next = next, cur
-	}
-	return maxSteps, false
-}
-
-// ObliviousNodes returns the nodes that are (1) non-stubborn and (2) not
-// reachable from any (fully or partially) stubborn node along influence
-// edges — the nodes whose presence decides FJ convergence (§II-A).
-func ObliviousNodes(c *Candidate) []int32 {
-	n := c.G.N()
-	var stubborn []int32
-	for v := 0; v < n; v++ {
-		if c.Stub[v] > 0 {
-			stubborn = append(stubborn, int32(v))
-		}
-	}
-	reached := make([]bool, n)
-	bfs := graph.NewBFS(c.G)
-	bfs.MarkReachable(stubborn, n, reached) // n hops = unbounded for n nodes
-	var out []int32
-	for v := 0; v < n; v++ {
-		if c.Stub[v] == 0 && !reached[v] {
-			out = append(out, int32(v))
-		}
-	}
-	return out
-}
-
 // ChurnFractions returns, for each step 1..t, the fraction of nodes whose
 // opinion changed by more than tolerance·100% relative to the previous step:
 // |b^(s) − b^(s−1)| > (Δ/100)·b^(s−1), per Appendix B (Fig 18).

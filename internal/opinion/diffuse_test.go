@@ -297,31 +297,6 @@ func TestDeGrootConsensusOnCompleteGraph(t *testing.T) {
 			t.Errorf("node %d = %v, want consensus %v", v, res[v], want)
 		}
 	}
-	steps, ok := opinion.StepsToConverge(c, nil, 1e-12, 100)
-	if !ok {
-		t.Errorf("did not converge in 100 steps (took %d)", steps)
-	}
-}
-
-func TestObliviousNodes(t *testing.T) {
-	// Path 0→1→2 with self-loops; only node 0 stubborn → nobody oblivious
-	// downstream; add isolated node 3 (self-loop, non-stubborn) → oblivious.
-	b := graph.NewBuilder(4)
-	_ = b.AddEdge(0, 1, 1)
-	_ = b.AddEdge(1, 2, 1)
-	g, err := b.BuildColumnStochastic()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &opinion.Candidate{
-		Name: "c", G: g,
-		Init: []float64{1, 0, 0, 0.5},
-		Stub: []float64{0.5, 0, 0, 0},
-	}
-	obl := opinion.ObliviousNodes(c)
-	if len(obl) != 1 || obl[0] != 3 {
-		t.Errorf("oblivious = %v, want [3]", obl)
-	}
 }
 
 func TestTrajectoryAndChurn(t *testing.T) {

@@ -6,9 +6,8 @@
 // and its DeGroot special case (D = 0), over column-stochastic influence
 // graphs. It provides the seed-application semantics of §II-C (seeding node
 // s sets b_qs^(0) = 1 and d_qs = 1), reusable diffusion buffers for the
-// greedy evaluators, multi-candidate systems, convergence and oblivious-node
-// detection, and per-step opinion-churn traces used by the Appendix-B
-// experiment (Fig 18).
+// greedy evaluators, multi-candidate systems, and per-step opinion-churn
+// traces used by the Appendix-B experiment (Fig 18).
 //
 // Node-wise, one FJ step computes
 //

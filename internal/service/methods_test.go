@@ -58,11 +58,16 @@ func requireLibraryAnswer(t testing.TB, sys *opinion.System, req *service.Select
 }
 
 // TestEveryMethodMatchesLibrary is the serving contract without an index:
-// for every name in the one method list, at P = 1 and 4, select-seeds
-// returns the seeds of the direct library call and a Float64bits-equal exact
-// value. The daemon adds nothing to a method but a cache in front of it.
+// for every name in the one method list, under plurality and Borda (a
+// positional score, at the test world's r > 2), at P = 1 and 4,
+// select-seeds returns the seeds of the direct library call and a
+// Float64bits-equal exact value. The daemon adds nothing to a method but a
+// cache in front of it.
 func TestEveryMethodMatchesLibrary(t *testing.T) {
 	sys, _ := testWorld(t)
+	if sys.R() <= 2 {
+		t.Fatalf("test world has r = %d, want r > 2 so Borda differs from plurality", sys.R())
+	}
 	svc := service.New(service.Config{CacheSize: -1})
 	defer svc.Close()
 	if err := svc.AddDataset("world", sys); err != nil {
@@ -70,17 +75,19 @@ func TestEveryMethodMatchesLibrary(t *testing.T) {
 	}
 	const k = 3
 	for _, method := range methods.Names {
-		for _, par := range []int{1, 4} {
-			req := selectReq(method, "plurality", tdTheta)
-			req.K, req.Parallelism = k, par
-			got, serr := svc.SelectSeeds(req)
-			if serr != nil {
-				t.Fatalf("%s P=%d: daemon: %v", method, par, serr)
+		for _, score := range []string{"plurality", "borda"} {
+			for _, par := range []int{1, 4} {
+				req := selectReq(method, score, tdTheta)
+				req.K, req.Parallelism = k, par
+				got, serr := svc.SelectSeeds(req)
+				if serr != nil {
+					t.Fatalf("%s %s P=%d: daemon: %v", method, score, par, serr)
+				}
+				if got.Method != method {
+					t.Errorf("%s %s P=%d: response says method %q", method, score, par, got.Method)
+				}
+				requireLibraryAnswer(t, sys, req, got)
 			}
-			if got.Method != method {
-				t.Errorf("%s P=%d: response says method %q", method, par, got.Method)
-			}
-			requireLibraryAnswer(t, sys, req, got)
 		}
 	}
 }

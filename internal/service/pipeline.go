@@ -21,17 +21,18 @@ import (
 // batch's effect. Three mechanisms uphold it:
 //
 //   - Enqueue-time validation: the batch is checked against the system
-//     shape (Batch.Validate) and against the graph-as-of-the-target-epoch
-//     (the visible graph overlaid with every queued edge op), so a
-//     remove_edge of a never-existing edge is rejected at accept time,
-//     not discovered mid-repair after the epoch was promised.
+//     shape and the finiteness of its column sums (Batch.Validate) and
+//     against the graph-as-of-the-target-epoch (the visible graph overlaid
+//     with every queued edge op and the self-loops the repair gives emptied
+//     columns), so a remove_edge of a never-existing edge is rejected at
+//     accept time, not discovered mid-repair after the epoch was promised.
 //   - Durability before acknowledgement: when Config.OnEnqueue is set
 //     (ovmd appends to a fsync'd WAL), the batch is persisted before the
 //     accepted response is sent; a crash replays the queue and lands on
 //     the same epochs.
 //   - Failure containment: a queued batch that still fails to apply
-//     (e.g. a remove that zeroes a node's in-weight) consumes its epoch
-//     as a logged no-op instead of shifting every later promise.
+//     (SeedQueued does not re-validate what a log recovers) consumes its
+//     epoch as a logged no-op instead of shifting every later promise.
 type updatePipeline struct {
 	s    *Service
 	name string
@@ -43,10 +44,10 @@ type updatePipeline struct {
 	// apply consumes its epoch as a no-op).
 	assigned int64
 	// pendingEdges overlays the queued-but-unapplied edge ops on the
-	// visible graph for enqueue-time validation: key (from,to), value =
+	// visible graph for enqueue-time validation: destination → source →
 	// whether the edge exists after the queued ops. Reset when the queue
 	// drains (the visible graph then subsumes it).
-	pendingEdges map[[2]int32]bool
+	pendingEdges map[int32]map[int32]bool
 	closed       bool
 
 	wake   chan struct{} // cap 1: enqueue nudges the applier
@@ -76,7 +77,7 @@ func (s *Service) pipelineFor(name string, baseEpoch int64) *updatePipeline {
 		s:            s,
 		name:         name,
 		assigned:     baseEpoch,
-		pendingEdges: make(map[[2]int32]bool),
+		pendingEdges: make(map[int32]map[int32]bool),
 		wake:         make(chan struct{}, 1),
 		done:         make(chan struct{}),
 		ctx:          ctx,
@@ -157,7 +158,7 @@ func (s *Service) EnqueueUpdates(req *UpdateRequest) (*UpdateResponse, *Error) {
 		}
 	}
 	p.assigned = epoch
-	p.overlayLocked(req.Ops)
+	p.overlayLocked(ds, req.Ops)
 	p.queue = append(p.queue, queuedBatch{ops: req.Ops, epoch: epoch, acceptedAt: start})
 	depth := len(p.queue)
 	p.mu.Unlock()
@@ -203,7 +204,7 @@ func (p *updatePipeline) validateStatefulLocked(ds *Dataset, b dynamic.Batch) *E
 		if v, ok := local[k]; ok {
 			return v
 		}
-		if v, ok := p.pendingEdges[k]; ok {
+		if v, ok := p.pendingEdges[to][from]; ok {
 			return v
 		}
 		return hasEdge(g, from, to)
@@ -228,17 +229,47 @@ func (p *updatePipeline) validateStatefulLocked(ds *Dataset, b dynamic.Batch) *E
 	return nil
 }
 
-// overlayLocked folds an accepted batch's edge ops into pendingEdges.
-// Caller holds p.mu.
-func (p *updatePipeline) overlayLocked(b dynamic.Batch) {
+// overlayLocked folds an accepted batch's edge ops into pendingEdges,
+// with the repair's rule for a column the batch leaves without in-edges: it
+// gets a weight-1 self-loop (graph.ApplyDeltas). Caller holds p.mu.
+func (p *updatePipeline) overlayLocked(ds *Dataset, b dynamic.Batch) {
+	var touched []int32
 	for _, op := range b {
 		switch op.Kind {
-		case dynamic.OpAddEdge, dynamic.OpSetWeight:
-			p.pendingEdges[[2]int32{op.From, op.To}] = true
-		case dynamic.OpRemoveEdge:
-			p.pendingEdges[[2]int32{op.From, op.To}] = false
+		case dynamic.OpAddEdge, dynamic.OpSetWeight, dynamic.OpRemoveEdge:
+			col := p.pendingEdges[op.To]
+			if col == nil {
+				col = make(map[int32]bool)
+				p.pendingEdges[op.To] = col
+			}
+			col[op.From] = op.Kind != dynamic.OpRemoveEdge
+			touched = append(touched, op.To)
 		}
 	}
+	g := ds.sys.Candidate(0).G
+	for _, v := range touched {
+		if p.emptyColumnLocked(g, v) {
+			p.pendingEdges[v][v] = true
+		}
+	}
+}
+
+// emptyColumnLocked reports whether v has no in-edge in the visible graph
+// g overlaid with pendingEdges. Caller holds p.mu.
+func (p *updatePipeline) emptyColumnLocked(g *graph.Graph, v int32) bool {
+	col := p.pendingEdges[v]
+	for _, exists := range col {
+		if exists {
+			return false
+		}
+	}
+	srcs, _ := g.InNeighbors(v)
+	for _, s := range srcs {
+		if exists, ok := col[s]; !ok || exists {
+			return false
+		}
+	}
+	return true
 }
 
 func hasEdge(g *graph.Graph, from, to int32) bool {
@@ -273,7 +304,7 @@ func (s *Service) SeedQueued(name string, batches []dynamic.Batch, firstEpoch in
 	now := time.Now()
 	for i, b := range batches {
 		p.assigned++
-		p.overlayLocked(b)
+		p.overlayLocked(ds, b)
 		p.queue = append(p.queue, queuedBatch{ops: b, epoch: firstEpoch + int64(i), acceptedAt: now})
 	}
 	p.mu.Unlock()
@@ -426,7 +457,7 @@ func (p *updatePipeline) drain() bool {
 		if len(p.queue) == 0 {
 			// Queue empty and the applier idle: the visible graph now
 			// reflects every accepted edge op, so the overlay is subsumed.
-			p.pendingEdges = make(map[[2]int32]bool)
+			p.pendingEdges = make(map[int32]map[int32]bool)
 			p.mu.Unlock()
 			return true
 		}

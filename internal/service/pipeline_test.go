@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -366,10 +367,88 @@ func TestEnqueueValidation(t *testing.T) {
 	}}); serr == nil || serr.Code != service.CodeBadRequest {
 		t.Fatalf("double remove: got %v, want bad_request", serr)
 	}
+	// Weights into one column that sum past the float64 range fail at
+	// accept: the repair could not normalize the column.
+	if _, serr := async.EnqueueUpdates(&service.UpdateRequest{Dataset: "world", Ops: dynamic.Batch{
+		{Kind: dynamic.OpAddEdge, From: 1, To: 2, W: 1e308},
+		{Kind: dynamic.OpAddEdge, From: 1, To: 2, W: 1e308},
+	}}); serr == nil || serr.Code != service.CodeBadRequest {
+		t.Fatalf("non-finite column sum: got %v, want bad_request", serr)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if serr := async.WaitIdle(ctx, "world"); serr != nil {
 		t.Fatal(serr)
+	}
+}
+
+// TestEnqueueModelsSelfLoopRule: the repair gives a column a batch leaves
+// without in-edges a weight-1 self-loop, and accept knows that while the
+// batch is still queued, so removing that self-loop is valid then as it is
+// after the queue drains. A self-loop no queued batch creates stays
+// unremovable. The first batch is held mid-apply (in OnUpdate), so every
+// later accept validates against the overlay, not the applied graph.
+func TestEnqueueModelsSelfLoopRule(t *testing.T) {
+	sys, idx := testWorld(t)
+	g := sys.Candidate(0).G
+	const lone = 43 // one in-edge, from another node
+	srcs, _ := g.InNeighbors(lone)
+	if len(srcs) != 1 || srcs[0] == lone {
+		t.Fatalf("node %d in-neighbors %v, want exactly one other node", lone, srcs)
+	}
+	wide := int32(-1) // two or more in-edges, none a self-loop
+	for v := int32(0); v < int32(g.N()) && wide < 0; v++ {
+		if vs, _ := g.InNeighbors(v); len(vs) >= 2 && !slices.Contains(vs, v) {
+			wide = v
+		}
+	}
+	if wide < 0 {
+		t.Fatal("no node with two in-edges and no self-loop")
+	}
+	wideSrcs, _ := g.InNeighbors(wide)
+
+	held, release := make(chan struct{}), make(chan struct{})
+	var hold, unhold sync.Once
+	defer unhold.Do(func() { close(release) })
+	svc := service.New(service.Config{OnUpdate: func(string, []dynamic.Batch, int64) error {
+		hold.Do(func() { close(held); <-release })
+		return nil
+	}})
+	t.Cleanup(svc.Close)
+	if err := svc.AddIndex("world", idx); err != nil {
+		t.Fatal(err)
+	}
+	enqueue := func(b dynamic.Batch) *service.Error {
+		_, serr := svc.EnqueueUpdates(&service.UpdateRequest{Dataset: "world", Ops: b})
+		return serr
+	}
+	remove := func(from, to int32) dynamic.Batch {
+		return dynamic.Batch{{Kind: dynamic.OpRemoveEdge, From: from, To: to}}
+	}
+	if serr := enqueue(remove(srcs[0], lone)); serr != nil {
+		t.Fatal(serr)
+	}
+	<-held
+	if serr := enqueue(remove(wideSrcs[0], wide)); serr != nil {
+		t.Fatal(serr)
+	}
+	if serr := enqueue(remove(wide, wide)); serr == nil || serr.Code != service.CodeBadRequest {
+		t.Fatalf("remove of a self-loop no batch creates: got %v, want bad_request", serr)
+	}
+	if serr := enqueue(remove(lone, lone)); serr != nil {
+		t.Fatalf("remove of the self-loop a queued batch creates: %v", serr)
+	}
+	unhold.Do(func() { close(release) })
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if serr := svc.WaitIdle(ctx, "world"); serr != nil {
+		t.Fatal(serr)
+	}
+	// Three accepted batches, all applied: the only error is the rejection,
+	// and only wide's removed edge is gone (lone ends on its self-loop).
+	st := svc.StatsSnapshot()
+	if ds := st.Datasets[0]; ds.Epoch != 3 || st.Errors != 1 || ds.Edges != g.M()-1 {
+		t.Errorf("epoch=%d errors=%d edges=%d, want 3, 1, %d", ds.Epoch, st.Errors, ds.Edges, g.M()-1)
 	}
 }
 

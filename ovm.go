@@ -55,7 +55,6 @@ import (
 	"ovm/internal/rwalk"
 	"ovm/internal/sampling"
 	"ovm/internal/sketch"
-	"ovm/internal/voter"
 	"ovm/internal/voting"
 )
 
@@ -259,31 +258,4 @@ func GnpEdges(n int, p float64, seed int64) ([]Edge, error) {
 // inter-community out-edges per node) and the community assignment.
 func PlantedPartitionEdges(n, comms int, avgIntra, avgInter float64, seed int64) ([]Edge, []int, error) {
 	return graph.PlantedPartition(n, comms, avgIntra, avgInter, sampling.NewRand(seed, 603))
-}
-
-// HKParams configures the Hegselmann–Krause bounded-confidence dynamics
-// (an alternative opinion model from the paper's future work; exact
-// simulation only — the RW/RS estimators are FJ-specific).
-type HKParams = opinion.HKParams
-
-// HKOpinionsAt simulates bounded-confidence diffusion for one candidate
-// with the usual seeding semantics.
-func HKOpinionsAt(c *Candidate, p HKParams, t int, seeds []int32) ([]float64, error) {
-	return opinion.HKOpinionsAt(c, p, t, seeds)
-}
-
-// HKOpinionMatrix simulates bounded-confidence diffusion for every
-// candidate, seeding only the target.
-func HKOpinionMatrix(sys *System, p HKParams, t, target int, seeds []int32) ([][]float64, error) {
-	return opinion.HKMatrix(sys, p, t, target, seeds)
-}
-
-// VoterParams configures the discrete voter-model extension.
-type VoterParams = voter.Params
-
-// VoterExpectedShare estimates the target's expected vote share at the
-// horizon under the discrete voter model, with the seed set acting as
-// permanent zealots.
-func VoterExpectedShare(sys *System, p VoterParams, seeds []int32, seed int64) (float64, error) {
-	return voter.ExpectedShare(sys, p, seeds, sampling.NewRand(seed, 604))
 }

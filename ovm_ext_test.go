@@ -26,53 +26,6 @@ func TestFacadeBorda(t *testing.T) {
 	}
 }
 
-func TestFacadeHK(t *testing.T) {
-	sys := paperSystem(t)
-	// ε = 1 coincides with FJ: compare to the Table I row for seed {3}.
-	res, err := ovm.HKOpinionsAt(sys.Candidate(0), ovm.HKParams{Epsilon: 1}, 1, []int32{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0.40, 0.80, 1.00, 0.95}
-	for v := range want {
-		if math.Abs(res[v]-want[v]) > 1e-12 {
-			t.Errorf("HK opinion[%d] = %v, want %v", v, res[v], want[v])
-		}
-	}
-	B, err := ovm.HKOpinionMatrix(sys, ovm.HKParams{Epsilon: 1}, 1, 0, []int32{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(B) != 2 {
-		t.Fatalf("HK matrix rows = %d, want 2", len(B))
-	}
-	if _, err := ovm.HKOpinionsAt(sys.Candidate(0), ovm.HKParams{Epsilon: -1}, 1, nil); err == nil {
-		t.Error("expected error for negative epsilon")
-	}
-}
-
-func TestFacadeVoter(t *testing.T) {
-	sys := paperSystem(t)
-	p := ovm.VoterParams{Horizon: 5, Target: 0, Rounds: 200}
-	none, err := ovm.VoterExpectedShare(sys, p, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := ovm.VoterExpectedShare(sys, p, []int32{0, 1, 2, 3}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if all != 1 {
-		t.Errorf("all-zealot share = %v, want 1", all)
-	}
-	if none < 0 || none > 1 {
-		t.Errorf("share %v outside [0,1]", none)
-	}
-	if _, err := ovm.VoterExpectedShare(sys, ovm.VoterParams{Horizon: 1, Target: 9, Rounds: 1}, nil, 1); err == nil {
-		t.Error("expected error for bad target")
-	}
-}
-
 // TestFacadeIndexFileIsTheDaemonFile: ovm.WriteIndex writes the file ovmd
 // serves — mapped zero-copy, stored postings adopted in place of a rebuild
 // — and a service over it answers exactly as one over the in-memory index,

@@ -31,8 +31,8 @@
 // /debug/slow-queries dumps the slow-query ring with per-stage timings;
 // GET /debug/timeseries?window=10m serves the in-process ring TSDB
 // (-timeseries-interval / -timeseries-capacity); -pprof mounts
-// net/http/pprof under /debug/pprof/. Logging is leveled and structured
-// (-log-level, -log-format json).
+// net/http/pprof under /debug/pprof/. Logging is log/slog, text or JSON
+// lines (-log-level, -log-format json).
 //
 // Build an index once:
 //
@@ -56,6 +56,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -68,7 +70,6 @@ import (
 	"ovm/internal/cliutil"
 	"ovm/internal/core"
 	"ovm/internal/iofault"
-	"ovm/internal/obs"
 	"ovm/internal/persist"
 	"ovm/internal/serialize"
 	"ovm/internal/service"
@@ -85,7 +86,7 @@ func main() {
 		mu      = flag.Float64("mu", 10, "edge-weight decay constant µ for -dataset")
 		seed    = flag.Int64("seed", 1, "random seed (index build; also the dataset synthesis seed)")
 		par     = flag.Int("parallel", 0, "engine worker count (0 = GOMAXPROCS, 1 = serial); never changes any response")
-		cache   = flag.Int("cache", 1024, "LRU response cache capacity (entries; -1 = no response cache, every request computes)")
+		cache   = flag.Int("cache", 1024, "LRU response cache capacity (entries; 0 or -1 = no response cache, every request computes)")
 		compact = flag.Int("compact-log", 1024, "checkpoint the index file (rewrite it at the current epoch, serve the file written, and prune the WAL) once the update log (applied + queued batches) reaches this many, bounding WAL depth and restart replay cost; an outgrown overlay of repaired walks and a graceful stop checkpoint too (0 = never checkpoint; repairs then fold overlays on the heap)")
 
 		queryTimeout = flag.Duration("query-timeout", 0, "per-query deadline; an expired query returns deadline_exceeded (504) and its computation stops at the next cancellation poll (0 = unbounded; requests may override with timeoutMs)")
@@ -127,7 +128,8 @@ func main() {
 	checkFlag(*queryTimeout >= 0, "-query-timeout must be >= 0, got %v", *queryTimeout)
 	checkFlag(*maxInflight >= 0, "-max-inflight must be >= 0, got %d", *maxInflight)
 	checkFlag(*maxQueue >= 0, "-max-queue must be >= 0, got %d", *maxQueue)
-	level, err := obs.ParseLevel(*logLevel)
+	var level slog.Level
+	err := level.UnmarshalText([]byte(*logLevel))
 	checkFlag(err == nil, "-log-level: %v", err)
 
 	if *build {
@@ -145,8 +147,18 @@ func main() {
 		pprof: *pprofOn, slowLog: *slowLog, slowThreshold: *slowThr,
 		tsInterval: *tsEvery, tsCapacity: *tsCap,
 		queryTimeout: *queryTimeout, maxInflight: *maxInflight, maxQueue: *maxQueue,
-		debugFaults: *debugFaults, logger: obs.NewLogger(os.Stderr, level, *logFormat == "json"),
+		debugFaults: *debugFaults, logger: newLogger(os.Stderr, level, *logFormat),
 	})
+}
+
+// newLogger writes lines at or above level to w, as JSON objects when
+// format is "json" and as text (key=value) lines otherwise.
+func newLogger(w io.Writer, level slog.Level, format string) *slog.Logger {
+	opts := &slog.HandlerOptions{Level: level}
+	if format == "json" {
+		return slog.New(slog.NewJSONHandler(w, opts))
+	}
+	return slog.New(slog.NewTextHandler(w, opts))
 }
 
 // dumpUpdateLog prints every persisted update batch past the index file's
@@ -236,7 +248,33 @@ type serveOpts struct {
 	queryTimeout                       time.Duration
 	maxInflight, maxQueue              int
 	debugFaults                        bool
-	logger                             *obs.Logger
+	logger                             *slog.Logger
+}
+
+// config maps the flag values onto a service.Config. Two flags read 0 as
+// "off" where Config reads it as "default": -cache 0 and -slow-log 0 both
+// become -1.
+func (o serveOpts) config() service.Config {
+	cfg := service.Config{
+		CacheSize:          o.cache,
+		Parallelism:        o.par,
+		Logger:             o.logger,
+		SlowQueryLog:       o.slowLog,
+		SlowQueryThreshold: o.slowThreshold,
+		TimeSeriesInterval: o.tsInterval,
+		TimeSeriesCapacity: o.tsCapacity,
+		QueryTimeout:       o.queryTimeout,
+		MaxInflight:        o.maxInflight,
+		MaxQueue:           o.maxQueue,
+		DebugFaults:        o.debugFaults,
+	}
+	if o.cache == 0 {
+		cfg.CacheSize = -1
+	}
+	if o.slowLog == 0 {
+		cfg.SlowQueryLog = -1
+	}
+	return cfg
 }
 
 // serve implements the daemon mode: register the dataset (index preferred,
@@ -247,22 +285,7 @@ type serveOpts struct {
 // restarts, and the listener opens only after the log has been replayed.
 func serve(o serveOpts) {
 	logger := o.logger
-	cfg := service.Config{
-		CacheSize:          o.cache,
-		Parallelism:        o.par,
-		Logger:             logger,
-		SlowQueryLog:       o.slowLog,
-		SlowQueryThreshold: o.slowThreshold,
-		TimeSeriesInterval: o.tsInterval,
-		TimeSeriesCapacity: o.tsCapacity,
-		QueryTimeout:       o.queryTimeout,
-		MaxInflight:        o.maxInflight,
-		MaxQueue:           o.maxQueue,
-		DebugFaults:        o.debugFaults,
-	}
-	if o.slowLog == 0 {
-		cfg.SlowQueryLog = -1 // 0 means "disabled" on the flag, "default" in Config
-	}
+	cfg := o.config()
 	var svc *service.Service
 	var st *store
 	switch {
@@ -275,7 +298,7 @@ func serve(o serveOpts) {
 		case errors.Is(err, errQuarantined):
 			// Start degraded (health, stats, and metrics still serve; dataset
 			// queries 404) rather than crash-looping on a corrupt file.
-			logger.Warn("serving with no datasets: index was quarantined", obs.F("index", o.index))
+			logger.Warn("serving with no datasets: index was quarantined", "index", o.index)
 			svc = service.New(cfg)
 		default:
 			fatal(err)
@@ -287,7 +310,7 @@ func serve(o serveOpts) {
 			fatal(err)
 		}
 		logger.Info("registered dataset without precomputed artifacts; queries compute from scratch and updates are not persisted",
-			obs.F("dataset", o.name), obs.F("n", sys.N()), obs.F("r", sys.R()))
+			"dataset", o.name, "n", sys.N(), "r", sys.R())
 	default:
 		fatal(fmt.Errorf("pass -index, -load, or -dataset"))
 	}
@@ -322,7 +345,7 @@ func serve(o serveOpts) {
 	defer stop()
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	logger.Info("ovmd serving", obs.F("dataset", o.name), obs.F("listen", o.listen), obs.F("pprof", o.pprof))
+	logger.Info("ovmd serving", "dataset", o.name, "listen", o.listen, "pprof", o.pprof)
 	select {
 	case err := <-errCh:
 		fatal(err)

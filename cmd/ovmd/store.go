@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"os"
 	"strings"
@@ -14,7 +15,6 @@ import (
 	"ovm/internal/dynamic"
 	"ovm/internal/iofault"
 	"ovm/internal/mmapio"
-	"ovm/internal/obs"
 	"ovm/internal/persist"
 	"ovm/internal/serialize"
 	"ovm/internal/service"
@@ -54,7 +54,7 @@ var errQuarantined = errors.New("index file quarantined")
 // durability hooks write them.
 type store struct {
 	fsys   iofault.FS
-	logger *obs.Logger
+	logger *slog.Logger
 	opts   storeOpts
 	svc    *service.Service
 	wal    *persist.WAL
@@ -77,12 +77,15 @@ type store struct {
 // so a caller that starts listening afterwards never answers from behind.
 // All file mutations go through fsys.
 func openStore(fsys iofault.FS, cfg service.Config, o storeOpts) (*store, error) {
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler) // service.New's default, needed here first
+	}
 	st := &store{fsys: fsys, logger: cfg.Logger, opts: o}
 	// A crash during a checkpoint can leave *.tmp-* files next to the index
 	// (the rename never happened, so the index itself is still the complete
 	// old checkpoint). Sweep them before loading.
 	if removed, err := persist.CleanStaleTemps(fsys, o.index); err == nil && len(removed) > 0 {
-		st.logger.Warn("removed stale index temp files from an interrupted checkpoint", obs.F("files", strings.Join(removed, ", ")))
+		st.logger.Warn("removed stale index temp files from an interrupted checkpoint", "files", strings.Join(removed, ", "))
 	}
 	mi, err := st.loadIndex()
 	if err != nil {
@@ -104,23 +107,23 @@ func openStore(fsys iofault.FS, cfg service.Config, o storeOpts) (*store, error)
 	}
 	cfg.OnUpdate = st.beforeSwap
 	mode := "heap"
-	fields := []obs.Field{
-		obs.F("path", o.index),
-		obs.F("n", idx.Sys.N()), obs.F("r", idx.Sys.R()),
-		obs.F("sketches", len(idx.Sketches)), obs.F("walks", len(idx.Walks)),
-		obs.F("replayed", len(idx.Updates)+len(queued)),
-		obs.F("epoch", idx.BaseEpoch+int64(len(idx.Updates)+len(queued))),
+	args := []any{
+		"path", o.index,
+		"n", idx.Sys.N(), "r", idx.Sys.R(),
+		"sketches", len(idx.Sketches), "walks", len(idx.Walks),
+		"replayed", len(idx.Updates) + len(queued),
+		"epoch", idx.BaseEpoch + int64(len(idx.Updates)+len(queued)),
 	}
 	if mi.Mapped() {
 		mode = "mmap"
-		fields = append(fields, obs.F("zeroCopy", fmt.Sprintf("%d bytes zero-copy", mi.MappedBytes())))
+		args = append(args, "zeroCopy", fmt.Sprintf("%d bytes zero-copy", mi.MappedBytes()))
 	}
 	st.svc = service.New(cfg)
 	if err := st.register(mi, queued, queuedFirst); err != nil {
 		st.svc.Close()
 		return nil, err
 	}
-	st.logger.Info("loaded index (no recomputation)", append([]obs.Field{obs.F("mode", mode)}, fields...)...)
+	st.logger.Info("loaded index (no recomputation)", append([]any{"mode", mode}, args...)...)
 	return st, nil
 }
 
@@ -167,10 +170,10 @@ func (st *store) loadIndex() (*serialize.MappedIndex, error) {
 	dst, qerr := persist.Quarantine(st.fsys, st.opts.index)
 	if qerr != nil {
 		st.logger.Warn("index unreadable and quarantine failed; serving degraded",
-			obs.F("index", st.opts.index), obs.F("err", err), obs.F("quarantineErr", qerr))
+			"index", st.opts.index, "err", err, "quarantineErr", qerr)
 	} else {
 		st.logger.Warn("index unreadable; quarantined for inspection",
-			obs.F("index", st.opts.index), obs.F("err", err), obs.F("movedTo", dst))
+			"index", st.opts.index, "err", err, "movedTo", dst)
 	}
 	return nil, fmt.Errorf("%w: %v", errQuarantined, err)
 }
@@ -185,14 +188,14 @@ func (st *store) loadIndex() (*serialize.MappedIndex, error) {
 func (st *store) openWAL(served int64) ([]dynamic.Batch, int64, error) {
 	walPath := st.opts.index + ".wal"
 	if removed, err := persist.CleanStaleTemps(st.fsys, walPath); err == nil && len(removed) > 0 {
-		st.logger.Warn("removed stale WAL temp files from an interrupted prune", obs.F("files", strings.Join(removed, ", ")))
+		st.logger.Warn("removed stale WAL temp files from an interrupted prune", "files", strings.Join(removed, ", "))
 	}
 	quarantine := func() error {
 		dst, err := persist.Quarantine(st.fsys, walPath)
 		if err != nil {
 			return err
 		}
-		st.logger.Warn("WAL quarantined for inspection; starting with an empty log", obs.F("movedTo", dst))
+		st.logger.Warn("WAL quarantined for inspection; starting with an empty log", "movedTo", dst)
 		st.wal, _, err = persist.OpenWAL(st.fsys, walPath)
 		return err
 	}
@@ -201,13 +204,13 @@ func (st *store) openWAL(served int64) ([]dynamic.Batch, int64, error) {
 	if st.wal, torn, err = persist.OpenWAL(st.fsys, walPath); err != nil {
 		// Mid-file corruption: acknowledged batches may be lost; keep the
 		// evidence and start with an empty log rather than crash-looping.
-		st.logger.Warn("update WAL unreadable", obs.F("wal", walPath), obs.F("err", err))
+		st.logger.Warn("update WAL unreadable", "wal", walPath, "err", err)
 		return nil, 0, quarantine()
 	}
 	if torn > 0 {
 		// A torn final line is a batch whose accepted response may never
 		// have been sent; dropping it is the documented crash semantics.
-		st.logger.Warn("dropped torn WAL tail entry (crash mid-append)", obs.F("entries", torn))
+		st.logger.Warn("dropped torn WAL tail entry (crash mid-append)", "entries", torn)
 	}
 	if err := st.wal.Prune(served); err != nil {
 		return nil, 0, err
@@ -218,7 +221,7 @@ func (st *store) openWAL(served int64) ([]dynamic.Batch, int64, error) {
 	}
 	if rem[0].Epoch != served+1 {
 		st.logger.Warn("WAL does not continue the index epoch",
-			obs.F("walFirst", rem[0].Epoch), obs.F("indexEpoch", served))
+			"walFirst", rem[0].Epoch, "indexEpoch", served)
 		return nil, 0, quarantine()
 	}
 	batches := make([]dynamic.Batch, len(rem))
@@ -275,7 +278,7 @@ func (st *store) checkpoint(reason service.CheckpointReason) {
 		err = persist.WriteIndexAtomic(st.fsys, st.opts.index, exported)
 	}
 	if err != nil {
-		st.logger.Warn("checkpoint failed; keeping the previous one and the whole WAL", obs.F("err", err))
+		st.logger.Warn("checkpoint failed; keeping the previous one and the whole WAL", "err", err)
 		epoch := int64(math.MaxInt64) // no export: whatever file serves is behind
 		if exported != nil {
 			epoch = exported.BaseEpoch
@@ -290,12 +293,12 @@ func (st *store) checkpoint(reason service.CheckpointReason) {
 	}
 	if err := st.wal.Prune(exported.BaseEpoch); err != nil {
 		// The covered entries are skipped by epoch at the next startup.
-		st.logger.Warn("WAL prune after checkpoint failed; entries dedupe at restart", obs.F("err", err))
+		st.logger.Warn("WAL prune after checkpoint failed; entries dedupe at restart", "err", err)
 		pruned = 0
 	}
 	if reason != service.CheckpointShutdown {
 		if region, err := st.fsys.Map(st.opts.index); err != nil {
-			st.logger.Warn("checkpoint written but not mapped; serving the previous base", obs.F("err", err))
+			st.logger.Warn("checkpoint written but not mapped; serving the previous base", "err", err)
 			st.svc.CheckpointFailed(st.opts.name, exported.BaseEpoch)
 		} else {
 			st.installing.Add(1)
@@ -308,10 +311,10 @@ func (st *store) checkpoint(reason service.CheckpointReason) {
 	if info, err := st.fsys.Stat(st.opts.index); err == nil {
 		bytes = info.Size()
 	}
-	st.logger.Info("checkpointed index", obs.F("reason", string(reason)),
-		obs.F("epoch", exported.BaseEpoch), obs.F("bytes", bytes), obs.F("walPruned", pruned),
-		obs.F("walDepth", st.wal.Depth()), obs.F("durMs", float64(time.Since(start).Nanoseconds())/1e6),
-		obs.F("path", st.opts.index))
+	st.logger.Info("checkpointed index", "reason", string(reason),
+		"epoch", exported.BaseEpoch, "bytes", bytes, "walPruned", pruned,
+		"walDepth", st.wal.Depth(), "durMs", float64(time.Since(start).Nanoseconds())/1e6,
+		"path", st.opts.index)
 }
 
 // install parses the mapped checkpoint at epoch — CRC-checked, its postings
@@ -326,12 +329,12 @@ func (st *store) install(region *mmapio.Region, epoch int64) {
 		err = st.svc.Rebase(st.opts.name, mi)
 	}
 	if err != nil {
-		st.logger.Warn("checkpoint written but not installed; serving the previous base", obs.F("epoch", epoch), obs.F("err", err))
+		st.logger.Warn("checkpoint written but not installed; serving the previous base", "epoch", epoch, "err", err)
 		st.svc.CheckpointFailed(st.opts.name, epoch)
 		return
 	}
-	st.logger.Info("installed checkpoint as the base", obs.F("epoch", epoch),
-		obs.F("durMs", float64(time.Since(start).Nanoseconds())/1e6))
+	st.logger.Info("installed checkpoint as the base", "epoch", epoch,
+		"durMs", float64(time.Since(start).Nanoseconds())/1e6)
 }
 
 // Close is the graceful stop: the appliers end (a repair in flight is

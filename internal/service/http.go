@@ -5,12 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"strconv"
 	"time"
-
-	"ovm/internal/obs"
 )
 
 // maxBodyBytes bounds request bodies; seed lists are the only unbounded
@@ -71,10 +68,10 @@ func (s *Service) Handler() http.Handler {
 	})
 	mux.HandleFunc("/v1/datasets", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(w, &Error{Code: CodeBadRequest, Message: "use GET"}, http.StatusMethodNotAllowed)
+			s.writeError(w, &Error{Code: CodeBadRequest, Message: "use GET"}, http.StatusMethodNotAllowed)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"datasets": s.Datasets()})
+		s.writeJSON(w, http.StatusOK, map[string]any{"datasets": s.Datasets()})
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -83,19 +80,19 @@ func (s *Service) Handler() http.Handler {
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(w, &Error{Code: CodeBadRequest, Message: "use GET"}, http.StatusMethodNotAllowed)
+			s.writeError(w, &Error{Code: CodeBadRequest, Message: "use GET"}, http.StatusMethodNotAllowed)
 			return
 		}
-		writeJSON(w, http.StatusOK, s.StatsSnapshot())
+		s.writeJSON(w, http.StatusOK, s.StatsSnapshot())
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := s.WriteMetrics(w); err != nil {
-			s.tel.logger.Warn("metrics write failed", obs.F("err", err))
+			s.tel.logger.Warn("metrics write failed", "err", err)
 		}
 	})
 	mux.HandleFunc("GET /debug/slow-queries", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
+		s.writeJSON(w, http.StatusOK, map[string]any{
 			"thresholdNs": s.tel.slow.Threshold().Nanoseconds(),
 			"entries":     s.SlowQueries(),
 		})
@@ -104,14 +101,14 @@ func (s *Service) Handler() http.Handler {
 		window := time.Duration(0) // zero = everything retained
 		if q := r.URL.Query().Get("window"); q != "" {
 			d, err := time.ParseDuration(q)
-			if err != nil {
-				writeError(w, badRequestf("invalid window %q: %v (want a Go duration like 10m)", q, err), 0)
+			if err != nil || d < 0 {
+				s.writeError(w, badRequestf("invalid window %q (want a non-negative Go duration like 10m)", q), 0)
 				return
 			}
 			window = d
 		}
 		pts := s.tsdb.Window(window, time.Now())
-		writeJSON(w, http.StatusOK, map[string]any{"points": pts})
+		s.writeJSON(w, http.StatusOK, map[string]any{"points": pts})
 	})
 	if s.cfg.DebugFaults {
 		// Deliberately crashes the handler goroutine so smoke tests can
@@ -139,11 +136,10 @@ func (s *Service) recoverPanics(next http.Handler) http.Handler {
 				panic(rec)
 			}
 			s.panics.Add(1)
-			s.tel.logger.Error("handler panic recovered",
-				obs.F("path", r.URL.Path), obs.F("panic", fmt.Sprint(rec)))
+			s.tel.logger.Error("handler panic recovered", "path", r.URL.Path, "panic", fmt.Sprint(rec))
 			// Best effort: if the handler already wrote headers this is a
 			// no-op beyond the log line.
-			writeError(w, &Error{Code: CodeInternal, Message: fmt.Sprintf("internal panic: %v", rec)}, 0)
+			s.writeError(w, &Error{Code: CodeInternal, Message: fmt.Sprintf("internal panic: %v", rec)}, 0)
 		}()
 		next.ServeHTTP(w, r)
 	})
@@ -154,7 +150,7 @@ func (s *Service) recoverPanics(next http.Handler) http.Handler {
 // so an oversized request fails with 413 instead of being truncated.
 func handleQuery[Req any, Resp any](s *Service, w http.ResponseWriter, r *http.Request, fn func(*Req) (Resp, *Error)) {
 	if r.Method != http.MethodPost {
-		writeError(w, &Error{Code: CodeBadRequest, Message: "use POST with a JSON body"}, http.StatusMethodNotAllowed)
+		s.writeError(w, &Error{Code: CodeBadRequest, Message: "use POST with a JSON body"}, http.StatusMethodNotAllowed)
 		return
 	}
 	var req Req
@@ -163,21 +159,21 @@ func handleQuery[Req any, Resp any](s *Service, w http.ResponseWriter, r *http.R
 	if err := dec.Decode(&req); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeError(w, badRequestf("request body exceeds %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+			s.writeError(w, badRequestf("request body exceeds %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
 			return
 		}
-		writeError(w, badRequestf("invalid JSON body: %v", err), 0)
+		s.writeError(w, badRequestf("invalid JSON body: %v", err), 0)
 		return
 	}
 	resp, serr := fn(&req)
 	if serr != nil {
-		writeError(w, serr, 0)
+		s.writeError(w, serr, 0)
 		return
 	}
 	// The request span ends when the service call returns; serialization
 	// happens after it, so it is timed straight into the stage histogram.
 	ser := time.Now()
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 	s.tel.stageHist.With("serialize").Observe(time.Since(ser))
 }
 
@@ -188,7 +184,7 @@ const statusClientClosedRequest = 499
 
 // writeError emits the error envelope; status 0 derives the status from
 // the error code. Overloaded errors carry a Retry-After header.
-func writeError(w http.ResponseWriter, e *Error, status int) {
+func (s *Service) writeError(w http.ResponseWriter, e *Error, status int) {
 	if status == 0 {
 		switch e.Code {
 		case CodeBadRequest:
@@ -208,17 +204,17 @@ func writeError(w http.ResponseWriter, e *Error, status int) {
 	if e.RetryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfter))
 	}
-	writeJSON(w, status, map[string]any{
+	s.writeJSON(w, status, map[string]any{
 		"error": map[string]string{"code": string(e.Code), "message": e.Message},
 	})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+func (s *Service) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(v); err != nil {
 		// Headers are already written; log and move on.
-		log.Printf("service: response encode failed: %v", err)
+		s.tel.logger.Warn("response encode failed", "err", err)
 	}
 }

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"context"
 	"io"
+	"log/slog"
 	"sort"
 	"strconv"
 	"time"
@@ -39,7 +41,7 @@ type telemetry struct {
 	stageHist *obs.HistogramVec
 	lagHist   *obs.HistogramVec // zero labels: accepted-to-visible update lag
 	slow      *obs.SlowLog
-	logger    *obs.Logger
+	logger    *slog.Logger
 }
 
 func newTelemetry(cfg Config) *telemetry {
@@ -57,9 +59,9 @@ func newTelemetry(cfg Config) *telemetry {
 
 // observe finishes a request span: it records the endpoint histogram, the
 // stage histogram for every child stage, offers the span to the
-// slow-query log, and emits the structured log line (queries at debug,
-// updates at info — updates are rare and operator-relevant).
-func (t *telemetry) observe(span *obs.Span, endpoint, dataset, score string, epoch int64, cached bool, errCode string) {
+// slow-query log, and emits the structured log line (failures at warn,
+// applied updates at info, queries at debug).
+func (t *telemetry) observe(ctx context.Context, span *obs.Span, endpoint, dataset, score string, epoch int64, cached bool, errCode string) {
 	dur := span.End()
 	t.reqHist.With(endpoint, dataset, score).Observe(dur)
 	for _, stage := range span.Children {
@@ -76,35 +78,27 @@ func (t *telemetry) observe(span *obs.Span, endpoint, dataset, score string, epo
 		},
 		Span: span,
 	})
-	level := obs.LevelDebug
-	if endpoint == endpointUpdates {
-		level = obs.LevelInfo
+	level, msg := slog.LevelDebug, "query"
+	switch {
+	case errCode != "":
+		level, msg = slog.LevelWarn, "request failed"
+	case endpoint == endpointUpdates:
+		level, msg = slog.LevelInfo, "update applied"
 	}
-	if !t.logger.Enabled(level) {
+	if !t.logger.Enabled(ctx, level) {
 		return
 	}
-	fields := []obs.Field{
-		obs.F("endpoint", endpoint),
-		obs.F("dataset", dataset),
-		obs.F("epoch", epoch),
-		obs.F("durMs", float64(dur.Nanoseconds())/1e6),
-	}
+	args := []any{"endpoint", endpoint, "dataset", dataset, "epoch", epoch, "durMs", float64(dur.Nanoseconds()) / 1e6}
 	if score != "" {
-		fields = append(fields, obs.F("score", score))
+		args = append(args, "score", score)
 	}
 	if endpoint != endpointUpdates {
-		fields = append(fields, obs.F("cached", cached))
+		args = append(args, "cached", cached)
 	}
 	if errCode != "" {
-		fields = append(fields, obs.F("error", errCode))
-		t.logger.Warn("request failed", fields...)
-		return
+		args = append(args, "error", errCode)
 	}
-	if endpoint == endpointUpdates {
-		t.logger.Info("update applied", fields...)
-	} else {
-		t.logger.Debug("query", fields...)
-	}
+	t.logger.Log(ctx, level, msg, args...)
 }
 
 // registerMetrics declares every service counter and gauge, once each, in

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"ovm/internal/dynamic"
 	"ovm/internal/obs"
 	"ovm/internal/service"
 )
@@ -317,11 +319,12 @@ func TestUpdateLogDepthHook(t *testing.T) {
 }
 
 // TestStructuredQueryLogging wires a logger at debug and checks the
-// query and update lines carry the dataset/epoch/duration fields.
+// query and update lines carry the dataset/epoch/duration fields, and a
+// rejected batch's line keeps its event name in msg and its text in reason.
 func TestStructuredQueryLogging(t *testing.T) {
 	_, idx := testWorld(t)
 	var buf bytes.Buffer
-	logger := obs.NewLogger(&syncWriter{w: &buf}, obs.LevelDebug, true)
+	logger := slog.New(slog.NewJSONHandler(&syncWriter{w: &buf}, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	svc := service.New(service.Config{Logger: logger})
 	if err := svc.AddIndex("world", idx); err != nil {
 		t.Fatal(err)
@@ -329,16 +332,20 @@ func TestStructuredQueryLogging(t *testing.T) {
 	if _, serr := svc.SelectSeeds(selectReq("RS", "plurality", tdTheta)); serr != nil {
 		t.Fatal(serr)
 	}
+	bad := dynamic.Batch{{Kind: dynamic.OpSetOpinion, Cand: 0, Node: 1 << 30, Value: 0.5}}
+	if _, serr := svc.EnqueueUpdates(&service.UpdateRequest{Dataset: "world", Ops: bad}); serr == nil || serr.Code != service.CodeBadRequest {
+		t.Fatalf("out-of-range batch: got %v, want bad_request", serr)
+	}
 	if _, serr := svc.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: testBatch(t, idx)}); serr != nil {
 		t.Fatal(serr)
 	}
 	svc.Close() // the applier logs its run once it has swapped it in
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d log lines, want 3 (query, update accepted, update applied):\n%s", len(lines), buf.String())
+	if len(lines) != 4 {
+		t.Fatalf("got %d log lines, want 4 (query, update rejected, update accepted, update applied):\n%s", len(lines), buf.String())
 	}
-	var query, accepted, update map[string]any
-	for i, m := range []*map[string]any{&query, &accepted, &update} {
+	var query, rejected, accepted, update map[string]any
+	for i, m := range []*map[string]any{&query, &rejected, &accepted, &update} {
 		if err := json.Unmarshal([]byte(lines[i]), m); err != nil {
 			t.Fatal(err)
 		}
@@ -346,14 +353,39 @@ func TestStructuredQueryLogging(t *testing.T) {
 	if accepted["msg"] != "update accepted" || accepted["epoch"] != float64(1) {
 		t.Errorf("accept line: %v", accepted)
 	}
-	if query["msg"] != "query" || query["level"] != "debug" || query["dataset"] != "world" || query["endpoint"] != "select-seeds" {
+	if query["msg"] != "query" || query["level"] != "DEBUG" || query["dataset"] != "world" || query["endpoint"] != "select-seeds" {
 		t.Errorf("query line: %v", query)
 	}
 	if _, ok := query["durMs"].(float64); !ok {
 		t.Errorf("query line missing durMs: %v", query)
 	}
-	if update["msg"] != "update applied" || update["level"] != "info" || update["epoch"] != float64(1) {
+	if update["msg"] != "update applied" || update["level"] != "INFO" || update["epoch"] != float64(1) {
 		t.Errorf("update line: %v", update)
+	}
+	if reason, _ := rejected["reason"].(string); rejected["msg"] != "update rejected" || rejected["error"] != "bad_request" || reason == "" {
+		t.Errorf("reject line: %v", rejected)
+	}
+}
+
+// TestFailedQueryLoggedAtInfo: at the default level a failed query writes
+// its warn line, though the query line it replaces is a debug one.
+func TestFailedQueryLoggedAtInfo(t *testing.T) {
+	_, idx := testWorld(t)
+	var buf bytes.Buffer
+	logger := slog.New(slog.NewTextHandler(&syncWriter{w: &buf}, &slog.HandlerOptions{Level: slog.LevelInfo}))
+	svc := service.New(service.Config{Logger: logger})
+	defer svc.Close()
+	if err := svc.AddIndex("world", idx); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, serr := svc.SelectSeedsCtx(ctx, selectReq("RS", "plurality", tdTheta)); serr == nil || serr.Code != service.CodeCanceled {
+		t.Fatalf("cancelled query: got %v, want canceled", serr)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], `level=WARN msg="request failed"`) || !strings.Contains(lines[0], " error=canceled") {
+		t.Errorf("want exactly one request failed line with error=canceled, got:\n%s", buf.String())
 	}
 }
 

@@ -183,13 +183,10 @@ func (s *Service) observeAccept(dataset string, start time.Time, epoch int64, se
 	s.tel.reqHist.With(endpointUpdates, dataset, "").Observe(dur)
 	if serr != nil {
 		s.errorCount.Add(1)
-		s.tel.logger.Warn("update rejected",
-			obs.F("dataset", dataset), obs.F("error", string(serr.Code)), obs.F("msg", serr.Message))
+		s.tel.logger.Warn("update rejected", "dataset", dataset, "error", string(serr.Code), "reason", serr.Message)
 		return
 	}
-	s.tel.logger.Info("update accepted",
-		obs.F("dataset", dataset), obs.F("epoch", epoch),
-		obs.F("durMs", float64(dur.Nanoseconds())/1e6))
+	s.tel.logger.Info("update accepted", "dataset", dataset, "epoch", epoch, "durMs", float64(dur.Nanoseconds())/1e6)
 }
 
 // validateStatefulLocked rejects batches whose stateful preconditions
@@ -561,8 +558,7 @@ func (s *Service) applyRun(p *updatePipeline, run dynamic.CoalescedRun, raw []qu
 				}
 				s.errorCount.Add(1)
 				s.tel.logger.Warn("queued update failed; epoch consumed as no-op",
-					obs.F("dataset", p.name), obs.F("epoch", q.epoch),
-					obs.F("error", serr.Message))
+					"dataset", p.name, "epoch", q.epoch, "error", serr.Message)
 				n2 = next.noopSuccessor()
 			}
 			if next != ds {
@@ -574,8 +570,7 @@ func (s *Service) applyRun(p *updatePipeline, run dynamic.CoalescedRun, raw []qu
 	if err := s.persistUpdate(span, p.name, rawBatches(raw), next.epoch); err != nil {
 		next.release()
 		s.errorCount.Add(1)
-		s.tel.logger.Warn("update persistence failed; will retry",
-			obs.F("dataset", p.name), obs.F("error", err.Error()))
+		s.tel.logger.Warn("update persistence failed; will retry", "dataset", p.name, "error", err.Error())
 		return err
 	}
 	// Count before publishing: a caller the swap wakes (WaitIdle, minEpoch)
@@ -592,7 +587,7 @@ func (s *Service) applyRun(p *updatePipeline, run dynamic.CoalescedRun, raw []qu
 	swap := time.Now()
 	s.swapDataset(p.name, next, applied)
 	span.Add("swap", time.Since(swap))
-	s.tel.observe(span, endpointUpdates, p.name, "", next.epoch, false, "")
+	s.tel.observe(p.ctx, span, endpointUpdates, p.name, "", next.epoch, false, "")
 	return nil
 }
 

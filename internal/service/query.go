@@ -239,7 +239,7 @@ func (s *Service) cachedQuery(ctx context.Context, endpoint string, ds *Dataset,
 	lookup.End()
 	if ok {
 		s.cacheHits.Add(1)
-		s.tel.observe(span, endpoint, ds.name, score, ds.epoch, true, "")
+		s.tel.observe(ctx, span, endpoint, ds.name, score, ds.epoch, true, "")
 		return v, true, span, nil
 	}
 	s.cacheMisses.Add(1)
@@ -303,10 +303,10 @@ func (s *Service) cachedQuery(ctx context.Context, endpoint string, ds *Dataset,
 			s.canceledReqs.Add(1)
 		}
 		s.errorCount.Add(1)
-		s.tel.observe(span, endpoint, ds.name, score, ds.epoch, false, string(serr.Code))
+		s.tel.observe(ctx, span, endpoint, ds.name, score, ds.epoch, false, string(serr.Code))
 		return nil, false, span, serr
 	}
-	s.tel.observe(span, endpoint, ds.name, score, ds.epoch, shared, "")
+	s.tel.observe(ctx, span, endpoint, ds.name, score, ds.epoch, shared, "")
 	return out.val, shared, span, nil
 }
 

@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"slices"
 	"sort"
 	"strconv"
@@ -125,8 +126,8 @@ type Config struct {
 	// deletes it, as it does serialize.Index.RRs.
 	AsyncUpdates bool
 	// Logger, when set, emits structured log lines: queries at debug,
-	// updates and failures at info/warn. Nil disables logging.
-	Logger *obs.Logger
+	// updates at info, failures at warn. Nil disables logging.
+	Logger *slog.Logger
 	// SlowQueryLog caps the slow-query ring (entries; default 32, negative
 	// disables). SlowQueryThreshold is the minimum duration retained
 	// (default 0: the ring holds the most recent queries, read back
@@ -180,6 +181,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SlowQueryLog == 0 {
 		c.SlowQueryLog = 32
+	}
+	if c.Logger == nil {
+		c.Logger = slog.New(slog.DiscardHandler)
 	}
 	return c
 }

@@ -64,13 +64,15 @@ func TestTimeSeriesEndpoint(t *testing.T) {
 		t.Error("sample missing the registry cost counters")
 	}
 
-	resp, err := http.Get(ts.URL + "/debug/timeseries?window=bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bogus window returned %d, want 400", resp.StatusCode)
+	for _, window := range []string{"bogus", "-5m"} {
+		resp, err := http.Get(ts.URL + "/debug/timeseries?window=" + window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("window %s returned %d, want 400", window, resp.StatusCode)
+		}
 	}
 }
 

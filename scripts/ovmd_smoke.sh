@@ -46,7 +46,10 @@
 #      sheds a concurrent burst of distinct compute queries with 429 +
 #      Retry-After while a cache-servable query keeps answering 200; an
 #      injected handler panic (-debug-faults) becomes a 500 plus an
-#      ovmd_panics_total increment and the daemon keeps serving;
+#      ovmd_panics_total increment and the daemon keeps serving; that
+#      daemon logs with -log-format json at the default level, every line
+#      parses as an object with time, level and msg, and a shed request
+#      wrote its "request failed" line with "error":"overloaded";
 #  10. SIGTERM drains the daemon gracefully (exit code 0) and checkpoints:
 #      the WAL is gone, and a restart replays nothing (replayed=0) yet
 #      answers at the same epoch with the same seeds.
@@ -391,7 +394,7 @@ echo "== failure modes: load shedding + panic recovery (capped daemon)"
 shed_port=18475
 shed_base="http://127.0.0.1:${shed_port}"
 "$workdir/ovmd" -listen "127.0.0.1:${shed_port}" -index "$workdir/smoke.ovmidx" \
-  -max-inflight 1 -max-queue 0 -debug-faults >"$workdir/daemon_shed.log" 2>&1 &
+  -max-inflight 1 -max-queue 0 -debug-faults -log-format json >"$workdir/daemon_shed.log" 2>&1 &
 shed_pid=$!
 for _ in $(seq 1 50); do
   if curl -sf "$shed_base/healthz" >/dev/null 2>&1; then break; fi
@@ -461,6 +464,14 @@ kill -TERM "$shed_pid"
 wait "$shed_pid" || true
 shed_pid=""
 echo "   handler panic -> 500, ovmd_panics_total bumped, daemon kept serving"
+# The capped daemon logged JSON at the default level: every line is an
+# object with string time, level and msg, and a shed request was logged.
+jq -se 'length > 0 and all(type == "object" and (.time | type) == "string"
+  and (.level | type) == "string" and (.msg | type) == "string")' "$workdir/daemon_shed.log" >/dev/null \
+  || { echo "FAIL: -log-format json wrote a line that is not a time/level/msg object"; cat "$workdir/daemon_shed.log"; exit 1; }
+jq -se 'any(.msg == "request failed" and .error == "overloaded")' "$workdir/daemon_shed.log" >/dev/null \
+  || { echo "FAIL: no request failed line with error=overloaded at the default log level"; cat "$workdir/daemon_shed.log"; exit 1; }
+echo "   -log-format json: every line parses; the shed requests logged request failed at info"
 
 echo "== graceful shutdown"
 kill -TERM "$daemon_pid"

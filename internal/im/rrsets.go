@@ -186,7 +186,7 @@ func (c *RRCollection) buildIndex() {
 	}
 	// RR-set members are already distinct within a set (the samplers dedup
 	// via the visited mask), so no first-occurrence pass is needed.
-	csr := postings.Build(c.g.N(), c.off, c.nodes, false)
+	csr := postings.Build(c.g.N(), c.off, c.nodes, false, c.parallelism)
 	c.idxOff = csr.Off
 	c.idxNodes = csr.Item
 	c.indexed = c.NumSets()

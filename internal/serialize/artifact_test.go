@@ -7,9 +7,11 @@ import (
 	"encoding/hex"
 	"hash/crc32"
 	"io"
+	"slices"
 	"testing"
 
 	"ovm/internal/datasets"
+	"ovm/internal/postings"
 	"ovm/internal/rwalk"
 	"ovm/internal/serialize"
 	"ovm/internal/service"
@@ -150,5 +152,45 @@ func TestValidateRejectsForeignHorizon(t *testing.T) {
 	fixV3TableCRC(data)
 	if _, err := serialize.ReadIndex(bytes.NewReader(data)); err == nil {
 		t.Error("read a file whose sketch artifact declares horizon 5 over walks drawn at 4")
+	}
+}
+
+// shardedIndexDigest is the SHA-256 of the file TestIndexBytesPinnedSharded
+// writes (1 406 922 bytes), recorded while the walk fold appended shard
+// outputs one by one and the postings counting sort ran as one serial pass.
+// The build may run on any number of cores; these bytes may not move.
+const shardedIndexDigest = "eb767bfda58af7a5b99eff34dc555ab7b0651d090432b986f1d154b89beae991"
+
+// TestIndexBytesPinnedSharded: an index over a world large enough that
+// walk generation, and so the fold, cuts its owners into at least four
+// shards and the postings counting sort cuts each set's walks into at least
+// four, written from builds at P = 1, 2 and 4, hashes to the digest
+// recorded before either phase ran in parallel.
+func TestIndexBytesPinnedSharded(t *testing.T) {
+	d, err := datasets.YelpLike(datasets.Options{N: 300, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2, 4} {
+		idx, err := service.BuildIndex(d.Sys, service.BuildOptions{
+			Target: pinTarget, Horizon: 10, Seed: pinSeed, SketchTheta: 16384, IncludeWalks: true, Parallelism: p,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range slices.Concat(idx.Sketches, idx.Walks) {
+			set := a.Live
+			// Generation cuts one shard per 64 owners.
+			if set.NumOwners() <= 3*64 {
+				t.Fatalf("artifact has %d owners: fewer than four fold shards", set.NumOwners())
+			}
+			if s := postings.NumShards(set.NumWalks(), set.N()); s < 4 {
+				t.Fatalf("artifact of %d walks: the counting sort cuts %d shards, want >= 4", set.NumWalks(), s)
+			}
+		}
+		data := writeV3(t, idx)
+		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != shardedIndexDigest {
+			t.Errorf("P=%d: index sha256 %x (%d bytes), want %s", p, sum, len(data), shardedIndexDigest)
+		}
 	}
 }

@@ -71,7 +71,7 @@ func BuildIndex(sys *opinion.System, o BuildOptions) (*serialize.Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		storeWalks(idx, d, o.Target, o.Horizon, set)
+		storeWalks(idx, d, o.Target, o.Horizon, set, o.Parallelism)
 	}
 	return idx, nil
 }
@@ -79,9 +79,10 @@ func BuildIndex(sys *opinion.System, o BuildOptions) (*serialize.Index, error) {
 // storeWalks appends a pristine walk set to idx, live, with its postings
 // index, in the artifact list its draw belongs to: sampled starts are the
 // sketch sets, planned ones the walk sets. v3 streams both out, so loaders
-// adopt the index instead of re-running the counting sort.
-func storeWalks(idx *serialize.Index, d walks.Draw, target, horizon int, set *walks.Set) {
-	set.EnsureIndex()
+// adopt the index instead of re-running the counting sort. parallelism is
+// the sort's worker count, if the set has no index yet.
+func storeWalks(idx *serialize.Index, d walks.Draw, target, horizon int, set *walks.Set, parallelism int) {
+	set.EnsureIndex(parallelism)
 	a := &serialize.WalkArtifact{Draw: d, Target: target, Horizon: horizon, Live: set}
 	if d.Theta > 0 {
 		idx.Sketches = append(idx.Sketches, a)

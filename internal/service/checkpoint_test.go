@@ -150,7 +150,7 @@ func TestCheckpointIsTheLiveSets(t *testing.T) {
 				t.Fatal(err)
 			}
 			snaps = append(snaps, s)
-			posts = append(posts, postings.Build(idx.Sys.N(), s.Off, s.Nodes, true))
+			posts = append(posts, postings.Build(idx.Sys.N(), s.Off, s.Nodes, true, 0))
 		}
 		var buf bytes.Buffer
 		if err := serialize.WriteIndexV3(&buf, exp, serialize.V3Options{}); err != nil {

@@ -126,6 +126,7 @@ func (s *Service) registerMetrics() {
 		s.checkpoints[reason] = r.NewCounter("ovmd_checkpoints_total", "Index-file checkpoints written (dataset exported, file rewritten atomically, update log pruned behind it), by reason: the update log reached its bound, a walk set's overlay outgrew its share, or a graceful stop.",
 			obs.Label{Name: "reason", Value: string(reason)})
 	}
+	s.indexRebuilds = r.NewCounter("ovmd_index_rebuilds_total", "Stored postings indexes a load rejected (they passed their checksums but disagree with their walks) and rebuilt from the walks.")
 	s.mappingsOpen = r.NewGauge("ovmd_index_mappings_open", "Index file mappings datasets still hold: 1 while serving one file, 2 while a checkpoint is installed or the queries holding an epoch of the previous one finish.")
 	r.NewGaugeFunc("ovmd_update_queue_depth", "Accepted-but-unapplied update batches across datasets.",
 		func() float64 { return float64(s.totalQueueDepth()) })

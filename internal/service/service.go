@@ -223,6 +223,7 @@ type Service struct {
 	requests, cacheHits, cacheMisses, coalesced     *obs.Counter
 	computations, errorCount, updates, coalescedOps *obs.Counter
 	shed, timeouts, canceledReqs, panics            *obs.Counter
+	indexRebuilds                                   *obs.Counter
 	checkpoints                                     map[CheckpointReason]*obs.Counter
 	inflight, mappingsOpen                          *obs.Gauge
 	// checkpointNs totals the durations ObserveCheckpoint was given, so
@@ -374,11 +375,16 @@ func (s *Service) restore(name string, idx *serialize.Index, file *mapping) (*Da
 		// Index once at load time: every per-query Clone shares the postings
 		// index, so indexed queries ride the incremental greedy path without
 		// paying a per-query index build. A v3 file carries the index; adopt
-		// it (verified against storage) instead of rebuilding, falling back
-		// to the rebuild if verification rejects it.
-		if a.Index == nil || set.AdoptIndex(a.Index) != nil {
-			set.EnsureIndex()
+		// it (verified against storage) instead of rebuilding. A stored index
+		// that passed its checksums but disagrees with its walks was written
+		// wrong: say so and count it, then rebuild it.
+		if a.Index != nil {
+			if err := set.AdoptIndex(a.Index); err != nil {
+				s.indexRebuilds.Inc()
+				s.tel.logger.Warn("stored postings index rejected, rebuilding it", "dataset", name, "artifact", i, "error", err)
+			}
 		}
+		set.EnsureIndex(s.cfg.Parallelism)
 		ds.walks = append(ds.walks, &walkArtifact{key: "w" + strconv.Itoa(i), draw: a.Draw, target: a.Target, horizon: a.Horizon, set: set})
 	}
 	// Replay the index's update log through the same incremental-repair

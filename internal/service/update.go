@@ -122,7 +122,7 @@ func (s *Service) ExportIndex(name string) (*serialize.Index, *Error) {
 	}
 	idx := &serialize.Index{Sys: ds.sys, BaseEpoch: ds.epoch}
 	for _, a := range ds.walks {
-		storeWalks(idx, a.draw, a.target, a.horizon, a.set)
+		storeWalks(idx, a.draw, a.target, a.horizon, a.set, s.cfg.Parallelism)
 	}
 	return idx, nil
 }

@@ -47,6 +47,7 @@ func ContinueGreedy(p *core.Problem, set *Set, weight []float64, comp [][]float6
 			return nil, err
 		}
 	}
+	set.EnsureIndex(parallelism)
 	run := &GreedyRun{Seeds: make([]int32, 0, p.K), Replay: RoundCost{Seed: -1}}
 	for _, u := range prefix {
 		if u < 0 || int(u) >= set.n || set.IsSeed(u) {

@@ -128,7 +128,7 @@ func NewEstimator(set *Set, target int, b0 []float64, comp [][]float64, weight [
 			e.walkOwnerIdx[w] = int32(i)
 		}
 	}
-	set.EnsureIndex()
+	set.EnsureIndex(parallelism)
 	set.truncState()
 	e.Refresh()
 	return e, nil

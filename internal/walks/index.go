@@ -40,17 +40,29 @@ func (idx *walkIndex) bytes() int64 {
 }
 
 // EnsureIndex builds the base's node → walk postings index if the set does
-// not carry one yet (one counting-sort pass over the base walk storage).
-// Estimators build it automatically; serving layers call it once on a
-// loaded artifact so every per-query Clone and every repaired successor
-// shares the same read-only index instead of each paying the build.
-// Idempotent; not safe for concurrent first calls on the same Set (index a
-// base set before cloning it across goroutines).
-func (set *Set) EnsureIndex() {
+// not carry one yet: one counting sort over the base walk storage
+// (postings.Build), sharded by walk range on parallelism workers (0 =
+// GOMAXPROCS, 1 = serial). The shard geometry depends only on the set's
+// size — one shard per max(n, 4096) walks, rounded down, at most 16
+// (postings.NumShards) — so the index is identical at every worker count
+// and the per-shard scratch stays within 8 B per walk. Estimators build it automatically; serving layers
+// call it once on a loaded artifact so every per-query Clone and every
+// repaired successor shares the same read-only index instead of each paying
+// the build. Idempotent; not safe for concurrent first calls on the same
+// Set (index a base set before cloning it across goroutines).
+//
+// Called without an argument it runs at parallelism 0. That form remains
+// for the frozen benchmark/trace.go; the benchmark re-base (ROADMAP item 1)
+// makes the argument required.
+func (set *Set) EnsureIndex(parallelism ...int) {
 	if set.idx != nil {
 		return
 	}
-	csr := postings.Build(set.n, set.off, set.nodes, true)
+	p := 0
+	if len(parallelism) > 0 {
+		p = parallelism[0]
+	}
+	csr := postings.Build(set.n, set.off, set.nodes, true, p)
 	set.idx = &walkIndex{off: csr.Off, walk: csr.Item, pos: csr.Pos}
 }
 

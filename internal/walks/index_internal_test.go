@@ -120,7 +120,7 @@ func TestRepairIndexMatchesRebuild(t *testing.T) {
 		if !slices.Equal(snap.Nodes, fresh.nodes) || !slices.Equal(snap.Off, fresh.off) {
 			t.Fatalf("step %d: folded walks differ from a fresh generation", step)
 		}
-		want := postings.Build(n, snap.Off, snap.Nodes, true)
+		want := postings.Build(n, snap.Off, snap.Nodes, true, 0)
 		if !reflect.DeepEqual(StoredIndex(set).Compact.ToCSR(), want) {
 			t.Fatalf("step %d: folded index differs from a rebuild", step)
 		}

@@ -83,7 +83,7 @@ func (d Draw) repair(ctx context.Context, gr *Ground, old *Set, touched []bool, 
 	stats.Owners = old.NumOwners()
 	stats.Walks = old.NumWalks()
 
-	old.EnsureIndex()
+	old.EnsureIndex(parallelism)
 	invalid := old.invalidOwners(touched)
 	for _, i := range invalid {
 		stats.OwnersInvalidated++

@@ -95,7 +95,7 @@ func (d Draw) GeneratePlan(ctx context.Context, gr *Ground, horizon int, plan []
 		owners = append(owners, v)
 		counts = append(counts, plan[v])
 	}
-	return generateGrouped(ctx, gr, horizon, owners, counts, totalWalks, d.stream(), parallelism)
+	return generateGrouped(ctx, gr, horizon, owners, counts, d.stream(), parallelism)
 }
 
 // generateSampled draws d.Theta walks whose start nodes are sampled uniformly
@@ -136,7 +136,7 @@ func (d Draw) generateSampled(ctx context.Context, gr *Ground, horizon, parallel
 		owners = append(owners, v)
 		counts = append(counts, c)
 	}
-	return generateGrouped(ctx, gr, horizon, owners, counts, d.Theta, d.stream(), parallelism)
+	return generateGrouped(ctx, gr, horizon, owners, counts, d.stream(), parallelism)
 }
 
 // walkShard is one shard's locally-buffered generation output: concatenated
@@ -170,28 +170,41 @@ func appendOwnerWalks(s *graph.InEdgeSampler, stub []float64, horizon int, v int
 }
 
 // foldShards concatenates per-shard outputs into the set's flat arrays in
-// ascending shard order, deriving the walk offsets.
-func (set *Set) foldShards(shards []walkShard) {
-	for _, sh := range shards {
-		for _, l := range sh.lens {
-			set.off = append(set.off, set.off[len(set.off)-1]+l)
-		}
-		set.nodes = append(set.nodes, sh.nodes...)
+// ascending shard order, deriving the walk offsets. A prefix sum of the
+// shard sizes places every shard, the arrays are allocated once, and the
+// shards are copied into their places on the worker pool.
+func (set *Set) foldShards(shards []walkShard, parallelism int) {
+	walkAt := make([]int32, len(shards)+1) // shard s's first walk id
+	elemAt := make([]int32, len(shards)+1) // and its first element
+	for s, sh := range shards {
+		walkAt[s+1] = walkAt[s] + int32(len(sh.lens))
+		elemAt[s+1] = elemAt[s] + int32(len(sh.nodes))
 	}
+	set.off = make([]int32, walkAt[len(shards)]+1)
+	set.nodes = make([]int32, elemAt[len(shards)])
+	_ = engine.ForEachShard(parallelism, len(shards), func(_, s int) error {
+		sh := shards[s]
+		copy(set.nodes[elemAt[s]:], sh.nodes)
+		off, at := set.off[walkAt[s]+1:], elemAt[s]
+		for k, l := range sh.lens {
+			at += l
+			off[k] = at
+		}
+		return nil
+	})
 }
 
 // generateGrouped runs the sharded walk generation common to planned and
 // sampled starts: owners (ascending, with per-owner walk counts) are cut
 // into contiguous shards, each shard generates its owners' walks into local
 // buffers, and the shard outputs are concatenated in shard order.
-func generateGrouped(ctx context.Context, gr *Ground, horizon int, owners, counts []int32, totalWalks int, str sampling.Stream, parallelism int) (*Set, error) {
+func generateGrouped(ctx context.Context, gr *Ground, horizon int, owners, counts []int32, str sampling.Stream, parallelism int) (*Set, error) {
 	s, stub := gr.s, gr.stub
 	set := &Set{
 		n:          s.Graph().N(),
 		horizon:    horizon,
 		ownerNodes: owners,
 		ownerOff:   make([]int32, len(owners)+1),
-		off:        make([]int32, 1, totalWalks+1),
 	}
 	for i, c := range counts {
 		set.ownerOff[i+1] = set.ownerOff[i] + c
@@ -214,7 +227,7 @@ func generateGrouped(ctx context.Context, gr *Ground, horizon int, owners, count
 	if err != nil {
 		return nil, err
 	}
-	set.foldShards(shards)
+	set.foldShards(shards, parallelism)
 	return set, nil
 }
 
@@ -338,7 +351,7 @@ func (set *Set) endValue(nodes, off []int32, k int, w int32, b0 []float64) float
 // AddSeed marks u as a seed and truncates every walk whose active prefix
 // contains u at u's first occurrence (Post-Generation Truncation, §V-B). It
 // visits only the walks in u's postings, not every element of every walk; a
-// set without a postings index builds one first. onHit, if non-nil,
+// set without a postings index builds one first, serially. onHit, if non-nil,
 // observes each truncated walk together with its pre-truncation end (an
 // offset from the walk's start; estimators use it to maintain incremental
 // state). Returns the number of walks truncated (0 when u already is a
@@ -349,7 +362,7 @@ func (set *Set) AddSeed(u int32, onHit func(w, oldEnd int32)) int64 {
 	if set.inSeed[u] {
 		return 0
 	}
-	set.EnsureIndex()
+	set.EnsureIndex(1)
 	set.inSeed[u] = true
 	set.seeds = append(set.seeds, u)
 	var hits int64

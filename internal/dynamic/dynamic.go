@@ -274,7 +274,7 @@ func ApplySystem(sys *opinion.System, b Batch) (*opinion.System, *ChangeSet, err
 		}
 		cands[q] = nc
 	}
-	newSys, err := opinion.NewSystem(cands)
+	newSys, err := sys.Derive(cands)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -88,7 +88,8 @@ var repairCorpus = [][]byte{
 
 // FuzzRepairMatchesRebuild is the write-side fuzz: after every step of a
 // batch sequence, an RS sketch set (θ) and an RW walk set (λ), each
-// repaired batch by batch at parallelism 1 and at 4, must equal
+// repaired batch by batch at parallelism 1 and at 4, over a ground built
+// afresh at every step and over one Ground.Next carries, must equal
 // Draw.Generate + EnsureIndex on ReplaySystem of the batches so far — the
 // folded Snapshot and the postings CompactPostings stores, decoded, value
 // for value — and ContinueGreedy over the overlaid set must equal walksref
@@ -132,10 +133,25 @@ func checkRepairChain(t *testing.T, data []byte) (overlaid, folded int) {
 	sys := testSystem(t, n, 13)
 	batches, systems, changes := decodeBatches(sys, data)
 	score := voting.Plurality{}
+	// A repair runs on a ground built afresh for its system and on the one
+	// Ground.Next chained through the steps, each with its own set.
+	type run struct {
+		par     int
+		chained bool
+	}
+	runs := []run{{1, false}, {4, false}, {1, true}, {4, true}}
 	for _, d := range walkDraws(seed, 4, 600) {
-		sets := map[int]*walks.Set{1: drawOn(t, d, sys, horizon), 4: drawOn(t, d, sys, horizon)}
+		sets := map[run]*walks.Set{}
+		for _, r := range runs {
+			sets[r] = drawOn(t, d, sys, horizon)
+		}
+		chained := groundOf(t, sys)
 		for step, cs := range changes {
 			cur := systems[step]
+			var err error
+			if chained, err = chained.Next(cur.Candidate(0), cs.EdgeTouched); err != nil {
+				t.Fatal(err)
+			}
 			replayed, _, err := dynamic.ReplaySystem(sys, batches[:step+1])
 			if err != nil {
 				t.Fatal(err)
@@ -147,13 +163,18 @@ func checkRepairChain(t *testing.T, data []byte) (overlaid, folded int) {
 			}
 			comp := core.CompetitorOpinions(cur, 0, horizon, 1)
 			ref := walksref.New(rebuilt, 0, cur.Candidate(0).Init, comp, d.Weights(rebuilt)).SelectGreedy(k, score)
-			for _, par := range []int{1, 4} {
-				name := fmt.Sprintf("theta=%d/lambda=%d P=%d step %d", d.Theta, d.Lambda, par, step)
-				set, st, err := d.Repair(nil, groundOf(t, cur), sets[par], cs.WalkMask(n, 0), par)
+			for _, r := range runs {
+				par := r.par
+				name := fmt.Sprintf("theta=%d/lambda=%d P=%d chained=%v step %d", d.Theta, d.Lambda, par, r.chained, step)
+				gr := chained
+				if !r.chained {
+					gr = groundOf(t, cur)
+				}
+				set, st, err := d.Repair(nil, gr, sets[r], cs.WalkMask(n, 0), par)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sets[par] = set
+				sets[r] = set
 				if st.Folded {
 					folded++
 				} else if st.OwnersInvalidated > 0 {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -36,12 +37,17 @@ type Delta struct {
 // Mutations are interpreted against the current (normalized) weights of the
 // destination column: the column's weights act as the raw measure, the
 // batch's ops are applied in order, and the column is renormalized to sum
-// to 1. A column whose ops touch it is always renormalized (and therefore
-// always reported as changed); a column left with no in-edges receives a
-// weight-1 self-loop, mirroring ColumnStochastic. Untouched columns are
-// copied verbatim, so their weights stay bit-identical — the property that
-// lets sampled artifacts over unchanged regions survive an update without
-// regeneration.
+// to 1: every weight is divided by the column's sum, taken in column order
+// (the sources it keeps ascending, then those the batch inserts, in the
+// order it inserts them). A column whose ops touch it is always
+// renormalized (and therefore always reported as changed); a column left
+// with no in-edges receives a weight-1 self-loop, mirroring
+// ColumnStochastic. Untouched columns are copied verbatim, so their weights
+// stay bit-identical — the property that lets sampled artifacts over
+// unchanged regions survive an update without regeneration. The copy runs
+// in pieces between the changed columns, and likewise for the out-rows of
+// the sources they do not name: the work beyond the bulk copies is the
+// changed columns and their sources' out-rows.
 func (g *Graph) ApplyDeltas(deltas []Delta) (*Graph, []int32, error) {
 	n := int32(g.n)
 	if !g.columnStochastic {
@@ -75,8 +81,8 @@ func (g *Graph) ApplyDeltas(deltas []Delta) (*Graph, []int32, error) {
 		src int32
 		w   float64
 	}
-	newCols := make(map[int32][]inEdge, len(changed))
-	for _, v := range changed {
+	cols := make([][]inEdge, len(changed))
+	for j, v := range changed {
 		src, w := g.InNeighbors(v)
 		col := make([]inEdge, len(src))
 		for i := range src {
@@ -125,69 +131,97 @@ func (g *Graph) ApplyDeltas(deltas []Delta) (*Graph, []int32, error) {
 			}
 		}
 		slices.SortFunc(col, func(a, b inEdge) int { return int(a.src) - int(b.src) })
-		newCols[v] = col
+		cols[j] = col
 	}
 
-	// Assemble the in-CSR: changed columns from newCols, the rest copied
-	// verbatim from g.
-	total := int64(0)
-	degs := make([]int32, g.n)
-	for v := int32(0); v < n; v++ {
-		if col, ok := newCols[v]; ok {
-			degs[v] = int32(len(col))
-		} else {
-			degs[v] = g.inStart[v+1] - g.inStart[v]
-		}
-		total += int64(degs[v])
+	// Assemble the in-CSR: each run of unchanged columns between two
+	// changed ones is copied from g in one piece, shifted by the edges the
+	// changed columns before it gained or lost.
+	total := int64(g.M())
+	for j, v := range changed {
+		total += int64(len(cols[j])) - int64(g.inStart[v+1]-g.inStart[v])
 	}
 	if total > math.MaxInt32 {
 		return nil, nil, fmt.Errorf("graph: delta-apply would produce %d edges, exceeding storage limits", total)
 	}
-	ng := &Graph{n: g.n, columnStochastic: true}
-	ng.inStart = make([]int32, g.n+1)
-	for v := int32(0); v < n; v++ {
-		ng.inStart[v+1] = ng.inStart[v] + degs[v]
-	}
 	m := int(total)
-	ng.inSrc = make([]int32, m)
-	ng.inW = make([]float64, m)
-	for v := int32(0); v < n; v++ {
+	ng := &Graph{n: g.n, columnStochastic: true,
+		inStart: make([]int32, g.n+1), inSrc: make([]int32, m), inW: make([]float64, m),
+		outStart: make([]int32, g.n+1), outDst: make([]int32, m), outW: make([]float64, m),
+	}
+	next := int32(0) // the first column not placed yet
+	for j, v := range changed {
+		copyRun(ng.inStart, g.inStart, ng.inSrc, g.inSrc, ng.inW, g.inW, next, v)
 		pos := ng.inStart[v]
-		if col, ok := newCols[v]; ok {
-			for _, e := range col {
-				ng.inSrc[pos] = e.src
-				ng.inW[pos] = e.w
-				pos++
-			}
-		} else {
-			lo, hi := g.inStart[v], g.inStart[v+1]
-			copy(ng.inSrc[ng.inStart[v]:], g.inSrc[lo:hi])
-			copy(ng.inW[ng.inStart[v]:], g.inW[lo:hi])
+		for _, e := range cols[j] {
+			ng.inSrc[pos], ng.inW[pos] = e.src, e.w
+			pos++
 		}
+		ng.inStart[v+1] = pos
+		next = v + 1
 	}
+	copyRun(ng.inStart, g.inStart, ng.inSrc, g.inSrc, ng.inW, g.inW, next, n)
 
-	// Derive the out-CSR by a stable counting sort on source. Scanning
-	// destinations in ascending order keeps each source's out-edges sorted
-	// by destination — the same (From, To) order Builder.Build produces.
-	ng.outStart = make([]int32, g.n+1)
-	for _, src := range ng.inSrc {
-		ng.outStart[src+1]++
+	// The out-CSR likewise: the rows that change are those of the changed
+	// columns' sources, old and new. Each is g's row less its edges into
+	// changed columns, merged with its edges in the new columns by
+	// destination — the (From, To) order Builder.Build produces. The other
+	// rows are copied in runs.
+	type outEdge struct {
+		src, dst int32
+		w        float64
 	}
-	for v := 0; v < g.n; v++ {
-		ng.outStart[v+1] += ng.outStart[v]
-	}
-	ng.outDst = make([]int32, m)
-	ng.outW = make([]float64, m)
-	next := make([]int32, g.n)
-	copy(next, ng.outStart[:g.n])
-	for v := int32(0); v < n; v++ {
-		for i := ng.inStart[v]; i < ng.inStart[v+1]; i++ {
-			src := ng.inSrc[i]
-			pos := next[src]
-			next[src]++
-			ng.outDst[pos] = v
-			ng.outW[pos] = ng.inW[i]
+	var fresh []outEdge
+	var srcs []int32
+	for j, v := range changed {
+		old, _ := g.InNeighbors(v)
+		srcs = append(srcs, old...)
+		for _, e := range cols[j] {
+			fresh = append(fresh, outEdge{e.src, v, e.w})
+			srcs = append(srcs, e.src)
 		}
 	}
+	slices.Sort(srcs)
+	srcs = slices.Compact(srcs)
+	// Stable by source: changed ascends, so each source's edges stay in
+	// destination order.
+	slices.SortStableFunc(fresh, func(a, b outEdge) int { return cmp.Compare(a.src, b.src) })
+	next = 0
+	for _, u := range srcs {
+		copyRun(ng.outStart, g.outStart, ng.outDst, g.outDst, ng.outW, g.outW, next, u)
+		pos := ng.outStart[u]
+		dst, w := g.OutNeighbors(u)
+		for i, v := range dst {
+			if _, hit := slices.BinarySearch(changed, v); hit {
+				continue
+			}
+			for len(fresh) > 0 && fresh[0].src == u && fresh[0].dst < v {
+				ng.outDst[pos], ng.outW[pos] = fresh[0].dst, fresh[0].w
+				fresh, pos = fresh[1:], pos+1
+			}
+			ng.outDst[pos], ng.outW[pos] = v, w[i]
+			pos++
+		}
+		for len(fresh) > 0 && fresh[0].src == u {
+			ng.outDst[pos], ng.outW[pos] = fresh[0].dst, fresh[0].w
+			fresh, pos = fresh[1:], pos+1
+		}
+		ng.outStart[u+1] = pos
+		next = u + 1
+	}
+	copyRun(ng.outStart, g.outStart, ng.outDst, g.outDst, ng.outW, g.outW, next, n)
 	return ng, changed, nil
+}
+
+// copyRun copies the rows of nodes [a, b), unchanged between two CSRs, from
+// (start, idx, w) into (nstart, nidx, nw): their entries in one piece, their
+// offsets shifted by where row a now starts (nstart[a], already set).
+func copyRun(nstart, start, nidx, idx []int32, nw, w []float64, a, b int32) {
+	shift := nstart[a] - start[a]
+	lo, hi := start[a], start[b]
+	copy(nidx[lo+shift:hi+shift], idx[lo:hi])
+	copy(nw[lo+shift:hi+shift], w[lo:hi])
+	for v := a + 1; v <= b; v++ {
+		nstart[v] = start[v] + shift
+	}
 }

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -160,5 +162,215 @@ func TestApplyDeltasErrors(t *testing.T) {
 				t.Fatalf("expected error for %s", tc.name)
 			}
 		})
+	}
+}
+
+// decodeBatches turns fuzz bytes into a column-stochastic graph and a
+// sequence of delta batches over it. data[0] sets n, data[1] seeds the
+// graph's 3n random raw edges, and every further 4 bytes (k, x, y, w) is
+// one op on column y%n:
+//
+//	k%6 == 0  add x%n → y with raw weight (w+1)/64
+//	k%6 == 1  set x%n → y to (w+1)/64, inserting it if absent
+//	k%6 == 2  set an edge the column has to its current weight
+//	k%6 == 3  remove an edge the column has
+//	k%6 == 4  remove every edge of the column, leaving it to its self-loop
+//	k%6 == 5  end the batch
+//
+// Which edge "an edge the column has" is follows the batch's earlier ops,
+// so every decoded batch applies without error.
+func decodeBatches(data []byte) (*Graph, [][]Delta, bool) {
+	if len(data) < 2 {
+		return nil, nil, false
+	}
+	n := 2 + int(data[0]%30)
+	r := rand.New(rand.NewSource(int64(data[1])))
+	b := NewBuilder(n)
+	for range 3 * n {
+		_ = b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)), r.Float64()+0.01)
+	}
+	g0, err := b.BuildColumnStochastic()
+	if err != nil {
+		return nil, nil, false
+	}
+	g := g0 // the graph the batch being decoded applies to
+	var batches [][]Delta
+	var batch []Delta
+	cols := map[int32][]int32{} // the sources a column has within the batch
+	has := func(v int32) []int32 {
+		if _, ok := cols[v]; !ok {
+			src, _ := g.InNeighbors(v)
+			cols[v] = slices.Clone(src)
+		}
+		return cols[v]
+	}
+	insert := func(u, v int32) {
+		if src := has(v); !slices.Contains(src, u) {
+			cols[v] = append(src, u)
+		}
+	}
+	for ops := data[2:]; len(ops) >= 4 && len(batches) < 8; ops = ops[4:] {
+		k, x, v, w := ops[0]%6, int32(ops[1])%int32(n), int32(ops[2])%int32(n), (float64(ops[3])+1)/64
+		switch k {
+		case 0:
+			batch = append(batch, Delta{Op: DeltaAdd, From: x, To: v, W: w})
+			insert(x, v)
+		case 1:
+			batch = append(batch, Delta{Op: DeltaSet, From: x, To: v, W: w})
+			insert(x, v)
+		case 2:
+			src, wts := g.InNeighbors(v)
+			i := int(x) % len(src)
+			batch = append(batch, Delta{Op: DeltaSet, From: src[i], To: v, W: wts[i]})
+			insert(src[i], v)
+		case 3:
+			if src := has(v); len(src) > 0 {
+				i := int(x) % len(src)
+				batch = append(batch, Delta{Op: DeltaRemove, From: src[i], To: v})
+				cols[v] = slices.Delete(src, i, i+1)
+			}
+		case 4:
+			for _, u := range has(v) {
+				batch = append(batch, Delta{Op: DeltaRemove, From: u, To: v})
+			}
+			cols[v] = cols[v][:0]
+		case 5:
+			if len(batch) > 0 {
+				batches, batch, cols = append(batches, batch), nil, map[int32][]int32{}
+				if g, _, err = g.ApplyDeltas(batches[len(batches)-1]); err != nil {
+					panic(fmt.Sprintf("a decoded batch failed: %v", err))
+				}
+			}
+		}
+	}
+	if len(batch) > 0 {
+		batches = append(batches, batch)
+	}
+	return g0, batches, true
+}
+
+// decodedCases returns count random byte strings for decodeBatches: the
+// deterministic tests' inputs and the fuzzers' seed corpus.
+func decodedCases(count int) [][]byte {
+	r := rand.New(rand.NewSource(36))
+	out := make([][]byte, count)
+	for i := range out {
+		out[i] = make([]byte, 2+4*(1+r.Intn(40)))
+		r.Read(out[i])
+	}
+	return out
+}
+
+// referenceApply is ApplyDeltas as its doc states it, over g's edge list:
+// each touched column starts from its current weights, sources ascending;
+// an add sums into the edge or appends it, a set overwrites or appends it,
+// a remove deletes it; a column left empty gets a weight-1 self-loop, any
+// other is divided by its sum in column order. Builder assembles the CSR.
+func referenceApply(g *Graph, deltas []Delta) (*Graph, error) {
+	type in struct {
+		src int32
+		w   float64
+	}
+	cols := map[int32][]in{}
+	for _, d := range deltas {
+		if _, ok := cols[d.To]; !ok {
+			cols[d.To] = []in{}
+			g.InEdges(d.To, func(src int32, w float64) { cols[d.To] = append(cols[d.To], in{src, w}) })
+		}
+		col := cols[d.To]
+		i := slices.IndexFunc(col, func(e in) bool { return e.src == d.From })
+		switch {
+		case d.Op == DeltaRemove && i < 0:
+			return nil, fmt.Errorf("remove of missing edge (%d,%d)", d.From, d.To)
+		case d.Op == DeltaRemove:
+			col = slices.Delete(col, i, i+1)
+		case i < 0:
+			col = append(col, in{d.From, d.W})
+		case d.Op == DeltaAdd:
+			col[i].w += d.W
+		default:
+			col[i].w = d.W
+		}
+		cols[d.To] = col
+	}
+	b := NewBuilder(g.N())
+	for _, e := range g.Edges() {
+		if _, touched := cols[e.To]; !touched {
+			if err := b.AddEdge(e.From, e.To, e.W); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for v, col := range cols {
+		if len(col) == 0 {
+			col = []in{{v, 1}}
+		}
+		sum := 0.0
+		for _, e := range col {
+			sum += e.w
+		}
+		for _, e := range col {
+			if err := b.AddEdge(e.src, v, e.w/sum); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return b.Build()
+}
+
+// csrDiff names the first array in which a and b differ, weights compared
+// bit for bit, or returns "".
+func csrDiff(a, b CSRArrays) string {
+	bits := func(x, y []float64) bool {
+		return slices.EqualFunc(x, y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) })
+	}
+	switch {
+	case a.N != b.N:
+		return "n"
+	case !slices.Equal(a.InStart, b.InStart):
+		return "inStart"
+	case !slices.Equal(a.InSrc, b.InSrc):
+		return "inSrc"
+	case !bits(a.InW, b.InW):
+		return "inW"
+	case !slices.Equal(a.OutStart, b.OutStart):
+		return "outStart"
+	case !slices.Equal(a.OutDst, b.OutDst):
+		return "outDst"
+	case !bits(a.OutW, b.OutW):
+		return "outW"
+	}
+	return ""
+}
+
+// TestApplyDeltasMatchesBuilder: on random graphs and batch sequences,
+// ApplyDeltas' in- and out-CSR equal, bit for bit, the graph Builder
+// assembles from the edge list the batch's documented semantics leave, and
+// its changed list is the batch's destinations, sorted.
+func TestApplyDeltasMatchesBuilder(t *testing.T) {
+	for c, data := range decodedCases(300) {
+		g, batches, _ := decodeBatches(data)
+		for i, batch := range batches {
+			ng, changed, err := g.ApplyDeltas(batch)
+			if err != nil {
+				t.Fatalf("case %d batch %d: %v", c, i, err)
+			}
+			want, err := referenceApply(g, batch)
+			if err != nil {
+				t.Fatalf("case %d batch %d: reference: %v", c, i, err)
+			}
+			if d := csrDiff(ng.Arrays(), want.Arrays()); d != "" {
+				t.Fatalf("case %d batch %d %v: %s differs from the reference", c, i, batch, d)
+			}
+			var dsts []int32
+			for _, d := range batch {
+				dsts = append(dsts, d.To)
+			}
+			slices.Sort(dsts)
+			if dsts = slices.Compact(dsts); !slices.Equal(changed, dsts) {
+				t.Fatalf("case %d batch %d: changed %v, want %v", c, i, changed, dsts)
+			}
+			g = ng
+		}
 	}
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -203,4 +204,75 @@ func BenchmarkInEdgeSampler(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Sample(int32(i%10000), r)
 	}
+}
+
+// checkSamplerNext chains Next through data's decoded batches and holds
+// every step to a sampler built from scratch, bit for bit.
+func checkSamplerNext(t *testing.T, data []byte) {
+	g, batches, ok := decodeBatches(data)
+	if !ok {
+		return
+	}
+	s, err := NewInEdgeSampler(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, batch := range batches {
+		ng, changed, err := g.ApplyDeltas(batch)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		got, err := s.Next(ng, changed)
+		if err != nil {
+			t.Fatalf("batch %d: Next: %v", i, err)
+		}
+		want, err := NewInEdgeSampler(ng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.alias, want.alias) {
+			t.Fatalf("batch %d %v: alias differs from a rebuilt sampler", i, batch)
+		}
+		for j := range want.prob {
+			if math.Float64bits(got.prob[j]) != math.Float64bits(want.prob[j]) {
+				t.Fatalf("batch %d %v: prob[%d] = %v, rebuilt %v", i, batch, j, got.prob[j], want.prob[j])
+			}
+		}
+		s, g = got, ng
+	}
+}
+
+// TestSamplerNextMatchesRebuild: on random column-stochastic graphs and
+// batch sequences (adds, sets to a new or the same weight, removals down to
+// the self-loop, several ops on one column), the sampler Next derives
+// equals NewInEdgeSampler of the mutated graph.
+func TestSamplerNextMatchesRebuild(t *testing.T) {
+	for _, data := range decodedCases(300) {
+		checkSamplerNext(t, data)
+	}
+	g, err := FromEdgesColumnStochastic(4, []Edge{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewInEdgeSampler(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ng, _, err := g.ApplyDeltas([]Delta{{Op: DeltaAdd, From: 0, To: 2, W: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Next(ng, nil); err == nil {
+		t.Error("Next copied the rows of a column that gained edges")
+	}
+	if _, err := s.Next(ng, []int32{2, 2}); err == nil {
+		t.Error("Next took a changed list that does not ascend")
+	}
+}
+
+func FuzzSamplerNext(f *testing.F) {
+	for _, data := range decodedCases(16) {
+		f.Add(data)
+	}
+	f.Fuzz(checkSamplerNext)
 }

@@ -86,6 +86,16 @@ func TestValidateRejectsBadInput(t *testing.T) {
 		t.Error("expected range error for Stub")
 	}
 	c = *good
+	c.Init = []float64{0.4, math.NaN(), 0.6, 0.9}
+	if err := c.Validate(); err == nil {
+		t.Error("expected range error for a NaN Init")
+	}
+	c = *good
+	c.Stub = []float64{0, 0, math.NaN(), 0}
+	if err := c.Validate(); err == nil {
+		t.Error("expected range error for a NaN Stub")
+	}
+	c = *good
 	c.G = nil
 	if err := c.Validate(); err == nil {
 		t.Error("expected error for nil graph")
@@ -101,6 +111,30 @@ func TestValidateRejectsBadInput(t *testing.T) {
 	c.G = g
 	if err := c.Validate(); err == nil {
 		t.Error("expected error for non-stochastic graph")
+	}
+	// NewSystem checks each distinct graph, shared or not, once.
+	if _, err := opinion.NewSystem([]*opinion.Candidate{good, good, &c}); err == nil {
+		t.Error("NewSystem accepted a third candidate over a non-stochastic graph")
+	}
+	if _, err := opinion.NewSystem([]*opinion.Candidate{good, good}); err != nil {
+		t.Errorf("NewSystem refused two candidates sharing a graph: %v", err)
+	}
+	// Derive checks every part it replaces.
+	nan := *good
+	nan.Stub = []float64{0, math.NaN(), 0, 0}
+	for name, cands := range map[string][]*opinion.Candidate{
+		"a replaced graph": {sys.Candidate(0), &c},
+		"a replaced Stub":  {&nan, sys.Candidate(1)},
+		"one candidate":    {sys.Candidate(0)},
+	} {
+		if _, err := sys.Derive(cands); err == nil {
+			t.Errorf("Derive accepted %s", name)
+		}
+	}
+	edited := *sys.Candidate(1)
+	edited.Init = []float64{0.1, 0.2, 0.3, 0.4}
+	if _, err := sys.Derive([]*opinion.Candidate{sys.Candidate(0), &edited}); err != nil {
+		t.Errorf("Derive refused a valid replaced Init: %v", err)
 	}
 }
 

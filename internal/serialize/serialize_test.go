@@ -136,3 +136,30 @@ func TestVectorLengthMismatchRejected(t *testing.T) {
 		t.Error("expected error for short init vector")
 	}
 }
+
+// TestReadSystemRejectsNaN: a NaN initial opinion or stubbornness is
+// outside [0,1] and fails the load, like any other out-of-range value,
+// instead of being served as NaN scores.
+func TestReadSystemRejectsNaN(t *testing.T) {
+	sys, err := paperexample.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := serialize.WriteSystem(&buf, sys); err != nil {
+		t.Fatal(err)
+	}
+	for _, tag := range []string{"init", "stub"} {
+		lines := strings.Split(buf.String(), "\n")
+		for i, l := range lines {
+			if f := strings.Fields(l); len(f) > 1 && f[0] == tag {
+				f[1] = "NaN"
+				lines[i] = strings.Join(f, " ")
+				break
+			}
+		}
+		if _, err := serialize.ReadSystem(strings.NewReader(strings.Join(lines, "\n"))); err == nil {
+			t.Errorf("read a system with NaN in its first %s vector", tag)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"ovm/internal/dynamic"
 	"ovm/internal/obs"
 	"ovm/internal/serialize"
+	"ovm/internal/walks"
 )
 
 // A dataset registered with AddMapped is served from an index file: its
@@ -191,7 +192,9 @@ func (s *Service) Rebase(name string, mi *serialize.MappedIndex) error {
 }
 
 // rebase returns vis — derived from at by the applied batches — moved onto
-// base, which holds at's state in other storage; held, on base's file.
+// base, which holds at's state in other storage; held, on base's file. Its
+// grounds are vis's samplers over its own graphs, which hold vis's in
+// other storage: every row is copied, none built.
 func (s *Service) rebase(base, at, vis *Dataset, applied []dynamic.Batch) (*Dataset, error) {
 	sys, _, err := dynamic.ReplaySystem(base.sys, applied)
 	if err != nil {
@@ -202,8 +205,14 @@ func (s *Service) rebase(base, at, vis *Dataset, applied []dynamic.Batch) (*Data
 		sys:       sys,
 		epoch:     vis.epoch,
 		baseEpoch: base.baseEpoch,
+		grounds:   make(map[int]*walks.Ground, len(vis.grounds)),
 		memo:      newLRUCache(epochMemoBytes),
 		file:      base.file,
+	}
+	for target, gr := range vis.grounds {
+		if next.grounds[target], err = gr.Next(sys.Candidate(target), nil); err != nil {
+			return nil, err
+		}
 	}
 	for i, w := range vis.walks {
 		moved := *w

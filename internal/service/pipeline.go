@@ -592,8 +592,9 @@ func (s *Service) applyRun(p *updatePipeline, run dynamic.CoalescedRun, raw []qu
 }
 
 // noopSuccessor is the epoch bump a failed queued batch consumes: same
-// system, same artifacts, fresh epoch memo (every epoch starts with its
-// own, so successors never share one). It comes held, like a repair's.
+// system, same artifacts and grounds, fresh epoch memo (every epoch starts
+// with its own, so successors never share one). It comes held, like a
+// repair's.
 func (ds *Dataset) noopSuccessor() *Dataset {
 	ds.hold()
 	return &Dataset{
@@ -602,6 +603,7 @@ func (ds *Dataset) noopSuccessor() *Dataset {
 		epoch:     ds.epoch + 1,
 		baseEpoch: ds.baseEpoch,
 		walks:     ds.walks,
+		grounds:   ds.grounds,
 		memo:      newLRUCache(epochMemoBytes),
 		file:      ds.file,
 	}

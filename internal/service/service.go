@@ -280,6 +280,10 @@ type Dataset struct {
 	epoch     int64 // bumped once per applied update batch
 	baseEpoch int64 // the loaded index's BaseEpoch; epoch-baseEpoch = applied batches
 	walks     []*walkArtifact
+	// grounds holds, per target, the Ground the last repair drew over
+	// (none until the first repair after a load): the next repair derives
+	// its own from it, rebuilding only the sampler rows its batch changed.
+	grounds map[int]*walks.Ground
 
 	// memo holds what the epoch remembers between requests (memo.go).
 	memo *lruCache

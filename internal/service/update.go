@@ -157,19 +157,26 @@ func (s *Service) repairDataset(ctx context.Context, ds *Dataset, batch dynamic.
 		sys:       newSys,
 		epoch:     ds.epoch + int64(bump),
 		baseEpoch: ds.baseEpoch,
+		grounds:   make(map[int]*walks.Ground),
 		memo:      newLRUCache(epochMemoBytes),
 		file:      ds.file,
 	}
-	// The alias sampler of a mutated graph costs O(m): one per target graph,
-	// shared by every artifact over it.
-	grounds := make(map[int]*walks.Ground)
+	// One Ground per target, shared by every artifact over it: derived from
+	// the last repair's, so only the columns the batch changed cost sampler
+	// rows; built whole by the first repair after a load.
 	for _, a := range ds.walks {
-		gr := grounds[a.target]
+		gr := next.grounds[a.target]
 		if gr == nil {
-			if gr, err = walks.NewGround(newSys.Candidate(a.target)); err != nil {
+			c := newSys.Candidate(a.target)
+			if prev := ds.grounds[a.target]; prev != nil {
+				gr, err = prev.Next(c, cs.EdgeTouched)
+			} else {
+				gr, err = walks.NewGround(c)
+			}
+			if err != nil {
 				return nil, internalErr(err)
 			}
-			grounds[a.target] = gr
+			next.grounds[a.target] = gr
 		}
 		repair := a.draw.Repair
 		if ds.foldsByCheckpoint() {

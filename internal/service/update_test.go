@@ -502,3 +502,65 @@ func TestUpdatesOverHTTP(t *testing.T) {
 		t.Fatalf("unknown dataset status = %d, want 404", resp2.StatusCode)
 	}
 }
+
+// TestRepairBuildsOnlyChangedSamplerRows counts what repairs rebuild of the
+// target's alias sampler (ovm_sampler_rows_built_total; no test of this
+// package runs in parallel with this one): every row on the first repair
+// after a load, none for an opinion-only or a stubbornness-only batch, and
+// one per changed column (ChangeSet.EdgeTouched) for an edge batch — also
+// after a checkpoint is installed, which carries the sampler over to the
+// mapped file's graph.
+func TestRepairBuildsOnlyChangedSamplerRows(t *testing.T) {
+	idx, path := fileWorld(t)
+	n := int64(idx.Sys.N())
+	heap := newTestService(t, idx)
+	filed := openFiled(t, path, 0)
+	edges := dynamic.Batch{
+		{Kind: dynamic.OpAddEdge, From: 3, To: 11, W: 0.8},
+		{Kind: dynamic.OpSetWeight, From: 9, To: 11, W: 2},
+		{Kind: dynamic.OpAddEdge, From: 17, To: 4, W: 1.2},
+		{Kind: dynamic.OpSetOpinion, Cand: 1, Node: 8, Value: 0.3},
+	}
+	steps := []struct {
+		name  string
+		batch dynamic.Batch
+		rows  func(*dynamic.ChangeSet) int64
+	}{
+		{"first repair after a load", dynamic.Batch{{Kind: dynamic.OpSetOpinion, Cand: 0, Node: 33, Value: 0.95}},
+			func(*dynamic.ChangeSet) int64 { return n }},
+		{"opinion only", dynamic.Batch{{Kind: dynamic.OpSetOpinion, Cand: 1, Node: 5, Value: 0.1}},
+			func(*dynamic.ChangeSet) int64 { return 0 }},
+		{"stubbornness only", dynamic.Batch{{Kind: dynamic.OpSetStubbornness, Cand: 0, Node: 40, Value: 0.15}},
+			func(*dynamic.ChangeSet) int64 { return 0 }},
+		{"edges", edges, func(cs *dynamic.ChangeSet) int64 { return int64(len(cs.EdgeTouched)) }},
+		{"checkpoint installed", nil, nil},
+		{"opinion only after the checkpoint", dynamic.Batch{{Kind: dynamic.OpSetOpinion, Cand: 0, Node: 7, Value: 0.4}},
+			func(*dynamic.ChangeSet) int64 { return 0 }},
+		{"edges after the checkpoint", dynamic.Batch{{Kind: dynamic.OpRemoveEdge, From: 3, To: 11}},
+			func(cs *dynamic.ChangeSet) int64 { return int64(len(cs.EdgeTouched)) }},
+	}
+	sys := idx.Sys
+	for _, st := range steps {
+		if st.batch == nil {
+			if err := filed.checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		next, cs, err := dynamic.ApplySystem(sys, st.batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys = next
+		want := st.rows(cs)
+		for _, svc := range []*service.Service{heap, filed.svc} {
+			before := obs.CaptureCosts()
+			if _, serr := svc.ApplyUpdates(&service.UpdateRequest{Dataset: "world", Ops: st.batch}); serr != nil {
+				t.Fatal(serr)
+			}
+			if got := obs.CaptureCosts().Delta(before)["ovm_sampler_rows_built_total"]; got != want {
+				t.Errorf("%s: %d sampler rows built, want %d", st.name, got, want)
+			}
+		}
+	}
+}

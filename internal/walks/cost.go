@@ -28,6 +28,8 @@ var (
 		"Bytes walk-set repairs wrote: overlay walks, postings, owner table and bitmap, and fold bases")
 	repairFolds = obs.NewCounter("ovm_repair_overlay_folds_total",
 		"Walk-set repairs whose overlay outgrew its share of the walks and was folded into a fresh base")
+	samplerRows = obs.NewCounter("ovm_sampler_rows_built_total",
+		"Alias-sampler rows (one per node) built for walk grounds: every row for a new one, the changed columns' for one an update derives")
 )
 
 func init() {

@@ -6,6 +6,7 @@ import (
 
 	"ovm/internal/core"
 	"ovm/internal/graph"
+	"ovm/internal/obs"
 	"ovm/internal/opinion"
 	"ovm/internal/sampling"
 )
@@ -41,18 +42,43 @@ func (d Draw) stream() sampling.Stream { return sampling.Stream{Seed: d.Seed, ID
 
 // Ground is what walks run over: one candidate's reverse influence graph
 // behind an alias sampler, and its stubbornness (the per-node termination
-// probability d_v). The sampler costs O(m) to build, so a Ground is built
-// once per graph and shared by every generation and repair over it.
+// probability d_v). The sampler costs O(m) to build and is shared by every
+// generation and repair over its graph. An update derives the next Ground
+// with Next, which rebuilds only the rows of the columns it changed.
 type Ground struct {
 	s    *graph.InEdgeSampler
 	stub []float64
 }
 
-// NewGround prepares c for walk generation.
+// NewGround prepares c for walk generation, building every row of its
+// sampler.
 func NewGround(c *opinion.Candidate) (*Ground, error) {
 	s, err := graph.NewInEdgeSampler(c.G)
 	if err != nil {
 		return nil, err
+	}
+	if obs.CostEnabled() {
+		samplerRows.Add(int64(c.G.N()))
+	}
+	return &Ground{s: s, stub: c.Stub}, nil
+}
+
+// Next returns the Ground of c, a candidate the same as gr's but for its
+// stubbornness and the in-edges of the columns changed names (the sorted
+// list graph.ApplyDeltas returns with c.G). Over gr's own graph it shares
+// gr's sampler; over another it derives one with InEdgeSampler.Next,
+// building changed's rows only. A nil changed rebuilds none: c.G must then
+// hold gr's graph in other storage. It equals NewGround(c) bit for bit.
+func (gr *Ground) Next(c *opinion.Candidate, changed []int32) (*Ground, error) {
+	s := gr.s
+	if c.G != s.Graph() {
+		var err error
+		if s, err = s.Next(c.G, changed); err != nil {
+			return nil, err
+		}
+		if obs.CostEnabled() {
+			samplerRows.Add(int64(len(changed)))
+		}
 	}
 	return &Ground{s: s, stub: c.Stub}, nil
 }

@@ -1,7 +1,6 @@
 package walks
 
 import (
-	"cmp"
 	"slices"
 	"unsafe"
 
@@ -255,26 +254,43 @@ func (set *Set) nextOverlay(regen []ovOwner) (*overlay, int64) {
 
 // mergePostings returns the postings of an overlay after a repair: prev's
 // less those of the stale (superseded) entries' walks, merged per node with
-// those of regen's walks, ascending walk id.
+// those of regen's walks, ascending walk id. Only the nodes those walks
+// visit are merged; every run of other nodes keeps prev's postings, copied
+// in one piece.
 func mergePostings(n int, prev walkIndex, stale, regen []ovOwner) walkIndex {
 	type posting struct{ u, w, rel int32 }
-	var fresh []posting
+	var drawn []posting
+	var keys []uint64 // node<<32 | index into drawn
 	for _, r := range regen {
 		for k := range len(r.off) - 1 {
 			w := r.first + int32(k)
-			eachFirst(r.nodes[r.off[k]:r.off[k+1]], func(u, rel int32) { fresh = append(fresh, posting{u, w, rel}) })
+			eachFirst(r.nodes[r.off[k]:r.off[k+1]], func(u, rel int32) {
+				keys = append(keys, uint64(u)<<32|uint64(len(drawn)))
+				drawn = append(drawn, posting{u, w, rel})
+			})
 		}
 	}
-	// Sorted by node, walk order within one (no two postings share both).
-	slices.SortFunc(fresh, func(a, b posting) int { return cmp.Or(cmp.Compare(a.u, b.u), cmp.Compare(a.w, b.w)) })
+	// Sorted by node, walk order within one: regen's walks ascend, so the
+	// order they were drawn in is theirs.
+	slices.Sort(keys)
+	fresh := make([]posting, len(keys))
+	touched := make([]int32, len(keys))
+	for i, k := range keys {
+		fresh[i], touched[i] = drawn[uint32(k)], int32(k>>32)
+	}
 	total := len(prev.walk) + len(fresh)
 	for _, o := range stale {
 		for k := range len(o.off) - 1 {
-			eachFirst(o.nodes[o.off[k]:o.off[k+1]], func(int32, int32) { total-- })
+			eachFirst(o.nodes[o.off[k]:o.off[k+1]], func(u, _ int32) {
+				total--
+				touched = append(touched, u)
+			})
 		}
 	}
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
 	// The stale entries' walks as a bitmap over their id span: every
-	// posting of prev is tested against it.
+	// posting of prev at a touched node is tested against it.
 	var staleLo, staleHi int32
 	var staleBits []uint64
 	if len(stale) > 0 {
@@ -293,7 +309,25 @@ func mergePostings(n int, prev walkIndex, stale, regen []ovOwner) walkIndex {
 	}
 	p := walkIndex{off: make([]int32, n+1), walk: make([]int32, total), pos: make([]int32, total)}
 	dst, f := int32(0), 0
-	for u := range n {
+	// keep copies prev's postings of nodes [a, b).
+	keep := func(a, b int32) {
+		if prev.off == nil {
+			for u := a; u < b; u++ {
+				p.off[u+1] = dst
+			}
+			return
+		}
+		lo, hi := prev.off[a], prev.off[b]
+		copy(p.walk[dst:], prev.walk[lo:hi])
+		copy(p.pos[dst:], prev.pos[lo:hi])
+		for u := a; u < b; u++ {
+			p.off[u+1] = prev.off[u+1] - lo + dst
+		}
+		dst += hi - lo
+	}
+	next := int32(0) // the first node not placed yet
+	for _, u := range touched {
+		keep(next, u)
 		var a, ap []int32
 		if prev.off != nil {
 			a, ap = prev.walk[prev.off[u]:prev.off[u+1]], prev.pos[prev.off[u]:prev.off[u+1]]
@@ -302,7 +336,7 @@ func mergePostings(n int, prev walkIndex, stale, regen []ovOwner) walkIndex {
 			for len(stale) > 0 && len(a) > 0 && isStale(a[0]) {
 				a, ap = a[1:], ap[1:]
 			}
-			more := f < len(fresh) && fresh[f].u == int32(u)
+			more := f < len(fresh) && fresh[f].u == u
 			if len(a) == 0 && !more {
 				break
 			}
@@ -316,7 +350,9 @@ func mergePostings(n int, prev walkIndex, stale, regen []ovOwner) walkIndex {
 			dst++
 		}
 		p.off[u+1] = dst
+		next = u + 1
 	}
+	keep(next, int32(n))
 	return p
 }
 

@@ -45,7 +45,7 @@ func diffusions(t *testing.T) int64 {
 	if !obs.CostEnabled() {
 		t.Fatal("cost accounting is off")
 	}
-	return obs.CaptureCosts()["ovm_opinion_diffusions_total"]
+	return obs.CaptureCosts().Delta(nil)["ovm_opinion_diffusions_total"]
 }
 
 // TestDMCancelMidSweep: DM selection polls its context inside the candidate

@@ -179,6 +179,17 @@ func (cs *ChangeSet) NumTouched() int {
 	return len(seen)
 }
 
+// Touched lists (sorted, unique) the nodes whose FJ update rule the batch
+// moved for candidate q: the edge-touched destinations, whose in-columns
+// changed for every candidate, and q's stubbornness and opinion edits. Every
+// other node steps q's dynamics as before the batch, so q's opinions can
+// differ at step s only within s out-hops of these nodes.
+func (cs *ChangeSet) Touched(q int) []int32 {
+	out := slices.Concat(cs.EdgeTouched, cs.StubTouched[q], cs.OpinionTouched[q])
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
 // WalkMask renders the walk-invalidation mask for one candidate's walk
 // artifacts: edge-touched nodes plus that candidate's stub-touched nodes.
 func (cs *ChangeSet) WalkMask(n, cand int) []bool {

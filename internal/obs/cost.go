@@ -75,6 +75,15 @@ type series struct {
 type Registry struct {
 	mu     sync.RWMutex
 	series []series
+	// costs lists the NewCounter series in registration order, which only
+	// appends: a CostSnapshot's index i is costs[i] whenever it was taken.
+	costs []costSeries
+}
+
+// costSeries is a counter as CaptureCosts reads it.
+type costSeries struct {
+	key string
+	c   *Counter
 }
 
 var defaultRegistry Registry
@@ -92,6 +101,9 @@ func (r *Registry) add(s series) {
 		panic(fmt.Sprintf("obs: duplicate metric registration %q", s.key))
 	}
 	r.series = slices.Insert(r.series, i, s)
+	if s.c != nil {
+		r.costs = append(r.costs, costSeries{s.key, s.c})
+	}
 }
 
 // NewCounter creates and registers a counter, one series of the family
@@ -142,32 +154,45 @@ func CostEnabled() bool { return !costDisabled.Load() }
 // SetCostAccounting turns cost accounting on or off process-wide.
 func SetCostAccounting(on bool) { costDisabled.Store(!on) }
 
-// CostSnapshot is a point-in-time reading of every registered counter,
-// keyed by metric name. A query handler captures one before and after
-// its compute closure and attaches the Delta to the query's Span.
-type CostSnapshot map[string]int64
+// CostSnapshot is a point-in-time reading of every registered counter, in
+// registration order. A query handler captures one before and after its
+// compute closure and attaches the Delta to the query's Span.
+type CostSnapshot []int64
+
+// Costs is the work between two snapshots: the counters that moved, by
+// series key, as an explain block and the slow-query log print it.
+type Costs map[string]int64
 
 // CaptureCosts snapshots all counters of the process-global registry.
 func CaptureCosts() CostSnapshot {
 	r := &defaultRegistry
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	s := make(CostSnapshot, len(r.series))
-	for _, se := range r.series {
-		if se.c != nil {
-			s[se.key] = se.c.Load()
-		}
+	s := make(CostSnapshot, len(r.costs))
+	for i, se := range r.costs {
+		s[i] = se.c.Load()
 	}
 	return s
 }
 
 // Delta returns s minus prev, keeping only counters that moved — the
-// work attributable to whatever ran between the two captures.
-func (s CostSnapshot) Delta(prev CostSnapshot) CostSnapshot {
-	d := make(CostSnapshot)
-	for name, v := range s {
-		if dv := v - prev[name]; dv != 0 {
-			d[name] = dv
+// work attributable to whatever ran between the two captures. A counter
+// registered after prev was taken counts from 0. Nil when nothing moved.
+func (s CostSnapshot) Delta(prev CostSnapshot) Costs {
+	r := &defaultRegistry
+	r.mu.RLock()
+	costs := r.costs
+	r.mu.RUnlock()
+	var d Costs
+	for i, v := range s {
+		if i < len(prev) {
+			v -= prev[i]
+		}
+		if v != 0 {
+			if d == nil {
+				d = make(Costs)
+			}
+			d[costs[i].key] = v
 		}
 	}
 	return d

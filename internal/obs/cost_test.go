@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -62,5 +64,31 @@ func TestSetCostAccounting(t *testing.T) {
 	SetCostAccounting(true)
 	if !CostEnabled() {
 		t.Error("SetCostAccounting(true) did not re-enable")
+	}
+}
+
+// benchCounters registers what a daemon's cost registry holds, about 60
+// counters, once per test binary.
+var benchCounters = sync.OnceValue(func() []*Counter {
+	cs := make([]*Counter, 60)
+	for i := range cs {
+		cs[i] = NewCounter(fmt.Sprintf("bench_cost_%02d_total", i), "benchmark counter")
+	}
+	return cs
+})
+
+// BenchmarkCaptureCosts is what a computed query pays for its cost block:
+// two captures and their Delta, with a handful of counters moved between.
+func BenchmarkCaptureCosts(b *testing.B) {
+	cs := benchCounters()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		before := CaptureCosts()
+		for _, c := range cs[:5] {
+			c.Inc()
+		}
+		if d := CaptureCosts().Delta(before); len(d) < 5 {
+			b.Fatalf("delta %v, want the 5 moved counters", d)
+		}
 	}
 }

@@ -32,8 +32,8 @@ func TestExpositionCompleteness(t *testing.T) {
 		t.Fatal("no registered metric families — the cost registry did not link in")
 	}
 	for _, f := range fams {
-		if !strings.Contains(out, "\n"+f.Name+" ") && !strings.HasPrefix(out, f.Name+" ") {
-			t.Errorf("registered metric %q missing from /metrics output", f.Name)
+		if !strings.Contains(out, "\n"+f.Key+" ") && !strings.HasPrefix(out, f.Key+" ") {
+			t.Errorf("registered series %q missing from /metrics output", f.Key)
 		}
 		if !strings.Contains(out, "# HELP "+f.Name+" ") {
 			t.Errorf("registered metric %q has no HELP line", f.Name)
@@ -62,6 +62,7 @@ func TestExpositionCompleteness(t *testing.T) {
 		"ovm_opinion_dense_fallbacks_total",
 		"ovm_core_competitor_memo_hits_total",
 		"ovm_core_competitor_memo_misses_total",
+		"ovm_core_competitor_memo_carried_total",
 		"ovm_greedy_rounds_run_total",
 		"ovm_greedy_rounds_reused_total",
 		"ovm_greedy_prefix_slices_total",

@@ -22,7 +22,7 @@ type Span struct {
 	// Cost is the per-query work delta (registered-counter movement
 	// attributable to this span), stamped by the query path when cost
 	// accounting is enabled.
-	Cost CostSnapshot `json:"cost,omitempty"`
+	Cost Costs `json:"cost,omitempty"`
 
 	start time.Time
 }

@@ -93,6 +93,18 @@ func (c *lruCache) PutUnless(key string, val any, keep func(resident any) bool) 
 	return val
 }
 
+// entries snapshots the resident entries, least recently used first: Put
+// in that order, they rebuild the recency order.
+func (c *lruCache) entries() []lruEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]lruEntry, 0, c.ll.Len())
+	for el := c.ll.Back(); el != nil; el = el.Prev() {
+		out = append(out, *el.Value.(*lruEntry))
+	}
+	return out
+}
+
 // Cost returns the total cost of the cached entries (tests).
 func (c *lruCache) Cost() int64 {
 	c.mu.Lock()
@@ -157,7 +169,7 @@ type computeOutcome struct {
 	val   any
 	err   error
 	selNs int64
-	cost  obs.CostSnapshot
+	cost  obs.Costs
 }
 
 type flightCall struct {

@@ -25,8 +25,8 @@ import (
 // cache hit still explains how its answer was derived, even though its own
 // Cost is empty.
 type ExplainBlock struct {
-	Span *obs.Span        `json:"span"`
-	Cost obs.CostSnapshot `json:"cost,omitempty"`
+	Span *obs.Span `json:"span"`
+	Cost obs.Costs `json:"cost,omitempty"`
 	GreedyWork
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 
+	"ovm/internal/opinion"
 	"ovm/internal/walks"
 )
 
@@ -43,4 +44,28 @@ func (s *Service) EpochMemoResident(dataset string) int64 {
 	}
 	defer ds.release()
 	return ds.memo.Cost()
+}
+
+// EpochRows is one (target, horizon) value of an epoch's memo: the
+// competitors' rows at the horizon and the target's trajectory to it.
+type EpochRows struct {
+	Target, Horizon int
+	Comp, Traj      [][]float64
+}
+
+// EpochMemoRows returns the current epoch's system and the (target,
+// horizon) values its memo holds, least recently used first.
+func (s *Service) EpochMemoRows(dataset string) (*opinion.System, []EpochRows) {
+	ds, serr := s.dataset(dataset)
+	if serr != nil {
+		return nil, nil
+	}
+	defer ds.release()
+	var out []EpochRows
+	for _, e := range ds.memo.entries() {
+		if h, ok := e.val.(*horizonRows); ok {
+			out = append(out, EpochRows{Target: h.target, Horizon: h.horizon, Comp: h.comp, Traj: h.traj})
+		}
+	}
+	return ds.sys, out
 }

@@ -271,8 +271,9 @@ func memoBackedMatchesFromScratch(t *testing.T, sys *opinion.System, idx *serial
 // frontier evaluation. From then on a request runs exactly one, the frontier
 // evaluation, whose edge steps are the in-degrees of the nodes within s hops
 // of its seeds summed over the steps — counted here by the test's own BFS —
-// and never fall back to dense steps on this graph. An update starts a new
-// epoch with an empty memo. The counts are read from the EXPLAIN cost block.
+// and never fall back to dense steps on this graph. An update that moves a
+// competitor drops the epoch's horizon-8 rows, so the next epoch's first
+// request builds them again. The counts are read from the EXPLAIN cost block.
 func TestColdSelectDiffusionCount(t *testing.T) {
 	sys, idx := sparseWorld(t)
 	svc := newTestService(t, idx)

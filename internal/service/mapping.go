@@ -187,6 +187,7 @@ func (s *Service) Rebase(name string, mi *serialize.MappedIndex) error {
 	if err != nil {
 		return err
 	}
+	next.inherit(nil, latest, nil, 0)
 	s.swapDataset(name, next, nil)
 	return nil
 }

@@ -5,9 +5,11 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"ovm/internal/core"
+	"ovm/internal/dynamic"
 	"ovm/internal/methods"
 	"ovm/internal/obs"
 	"ovm/internal/opinion"
@@ -21,10 +23,16 @@ import (
 // seedless trajectory; per (walk artifact, score), the greedy seed sequence;
 // per (walk artifact, score, k), the exact value of that sequence's first k
 // seeds. All live in Dataset.memo, so they live and die with their Dataset: a
-// query pinned to epoch N can only ever see epoch-N values, and an update
-// starts epoch N+1 empty. Every value is deterministic and immutable once
-// stored, so nothing is locked while one is computed and a racing double
-// computation is harmless. A cancelled or failed computation stores nothing.
+// query pinned to epoch N can only ever see epoch-N values. An update builds
+// epoch N+1's memo before N+1 is visible, from N's (inherit): each (target,
+// horizon) value is shared where the batch touched none of its candidates,
+// patched by the frontier kernel where it touched a few and the update's
+// patch budget lasts, and otherwise left to be rebuilt at first use; seed
+// prefixes and exact values start empty. Every value is deterministic and
+// immutable once stored (but for a carried value's read mark, an atomic),
+// so nothing is locked while one is computed and a racing double
+// computation is harmless.
+// A cancelled or failed computation stores nothing.
 
 // epochMemoBytes bounds the memory one Dataset's memo pins, least recently
 // used first out. The keys come from request fields (horizon, k, positional
@@ -45,7 +53,7 @@ var (
 	compMemoHits = obs.NewCounter("ovm_core_competitor_memo_hits_total",
 		"Exact evaluations and selections served competitor rows from the per-epoch memo")
 	compMemoMisses = obs.NewCounter("ovm_core_competitor_memo_misses_total",
-		"Competitor-row lookups that diffused the rows (first use per epoch, target and horizon)")
+		"Competitor-row lookups that diffused the rows (first use per epoch, target and horizon of rows no update carried)")
 	greedyRoundsRun = obs.NewCounter("ovm_greedy_rounds_run_total",
 		"Greedy rounds computed by index-served selections and min-seeds probes")
 	greedyRoundsReused = obs.NewCounter("ovm_greedy_rounds_reused_total",
@@ -60,13 +68,132 @@ var (
 		"Index-served selections that evaluated their seeds exactly (first score per epoch, artifact, score and k)")
 )
 
+// Carry accounting, per update: what the successor epoch did with each
+// (target, horizon) value its predecessor held. shared + patched + dropped =
+// the values held.
+var (
+	memoShared  = carriedCounter("shared")
+	memoPatched = carriedCounter("patched")
+	memoDropped = carriedCounter("dropped")
+)
+
+func carriedCounter(how string) *obs.Counter {
+	return obs.Default().NewCounter("ovm_core_competitor_memo_carried_total",
+		"Per-epoch (target, horizon) values an update handed to the next epoch: shared untouched, patched by the frontier kernel, or dropped to be rebuilt at first use",
+		obs.Label{Name: "how", Value: how})
+}
+
+// carriedReads counts the carried values an epoch went on to read; over
+// carriedReads / (shared + patched) of the carry counters, it is the share
+// of the carry's work that a later query used.
+var carriedReads = obs.NewCounter("ovm_core_competitor_memo_carried_reads_total",
+	"Per-epoch (target, horizon) values an update carried (shared or patched) that the new epoch then read at least once")
+
 // horizonRows is what an epoch keeps per (target, horizon): the competitors'
 // seedless rows at the horizon, and the target's seedless trajectory to it
 // (nil when it would not fit the memo). Row 0 of the trajectory is the
-// system's own Init slice and weighs nothing here.
+// system's own Init slice and weighs nothing here. carried marks a value an
+// update handed on; read, whether its epoch has looked it up since.
 type horizonRows struct {
-	comp [][]float64
-	traj [][]float64
+	target, horizon int
+	comp            [][]float64
+	traj            [][]float64
+	carried         bool
+	read            atomic.Bool
+}
+
+// carry returns h for the system sys that a batch derived from h's, where
+// touched[q] are the nodes the batch moved for candidate q, how it was
+// carried, and the work its patches did (opinion.PatchTrajectory's). A row
+// or trajectory whose candidate the batch left alone is shared. The target's
+// trajectory, and a competitor's row at horizon 1 (its trajectory is
+// [Init, row]), are patched, bit for bit a fresh diffusion, within maxWork
+// in all. A value with a touched competitor at another horizon, or a patch
+// that gives up, is dropped: nil.
+func (h *horizonRows) carry(ctx context.Context, sys *opinion.System, touched [][]int32, maxWork int64, parallelism int) (*horizonRows, *obs.Counter, int64) {
+	out := &horizonRows{target: h.target, horizon: h.horizon, comp: slices.Clone(h.comp), carried: true}
+	how, work := memoShared, int64(0)
+	patch := func(q int, base [][]float64) [][]float64 {
+		if work >= maxWork {
+			return nil
+		}
+		traj, w, err := opinion.PatchTrajectory(ctx, sys.Candidate(q), base, touched[q], maxWork-work, parallelism)
+		work += w
+		if err != nil || traj == nil {
+			return nil
+		}
+		how = memoPatched
+		return traj
+	}
+	for q, row := range h.comp {
+		if row == nil || len(touched[q]) == 0 {
+			continue
+		}
+		if h.horizon != 1 {
+			return nil, memoDropped, work
+		}
+		traj := patch(q, [][]float64{sys.Candidate(q).Init, row})
+		if traj == nil {
+			return nil, memoDropped, work
+		}
+		out.comp[q] = traj[1]
+	}
+	switch {
+	case h.traj == nil:
+	case len(touched[h.target]) == 0:
+		out.traj = slices.Concat([][]float64{sys.Candidate(h.target).Init}, h.traj[1:])
+	default:
+		if out.traj = patch(h.target, h.traj); out.traj == nil {
+			return nil, memoDropped, work
+		}
+	}
+	return out, how, work
+}
+
+// inherit fills ds's memo, before ds is visible, with what prev's memo holds
+// per (target, horizon), carried across the batch behind cs (horizonRows.
+// carry). A nil cs says ds's system equals prev's bit for bit (an epoch a
+// failed batch consumed, a checkpoint's rebase), so everything is shared.
+//
+// The patches of one update do at most one dense rebuild's work in all, as
+// opinion.PatchTrajectory counts work: that of the value holding the
+// deepest trajectory, r trajectories to its horizon h, r·h·(m + n).
+// However many keys the memo holds, the carry then delays visibility by no
+// more than one value's rebuild, and the values read most recently get the
+// budget first; once it is spent a value that needs a patch is dropped
+// without one.
+func (ds *Dataset) inherit(ctx context.Context, prev *Dataset, cs *dynamic.ChangeSet, parallelism int) {
+	touched := make([][]int32, ds.sys.R())
+	if cs != nil {
+		for q := range touched {
+			touched[q] = cs.Touched(q)
+		}
+	}
+	held := prev.memo.entries()
+	var budget int64
+	for _, e := range held {
+		if rows, ok := e.val.(*horizonRows); ok {
+			g := ds.sys.Candidate(rows.target).G
+			budget = max(budget, int64(ds.sys.R()*max(1, len(rows.traj)-1))*int64(g.M()+g.N()))
+		}
+	}
+	carried := make([]lruEntry, 0, len(held))
+	for i := len(held) - 1; i >= 0; i-- {
+		rows, ok := held[i].val.(*horizonRows)
+		if !ok {
+			continue
+		}
+		next, how, work := rows.carry(ctx, ds.sys, touched, budget, parallelism)
+		budget -= work
+		how.Inc()
+		if next != nil {
+			carried = append(carried, lruEntry{key: held[i].key, val: next})
+		}
+	}
+	// Least recently used first, as they were held.
+	for _, e := range slices.Backward(carried) {
+		ds.memo.Put(e.key, e.val)
+	}
 }
 
 func (h *horizonRows) cacheBytes() int64 {
@@ -93,9 +220,12 @@ func (ds *Dataset) instance(ctx context.Context, target, horizon, parallelism in
 	if v, ok := ds.memo.Get(key); ok {
 		compMemoHits.Inc()
 		rows = v.(*horizonRows)
+		if rows.carried && !rows.read.Load() && rows.read.CompareAndSwap(false, true) {
+			carriedReads.Inc()
+		}
 	} else {
 		compMemoMisses.Inc()
-		rows = &horizonRows{}
+		rows = &horizonRows{target: target, horizon: horizon}
 		var err error
 		if rows.comp, err = core.CompetitorOpinionsCtx(ctx, ds.sys, target, horizon, parallelism); err != nil {
 			return nil, err

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ovm/internal/dynamic"
@@ -41,8 +42,9 @@ type updatePipeline struct {
 	queue []queuedBatch
 	// assigned is the last epoch promised to a caller; the next accepted
 	// batch becomes assigned+1. It only ever grows (a batch that fails to
-	// apply consumes its epoch as a no-op).
-	assigned int64
+	// apply consumes its epoch as a no-op). Written under mu; read without
+	// it, so a minEpoch query never waits on an accept's WAL append.
+	assigned atomic.Int64
 	// pendingEdges overlays the queued-but-unapplied edge ops on the
 	// visible graph for enqueue-time validation: destination → source →
 	// whether the edge exists after the queued ops. Reset when the queue
@@ -76,13 +78,13 @@ func (s *Service) pipelineFor(name string, baseEpoch int64) *updatePipeline {
 	p := &updatePipeline{
 		s:            s,
 		name:         name,
-		assigned:     baseEpoch,
 		pendingEdges: make(map[int32]map[int32]bool),
 		wake:         make(chan struct{}, 1),
 		done:         make(chan struct{}),
 		ctx:          ctx,
 		cancel:       cancel,
 	}
+	p.assigned.Store(baseEpoch)
 	s.pipelines[name] = p
 	go p.run()
 	return p
@@ -145,7 +147,7 @@ func (s *Service) EnqueueUpdates(req *UpdateRequest) (*UpdateResponse, *Error) {
 		s.observeAccept(req.Dataset, start, ds.epoch, serr)
 		return nil, serr
 	}
-	epoch := p.assigned + 1
+	epoch := p.assigned.Load() + 1
 	if s.cfg.OnEnqueue != nil {
 		persist := time.Now()
 		err := s.cfg.OnEnqueue(req.Dataset, req.Ops, epoch)
@@ -157,7 +159,7 @@ func (s *Service) EnqueueUpdates(req *UpdateRequest) (*UpdateResponse, *Error) {
 			return nil, serr
 		}
 	}
-	p.assigned = epoch
+	p.assigned.Store(epoch)
 	p.overlayLocked(ds, req.Ops)
 	p.queue = append(p.queue, queuedBatch{ops: req.Ops, epoch: epoch, acceptedAt: start})
 	depth := len(p.queue)
@@ -300,7 +302,7 @@ func (s *Service) SeedQueued(name string, batches []dynamic.Batch, firstEpoch in
 	p.mu.Lock()
 	now := time.Now()
 	for i, b := range batches {
-		p.assigned++
+		p.assigned.Add(1)
 		p.overlayLocked(ds, b)
 		p.queue = append(p.queue, queuedBatch{ops: b, epoch: firstEpoch + int64(i), acceptedAt: now})
 	}
@@ -321,10 +323,7 @@ func (s *Service) WaitIdle(ctx context.Context, name string) *Error {
 	if p == nil {
 		return nil
 	}
-	p.mu.Lock()
-	target := p.assigned
-	p.mu.Unlock()
-	ds, serr := s.awaitEpoch(ctx, name, target)
+	ds, serr := s.awaitEpoch(ctx, name, p.assigned.Load())
 	if serr == nil {
 		ds.release()
 	}
@@ -368,15 +367,26 @@ func (s *Service) UpdateLagSnapshot() obs.HistSnapshot {
 }
 
 // datasetAtEpoch is the query-path dataset fetch: min <= 0 (or already
-// reached) returns the current snapshot with zero extra cost; otherwise
-// it blocks until the async applier publishes the requested epoch. The
-// dataset comes held, as from dataset.
+// reached) returns the current snapshot with zero extra cost; a min no
+// accept has promised yet is a bad request, since nothing would ever make
+// it visible; otherwise it blocks until the async applier publishes the
+// requested epoch. The dataset comes held, as from dataset.
 func (s *Service) datasetAtEpoch(ctx context.Context, name string, min int64) (*Dataset, *Error) {
 	ds, serr := s.dataset(name)
 	if serr != nil || min <= ds.epoch {
 		return ds, serr
 	}
+	promised := ds.epoch
 	ds.release()
+	s.pipMu.Lock()
+	p := s.pipelines[name]
+	s.pipMu.Unlock()
+	if p != nil {
+		promised = p.assigned.Load()
+	}
+	if min > promised {
+		return nil, badRequestf("minEpoch %d is past epoch %d, the last one promised to an update", min, promised)
+	}
 	return s.awaitEpoch(ctx, name, min)
 }
 
@@ -592,12 +602,12 @@ func (s *Service) applyRun(p *updatePipeline, run dynamic.CoalescedRun, raw []qu
 }
 
 // noopSuccessor is the epoch bump a failed queued batch consumes: same
-// system, same artifacts and grounds, fresh epoch memo (every epoch starts
-// with its own, so successors never share one). It comes held, like a
-// repair's.
+// system, same artifacts and grounds, and an epoch memo of its own that
+// inherits every (target, horizon) value of ds's (successors never share one
+// memo). It comes held, like a repair's.
 func (ds *Dataset) noopSuccessor() *Dataset {
 	ds.hold()
-	return &Dataset{
+	next := &Dataset{
 		name:      ds.name,
 		sys:       ds.sys,
 		epoch:     ds.epoch + 1,
@@ -607,6 +617,8 @@ func (ds *Dataset) noopSuccessor() *Dataset {
 		memo:      newLRUCache(epochMemoBytes),
 		file:      ds.file,
 	}
+	next.inherit(nil, ds, nil, 0)
+	return next
 }
 
 func rawBatches(raw []queuedBatch) []dynamic.Batch {

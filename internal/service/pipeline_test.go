@@ -3,9 +3,14 @@ package service_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -301,8 +306,9 @@ func TestConsistentSnapshotDuringRepair(t *testing.T) {
 }
 
 // TestReadYourWrites: a query carrying the promised epoch as minEpoch
-// blocks until the batch is visible and answers at (or after) it; an
-// unreachable minEpoch times out with deadline_exceeded.
+// blocks until the batch is visible and answers at (or after) it; a
+// minEpoch no accept has promised is refused with bad_request, not waited
+// for.
 func TestReadYourWrites(t *testing.T) {
 	_, idx := testWorld(t)
 	async := newTestService(t, idx)
@@ -320,14 +326,92 @@ func TestReadYourWrites(t *testing.T) {
 	if resp.Epoch < acc.Epoch {
 		t.Fatalf("read-your-writes violated: answered at %d, promised %d", resp.Epoch, acc.Epoch)
 	}
-	// An epoch no update will ever produce must fail by deadline, not hang.
+	// An epoch no update has been promised must fail at once, not hang.
 	_, serr = async.Evaluate(&service.EvaluateRequest{
 		Dataset: "world", Score: service.ScoreSpec{Name: "cumulative"},
 		Horizon: tdHorizon, Target: 0, Seeds: []int32{1},
 		MinEpoch: acc.Epoch + 1000, TimeoutMs: 50,
 	})
-	if serr == nil || serr.Code != service.CodeDeadlineExceeded {
-		t.Fatalf("unreachable minEpoch: got %v, want deadline_exceeded", serr)
+	if serr == nil || serr.Code != service.CodeBadRequest {
+		t.Fatalf("unreachable minEpoch: got %v, want bad_request", serr)
+	}
+}
+
+// TestUnpromisedMinEpochRefused: over HTTP, with no deadline, a minEpoch
+// one past the last promised epoch answers 400 within 100 ms naming both
+// epochs — on a fresh dataset, where the last promise is the visible epoch,
+// and while an accepted batch is held before its swap. The promised but
+// unapplied epoch itself is waited for: with timeoutMs 50 the wait ends at
+// its deadline with 504 deadline_exceeded, and with no deadline it blocks
+// until the batch is visible, then answers.
+func TestUnpromisedMinEpochRefused(t *testing.T) {
+	_, idx := testWorld(t)
+	held, release := make(chan struct{}), make(chan struct{})
+	var hold, unhold sync.Once
+	defer unhold.Do(func() { close(release) })
+	svc := service.New(service.Config{OnUpdate: func(string, []dynamic.Batch, int64) error {
+		hold.Do(func() { close(held); <-release })
+		return nil
+	}})
+	t.Cleanup(svc.Close)
+	if err := svc.AddIndex("world", idx); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	client := &http.Client{Timeout: 5 * time.Second} // a hang fails, not stalls, the test
+	evaluate := func(minEpoch int64, timeoutMs int) (int, string, time.Duration) {
+		body := fmt.Sprintf(`{"dataset":"world","score":{"name":"cumulative"},"horizon":%d,"seeds":[1],"minEpoch":%d,"timeoutMs":%d}`, tdHorizon, minEpoch, timeoutMs)
+		start := time.Now()
+		resp, err := client.Post(ts.URL+"/v1/evaluate", "application/json", strings.NewReader(body))
+		if err != nil {
+			return 0, err.Error(), time.Since(start)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return 0, err.Error(), time.Since(start)
+		}
+		return resp.StatusCode, string(raw), time.Since(start)
+	}
+	refused := func(minEpoch, promised int64) {
+		t.Helper()
+		status, raw, took := evaluate(minEpoch, 0)
+		if status != http.StatusBadRequest || took > 100*time.Millisecond {
+			t.Fatalf("minEpoch %d with epoch %d promised: %d %s after %v, want 400 within 100ms", minEpoch, promised, status, raw, took)
+		}
+		if want := fmt.Sprintf("minEpoch %d is past epoch %d", minEpoch, promised); !strings.Contains(raw, want) {
+			t.Errorf("refusal %s does not say %q", raw, want)
+		}
+	}
+	refused(1, 0)
+	acc, serr := svc.EnqueueUpdates(&service.UpdateRequest{Dataset: "world", Ops: pipelineBatches()[0]})
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	<-held
+	refused(acc.Epoch+1, acc.Epoch)
+	status, raw, took := evaluate(acc.Epoch, 50)
+	if status != http.StatusGatewayTimeout || !strings.Contains(raw, string(service.CodeDeadlineExceeded)) || took < 50*time.Millisecond {
+		t.Fatalf("promised epoch %d held, timeoutMs 50: %d %s after %v, want 504 deadline_exceeded at the deadline", acc.Epoch, status, raw, took)
+	}
+	type answer struct {
+		status int
+		raw    string
+	}
+	got := make(chan answer, 1)
+	go func() {
+		status, raw, _ := evaluate(acc.Epoch, 0)
+		got <- answer{status, raw}
+	}()
+	select {
+	case a := <-got:
+		t.Fatalf("promised epoch %d answered %d %s before its batch was visible", acc.Epoch, a.status, a.raw)
+	case <-time.After(50 * time.Millisecond):
+	}
+	unhold.Do(func() { close(release) })
+	if a := <-got; a.status != http.StatusOK || !strings.Contains(a.raw, fmt.Sprintf(`"epoch":%d`, acc.Epoch)) {
+		t.Fatalf("promised epoch %d: %d %s, want 200 at that epoch", acc.Epoch, a.status, a.raw)
 	}
 }
 

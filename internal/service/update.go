@@ -188,6 +188,7 @@ func (s *Service) repairDataset(ctx context.Context, ds *Dataset, batch dynamic.
 		}
 		next.walks = append(next.walks, &walkArtifact{key: a.key, draw: a.draw, target: a.target, horizon: a.horizon, set: set})
 	}
+	next.inherit(ctx, ds, cs, par)
 	next.hold()
 	return next, nil
 }

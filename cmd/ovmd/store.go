@@ -87,10 +87,12 @@ func openStore(fsys iofault.FS, cfg service.Config, o storeOpts) (*store, error)
 	if removed, err := persist.CleanStaleTemps(fsys, o.index); err == nil && len(removed) > 0 {
 		st.logger.Warn("removed stale index temp files from an interrupted checkpoint", "files", strings.Join(removed, ", "))
 	}
+	start := time.Now()
 	mi, err := st.loadIndex()
 	if err != nil {
 		return nil, err
 	}
+	parsed := time.Since(start)
 	idx := mi.Index
 	queued, queuedFirst, err := st.openWAL(idx.BaseEpoch + int64(len(idx.Updates)))
 	if err != nil {
@@ -119,10 +121,12 @@ func openStore(fsys iofault.FS, cfg service.Config, o storeOpts) (*store, error)
 		args = append(args, "zeroCopy", fmt.Sprintf("%d bytes zero-copy", mi.MappedBytes()))
 	}
 	st.svc = service.New(cfg)
-	if err := st.register(mi, queued, queuedFirst); err != nil {
+	restored, err := st.register(mi, queued, queuedFirst)
+	if err != nil {
 		st.svc.Close()
 		return nil, err
 	}
+	args = append(args, "parseMs", millis(parsed), "restoreMs", millis(restored))
 	st.logger.Info("loaded index (no recomputation)", append([]any{"mode", mode}, args...)...)
 	return st, nil
 }
@@ -130,22 +134,28 @@ func openStore(fsys iofault.FS, cfg service.Config, o storeOpts) (*store, error)
 // register hands the loaded file to the service as the dataset (replaying
 // its own log section, if it has one) and then drains the batches recovered
 // from the WAL through the same applier as live traffic, so they land on
-// the epochs that were promised.
-func (st *store) register(mi *serialize.MappedIndex, queued []dynamic.Batch, queuedFirst int64) error {
+// the epochs that were promised. It returns how long the registration took:
+// the walk sets restored and their stored postings verified.
+func (st *store) register(mi *serialize.MappedIndex, queued []dynamic.Batch, queuedFirst int64) (time.Duration, error) {
+	start := time.Now()
 	if err := st.svc.AddMapped(st.opts.name, mi, st.opts.compact > 0); err != nil {
-		return err
+		return 0, err
 	}
+	restored := time.Since(start)
 	if len(queued) == 0 {
-		return nil
+		return restored, nil
 	}
 	if serr := st.svc.SeedQueued(st.opts.name, queued, queuedFirst); serr != nil {
-		return serr
+		return 0, serr
 	}
 	if serr := st.svc.WaitIdle(context.Background(), st.opts.name); serr != nil {
-		return serr
+		return 0, serr
 	}
-	return nil
+	return restored, nil
 }
+
+// millis is d in milliseconds, as the log lines report durations.
+func millis(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 // loadIndex reads the checkpoint zero-copy from an mmap'd region (where the
 // platform cannot map, serialize.OpenMapped parses a heap read instead).
@@ -313,18 +323,20 @@ func (st *store) checkpoint(reason service.CheckpointReason) {
 	}
 	st.logger.Info("checkpointed index", "reason", string(reason),
 		"epoch", exported.BaseEpoch, "bytes", bytes, "walPruned", pruned,
-		"walDepth", st.wal.Depth(), "durMs", float64(time.Since(start).Nanoseconds())/1e6,
+		"walDepth", st.wal.Depth(), "durMs", millis(time.Since(start)),
 		"path", st.opts.index)
 }
 
 // install parses the mapped checkpoint at epoch — CRC-checked, its postings
 // verified against its walks as at startup — and makes it the dataset's
-// base (service.Rebase).
+// base (service.Rebase). Its log line splits the time as the load line does:
+// parseMs for the checksums and the manifest, restoreMs for the rest.
 func (st *store) install(region *mmapio.Region, epoch int64) {
 	defer st.installs.Done()
 	defer st.installing.Add(-1)
 	start := time.Now()
 	mi, err := serialize.OpenRegion(region)
+	parsed := time.Since(start)
 	if err == nil {
 		err = st.svc.Rebase(st.opts.name, mi)
 	}
@@ -333,8 +345,9 @@ func (st *store) install(region *mmapio.Region, epoch int64) {
 		st.svc.CheckpointFailed(st.opts.name, epoch)
 		return
 	}
+	took := time.Since(start)
 	st.logger.Info("installed checkpoint as the base", "epoch", epoch,
-		"durMs", float64(time.Since(start).Nanoseconds())/1e6)
+		"parseMs", millis(parsed), "restoreMs", millis(took-parsed), "durMs", millis(took))
 }
 
 // Close is the graceful stop: the appliers end (a repair in flight is

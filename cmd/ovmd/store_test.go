@@ -7,11 +7,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -920,5 +922,59 @@ func TestFailingCheckpointsKeepHeapBounded(t *testing.T) {
 				t.Fatalf("%d checkpoints tried over %d batches at -compact-log %d, want 1 to %d", attempts, len(batches), compact, tc.maxAttempts)
 			}
 		})
+	}
+}
+
+// lockedBuffer is a log sink the install goroutine and the test share.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestLoadLinesSplitPhases: the "loaded index" and "installed checkpoint"
+// log lines carry the load's two phases, parseMs (the checksums and the
+// manifest) and restoreMs (the walk restore and the postings verify), so a
+// setup-time move can be placed from the daemon's own log.
+func TestLoadLinesSplitPhases(t *testing.T) {
+	var logs lockedBuffer
+	cfg := service.Config{Logger: slog.New(slog.NewJSONHandler(&logs, nil))}
+	st, err := openStore(iofault.OS, cfg, storeOpts{index: writeWorld(t, nil), name: testDataset, compact: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(t, st.svc, mixedBatches()[:2])
+	waitIdle(t, st.svc)
+	kill(st)
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		msg, _ := rec["msg"].(string)
+		if msg != "loaded index (no recomputation)" && msg != "installed checkpoint as the base" {
+			continue
+		}
+		seen[msg] = true
+		for _, key := range []string{"parseMs", "restoreMs"} {
+			if v, ok := rec[key].(float64); !ok || v <= 0 {
+				t.Errorf("%q: %s = %v, want a positive duration", msg, key, rec[key])
+			}
+		}
+	}
+	if len(seen) != 2 {
+		t.Fatalf("saw %v of the load and install lines in:\n%s", seen, logs.String())
 	}
 }

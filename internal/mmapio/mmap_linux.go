@@ -18,3 +18,8 @@ func openFile(f *os.File, size int) (*Region, error) {
 }
 
 func unmap(data []byte) error { return syscall.Munmap(data) }
+
+// dropPages drops the page-table entries of page-aligned mapped bytes. On a
+// read-only shared file mapping the next read faults the same bytes back in
+// from the page cache.
+func dropPages(data []byte) { _ = syscall.Madvise(data, syscall.MADV_DONTNEED) }

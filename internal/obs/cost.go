@@ -129,10 +129,11 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 	return g
 }
 
-// NewGaugeFunc registers a derived gauge whose value is computed by fn at
-// read time. fn must be safe for concurrent calls.
-func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
-	r.add(series{name: name, help: help, gauge: true, value: fn})
+// NewGaugeFunc registers a derived gauge, one series of the family name
+// with the given fixed labels, whose value is computed by fn at read time.
+// fn must be safe for concurrent calls.
+func (r *Registry) NewGaugeFunc(name, help string, fn func() float64, labels ...Label) {
+	r.add(series{name: name, labels: labels, help: help, gauge: true, value: fn})
 }
 
 // NewCounter creates and registers a counter in the process-global

@@ -183,7 +183,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serialize: reading index: %w", err)
 	}
-	idx, _, err := parseV3(data, false)
+	idx, _, err := parseV3(data, nil)
 	return idx, err
 }
 

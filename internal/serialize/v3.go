@@ -344,8 +344,17 @@ type v3entry struct {
 type v3parser struct {
 	data    []byte
 	entries []v3entry
-	mapped  bool
+	region  *mmapio.Region // the mapping data is, or nil
 	aliased int64
+}
+
+// frozen returns the region a snapshot's slices alias when they all do
+// (aliased) and it is a mapping, else nil.
+func (p *v3parser) frozen(aliased bool) *mmapio.Region {
+	if aliased && p.region.Mapped() {
+		return p.region
+	}
+	return nil
 }
 
 func (p *v3parser) payload(ref, kind uint32, what string) ([]byte, error) {
@@ -410,53 +419,53 @@ func (p *v3parser) bytesSection(ref uint32, what string) ([]byte, error) {
 
 // readPostingsRef parses a walk set's postings reference from the manifest
 // stream: nil for "no index stored", else the compact form, which must carry
-// positions.
-func (p *v3parser) readPostingsRef(r io.Reader, what string) (compact *postings.Compact, mapped bool, err error) {
+// positions, and the mapping it aliases (nil if it does not).
+func (p *v3parser) readPostingsRef(r io.Reader, what string) (compact *postings.Compact, region *mmapio.Region, err error) {
 	var mode [1]byte
 	if _, err := io.ReadFull(r, mode[:]); err != nil {
-		return nil, false, fmt.Errorf("serialize: v3 %s postings mode: %w", what, err)
+		return nil, nil, fmt.Errorf("serialize: v3 %s postings mode: %w", what, err)
 	}
 	switch mode[0] {
 	case v3PostingsNone:
-		return nil, false, nil
+		return nil, nil, nil
 	case v3PostingsCompact:
 		blockSize, err := binio.ReadU32(r)
 		if err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
 		if blockSize == 0 || blockSize > math.MaxInt32 {
-			return nil, false, fmt.Errorf("serialize: v3 %s postings block size %d", what, blockSize)
+			return nil, nil, fmt.Errorf("serialize: v3 %s postings block size %d", what, blockSize)
 		}
 		var hasPos [1]byte
 		if _, err := io.ReadFull(r, hasPos[:]); err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
 		if hasPos[0] != 1 {
-			return nil, false, fmt.Errorf("serialize: v3 %s postings hasPos flag %d, want 1", what, hasPos[0])
+			return nil, nil, fmt.Errorf("serialize: v3 %s postings hasPos flag %d, want 1", what, hasPos[0])
 		}
 		var refs [4]uint32
 		for i := range refs {
 			if refs[i], err = binio.ReadU32(r); err != nil {
-				return nil, false, err
+				return nil, nil, err
 			}
 		}
 		cp := &postings.Compact{HasPos: true, BlockSize: int32(blockSize)}
 		a1, a2, a3 := true, true, true
 		if cp.Off, a1, err = p.i32s(refs[0], what+" postings off"); err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
 		if cp.FirstBlock, a2, err = p.i32s(refs[1], what+" postings blocks"); err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
 		if cp.BlockOff, a3, err = p.i64s(refs[2], what+" postings block offsets"); err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
 		if cp.Data, err = p.bytesSection(refs[3], what+" postings data"); err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
-		return cp, p.mapped && a1 && a2 && a3, nil
+		return cp, p.frozen(a1 && a2 && a3), nil
 	default:
-		return nil, false, fmt.Errorf("serialize: v3 %s postings mode %d unsupported (only the compact form, mode %d, is read); rebuild with ovmd -build-index", what, mode[0], v3PostingsCompact)
+		return nil, nil, fmt.Errorf("serialize: v3 %s postings mode %d unsupported (only the compact form, mode %d, is read); rebuild with ovmd -build-index", what, mode[0], v3PostingsCompact)
 	}
 }
 
@@ -489,14 +498,14 @@ func (p *v3parser) readArtifact(r io.Reader, l artifactList, what string) (*Walk
 	if s.OwnerOff, a4, err = p.i32s(refs[3], what+" owner offsets"); err != nil {
 		return nil, err
 	}
-	s.Mapped = p.mapped && a1 && a2 && a3 && a4
+	s.Region = p.frozen(a1 && a2 && a3 && a4)
 	a.Set = s
-	compact, idxMapped, err := p.readPostingsRef(r, what+" index")
+	compact, idxRegion, err := p.readPostingsRef(r, what+" index")
 	if err != nil {
 		return nil, err
 	}
 	if compact != nil {
-		a.Index = &walks.IndexSnapshot{Compact: compact, Mapped: idxMapped}
+		a.Index = &walks.IndexSnapshot{Compact: compact, Region: idxRegion}
 	}
 	return a, nil
 }
@@ -526,10 +535,11 @@ func skipRRArtifact(r io.Reader) error {
 // parseV3 is the one index parser: it checks magic and version, validates
 // the section table of a complete file image and decodes the manifest,
 // aliasing array sections over data wherever alignment and endianness
-// allow. With mapped set, the produced snapshots are flagged as frozen
-// storage. Returns the index and the number of payload bytes consumed
-// zero-copy.
-func parseV3(data []byte, mapped bool) (*Index, int64, error) {
+// allow. With a mapped region (data is its bytes), the produced snapshots
+// alias it as frozen storage, and the checksum pass releases the pages
+// behind its cursor. Returns the index and the number of payload bytes
+// consumed zero-copy.
+func parseV3(data []byte, region *mmapio.Region) (*Index, int64, error) {
 	if len(data) < len(indexMagic)+4 {
 		return nil, 0, fmt.Errorf("serialize: index truncated (%d bytes)", len(data))
 	}
@@ -561,6 +571,9 @@ func parseV3(data []byte, mapped bool) (*Index, int64, error) {
 	}
 	entries := make([]v3entry, numSections)
 	prevEnd := v3align(tableEnd)
+	// Every payload byte is checksummed, in file order, one release window
+	// at a time, so the pass leaves about one window resident.
+	trail := region.Trail(data)
 	for i := range entries {
 		e := table[i*v3EntrySize:]
 		off := binary.LittleEndian.Uint64(e[0:])
@@ -590,12 +603,19 @@ func parseV3(data []byte, mapped bool) (*Index, int64, error) {
 		if ent.length/4 > maxElements {
 			return nil, 0, fmt.Errorf("serialize: v3 section %d exceeds element limit", i)
 		}
-		if got := crc32.ChecksumIEEE(data[ent.off : ent.off+ent.length]); got != ent.crc {
+		var got uint32
+		for lo, end := ent.off, ent.off+ent.length; lo < end; lo += mmapio.ReleaseWindow {
+			hi := min(lo+mmapio.ReleaseWindow, end)
+			got = crc32.Update(got, crc32.IEEETable, data[lo:hi])
+			trail.Advance(int(hi))
+		}
+		if got != ent.crc {
 			return nil, 0, fmt.Errorf("serialize: v3 section %d checksum mismatch (table %08x, computed %08x)", i, ent.crc, got)
 		}
 		prevEnd = ent.off + ent.length
 		entries[i] = ent
 	}
+	trail.Finish()
 	if entries[0].kind != v3KindManifest {
 		return nil, 0, fmt.Errorf("serialize: v3 section 0 has kind %d, want manifest", entries[0].kind)
 	}
@@ -605,7 +625,7 @@ func parseV3(data []byte, mapped bool) (*Index, int64, error) {
 		}
 	}
 
-	p := &v3parser{data: data, entries: entries, mapped: mapped}
+	p := &v3parser{data: data, entries: entries, region: region}
 	m := bytes.NewReader(data[entries[0].off : entries[0].off+entries[0].length])
 
 	// Graph.
@@ -787,7 +807,7 @@ func OpenMapped(path string) (*MappedIndex, error) {
 // OpenRegion is OpenMapped over a region the caller mapped; the returned
 // index owns it (a parse failure closes it).
 func OpenRegion(region *mmapio.Region) (*MappedIndex, error) {
-	idx, aliased, err := parseV3(region.Data(), region.Mapped())
+	idx, aliased, err := parseV3(region.Data(), region)
 	if err != nil {
 		_ = region.Close()
 		return nil, err

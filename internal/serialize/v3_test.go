@@ -141,8 +141,8 @@ func TestV3OpenMapped(t *testing.T) {
 		t.Errorf("mapped bytes %d exceed file size %d", mi.MappedBytes(), len(data))
 	}
 	for _, art := range mi.Index.Walks {
-		if !art.Set.Mapped {
-			t.Error("mapped walk artifact storage not flagged Mapped")
+		if art.Set.Region == nil {
+			t.Error("mapped walk artifact storage has no Region")
 		}
 		if art.Index == nil || art.Index.Compact == nil {
 			t.Error("mapped walk artifact lacks compact index")

@@ -122,7 +122,7 @@ func sameWalks(a, b *walks.Set) bool {
 	if err != nil {
 		return false
 	}
-	sa.Mapped, sb.Mapped = false, false
+	sa.Region, sb.Region = nil, nil
 	return reflect.DeepEqual(sa, sb) && reflect.DeepEqual(rawPostings(a.CompactPostings()), rawPostings(b.CompactPostings()))
 }
 
@@ -165,7 +165,7 @@ func TestCheckpointIsTheLiveSets(t *testing.T) {
 			idx *walks.IndexSnapshot
 		}{{got.Sketches[0].Set, got.Sketches[0].Index}, {got.Walks[0].Set, got.Walks[0].Index}}
 		for i, a := range stored {
-			a.set.Mapped, snaps[i].Mapped = false, false
+			a.set.Region, snaps[i].Region = nil, nil
 			if !reflect.DeepEqual(a.set, snaps[i]) {
 				t.Fatalf("checkpoint at epoch %d: artifact %d's walk arrays differ from the live set's Snapshot", exp.BaseEpoch, i)
 			}

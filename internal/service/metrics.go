@@ -135,6 +135,7 @@ func (s *Service) registerMetrics() {
 	s.canceledReqs = r.NewCounter("ovmd_canceled_total", "Queries abandoned by client cancellation.")
 	s.panics = r.NewCounter("ovmd_panics_total", "Handler panics recovered into 500 responses.")
 	s.inflight = r.NewGauge("ovmd_inflight", "Queries currently being served.")
+	registerMemoryGauges(r)
 }
 
 // WriteMetrics renders the Prometheus text exposition: the service's

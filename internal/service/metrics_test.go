@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -458,5 +459,45 @@ func TestStatsConsistencyUnderLoad(t *testing.T) {
 	wg.Wait()
 	if polls < 10 {
 		t.Logf("only %d stats polls completed", polls)
+	}
+}
+
+// TestMemoryGauges: the resident-set split is on /metrics on Linux (both
+// kinds non-zero: the binary is a mapped file) and absent elsewhere, and
+// the Go heap's live and goal bytes are on it everywhere, the goal at
+// least the live bytes.
+func TestMemoryGauges(t *testing.T) {
+	svc := service.New(service.Config{})
+	defer svc.Close()
+	runtime.GC() // the live bytes are the last GC's
+	var buf bytes.Buffer
+	if err := svc.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	values := make(map[string]float64)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && strings.HasPrefix(f[0], "ovmd_") {
+			v, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			values[f[0]] = v
+		}
+	}
+	for _, kind := range []string{"anon", "file"} {
+		v, ok := values[`ovmd_process_resident_bytes{kind="`+kind+`"}`]
+		if runtime.GOOS != "linux" {
+			if ok {
+				t.Errorf("resident %s bytes exported off Linux", kind)
+			}
+			continue
+		}
+		if v <= 0 {
+			t.Errorf("resident %s bytes = %v (present %v), want > 0", kind, v, ok)
+		}
+	}
+	live, goal := values[`ovmd_go_heap_bytes{kind="live"}`], values[`ovmd_go_heap_bytes{kind="goal"}`]
+	if live <= 0 || goal < live {
+		t.Errorf("go heap live %v, goal %v: want live > 0 and goal >= live", live, goal)
 	}
 }

@@ -45,6 +45,10 @@ type updatePipeline struct {
 	// apply consumes its epoch as a no-op). Written under mu; read without
 	// it, so a minEpoch query never waits on an accept's WAL append.
 	assigned atomic.Int64
+	// depth is len(queue), stored under mu wherever queue changes
+	// (setQueue) and read without it, so /stats and the queue-depth gauge
+	// never wait on an accept's WAL append either.
+	depth atomic.Int64
 	// pendingEdges overlays the queued-but-unapplied edge ops on the
 	// visible graph for enqueue-time validation: destination → source →
 	// whether the edge exists after the queued ops. Reset when the queue
@@ -161,7 +165,7 @@ func (s *Service) EnqueueUpdates(req *UpdateRequest) (*UpdateResponse, *Error) {
 	}
 	p.assigned.Store(epoch)
 	p.overlayLocked(ds, req.Ops)
-	p.queue = append(p.queue, queuedBatch{ops: req.Ops, epoch: epoch, acceptedAt: start})
+	p.setQueue(append(p.queue, queuedBatch{ops: req.Ops, epoch: epoch, acceptedAt: start}))
 	depth := len(p.queue)
 	p.mu.Unlock()
 	select {
@@ -304,7 +308,7 @@ func (s *Service) SeedQueued(name string, batches []dynamic.Batch, firstEpoch in
 	for i, b := range batches {
 		p.assigned.Add(1)
 		p.overlayLocked(ds, b)
-		p.queue = append(p.queue, queuedBatch{ops: b, epoch: firstEpoch + int64(i), acceptedAt: now})
+		p.setQueue(append(p.queue, queuedBatch{ops: b, epoch: firstEpoch + int64(i), acceptedAt: now}))
 	}
 	p.mu.Unlock()
 	select {
@@ -338,9 +342,7 @@ func (s *Service) QueueDepth(name string) int {
 	if p == nil {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
+	return int(p.depth.Load())
 }
 
 // totalQueueDepth sums the queued-but-unapplied batches across datasets.
@@ -353,9 +355,7 @@ func (s *Service) totalQueueDepth() int {
 	s.pipMu.Unlock()
 	n := 0
 	for _, p := range ps {
-		p.mu.Lock()
-		n += len(p.queue)
-		p.mu.Unlock()
+		n += int(p.depth.Load())
 	}
 	return n
 }
@@ -469,7 +469,7 @@ func (p *updatePipeline) drain() bool {
 			return true
 		}
 		popped := p.queue
-		p.queue = nil
+		p.setQueue(nil)
 		p.mu.Unlock()
 
 		batches := make([]dynamic.Batch, len(popped))
@@ -505,12 +505,18 @@ func (p *updatePipeline) drain() bool {
 	}
 }
 
+// setQueue replaces the queue and publishes its length. Caller holds p.mu.
+func (p *updatePipeline) setQueue(q []queuedBatch) {
+	p.queue = q
+	p.depth.Store(int64(len(q)))
+}
+
 func (p *updatePipeline) requeueFront(qs []queuedBatch) {
 	if len(qs) == 0 {
 		return
 	}
 	p.mu.Lock()
-	p.queue = append(append(make([]queuedBatch, 0, len(qs)+len(p.queue)), qs...), p.queue...)
+	p.setQueue(append(append(make([]queuedBatch, 0, len(qs)+len(p.queue)), qs...), p.queue...))
 	p.mu.Unlock()
 	select {
 	case p.wake <- struct{}{}:

@@ -559,3 +559,70 @@ func TestCountersPublishedWithEpoch(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsAnswerDuringAcceptWrite: the queue depth is read without the
+// pipeline's lock, so while an accept's durable write (OnEnqueue, ovmd's
+// fsync'd WAL append) is held, QueueDepth and /stats still answer within
+// 100 ms, and once it returns the batch is queued and applied.
+func TestStatsAnswerDuringAcceptWrite(t *testing.T) {
+	_, idx := testWorld(t)
+	held, release := make(chan struct{}), make(chan struct{})
+	var hold, unhold sync.Once
+	defer unhold.Do(func() { close(release) })
+	svc := service.New(service.Config{OnEnqueue: func(string, dynamic.Batch, int64) error {
+		hold.Do(func() { close(held); <-release })
+		return nil
+	}})
+	t.Cleanup(svc.Close)
+	if err := svc.AddIndex("world", idx); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	client := &http.Client{Timeout: 5 * time.Second}
+	stats := func() {
+		resp, err := client.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("/stats: status %d, %v", resp.StatusCode, err)
+		}
+	}
+	stats() // the connection is set up before the write is held
+
+	accepted := make(chan *service.Error, 1)
+	go func() {
+		_, serr := svc.EnqueueUpdates(&service.UpdateRequest{Dataset: "world", Ops: testBatch(t, idx)})
+		accepted <- serr
+	}()
+	<-held
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { f(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(100 * time.Millisecond):
+			t.Errorf("%s did not answer within 100 ms while an accept's durable write was held", what)
+		}
+	}
+	within("QueueDepth", func() {
+		if d := svc.QueueDepth("world"); d != 0 {
+			t.Errorf("queue depth %d during the write, want 0: the batch is queued once it is durable", d)
+		}
+	})
+	within("/stats", stats)
+	unhold.Do(func() { close(release) })
+	if serr := <-accepted; serr != nil {
+		t.Fatal(serr)
+	}
+	if serr := svc.WaitIdle(context.Background(), "world"); serr != nil {
+		t.Fatal(serr)
+	}
+	if d := svc.QueueDepth("world"); d != 0 {
+		t.Fatalf("queue depth %d once the batch is applied, want 0", d)
+	}
+}

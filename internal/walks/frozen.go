@@ -3,18 +3,19 @@ package walks
 import (
 	"fmt"
 
+	"ovm/internal/mmapio"
 	"ovm/internal/postings"
 )
 
 // IndexSnapshot is the portable form of the node → walk postings index:
 // the compact delta+varint form an index file stores, which the v3 format
 // persists next to the walk storage so a loaded artifact skips the
-// counting-sort rebuild entirely. With Mapped set, the slices alias the
-// read-only file region and the Set adopts them zero-copy. A live set hands
+// counting-sort rebuild entirely. With Region set, the slices alias that
+// read-only file mapping and the Set adopts them zero-copy. A live set hands
 // its postings out in this form with CompactPostings.
 type IndexSnapshot struct {
 	Compact *postings.Compact
-	Mapped  bool
+	Region  *mmapio.Region
 }
 
 // AdoptIndex installs a stored postings index as the base's instead of
@@ -24,7 +25,8 @@ type IndexSnapshot struct {
 // across walks in ascending walk order, so each first occurrence must
 // match u's next unconsumed posting and every posting must be consumed.
 // O(walk elements + postings); an incomplete or corrupted index is
-// rejected before it can influence truncation or gains.
+// rejected before it can influence truncation or gains. The pass releases
+// the mapped walk pages behind it, and the mapped postings once it ends.
 func (set *Set) AdoptIndex(is *IndexSnapshot) error {
 	c := is.Compact
 	if c == nil {
@@ -39,10 +41,14 @@ func (set *Set) AdoptIndex(is *IndexSnapshot) error {
 	if err := c.CheckTables(); err != nil {
 		return fmt.Errorf("walks: %w", err)
 	}
-	if err := set.verifyCompactMerge(c); err != nil {
+	err := set.verifyCompactMerge(c)
+	// The merge read every posting: none is needed again until a request or
+	// a repair reads it.
+	releaseCompact(is.Region, c)
+	if err != nil {
 		return err
 	}
-	set.idx = &walkIndex{compact: c, mapped: is.Mapped}
+	set.idx = &walkIndex{compact: c, region: is.Region}
 	return nil
 }
 
@@ -59,8 +65,15 @@ func (set *Set) verifyCompactMerge(c *postings.Compact) error {
 		cursors[u] = c.Checked(int32(u))
 		stamp[u] = -1
 	}
+	nodes, off := set.region.Trail(asBytes(set.nodes)), set.region.Trail(asBytes(set.off))
+	defer nodes.Finish()
+	defer off.Finish()
 	for w := range int32(set.NumWalks()) {
 		lo, hi := set.off[w], set.off[w+1]
+		if w%passChunk == 0 {
+			nodes.Advance(4 * int(lo))
+			off.Advance(4 * int(w))
+		}
 		for p, u := range set.nodes[lo:hi] {
 			if stamp[u] == w {
 				continue

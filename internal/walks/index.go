@@ -1,6 +1,7 @@
 package walks
 
 import (
+	"ovm/internal/mmapio"
 	"ovm/internal/postings"
 )
 
@@ -28,7 +29,7 @@ type walkIndex struct {
 	pos  []int32 // first-occurrence offset from the walk's start
 
 	compact *postings.Compact // alternative backing; off/walk/pos nil when set
-	mapped  bool              // storage aliases a read-only mapped region
+	region  *mmapio.Region    // the read-only mapping compact aliases, or nil
 }
 
 // bytes reports the index storage footprint.

@@ -94,7 +94,7 @@ func TestRepairIndexMatchesRebuild(t *testing.T) {
 		switch {
 		case stats.Folded:
 			folded++
-			if set.ov != nil || set.storageMapped {
+			if set.ov != nil || set.region != nil {
 				t.Fatalf("step %d: a fold must leave a heap base and no overlay", step)
 			}
 		case set.ov == nil:

@@ -412,9 +412,9 @@ func (set *Set) fold() int64 {
 	idx := set.foldIndex()
 	set.nodes, set.off, set.idx, set.ov = nodes, off, idx, nil
 	written := 4*int64(len(nodes)+len(off)) + idx.bytes()
-	if set.storageMapped {
+	if set.region != nil {
 		set.ownerNodes, set.ownerOff = slices.Clone(set.ownerNodes), slices.Clone(set.ownerOff)
-		set.storageMapped = false
+		set.region = nil
 		written += 4 * int64(len(set.ownerNodes)+len(set.ownerOff))
 	}
 	return written

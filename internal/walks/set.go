@@ -8,6 +8,7 @@ import (
 
 	"ovm/internal/engine"
 	"ovm/internal/graph"
+	"ovm/internal/mmapio"
 	"ovm/internal/sampling"
 )
 
@@ -29,10 +30,10 @@ type Set struct {
 	ownerOff   []int32    // CSR into walk ids: owner i owns walks [ownerOff[i], ownerOff[i+1])
 	idx        *walkIndex // base node → walk postings (nil until EnsureIndex)
 
-	// storageMapped records that the four arrays above alias a read-only
-	// mapped region. Nothing ever writes to them: a repair adds an overlay
-	// and a fold writes fresh heap arrays.
-	storageMapped bool
+	// region is the read-only mapping the four arrays above alias, nil when
+	// they are on the heap. Nothing ever writes to them: a repair adds an
+	// overlay and a fold writes fresh heap arrays.
+	region *mmapio.Region
 
 	ov *overlay // owners replaced by repairs since the base; nil when none
 
@@ -446,10 +447,10 @@ func (set *Set) mutableBytes() int64 {
 // and vice versa. Repairs never change it; only a fold does.
 func (set *Set) MappedBytes() int64 {
 	b := int64(0)
-	if set.storageMapped {
+	if set.region != nil {
 		b = set.baseBytes()
 	}
-	if set.idx != nil && set.idx.mapped {
+	if set.idx != nil && set.idx.region != nil {
 		b += set.idx.bytes()
 	}
 	return b
@@ -459,10 +460,10 @@ func (set *Set) MappedBytes() int64 {
 // the base is not mapped, the overlay, and the truncation state.
 func (set *Set) HeapBytes() int64 {
 	b := set.mutableBytes() + set.ov.bytes()
-	if !set.storageMapped {
+	if set.region == nil {
 		b += set.baseBytes()
 	}
-	if set.idx != nil && !set.idx.mapped {
+	if set.idx != nil && set.idx.region == nil {
 		b += set.idx.bytes()
 	}
 	return b
